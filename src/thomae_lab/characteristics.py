@@ -19,43 +19,83 @@ inferred whenever the stored cardinality has the wrong parity).
 
 Parity convention: a characteristic is odd iff eps^t eps' is odd, so that
 multiplicity-1 characteristics are odd and [K] at genus 2 is odd.
+
+Representation: a characteristic is its genus plus one 2g-bit int (eps high,
+eps' low).  [I] XOR-folds a per-genus table of [eps_k] (Mumford's eta-map),
+the sum is XOR, the parity a popcount; index sets are bit masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 Bits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class HalfCharacteristic:
     """Characteristic [eps] displayed as the 2 x g matrix [eps' over eps]."""
 
-    eps: Bits
-    eps_prime: Bits
+    genus: int
+    bits: int
 
-    def __post_init__(self):
-        if len(self.eps) != len(self.eps_prime):
+    def __init__(self, eps: Iterable[int], eps_prime: Iterable[int]):
+        eps, eps_prime = tuple(eps), tuple(eps_prime)
+        if len(eps) != len(eps_prime):
             raise ValueError("eps and eps' must have equal length")
-        if any(b not in (0, 1) for b in self.eps + self.eps_prime):
-            raise ValueError("characteristic entries must be bits")
+        bits = 0
+        for b in eps + eps_prime:
+            if b not in (0, 1):
+                raise ValueError("characteristic entries must be bits")
+            bits = bits << 1 | int(b)
+        object.__setattr__(self, "genus", len(eps))
+        object.__setattr__(self, "bits", bits)
 
     @property
-    def genus(self) -> int:
-        return len(self.eps)
+    def eps(self) -> Bits:
+        return tuple(self.bits >> (2 * self.genus - 1 - i) & 1 for i in range(self.genus))
+
+    @property
+    def eps_prime(self) -> Bits:
+        return tuple(self.bits >> (self.genus - 1 - i) & 1 for i in range(self.genus))
 
     def __str__(self) -> str:
         top = "".join(map(str, self.eps_prime))
         bot = "".join(map(str, self.eps))
         return f"[{top}/{bot}]"
 
+    def __repr__(self) -> str:
+        return f"HalfCharacteristic(eps={self.eps}, eps_prime={self.eps_prime})"
+
     def is_zero(self) -> bool:
-        return not any(self.eps) and not any(self.eps_prime)
+        return not self.bits
+
+
+@lru_cache(maxsize=None)
+def _char(g: int, bits: int) -> HalfCharacteristic:
+    """The characteristic of genus g with the given 2g bits, built once."""
+    c = object.__new__(HalfCharacteristic)
+    object.__setattr__(c, "genus", g)
+    object.__setattr__(c, "bits", bits)
+    return c
+
+
+@lru_cache(maxsize=None)
+def _table(g: int) -> tuple[tuple[int, ...], int]:
+    """Bits of [eps_k] for k = 0..2g+1, and bits of [K]."""
+    ones = (1 << g) - 1
+    branch = [0]
+    for k in range(1, 2 * g + 1):
+        j = (k + 1) // 2  # cut number
+        n = j if k % 2 == 0 else j - 1  # leading ones of eps
+        branch.append((ones >> (g - n)) << (2 * g - n) | 1 << (g - j))
+    branch.append(ones << g)  # k = 2g+1: eps = 1^g, eps' = 0
+    return tuple(branch), reduce(xor, branch[2 : 2 * g + 1 : 2], 0)
 
 
 def char_from_string(text: str) -> HalfCharacteristic:
@@ -66,45 +106,31 @@ def char_from_string(text: str) -> HalfCharacteristic:
 
 
 def zero_char(g: int) -> HalfCharacteristic:
-    return HalfCharacteristic((0,) * g, (0,) * g)
+    return _char(g, 0)
 
 
 def char_sum(a: HalfCharacteristic, b: HalfCharacteristic) -> HalfCharacteristic:
-    """Characteristic addition: entrywise XOR."""
+    """Characteristic addition: XOR."""
     if a.genus != b.genus:
         raise ValueError("characteristics of different genus")
-    return HalfCharacteristic(
-        tuple(x ^ y for x, y in zip(a.eps, b.eps)),
-        tuple(x ^ y for x, y in zip(a.eps_prime, b.eps_prime)),
-    )
+    return _char(a.genus, a.bits ^ b.bits)
 
 
 def branch_char(g: int, k: int) -> HalfCharacteristic:
     """Characteristic [eps_k] of branch point e_k; k = 0 is infinity (zero)."""
-    if k == 0:
-        return zero_char(g)
-    if not 1 <= k <= 2 * g + 1:
+    if not 0 <= k <= 2 * g + 1:
         raise ValueError(f"branch index {k} out of range 0..{2 * g + 1}")
-    if k == 2 * g + 1:
-        return HalfCharacteristic(eps=(1,) * g, eps_prime=(0,) * g)
-    j = (k + 1) // 2  # cut number
-    eps_prime = tuple(1 if i == j else 0 for i in range(1, g + 1))
-    ones = j if k % 2 == 0 else j - 1
-    eps = tuple(1 if i <= ones else 0 for i in range(1, g + 1))
-    return HalfCharacteristic(eps=eps, eps_prime=eps_prime)
+    return _char(g, _table(g)[0][k])
 
 
 def riemann_char(g: int) -> HalfCharacteristic:
     """Characteristic [K] of the vector of Riemann constants."""
-    out = zero_char(g)
-    for k in range(1, g + 1):
-        out = char_sum(out, branch_char(g, 2 * k))
-    return out
+    return _char(g, _table(g)[1])
 
 
 def parity(c: HalfCharacteristic) -> str:
     """'odd' iff eps^t eps' is odd, else 'even'."""
-    return "odd" if sum(x * y for x, y in zip(c.eps, c.eps_prime)) % 2 else "even"
+    return "odd" if (c.bits >> c.genus & c.bits).bit_count() & 1 else "even"
 
 
 @dataclass(frozen=True)
@@ -121,19 +147,12 @@ class Partition:
 
     @classmethod
     def from_set(cls, g: int, indices: Iterable[int]) -> "Partition":
-        s = set(indices)
-        if not s <= set(range(2 * g + 2)):
-            raise ValueError(f"indices {sorted(s)} out of range 0..{2 * g + 1}")
-        # Complete with the infinity index when the parity demands it.
-        if len(s) % 2 != (g + 1) % 2:
-            s ^= {0}
-        comp = set(range(2 * g + 2)) - s
-        if len(s) > len(comp):
-            s = comp
-        elif len(s) == len(comp) and 0 not in s:  # m = 0, prefer the 0-part
-            s = comp
-        s.discard(0)
-        return cls(genus=g, part=tuple(sorted(s)))
+        mask = 0
+        for i in indices:
+            if not 0 <= i <= 2 * g + 1:
+                raise ValueError(f"index {i} out of range 0..{2 * g + 1}")
+            mask |= 1 << i
+        return _partition(g, mask)
 
     def __post_init__(self):
         g = self.genus
@@ -161,6 +180,19 @@ class Partition:
         return "{" + ",".join(map(str, self.part)) + "}"
 
 
+@lru_cache(maxsize=None)
+def _partition(g: int, mask: int) -> Partition:
+    """Canonical partition of the index set whose bit i is index i (0 = infinity)."""
+    # Complete with the infinity index when the parity demands it.
+    if mask.bit_count() % 2 != (g + 1) % 2:
+        mask ^= 1
+    comp = mask ^ ((1 << (2 * g + 2)) - 1)
+    size, comp_size = mask.bit_count(), comp.bit_count()
+    if size > comp_size or (size == comp_size and not mask & 1):  # m = 0: prefer the 0-part
+        mask = comp
+    return Partition(genus=g, part=tuple(i for i in range(1, 2 * g + 2) if mask >> i & 1))
+
+
 def partition_char(p: Partition) -> HalfCharacteristic:
     """[I] = sum_{i in I} [eps_i] + [K]; infinity contributes nothing."""
     return char_of_set(p.genus, p.part)
@@ -168,36 +200,31 @@ def partition_char(p: Partition) -> HalfCharacteristic:
 
 def char_of_set(g: int, indices: Iterable[int]) -> HalfCharacteristic:
     """Characteristic of the partition referred to by an arbitrary index set."""
-    out = riemann_char(g)
+    branch, bits = _table(g)
     for i in indices:
-        if i:
-            out = char_sum(out, branch_char(g, i))
-    return out
-
-
-def multiplicity(p: Partition) -> int:
-    return p.multiplicity()
+        if not 0 <= i <= 2 * g + 1:
+            raise ValueError(f"branch index {i} out of range 0..{2 * g + 1}")
+        bits ^= branch[i]
+    return _char(g, bits)
 
 
 def char_to_partition(g: int, c: HalfCharacteristic) -> Partition:
     """Invert :func:`partition_char`; total on all 2^{2g} characteristics."""
     if c.genus != g:
         raise ValueError("genus mismatch")
-    target = char_sum(c, riemann_char(g))  # = sum over the part of [eps_i]
+    branch, k_bits = _table(g)
+    target = c.bits ^ k_bits  # = sum over the part of [eps_i]
     # [eps_{2k}] has eps' = delta_k, so the even-index picks fix eps'.
-    s: set[int] = set()
+    mask = 0
     for k in range(1, g + 1):
-        if target.eps_prime[k - 1]:
-            s ^= {2 * k}
+        if target >> (g - k) & 1:
+            mask ^= 1 << 2 * k
+            target ^= branch[2 * k]
     # [eps_{2k}] + [eps_{2k-1}] has eps' = 0, eps = delta_k: fix eps.
-    acc = char_of_set(g, s)
-    residual = char_sum(char_sum(acc, riemann_char(g)), target)
     for k in range(1, g + 1):
-        if residual.eps[k - 1]:
-            s ^= {2 * k, 2 * k - 1}
-    p = Partition.from_set(g, s)
-    assert partition_char(p) == c
-    return p
+        if target >> (2 * g - k) & 1:
+            mask ^= 0b11 << (2 * k - 1)
+    return _partition(g, mask)
 
 
 def enumerate_partitions(g: int, m: int) -> Iterator[Partition]:
@@ -205,16 +232,11 @@ def enumerate_partitions(g: int, m: int) -> Iterator[Partition]:
     if not 0 <= m <= (g + 1) // 2:
         raise ValueError(f"multiplicity {m} out of range 0..{(g + 1) // 2}")
     idx = range(1, 2 * g + 2)
-    if m == 0:
-        for t in combinations(idx, g):
-            yield Partition(genus=g, part=t)
-        return
-    # Stored sizes g+1-2m (infinity on the J side) and g-2m (infinity in part).
-    for size in (g + 1 - 2 * m, g - 2 * m):
-        if size < 0:
-            continue
-        for t in combinations(idx, size):
-            yield Partition(genus=g, part=t)
+    # Stored sizes g+1-2m (infinity on the J side) and g-2m (infinity in
+    # part); at m = 0 the canonical part is the one holding infinity.
+    sizes = (g,) if m == 0 else [s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0]
+    for size in sizes:
+        yield from (Partition(genus=g, part=t) for t in combinations(idx, size))
 
 
 @lru_cache(maxsize=None)

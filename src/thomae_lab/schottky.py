@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic, parity, zero_char
+from .characteristics import HalfCharacteristic, char_of_set, char_sum, parity, riemann_char, zero_char
 from .context import CurveContext
 from .indexsets import IndexSet, complement_finite, iset, replace
 from .relations import VerificationRecord, general_r_tensor, scalar_identity_residual
@@ -43,39 +43,15 @@ from .thomae import first_thomae_rhs
 
 def syzygy_test(a: HalfCharacteristic, b: HalfCharacteristic, c: HalfCharacteristic) -> str:
     """'azygetic' iff parity(a)+parity(b)+parity(c)+parity(a+b+c) is odd."""
-    if not a.genus == b.genus == c.genus:
-        raise ValueError("characteristics of different genus")
-    total = sum(1 for x in (a, b, c) if parity(x) == "odd")
-    s = HalfCharacteristic(
-        tuple(x ^ y ^ z for x, y, z in zip(a.eps, b.eps, c.eps)),
-        tuple(x ^ y ^ z for x, y, z in zip(a.eps_prime, b.eps_prime, c.eps_prime)),
-    )
-    total += 1 if parity(s) == "odd" else 0
+    chars = (a, b, c, char_sum(char_sum(a, b), c))
+    total = sum(parity(x) == "odd" for x in chars)
     return "azygetic" if total % 2 else "syzygetic"
-
-
-def _sym_diff(a: frozenset, b: frozenset) -> frozenset:
-    return a ^ b
 
 
 def raw_char(g: int, s: frozenset) -> HalfCharacteristic:
     """[A(S)] = sum_{i in S} [eps_i]: the period characteristic of the set,
     without the Riemann-constant shift that partition characteristics carry."""
-    from .characteristics import branch_char, char_sum
-
-    c = zero_char(g)
-    for i in s:
-        if i:
-            c = char_sum(c, branch_char(g, i))
-    return c
-
-
-def _char_bits(g: int, s: frozenset) -> int:
-    c = raw_char(g, s)
-    bits = 0
-    for b in c.eps + c.eps_prime:
-        bits = (bits << 1) | b
-    return bits
+    return char_sum(char_of_set(g, s), riemann_char(g))
 
 
 @dataclass
@@ -106,7 +82,7 @@ def build_goepel(g: int, generators: list[IndexSet]) -> GoepelGroup:
     gens = [frozenset(iset(s)) - {0} for s in generators]
     basis_bits: list[int] = []
     for s in gens:
-        v = _char_bits(g, s)
+        v = raw_char(g, s).bits
         for b in basis_bits:
             v = min(v, v ^ b)
         if v == 0:
@@ -115,7 +91,7 @@ def build_goepel(g: int, generators: list[IndexSet]) -> GoepelGroup:
         basis_bits.sort(reverse=True)
     elements = [frozenset()]
     for s in gens:
-        elements += [_sym_diff(e, s) for e in elements]
+        elements += [e ^ s for e in elements]
     return GoepelGroup(genus=g, generators=tuple(gens), elements=tuple(elements), rank=len(gens))
 
 
@@ -134,7 +110,7 @@ def coset_product(ctx: CurveContext, group: GoepelGroup, a_set: IndexSet) -> tup
     members = []
     prod = 1.0 + 0j
     for el in group.elements:
-        s = _sym_diff(base, el)
+        s = base ^ el
         p = ctx.partition(s)
         if p.multiplicity() != 0:
             raise ValueError(

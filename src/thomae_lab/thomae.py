@@ -202,14 +202,6 @@ class PhaseCalibration:
     def worst_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
 
-    def phase_pattern(self) -> dict[complex, int]:
-        """Observed multiplicity of each eighth root across characteristics."""
-        out: dict[complex, int] = {}
-        for ph in self.phases.values():
-            key = complex(round(ph.real, 12), round(ph.imag, 12))
-            out[key] = out.get(key, 0) + 1
-        return out
-
 
 def calibrate_phases(ctx: CurveContext, fail_tol: float = 1e-4) -> PhaseCalibration:
     """Snap theta[I_0]/rhs to the nearest 8th root for every even

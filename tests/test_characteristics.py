@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from thomae_lab.characteristics import (
     Partition,
     branch_char,
     char_from_string,
+    char_of_set,
     char_sum,
     char_to_partition,
     count_by_multiplicity,
@@ -124,10 +125,15 @@ def test_partition_char_bijection():
 
 
 def test_char_to_partition_roundtrip():
-    for g in (2, 3, 4, 5):
+    for g in (1, 2, 3, 4, 5):
         for m in range((g + 1) // 2 + 1):
             for p in enumerate_partitions(g, m):
                 assert char_to_partition(g, p.char()) == p
+        # total on all 4^g characteristics, built from outside tuples
+        for eps in product((0, 1), repeat=g):
+            for eps_prime in product((0, 1), repeat=g):
+                c = HalfCharacteristic(eps, eps_prime)
+                assert partition_char(char_to_partition(g, c)) == c
 
 
 def test_char_to_partition_examples():
@@ -171,3 +177,78 @@ def test_set_order_is_strict_total_order(g, data):
         assert not set_order_less(a, b)
     else:
         assert set_order_less(a, b) != set_order_less(b, a)
+
+
+# --- bit layer against a tuple reference ------------------------------------
+
+
+def _ref_branch(g, k):
+    """[eps_k] as (eps, eps') tuples, read off the table in the module docstring."""
+    if k == 0:
+        return (0,) * g, (0,) * g
+    if k == 2 * g + 1:
+        return (1,) * g, (0,) * g
+    j = (k + 1) // 2
+    ones = j if k % 2 == 0 else j - 1
+    return tuple(int(i <= ones) for i in range(1, g + 1)), tuple(int(i == j) for i in range(1, g + 1))
+
+
+def _ref_char(g, indices):
+    """[I] = sum_{i in I} [eps_i] + [K], [K] = sum_k [eps_{2k}], entrywise XOR."""
+    eps, eps_prime = [0] * g, [0] * g
+    for k in tuple(range(2, 2 * g + 1, 2)) + tuple(indices):
+        e, ep = _ref_branch(g, k)
+        eps = [x ^ y for x, y in zip(eps, e)]
+        eps_prime = [x ^ y for x, y in zip(eps_prime, ep)]
+    return tuple(eps), tuple(eps_prime)
+
+
+def _subsets(n):
+    for mask in range(1 << n):
+        yield tuple(i for i in range(n) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_bit_layer_matches_tuple_reference(g):
+    for s in _subsets(2 * g + 2):
+        eps, eps_prime = _ref_char(g, s)
+        c = char_of_set(g, s)
+        assert (c.genus, c.eps, c.eps_prime) == (g, eps, eps_prime), s
+        assert partition_char(Partition.from_set(g, s)) == c, s
+        dot = sum(x * y for x, y in zip(eps, eps_prime))
+        assert parity(c) == ("odd" if dot % 2 else "even"), s
+        text = "[" + "".join(map(str, eps_prime)) + "/" + "".join(map(str, eps)) + "]"
+        assert str(c) == text
+        assert char_from_string(text) == c
+
+
+def test_equal_characteristics_share_hash():
+    a = HalfCharacteristic((1, 0, 1), (0, 1, 1))
+    b = char_from_string("[011/101]")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != HalfCharacteristic((1, 0, 1, 0), (0, 1, 1, 0))
+    with pytest.raises(AttributeError):
+        a.genus = 4
+    with pytest.raises(AttributeError):
+        a.eps = (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: char_of_set(3, (8,)),
+        lambda: char_of_set(3, (1, -1)),
+        lambda: branch_char(3, 8),
+        lambda: branch_char(3, -1),
+        lambda: Partition.from_set(3, (1, 8)),
+        lambda: Partition.from_set(3, (-1,)),
+        lambda: Partition(genus=3, part=(2, 1)),
+        lambda: Partition(genus=3, part=(1, 2, 3, 4, 5)),
+        lambda: HalfCharacteristic((0, 2), (0, 0)),
+        lambda: HalfCharacteristic((0, 1), (0,)),
+        lambda: char_to_partition(3, zero_char(2)),
+    ],
+)
+def test_inputs_are_still_checked(call):
+    with pytest.raises(ValueError):
+        call()

@@ -8,7 +8,7 @@ characteristic so each lattice sum is paid for once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -17,12 +17,17 @@ from .curve import CurveSpec
 from .periods import PeriodData, compute_periods
 from .theta import DEFAULT_TOL, DerivThetaTensor, ThetaEngine
 
+if TYPE_CHECKING:
+    from .thomae import PhaseCalibration
+
 
 @dataclass
 class CurveContext:
     spec: CurveSpec
     periods: PeriodData
     engine: ThetaEngine
+    # set by ``run_suite`` once the phases are calibrated; THOMAE1 reads it
+    calibration: PhaseCalibration | None = field(default=None, repr=False)
     _const: dict = field(default_factory=dict, repr=False)
     _deriv: dict = field(default_factory=dict, repr=False)
 

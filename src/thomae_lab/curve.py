@@ -40,9 +40,6 @@ class CurveSpec:
             raise ValueError(f"branch point index {k} out of range 1..{self.n_finite}")
         return self.branch_points[k - 1]
 
-    def finite_indices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n_finite + 1))
-
     def content_hash(self) -> str:
         payload = json.dumps({"g": self.genus, "e": [repr(e) for e in self.branch_points]})
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -120,6 +117,19 @@ def vandermonde_exact(spec: CurveSpec, index_set: Iterable[int]) -> Fraction:
     return out
 
 
+def elementary_symmetric_all(spec: CurveSpec, index_set: Iterable[int]) -> list[float]:
+    """[s_0, s_1, ..., s_|I|] of {e_i | i in I}, from one expansion of the
+    generating product prod_{i in I} (1 + e_i t) = sum_n s_n t^n."""
+    idx = _check_finite_indexset(spec, index_set)
+    # Newton-free direct recurrence: expand the generating product.
+    coeffs = [1.0] + [0.0] * len(idx)
+    for i in idx:
+        e = spec.branch_points[i - 1]
+        for d in range(len(idx), 0, -1):
+            coeffs[d] += e * coeffs[d - 1]
+    return coeffs
+
+
 def elementary_symmetric(spec: CurveSpec, index_set: Iterable[int], n: int) -> float:
     """Elementary symmetric polynomial s_n of {e_i | i in I}.
 
@@ -128,16 +138,8 @@ def elementary_symmetric(spec: CurveSpec, index_set: Iterable[int], n: int) -> f
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    idx = _check_finite_indexset(spec, index_set)
-    if n > len(idx):
-        return 0.0
-    # Newton-free direct recurrence: expand the generating product.
-    coeffs = [1.0] + [0.0] * len(idx)
-    for i in idx:
-        e = spec.branch_points[i - 1]
-        for d in range(len(idx), 0, -1):
-            coeffs[d] += e * coeffs[d - 1]
-    return coeffs[n]
+    coeffs = elementary_symmetric_all(spec, index_set)
+    return coeffs[n] if n < len(coeffs) else 0.0
 
 
 def ordered_diff_product(spec: CurveSpec, left: Iterable[int], right: Iterable[int]) -> float:

@@ -20,6 +20,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +77,6 @@ class SuiteConfig:
     cap: int = 500
     seed: int = 0
     enable_heavy: bool = False
-    include_timings: bool = False
     period_cache: str | None = None
 
     def tol(self, family: str) -> float:
@@ -112,7 +112,7 @@ class Report:
             payload["timings"] = self.timings
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    def to_text(self) -> str:
+    def to_text(self, include_timings: bool = False) -> str:
         lines = [
             f"curve {self.curve['label'] or '(unnamed)'}: genus {self.curve['genus']}, "
             f"points {self.curve['branch_points']}",
@@ -128,11 +128,11 @@ class Report:
             worst = max(r.residual for r in rs)
             fails = [r for r in rs if not r.passed]
             status = "PASS" if not fails else f"FAIL ({len(fails)}/{len(rs)})"
-            t = self.timings.get(fam, 0.0)
-            lines.append(
-                f"  {fam:<14} {status:<12} n={len(rs):<4} worst={worst:.3e} "
-                f"tol={rs[0].tolerance:.0e}  [{t:.2f}s]"
-            )
+            line = (f"  {fam:<14} {status:<12} n={len(rs):<4} worst={worst:.3e} "
+                    f"tol={rs[0].tolerance:.0e}")
+            if include_timings and fam in self.timings:
+                line += f"  [{self.timings[fam]:.2f}s]"
+            lines.append(line)
             for r in fails[:5]:
                 lines.append(f"      failed {r.bindings} residual={r.residual:.3e} {r.notes}")
         s = self.summary()
@@ -163,397 +163,292 @@ def _sample(items: list, cap: int, rng: np.random.Generator) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Family runners
+# Family table
 # ---------------------------------------------------------------------------
 
-def _run_thomae1(ctx, cal, cfg, rng):
+@dataclass(frozen=True)
+class Family:
+    """One verification family as a table entry.
+
+    ``bindings(ctx, cfg, rng)`` gives the argument tuples and
+    ``verify(ctx, *args, tolerance=..., **extra)`` turns each into one record
+    or a list of records.  ``tolerances`` maps further verifier keywords to
+    tolerance keys.  Below ``min_genus`` the family has no instances.
+    """
+
+    name: str
+    bindings: Callable
+    verify: Callable
+    min_genus: int = 2
+    tolerances: tuple[tuple[str, str], ...] = ()
+
+    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rng: np.random.Generator) -> list:
+        if ctx.g < self.min_genus:
+            return []
+        tols = {"tolerance": cfg.tol(self.name)}
+        tols.update((kw, cfg.tol(key)) for kw, key in self.tolerances)
+        out = []
+        for args in self.bindings(ctx, cfg, rng):
+            rec = self.verify(ctx, *args, **tols)
+            out.extend(rec if isinstance(rec, list) else [rec])
+        return out
+
+
+def _i0_splits(ctx, ksize: int) -> list:
+    """(I_0, K, j_m, j_n) for every finite g-set I_0, every ksize-subset K of
+    I_0, and the two smallest indices j_m < j_n of J_0."""
     out = []
-    tol = cfg.tol("THOMAE1")
-    sets = _sample(list(combinations(range(1, ctx.spec.n_finite + 1), ctx.g)), cfg.cap, rng)
-    for i0 in sets:
-        lhs = ctx.const(i0)
-        rhs = first_thomae_rhs(ctx, i0)
-        ratio = lhs / rhs
-        phase, snap = snap_phase(ratio)
-        residual = max(abs(abs(ratio) - 1.0), snap)
-        out.append(
-            VerificationRecord("THOMAE1", {"I0": i0}, residual, tol, notes=f"phase {phase:.3f}")
-        )
-    return out
-
-
-def _run_thomae2(ctx, cal, cfg, rng):
-    out = []
-    tol = cfg.tol("THOMAE2")
-    parts = _sample([p.part for p in enumerate_partitions(ctx.g, 1)], cfg.cap, rng)
-    for i1 in parts:
-        lhs = ctx.grad(i1)
-        rhs = second_thomae_rhs_vector(ctx, i1)
-        k = int(np.argmax(np.abs(lhs)))
-        phase, snap = snap_phase(lhs[k] / rhs[k])
-        residual = max(float(np.max(np.abs(lhs - phase * rhs)) / np.max(np.abs(lhs))), snap)
-        out.append(
-            VerificationRecord("THOMAE2", {"I1": i1}, residual, tol, notes=f"phase {phase:.3f}")
-        )
-    return out
-
-
-def _run_thomaeg(ctx, cal, cfg, rng):
-    out = []
-    g = ctx.g
-    orders = [2] if g in (3, 4) else ([2, 3] if g >= 5 else [])
-    for m in orders:
-        tol = cfg.tol("THOMAEG_G5") if (g >= 5 and m == 3) else cfg.tol("THOMAEG")
-        parts = _sample([p.part for p in enumerate_partitions(g, m)], max(cfg.cap // 20, 5), rng)
-        for a in parts:
-            ksize = g - len(a)
-            jm_fin = complement_finite(ctx.spec.n_finite, a)
-            kset = jm_fin[:ksize]
-            lhs = ctx.deriv(a, m).entries
-            pred = np.zeros_like(lhs)
-            for idx in combinations_with_replacement(range(1, g + 1), m):
-                v = general_thomae_rhs(ctx, a, idx, kset)
-                for perm in set(permutations(tuple(i - 1 for i in idx))):
-                    pred[perm] = v
-            flat = int(np.argmax(np.abs(lhs)))
-            phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
-            residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
-            # K-choice independence, probed on the best-conditioned entry
-            kalt = jm_fin[-ksize:]
-            entry = tuple(i + 1 for i in np.unravel_index(flat, lhs.shape))
-            scale = float(np.max(np.abs(pred)))
-            v1 = general_thomae_rhs(ctx, a, entry, kset)
-            v2 = general_thomae_rhs(ctx, a, entry, kalt)
-            k_indep = abs(v1 - v2) / scale
-            # ratio form consistency
-            i0 = iset(a + kset)
-            r1 = general_thomae_ratio_rhs(ctx, a, entry, kset, i0)
-            r2 = v1 / first_thomae_rhs(ctx, i0)
-            ratio_resid = abs(r1 - r2) / max(abs(r1), abs(r2))
-            out.append(
-                VerificationRecord(
-                    "THOMAEG",
-                    {"Im": a, "m": m, "K": kset},
-                    residual,
-                    tol,
-                    notes=f"phase {phase:.3f}; K-indep {k_indep:.2e}; ratio-form {ratio_resid:.2e}",
-                )
-            )
-            if k_indep > 1e-8 or ratio_resid > 1e-10:
-                out[-1].residual = max(out[-1].residual, 1.0)
-    return out
-
-
-def _run_eklm(ctx, cal, cfg, rng):
-    g = ctx.g
-    fin = range(1, ctx.spec.n_finite + 1)
-    bindings = []
-    for rest in combinations(fin, 3):
-        others = [x for x in fin if x not in rest]
-        for i_set in combinations(others, g - 1):
-            j_set = tuple(x for x in others if x not in i_set)
-            k, m, n = rest
-            bindings.append((i_set, j_set, k, m, n))
-            bindings.append((i_set, j_set, m, n, k))
-    bindings = _sample(bindings, min(cfg.cap, 200), rng)
-    return [rel.verify_eklm(ctx, *b, tolerance=cfg.tol("EKLM")) for b in bindings]
-
-
-def _run_eji(ctx, cal, cfg, rng):
-    g = ctx.g
-    bindings = []
-    for i0 in combinations(range(1, ctx.spec.n_finite + 1), g):
-        j0 = complement_finite(ctx.spec.n_finite, i0)
-        bindings.append((i0, i0[0], i0[1], j0[0], j0[1]))
-    bindings = _sample(bindings, min(cfg.cap, 100), rng)
-    return [rel.verify_eji(ctx, *b, tolerance=cfg.tol("EJI")) for b in bindings]
-
-
-def _run_grad2(ctx, cal, cfg, rng):
-    bindings = []
     for i0 in combinations(range(1, ctx.spec.n_finite + 1), ctx.g):
         j0 = complement_finite(ctx.spec.n_finite, i0)
-        for k1, k2 in combinations(i0, 2):
-            bindings.append((i0, k1, k2, j0[0], j0[1]))
-    bindings = _sample(bindings, cfg.cap, rng)
-    return [rel.verify_grad2(ctx, *b, tolerance=cfg.tol("GRAD2")) for b in bindings]
-
-
-def _run_grad3(ctx, cal, cfg, rng):
-    g = ctx.g
-    all_idx = range(2 * g + 2)
-    bindings = []
-    for i_set in combinations(range(1, 2 * g + 2), g - 2):
-        rest = [x for x in all_idx if x not in i_set]
-        for kappas in combinations(rest, 3):
-            j_set = tuple(x for x in rest if x not in kappas)
-            jf = [x for x in j_set if x != 0]
-            bindings.append((i_set, *kappas, jf[0], jf[1]))
-    bindings = _sample(bindings, cfg.cap, rng)
-    return [rel.verify_grad3(ctx, *b, tolerance=cfg.tol("GRAD3")) for b in bindings]
-
-
-def _run_grad4(ctx, cal, cfg, rng):
-    g = ctx.g
-    if g < 3:
-        return []
-    all_idx = range(2 * g + 2)
-    bindings = []
-    for i_set in combinations(range(1, 2 * g + 2), g - 3):
-        rest = [x for x in all_idx if x not in i_set]
-        for kappas in combinations(rest, 5):
-            j_set = tuple(x for x in rest if x not in kappas)
-            jf = [x for x in j_set if x != 0]
-            if len(jf) < 2:
-                continue
-            bindings.append((i_set, kappas, jf[0], jf[1]))
-    bindings = _sample(bindings, cfg.cap // 2, rng)
-    out = [rel.verify_grad4(ctx, *b, tolerance=cfg.tol("GRAD4")) for b in bindings]
-    # regrouped variant on a small subsample
-    for i_set, kappas, jm, jn in bindings[: max(len(bindings) // 10, 1)]:
-        k1, k2, k3, k4, k5 = kappas
-        out.append(
-            rel.verify_grad4(
-                ctx, i_set, kappas, jm, jn,
-                tolerance=cfg.tol("GRAD4"),
-                pairs=[(k2, k3), (k1, k4), (k2, k5), (k3, k5)],
-            )
-        )
+        out.extend((i0, ks, j0[0], j0[1]) for ks in combinations(i0, ksize))
     return out
 
 
-def _run_gradn(ctx, cal, cfg, rng):
-    g = ctx.g
+def _kappa_splits(ctx, isize: int, nk: int) -> list:
+    """(I, kappas, j_m, j_n) over all indices 0..2g+1: I a finite isize-set,
+    kappas nk further indices, j_m < j_n the two smallest finite ones left."""
+    all_idx = range(2 * ctx.g + 2)
     out = []
-    for r in (2, 3, 4):
-        if r > min(4, g):
-            continue
-        universe = list(range(2 * g + 2))
+    for i_set in combinations(range(1, 2 * ctx.g + 2), isize):
+        rest = [x for x in all_idx if x not in i_set]
+        for kappas in combinations(rest, nk):
+            jf = [x for x in rest if x not in kappas and x != 0]
+            out.append((i_set, kappas, jf[0], jf[1]))
+    return out
+
+
+def _parts(ctx, m: int, cap: int, rng: np.random.Generator) -> list:
+    """Sampled finite parts of the multiplicity-m partitions, one per tuple."""
+    return [(p,) for p in _sample([p.part for p in enumerate_partitions(ctx.g, m)], cap, rng)]
+
+
+def _thomae1_bindings(ctx, cfg, rng):
+    return [(i0,) for i0, *_ in _sample(_i0_splits(ctx, 0), cfg.cap, rng)]
+
+
+def _thomae1(ctx, i0, tolerance):
+    ratio = ctx.calibration.ratios[ctx.char(i0)]
+    phase, snap = snap_phase(ratio)
+    residual = max(abs(abs(ratio) - 1.0), snap)
+    return VerificationRecord("THOMAE1", {"I0": i0}, residual, tolerance, notes=f"phase {phase:.3f}")
+
+
+def _thomae2(ctx, i1, tolerance):
+    lhs = ctx.grad(i1)
+    rhs = second_thomae_rhs_vector(ctx, i1)
+    k = int(np.argmax(np.abs(lhs)))
+    phase, snap = snap_phase(lhs[k] / rhs[k])
+    residual = max(float(np.max(np.abs(lhs - phase * rhs)) / np.max(np.abs(lhs))), snap)
+    return VerificationRecord("THOMAE2", {"I1": i1}, residual, tolerance, notes=f"phase {phase:.3f}")
+
+
+def _thomaeg_bindings(ctx, cfg, rng):
+    for m in (2, 3) if ctx.g >= 5 else (2,):
+        for (a,) in _parts(ctx, m, max(cfg.cap // 20, 5), rng):
+            yield a, m
+
+
+def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
+    g = ctx.g
+    ksize = g - len(a)
+    jm_fin = complement_finite(ctx.spec.n_finite, a)
+    kset = jm_fin[:ksize]
+    lhs = ctx.deriv(a, m).entries
+    pred = np.zeros_like(lhs)
+    for idx in combinations_with_replacement(range(1, g + 1), m):
+        v = general_thomae_rhs(ctx, a, idx, kset)
+        for perm in set(permutations(tuple(i - 1 for i in idx))):
+            pred[perm] = v
+    flat = int(np.argmax(np.abs(lhs)))
+    phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
+    residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
+    # K-choice independence, probed on the best-conditioned entry
+    kalt = jm_fin[-ksize:]
+    entry = tuple(i + 1 for i in np.unravel_index(flat, lhs.shape))
+    scale = float(np.max(np.abs(pred)))
+    v1 = general_thomae_rhs(ctx, a, entry, kset)
+    v2 = general_thomae_rhs(ctx, a, entry, kalt)
+    k_indep = abs(v1 - v2) / scale
+    # ratio form consistency
+    i0 = iset(a + kset)
+    r1 = general_thomae_ratio_rhs(ctx, a, entry, kset, i0)
+    r2 = v1 / first_thomae_rhs(ctx, i0)
+    ratio_resid = abs(r1 - r2) / max(abs(r1), abs(r2))
+    if k_indep > 1e-8 or ratio_resid > 1e-10:
+        residual = max(residual, 1.0)
+    return VerificationRecord(
+        "THOMAEG",
+        {"Im": a, "m": m, "K": kset},
+        residual,
+        tolerance_m3 if m == 3 else tolerance,  # m = 3 runs from genus 5 on
+        notes=f"phase {phase:.3f}; K-indep {k_indep:.2e}; ratio-form {ratio_resid:.2e}",
+    )
+
+
+def _eklm_bindings(ctx, cfg, rng):
+    fin = range(1, ctx.spec.n_finite + 1)
+    bindings = []
+    for k, m, n in combinations(fin, 3):
+        others = [x for x in fin if x not in (k, m, n)]
+        for i_set in combinations(others, ctx.g - 1):
+            j_set = tuple(x for x in others if x not in i_set)
+            bindings += [(i_set, j_set, k, m, n), (i_set, j_set, m, n, k)]
+    return _sample(bindings, min(cfg.cap, 200), rng)
+
+
+def _eji_bindings(ctx, cfg, rng):
+    splits = _sample(_i0_splits(ctx, 0), min(cfg.cap, 100), rng)
+    return [(i0, i0[0], i0[1], jm, jn) for i0, _, jm, jn in splits]
+
+
+def _grad2_bindings(ctx, cfg, rng):
+    return [(i0, *ks, jm, jn) for i0, ks, jm, jn in _sample(_i0_splits(ctx, 2), cfg.cap, rng)]
+
+
+def _grad3_bindings(ctx, cfg, rng):
+    splits = _sample(_kappa_splits(ctx, ctx.g - 2, 3), cfg.cap, rng)
+    return [(i_set, *kappas, jm, jn) for i_set, kappas, jm, jn in splits]
+
+
+def _grad4_bindings(ctx, cfg, rng):
+    bindings = _sample(_kappa_splits(ctx, ctx.g - 3, 5), cfg.cap // 2, rng)
+    # the regrouped variant on a small subsample
+    regrouped = [
+        (i_set, (k1, k2, k3, k4, k5), jm, jn, [(k2, k3), (k1, k4), (k2, k5), (k3, k5)])
+        for i_set, (k1, k2, k3, k4, k5), jm, jn in bindings[: max(len(bindings) // 10, 1)]
+    ]
+    return bindings + regrouped
+
+
+def _grad4(ctx, i_set, kappas, j_m, j_n, pairs=None, *, tolerance):
+    return rel.verify_grad4(ctx, i_set, kappas, j_m, j_n, tolerance=tolerance, pairs=pairs)
+
+
+def _gradn_bindings(ctx, cfg, rng):
+    g = ctx.g
+    universe = list(range(2 * g + 2))
+    for r in range(2, min(4, g) + 1):
         for _ in range(3):
             pick = rng.choice(len(universe), size=(g - r) + (2 * r - 1), replace=False)
             chosen = sorted(universe[i] for i in pick)
-            i_set = tuple(chosen[: g - r])
-            b_set = tuple(chosen[g - r:])
             j_set = [x for x in universe if x not in chosen and x != 0]
-            if len(j_set) < 2:
-                continue
-            out.append(
-                rel.verify_gradN(ctx, i_set, b_set, r, j_set[0], j_set[1], tolerance=cfg.tol("GRADN"))
-            )
-    return out
+            yield tuple(chosen[: g - r]), tuple(chosen[g - r:]), r, j_set[0], j_set[1]
 
 
-def _run_rank(ctx, cal, cfg, rng, n_collections: int | None = None):
+def _rank_bindings(ctx, cfg, rng):
     g = ctx.g
-    out = []
-    parts = [p for p in enumerate_partitions(g, 1)]
-    n = n_collections if n_collections is not None else min(cfg.cap, 200)
-    for _ in range(n):
+    parts = [p.part for p in enumerate_partitions(g, 1)]
+    for _ in range(min(cfg.cap, 200)):
         size = int(rng.integers(2, min(g + 3, 7)))
         idx = rng.choice(len(parts), size=size, replace=False)
-        sets = [parts[i].part for i in idx]
-        obs, pred = rel.collection_rank(ctx, sets)
-        out.append(
-            VerificationRecord(
-                "RANK",
-                {"sets": tuple(sets)},
-                0.0 if obs == pred else 1.0,
-                cfg.tol("RANK"),
-                notes=f"observed {obs}, predicted {pred}",
-            )
-        )
+        yield [parts[i] for i in idx], False
     # the degenerate family from the rank theorem: three sets sharing a
     # (g-2)-set plus one disjoint-ish set; intersection g-4 but rank 3
     if g >= 4:
         shared = tuple(range(1, g - 1))
         fam = [iset(shared + (g - 1 + i,)) for i in range(3)]
-        extra = tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):])
-        fam.append(extra)
-        obs, pred = rel.collection_rank(ctx, fam)
-        out.append(
-            VerificationRecord(
-                "RANK",
-                {"sets": tuple(fam), "family": "degenerate"},
-                0.0 if obs == pred == 3 else 1.0,
-                cfg.tol("RANK"),
-                notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
-            )
+        fam.append(tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):]))
+        yield fam, True
+
+
+def _rank(ctx, sets, degenerate, tolerance):
+    obs, pred = rel.collection_rank(ctx, sets)
+    if degenerate:
+        return VerificationRecord(
+            "RANK",
+            {"sets": tuple(sets), "family": "degenerate"},
+            0.0 if obs == pred == 3 else 1.0,
+            tolerance,
+            notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
         )
-    return out
+    return VerificationRecord(
+        "RANK", {"sets": tuple(sets)}, 0.0 if obs == pred else 1.0, tolerance,
+        notes=f"observed {obs}, predicted {pred}",
+    )
 
 
-def _hess_bindings(ctx, ksize, cfg, rng):
-    g = ctx.g
-    bindings = []
-    for i0 in combinations(range(1, ctx.spec.n_finite + 1), g):
-        j0 = complement_finite(ctx.spec.n_finite, i0)
-        for ks in combinations(i0, ksize):
-            bindings.append((i0, ks, j0[0], j0[1]))
-    return _sample(bindings, cfg.cap // 2, rng)
-
-
-def _run_hess_k3(ctx, cal, cfg, rng):
-    if ctx.g < 3:
-        return []
-    return [
-        rel.hessian_repr(ctx, *b, tolerance=cfg.tol("HESS_K3"))
-        for b in _hess_bindings(ctx, 3, cfg, rng)
-    ]
-
-
-def _run_hess_k4(ctx, cal, cfg, rng):
-    if ctx.g < 4:
-        return []
-    return [
-        rel.hessian_repr(ctx, *b, tolerance=cfg.tol("HESS_K4"))
-        for b in _hess_bindings(ctx, 4, cfg, rng)
-    ]
-
-
-def _run_hess_equiv(ctx, cal, cfg, rng):
-    g = ctx.g
-    if g < 3:
-        return []
-    out = []
-    fin = list(range(1, ctx.spec.n_finite + 1))
-    for _ in range(min(cfg.cap // 25, 20)):
-        pick = sorted(rng.choice(len(fin), size=(g - 3) + 4, replace=False))
-        chosen = [fin[i] for i in pick]
-        i_set, ps = tuple(chosen[: g - 3]), tuple(chosen[g - 3:])
-        ia = iset(i_set + ps[:3])
-        ib = iset(i_set + ps[:2] + ps[3:])
-        ja = complement_finite(ctx.spec.n_finite, ia)
-        jb = complement_finite(ctx.spec.n_finite, ib)
-        jc = tuple(sorted(set(ja) & set(jb)))
-        out.append(
-            rel.hessian_repr_equiv(
-                ctx, (ia, ps[:3], jc[0], jc[1]), (ib, ps[:2] + ps[3:], jc[0], jc[1]),
-                tolerance=cfg.tol("HESS_EQUIV"),
-            )
-        )
+def _hess_equiv_bindings(ctx, cfg, rng):
+    g, n = ctx.g, ctx.spec.n_finite
+    fin = list(range(1, n + 1))
     # |K| = 4 equivalence needs five spare indices
-    if g >= 4:
-        for _ in range(min(cfg.cap // 50, 10)):
-            pick = sorted(rng.choice(len(fin), size=(g - 4) + 5, replace=False))
+    for ksize, count in ((3, min(cfg.cap // 25, 20)), (4, min(cfg.cap // 50, 10))):
+        if ksize > g:
+            break
+        for _ in range(count):
+            pick = sorted(rng.choice(len(fin), size=g + 1, replace=False))
             chosen = [fin[i] for i in pick]
-            i_set, ps = tuple(chosen[: g - 4]), tuple(chosen[g - 4:])
-            ia = iset(i_set + ps[:4])
-            ib = iset(i_set + ps[:3] + ps[4:])
-            ja = complement_finite(ctx.spec.n_finite, ia)
-            jb = complement_finite(ctx.spec.n_finite, ib)
-            jc = tuple(sorted(set(ja) & set(jb)))
-            out.append(
-                rel.hessian_repr_equiv(
-                    ctx, (ia, ps[:4], jc[0], jc[1]), (ib, ps[:3] + ps[4:], jc[0], jc[1]),
-                    tolerance=cfg.tol("HESS_EQUIV"),
-                )
-            )
-    return out
+            i_set, ps = tuple(chosen[: g - ksize]), tuple(chosen[g - ksize:])
+            ka, kb = ps[:ksize], ps[: ksize - 1] + ps[ksize:]
+            ia, ib = iset(i_set + ka), iset(i_set + kb)
+            jc = sorted(set(complement_finite(n, ia)) & set(complement_finite(n, ib)))
+            yield (ia, ka, jc[0], jc[1]), (ib, kb, jc[0], jc[1])
 
 
-def _run_hess_rank(ctx, cal, cfg, rng):
-    if ctx.g < 3:
-        return []
-    parts = _sample([p.part for p in enumerate_partitions(ctx.g, 2)],
-                    cfg.cap if ctx.g <= 4 else 10, rng)
-    return [rel.hessian_rank(ctx, p, tolerance=cfg.tol("HESS_RANK")) for p in parts]
+def _d3_k5_bindings(ctx, cfg, rng):
+    return _sample(_sample(_i0_splits(ctx, 5), 2 * cfg.cap, rng), max(cfg.cap // 20, 20), rng)
 
 
-def _run_d3_k5(ctx, cal, cfg, rng):
-    if ctx.g < 5:
-        return []
-    bindings = _sample(_hess_bindings(ctx, 5, SuiteConfig(ctx.spec, cap=4 * cfg.cap), rng),
-                       max(cfg.cap // 20, 20), rng)
-    return [rel.third_deriv_repr(ctx, *b, tolerance=cfg.tol("D3_K5")) for b in bindings]
+def _d3_k6_bindings(ctx, cfg, rng):
+    return _sample(_sample(_i0_splits(ctx, 6), 2 * cfg.cap, rng), 3, rng)
 
 
-def _run_d3_k6(ctx, cal, cfg, rng):
-    if ctx.g < 6:
-        return []
-    bindings = _sample(_hess_bindings(ctx, 6, SuiteConfig(ctx.spec, cap=4 * cfg.cap), rng), 3, rng)
-    return [rel.third_deriv_repr(ctx, *b, tolerance=cfg.tol("D3_K6")) for b in bindings]
-
-
-def _run_conj_m(ctx, cal, cfg, rng):
-    g = ctx.g
-    out = []
+def _conj_m_bindings(ctx, cfg, rng):
     # specialisations: the general construction must match the dedicated ones
-    specs = []
-    if g >= 3:
-        specs.append((2, 3))
-    if g >= 4:
-        specs.append((2, 4))
-    if g >= 5:
-        specs.append((3, 5))
-    for m, ksize in specs:
-        i0 = tuple(range(1, g + 1))
-        j0 = complement_finite(ctx.spec.n_finite, i0)
-        out.append(
-            rel.conjecture_m_repr(ctx, i0, i0[:ksize], m, j0[0], j0[1], tolerance=cfg.tol("CONJ_M"))
-        )
-    if cfg.enable_heavy and g >= 7:
-        i0 = tuple(range(1, g + 1))
-        j0 = complement_finite(ctx.spec.n_finite, i0)
-        out.append(
-            rel.conjecture_m_repr(ctx, i0, i0[:7], 4, j0[0], j0[1], tolerance=cfg.tol("CONJ_M"))
-        )
-    return out
+    i0 = tuple(range(1, ctx.g + 1))
+    j0 = complement_finite(ctx.spec.n_finite, i0)
+    specs = [(2, 3), (2, 4), (3, 5)] + ([(4, 7)] if cfg.enable_heavy else [])
+    return [(i0, i0[:ksize], m, j0[0], j0[1]) for m, ksize in specs if ksize <= ctx.g]
 
 
-def _run_rj_det(ctx, cal, cfg, rng):
-    sets = _sample(list(combinations(range(1, ctx.spec.n_finite + 1), ctx.g)),
-                   min(cfg.cap // 10, 20), rng)
-    return [rel.riemann_jacobi_det(ctx, i0, tolerance=cfg.tol("RJ_DET")) for i0 in sets]
+def _rj_det_bindings(ctx, cfg, rng):
+    return [(i0,) for i0, *_ in _sample(_i0_splits(ctx, 0), min(cfg.cap // 10, 20), rng)]
 
 
-def _run_schottky_r(ctx, cal, cfg, rng):
-    if ctx.g < 4:
-        return []
-    out = []
+def _schottky_r_bindings(ctx, cfg, rng):
     fin = list(range(1, ctx.spec.n_finite + 1))
     for _ in range(min(cfg.cap // 25, 20)):
         pick = sorted(rng.choice(len(fin), size=ctx.g, replace=False))
         i0 = tuple(fin[i] for i in pick)
         ps = tuple(sorted(rng.choice(i0, size=4, replace=False).tolist()))
         j0 = complement_finite(ctx.spec.n_finite, i0)
-        recs = sch.verify_schottky_R(
-            ctx, i0, ps, j0[0], j0[1],
-            tolerance=cfg.tol("SCHOTTKY_R"), det_tolerance=cfg.tol("SCHOTTKY_DETR"),
-        )
-        out.extend(recs)
-    return out
+        yield i0, ps, j0[0], j0[1]
 
 
-def _run_schottky_f(ctx, cal, cfg, rng):
-    cases = [c for c in sch.CASE_IDS
-             if (sch._F_CASES.get(c, {}).get("genus") == ctx.g)
-             or (c == "schottky.F69G3" and ctx.g == 3)
-             or (c == "schottky.Ratio45" and ctx.g == 5)]
-    return [sch.verify_appendix_f(ctx, c, tolerance=cfg.tol("SCHOTTKY_F")) for c in cases]
+def _schottky_f_bindings(ctx, cfg, rng):
+    return [(c,) for c in sch.CASE_IDS
+            if (sch._F_CASES.get(c, {}).get("genus") == ctx.g)
+            or (c == "schottky.F69G3" and ctx.g == 3)
+            or (c == "schottky.Ratio45" and ctx.g == 5)]
 
 
-FAMILIES = {
-    "THOMAE1": _run_thomae1,
-    "THOMAE2": _run_thomae2,
-    "THOMAEG": _run_thomaeg,
-    "EKLM": _run_eklm,
-    "EJI": _run_eji,
-    "GRAD2": _run_grad2,
-    "GRAD3": _run_grad3,
-    "GRAD4": _run_grad4,
-    "GRADN": _run_gradn,
-    "RANK": _run_rank,
-    "HESS_K3": _run_hess_k3,
-    "HESS_K4": _run_hess_k4,
-    "HESS_EQUIV": _run_hess_equiv,
-    "HESS_RANK": _run_hess_rank,
-    "D3_K5": _run_d3_k5,
-    "D3_K6": _run_d3_k6,
-    "CONJ_M": _run_conj_m,
-    "RJ_DET": _run_rj_det,
-    "SCHOTTKY_R": _run_schottky_r,
-    "SCHOTTKY_F": _run_schottky_f,
-}
+# In run order.  Each family samples from its own stream, seeded by
+# crc32(name): reordering a family's draws changes its sampled bindings.
+FAMILIES = {f.name: f for f in (
+    Family("THOMAE1", _thomae1_bindings, _thomae1),
+    Family("THOMAE2", lambda ctx, cfg, rng: _parts(ctx, 1, cfg.cap, rng), _thomae2),
+    Family("THOMAEG", _thomaeg_bindings, _thomaeg, 3, (("tolerance_m3", "THOMAEG_G5"),)),
+    Family("EKLM", _eklm_bindings, rel.verify_eklm),
+    Family("EJI", _eji_bindings, rel.verify_eji),
+    Family("GRAD2", _grad2_bindings, rel.verify_grad2),
+    Family("GRAD3", _grad3_bindings, rel.verify_grad3),
+    Family("GRAD4", _grad4_bindings, _grad4, 3),
+    Family("GRADN", _gradn_bindings, rel.verify_gradN),
+    Family("RANK", _rank_bindings, _rank),
+    Family("HESS_K3", lambda ctx, cfg, rng: _sample(_i0_splits(ctx, 3), cfg.cap // 2, rng),
+           rel.hessian_repr, 3),
+    Family("HESS_K4", lambda ctx, cfg, rng: _sample(_i0_splits(ctx, 4), cfg.cap // 2, rng),
+           rel.hessian_repr, 4),
+    Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_repr_equiv, 3),
+    Family("HESS_RANK", lambda ctx, cfg, rng: _parts(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
+           rel.hessian_rank, 3),
+    Family("D3_K5", _d3_k5_bindings, rel.third_deriv_repr, 5),
+    Family("D3_K6", _d3_k6_bindings, rel.third_deriv_repr, 6),
+    Family("CONJ_M", _conj_m_bindings, rel.conjecture_m_repr, 3),
+    Family("RJ_DET", _rj_det_bindings, rel.riemann_jacobi_det),
+    Family("SCHOTTKY_R", _schottky_r_bindings, sch.verify_schottky_R, 4,
+           (("det_tolerance", "SCHOTTKY_DETR"),)),
+    Family("SCHOTTKY_F", _schottky_f_bindings, sch.verify_appendix_f),
+)}
 
 # SCHOTTKY_R emits three record kinds; map filters to runners.
 _FILTER_ALIASES = {"SCHOTTKY_DETR": "SCHOTTKY_R", "SCHOTTKY_A123": "SCHOTTKY_R",
@@ -579,7 +474,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 periods = periods_from_json(cfg.spec, json.loads(path.read_text()))
                 if periods.quad_order < cfg.quad_order:  # stale lower-order cache
                     periods = None
-            except ValueError:
+            except (ValueError, KeyError, TypeError):  # stale or malformed cache
                 periods = None
     if periods is None:
         periods = compute_periods(cfg.spec, cfg.quad_order)
@@ -589,7 +484,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     timings["periods"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cal = calibrate_phases(ctx)
+    cal = ctx.calibration = calibrate_phases(ctx)
     calibration = [
         {
             "char": str(c),
@@ -606,7 +501,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         if wanted is not None and family not in wanted:
             continue
         t0 = time.perf_counter()
-        records.extend(runner(ctx, cal, cfg, _family_rng(cfg, family)))
+        records.extend(runner(ctx, cfg, _family_rng(cfg, family)))
         timings[family] = time.perf_counter() - t0
 
     return Report(
@@ -674,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", help="write the report to this path instead of stdout")
     v.add_argument("--period-cache", help="JSON period cache path")
     v.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings in JSON output "
+                   help="include wall-clock timings in the report "
                    "(reports are byte-identical only without them)")
     return parser
 
@@ -697,14 +592,13 @@ def main(argv: list[str] | None = None) -> int:
             cap=args.cap,
             seed=args.seed,
             enable_heavy=args.enable_heavy,
-            include_timings=args.timings,
             period_cache=args.period_cache,
         )
         report = run_suite(cfg)
     except Exception as exc:  # infrastructure failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json(args.timings) if args.format == "json" else report.to_text()
+    text = report.to_json(args.timings) if args.format == "json" else report.to_text(args.timings)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

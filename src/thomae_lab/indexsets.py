@@ -37,7 +37,18 @@ def add(s: Iterable[int], *new: int) -> IndexSet:
 
 def replace(s: Iterable[int], out_idx: Sequence[int], in_idx: Sequence[int]) -> IndexSet:
     """I^{(out -> in)}: drop out_idx, then add in_idx."""
-    return add(drop(s, *out_idx), *in_idx)
+    s = tuple(s)
+    kept = set(s)
+    if len(kept) != len(s):
+        raise ValueError(f"duplicate indices in {tuple(sorted(s))}")
+    missing = [x for x in out_idx if x not in kept]
+    if missing:
+        raise ValueError(f"cannot drop {missing} from {tuple(sorted(s))}")
+    kept.difference_update(out_idx)
+    clash = [x for x in in_idx if x in kept]
+    if clash:
+        raise ValueError(f"{clash} already in {tuple(sorted(kept))}")
+    return iset([*kept, *in_idx])
 
 
 def complement_finite(n_finite: int, s: Iterable[int]) -> IndexSet:

@@ -150,13 +150,6 @@ def schottky_J(triple: SchottkyTriple) -> tuple[complex, float]:
     return j, abs(j) / scale
 
 
-def schottky_invariant(
-    ctx: CurveContext, group: GoepelGroup, a1: IndexSet, a2: IndexSet, a3: IndexSet
-) -> tuple[complex, float]:
-    """J from the coset products of (A_1 P), (A_2 P), (A_3 P)."""
-    return schottky_J(schottky_triple(ctx, group, [a1, a2, a3]))
-
-
 def true_schottky_group(
     ctx: CurveContext, i0: IndexSet, ps: tuple[int, int, int, int], j_m: int, j_n: int,
     q1: int | None = None, q2: int | None = None,
@@ -213,9 +206,10 @@ def verify_schottky_R(
 ) -> list[VerificationRecord]:
     """The three routes to the rank-1 Schottky relation.
 
-    (i) the degree-8 theta-constant combination; (ii) det R = 0 for the 4x4
-    quadratic-representation matrix, with all 3x3 minors nonzero; (iii)
-    a1 - a2 + a3 = 0 exactly in rational arithmetic.
+    (i) the invariant J = 0 of the rank-3 Goepel group and azygetic triplet
+    that :func:`true_schottky_group` builds from I_0 and p_1..p_4; (ii)
+    det R = 0 for the 4x4 quadratic-representation matrix, with all 3x3
+    minors nonzero; (iii) a1 - a2 + a3 = 0 exactly in rational arithmetic.
     """
     i0 = iset(i0)
     ps = tuple(sorted(ps))
@@ -226,19 +220,12 @@ def verify_schottky_R(
         raise ValueError("j_m, j_n must be distinct members of J_0")
     out = []
 
-    th = {
-        (a, b): ctx.const(replace(i0, (ps[a], ps[b]), (j_m, j_n)))
-        for a, b in combinations(range(4), 2)
-    }
-    pairs = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    sq = [th[p] ** 4 * th[q] ** 4 for p, q in pairs]
-    terms = [sq[0] ** 2, sq[1] ** 2, sq[2] ** 2,
-             -2 * sq[0] * sq[1], -2 * sq[0] * sq[2], -2 * sq[1] * sq[2]]
+    group, a_sets = true_schottky_group(ctx, i0, ps, j_m, j_n)
     out.append(
         VerificationRecord(
             "SCHOTTKY_R",
             {"I0": i0, "p": ps, "j_m": j_m, "j_n": j_n},
-            scalar_identity_residual(terms),
+            schottky_J(schottky_triple(ctx, group, a_sets))[1],
             tolerance,
         )
     )

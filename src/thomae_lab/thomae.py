@@ -34,7 +34,7 @@ import numpy as np
 
 from .characteristics import HalfCharacteristic
 from .context import CurveContext
-from .curve import elementary_symmetric, ordered_diff_product, vandermonde
+from .curve import elementary_symmetric_all, ordered_diff_product, vandermonde
 from .indexsets import IndexSet, complement_finite, drop, iset
 
 EIGHTH_ROOTS = tuple(cmath.exp(1j * math.pi * k / 4) for k in range(8))
@@ -55,6 +55,12 @@ def _det_factor(ctx: CurveContext) -> complex:
     return cmath.sqrt(det / math.pi**ctx.g)
 
 
+def _prefactor(ctx: CurveContext, a: IndexSet) -> complex:
+    """(det omega/pi^g)^{1/2} Delta(A)^{1/4} Delta(B)^{1/4}, B the finite complement of A."""
+    b = complement_finite(ctx.spec.n_finite, a)
+    return _det_factor(ctx) * vandermonde(ctx.spec, a) ** 0.25 * vandermonde(ctx.spec, b) ** 0.25
+
+
 def first_thomae_rhs(ctx: CurveContext, i0: Iterable[int]) -> complex:
     """(det omega/pi^g)^{1/2} Delta(I_0)^{1/4} Delta(J_0)^{1/4}, up to phase."""
     i0 = iset(i0)
@@ -62,19 +68,14 @@ def first_thomae_rhs(ctx: CurveContext, i0: Iterable[int]) -> complex:
         raise ValueError(f"{i0} is not a multiplicity-0 index set")
     if len(i0) != ctx.g or 0 in i0:
         raise ValueError("first Thomae expects the g finite indices of I_0")
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    return (
-        _det_factor(ctx)
-        * vandermonde(ctx.spec, i0) ** 0.25
-        * vandermonde(ctx.spec, j0) ** 0.25
-    )
+    return _prefactor(ctx, i0)
 
 
 def _s_vector(ctx: CurveContext, indices: IndexSet) -> np.ndarray:
     """omega^t (s_0, -s_1, ..., (-1)^{g-1} s_{g-1})(indices): one value per n."""
     g = ctx.g
     signs = np.array([(-1) ** j for j in range(g)], dtype=float)
-    s = np.array([elementary_symmetric(ctx.spec, indices, j) for j in range(g)])
+    s = np.array((elementary_symmetric_all(ctx.spec, indices) + [0.0] * g)[:g])
     return ctx.periods.omega.T @ (signs * s)
 
 
@@ -111,21 +112,19 @@ def general_thomae_rhs(
             f"I_m + K has size {len(a) + len(k)}, expected g={ctx.g}; "
             f"|K| must be {ctx.g - len(a)} for this partition"
         )
-    b = complement_finite(ctx.spec.n_finite, a)  # finite J_m
-    pref = (
-        _det_factor(ctx)
-        * vandermonde(ctx.spec, a) ** 0.25
-        * vandermonde(ctx.spec, b) ** 0.25
-    )
-    return pref * _thomae_sum(ctx, a, multi_index, k)
+    return _prefactor(ctx, a) * _thomae_sum(ctx, multi_index, k, _k_s_vectors(ctx, a, k))
+
+
+def _k_s_vectors(ctx: CurveContext, a: IndexSet, k: IndexSet) -> dict[int, np.ndarray]:
+    """The s-vector of A + K - p for every p in K."""
+    return {p: _s_vector(ctx, drop(iset(a + k), p)) for p in k}
 
 
 def _thomae_sum(
-    ctx: CurveContext, a: IndexSet, multi_index: Sequence[int], k: IndexSet
+    ctx: CurveContext, multi_index: Sequence[int], k: IndexSet, svec: dict[int, np.ndarray]
 ) -> complex:
     m = len(multi_index)
     e = ctx.spec.branch_points
-    svec = {p: _s_vector(ctx, drop(iset(a + k), p)) for p in k}
     total = 0.0 + 0j
     for chosen in combinations(k, m):
         rest = [q for q in k if q not in chosen]
@@ -140,32 +139,29 @@ def _thomae_sum(
     return total
 
 
-def second_thomae_rhs(ctx: CurveContext, i1: Iterable[int], n: int) -> complex:
-    """Derivative theta constant of a multiplicity-1 characteristic, up to phase.
+def second_thomae_rhs_vector(ctx: CurveContext, i1: Iterable[int]) -> np.ndarray:
+    """Gradient theta constant of a multiplicity-1 characteristic, up to phase.
 
     For a finite I_1 of g-1 indices this is the closed second Thomae form;
-    a set containing the infinity index is routed through the general
-    formula with |K| = 2.
+    a set containing the infinity index is the general formula with the
+    first two finite indices of the complement as K (|K| = 2).
     """
     part = ctx.partition(i1)
     if part.multiplicity() != 1:
         raise ValueError(f"{tuple(i1)} is not a multiplicity-1 index set")
     a = part.part
+    pref = _prefactor(ctx, a)
     if len(a) == ctx.g - 1:  # infinity on the J side: direct closed form
-        b = complement_finite(ctx.spec.n_finite, a)
-        return (
-            _det_factor(ctx)
-            * vandermonde(ctx.spec, a) ** 0.25
-            * vandermonde(ctx.spec, b) ** 0.25
-            * _s_vector(ctx, a)[n - 1]
-        )
-    k = complement_finite(ctx.spec.n_finite, a)[: 2]
-    return general_thomae_rhs(ctx, a, (n,), k)
+        s = _s_vector(ctx, a)
+        return np.array([pref * s[n] for n in range(ctx.g)])
+    k = complement_finite(ctx.spec.n_finite, a)[:2]
+    svec = _k_s_vectors(ctx, a, k)
+    return np.array([pref * _thomae_sum(ctx, (n,), k, svec) for n in range(1, ctx.g + 1)])
 
 
-def second_thomae_rhs_vector(ctx: CurveContext, i1: Iterable[int]) -> np.ndarray:
-    """Matrix form: the whole gradient in one call."""
-    return np.array([second_thomae_rhs(ctx, i1, n) for n in range(1, ctx.g + 1)])
+def second_thomae_rhs(ctx: CurveContext, i1: Iterable[int], n: int) -> complex:
+    """Entry n (1-based) of :func:`second_thomae_rhs_vector`."""
+    return second_thomae_rhs_vector(ctx, i1)[n - 1]
 
 
 def general_thomae_ratio_rhs(
@@ -188,14 +184,16 @@ def general_thomae_ratio_rhs(
         num = ordered_diff_product(ctx.spec, (kappa,), j0)
         den = ordered_diff_product(ctx.spec, (kappa,), a) if a else 1.0
         pref *= (num / den) ** 0.25
-    return pref * _thomae_sum(ctx, a, multi_index, k)
+    return pref * _thomae_sum(ctx, multi_index, k, _k_s_vectors(ctx, a, k))
 
 
 @dataclass
 class PhaseCalibration:
-    """Per-characteristic eighth root theta[I_0] / first_thomae_rhs(I_0)."""
+    """Per-characteristic eighth root of theta[I_0] / first_thomae_rhs(I_0),
+    with the ratio it was snapped from."""
 
     phases: dict[HalfCharacteristic, complex]
+    ratios: dict[HalfCharacteristic, complex]
     residuals: dict[HalfCharacteristic, float]
     sets: dict[HalfCharacteristic, IndexSet]
 
@@ -207,7 +205,7 @@ def calibrate_phases(ctx: CurveContext, fail_tol: float = 1e-4) -> PhaseCalibrat
     """Snap theta[I_0]/rhs to the nearest 8th root for every even
     non-singular characteristic; a large snap residual signals an upstream
     sign error and raises."""
-    phases, residuals, sets = {}, {}, {}
+    phases, ratios, residuals, sets = {}, {}, {}, {}
     for i0 in combinations(range(1, ctx.spec.n_finite + 1), ctx.g):
         c = ctx.char(i0)
         lhs = ctx.const(i0)
@@ -220,5 +218,5 @@ def calibrate_phases(ctx: CurveContext, fail_tol: float = 1e-4) -> PhaseCalibrat
                 f"phase calibration failed for I_0={i0} (char {c}): "
                 f"ratio {ratio}, nearest 8th root {phase}, residual {resid:.3e}"
             )
-        phases[c], residuals[c], sets[c] = phase, resid, i0
-    return PhaseCalibration(phases=phases, residuals=residuals, sets=sets)
+        phases[c], ratios[c], residuals[c], sets[c] = phase, ratio, resid, i0
+    return PhaseCalibration(phases=phases, ratios=ratios, residuals=residuals, sets=sets)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,6 +98,18 @@ def test_cli_text_output(capsys):
     assert "GRAD2" in out and "GRAD3" in out and "summary:" in out
 
 
+def test_cli_text_output_reproducible(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["verify", "--genus", "2", "--seed", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "s]" not in outs[0]
+    assert main(["verify", "--genus", "2", "--seed", "3", "--relations", "GRAD2",
+                 "--timings"]) == 0
+    assert "s]" in capsys.readouterr().out
+
+
 def test_period_cache(tmp_path):
     cache = tmp_path / "periods.json"
     cfg = SuiteConfig(spec=random_curve(2, 5), relations=("THOMAE1",), cap=10,
@@ -119,6 +133,51 @@ def test_period_cache_rejects_lower_order(tmp_path):
     r_high = run_suite(finer)
     assert json.loads(cache.read_text())["quad_order"] >= 256
     assert r_high.periods["quad_order"] > r_low.periods["quad_order"]
+
+
+@pytest.mark.parametrize("payload", [
+    lambda spec: {},
+    lambda spec: [],
+    lambda spec: 7,
+    lambda spec: {"curve_hash": spec.content_hash()},
+], ids=["empty-object", "list", "number", "hash-only"])
+def test_period_cache_malformed_is_recomputed(tmp_path, payload):
+    spec = random_curve(2, 5)
+    cache = tmp_path / "periods.json"
+    cache.write_text(json.dumps(payload(spec)))
+    cfg = SuiteConfig(spec=spec, relations=("THOMAE1",), cap=10, period_cache=str(cache))
+    report = run_suite(cfg)
+    assert report.all_passed()
+    assert json.loads(cache.read_text())["quad_order"] == report.periods["quad_order"]
+
+
+# Records per family and a sha256 of the sorted (family, bindings) list of
+# the default suite on random_curve(g, 14), sampling seed 14, default cap.
+PINNED_BINDINGS = {
+    2: ({"EJI": 10, "EKLM": 40, "GRAD2": 10, "GRAD3": 20, "GRADN": 3, "RANK": 200,
+         "RJ_DET": 10, "THOMAE1": 10, "THOMAE2": 6},
+        "71b4a23e051ee75baf65cca822301e7785e3cc2b4ed33b15332a68515ca3756c"),
+    3: ({"CONJ_M": 1, "EJI": 35, "EKLM": 200, "GRAD2": 105, "GRAD3": 245, "GRAD4": 61,
+         "GRADN": 6, "HESS_EQUIV": 20, "HESS_K3": 35, "HESS_RANK": 1, "RANK": 200,
+         "RJ_DET": 20, "SCHOTTKY_F": 1, "THOMAE1": 35, "THOMAE2": 28, "THOMAEG": 1},
+        "007892e3aea3a61f2e3312c519e70a3ee289fe82e3dd3ed568cf642e97d4cfef"),
+    4: ({"CONJ_M": 2, "EJI": 100, "EKLM": 200, "GRAD2": 500, "GRAD3": 500, "GRAD4": 275,
+         "GRADN": 9, "HESS_EQUIV": 30, "HESS_K3": 250, "HESS_K4": 126, "HESS_RANK": 10,
+         "RANK": 201, "RJ_DET": 20, "SCHOTTKY_A123": 20, "SCHOTTKY_DETR": 20,
+         "SCHOTTKY_F": 1, "SCHOTTKY_R": 20, "THOMAE1": 126, "THOMAE2": 120, "THOMAEG": 10},
+        "3dc84d0db957a357cef061c271f1c029b67a0820c984b64317c524902eb16afa"),
+}
+
+
+@pytest.mark.parametrize("g", sorted(PINNED_BINDINGS))
+def test_pinned_bindings(g):
+    report = run_suite(SuiteConfig(spec=random_curve(g, 14), seed=14))
+    assert report.all_passed()
+    dicts = [r.as_dict() for r in report.records]
+    counts = Counter(d["relation_id"] for d in dicts)
+    bindings = sorted((d["relation_id"], json.dumps(d["bindings"], sort_keys=True)) for d in dicts)
+    digest = hashlib.sha256(json.dumps(bindings).encode()).hexdigest()
+    assert (dict(counts), digest) == PINNED_BINDINGS[g]
 
 
 def test_tolerance_defaults_cover_all_record_kinds():

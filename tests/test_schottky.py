@@ -152,7 +152,7 @@ def test_schottky_g5r1_products_match_paper(ctx):
 def test_true_schottky_rank3_group_g4(ctx):
     # classical invariant from a rank-3 group: J = 0 and
     # sqrt(r1) - sqrt(r2) + sqrt(r3) = 0 with ascending p's
-    from thomae_lab.schottky import schottky_invariant, true_schottky_group
+    from thomae_lab.schottky import schottky_J, true_schottky_group
 
     c = ctx(4)
     grp, a_sets = true_schottky_group(c, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6)
@@ -164,7 +164,7 @@ def test_true_schottky_rank3_group_g4(ctx):
     }
     printed, best_signs, _ = root_sum_residual(triple.roots, "+-+")
     assert printed < 1e-8 and best_signs == "+-+"
-    _, resid = schottky_invariant(c, grp, *a_sets)
+    _, resid = schottky_J(triple)
     assert resid < 1e-8
     # sqrt(r_i) proportional to a_i of the branch-point identity
     e = c.spec.branch_points

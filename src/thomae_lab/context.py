@@ -2,7 +2,7 @@
 
 Relation verifiers look theta constants up by branch-index sets thousands of
 times; the context memoizes constants, gradients and derivative tensors per
-characteristic so each lattice sum is paid for once.
+characteristic, so each is read from the engine's per-class tables once.
 """
 
 from __future__ import annotations
@@ -55,16 +55,17 @@ class CurveContext:
     def const(self, indices: Iterable[int]) -> complex:
         """Theta constant theta[I](0) for the partition named by the set."""
         c = self.char(indices)
-        if c not in self._const:
-            self._const[c] = self.engine.theta(c)
-        return self._const[c]
+        val = self._const.get(c)
+        if val is None:
+            val = self._const[c] = self.engine.theta(c)
+        return val
 
     def deriv(self, indices: Iterable[int], order: int) -> DerivThetaTensor:
-        c = self.char(indices)
-        key = (c, order)
-        if key not in self._deriv:
-            self._deriv[key] = self.engine.theta_deriv(c, order)
-        return self._deriv[key]
+        key = (self.char(indices), order)
+        t = self._deriv.get(key)
+        if t is None:
+            t = self._deriv[key] = self.engine.theta_deriv(*key)
+        return t
 
     def grad(self, indices: Iterable[int]) -> np.ndarray:
         return self.deriv(indices, 1).entries

@@ -79,6 +79,10 @@ class SuiteConfig:
     enable_heavy: bool = False
     period_cache: str | None = None
 
+    def __post_init__(self):
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
+
     def tol(self, family: str) -> float:
         return self.tolerances.get(family, DEFAULT_TOLERANCES[family])
 
@@ -577,6 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap < 1:
+        parser.error(f"argument --cap: must be at least 1, got {args.cap}")
     try:
         if args.curve:
             spec = load_curve_file(args.curve)

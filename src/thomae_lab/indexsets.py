@@ -27,14 +27,6 @@ def drop(s: Iterable[int], *gone: int) -> IndexSet:
     return tuple(x for x in base if x not in gone)
 
 
-def add(s: Iterable[int], *new: int) -> IndexSet:
-    base = iset(s)
-    clash = [x for x in new if x in base]
-    if clash:
-        raise ValueError(f"{clash} already in {base}")
-    return iset(base + tuple(new))
-
-
 def replace(s: Iterable[int], out_idx: Sequence[int], in_idx: Sequence[int]) -> IndexSet:
     """I^{(out -> in)}: drop out_idx, then add in_idx."""
     s = tuple(s)

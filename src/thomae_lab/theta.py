@@ -6,13 +6,23 @@ The series is summed in the shifted form
     theta[eps](v; tau) = sum_{n in Z^g} exp( i pi q^t tau q + 2 i pi q^t (v + eps/2) ),
     q = n + eps'/2,
 
-whose m-th v-derivative at 0 carries the polynomial prefactor
+whose k-th v-derivative at 0 carries the polynomial prefactor
 prod_i (2 pi i q_{n_i}).  Terms are kept inside the ellipsoid
 ||L q|| <= R with L the Cholesky factor of pi Im(tau); the radius is chosen
 from a Gaussian tail estimate so the absolute truncation error stays below
-the requested tolerance.  All points with a common eps' share the quadratic
-part of the summand, so the engine caches (q, exp(i pi q^t tau q)) per eps'
-class and reuses them across characteristics and derivative orders.
+the requested tolerance (Deconinck, Heil, Bobenko, van Hoeij & Schmies,
+"Computing Riemann theta functions", Math. Comp. 2004).
+
+At v = 0 the phase splits as exp(i pi q.eps) = i^{eps.eps'} (-1)^{n.eps}, so
+it depends on n only through its parity n mod 2.  The engine therefore
+builds one lattice class per eps': the integer offsets n (int16, sorted by
+parity bin), their weights m = exp(i pi q^t tau q) and the 2^g bin starts.
+For a derivative order k it sums the moments sum q^{(x)k} m of each bin, one
+column per sorted multi-index, and a single 2^g x 2^g Hadamard product
+(+-1 entries (-1)^{popcount(eps & bin)}) turns the bins into the values for
+all 2^g eps at once.  That table is cached per (eps', order); a lookup reads
+one row.  Every order uses the order-4 radius.  theta(char, v) for v != 0 is
+a direct sum over the same class.
 """
 
 from __future__ import annotations
@@ -20,7 +30,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +40,7 @@ from .characteristics import HalfCharacteristic
 
 DEFAULT_TOL = 1e-12
 RADIUS_WARN = 40.0
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass
@@ -36,7 +49,7 @@ class ThetaParams:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=complex)
+        self.tau = np.ascontiguousarray(self.tau, dtype=complex)  # ThetaEngine views it as float
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         eig = np.linalg.eigvalsh(self.tau.imag)
@@ -83,33 +96,73 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float 
     return r
 
 
-def _ellipsoid_points(y: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
-    """Shifted lattice points q = n + c (n integer) with q^t y q <= r^2.
+def _ellipsoid_points(chol: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
+    """Integer offsets n such that q = n + c satisfies ||chol q||^2 <= r^2.
 
-    Built coordinate by coordinate from the last axis: a partial tail t of
-    the final k coordinates can be completed to a point inside the ellipsoid
-    iff t^t inv((y^{-1})_{tail,tail}) t <= r^2 (Schur complement), so the
-    intermediate candidate sets stay close to ellipsoid slices instead of
-    the full bounding box, which matters from genus 5 on.
+    Fincke-Pohst enumeration: with chol upper triangular,
+    ||chol q||^2 = sum_i chol_ii^2 (q_i - center_i)^2 where center_i depends
+    only on q_{i+1..g-1}.  Points are built from the last coordinate down;
+    each partial point carries its partial sum and is extended by exactly
+    the integers of its admissible interval, so no candidate outside the
+    ellipsoid's slices is ever formed.
     """
-    g = y.shape[0]
-    y_inv = np.linalg.inv(y)
+    g = chol.shape[0]
     slack = r * r * (1.0 + 1e-9)
-    tails = np.zeros((1, 0))
-    for k in range(1, g + 1):
-        lead = g - k
-        half = r * math.sqrt(y_inv[lead, lead])
-        vals = (
-            np.arange(math.floor(-c[lead] - half), math.ceil(-c[lead] + half) + 1)
-            + c[lead]
-        )
-        ext = np.empty((len(tails) * len(vals), k))
-        ext[:, 0] = np.tile(vals, len(tails))
-        ext[:, 1:] = np.repeat(tails, len(vals), axis=0)
-        metric = y if k == g else np.linalg.inv(y_inv[lead:, lead:])
-        quad = np.einsum("ij,jk,ik->i", ext, metric, ext)
-        tails = ext[quad <= (r * r if k == g else slack)]
-    return tails
+    tails = np.zeros((1, 0), dtype=np.int64)
+    quad = np.zeros(1)
+    for i in range(g - 1, -1, -1):
+        d = chol[i, i]
+        # center and x are offsets: q_i = x + c_i
+        center = (tails + c[i + 1 :]) @ (-chol[i, i + 1 :] / d) - c[i]
+        half = np.sqrt(np.maximum(slack - quad, 0.0)) / d
+        lo = np.ceil(center - half)
+        counts = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
+        rows = np.repeat(np.arange(len(tails)), counts)
+        # x runs through lo, lo + 1, ... within each row's group
+        x = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo.astype(np.int64), counts)
+        quad = quad[rows] + (d * (x - center[rows])) ** 2
+        tails = np.column_stack([x, tails[rows]])
+    return tails[quad <= r * r]
+
+
+@lru_cache(maxsize=None)
+def _hadamard(g: int) -> np.ndarray:
+    """H[eps, b] = (-1)^{popcount(eps & b)} for 0 <= eps, b < 2^g."""
+    h = np.ones((1, 1))
+    for _ in range(g):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@lru_cache(maxsize=None)
+def _layout(g: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays for the order-k moments in g variables.
+
+    A table column is a sorted multi-index alpha.  For k >= 1 the moments of
+    a bin are q^t (m * rest), where the columns of ``rest`` are the
+    monomials of the sorted multi-indices of order k - 1, listed by
+    ``tail``; ``pick[j]`` is the position of alpha_j in that flattened
+    g x len(tail) product.  ``flat`` gives, for every position of the full
+    (g,)*k tensor in C order, the column of its sorted multi-index.
+    """
+    full = list(combinations_with_replacement(range(g), order))
+    rest = list(combinations_with_replacement(range(g), max(order - 1, 0)))
+    tail = np.array(rest, dtype=np.intp).reshape(len(rest), -1)
+    pos = {t: j for j, t in enumerate(rest)}
+    pick = np.array([a[0] * len(rest) + pos[a[1:]] if order else 0 for a in full])
+    col = {a: j for j, a in enumerate(full)}
+    flat = np.array([col[tuple(sorted(i))] for i in product(range(g), repeat=order)])
+    return tail, pick, flat
+
+
+class _LatticeClass(NamedTuple):
+    """Points q = n + shift of one eps' class, sorted by parity bin: bin b
+    (bit g-1-i is n_i mod 2) holds rows starts[b]:starts[b+1]."""
+
+    shift: np.ndarray  # eps'/2
+    n: np.ndarray  # (N, g) int16 integer offsets
+    m: np.ndarray  # (N,) exp(i pi q^t tau q)
+    starts: np.ndarray  # (2^g + 1,)
 
 
 class ThetaEngine:
@@ -119,60 +172,88 @@ class ThetaEngine:
         self.params = ThetaParams(tau=np.asarray(tau, dtype=complex), tol=tol)
         self.g = self.params.tau.shape[0]
         self.radius = radius
-        self._classes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._chol: np.ndarray | None = None  # upper triangular, chol^t chol = pi Im(tau)
+        self._classes: dict[int, _LatticeClass] = {}
+        self._tables: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
 
-    def _lattice_class(self, eps_prime: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, M): shifted lattice points q = n + eps'/2 inside the ellipsoid
-        and their quadratic weights M = exp(i pi q tau q)."""
-        key = eps_prime
-        if key in self._classes:
-            return self._classes[key]
-        tau = self.params.tau
-        # Radius generous enough for every derivative order used (<= 4).
-        r = self.radius if self.radius is not None else truncation_radius(tau, self.params.tol, order=4)
-        y = np.pi * tau.imag
-        c = 0.5 * np.asarray(eps_prime, dtype=float)
-        q = _ellipsoid_points(y, c, r)
-        m = np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", q, tau, q))
-        self._classes[key] = (q, m)
-        return q, m
+    def _lattice_class(self, eps_prime: int) -> _LatticeClass:
+        """The class of eps' (g bits, first entry most significant)."""
+        cls = self._classes.get(eps_prime)
+        if cls is not None:
+            return cls
+        g, tau = self.g, self.params.tau
+        if self._chol is None:
+            if self.radius is None:
+                # One radius for every derivative order used (<= 4).
+                self.radius = truncation_radius(tau, self.params.tol, order=4)
+            self._chol = np.linalg.cholesky(np.pi * tau.imag).T
+            # |n_i| <= R sqrt((y^{-1})_ii) + 1 must fit the int16 offsets
+            if self.radius * np.linalg.norm(np.linalg.inv(self._chol), axis=1).max() + 1 >= 2**15:
+                raise ValueError(f"theta truncation radius {self.radius} is too large")
+        weights = 1 << np.arange(g - 1, -1, -1)
+        shift = 0.5 * ((eps_prime & weights) > 0)
+        n = _ellipsoid_points(self._chol, shift, self.radius)
+        parity_bin = ((n & 1) @ weights).astype(np.uint16)  # radix-sortable
+        order = np.argsort(parity_bin, kind="stable")
+        starts = np.searchsorted(parity_bin[order], np.arange(2**g + 1))
+        n = n.astype(np.int16)[order]
+        q = n + shift
+        # q @ tau as one real product: a complex matrix viewed as float interleaves re, im
+        m = np.exp(1j * np.pi * np.einsum("ij,ij->i", (q @ tau.view(float)).view(complex), q))
+        cls = self._classes[eps_prime] = _LatticeClass(shift, n, m, starts)
+        return cls
+
+    def _table(self, eps_prime: int, order: int) -> tuple[np.ndarray, float]:
+        """(T, scale): T[eps, j] is the derivative of theta[eps; eps'] at 0
+        along the j-th sorted multi-index of the order; scale is the largest
+        single |term|, the same for every eps."""
+        key = (eps_prime, order)
+        hit = self._tables.get(key)
+        if hit is not None:
+            return hit
+        cls = self._lattice_class(eps_prime)
+        g = self.g
+        # bins[b, j]: sum over parity bin b of m times the j-th sorted monomial
+        tail, pick, _ = _layout(g, order)
+        bins = np.zeros((2**g, len(pick)), dtype=complex)
+        filled = np.flatnonzero(np.diff(cls.starts))
+        size = np.abs(cls.m)  # per point, its largest |term|: |m| max_i |q_i|^order
+        if order == 0:
+            bins[filled, 0] = np.add.reduceat(cls.m, cls.starts[filled])
+        else:
+            q = cls.n + cls.shift
+            size = size * reduce(np.maximum, np.abs(q).T) ** order
+            for b in filled:
+                lo, hi = cls.starts[b], cls.starts[b + 1]
+                rest = cls.m[lo:hi, None]
+                for c in tail.T:
+                    rest = rest * q[lo:hi, c]
+                bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
+        pref = (2j * np.pi) ** order
+        phase = _I_POWERS[[(eps & eps_prime).bit_count() % 4 for eps in range(2**g)]]
+        table = (pref * phase)[:, None] * (_hadamard(g) @ bins)
+        out = self._tables[key] = (table, abs(pref) * float(np.max(size, initial=0.0)))
+        return out
 
     def theta(self, char: HalfCharacteristic, v: np.ndarray | None = None) -> complex:
         """theta[char](v); v defaults to 0."""
         self._check(char)
-        q, m = self._lattice_class(char.eps_prime, 0)
-        shift = 0.5 * np.asarray(char.eps, dtype=float)
-        if v is not None:
-            shift = shift + np.asarray(v, dtype=complex)
-        phase = np.exp(2j * np.pi * (q @ shift))
-        return complex(np.sum(m * phase))
+        eps, eps_prime = char.bits >> self.g, char.bits & ((1 << self.g) - 1)
+        if v is None:
+            return complex(self._table(eps_prime, 0)[0][eps, 0])
+        cls = self._lattice_class(eps_prime)
+        q = cls.n + cls.shift
+        shift = 0.5 * np.asarray(char.eps, dtype=float) + np.asarray(v, dtype=complex)
+        return complex(np.sum(cls.m * np.exp(2j * np.pi * (q @ shift))))
 
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
         """All order-m partial derivatives of theta[char] at v = 0."""
         self._check(char)
         if order < 0:
             raise ValueError("order must be >= 0")
-        q, m = self._lattice_class(char.eps_prime, order)
-        phase = np.exp(1j * np.pi * (q @ np.asarray(char.eps, dtype=float)))
-        weighted = m * phase
-        if order == 0:
-            val = np.sum(weighted)
-            scale = float(np.max(np.abs(m))) if len(m) else 0.0
-            return DerivThetaTensor(char=char, order=0, entries=np.asarray(val), scale=scale)
         g = self.g
-        entries = np.zeros((g,) * order, dtype=complex)
-        scale = 0.0
-        pref = (2j * np.pi) ** order
-        for idx in combinations_with_replacement(range(g), order):
-            poly = np.ones(len(q))
-            for i in idx:
-                poly = poly * q[:, i]
-            terms = poly * weighted
-            val = pref * np.sum(terms)
-            if len(terms):
-                scale = max(scale, abs(pref) * float(np.max(np.abs(terms))))
-            for perm in set(permutations(idx)):
-                entries[perm] = val
+        table, scale = self._table(char.bits & ((1 << g) - 1), order)
+        entries = table[char.bits >> g][_layout(g, order)[2]].reshape((g,) * order)
         return DerivThetaTensor(char=char, order=order, entries=entries, scale=scale)
 
     def gradient(self, char: HalfCharacteristic) -> np.ndarray:

@@ -91,6 +91,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("cap", ["-5", "0", "x"])
+def test_cli_rejects_bad_cap_before_compute(monkeypatch, capsys, cap):
+    def no_periods(*args, **kwargs):
+        raise AssertionError("periods computed for an invalid --cap")
+
+    monkeypatch.setattr("thomae_lab.harness.compute_periods", no_periods)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--genus", "2", "--seed", "1", "--cap", cap])
+    assert exc.value.code == 2
+    assert "argument --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_suite_config_rejects_bad_cap(cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        SuiteConfig(spec=random_curve(2, 1), cap=cap)
+
+
 def test_cli_text_output(capsys):
     code = main(["verify", "--genus", "2", "--seed", "3", "--relations", "GRAD2,GRAD3"])
     assert code == 0

@@ -2,7 +2,16 @@ from itertools import combinations
 
 import pytest
 
-from thomae_lab.indexsets import add, complement_finite, drop, iset, replace
+from thomae_lab.indexsets import complement_finite, drop, iset, replace
+
+
+def add(s, *new):
+    """Reference for the insertion half of ``replace``: validate, then add."""
+    base = iset(s)
+    clash = [x for x in new if x in base]
+    if clash:
+        raise ValueError(f"{clash} already in {base}")
+    return iset(base + tuple(new))
 
 
 def test_iset_sorts_and_rejects_duplicates():

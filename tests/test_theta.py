@@ -1,13 +1,99 @@
+from itertools import combinations_with_replacement, permutations, product
+
+import mpmath
 import numpy as np
 import pytest
 
 from thomae_lab.characteristics import (
     HalfCharacteristic,
+    _char,
     enumerate_partitions,
     parity,
     zero_char,
 )
 from thomae_lab.theta import ThetaEngine, ThetaParams, truncation_radius
+
+
+def per_character_deriv(engine: ThetaEngine, char: HalfCharacteristic, order: int):
+    """Reference: one lattice sum per characteristic and sorted multi-index,
+    with the phase exp(i pi q.eps) evaluated per point. Returns (entries, scale)."""
+    g = engine.g
+    cls = engine._lattice_class(char.bits & ((1 << g) - 1))
+    q = cls.n + cls.shift
+    weighted = cls.m * np.exp(1j * np.pi * (q @ np.asarray(char.eps, dtype=float)))
+    entries = np.zeros((g,) * order, dtype=complex)
+    scale = 0.0
+    pref = (2j * np.pi) ** order
+    for idx in combinations_with_replacement(range(g), order):
+        terms = np.prod(q[:, list(idx)], axis=1) * weighted
+        scale = max(scale, abs(pref) * float(np.max(np.abs(terms), initial=0.0)))
+        for perm in set(permutations(idx)):
+            entries[perm] = pref * np.sum(terms)
+    return entries, scale
+
+
+def _check_against_reference(engine, chars, orders):
+    for char in chars:
+        for order in orders:
+            t = engine.theta_deriv(char, order)
+            ref, scale = per_character_deriv(engine, char, order)
+            assert t.entries.shape == (engine.g,) * order
+            assert abs(t.scale - scale) <= 1e-12 * scale, (char, order)
+            assert np.max(np.abs(t.entries - ref), initial=0.0) <= 1e-13 * scale, (char, order)
+        assert abs(engine.theta(char) - complex(engine.theta_deriv(char, 0).entries)) == 0.0
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kernel_matches_per_character_sums_all_chars(ctx, g):
+    eng = ThetaEngine(ctx(g).periods.tau)
+    _check_against_reference(eng, [_char(g, bits) for bits in range(4 ** g)], range(4))
+
+
+def test_kernel_matches_per_character_sums_g5_sample(ctx):
+    eng = ThetaEngine(ctx(5).periods.tau)
+    rng = np.random.default_rng(5)
+    bits = [0, 4 ** 5 - 1, *rng.choice(4 ** 5, size=10, replace=False).tolist()]
+    _check_against_reference(eng, [_char(5, int(b)) for b in bits], range(4))
+
+
+_ORACLE_TAU = {
+    2: [[0.30 + 1.10j, 0.20 + 0.35j], [0.20 + 0.35j, -0.40 + 0.90j]],
+    3: [[0.10 + 1.20j, 0.25 + 0.30j, -0.15 + 0.10j],
+        [0.25 + 0.30j, -0.35 + 1.00j, 0.05 + 0.25j],
+        [-0.15 + 0.10j, 0.05 + 0.25j, 0.45 + 0.95j]],
+}
+
+
+def _mp_theta_and_gradient(tau, char, box):
+    """theta[char](0) and its gradient by a plain box sum |n_i| <= box at
+    30 digits, independent of the engine's ellipsoid and parity bins."""
+    g = len(tau)
+    tau = [[mpmath.mpc(z.real, z.imag) for z in row] for row in tau]
+    eps = [mpmath.mpf(e) / 2 for e in char.eps]
+    value, grad = mpmath.mpc(0), [mpmath.mpc(0)] * g
+    for n in product(range(-box, box + 1), repeat=g):
+        q = [n[i] + mpmath.mpf(char.eps_prime[i]) / 2 for i in range(g)]
+        quad = sum((2 - (i == j)) * q[i] * q[j] * tau[i][j] for i in range(g) for j in range(i, g))
+        term = mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * sum(a * b for a, b in zip(q, eps)))
+        value += term
+        grad = [grad[i] + 2j * mpmath.pi * q[i] * term for i in range(g)]
+    return complex(value), np.array([complex(x) for x in grad])
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_theta_against_mpmath_box_sum(g):
+    tau = np.array(_ORACLE_TAU[g])
+    eng = ThetaEngine(tau)
+    # every omitted term has |term| <= exp(-pi lam_min (box + 1/2)^2) < 1e-24
+    lam_min = float(np.min(np.linalg.eigvalsh(tau.imag)))
+    box = int(np.ceil(np.sqrt(24 * np.log(10) / (np.pi * lam_min))))
+    chars = [zero_char(g), _char(g, 1), _char(g, (1 << g) | 1), _char(g, 4 ** g - 1),
+             _char(g, 0b10 << g | 0b01)]
+    with mpmath.workdps(30):
+        for char in chars:
+            value, grad = _mp_theta_and_gradient(tau, char, box)
+            assert abs(eng.theta(char) - value) <= 1e-12, char
+            assert np.max(np.abs(eng.gradient(char) - grad)) <= 1e-12, char
 
 
 def test_g1_value_against_brute_force():
@@ -73,6 +159,11 @@ def test_parity_symmetry_random_v(ctx):
 def test_invalid_tau_rejected():
     with pytest.raises(ValueError, match="positive definite"):
         ThetaParams(tau=np.array([[1.0 + 0j]]))
+
+
+def test_radius_beyond_int16_offsets_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        ThetaEngine(np.array([[1j]]), radius=1e6).theta(zero_char(1))
 
 
 def test_truncation_radius_monotone():

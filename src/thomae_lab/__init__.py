@@ -26,6 +26,7 @@ from .thomae import (
     first_thomae_rhs,
     general_thomae_ratio_rhs,
     general_thomae_rhs,
+    general_thomae_tensor,
     second_thomae_rhs,
 )
 

@@ -18,7 +18,7 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -37,6 +37,7 @@ from .thomae import (
     first_thomae_rhs,
     general_thomae_ratio_rhs,
     general_thomae_rhs,
+    general_thomae_tensor,
     second_thomae_rhs_vector,
     snap_phase,
 )
@@ -258,11 +259,7 @@ def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
     jm_fin = complement_finite(ctx.spec.n_finite, a)
     kset = jm_fin[:ksize]
     lhs = ctx.deriv(a, m).entries
-    pred = np.zeros_like(lhs)
-    for idx in combinations_with_replacement(range(1, g + 1), m):
-        v = general_thomae_rhs(ctx, a, idx, kset)
-        for perm in set(permutations(tuple(i - 1 for i in idx))):
-            pred[perm] = v
+    pred = general_thomae_tensor(ctx, a, kset)
     flat = int(np.argmax(np.abs(lhs)))
     phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
     residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
@@ -270,7 +267,7 @@ def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
     kalt = jm_fin[-ksize:]
     entry = tuple(i + 1 for i in np.unravel_index(flat, lhs.shape))
     scale = float(np.max(np.abs(pred)))
-    v1 = general_thomae_rhs(ctx, a, entry, kset)
+    v1 = pred.flat[flat]
     v2 = general_thomae_rhs(ctx, a, entry, kalt)
     k_indep = abs(v1 - v2) / scale
     # ratio form consistency

@@ -17,12 +17,24 @@ At v = 0 the phase splits as exp(i pi q.eps) = i^{eps.eps'} (-1)^{n.eps}, so
 it depends on n only through its parity n mod 2.  The engine therefore
 builds one lattice class per eps': the integer offsets n (int16, sorted by
 parity bin), their weights m = exp(i pi q^t tau q) and the 2^g bin starts.
-For a derivative order k it sums the moments sum q^{(x)k} m of each bin, one
-column per sorted multi-index, and a single 2^g x 2^g Hadamard product
-(+-1 entries (-1)^{popcount(eps & bin)}) turns the bins into the values for
-all 2^g eps at once.  That table is cached per (eps', order); a lookup reads
-one row.  Every order uses the order-4 radius.  theta(char, v) for v != 0 is
-a direct sum over the same class.
+
+A class holds only half of its points.  The map q -> -q keeps the eps'
+class and m, and sends n to -n - eps', so parity bin b to b XOR eps' (bin
+bits and eps' bits both put the first entry first).  The class keeps the
+lexicographic half-space, where the last nonzero q_i is positive, plus the
+origin when eps' = 0.  For a derivative order k it sums the moments
+H[b] = sum q^{(x)k} m of each bin over the half, one column per sorted
+multi-index; the mirror-bin identity
+
+    M[b] = H[b] + (-1)^k H[b XOR eps']
+
+gives the moments of the full class (less one origin term, m = 1, for
+eps' = 0 and k = 0).  A single 2^g x 2^g Hadamard product (+-1 entries
+(-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
+at once.  That table is cached per (eps', order); a lookup reads one row.
+Every order uses the order-4 radius.  theta(char, v) for v != 0 pairs q with
+-q in the same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half
+class, less 1 for eps' = 0, and holds for complex v.
 """
 
 from __future__ import annotations
@@ -97,31 +109,41 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float 
 
 
 def _ellipsoid_points(chol: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
-    """Integer offsets n such that q = n + c satisfies ||chol q||^2 <= r^2.
+    """Integer offsets n such that q = n + c satisfies ||chol q||^2 <= r^2 and
+    q lies in the lexicographic half-space: its last nonzero entry is
+    positive, or q = 0.
 
     Fincke-Pohst enumeration: with chol upper triangular,
     ||chol q||^2 = sum_i chol_ii^2 (q_i - center_i)^2 where center_i depends
     only on q_{i+1..g-1}.  Points are built from the last coordinate down;
     each partial point carries its partial sum and is extended by exactly
     the integers of its admissible interval, so no candidate outside the
-    ellipsoid's slices is ever formed.
+    ellipsoid's slices is ever formed.  At most one partial point has an
+    all-zero q tail; its interval starts at q_i >= 0, and it keeps an
+    all-zero tail only through q_i = 0.
     """
     g = chol.shape[0]
     slack = r * r * (1.0 + 1e-9)
     tails = np.zeros((1, 0), dtype=np.int64)
     quad = np.zeros(1)
+    zero = 0  # row of the all-zero q tail, -1 once there is none
     for i in range(g - 1, -1, -1):
         d = chol[i, i]
         # center and x are offsets: q_i = x + c_i
         center = (tails + c[i + 1 :]) @ (-chol[i, i + 1 :] / d) - c[i]
         half = np.sqrt(np.maximum(slack - quad, 0.0)) / d
         lo = np.ceil(center - half)
+        if zero >= 0:
+            lo[zero] = max(lo[zero], math.ceil(-c[i]))
         counts = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
+        ends = np.cumsum(counts)
         rows = np.repeat(np.arange(len(tails)), counts)
         # x runs through lo, lo + 1, ... within each row's group
-        x = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo.astype(np.int64), counts)
+        x = np.arange(len(rows)) - np.repeat(ends - counts - lo.astype(np.int64), counts)
         quad = quad[rows] + (d * (x - center[rows])) ** 2
         tails = np.column_stack([x, tails[rows]])
+        # the zero row's group starts at x = 0, i.e. q_i = c_i
+        zero = int(ends[zero] - counts[zero]) if zero >= 0 and c[i] == 0 else -1
     return tails[quad <= r * r]
 
 
@@ -156,8 +178,9 @@ def _layout(g: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _LatticeClass(NamedTuple):
-    """Points q = n + shift of one eps' class, sorted by parity bin: bin b
-    (bit g-1-i is n_i mod 2) holds rows starts[b]:starts[b+1]."""
+    """Points q = n + shift of one half eps' class (the mirror -q of each is
+    implied), sorted by parity bin: bin b (bit g-1-i is n_i mod 2) holds rows
+    starts[b]:starts[b+1]."""
 
     shift: np.ndarray  # eps'/2
     n: np.ndarray  # (N, g) int16 integer offsets
@@ -229,6 +252,10 @@ class ThetaEngine:
                 for c in tail.T:
                     rest = rest * q[lo:hi, c]
                 bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
+        # -q is in bin b ^ eps' with the same m and (-1)^k times the monomial
+        bins += (-1) ** order * bins[np.arange(2**g) ^ eps_prime]
+        if eps_prime == 0 and order == 0:
+            bins[0, 0] -= 1.0  # the origin is its own mirror
         pref = (2j * np.pi) ** order
         phase = _I_POWERS[[(eps & eps_prime).bit_count() % 4 for eps in range(2**g)]]
         table = (pref * phase)[:, None] * (_hadamard(g) @ bins)
@@ -244,7 +271,8 @@ class ThetaEngine:
         cls = self._lattice_class(eps_prime)
         q = cls.n + cls.shift
         shift = 0.5 * np.asarray(char.eps, dtype=float) + np.asarray(v, dtype=complex)
-        return complex(np.sum(cls.m * np.exp(2j * np.pi * (q @ shift))))
+        # q and -q together give 2 m cos(2 pi q.shift); the origin only m = 1
+        return complex(2.0 * np.sum(cls.m * np.cos(2 * np.pi * (q @ shift))) - (eps_prime == 0))
 
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
         """All order-m partial derivatives of theta[char] at v = 0."""

@@ -20,6 +20,12 @@ finite K of cardinality 2m-1 or 2m taken from the complement, and
 
 with B the finite complement of A.  The value is independent of the choice
 of K, which the verification suite checks separately.
+
+The prefactor and the |K| s-vectors depend only on (I_m, K), so the sum is
+built once per (I_m, K) as the whole symmetric (g,)^m tensor
+(:func:`general_thomae_tensor`); a single entry, the ratio form and the
+|K| = 2 gradient all read that one tensor, and 1-based multi-indices are
+checked for length m and range 1..g.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -79,24 +86,15 @@ def _s_vector(ctx: CurveContext, indices: IndexSet) -> np.ndarray:
     return ctx.periods.omega.T @ (signs * s)
 
 
-def general_thomae_rhs(
-    ctx: CurveContext,
-    i_m: Iterable[int],
-    multi_index: Sequence[int],
-    k_set: Iterable[int],
-) -> complex:
-    """Right side of the general Thomae formula for one derivative entry.
-
-    ``i_m``: index set of the multiplicity-m partition (0 allowed, or
-    inferred by parity); ``multi_index``: (n_1..n_m), 1-based; ``k_set``:
-    finite K inside the complement, |K| = 2m-1 or 2m.
-    """
+def _general_args(
+    ctx: CurveContext, i_m: Iterable[int], k_set: Iterable[int]
+) -> tuple[IndexSet, IndexSet, int]:
+    """(A, K, m) for the general formula: A the finite part of the
+    multiplicity-m partition I_m, K a valid finite set for it."""
     part = ctx.partition(i_m)
     m = part.multiplicity()
     if m < 1:
         raise ValueError("general Thomae needs multiplicity >= 1")
-    if len(multi_index) != m:
-        raise ValueError(f"multi-index {multi_index} must have length m={m}")
     a = part.part  # finite part of I_m
     k = iset(k_set)
     if 0 in k:
@@ -112,31 +110,59 @@ def general_thomae_rhs(
             f"I_m + K has size {len(a) + len(k)}, expected g={ctx.g}; "
             f"|K| must be {ctx.g - len(a)} for this partition"
         )
-    return _prefactor(ctx, a) * _thomae_sum(ctx, multi_index, k, _k_s_vectors(ctx, a, k))
+    return a, k, m
 
 
-def _k_s_vectors(ctx: CurveContext, a: IndexSet, k: IndexSet) -> dict[int, np.ndarray]:
-    """The s-vector of A + K - p for every p in K."""
-    return {p: _s_vector(ctx, drop(iset(a + k), p)) for p in k}
+def _entry(multi_index: Sequence[int], m: int, g: int) -> tuple[int, ...]:
+    """0-based tensor position of the 1-based multi-index (n_1..n_m)."""
+    if len(multi_index) != m:
+        raise ValueError(f"multi-index {tuple(multi_index)} must have length m={m}")
+    if not all(1 <= n <= g for n in multi_index):
+        raise ValueError(f"multi-index {tuple(multi_index)} needs entries in 1..{g}")
+    return tuple(n - 1 for n in multi_index)
 
 
-def _thomae_sum(
-    ctx: CurveContext, multi_index: Sequence[int], k: IndexSet, svec: dict[int, np.ndarray]
-) -> complex:
-    m = len(multi_index)
+def _thomae_tensor(ctx: CurveContext, a: IndexSet, k: IndexSet, m: int) -> np.ndarray:
+    """The ordered-tuple sum of the general formula as a symmetric (g,)*m
+    tensor: over ordered distinct (p_1..p_m) in K, the outer product of
+    s(A + K - p_i) / prod_{q in K - {p_1..p_m}} (e_{p_i} - e_q)."""
     e = ctx.spec.branch_points
-    total = 0.0 + 0j
+    svec = {p: _s_vector(ctx, drop(iset(a + k), p)) for p in k}
+    total = np.zeros((ctx.g,) * m, dtype=complex)
     for chosen in combinations(k, m):
         rest = [q for q in k if q not in chosen]
-        for ordering in set(permutations(chosen)):
-            term = 1.0 + 0j
-            for p, n in zip(ordering, multi_index):
-                denom = 1.0
-                for q in rest:
-                    denom *= e[p - 1] - e[q - 1]
-                term *= svec[p][n - 1] / denom
-            total += term
-    return total
+        w = {p: svec[p] / math.prod(e[p - 1] - e[q - 1] for q in rest) for p in chosen}
+        for ordering in permutations(chosen):
+            total += reduce(np.multiply.outer, [w[p] for p in ordering])
+    # every entry reads its sorted multi-index, so the symmetry is exact
+    sorted_idx = np.sort(np.indices(total.shape).reshape(m, -1), axis=0)
+    return total.ravel()[np.ravel_multi_index(sorted_idx, total.shape)].reshape(total.shape)
+
+
+def general_thomae_tensor(
+    ctx: CurveContext, i_m: Iterable[int], k_set: Iterable[int]
+) -> np.ndarray:
+    """Right side of the general Thomae formula as the full symmetric (g,)*m
+    tensor of the order-m derivatives, m the multiplicity of ``i_m``.
+
+    ``i_m``: index set of the multiplicity-m partition (0 allowed, or
+    inferred by parity); ``k_set``: finite K inside the complement,
+    |K| = 2m-1 or 2m.
+    """
+    a, k, m = _general_args(ctx, i_m, k_set)
+    return _prefactor(ctx, a) * _thomae_tensor(ctx, a, k, m)
+
+
+def general_thomae_rhs(
+    ctx: CurveContext,
+    i_m: Iterable[int],
+    multi_index: Sequence[int],
+    k_set: Iterable[int],
+) -> complex:
+    """Entry (n_1..n_m), 1-based, of :func:`general_thomae_tensor`."""
+    a, k, m = _general_args(ctx, i_m, k_set)
+    idx = _entry(multi_index, m, ctx.g)
+    return complex(_prefactor(ctx, a) * _thomae_tensor(ctx, a, k, m)[idx])
 
 
 def second_thomae_rhs_vector(ctx: CurveContext, i1: Iterable[int]) -> np.ndarray:
@@ -150,18 +176,14 @@ def second_thomae_rhs_vector(ctx: CurveContext, i1: Iterable[int]) -> np.ndarray
     if part.multiplicity() != 1:
         raise ValueError(f"{tuple(i1)} is not a multiplicity-1 index set")
     a = part.part
-    pref = _prefactor(ctx, a)
     if len(a) == ctx.g - 1:  # infinity on the J side: direct closed form
-        s = _s_vector(ctx, a)
-        return np.array([pref * s[n] for n in range(ctx.g)])
-    k = complement_finite(ctx.spec.n_finite, a)[:2]
-    svec = _k_s_vectors(ctx, a, k)
-    return np.array([pref * _thomae_sum(ctx, (n,), k, svec) for n in range(1, ctx.g + 1)])
+        return _prefactor(ctx, a) * _s_vector(ctx, a)
+    return general_thomae_tensor(ctx, a, complement_finite(ctx.spec.n_finite, a)[:2])
 
 
 def second_thomae_rhs(ctx: CurveContext, i1: Iterable[int], n: int) -> complex:
     """Entry n (1-based) of :func:`second_thomae_rhs_vector`."""
-    return second_thomae_rhs_vector(ctx, i1)[n - 1]
+    return second_thomae_rhs_vector(ctx, i1)[_entry((n,), 1, ctx.g)]
 
 
 def general_thomae_ratio_rhs(
@@ -172,9 +194,8 @@ def general_thomae_ratio_rhs(
     i0: Iterable[int],
 ) -> complex:
     """Ratio form: d^m theta[I_m] / theta[I_0] with quartic-root prefactor."""
-    part = ctx.partition(i_m)
-    a = part.part
-    k = iset(k_set)
+    a, k, m = _general_args(ctx, i_m, k_set)
+    idx = _entry(multi_index, m, ctx.g)
     i0 = iset(i0)
     if iset(a + k) != i0 and drop(i0, *[x for x in i0 if x in k]) != a:
         raise ValueError(f"I_m={a} must equal I_0\\K for I_0={i0}, K={k}")
@@ -184,7 +205,7 @@ def general_thomae_ratio_rhs(
         num = ordered_diff_product(ctx.spec, (kappa,), j0)
         den = ordered_diff_product(ctx.spec, (kappa,), a) if a else 1.0
         pref *= (num / den) ** 0.25
-    return pref * _thomae_sum(ctx, multi_index, k, _k_s_vectors(ctx, a, k))
+    return complex(pref * _thomae_tensor(ctx, a, k, m)[idx])
 
 
 @dataclass

@@ -14,13 +14,38 @@ from thomae_lab.characteristics import (
 from thomae_lab.theta import ThetaEngine, ThetaParams, truncation_radius
 
 
-def per_character_deriv(engine: ThetaEngine, char: HalfCharacteristic, order: int):
-    """Reference: one lattice sum per characteristic and sorted multi-index,
-    with the phase exp(i pi q.eps) evaluated per point. Returns (entries, scale)."""
-    g = engine.g
-    cls = engine._lattice_class(char.bits & ((1 << g) - 1))
-    q = cls.n + cls.shift
-    weighted = cls.m * np.exp(1j * np.pi * (q @ np.asarray(char.eps, dtype=float)))
+def box_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
+    """Reference class: every q = n + eps'/2 with ||L q|| <= R, L^t L = pi Im(tau),
+    found in the plain box |n_i| <= R sqrt(((pi Im tau)^{-1})_ii) + 1."""
+    g, tau, r = engine.g, engine.params.tau, engine.radius
+    shift = 0.5 * np.array([(eps_prime >> (g - 1 - i)) & 1 for i in range(g)])
+    bound = (r * np.sqrt(np.diag(np.linalg.inv(np.pi * tau.imag))) + 1).astype(int)
+    n = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in bound], indexing="ij"), -1)
+    q = n.reshape(-1, g) + shift
+    chol = np.linalg.cholesky(np.pi * tau.imag)
+    return q[np.sum((q @ chol) ** 2, axis=1) <= r * r]
+
+
+def check_half_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
+    """The engine's class and its mirror -q, the origin counted once, must be
+    exactly the box class; returns the box class."""
+    cls = engine._lattice_class(eps_prime)
+    full = box_class(engine, eps_prime)
+    half = {tuple(q) for q in (cls.n + cls.shift).tolist()}
+    mirror = {tuple(-x for x in q) for q in half}
+    assert len(half) == len(cls.n)
+    assert len(half & mirror) == (eps_prime == 0)  # only the origin is its own mirror
+    assert half | mirror == {tuple(q) for q in full.tolist()}
+    return full
+
+
+def per_character_deriv(tau: np.ndarray, q: np.ndarray, char: HalfCharacteristic, order: int):
+    """Reference: one lattice sum over the full class q per characteristic and
+    sorted multi-index, with the phase exp(i pi q.eps) evaluated per point.
+    Returns (entries, scale)."""
+    g = tau.shape[0]
+    m = np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", q, tau, q))
+    weighted = m * np.exp(1j * np.pi * (q @ np.asarray(char.eps, dtype=float)))
     entries = np.zeros((g,) * order, dtype=complex)
     scale = 0.0
     pref = (2j * np.pi) ** order
@@ -33,10 +58,14 @@ def per_character_deriv(engine: ThetaEngine, char: HalfCharacteristic, order: in
 
 
 def _check_against_reference(engine, chars, orders):
+    classes = {}
     for char in chars:
+        eps_prime = char.bits & ((1 << engine.g) - 1)
+        if eps_prime not in classes:
+            classes[eps_prime] = check_half_class(engine, eps_prime)
         for order in orders:
             t = engine.theta_deriv(char, order)
-            ref, scale = per_character_deriv(engine, char, order)
+            ref, scale = per_character_deriv(engine.params.tau, classes[eps_prime], char, order)
             assert t.entries.shape == (engine.g,) * order
             assert abs(t.scale - scale) <= 1e-12 * scale, (char, order)
             assert np.max(np.abs(t.entries - ref), initial=0.0) <= 1e-13 * scale, (char, order)
@@ -64,12 +93,14 @@ _ORACLE_TAU = {
 }
 
 
-def _mp_theta_and_gradient(tau, char, box):
-    """theta[char](0) and its gradient by a plain box sum |n_i| <= box at
-    30 digits, independent of the engine's ellipsoid and parity bins."""
+def _mp_theta_and_gradient(tau, char, box, v=None):
+    """theta[char](v) and its gradient by a plain box sum |n_i| <= box at
+    30 digits, independent of the engine's ellipsoid, parity bins and
+    q <-> -q pairing; v (complex) defaults to 0."""
     g = len(tau)
     tau = [[mpmath.mpc(z.real, z.imag) for z in row] for row in tau]
-    eps = [mpmath.mpf(e) / 2 for e in char.eps]
+    v = [0] * g if v is None else [mpmath.mpc(z.real, z.imag) for z in v]
+    eps = [mpmath.mpf(e) / 2 + z for e, z in zip(char.eps, v)]
     value, grad = mpmath.mpc(0), [mpmath.mpc(0)] * g
     for n in product(range(-box, box + 1), repeat=g):
         q = [n[i] + mpmath.mpf(char.eps_prime[i]) / 2 for i in range(g)]
@@ -94,6 +125,25 @@ def test_theta_against_mpmath_box_sum(g):
             value, grad = _mp_theta_and_gradient(tau, char, box)
             assert abs(eng.theta(char) - value) <= 1e-12, char
             assert np.max(np.abs(eng.gradient(char) - grad)) <= 1e-12, char
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_theta_at_complex_v_against_mpmath_box_sum(g):
+    tau = np.array(_ORACLE_TAU[g])
+    eng = ThetaEngine(tau)
+    rng = np.random.default_rng(g)
+    v = rng.uniform(-0.5, 0.5, size=g) + 1j * rng.uniform(-0.1, 0.1, size=g)
+    # |Im v_i| <= 0.1 scales a term by at most exp(0.2 pi sqrt(g) |q|); every
+    # omitted term has |q| >= box + 1/2, so |term| < 1e-30 still
+    lam_min = float(np.min(np.linalg.eigvalsh(tau.imag)))
+    box = int(np.ceil(np.sqrt(24 * np.log(10) / (np.pi * lam_min))))
+    # eps' = 0 (the origin is its own mirror) and eps' != 0, even and odd
+    chars = [zero_char(g), _char(g, 0b11 << g), _char(g, 1), _char(g, 4 ** g - 1),
+             _char(g, 0b10 << g | 0b01)]
+    with mpmath.workdps(30):
+        for char in chars:
+            value, _ = _mp_theta_and_gradient(tau, char, box, v)
+            assert abs(eng.theta(char, v) - value) <= 1e-12, char
 
 
 def test_g1_value_against_brute_force():

@@ -1,20 +1,44 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 from thomae_lab.characteristics import enumerate_partitions
-from thomae_lab.indexsets import complement_finite, iset
+from thomae_lab.indexsets import complement_finite, drop, iset
 from thomae_lab.thomae import (
     EIGHTH_ROOTS,
+    _prefactor,
+    _s_vector,
     calibrate_phases,
     first_thomae_rhs,
     general_thomae_ratio_rhs,
     general_thomae_rhs,
+    general_thomae_tensor,
     second_thomae_rhs,
     second_thomae_rhs_vector,
     snap_phase,
 )
+
+
+def _thomae_sum(ctx, a, multi_index, k):
+    """Reference: the ordered-tuple sum of the general formula for one
+    1-based multi-index, term by term, and the sum of its terms' |values|."""
+    m = len(multi_index)
+    e = ctx.spec.branch_points
+    svec = {p: _s_vector(ctx, drop(iset(a + k), p)) for p in k}
+    total, size = 0.0 + 0j, 0.0
+    for chosen in combinations(k, m):
+        rest = [q for q in k if q not in chosen]
+        for ordering in set(permutations(chosen)):
+            term = 1.0 + 0j
+            for p, n in zip(ordering, multi_index):
+                denom = 1.0
+                for q in rest:
+                    denom *= e[p - 1] - e[q - 1]
+                term *= svec[p][n - 1] / denom
+            total += term
+            size += abs(term)
+    return total, size
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -167,3 +191,48 @@ def test_calibration_failure_detected(ctx):
     broken._const[ch] = c.const((1, 2)) * 1.07
     with pytest.raises(ValueError, match="phase calibration failed"):
         calibrate_phases(broken)
+
+
+@pytest.mark.parametrize("g", [5, 6])
+def test_general_thomae_tensor_matches_entrywise_sum(ctx, g):
+    c = ctx(g)
+    for m in (1, 2, 3):
+        # |K| = g - |A| is 2m - 1 (infinity in J_m) or 2m (infinity in I_m,
+        # which needs |I_m| = g + 1 - 2m >= 1)
+        parts = {}
+        for p in enumerate_partitions(g, m):
+            parts.setdefault(g - len(p.part), p.part)
+        assert sorted(parts) == [2 * m - 1, 2 * m][: 1 + (g + 1 - 2 * m >= 1)]
+        for ksize, a in parts.items():
+            k = complement_finite(c.spec.n_finite, a)[-ksize:]
+            t = general_thomae_tensor(c, a, k)
+            assert t.shape == (g,) * m
+            ref, size = np.array(
+                [_thomae_sum(c, a, idx, k) for idx in product(range(1, g + 1), repeat=m)]
+            ).T.reshape((2,) + t.shape)
+            pref = _prefactor(c, a)
+            # relative to the size of its terms: at m = 3 an entry can cancel to 1e-15 of it
+            assert np.all(np.abs(t - pref * ref) <= 1e-12 * abs(pref) * size.real), (m, a, k)
+            for axes in permutations(range(m)):
+                assert np.array_equal(t, np.transpose(t, axes)), (m, a, k)
+            entry = tuple(range(1, m + 1))
+            assert general_thomae_rhs(c, a, entry, k) == t[tuple(n - 1 for n in entry)]
+
+
+def test_derivative_indices_validated(ctx):
+    # 1-based indices: 0 and g + 1 are out of range, and the multi-index
+    # length must be the multiplicity
+    c = ctx(3)
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="entries in 1..3"):
+            second_thomae_rhs(c, (1, 2), n)
+        with pytest.raises(ValueError, match="entries in 1..3"):
+            general_thomae_rhs(c, (1,), (n,), (2, 3))
+        with pytest.raises(ValueError, match="entries in 1..3"):
+            general_thomae_ratio_rhs(c, (1,), (n,), (2, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match="length m=1"):
+        general_thomae_ratio_rhs(c, (1,), (1, 2), (2, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match="length m=2"):
+        general_thomae_rhs(c, (), (1,), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"\|K\|"):
+        general_thomae_ratio_rhs(c, (1,), (1,), (2, 3, 4), (1, 2, 3, 4))

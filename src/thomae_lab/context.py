@@ -2,12 +2,16 @@
 
 Relation verifiers look theta constants up by branch-index sets thousands of
 times; the context memoizes constants, gradients and derivative tensors per
-characteristic, so each is read from the engine's per-class tables once.
+characteristic, so each is read from the engine's per-class tables once, and
+computes the curve-wide determinant factor of the Thomae formulas once.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -45,6 +49,12 @@ class CurveContext:
     @property
     def g(self) -> int:
         return self.spec.genus
+
+    @cached_property
+    def det_factor(self) -> complex:
+        """(det omega / pi^g)^{1/2}, the curve's factor in every Thomae right side."""
+        det = complex(np.linalg.det(self.periods.omega))
+        return cmath.sqrt(det / math.pi**self.g)
 
     def char(self, indices: Iterable[int]) -> HalfCharacteristic:
         return char_of_set(self.g, indices)

@@ -436,14 +436,14 @@ FAMILIES = {f.name: f for f in (
     Family("GRADN", _gradn_bindings, rel.verify_gradN),
     Family("RANK", _rank_bindings, _rank),
     Family("HESS_K3", lambda ctx, cfg, rng: _sample(_i0_splits(ctx, 3), cfg.cap // 2, rng),
-           rel.hessian_repr, 3),
+           rel.derivative_repr, 3),
     Family("HESS_K4", lambda ctx, cfg, rng: _sample(_i0_splits(ctx, 4), cfg.cap // 2, rng),
-           rel.hessian_repr, 4),
+           rel.derivative_repr, 4),
     Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_repr_equiv, 3),
     Family("HESS_RANK", lambda ctx, cfg, rng: _parts(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
            rel.hessian_rank, 3),
-    Family("D3_K5", _d3_k5_bindings, rel.third_deriv_repr, 5),
-    Family("D3_K6", _d3_k6_bindings, rel.third_deriv_repr, 6),
+    Family("D3_K5", _d3_k5_bindings, rel.derivative_repr, 5),
+    Family("D3_K6", _d3_k6_bindings, rel.derivative_repr, 6),
     Family("CONJ_M", _conj_m_bindings, rel.conjecture_m_repr, 3),
     Family("RJ_DET", _rj_det_bindings, rel.riemann_jacobi_det),
     Family("SCHOTTKY_R", _schottky_r_bindings, sch.verify_schottky_R, 4,

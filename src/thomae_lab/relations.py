@@ -10,11 +10,16 @@ judged fairly.  Families:
                      multiplicity-1 derivative theta constants,
 * RANK            -- rank of a collection of gradients vs the combinatorial
                      prediction from the intersection pattern of partitions,
-* HESS_K3/K4      -- second derivative theta constants as quadratic forms of
-                     gradients with theta-constant coefficient matrix R,
+* HESS_K3/K4,     -- one statement at orders m = 2, 3 and any m: the order-m
+  D3_K5/K6,          derivative tensor of theta[I0 - K] equals
+  CONJ_M             R . A^{(x)m} / theta[I0]^{m-1}, A the gradients of
+                     theta[I0 - p] for p in K, |K| in {2m-1, 2m}, R a
+                     symmetric tensor of theta constants.  One verifier,
+                     :func:`derivative_repr`, takes m and the record id from
+                     |K| (3, 4, 5, 6); :func:`conjecture_m_repr` is the same
+                     body at a given m, up to a global sign,
+* HESS_EQUIV      -- two representations of the same Hessian agree,
 * HESS_RANK       -- rank of the Hessian (3 in genus > 3, full at g = 3),
-* D3_K5/K6        -- third derivative theta constants as cubic forms,
-* CONJ_M          -- the same construction at arbitrary multiplicity,
 * RJ_DET          -- the hyperelliptic Riemann-Jacobi derivative formula.
 
 Index-set conventions: 0 is the infinity index, smallest in the set order;
@@ -34,6 +39,8 @@ from .indexsets import IndexSet, complement_finite, drop, iset, replace
 from .thomae import FOURTH_ROOTS, snap_phase
 
 TINY = 1e-300
+# singular values below this share of the largest do not count toward a rank
+RANK_SVD_CUT = 1e-8
 
 
 @dataclass
@@ -407,9 +414,7 @@ def predicted_collection_rank(g: int, full_parts: Sequence[frozenset]) -> int:
     return best
 
 
-def collection_rank(
-    ctx: CurveContext, sets: Sequence[Iterable[int]], svd_cut: float = 1e-8
-) -> tuple[int, int]:
+def collection_rank(ctx: CurveContext, sets: Sequence[Iterable[int]]) -> tuple[int, int]:
     """(observed, predicted) rank of a collection of multiplicity-1 gradients."""
     parts = []
     rows = []
@@ -422,7 +427,7 @@ def collection_rank(
     dedup = list(dict.fromkeys(parts))
     rows = [rows[parts.index(p)] for p in dedup]
     sv = np.linalg.svd(np.stack(rows), compute_uv=False)
-    observed = int(np.sum(sv > svd_cut * sv[0]))
+    observed = int(np.sum(sv > RANK_SVD_CUT * sv[0]))
     predicted = predicted_collection_rank(ctx.g, dedup)
     return observed, predicted
 
@@ -431,29 +436,17 @@ def collection_rank(
 # Quadratic / cubic / general representations of derivative theta constants
 # ---------------------------------------------------------------------------
 
-def _entry_sign(positions: Sequence[int], values: Sequence[int], kk: int, mode: str) -> float:
-    if mode == "position":
-        base = sum(positions)
-    elif mode == "value":
-        base = sum(values)
-    else:
-        raise ValueError(f"unknown sign mode {mode}")
+def _entry_sign(positions: Sequence[int], kk: int) -> float:
+    """(-1)^(sum of the 1-based positions + offset) for 0-based positions."""
     # verified for m = 2, 3; the odd-|K| offset alternates with m and the
     # m = 4 evidence runs match the extrapolation
     m = len(positions)
     offset = m % 2 if (kk == 2 * m - 1 and m >= 2) else 0
-    return float((-1) ** (base + offset))
+    return float((-1) ** (sum(positions) + m + offset))
 
 
 def general_r_tensor(
-    ctx: CurveContext,
-    i0: IndexSet,
-    k_set: IndexSet,
-    j_m: int,
-    j_n: int,
-    order: int,
-    sign_mode: str = "position",
-    global_sign: float = 1.0,
+    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
 ) -> np.ndarray:
     """Symmetric coefficient tensor R of the order-m representation.
 
@@ -467,6 +460,8 @@ def general_r_tensor(
                           * (|K| = 2m-1 only) th[J0^{(jn,jm -> q)}]
                 / ( (th[J0^{(jm)}] th[J0^{(jn)}])^{|K|-m}
                     * prod_{p, q} th[I0^{(p,q -> jn,jm)}] )
+
+    Every theta constant is read once, into tables indexed by position in K.
     """
     kk = len(k_set)
     m = order
@@ -476,48 +471,46 @@ def general_r_tensor(
     if j_m not in j0 or j_n not in j0 or j_m == j_n:
         raise ValueError("j_m, j_n must be distinct members of J_0")
     denom_base = (ctx.const(drop(j0, j_m)) * ctx.const(drop(j0, j_n))) ** (kk - m)
+    pair = {}
+    for a, b in combinations(range(kk), 2):
+        pair[a, b] = pair[b, a] = ctx.const(replace(i0, (k_set[a], k_set[b]), (j_n, j_m)))
+    single = [ctx.const(replace(i0, (q,), (j_m,))) * ctx.const(replace(i0, (q,), (j_n,)))
+              for q in k_set]
+    swap = [ctx.const(replace(j0, (j_n, j_m), (p,))) for p in k_set]
     tensor = np.zeros((kk,) * m, dtype=complex)
-    for positions in combinations(range(1, kk + 1), m):
-        p_vals = tuple(k_set[t - 1] for t in positions)
-        q_vals = tuple(x for x in k_set if x not in p_vals)
-        val = _entry_sign(positions, p_vals, kk, sign_mode) * global_sign
-        for pa, pb in combinations(p_vals, 2):
-            val *= ctx.const(replace(i0, (pa, pb), (j_n, j_m)))
-        for qa, qb in combinations(q_vals, 2):
-            val *= ctx.const(replace(i0, (qa, qb), (j_n, j_m)))
+    for ps in combinations(range(kk), m):
+        qs = [t for t in range(kk) if t not in ps]
+        val = _entry_sign(ps, kk)
+        for a, b in combinations(ps, 2):
+            val *= pair[a, b]
+        for a, b in combinations(qs, 2):
+            val *= pair[a, b]
         if kk == 2 * m:
-            for p in p_vals:
-                val *= ctx.const(replace(j0, (j_n, j_m), (p,)))
-        for q in q_vals:
-            val *= ctx.const(replace(i0, (q,), (j_m,))) * ctx.const(replace(i0, (q,), (j_n,)))
+            for p in ps:
+                val *= swap[p]
+        for q in qs:
+            val *= single[q]
             if kk == 2 * m - 1:
-                val *= ctx.const(replace(j0, (j_n, j_m), (q,)))
-            for p in p_vals:
-                val /= ctx.const(replace(i0, (p, q), (j_n, j_m)))
+                val *= swap[q]
+            for p in ps:
+                val /= pair[p, q]
         val /= denom_base
-        idx0 = tuple(t - 1 for t in positions)
-        for perm in set(permutations(idx0)):
+        for perm in set(permutations(ps)):
             tensor[perm] = val
     return tensor
 
 
 def representation_tensor(
-    ctx: CurveContext,
-    i0: Iterable[int],
-    k_set: Iterable[int],
-    j_m: int,
-    j_n: int,
-    order: int,
-    sign_mode: str = "position",
-    global_sign: float = 1.0,
+    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int, order: int
 ) -> np.ndarray:
-    """Predicted order-m derivative tensor from gradients and R."""
+    """Predicted order-m derivative tensor of theta[I0 - K]: R applied to the
+    gradients of theta[I0 - p], p in K, divided by theta[I0]^(m-1)."""
     i0, k_set = iset(i0), iset(k_set)
     if not set(k_set) <= set(i0):
         raise ValueError("K must be a subset of I_0")
     if len(i0) != ctx.g or 0 in i0:
         raise ValueError("I_0 must be the g finite indices of a multiplicity-0 set")
-    r = general_r_tensor(ctx, i0, k_set, j_m, j_n, order, sign_mode, global_sign)
+    r = general_r_tensor(ctx, i0, k_set, j_m, j_n, order)
     a = np.stack([ctx.grad(drop(i0, p)) for p in k_set])  # |K| x g
     theta0 = ctx.const(i0)
     out = r
@@ -526,22 +519,40 @@ def representation_tensor(
     return out / theta0 ** (order - 1)
 
 
-def hessian_repr(
+# |K| -> (record id, default tolerance) of the order-(|K|+1)//2 representation
+REPRESENTATION_RECORDS = {
+    3: ("HESS_K3", 1e-6),
+    4: ("HESS_K4", 1e-6),
+    5: ("D3_K5", 1e-4),
+    6: ("D3_K6", 1e-4),
+}
+
+
+def _repr_tensors(
+    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted, computed) order-m derivative tensor of theta[I0 - K]."""
+    pred = representation_tensor(ctx, i0, k_set, j_m, j_n, order)
+    return pred, ctx.deriv(drop(i0, *k_set), order).entries
+
+
+def derivative_repr(
     ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int,
-    tolerance: float = 1e-6, sign_mode: str = "position", global_sign: float = 1.0,
+    tolerance: float | None = None,
 ) -> VerificationRecord:
-    """Second derivative theta constants as (1/theta[I0]) grad^t R grad."""
+    """Derivative theta constants of order m = (|K|+1)//2 as forms in the
+    gradients: Hessians for |K| = 3, 4 (HESS_K3/K4), third derivatives for
+    |K| = 5, 6 (D3_K5/K6).  The tolerance defaults to the record's own."""
     i0, k_set = iset(i0), iset(k_set)
-    if len(k_set) not in (3, 4):
-        raise ValueError("|K| must be 3 or 4")
-    pred = representation_tensor(ctx, i0, k_set, j_m, j_n, 2, sign_mode, global_sign)
-    target = ctx.hess(drop(i0, *k_set))
-    residual = tensor_match_residual(pred, target)
+    if len(k_set) not in REPRESENTATION_RECORDS:
+        raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {len(k_set)}")
+    relation_id, default_tol = REPRESENTATION_RECORDS[len(k_set)]
+    pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, (len(k_set) + 1) // 2)
     return VerificationRecord(
-        "HESS_K3" if len(k_set) == 3 else "HESS_K4",
+        relation_id,
         {"I0": i0, "K": k_set, "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
+        tensor_match_residual(pred, target),
+        default_tol if tolerance is None else tolerance,
     )
 
 
@@ -589,46 +600,26 @@ def hessian_rank(
     return VerificationRecord("HESS_RANK", {"I2": part.part}, residual, tolerance, notes=notes)
 
 
-def third_deriv_repr(
-    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int,
-    tolerance: float = 1e-4, sign_mode: str = "position", global_sign: float = 1.0,
-) -> VerificationRecord:
-    """Third derivative theta constants as cubic forms of gradients."""
-    i0, k_set = iset(i0), iset(k_set)
-    if len(k_set) not in (5, 6):
-        raise ValueError("|K| must be 5 or 6")
-    pred = representation_tensor(ctx, i0, k_set, j_m, j_n, 3, sign_mode, global_sign)
-    target = ctx.deriv(drop(i0, *k_set), 3).entries
-    residual = tensor_match_residual(pred, target)
-    return VerificationRecord(
-        "D3_K5" if len(k_set) == 5 else "D3_K6",
-        {"I0": i0, "K": k_set, "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
-    )
-
-
 def conjecture_m_repr(
     ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], order: int,
-    j_m: int, j_n: int, tolerance: float = 1e-3, sign_mode: str = "position",
+    j_m: int, j_n: int, tolerance: float = 1e-3,
 ) -> VerificationRecord:
-    """Order-m generalisation; for m >= 4 the residual is reported only."""
+    """The same representation at order m = order, matched up to a global
+    sign; for m >= 4 the residual is reported only."""
     i0, k_set = iset(i0), iset(k_set)
     if order >= 4 and ctx.g < 7:
         raise ValueError("multiplicity >= 4 requires genus >= 7")
-    best = None
-    for gs in (1.0, -1.0):
-        pred = representation_tensor(ctx, i0, k_set, j_m, j_n, order, sign_mode, gs)
-        target = ctx.deriv(drop(i0, *k_set), order).entries
-        residual = tensor_match_residual(pred, target)
-        if best is None or residual < best[0]:
-            best = (residual, gs)
+    pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, order)
+    residual, sign = tensor_match_residual(pred, target), 1
+    flipped = tensor_match_residual(-pred, target)
+    if flipped < residual:
+        residual, sign = flipped, -1
     return VerificationRecord(
         "CONJ_M",
         {"I0": i0, "K": k_set, "m": order, "j_m": j_m, "j_n": j_n},
-        best[0],
+        residual,
         tolerance,
-        notes=f"global sign {best[1]:+.0f}; conjecture: residual reported" if order >= 4 else "",
+        notes=f"global sign {sign:+d}; conjecture: residual reported" if order >= 4 else "",
     )
 
 

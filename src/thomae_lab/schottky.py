@@ -152,18 +152,16 @@ def schottky_J(triple: SchottkyTriple) -> tuple[complex, float]:
 
 def true_schottky_group(
     ctx: CurveContext, i0: IndexSet, ps: tuple[int, int, int, int], j_m: int, j_n: int,
-    q1: int | None = None, q2: int | None = None,
 ) -> tuple[GoepelGroup, list[IndexSet]]:
     """Rank-3 group and azygetic triplet realising the classical Schottky
     invariant from a 4-subset of I_0: (P) is generated by the characteristic
-    of K = {p_1..p_4} together with [A({q_1, j_m})] and [A({q_2, j_n})], and
+    of K = {p_1..p_4} together with [A({q_1, j_m})] and [A({q_2, j_n})],
+    q_1 < q_2 the two smallest indices of J_0 besides j_m and j_n, and
     A_i = [I_0^{(p_1, p_{i+1} -> j_m, j_n)}].  sqrt(r_1) - sqrt(r_2)
     + sqrt(r_3) = 0 for ascending p's, hence J = 0."""
     i0, ps = iset(i0), tuple(sorted(ps))
     j0 = complement_finite(ctx.spec.n_finite, i0)
-    spare = [j for j in j0 if j not in (j_m, j_n)]
-    q1 = spare[0] if q1 is None else q1
-    q2 = spare[1] if q2 is None else q2
+    q1, q2 = [j for j in j0 if j not in (j_m, j_n)][:2]
     group = build_goepel(ctx.g, [ps, (q1, j_m), (q2, j_n)])
     a_sets = [replace(i0, (ps[0], ps[i]), (j_m, j_n)) for i in (1, 2, 3)]
     return group, a_sets

@@ -46,6 +46,8 @@ from .indexsets import IndexSet, complement_finite, drop, iset
 
 EIGHTH_ROOTS = tuple(cmath.exp(1j * math.pi * k / 4) for k in range(8))
 FOURTH_ROOTS = tuple(1j**k for k in range(4))
+# a calibration snap residual above this means an upstream sign error, not noise
+CALIBRATION_FAIL_TOL = 1e-4
 
 
 def snap_phase(ratio: complex, roots: Sequence[complex] = EIGHTH_ROOTS) -> tuple[complex, float]:
@@ -57,15 +59,10 @@ def snap_phase(ratio: complex, roots: Sequence[complex] = EIGHTH_ROOTS) -> tuple
     return best, abs(ratio - best)
 
 
-def _det_factor(ctx: CurveContext) -> complex:
-    det = complex(np.linalg.det(ctx.periods.omega))
-    return cmath.sqrt(det / math.pi**ctx.g)
-
-
 def _prefactor(ctx: CurveContext, a: IndexSet) -> complex:
     """(det omega/pi^g)^{1/2} Delta(A)^{1/4} Delta(B)^{1/4}, B the finite complement of A."""
     b = complement_finite(ctx.spec.n_finite, a)
-    return _det_factor(ctx) * vandermonde(ctx.spec, a) ** 0.25 * vandermonde(ctx.spec, b) ** 0.25
+    return ctx.det_factor * vandermonde(ctx.spec, a) ** 0.25 * vandermonde(ctx.spec, b) ** 0.25
 
 
 def first_thomae_rhs(ctx: CurveContext, i0: Iterable[int]) -> complex:
@@ -222,7 +219,7 @@ class PhaseCalibration:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def calibrate_phases(ctx: CurveContext, fail_tol: float = 1e-4) -> PhaseCalibration:
+def calibrate_phases(ctx: CurveContext) -> PhaseCalibration:
     """Snap theta[I_0]/rhs to the nearest 8th root for every even
     non-singular characteristic; a large snap residual signals an upstream
     sign error and raises."""
@@ -234,7 +231,7 @@ def calibrate_phases(ctx: CurveContext, fail_tol: float = 1e-4) -> PhaseCalibrat
         ratio = lhs / rhs
         phase, _ = snap_phase(ratio)
         resid = abs(ratio - phase)
-        if resid > fail_tol:
+        if resid > CALIBRATION_FAIL_TOL:
             raise ValueError(
                 f"phase calibration failed for I_0={i0} (char {c}): "
                 f"ratio {ratio}, nearest 8th root {phase}, residual {resid:.3e}"

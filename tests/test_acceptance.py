@@ -22,11 +22,10 @@ from thomae_lab.indexsets import complement_finite, iset
 from thomae_lab.periods import branch_point_char_residuals, compute_periods
 from thomae_lab.relations import (
     collection_rank,
+    derivative_repr,
     hessian_rank,
-    hessian_repr,
     hessian_repr_equiv,
     riemann_jacobi_det,
-    third_deriv_repr,
     verify_grad3,
     verify_grad4,
 )
@@ -304,9 +303,9 @@ def test_criterion_09_hessian_representation(announce, ctx):
     c3 = ctx(3)
     for i0 in combinations(range(1, 8), 3):
         j0 = complement_finite(7, i0)
-        worst = max(worst, hessian_repr(c3, i0, i0, j0[0], j0[1]).residual)
-    worst = max(worst, hessian_repr(c3, (1, 2, 3), (1, 2, 3), 6, 5).residual)
-    worst = max(worst, hessian_repr(c3, (1, 2, 4), (1, 2, 4), 6, 5).residual)
+        worst = max(worst, derivative_repr(c3, i0, i0, j0[0], j0[1]).residual)
+    worst = max(worst, derivative_repr(c3, (1, 2, 3), (1, 2, 3), 6, 5).residual)
+    worst = max(worst, derivative_repr(c3, (1, 2, 4), (1, 2, 4), 6, 5).residual)
     c4 = ctx(4)
     rng = np.random.default_rng(9)
     fin = list(range(1, 10))
@@ -315,10 +314,10 @@ def test_criterion_09_hessian_representation(announce, ctx):
         j0 = complement_finite(9, i0)
         for ks in (3, 4):
             kk = tuple(sorted(rng.choice(i0, size=ks, replace=False).tolist()))
-            worst = max(worst, hessian_repr(c4, i0, kk, j0[0], j0[1]).residual)
-    worst = max(worst, hessian_repr(c4, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual)
-    worst = max(worst, hessian_repr(c4, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual)
-    worst = max(worst, hessian_repr(c4, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual)
+            worst = max(worst, derivative_repr(c4, i0, kk, j0[0], j0[1]).residual)
+    worst = max(worst, derivative_repr(c4, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual)
+    worst = max(worst, derivative_repr(c4, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual)
+    worst = max(worst, derivative_repr(c4, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual)
     worst_eq = hessian_repr_equiv(
         c4, ((1, 2, 3, 5), (2, 3, 5), 4, 6), ((1, 2, 3, 7), (2, 3, 7), 4, 6)
     ).residual
@@ -359,12 +358,12 @@ def test_criterion_11_third_derivative(announce, ctx):
         i0 = tuple(sorted(rng.choice(fin, size=5, replace=False).tolist()))
         j0 = complement_finite(11, i0)
         jm, jn = rng.choice(j0, size=2, replace=False).tolist()
-        worst = max(worst, third_deriv_repr(c5, i0, i0, int(jm), int(jn)).residual)
+        worst = max(worst, derivative_repr(c5, i0, i0, int(jm), int(jn)).residual)
         n += 1
     # |K| = 6 demands a partition with the infinity index in its part, i.e.
     # genus >= 6; the smallest admissible instances are checked there.
     c6 = ctx(6)
-    worst6 = third_deriv_repr(c6, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7).residual
+    worst6 = derivative_repr(c6, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7).residual
     n6 = 1
     ok = worst < 1e-4 and worst6 < 1e-4
     report(

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from thomae_lab.characteristics import char_from_string, enumerate_partitions
-from thomae_lab.indexsets import complement_finite, iset
+from thomae_lab.indexsets import complement_finite, drop, iset, replace
 from thomae_lab.relations import (
     collection_rank,
     conjecture_m_repr,
+    derivative_repr,
+    general_r_tensor,
     hessian_rank,
-    hessian_repr,
     hessian_repr_equiv,
     predicted_collection_rank,
     representation_tensor,
     riemann_jacobi_det,
-    third_deriv_repr,
+    tensor_match_residual,
     verify_eji,
     verify_eklm,
     verify_grad2,
@@ -268,24 +269,24 @@ def test_hessian_all_35_representations_g3(ctx):
     target = c.hess(())
     for i0 in combinations(range(1, 8), 3):
         j0 = complement_finite(7, i0)
-        rec = hessian_repr(c, i0, i0, j0[0], j0[1])
+        rec = derivative_repr(c, i0, i0, j0[0], j0[1])
         assert rec.residual < 1e-6, rec.bindings
     assert np.max(np.abs(target)) > 0
 
 
 def test_appendix_e_genus3_instances(ctx):
     c = ctx(3)
-    assert hessian_repr(c, (1, 2, 3), (1, 2, 3), 6, 5).residual < 1e-6
-    assert hessian_repr(c, (1, 2, 4), (1, 2, 4), 6, 5).residual < 1e-6
+    assert derivative_repr(c, (1, 2, 3), (1, 2, 3), 6, 5).residual < 1e-6
+    assert derivative_repr(c, (1, 2, 4), (1, 2, 4), 6, 5).residual < 1e-6
 
 
 def test_appendix_e_genus4_instances(ctx):
     c = ctx(4)
     # d^2 theta^{iota} via K of size 3, iota = 1 and 2
-    assert hessian_repr(c, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual < 1e-6
-    assert hessian_repr(c, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual < 1e-6
+    assert derivative_repr(c, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual < 1e-6
+    assert derivative_repr(c, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual < 1e-6
     # d^2 theta^{} via all four dropped indices
-    assert hessian_repr(c, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual < 1e-6
+    assert derivative_repr(c, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual < 1e-6
 
 
 def test_hessian_k3_and_k4_sampled_g4(ctx):
@@ -297,7 +298,7 @@ def test_hessian_k3_and_k4_sampled_g4(ctx):
         j0 = complement_finite(9, i0)
         for ks in (3, 4):
             k = tuple(sorted(rng.choice(i0, size=ks, replace=False).tolist()))
-            rec = hessian_repr(c, i0, k, j0[0], j0[1])
+            rec = derivative_repr(c, i0, k, j0[0], j0[1])
             assert rec.residual < 1e-6, rec.bindings
 
 
@@ -344,8 +345,8 @@ def test_hessian_rank_rejects_wrong_multiplicity(ctx):
 
 def test_third_deriv_repr_g5(ctx):
     c = ctx(5)
-    assert third_deriv_repr(c, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 6, 7).residual < 1e-4
-    assert third_deriv_repr(c, (2, 3, 5, 8, 10), (2, 3, 5, 8, 10), 1, 6).residual < 1e-4
+    assert derivative_repr(c, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 6, 7).residual < 1e-4
+    assert derivative_repr(c, (2, 3, 5, 8, 10), (2, 3, 5, 8, 10), 1, 6).residual < 1e-4
 
 
 def test_third_deriv_j_choice_independence(ctx):
@@ -365,17 +366,88 @@ def test_third_deriv_tensor_symmetry(ctx):
 @pytest.mark.slow
 def test_third_deriv_k6_at_g6(ctx):
     c = ctx(6)
-    rec = third_deriv_repr(c, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7)
+    rec = derivative_repr(c, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7)
     assert rec.residual < 1e-4
 
 
 def test_conjecture_specializes_to_hessian(ctx):
-    c = ctx(3)
-    rec = conjecture_m_repr(c, (1, 2, 3), (1, 2, 3), 2, 4, 5)
-    assert rec.residual < 1e-6
-    pred_conj = representation_tensor(c, (1, 2, 3), (1, 2, 3), 4, 5, 2)
-    pred_hess = representation_tensor(c, (1, 2, 3), (1, 2, 3), 4, 5, 2)
-    assert np.array_equal(pred_conj, pred_hess)
+    # CONJ_M's own bindings at g = 5: I0 = (1..5), K its first |K| indices
+    c = ctx(5)
+    i0 = (1, 2, 3, 4, 5)
+    for m, ksize in ((2, 3), (2, 4), (3, 5)):
+        k = i0[:ksize]
+        conj = conjecture_m_repr(c, i0, k, m, 6, 7)
+        rec = derivative_repr(c, i0, k, 6, 7)
+        assert conj.bindings == {**rec.bindings, "m": m}
+        assert conj.residual == rec.residual
+        assert rec.residual < {2: 1e-6, 3: 1e-4}[m]
+        pred = representation_tensor(c, i0, k, 6, 7, m)
+        target = c.deriv(drop(i0, *k), m).entries
+        assert conj.residual == min(
+            tensor_match_residual(pred, target), tensor_match_residual(-pred, target)
+        )
+
+
+def test_derivative_repr_record_ids(ctx):
+    c = ctx(6)
+    i0 = (1, 2, 3, 4, 5, 6)
+    for ksize, (rid, tol) in {
+        3: ("HESS_K3", 1e-6), 4: ("HESS_K4", 1e-6), 5: ("D3_K5", 1e-4), 6: ("D3_K6", 1e-4),
+    }.items():
+        rec = derivative_repr(c, i0, i0[:ksize], 7, 8)
+        assert (rec.relation_id, rec.tolerance) == (rid, tol)
+        assert rec.bindings == {"I0": i0, "K": i0[:ksize], "j_m": 7, "j_n": 8}
+    for ksize in (1, 2):
+        with pytest.raises(ValueError, match=r"\|K\| must be one of \[3, 4, 5, 6\]"):
+            derivative_repr(c, i0, i0[:ksize], 7, 8)
+
+
+def entrywise_r_tensor(c, i0, k_set, j_m, j_n, m):
+    """Reference R: every entry looks each of its theta constants up anew,
+    with the sign (-1)^(sum of 1-based positions), offset by m mod 2 for
+    |K| = 2m - 1."""
+    kk = len(k_set)
+    j0 = complement_finite(c.spec.n_finite, i0)
+    denom_base = (c.const(drop(j0, j_m)) * c.const(drop(j0, j_n))) ** (kk - m)
+    tensor = np.zeros((kk,) * m, dtype=complex)
+    for positions in combinations(range(1, kk + 1), m):
+        p_vals = tuple(k_set[t - 1] for t in positions)
+        q_vals = tuple(x for x in k_set if x not in p_vals)
+        val = float((-1) ** (sum(positions) + (m % 2 if kk == 2 * m - 1 else 0)))
+        for pa, pb in combinations(p_vals, 2):
+            val *= c.const(replace(i0, (pa, pb), (j_n, j_m)))
+        for qa, qb in combinations(q_vals, 2):
+            val *= c.const(replace(i0, (qa, qb), (j_n, j_m)))
+        if kk == 2 * m:
+            for p in p_vals:
+                val *= c.const(replace(j0, (j_n, j_m), (p,)))
+        for q in q_vals:
+            val *= c.const(replace(i0, (q,), (j_m,))) * c.const(replace(i0, (q,), (j_n,)))
+            if kk == 2 * m - 1:
+                val *= c.const(replace(j0, (j_n, j_m), (q,)))
+            for p in p_vals:
+                val /= c.const(replace(i0, (p, q), (j_n, j_m)))
+        val /= denom_base
+        for perm in permutations(t - 1 for t in positions):
+            tensor[perm] = val
+    return tensor
+
+
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_general_r_tensor_matches_entrywise_lookup(ctx, g):
+    # m = 2 with |K| = 4 is Schottky's 4 x 4 R-hat; |K| <= g since K lies in I0
+    c = ctx(g)
+    n = 2 * g + 1
+    rng = np.random.default_rng(g)
+    cases = [(m, kk) for m, kk in ((2, 3), (2, 4), (3, 5), (3, 6)) if kk <= g]
+    for m, kk in cases:
+        for _ in range(3):
+            i0 = tuple(sorted(rng.choice(np.arange(1, n + 1), size=g, replace=False).tolist()))
+            k = tuple(sorted(rng.choice(i0, size=kk, replace=False).tolist()))
+            j_m, j_n = rng.choice(complement_finite(n, i0), size=2, replace=False).tolist()
+            assert np.array_equal(
+                general_r_tensor(c, i0, k, j_m, j_n, m), entrywise_r_tensor(c, i0, k, j_m, j_n, m)
+            ), (i0, k, j_m, j_n)
 
 
 def test_conjecture_m4_needs_genus7(ctx):

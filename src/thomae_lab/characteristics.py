@@ -22,7 +22,9 @@ multiplicity-1 characteristics are odd and [K] at genus 2 is odd.
 
 Representation: a characteristic is its genus plus one 2g-bit int (eps high,
 eps' low).  [I] XOR-folds a per-genus table of [eps_k] (Mumford's eta-map),
-the sum is XOR, the parity a popcount; index sets are bit masks.
+the sum is XOR, the parity a popcount; index sets are bit masks.  The
+batched relation families index :func:`mask_chars`, one characteristic
+per (2g+2)-bit index mask, so [I^{(a -> b)}] is a table lookup at I ^ a ^ b.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import xor
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Bits = tuple[int, ...]
 
@@ -96,6 +100,21 @@ def _table(g: int) -> tuple[tuple[int, ...], int]:
         branch.append((ones >> (g - n)) << (2 * g - n) | 1 << (g - j))
     branch.append(ones << g)  # k = 2g+1: eps = 1^g, eps' = 0
     return tuple(branch), reduce(xor, branch[2 : 2 * g + 1 : 2], 0)
+
+
+@lru_cache(maxsize=None)
+def mask_chars(g: int) -> np.ndarray:
+    """Bits of [I] for every index mask I (bit i is index i, 0 = infinity).
+
+    Entry I is [K] XOR-folded with [eps_i] over the set bits of I, as
+    :func:`char_of_set` folds; 2^(2g+2) entries, read-only.
+    """
+    branch, k_bits = _table(g)
+    out = np.array([k_bits], dtype=np.intp)
+    for b in branch:  # masks with bit i set follow those without
+        out = np.concatenate([out, out ^ b])
+    out.flags.writeable = False
+    return out
 
 
 def char_from_string(text: str) -> HalfCharacteristic:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -35,9 +35,8 @@ from .relations import VerificationRecord
 from .thomae import (
     calibrate_phases,
     first_thomae_rhs,
-    general_thomae_ratio_rhs,
+    general_thomae_forms,
     general_thomae_rhs,
-    general_thomae_tensor,
     second_thomae_rhs_vector,
     snap_phase,
 )
@@ -160,11 +159,55 @@ def _family_rng(cfg: SuiteConfig, family: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(family.encode())])
 
 
+def _draw(count: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of the sampled items of an enumeration of ``count``:
+    all of them up to the cap, else ``cap`` drawn without replacement."""
+    if count <= cap:
+        return np.arange(count)
+    return np.sort(rng.choice(count, size=cap, replace=False))
+
+
 def _sample(items: list, cap: int, rng: np.random.Generator) -> list:
-    if len(items) <= cap:
-        return items
-    idx = rng.choice(len(items), size=cap, replace=False)
-    return [items[i] for i in sorted(idx)]
+    return [items[i] for i in _draw(len(items), cap, rng)]
+
+
+def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """The k-combinations of range(n) at the given lexicographic ranks (the
+    order of itertools.combinations), one ascending row per rank."""
+    r = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(r), k), dtype=np.int64)
+    start = np.zeros(len(r), dtype=np.int64)  # smallest element still allowed
+    for t in range(k):
+        # offsets[x]: combinations whose element t is below x, counted from 0
+        sizes = [math.comb(n - 1 - x, k - 1 - t) for x in range(n)]
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        target = r + offsets[start]
+        out[:, t] = np.searchsorted(offsets, target, side="right") - 1
+        r = target - offsets[out[:, t]]
+        start = out[:, t] + 1
+    return out
+
+
+def _free(sets: np.ndarray, universe: range) -> np.ndarray:
+    """Per row of ``sets``, the members of ``universe`` missing from the row
+    in ascending order, followed by those in it."""
+    values = np.asarray(universe)
+    taken = (sets[:, :, None] == values).any(axis=1)
+    return values[np.argsort(taken, axis=1, kind="stable")]
+
+
+def _picker(rng: np.random.Generator, *caps: int) -> Callable:
+    """pick(count) -> sorted positions in an enumeration of ``count``: a
+    :func:`_draw` with the first cap, then one from the kept positions with
+    each further cap (D3's sample of a sample)."""
+
+    def pick(count: int) -> np.ndarray:
+        idx = _draw(count, caps[0], rng)
+        for cap in caps[1:]:
+            idx = idx[_draw(len(idx), cap, rng)]
+        return idx
+
+    return pick
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +218,12 @@ def _sample(items: list, cap: int, rng: np.random.Generator) -> list:
 class Family:
     """One verification family as a table entry.
 
-    ``bindings(ctx, cfg, rng)`` gives the argument tuples and
-    ``verify(ctx, *args, tolerance=..., **extra)`` turns each into one record
-    or a list of records.  ``tolerances`` maps further verifier keywords to
-    tolerance keys.  Below ``min_genus`` the family has no instances.
+    ``bindings(ctx, cfg, rng)`` gives the bindings and
+    ``verify(ctx, bindings, tolerance=..., **extra)`` the records of all of
+    them: the batched families take an int array with one binding per row,
+    the others a list of argument tuples through :func:`_each`.
+    ``tolerances`` maps further verifier keywords to tolerance keys.  Below
+    ``min_genus`` the family has no instances.
     """
 
     name: str
@@ -192,34 +237,62 @@ class Family:
             return []
         tols = {"tolerance": cfg.tol(self.name)}
         tols.update((kw, cfg.tol(key)) for kw, key in self.tolerances)
+        return self.verify(ctx, self.bindings(ctx, cfg, rng), **tols)
+
+
+def _each(verify: Callable) -> Callable:
+    """A whole-list verifier from a per-binding one that returns one record
+    or a list of records."""
+
+    def run(ctx, bindings, **tols):
         out = []
-        for args in self.bindings(ctx, cfg, rng):
-            rec = self.verify(ctx, *args, **tols)
+        for args in bindings:
+            rec = verify(ctx, *args, **tols)
             out.extend(rec if isinstance(rec, list) else [rec])
         return out
 
-
-def _i0_splits(ctx, ksize: int) -> list:
-    """(I_0, K, j_m, j_n) for every finite g-set I_0, every ksize-subset K of
-    I_0, and the two smallest indices j_m < j_n of J_0."""
-    out = []
-    for i0 in combinations(range(1, ctx.spec.n_finite + 1), ctx.g):
-        j0 = complement_finite(ctx.spec.n_finite, i0)
-        out.extend((i0, ks, j0[0], j0[1]) for ks in combinations(i0, ksize))
-    return out
+    return run
 
 
-def _kappa_splits(ctx, isize: int, nk: int) -> list:
-    """(I, kappas, j_m, j_n) over all indices 0..2g+1: I a finite isize-set,
-    kappas nk further indices, j_m < j_n the two smallest finite ones left."""
-    all_idx = range(2 * ctx.g + 2)
-    out = []
-    for i_set in combinations(range(1, 2 * ctx.g + 2), isize):
-        rest = [x for x in all_idx if x not in i_set]
-        for kappas in combinations(rest, nk):
-            jf = [x for x in rest if x not in kappas and x != 0]
-            out.append((i_set, kappas, jf[0], jf[1]))
-    return out
+def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
+    """Rows [I_0 | K | j_m j_n] at the positions ``pick(count)`` of the
+    enumeration over every finite g-set I_0, every ksize-subset K of I_0,
+    and the two smallest indices j_m < j_n of J_0."""
+    g, n = ctx.g, ctx.spec.n_finite
+    per = math.comb(g, ksize)
+    idx = pick(math.comb(n, g) * per)
+    i0 = 1 + unrank_combinations(n, g, idx // per)
+    ks = np.take_along_axis(i0, unrank_combinations(g, ksize, idx % per), axis=1)
+    return np.hstack([i0, ks, _free(i0, range(1, n + 1))[:, :2]])
+
+
+def _kappa_splits(ctx, isize: int, nk: int, pick: Callable) -> np.ndarray:
+    """Rows [I | kappas | j_m j_n] at the positions ``pick(count)`` of the
+    enumeration over all indices 0..2g+1: I a finite isize-set, kappas nk
+    further indices, j_m < j_n the two smallest finite ones left."""
+    n = 2 * ctx.g + 1
+    nrest = n + 1 - isize
+    per = math.comb(nrest, nk)
+    idx = pick(math.comb(n, isize) * per)
+    i_set = 1 + unrank_combinations(n, isize, idx // per)
+    rest = _free(i_set, range(n + 1))[:, :nrest]
+    kappas = np.take_along_axis(rest, unrank_combinations(nrest, nk, idx % per), axis=1)
+    jf = _free(np.hstack([i_set, kappas]), range(1, n + 1))[:, :2]
+    return np.hstack([i_set, kappas, jf])
+
+
+def _eklm_rows(ctx, idx: np.ndarray) -> np.ndarray:
+    """Rows [I | J | k m n] at positions idx of the EKLM enumeration: every
+    finite triple k < m < n, every (g-1)-set I of the other finite indices,
+    J the rest; position 2p is pair p as (k, m, n), 2p + 1 as (m, n, k)."""
+    g, n = ctx.g, ctx.spec.n_finite
+    per = math.comb(n - 3, g - 1)
+    kmn = 1 + unrank_combinations(n, 3, idx // 2 // per)
+    others = _free(kmn, range(1, n + 1))[:, : n - 3]
+    i_set = np.take_along_axis(others, unrank_combinations(n - 3, g - 1, idx // 2 % per), axis=1)
+    j_set = _free(np.hstack([kmn, i_set]), range(1, n + 1))[:, : g - 1]
+    kmn = np.where((idx % 2 == 0)[:, None], kmn, kmn[:, [1, 2, 0]])
+    return np.hstack([i_set, j_set, kmn])
 
 
 def _parts(ctx, m: int, cap: int, rng: np.random.Generator) -> list:
@@ -227,8 +300,9 @@ def _parts(ctx, m: int, cap: int, rng: np.random.Generator) -> list:
     return [(p,) for p in _sample([p.part for p in enumerate_partitions(ctx.g, m)], cap, rng)]
 
 
-def _thomae1_bindings(ctx, cfg, rng):
-    return [(i0,) for i0, *_ in _sample(_i0_splits(ctx, 0), cfg.cap, rng)]
+def _i0_sets(ctx, cap: int, rng: np.random.Generator) -> list:
+    """Sampled finite g-sets I_0, one per tuple."""
+    return [(tuple(row[: ctx.g]),) for row in _i0_splits(ctx, 0, _picker(rng, cap)).tolist()]
 
 
 def _thomae1(ctx, i0, tolerance):
@@ -259,7 +333,7 @@ def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
     jm_fin = complement_finite(ctx.spec.n_finite, a)
     kset = jm_fin[:ksize]
     lhs = ctx.deriv(a, m).entries
-    pred = general_thomae_tensor(ctx, a, kset)
+    pred, ratio = general_thomae_forms(ctx, a, kset)
     flat = int(np.argmax(np.abs(lhs)))
     phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
     residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
@@ -271,9 +345,8 @@ def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
     v2 = general_thomae_rhs(ctx, a, entry, kalt)
     k_indep = abs(v1 - v2) / scale
     # ratio form consistency
-    i0 = iset(a + kset)
-    r1 = general_thomae_ratio_rhs(ctx, a, entry, kset, i0)
-    r2 = v1 / first_thomae_rhs(ctx, i0)
+    r1 = complex(ratio.flat[flat])
+    r2 = v1 / first_thomae_rhs(ctx, iset(a + kset))
     ratio_resid = abs(r1 - r2) / max(abs(r1), abs(r2))
     if k_indep > 1e-8 or ratio_resid > 1e-10:
         residual = max(residual, 1.0)
@@ -287,42 +360,27 @@ def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
 
 
 def _eklm_bindings(ctx, cfg, rng):
-    fin = range(1, ctx.spec.n_finite + 1)
-    bindings = []
-    for k, m, n in combinations(fin, 3):
-        others = [x for x in fin if x not in (k, m, n)]
-        for i_set in combinations(others, ctx.g - 1):
-            j_set = tuple(x for x in others if x not in i_set)
-            bindings += [(i_set, j_set, k, m, n), (i_set, j_set, m, n, k)]
-    return _sample(bindings, min(cfg.cap, 200), rng)
+    n = ctx.spec.n_finite
+    count = 2 * math.comb(n, 3) * math.comb(n - 3, ctx.g - 1)
+    return _eklm_rows(ctx, _draw(count, min(cfg.cap, 200), rng))
 
 
 def _eji_bindings(ctx, cfg, rng):
-    splits = _sample(_i0_splits(ctx, 0), min(cfg.cap, 100), rng)
-    return [(i0, i0[0], i0[1], jm, jn) for i0, _, jm, jn in splits]
-
-
-def _grad2_bindings(ctx, cfg, rng):
-    return [(i0, *ks, jm, jn) for i0, ks, jm, jn in _sample(_i0_splits(ctx, 2), cfg.cap, rng)]
-
-
-def _grad3_bindings(ctx, cfg, rng):
-    splits = _sample(_kappa_splits(ctx, ctx.g - 2, 3), cfg.cap, rng)
-    return [(i_set, *kappas, jm, jn) for i_set, kappas, jm, jn in splits]
+    # [I0 | i_k i_l | j_n j_m] with i_k, i_l the two smallest of I_0 and
+    # j_n < j_m the two smallest of J_0
+    rows = _i0_splits(ctx, 0, _picker(rng, min(cfg.cap, 100)))
+    return np.hstack([rows[:, : ctx.g], rows[:, :2], rows[:, ctx.g :]])
 
 
 def _grad4_bindings(ctx, cfg, rng):
-    bindings = _sample(_kappa_splits(ctx, ctx.g - 3, 5), cfg.cap // 2, rng)
+    rows = _kappa_splits(ctx, ctx.g - 3, 5, _picker(rng, cfg.cap // 2))
+    kappas = rows[:, ctx.g - 3 : ctx.g + 2]
     # the regrouped variant on a small subsample
-    regrouped = [
-        (i_set, (k1, k2, k3, k4, k5), jm, jn, [(k2, k3), (k1, k4), (k2, k5), (k3, k5)])
-        for i_set, (k1, k2, k3, k4, k5), jm, jn in bindings[: max(len(bindings) // 10, 1)]
-    ]
-    return bindings + regrouped
-
-
-def _grad4(ctx, i_set, kappas, j_m, j_n, pairs=None, *, tolerance):
-    return rel.verify_grad4(ctx, i_set, kappas, j_m, j_n, tolerance=tolerance, pairs=pairs)
+    sub = max(len(rows) // 10, 1)
+    return np.vstack([
+        np.hstack([rows, kappas[:, np.ravel(rel.GRAD4_PAIRS)]]),
+        np.hstack([rows[:sub], kappas[:sub, np.ravel(rel.GRAD4_REGROUPED)]]),
+    ])
 
 
 def _gradn_bindings(ctx, cfg, rng):
@@ -386,11 +444,11 @@ def _hess_equiv_bindings(ctx, cfg, rng):
 
 
 def _d3_k5_bindings(ctx, cfg, rng):
-    return _sample(_sample(_i0_splits(ctx, 5), 2 * cfg.cap, rng), max(cfg.cap // 20, 20), rng)
+    return _i0_splits(ctx, 5, _picker(rng, 2 * cfg.cap, max(cfg.cap // 20, 20)))
 
 
 def _d3_k6_bindings(ctx, cfg, rng):
-    return _sample(_sample(_i0_splits(ctx, 6), 2 * cfg.cap, rng), 3, rng)
+    return _i0_splits(ctx, 6, _picker(rng, 2 * cfg.cap, 3))
 
 
 def _conj_m_bindings(ctx, cfg, rng):
@@ -399,10 +457,6 @@ def _conj_m_bindings(ctx, cfg, rng):
     j0 = complement_finite(ctx.spec.n_finite, i0)
     specs = [(2, 3), (2, 4), (3, 5)] + ([(4, 7)] if cfg.enable_heavy else [])
     return [(i0, i0[:ksize], m, j0[0], j0[1]) for m, ksize in specs if ksize <= ctx.g]
-
-
-def _rj_det_bindings(ctx, cfg, rng):
-    return [(i0,) for i0, *_ in _sample(_i0_splits(ctx, 0), min(cfg.cap // 10, 20), rng)]
 
 
 def _schottky_r_bindings(ctx, cfg, rng):
@@ -425,30 +479,33 @@ def _schottky_f_bindings(ctx, cfg, rng):
 # In run order.  Each family samples from its own stream, seeded by
 # crc32(name): reordering a family's draws changes its sampled bindings.
 FAMILIES = {f.name: f for f in (
-    Family("THOMAE1", _thomae1_bindings, _thomae1),
-    Family("THOMAE2", lambda ctx, cfg, rng: _parts(ctx, 1, cfg.cap, rng), _thomae2),
-    Family("THOMAEG", _thomaeg_bindings, _thomaeg, 3, (("tolerance_m3", "THOMAEG_G5"),)),
-    Family("EKLM", _eklm_bindings, rel.verify_eklm),
-    Family("EJI", _eji_bindings, rel.verify_eji),
-    Family("GRAD2", _grad2_bindings, rel.verify_grad2),
-    Family("GRAD3", _grad3_bindings, rel.verify_grad3),
-    Family("GRAD4", _grad4_bindings, _grad4, 3),
-    Family("GRADN", _gradn_bindings, rel.verify_gradN),
-    Family("RANK", _rank_bindings, _rank),
-    Family("HESS_K3", lambda ctx, cfg, rng: _sample(_i0_splits(ctx, 3), cfg.cap // 2, rng),
-           rel.derivative_repr, 3),
-    Family("HESS_K4", lambda ctx, cfg, rng: _sample(_i0_splits(ctx, 4), cfg.cap // 2, rng),
-           rel.derivative_repr, 4),
-    Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_repr_equiv, 3),
+    Family("THOMAE1", lambda ctx, cfg, rng: _i0_sets(ctx, cfg.cap, rng), _each(_thomae1)),
+    Family("THOMAE2", lambda ctx, cfg, rng: _parts(ctx, 1, cfg.cap, rng), _each(_thomae2)),
+    Family("THOMAEG", _thomaeg_bindings, _each(_thomaeg), 3, (("tolerance_m3", "THOMAEG_G5"),)),
+    Family("EKLM", _eklm_bindings, rel.eklm_batch),
+    Family("EJI", _eji_bindings, rel.eji_batch),
+    Family("GRAD2", lambda ctx, cfg, rng: _i0_splits(ctx, 2, _picker(rng, cfg.cap)),
+           rel.grad2_batch),
+    Family("GRAD3", lambda ctx, cfg, rng: _kappa_splits(ctx, ctx.g - 2, 3, _picker(rng, cfg.cap)),
+           rel.grad3_batch),
+    Family("GRAD4", _grad4_bindings, rel.grad4_batch, 3),
+    Family("GRADN", _gradn_bindings, _each(rel.verify_gradN)),
+    Family("RANK", _rank_bindings, _each(_rank)),
+    Family("HESS_K3", lambda ctx, cfg, rng: _i0_splits(ctx, 3, _picker(rng, cfg.cap // 2)),
+           rel.derivative_batch, 3),
+    Family("HESS_K4", lambda ctx, cfg, rng: _i0_splits(ctx, 4, _picker(rng, cfg.cap // 2)),
+           rel.derivative_batch, 4),
+    Family("HESS_EQUIV", _hess_equiv_bindings, _each(rel.hessian_repr_equiv), 3),
     Family("HESS_RANK", lambda ctx, cfg, rng: _parts(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
-           rel.hessian_rank, 3),
-    Family("D3_K5", _d3_k5_bindings, rel.derivative_repr, 5),
-    Family("D3_K6", _d3_k6_bindings, rel.derivative_repr, 6),
-    Family("CONJ_M", _conj_m_bindings, rel.conjecture_m_repr, 3),
-    Family("RJ_DET", _rj_det_bindings, rel.riemann_jacobi_det),
-    Family("SCHOTTKY_R", _schottky_r_bindings, sch.verify_schottky_R, 4,
+           _each(rel.hessian_rank), 3),
+    Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 5),
+    Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 6),
+    Family("CONJ_M", _conj_m_bindings, _each(rel.conjecture_m_repr), 3),
+    Family("RJ_DET", lambda ctx, cfg, rng: _i0_sets(ctx, min(cfg.cap // 10, 20), rng),
+           _each(rel.riemann_jacobi_det)),
+    Family("SCHOTTKY_R", _schottky_r_bindings, _each(sch.verify_schottky_R), 4,
            (("det_tolerance", "SCHOTTKY_DETR"),)),
-    Family("SCHOTTKY_F", _schottky_f_bindings, sch.verify_appendix_f),
+    Family("SCHOTTKY_F", _schottky_f_bindings, _each(sch.verify_appendix_f)),
 )}
 
 # SCHOTTKY_R emits three record kinds; map filters to runners.

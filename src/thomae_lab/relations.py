@@ -22,6 +22,22 @@ judged fairly.  Families:
 * HESS_RANK       -- rank of the Hessian (3 in genus > 3, full at g = 3),
 * RJ_DET          -- the hyperelliptic Riemann-Jacobi derivative formula.
 
+Batched families.  EKLM, EJI, GRAD2/3/4 and the representation records
+apply one fixed formula to many bindings, so each has a ``*_batch``
+function over an int array with one binding per row (the slots of the
+per-binding verifier, in its argument order).  An index set is a bit mask
+(bit i = index i), so the substitution I^{(a -> b)} is I ^ a ^ b, and
+:meth:`CurveContext.consts` / :meth:`CurveContext.grads` gather the theta
+values of a whole (B, ...) mask array from the curve's dense stores; the
+arithmetic then runs once over all B rows.  The per-binding verifiers
+(``verify_grad2``, ``derivative_repr``, ...) validate their arguments and
+call the batch function with one row.  Coefficient products are reduced
+along a trailing axis, which rounds as Python's scalar products do, and R is
+built with :func:`_cmul` / :func:`_cdiv`, which round as Python's complex
+arithmetic does: GRAD2/3/4 residuals and R equal the per-binding formulas
+bit for bit.  EKLM, EJI and the contraction of R with the gradients round
+in another order; their residuals agree to far below the tolerances.
+
 Index-set conventions: 0 is the infinity index, smallest in the set order;
 all kappa bindings are ascending; signs alternate in ascending set order.
 """
@@ -29,14 +45,15 @@ all kappa bindings are ascending; signs alternate in ascending set order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .context import CurveContext
-from .indexsets import IndexSet, complement_finite, drop, iset, replace
-from .thomae import FOURTH_ROOTS, snap_phase
+from .indexsets import IndexSet, complement_finite, drop, iset
+from .thomae import FOURTH_ROOTS
 
 TINY = 1e-300
 # singular values below this share of the largest do not count toward a rank
@@ -75,13 +92,18 @@ class VerificationRecord:
         }
 
 
+def _vector_residuals(terms: np.ndarray) -> np.ndarray:
+    """Per row of a (B, T, g) term array: max_n |sum_i T_i[n]| / (largest
+    |T_i[n]| in that component)."""
+    total = np.abs(np.sum(terms, axis=1))
+    per_comp = np.max(np.abs(terms), axis=1)
+    floor = 1e-3 * np.max(per_comp, axis=1, keepdims=True) + TINY
+    return np.max(total / np.maximum(per_comp, floor), axis=1)
+
+
 def vector_identity_residual(terms: Sequence[np.ndarray]) -> float:
     """max_n |sum_i T_i[n]| / (largest |T_i[n]| in that component)."""
-    stack = np.stack([np.asarray(t, dtype=complex) for t in terms])
-    total = np.abs(np.sum(stack, axis=0))
-    per_comp = np.max(np.abs(stack), axis=0)
-    floor = 1e-3 * np.max(per_comp) + TINY
-    return float(np.max(total / np.maximum(per_comp, floor)))
+    return float(_vector_residuals(np.stack([np.asarray(t, dtype=complex) for t in terms])[None])[0])
 
 
 def scalar_identity_residual(terms: Sequence[complex]) -> float:
@@ -89,14 +111,72 @@ def scalar_identity_residual(terms: Sequence[complex]) -> float:
     return abs(sum(terms)) / (max(mags) + TINY)
 
 
+def _match_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per row: max |lhs - rhs| over the largest |entry| of either side."""
+    axes = tuple(range(1, lhs.ndim))
+    scale = np.maximum(np.max(np.abs(lhs), axis=axes), np.max(np.abs(rhs), axis=axes)) + TINY
+    return np.max(np.abs(lhs - rhs), axis=axes) / scale
+
+
 def tensor_match_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs))) + TINY
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return float(_match_residuals(np.asarray(lhs)[None], np.asarray(rhs)[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# Index masks
+# ---------------------------------------------------------------------------
+
+def _masks(idx: np.ndarray) -> np.ndarray:
+    """Bit mask of the index set along the last axis (bit i = index i)."""
+    return np.sum(np.left_shift(1, idx), axis=-1)
+
+
+def _all(g: int) -> int:
+    """Mask of all indices 0..2g+1."""
+    return (1 << 2 * g + 2) - 1
+
+
+def _finite(g: int) -> int:
+    """Mask of the finite indices 1..2g+1."""
+    return _all(g) ^ 1
+
+
+def _row(*parts) -> np.ndarray:
+    """One binding as a (1, slots) int array; parts are ints or index sets."""
+    return np.array([[x for p in parts for x in (p if isinstance(p, tuple) else (p,))]])
 
 
 # ---------------------------------------------------------------------------
 # First-Thomae corollaries: cross ratios of theta constants
 # ---------------------------------------------------------------------------
+
+def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """EKLM for every row [I | J | k m n] of binds (|I| = |J| = g-1)."""
+    g = ctx.g
+    i_mask, j_mask = _masks(binds[:, : g - 1]), _masks(binds[:, g - 1 : 2 * g - 2])
+    k, m, n = binds[:, 2 * g - 2 :].T
+    e = np.asarray(ctx.spec.branch_points)
+    lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
+    bm, bn = 1 << m, 1 << n
+    c = ctx.consts(np.stack([i_mask | bn, j_mask | bn, i_mask | bm, j_mask | bm], axis=1))
+    rhs = c[:, 0] ** 2 * c[:, 1] ** 2 / (c[:, 2] ** 2 * c[:, 3] ** 2)
+    # the nearest fourth root of unity to lhs / rhs, first on ties
+    ratio, roots = lhs / rhs, np.array(FOURTH_ROOTS)
+    snap = np.argmin(np.abs((ratio / np.abs(ratio))[:, None] - roots), axis=1)
+    residual = np.abs(lhs - roots[snap] * rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+    out = []
+    for row, s, res in zip(binds.tolist(), snap.tolist(), residual.tolist()):
+        p = FOURTH_ROOTS[s]
+        out.append(VerificationRecord(
+            "EKLM",
+            {"I": tuple(row[: g - 1]), "J": tuple(row[g - 1 : 2 * g - 2]),
+             "k": row[-3], "m": row[-2], "n": row[-1]},
+            res,
+            tolerance,
+            notes=f"phase={p:.0f}" if p.imag == 0 else f"phase={p}",
+        ))
+    return out
+
 
 def verify_eklm(
     ctx: CurveContext, i_set: Iterable[int], j_set: Iterable[int], k: int, m: int, n: int,
@@ -108,25 +188,62 @@ def verify_eklm(
     g = ctx.g
     if len(i_set) != g - 1 or len(j_set) != g - 1:
         raise ValueError("I and J must have g-1 indices each")
-    used = set(i_set) | set(j_set) | {k, m, n}
-    if len(used) != 2 * g + 1 or 0 in used:
+    if set(i_set) | set(j_set) | {k, m, n} != set(range(1, 2 * g + 2)):
         raise ValueError("I, J, {k,m,n} must partition the finite indices")
-    e = ctx.spec.branch_points
-    lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
-    rhs = (
-        ctx.const(iset(i_set + (n,))) ** 2
-        * ctx.const(iset(j_set + (n,))) ** 2
-        / (ctx.const(iset(i_set + (m,))) ** 2 * ctx.const(iset(j_set + (m,))) ** 2)
+    return eklm_batch(ctx, _row(i_set, j_set, k, m, n), tolerance)[0]
+
+
+def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """EJI for every row [I0 | i_k i_l | j_n j_m] of binds.
+
+    The right side must not depend on the choice of (j_n, j_m): the record
+    also compares it with the swapped pair and, where J0 has two more
+    indices, with the smallest pair of them."""
+    g = ctx.g
+    i0 = _masks(binds[:, :g])
+    ik, il, jn, jm = binds[:, g:].T
+    j0 = _finite(g) ^ i0
+    e = np.asarray(ctx.spec.branch_points)
+    idx = np.arange(1, 2 * g + 2)
+    diff = e[ik - 1][:, None] - e[idx - 1]  # (B, n): e_{i_k} - e_i
+    member = (i0[:, None] >> idx & 1).astype(bool)
+    num = np.prod(np.where(member, 1.0, diff), axis=1)
+    den = (e[ik - 1] - e[il - 1]) ** 2 * np.prod(
+        np.where(member & (idx != ik[:, None]), diff, 1.0), axis=1
     )
-    phase, _ = snap_phase(lhs / rhs, FOURTH_ROOTS)
-    residual = abs(lhs - phase * rhs) / max(abs(lhs), abs(rhs))
-    return VerificationRecord(
-        "EKLM",
-        {"I": i_set, "J": j_set, "k": k, "m": m, "n": n},
-        residual,
-        tolerance,
-        notes=f"phase={phase:.0f}" if phase.imag == 0 else f"phase={phase}",
-    )
+    lhs = num / den
+    bk, bl = 1 << ik, 1 << il
+
+    def rhs_for(bn, bm):
+        c = ctx.consts(np.stack([
+            i0 ^ bk ^ bn, i0 ^ bk ^ bm, j0 ^ bn ^ bm ^ bl,
+            i0 ^ bk ^ bl ^ bn ^ bm, j0 ^ bm, j0 ^ bn,
+        ], axis=1)) ** 4
+        return c[:, 0] * c[:, 1] * c[:, 2] / (c[:, 3] * c[:, 4] * c[:, 5])
+
+    bn, bm = 1 << jn, 1 << jm
+    rhs = rhs_for(bn, bm)
+    sign = np.where(np.abs(lhs - rhs) < np.abs(lhs + rhs), 1.0, -1.0)
+    residual = np.abs(lhs - sign * rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+    alts = [(bm, bn)]
+    if g >= 3:  # the first pair of J0 avoiding j_n, j_m: its two lowest bits
+        rest = j0 ^ bn ^ bm
+        low = rest & -rest
+        alts.append((low, (rest ^ low) & -(rest ^ low)))
+    for pair in alts:
+        alt = rhs_for(*pair)
+        residual = np.maximum(residual, np.abs(alt - rhs) / np.maximum(np.abs(rhs), np.abs(alt)))
+    return [
+        VerificationRecord(
+            "EJI",
+            {"I0": tuple(row[:g]), "i_k": row[g], "i_l": row[g + 1], "j_n": row[g + 2],
+             "j_m": row[g + 3]},
+            res,
+            tolerance,
+            notes=f"sign={s:+.0f}",
+        )
+        for row, s, res in zip(binds.tolist(), sign.tolist(), residual.tolist())
+    ]
 
 
 def verify_eji(
@@ -136,53 +253,46 @@ def verify_eji(
     """Branch-point product over J_0 as a ratio of fourth powers; the right
     side must not depend on the choice of (j_n, j_m)."""
     i0 = iset(i0)
-    j0 = complement_finite(ctx.spec.n_finite, i0)
+    n = ctx.spec.n_finite
+    if len(i0) != ctx.g or not set(i0) <= set(range(1, n + 1)):
+        raise ValueError("I_0 must be g finite indices")
+    j0 = complement_finite(n, i0)
     if i_k not in i0 or i_l not in i0 or i_k == i_l:
         raise ValueError("i_k, i_l must be distinct members of I_0")
     if j_n not in j0 or j_m not in j0 or j_n == j_m:
         raise ValueError("j_n, j_m must be distinct members of J_0")
-    e = ctx.spec.branch_points
-    num = 1.0
-    for j in j0:
-        num *= e[i_k - 1] - e[j - 1]
-    den = (e[i_k - 1] - e[i_l - 1]) ** 2
-    for i in i0:
-        if i != i_k:
-            den *= e[i_k - 1] - e[i - 1]
-    lhs = num / den
-
-    def rhs_for(jn, jm):
-        return (
-            ctx.const(replace(i0, (i_k,), (jn,))) ** 4
-            * ctx.const(replace(i0, (i_k,), (jm,))) ** 4
-            * ctx.const(replace(j0, (jn, jm), (i_l,))) ** 4
-            / (
-                ctx.const(replace(i0, (i_k, i_l), (jn, jm))) ** 4
-                * ctx.const(drop(j0, jm)) ** 4
-                * ctx.const(drop(j0, jn)) ** 4
-            )
-        )
-
-    rhs = rhs_for(j_n, j_m)
-    sign = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
-    residual = abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
-    # independence of the (j_n, j_m) choice, including the swap
-    alts = [(j_m, j_n)] + [p for p in combinations(j0, 2) if j_n not in p and j_m not in p][:1]
-    for jn2, jm2 in alts:
-        alt = rhs_for(jn2, jm2)
-        residual = max(residual, abs(alt - rhs) / max(abs(rhs), abs(alt)))
-    return VerificationRecord(
-        "EJI",
-        {"I0": i0, "i_k": i_k, "i_l": i_l, "j_n": j_n, "j_m": j_m},
-        residual,
-        tolerance,
-        notes=f"sign={sign:+.0f}",
-    )
+    return eji_batch(ctx, _row(i0, i_k, i_l, j_n, j_m), tolerance)[0]
 
 
 # ---------------------------------------------------------------------------
 # Gradient (multiplicity-1) linear relations
 # ---------------------------------------------------------------------------
+
+def grad2_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """GRAD2 for every row [I0 | kappa1 kappa2 | j_m j_n] of binds."""
+    g = ctx.g
+    i0 = _masks(binds[:, :g])
+    k1, k2, jm, jn = (1 << binds[:, g:]).T
+    j0 = _finite(g) ^ i0
+    coeff = ctx.consts(np.stack([
+        np.stack([i0 ^ k1 ^ k2 ^ jm ^ jn, j0 ^ jm, j0 ^ jn], axis=1),
+        np.stack([i0 ^ k1 ^ jm, i0 ^ k1 ^ jn, j0 ^ jm ^ jn ^ k2], axis=1),
+        np.stack([i0 ^ k2 ^ jm, i0 ^ k2 ^ jn, j0 ^ jm ^ jn ^ k1], axis=1),
+    ], axis=1)).prod(axis=2)
+    grads = ctx.grads(np.stack([i0 ^ k1 ^ k2, i0 ^ k2, i0 ^ k1], axis=1))
+    # lhs - t1 + t2
+    residual = _vector_residuals(coeff[..., None] * grads * np.array([1, -1, 1])[:, None])
+    return [
+        VerificationRecord(
+            "GRAD2",
+            {"I0": tuple(row[:g]), "kappa1": row[g], "kappa2": row[g + 1], "j_m": row[g + 2],
+             "j_n": row[g + 3]},
+            res,
+            tolerance,
+        )
+        for row, res in zip(binds.tolist(), residual.tolist())
+    ]
+
 
 def verify_grad2(
     ctx: CurveContext, i0: Iterable[int], kappa1: int, kappa2: int, j_m: int, j_n: int,
@@ -191,50 +301,48 @@ def verify_grad2(
     """Two-term decomposition of d theta[I_0 - {k1,k2}] over gradients of
     I_0^{(k2)} and I_0^{(k1)}."""
     i0 = iset(i0)
+    n = ctx.spec.n_finite
+    if len(i0) != ctx.g or not set(i0) <= set(range(1, n + 1)):
+        raise ValueError("I_0 must be g finite indices")
     if kappa1 >= kappa2 or kappa1 not in i0 or kappa2 not in i0:
         raise ValueError("need kappa1 < kappa2, both in I_0")
-    j0 = complement_finite(ctx.spec.n_finite, i0)
+    j0 = complement_finite(n, i0)
     if j_m not in j0 or j_n not in j0 or j_m == j_n:
         raise ValueError("j_m, j_n must be distinct members of J_0")
-    pref = (
-        ctx.const(replace(i0, (kappa1, kappa2), (j_m, j_n)))
-        * ctx.const(drop(j0, j_m))
-        * ctx.const(drop(j0, j_n))
-    )
-    lhs = pref * ctx.grad(drop(i0, kappa1, kappa2))
-    t1 = (
-        ctx.const(replace(i0, (kappa1,), (j_m,)))
-        * ctx.const(replace(i0, (kappa1,), (j_n,)))
-        * ctx.const(replace(j0, (j_m, j_n), (kappa2,)))
-        * ctx.grad(drop(i0, kappa2))
-    )
-    t2 = (
-        ctx.const(replace(i0, (kappa2,), (j_m,)))
-        * ctx.const(replace(i0, (kappa2,), (j_n,)))
-        * ctx.const(replace(j0, (j_m, j_n), (kappa1,)))
-        * ctx.grad(drop(i0, kappa1))
-    )
-    residual = vector_identity_residual([lhs, -t1, t2])
-    return VerificationRecord(
-        "GRAD2",
-        {"I0": i0, "kappa1": kappa1, "kappa2": kappa2, "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
-    )
+    return grad2_batch(ctx, _row(i0, kappa1, kappa2, j_m, j_n), tolerance)[0]
 
 
-def _grad3_terms(
-    ctx: CurveContext, i_set: IndexSet, kappas: Sequence[int], j_set: IndexSet, j_m: int, j_n: int
-) -> list[np.ndarray]:
-    k1, k2, k3 = kappas
+def grad3_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """GRAD3 for every row [I | kappa1 kappa2 kappa3 | j_m j_n] of binds (|I| = g-2)."""
+    g = ctx.g
+    s = g - 2
+    i_mask = _masks(binds[:, :s])
+    kap = 1 << binds[:, s : s + 3]
+    jm, jn = (1 << binds[:, s + 3 :]).T
+    j = _all(g) ^ i_mask ^ kap.sum(axis=1)
+    # terms (ka; kb, kc) = (k1; k2, k3), (k2; k1, k3), (k3; k1, k2), signs + - +
+    rest = kap[:, [1, 0, 0]] | kap[:, [2, 2, 1]]
+    coeff = ctx.consts(np.stack([
+        (j ^ jn)[:, None] ^ kap, (j ^ jm)[:, None] ^ kap, (j ^ jm ^ jn)[:, None] ^ rest,
+    ], axis=2)).prod(axis=2) * np.array([1, -1, 1])
+    grads = ctx.grads(i_mask[:, None] | kap)
+    residual = _vector_residuals(coeff[..., None] * grads)
+    # pairwise independence: smallest singular value of each 2 x g stack
+    pairs = list(combinations(range(3), 2))
+    sv = np.linalg.svd(grads[:, pairs], compute_uv=False)
+    ratios = sv[..., 1] / sv[..., 0]
     out = []
-    for sign, (ka, kb, kc) in zip((1, -1, 1), ((k1, k2, k3), (k2, k1, k3), (k3, k1, k2))):
-        coeff = (
-            ctx.const(replace(j_set, (j_n,), (ka,)))
-            * ctx.const(replace(j_set, (j_m,), (ka,)))
-            * ctx.const(replace(j_set, (j_m, j_n), (kb, kc)))
-        )
-        out.append(sign * coeff * ctx.grad(iset(i_set + (ka,))))
+    for row, res, rat in zip(binds.tolist(), residual.tolist(), ratios.tolist()):
+        kappas = tuple(row[s : s + 3])
+        notes = [f"pair ({kappas[a]},{kappas[b]}) nearly dependent: {r:.2e}"
+                 for (a, b), r in zip(pairs, rat) if r < 1e-6]
+        out.append(VerificationRecord(
+            "GRAD3",
+            {"I": tuple(row[:s]), "kappas": kappas, "j_m": row[s + 3], "j_n": row[s + 4]},
+            res,
+            tolerance,
+            notes="; ".join(notes),
+        ))
     return out
 
 
@@ -255,30 +363,56 @@ def verify_grad3(
     g = ctx.g
     if len(i_set) != g - 2:
         raise ValueError("|I| must be g-2")
-    all_idx = set(range(2 * g + 2))
-    j_set = iset(all_idx - set(i_set) - set(kappas))
+    j_set = iset(set(range(2 * g + 2)) - set(i_set) - set(kappas))
     if len(j_set) != g + 1:
         raise ValueError("bindings do not partition the index set")
     if j_m not in j_set or j_n not in j_set or j_m == j_n:
         raise ValueError("j_m, j_n must be distinct members of J")
-    terms = _grad3_terms(ctx, i_set, kappas, j_set, j_m, j_n)
-    residual = vector_identity_residual(terms)
-    # pairwise independence: smallest singular value of each 2 x g stack
-    notes = []
-    for a, b in combinations(range(3), 2):
-        s = np.linalg.svd(
-            np.stack([ctx.grad(iset(i_set + (kappas[a],))), ctx.grad(iset(i_set + (kappas[b],)))]),
-            compute_uv=False,
-        )
-        if s[1] / s[0] < 1e-6:
-            notes.append(f"pair ({kappas[a]},{kappas[b]}) nearly dependent: {s[1]/s[0]:.2e}")
-    return VerificationRecord(
-        "GRAD3",
-        {"I": i_set, "kappas": kappas, "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
-        notes="; ".join(notes),
-    )
+    return grad3_batch(ctx, _row(i_set, kappas, j_m, j_n), tolerance)[0]
+
+
+# the canonical grouping ((k1k2), (k1k3), (k2k3), (k4k5)), and the regrouped
+# variant ((k2k3), (k1k4), (k2k5), (k3k5)), as positions in the five kappas
+GRAD4_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4))
+GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
+
+
+def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """GRAD4 for every row [I | kappas (5) | j_m j_n | pairs (4 x 2)] of binds
+    (|I| = g-3); the pairs are kappa values."""
+    g = ctx.g
+    s = g - 3
+    i_mask = _masks(binds[:, :s])
+    kap = _masks(binds[:, s : s + 5])
+    jm, jn = (1 << binds[:, s + 5 : s + 7]).T
+    pm = _masks(binds[:, s + 7 :].reshape(-1, 4, 2))  # (B, 4) pair masks
+    j = _all(g) ^ i_mask ^ kap
+    # signs alternate in ascending order of the sets I + pair; for sets of
+    # one size that is the order of their masks
+    order = np.argsort(i_mask[:, None] | pm, axis=1, kind="stable")
+    pm = np.take_along_axis(pm, order, axis=1)
+    coeff = ctx.consts(np.stack([
+        (j ^ jn)[:, None] ^ pm, (j ^ jm)[:, None] ^ pm, (j ^ jm ^ jn ^ kap)[:, None] ^ pm,
+    ], axis=2)).prod(axis=2) * np.array([1, -1, 1, -1])
+    grads = ctx.grads(i_mask[:, None] | pm)
+    residual = _vector_residuals(coeff[..., None] * grads)
+    sv = np.linalg.svd(grads[:, :3], compute_uv=False)
+    triple = sv[:, 2] / sv[:, 0]
+    deficient = triple < 1e-6
+    residual = np.where(deficient, np.maximum(residual, 1.0), residual)
+    out = []
+    for row, res, t, bad in zip(binds.tolist(), residual.tolist(), triple.tolist(),
+                                deficient.tolist()):
+        pairs = row[s + 7 :]
+        out.append(VerificationRecord(
+            "GRAD4",
+            {"I": tuple(row[:s]), "kappas": tuple(row[s : s + 5]),
+             "pairs": tuple(zip(pairs[::2], pairs[1::2])), "j_m": row[s + 5], "j_n": row[s + 6]},
+            res,
+            tolerance,
+            notes=f"triple sigma3/sigma1={t:.2e}" + (" (rank deficient!)" if bad else ""),
+        ))
+    return out
 
 
 def verify_grad4(
@@ -302,37 +436,13 @@ def verify_grad4(
     j_set = iset(set(range(2 * g + 2)) - set(i_set) - set(kappas))
     if len(j_set) != g or j_m not in j_set or j_n not in j_set or j_m == j_n:
         raise ValueError("invalid J / j_m / j_n bindings")
-    k1, k2, k3, k4, k5 = kappas
     if pairs is None:
-        pairs = [(k1, k2), (k1, k3), (k2, k3), (k4, k5)]
-    sets = [iset(i_set + p) for p in pairs]
-    order = sorted(range(4), key=lambda t: tuple(sorted(sets[t], reverse=True)))
-    terms = []
-    grads = []
-    for rank_pos, t in enumerate(order):
-        pa, pb = pairs[t]
-        rest = tuple(x for x in kappas if x not in (pa, pb))
-        coeff = (
-            ctx.const(replace(j_set, (j_n,), (pa, pb)))
-            * ctx.const(replace(j_set, (j_m,), (pa, pb)))
-            * ctx.const(replace(j_set, (j_m, j_n), rest))
-        )
-        vec = ctx.grad(sets[t])
-        grads.append(vec)
-        terms.append((-1) ** rank_pos * coeff * vec)
-    residual = vector_identity_residual(terms)
-    s = np.linalg.svd(np.stack(grads[:3]), compute_uv=False)
-    notes = f"triple sigma3/sigma1={s[2]/s[0]:.2e}"
-    if s[2] / s[0] < 1e-6:
-        notes += " (rank deficient!)"
-        residual = max(residual, 1.0)
-    return VerificationRecord(
-        "GRAD4",
-        {"I": i_set, "kappas": kappas, "pairs": tuple(pairs), "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
-        notes=notes,
-    )
+        pairs = [(kappas[a], kappas[b]) for a, b in GRAD4_PAIRS]
+    pairs = tuple(tuple(p) for p in pairs)
+    if len(pairs) != 4 or any(len(p) != 2 or p[0] == p[1] or not set(p) <= set(kappas)
+                              for p in pairs):
+        raise ValueError("pairs must be four pairs of distinct kappas")
+    return grad4_batch(ctx, _row(i_set, kappas, j_m, j_n, *pairs), tolerance)[0]
 
 
 def verify_gradN(
@@ -445,10 +555,72 @@ def _entry_sign(positions: Sequence[int], kk: int) -> float:
     return float((-1) ** (sum(positions) + m + offset))
 
 
-def general_r_tensor(
-    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
-) -> np.ndarray:
-    """Symmetric coefficient tensor R of the order-m representation.
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with every real product and sum rounded on its own, as Python
+    rounds a complex product (NumPy's vector loops may fuse them)."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b by Smith's algorithm, rounded as Python rounds a complex
+    quotient (NumPy scales by a reciprocal instead)."""
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    big, small = np.where(wide, b.real, b.imag), np.where(wide, b.imag, b.real)
+    x, y = np.where(wide, a.real, a.imag), np.where(wide, a.imag, a.real)
+    ratio = small / big
+    denom = big + small * ratio
+    return _complex((x + y * ratio) / denom, np.where(wide, 1.0, -1.0) * (y - x * ratio) / denom)
+
+
+@lru_cache(maxsize=None)
+def _r_layout(kk: int, m: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """How R is assembled from a per-binding factor table.
+
+    Factor columns: the C(kk, 2) pair values, then kk single products, kk
+    swap values and the denominator base.  Every entry with positions
+    P = (k_1 < ... < k_m) starts at its sign and takes the same sequence of
+    multiplications and divisions, in the order of the formula in
+    :func:`general_r_tensor`; ``steps`` lists them as (divide, column per
+    entry).  ``fill`` maps each position of the (kk,)*m tensor to its entry,
+    or to one past the last entry (zero) when an index repeats.
+    """
+    pair_list = list(combinations(range(kk), 2))
+    col = {}
+    for c, (a, b) in enumerate(pair_list):
+        col[a, b] = col[b, a] = c
+    single, swap, base = len(pair_list), len(pair_list) + kk, len(pair_list) + 2 * kk
+    entries = list(combinations(range(kk), m))
+    signs, rows = [], []
+    for ps in entries:
+        qs = [t for t in range(kk) if t not in ps]
+        ops = [(False, col[ab]) for ab in combinations(ps, 2)]
+        ops += [(False, col[ab]) for ab in combinations(qs, 2)]
+        if kk == 2 * m:
+            ops += [(False, swap + p) for p in ps]
+        for q in qs:
+            ops.append((False, single + q))
+            if kk == 2 * m - 1:
+                ops.append((False, swap + q))
+            ops += [(True, col[p, q]) for p in ps]
+        ops.append((True, base))
+        signs.append(_entry_sign(ps, kk))
+        rows.append(ops)
+    steps = tuple((rows[0][s][0], np.array([r[s][1] for r in rows])) for s in range(len(rows[0])))
+    index = {ps: e for e, ps in enumerate(entries)}
+    fill = np.array([index.get(tuple(sorted(pos)), len(entries)) if len(set(pos)) == m
+                     else len(entries) for pos in product(range(kk), repeat=m)])
+    return np.array(signs), steps, fill
+
+
+def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.ndarray:
+    """Symmetric coefficient tensor R of the order-m representation for every
+    row [I0 | K | j_m j_n] of binds: shape (B,) + (|K|,)*m.
 
     Entries with repeated indices vanish; for positions k_1 < ... < k_m of
     elements P of K (ascending), with Q = K - P,
@@ -461,43 +633,63 @@ def general_r_tensor(
                 / ( (th[J0^{(jm)}] th[J0^{(jn)}])^{|K|-m}
                     * prod_{p, q} th[I0^{(p,q -> jn,jm)}] )
 
-    Every theta constant is read once, into tables indexed by position in K.
+    Every theta constant is read once per binding, into a factor table
+    indexed by position in K, and each entry is assembled in the order above.
     """
-    kk = len(k_set)
-    m = order
+    g, m = ctx.g, order
+    kk = binds.shape[1] - g - 2
     if kk not in (2 * m - 1, 2 * m):
         raise ValueError(f"|K|={kk} incompatible with order {m}")
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    if j_m not in j0 or j_n not in j0 or j_m == j_n:
+    i0 = _masks(binds[:, :g])
+    kap = 1 << binds[:, g : g + kk]
+    jm, jn = (1 << binds[:, g + kk :]).T
+    j0 = _finite(g) ^ i0
+    if np.any(((jm & j0) == 0) | ((jn & j0) == 0) | (jm == jn)):
         raise ValueError("j_m, j_n must be distinct members of J_0")
-    denom_base = (ctx.const(drop(j0, j_m)) * ctx.const(drop(j0, j_n))) ** (kk - m)
-    pair = {}
-    for a, b in combinations(range(kk), 2):
-        pair[a, b] = pair[b, a] = ctx.const(replace(i0, (k_set[a], k_set[b]), (j_n, j_m)))
-    single = [ctx.const(replace(i0, (q,), (j_m,))) * ctx.const(replace(i0, (q,), (j_n,)))
-              for q in k_set]
-    swap = [ctx.const(replace(j0, (j_n, j_m), (p,))) for p in k_set]
-    tensor = np.zeros((kk,) * m, dtype=complex)
-    for ps in combinations(range(kk), m):
-        qs = [t for t in range(kk) if t not in ps]
-        val = _entry_sign(ps, kk)
-        for a, b in combinations(ps, 2):
-            val *= pair[a, b]
-        for a, b in combinations(qs, 2):
-            val *= pair[a, b]
-        if kk == 2 * m:
-            for p in ps:
-                val *= swap[p]
-        for q in qs:
-            val *= single[q]
-            if kk == 2 * m - 1:
-                val *= swap[q]
-            for p in ps:
-                val /= pair[p, q]
-        val /= denom_base
-        for perm in set(permutations(ps)):
-            tensor[perm] = val
-    return tensor
+    a, b = np.array(list(combinations(range(kk), 2))).reshape(-1, 2).T
+    pair = ctx.consts((i0 ^ jn ^ jm)[:, None] ^ kap[:, a] ^ kap[:, b])
+    single = ctx.consts(np.stack([(i0 ^ jm)[:, None] ^ kap, (i0 ^ jn)[:, None] ^ kap], axis=2))
+    swap = ctx.consts((j0 ^ jn ^ jm)[:, None] ^ kap)
+    base = ctx.consts(np.stack([j0 ^ jm, j0 ^ jn], axis=1)).prod(axis=1)
+    # an integral float exponent takes NumPy's repeated-squaring power, which
+    # rounds as Python's complex ** int does
+    factors = np.hstack([pair, single.prod(axis=2), swap, np.power(base, float(kk - m))[:, None]])
+    signs, steps, fill = _r_layout(kk, m)
+    val = np.broadcast_to(signs.astype(complex), (len(binds), len(signs)))
+    for divide, cols in steps:
+        val = (_cdiv if divide else _cmul)(val, factors[:, cols])
+    val = np.hstack([val, np.zeros((len(binds), 1))])
+    return val[:, fill].reshape((len(binds),) + (kk,) * m)
+
+
+def _predicted(ctx: CurveContext, binds: np.ndarray, order: int) -> np.ndarray:
+    """Predicted order-m derivative tensor of theta[I0 - K] for every row
+    [I0 | K | j_m j_n]: R applied to the gradients of theta[I0 - p], p in K,
+    divided by theta[I0]^(m-1)."""
+    g = ctx.g
+    i0 = _masks(binds[:, :g])
+    pred = general_r_tensor(ctx, binds, order)
+    grads = ctx.grads(i0[:, None] ^ (1 << binds[:, g:-2]))  # (B, |K|, g)
+    for _ in range(order):  # contract the leading |K| axis, append a g axis
+        pred = np.einsum("bi...,bin->b...n", pred, grads)
+    theta0 = np.power(ctx.consts(i0), float(order - 1))
+    return pred / theta0.reshape((-1,) + (1,) * order)
+
+
+def _repr_tensors(
+    ctx: CurveContext, binds: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted, computed) order-m derivative tensors of theta[I0 - K]."""
+    g = ctx.g
+    target = ctx.derivs(_masks(binds[:, :g]) ^ _masks(binds[:, g:-2]), order)
+    return _predicted(ctx, binds, order), target
+
+
+def _check_repr(ctx: CurveContext, i0: IndexSet, k_set: IndexSet) -> None:
+    if not set(k_set) <= set(i0):
+        raise ValueError("K must be a subset of I_0")
+    if len(i0) != ctx.g or not set(i0) <= set(range(1, ctx.spec.n_finite + 1)):
+        raise ValueError("I_0 must be the g finite indices of a multiplicity-0 set")
 
 
 def representation_tensor(
@@ -506,17 +698,8 @@ def representation_tensor(
     """Predicted order-m derivative tensor of theta[I0 - K]: R applied to the
     gradients of theta[I0 - p], p in K, divided by theta[I0]^(m-1)."""
     i0, k_set = iset(i0), iset(k_set)
-    if not set(k_set) <= set(i0):
-        raise ValueError("K must be a subset of I_0")
-    if len(i0) != ctx.g or 0 in i0:
-        raise ValueError("I_0 must be the g finite indices of a multiplicity-0 set")
-    r = general_r_tensor(ctx, i0, k_set, j_m, j_n, order)
-    a = np.stack([ctx.grad(drop(i0, p)) for p in k_set])  # |K| x g
-    theta0 = ctx.const(i0)
-    out = r
-    for _ in range(order):
-        out = np.tensordot(out, a, axes=([0], [0]))
-    return out / theta0 ** (order - 1)
+    _check_repr(ctx, i0, k_set)
+    return _predicted(ctx, _row(i0, k_set, j_m, j_n), order)[0]
 
 
 # |K| -> (record id, default tolerance) of the order-(|K|+1)//2 representation
@@ -528,12 +711,24 @@ REPRESENTATION_RECORDS = {
 }
 
 
-def _repr_tensors(
-    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted, computed) order-m derivative tensor of theta[I0 - K]."""
-    pred = representation_tensor(ctx, i0, k_set, j_m, j_n, order)
-    return pred, ctx.deriv(drop(i0, *k_set), order).entries
+def derivative_batch(
+    ctx: CurveContext, binds: np.ndarray, tolerance: float | None = None
+) -> list:
+    """The representation record of every row [I0 | K | j_m j_n] of binds,
+    one |K| for all rows; the tolerance defaults to the record's own."""
+    g = ctx.g
+    kk = binds.shape[1] - g - 2
+    relation_id, default_tol = REPRESENTATION_RECORDS[kk]
+    residual = _match_residuals(*_repr_tensors(ctx, binds, (kk + 1) // 2))
+    return [
+        VerificationRecord(
+            relation_id,
+            {"I0": tuple(row[:g]), "K": tuple(row[g : g + kk]), "j_m": row[-2], "j_n": row[-1]},
+            res,
+            default_tol if tolerance is None else tolerance,
+        )
+        for row, res in zip(binds.tolist(), residual.tolist())
+    ]
 
 
 def derivative_repr(
@@ -546,14 +741,8 @@ def derivative_repr(
     i0, k_set = iset(i0), iset(k_set)
     if len(k_set) not in REPRESENTATION_RECORDS:
         raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {len(k_set)}")
-    relation_id, default_tol = REPRESENTATION_RECORDS[len(k_set)]
-    pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, (len(k_set) + 1) // 2)
-    return VerificationRecord(
-        relation_id,
-        {"I0": i0, "K": k_set, "j_m": j_m, "j_n": j_n},
-        tensor_match_residual(pred, target),
-        default_tol if tolerance is None else tolerance,
-    )
+    _check_repr(ctx, i0, k_set)
+    return derivative_batch(ctx, _row(i0, k_set, j_m, j_n), tolerance)[0]
 
 
 def hessian_repr_equiv(
@@ -609,9 +798,10 @@ def conjecture_m_repr(
     i0, k_set = iset(i0), iset(k_set)
     if order >= 4 and ctx.g < 7:
         raise ValueError("multiplicity >= 4 requires genus >= 7")
-    pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, order)
-    residual, sign = tensor_match_residual(pred, target), 1
-    flipped = tensor_match_residual(-pred, target)
+    _check_repr(ctx, i0, k_set)
+    pred, target = _repr_tensors(ctx, _row(i0, k_set, j_m, j_n), order)
+    residual, sign = float(_match_residuals(pred, target)[0]), 1
+    flipped = float(_match_residuals(-pred, target)[0])
     if flipped < residual:
         residual, sign = flipped, -1
     return VerificationRecord(

@@ -228,7 +228,7 @@ def verify_schottky_R(
         )
     )
 
-    r_hat = general_r_tensor(ctx, i0, ps, j_m, j_n, order=2)
+    r_hat = general_r_tensor(ctx, np.array([i0 + ps + (j_m, j_n)]), order=2)[0]
     sv = np.linalg.svd(r_hat, compute_uv=False)
     det_resid = abs(np.linalg.det(r_hat)) / (sv[0] ** 4)
     minors = [

@@ -31,7 +31,9 @@ multi-index; the mirror-bin identity
 gives the moments of the full class (less one origin term, m = 1, for
 eps' = 0 and k = 0).  A single 2^g x 2^g Hadamard product (+-1 entries
 (-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
-at once.  That table is cached per (eps', order); a lookup reads one row.
+at once.  That table is cached per (eps', order) and public as
+:meth:`ThetaEngine.table`, which the curve context copies into its dense
+per-curve stores; a lookup reads one row.
 Every order uses the order-4 radius.  theta(char, v) for v != 0 pairs q with
 -q in the same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half
 class, less 1 for eps' = 0, and holds for complex v.
@@ -226,10 +228,11 @@ class ThetaEngine:
         cls = self._classes[eps_prime] = _LatticeClass(shift, n, m, starts)
         return cls
 
-    def _table(self, eps_prime: int, order: int) -> tuple[np.ndarray, float]:
+    def table(self, eps_prime: int, order: int) -> tuple[np.ndarray, float]:
         """(T, scale): T[eps, j] is the derivative of theta[eps; eps'] at 0
-        along the j-th sorted multi-index of the order; scale is the largest
-        single |term|, the same for every eps."""
+        along the j-th sorted multi-index of the order (for order 1, j is the
+        coordinate); scale is the largest single |term|, the same for every
+        eps.  Cached, and read-only."""
         key = (eps_prime, order)
         hit = self._tables.get(key)
         if hit is not None:
@@ -259,6 +262,7 @@ class ThetaEngine:
         pref = (2j * np.pi) ** order
         phase = _I_POWERS[[(eps & eps_prime).bit_count() % 4 for eps in range(2**g)]]
         table = (pref * phase)[:, None] * (_hadamard(g) @ bins)
+        table.flags.writeable = False
         out = self._tables[key] = (table, abs(pref) * float(np.max(size, initial=0.0)))
         return out
 
@@ -267,7 +271,7 @@ class ThetaEngine:
         self._check(char)
         eps, eps_prime = char.bits >> self.g, char.bits & ((1 << self.g) - 1)
         if v is None:
-            return complex(self._table(eps_prime, 0)[0][eps, 0])
+            return complex(self.table(eps_prime, 0)[0][eps, 0])
         cls = self._lattice_class(eps_prime)
         q = cls.n + cls.shift
         shift = 0.5 * np.asarray(char.eps, dtype=float) + np.asarray(v, dtype=complex)
@@ -280,7 +284,7 @@ class ThetaEngine:
         if order < 0:
             raise ValueError("order must be >= 0")
         g = self.g
-        table, scale = self._table(char.bits & ((1 << g) - 1), order)
+        table, scale = self.table(char.bits & ((1 << g) - 1), order)
         entries = table[char.bits >> g][_layout(g, order)[2]].reshape((g,) * order)
         return DerivThetaTensor(char=char, order=order, entries=entries, scale=scale)
 

@@ -25,7 +25,8 @@ The prefactor and the |K| s-vectors depend only on (I_m, K), so the sum is
 built once per (I_m, K) as the whole symmetric (g,)^m tensor
 (:func:`general_thomae_tensor`); a single entry, the ratio form and the
 |K| = 2 gradient all read that one tensor, and 1-based multi-indices are
-checked for length m and range 1..g.
+checked for length m and range 1..g.  :func:`general_thomae_forms` gives
+the direct and the ratio form of one (I_m, K) from a single build.
 """
 
 from __future__ import annotations
@@ -183,6 +184,18 @@ def second_thomae_rhs(ctx: CurveContext, i1: Iterable[int], n: int) -> complex:
     return second_thomae_rhs_vector(ctx, i1)[_entry((n,), 1, ctx.g)]
 
 
+def _ratio_prefactor(ctx: CurveContext, a: IndexSet, k: IndexSet, i0: IndexSet) -> float:
+    """prod_{kappa in K} (prod_{j in J_0} (e_kappa - e_j) / prod_{i in A} (e_kappa - e_i))^{1/4},
+    both products ordered, J_0 the finite complement of I_0."""
+    j0 = complement_finite(ctx.spec.n_finite, i0)
+    pref = 1.0
+    for kappa in k:
+        num = ordered_diff_product(ctx.spec, (kappa,), j0)
+        den = ordered_diff_product(ctx.spec, (kappa,), a) if a else 1.0
+        pref *= (num / den) ** 0.25
+    return pref
+
+
 def general_thomae_ratio_rhs(
     ctx: CurveContext,
     i_m: Iterable[int],
@@ -196,13 +209,17 @@ def general_thomae_ratio_rhs(
     i0 = iset(i0)
     if iset(a + k) != i0 and drop(i0, *[x for x in i0 if x in k]) != a:
         raise ValueError(f"I_m={a} must equal I_0\\K for I_0={i0}, K={k}")
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    pref = 1.0
-    for kappa in k:
-        num = ordered_diff_product(ctx.spec, (kappa,), j0)
-        den = ordered_diff_product(ctx.spec, (kappa,), a) if a else 1.0
-        pref *= (num / den) ** 0.25
-    return complex(pref * _thomae_tensor(ctx, a, k, m)[idx])
+    return complex(_ratio_prefactor(ctx, a, k, i0) * _thomae_tensor(ctx, a, k, m)[idx])
+
+
+def general_thomae_forms(
+    ctx: CurveContext, i_m: Iterable[int], k_set: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`general_thomae_tensor` and the whole ratio-form tensor
+    d^m theta[I_m] / theta[I_0], I_0 = I_m + K, from one build of the sum."""
+    a, k, m = _general_args(ctx, i_m, k_set)
+    t = _thomae_tensor(ctx, a, k, m)
+    return _prefactor(ctx, a) * t, _ratio_prefactor(ctx, a, k, iset(a + k)) * t
 
 
 @dataclass

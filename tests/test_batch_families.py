@@ -1,0 +1,618 @@
+"""Batched relation families against their per-binding oracles.
+
+The oracles below are the per-binding verifiers as they were before the
+families became array code: each binding looks its theta values up one at a
+time through ``ctx.const`` / ``ctx.grad`` / ``ctx.deriv`` and index-set
+surgery on sorted tuples.  The batch functions must give the same records:
+ids, bindings, verdicts and notes equal, residuals bit-equal where the
+arithmetic is the same (GRAD2, GRAD3, GRAD4) and within 1e-3 x tolerance
+elsewhere.  The enumerations the samplers unrank are checked against the
+list builders they replaced.
+"""
+
+import math
+from itertools import combinations, permutations
+from types import SimpleNamespace
+from typing import Iterable, Sequence
+
+import numpy as np
+import pytest
+
+from thomae_lab import relations as rel
+from thomae_lab import thomae
+from thomae_lab.characteristics import char_of_set, mask_chars
+from thomae_lab.context import CurveContext
+from thomae_lab.harness import (
+    FAMILIES,
+    SuiteConfig,
+    _eklm_rows,
+    _family_rng,
+    _i0_splits,
+    _kappa_splits,
+    random_curve,
+    run_suite,
+    unrank_combinations,
+)
+from thomae_lab.indexsets import IndexSet, complement_finite, drop, iset, replace
+from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
+from thomae_lab.thomae import FOURTH_ROOTS, snap_phase
+
+TINY = 1e-300
+
+
+# --- oracles: the per-binding verifiers ------------------------------------
+
+def vector_identity_residual(terms: Sequence[np.ndarray]) -> float:
+    """max_n |sum_i T_i[n]| / (largest |T_i[n]| in that component)."""
+    stack = np.stack([np.asarray(t, dtype=complex) for t in terms])
+    total = np.abs(np.sum(stack, axis=0))
+    per_comp = np.max(np.abs(stack), axis=0)
+    floor = 1e-3 * np.max(per_comp) + TINY
+    return float(np.max(total / np.maximum(per_comp, floor)))
+
+
+def tensor_match_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs))) + TINY
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def oracle_eklm(
+    ctx: CurveContext, i_set: Iterable[int], j_set: Iterable[int], k: int, m: int, n: int,
+    tolerance: float = 1e-8,
+) -> VerificationRecord:
+    """(e_k - e_m)/(e_k - e_n) equals a squared theta cross ratio up to a
+    fourth root of unity."""
+    i_set, j_set = iset(i_set), iset(j_set)
+    g = ctx.g
+    if len(i_set) != g - 1 or len(j_set) != g - 1:
+        raise ValueError("I and J must have g-1 indices each")
+    used = set(i_set) | set(j_set) | {k, m, n}
+    if len(used) != 2 * g + 1 or 0 in used:
+        raise ValueError("I, J, {k,m,n} must partition the finite indices")
+    e = ctx.spec.branch_points
+    lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
+    rhs = (
+        ctx.const(iset(i_set + (n,))) ** 2
+        * ctx.const(iset(j_set + (n,))) ** 2
+        / (ctx.const(iset(i_set + (m,))) ** 2 * ctx.const(iset(j_set + (m,))) ** 2)
+    )
+    phase, _ = snap_phase(lhs / rhs, FOURTH_ROOTS)
+    residual = abs(lhs - phase * rhs) / max(abs(lhs), abs(rhs))
+    return VerificationRecord(
+        "EKLM",
+        {"I": i_set, "J": j_set, "k": k, "m": m, "n": n},
+        residual,
+        tolerance,
+        notes=f"phase={phase:.0f}" if phase.imag == 0 else f"phase={phase}",
+    )
+
+
+def oracle_eji(
+    ctx: CurveContext, i0: Iterable[int], i_k: int, i_l: int, j_n: int, j_m: int,
+    tolerance: float = 1e-8,
+) -> VerificationRecord:
+    """Branch-point product over J_0 as a ratio of fourth powers; the right
+    side must not depend on the choice of (j_n, j_m)."""
+    i0 = iset(i0)
+    j0 = complement_finite(ctx.spec.n_finite, i0)
+    if i_k not in i0 or i_l not in i0 or i_k == i_l:
+        raise ValueError("i_k, i_l must be distinct members of I_0")
+    if j_n not in j0 or j_m not in j0 or j_n == j_m:
+        raise ValueError("j_n, j_m must be distinct members of J_0")
+    e = ctx.spec.branch_points
+    num = 1.0
+    for j in j0:
+        num *= e[i_k - 1] - e[j - 1]
+    den = (e[i_k - 1] - e[i_l - 1]) ** 2
+    for i in i0:
+        if i != i_k:
+            den *= e[i_k - 1] - e[i - 1]
+    lhs = num / den
+
+    def rhs_for(jn, jm):
+        return (
+            ctx.const(replace(i0, (i_k,), (jn,))) ** 4
+            * ctx.const(replace(i0, (i_k,), (jm,))) ** 4
+            * ctx.const(replace(j0, (jn, jm), (i_l,))) ** 4
+            / (
+                ctx.const(replace(i0, (i_k, i_l), (jn, jm))) ** 4
+                * ctx.const(drop(j0, jm)) ** 4
+                * ctx.const(drop(j0, jn)) ** 4
+            )
+        )
+
+    rhs = rhs_for(j_n, j_m)
+    sign = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
+    residual = abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
+    # independence of the (j_n, j_m) choice, including the swap
+    alts = [(j_m, j_n)] + [p for p in combinations(j0, 2) if j_n not in p and j_m not in p][:1]
+    for jn2, jm2 in alts:
+        alt = rhs_for(jn2, jm2)
+        residual = max(residual, abs(alt - rhs) / max(abs(rhs), abs(alt)))
+    return VerificationRecord(
+        "EJI",
+        {"I0": i0, "i_k": i_k, "i_l": i_l, "j_n": j_n, "j_m": j_m},
+        residual,
+        tolerance,
+        notes=f"sign={sign:+.0f}",
+    )
+
+
+def oracle_grad2(
+    ctx: CurveContext, i0: Iterable[int], kappa1: int, kappa2: int, j_m: int, j_n: int,
+    tolerance: float = 1e-8,
+) -> VerificationRecord:
+    """Two-term decomposition of d theta[I_0 - {k1,k2}] over gradients of
+    I_0^{(k2)} and I_0^{(k1)}."""
+    i0 = iset(i0)
+    if kappa1 >= kappa2 or kappa1 not in i0 or kappa2 not in i0:
+        raise ValueError("need kappa1 < kappa2, both in I_0")
+    j0 = complement_finite(ctx.spec.n_finite, i0)
+    if j_m not in j0 or j_n not in j0 or j_m == j_n:
+        raise ValueError("j_m, j_n must be distinct members of J_0")
+    pref = (
+        ctx.const(replace(i0, (kappa1, kappa2), (j_m, j_n)))
+        * ctx.const(drop(j0, j_m))
+        * ctx.const(drop(j0, j_n))
+    )
+    lhs = pref * ctx.grad(drop(i0, kappa1, kappa2))
+    t1 = (
+        ctx.const(replace(i0, (kappa1,), (j_m,)))
+        * ctx.const(replace(i0, (kappa1,), (j_n,)))
+        * ctx.const(replace(j0, (j_m, j_n), (kappa2,)))
+        * ctx.grad(drop(i0, kappa2))
+    )
+    t2 = (
+        ctx.const(replace(i0, (kappa2,), (j_m,)))
+        * ctx.const(replace(i0, (kappa2,), (j_n,)))
+        * ctx.const(replace(j0, (j_m, j_n), (kappa1,)))
+        * ctx.grad(drop(i0, kappa1))
+    )
+    residual = vector_identity_residual([lhs, -t1, t2])
+    return VerificationRecord(
+        "GRAD2",
+        {"I0": i0, "kappa1": kappa1, "kappa2": kappa2, "j_m": j_m, "j_n": j_n},
+        residual,
+        tolerance,
+    )
+
+
+def _grad3_terms(
+    ctx: CurveContext, i_set: IndexSet, kappas: Sequence[int], j_set: IndexSet, j_m: int, j_n: int
+) -> list[np.ndarray]:
+    k1, k2, k3 = kappas
+    out = []
+    for sign, (ka, kb, kc) in zip((1, -1, 1), ((k1, k2, k3), (k2, k1, k3), (k3, k1, k2))):
+        coeff = (
+            ctx.const(replace(j_set, (j_n,), (ka,)))
+            * ctx.const(replace(j_set, (j_m,), (ka,)))
+            * ctx.const(replace(j_set, (j_m, j_n), (kb, kc)))
+        )
+        out.append(sign * coeff * ctx.grad(iset(i_set + (ka,))))
+    return out
+
+
+def oracle_grad3(
+    ctx: CurveContext, i_set: Iterable[int], kappa1: int, kappa2: int, kappa3: int,
+    j_m: int, j_n: int, tolerance: float = 1e-8,
+) -> VerificationRecord:
+    """Three-term vanishing combination of gradients sharing a (g-2)-set.
+
+    The partition is I + {k1,k2,k3} + J over all indices 0..2g+1 (0 allowed
+    among the kappas, smallest); any two of the three gradients must be
+    linearly independent.
+    """
+    i_set = iset(i_set)
+    kappas = (kappa1, kappa2, kappa3)
+    if list(kappas) != sorted(kappas):
+        raise ValueError("kappas must be ascending (0 = infinity smallest)")
+    g = ctx.g
+    if len(i_set) != g - 2:
+        raise ValueError("|I| must be g-2")
+    all_idx = set(range(2 * g + 2))
+    j_set = iset(all_idx - set(i_set) - set(kappas))
+    if len(j_set) != g + 1:
+        raise ValueError("bindings do not partition the index set")
+    if j_m not in j_set or j_n not in j_set or j_m == j_n:
+        raise ValueError("j_m, j_n must be distinct members of J")
+    terms = _grad3_terms(ctx, i_set, kappas, j_set, j_m, j_n)
+    residual = vector_identity_residual(terms)
+    # pairwise independence: smallest singular value of each 2 x g stack
+    notes = []
+    for a, b in combinations(range(3), 2):
+        s = np.linalg.svd(
+            np.stack([ctx.grad(iset(i_set + (kappas[a],))), ctx.grad(iset(i_set + (kappas[b],)))]),
+            compute_uv=False,
+        )
+        if s[1] / s[0] < 1e-6:
+            notes.append(f"pair ({kappas[a]},{kappas[b]}) nearly dependent: {s[1]/s[0]:.2e}")
+    return VerificationRecord(
+        "GRAD3",
+        {"I": i_set, "kappas": kappas, "j_m": j_m, "j_n": j_n},
+        residual,
+        tolerance,
+        notes="; ".join(notes),
+    )
+
+
+def oracle_grad4(
+    ctx: CurveContext, i_set: Iterable[int], kappas: Sequence[int], j_m: int, j_n: int,
+    tolerance: float = 1e-8, pairs: Sequence[tuple[int, int]] | None = None,
+) -> VerificationRecord:
+    """Four-term relation between gradients sharing a (g-3)-set.
+
+    ``kappas`` are five ascending indices; the default grouping is the
+    canonical one ((k1k2), (k1k3), (k2k3), (k4k5)); pass ``pairs`` for a
+    regrouped variant.  Signs alternate in ascending order of the sets
+    I + pair.  Also asserts rank 3 of the first three gradients.
+    """
+    i_set = iset(i_set)
+    kappas = tuple(kappas)
+    if list(kappas) != sorted(kappas) or len(kappas) != 5:
+        raise ValueError("need five ascending kappas")
+    g = ctx.g
+    if len(i_set) != g - 3:
+        raise ValueError("|I| must be g-3")
+    j_set = iset(set(range(2 * g + 2)) - set(i_set) - set(kappas))
+    if len(j_set) != g or j_m not in j_set or j_n not in j_set or j_m == j_n:
+        raise ValueError("invalid J / j_m / j_n bindings")
+    k1, k2, k3, k4, k5 = kappas
+    if pairs is None:
+        pairs = [(k1, k2), (k1, k3), (k2, k3), (k4, k5)]
+    sets = [iset(i_set + p) for p in pairs]
+    order = sorted(range(4), key=lambda t: tuple(sorted(sets[t], reverse=True)))
+    terms = []
+    grads = []
+    for rank_pos, t in enumerate(order):
+        pa, pb = pairs[t]
+        rest = tuple(x for x in kappas if x not in (pa, pb))
+        coeff = (
+            ctx.const(replace(j_set, (j_n,), (pa, pb)))
+            * ctx.const(replace(j_set, (j_m,), (pa, pb)))
+            * ctx.const(replace(j_set, (j_m, j_n), rest))
+        )
+        vec = ctx.grad(sets[t])
+        grads.append(vec)
+        terms.append((-1) ** rank_pos * coeff * vec)
+    residual = vector_identity_residual(terms)
+    s = np.linalg.svd(np.stack(grads[:3]), compute_uv=False)
+    notes = f"triple sigma3/sigma1={s[2]/s[0]:.2e}"
+    if s[2] / s[0] < 1e-6:
+        notes += " (rank deficient!)"
+        residual = max(residual, 1.0)
+    return VerificationRecord(
+        "GRAD4",
+        {"I": i_set, "kappas": kappas, "pairs": tuple(pairs), "j_m": j_m, "j_n": j_n},
+        residual,
+        tolerance,
+        notes=notes,
+    )
+
+
+def _entry_sign(positions: Sequence[int], kk: int) -> float:
+    """(-1)^(sum of the 1-based positions + offset) for 0-based positions."""
+    # verified for m = 2, 3; the odd-|K| offset alternates with m and the
+    # m = 4 evidence runs match the extrapolation
+    m = len(positions)
+    offset = m % 2 if (kk == 2 * m - 1 and m >= 2) else 0
+    return float((-1) ** (sum(positions) + m + offset))
+
+
+def oracle_r_tensor(
+    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
+) -> np.ndarray:
+    """Symmetric coefficient tensor R of the order-m representation.
+
+    Entries with repeated indices vanish; for positions k_1 < ... < k_m of
+    elements P of K (ascending), with Q = K - P,
+
+        R = eps * prod_{pairs of P} th[I0^{(p,p' -> jn,jm)}]
+                * prod_{pairs of Q} th[I0^{(q,q' -> jn,jm)}]
+                * (|K| = 2m only) prod_{p} th[J0^{(jn,jm -> p)}]
+                * prod_{q} th[I0^{(q -> jm)}] th[I0^{(q -> jn)}]
+                          * (|K| = 2m-1 only) th[J0^{(jn,jm -> q)}]
+                / ( (th[J0^{(jm)}] th[J0^{(jn)}])^{|K|-m}
+                    * prod_{p, q} th[I0^{(p,q -> jn,jm)}] )
+
+    Every theta constant is read once, into tables indexed by position in K.
+    """
+    kk = len(k_set)
+    m = order
+    if kk not in (2 * m - 1, 2 * m):
+        raise ValueError(f"|K|={kk} incompatible with order {m}")
+    j0 = complement_finite(ctx.spec.n_finite, i0)
+    if j_m not in j0 or j_n not in j0 or j_m == j_n:
+        raise ValueError("j_m, j_n must be distinct members of J_0")
+    denom_base = (ctx.const(drop(j0, j_m)) * ctx.const(drop(j0, j_n))) ** (kk - m)
+    pair = {}
+    for a, b in combinations(range(kk), 2):
+        pair[a, b] = pair[b, a] = ctx.const(replace(i0, (k_set[a], k_set[b]), (j_n, j_m)))
+    single = [ctx.const(replace(i0, (q,), (j_m,))) * ctx.const(replace(i0, (q,), (j_n,)))
+              for q in k_set]
+    swap = [ctx.const(replace(j0, (j_n, j_m), (p,))) for p in k_set]
+    tensor = np.zeros((kk,) * m, dtype=complex)
+    for ps in combinations(range(kk), m):
+        qs = [t for t in range(kk) if t not in ps]
+        val = _entry_sign(ps, kk)
+        for a, b in combinations(ps, 2):
+            val *= pair[a, b]
+        for a, b in combinations(qs, 2):
+            val *= pair[a, b]
+        if kk == 2 * m:
+            for p in ps:
+                val *= swap[p]
+        for q in qs:
+            val *= single[q]
+            if kk == 2 * m - 1:
+                val *= swap[q]
+            for p in ps:
+                val /= pair[p, q]
+        val /= denom_base
+        for perm in set(permutations(ps)):
+            tensor[perm] = val
+    return tensor
+
+
+def oracle_representation_tensor(
+    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int, order: int
+) -> np.ndarray:
+    """Predicted order-m derivative tensor of theta[I0 - K]: R applied to the
+    gradients of theta[I0 - p], p in K, divided by theta[I0]^(m-1)."""
+    i0, k_set = iset(i0), iset(k_set)
+    if not set(k_set) <= set(i0):
+        raise ValueError("K must be a subset of I_0")
+    if len(i0) != ctx.g or 0 in i0:
+        raise ValueError("I_0 must be the g finite indices of a multiplicity-0 set")
+    r = oracle_r_tensor(ctx, i0, k_set, j_m, j_n, order)
+    a = np.stack([ctx.grad(drop(i0, p)) for p in k_set])  # |K| x g
+    theta0 = ctx.const(i0)
+    out = r
+    for _ in range(order):
+        out = np.tensordot(out, a, axes=([0], [0]))
+    return out / theta0 ** (order - 1)
+
+
+def _repr_tensors(
+    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted, computed) order-m derivative tensor of theta[I0 - K]."""
+    pred = oracle_representation_tensor(ctx, i0, k_set, j_m, j_n, order)
+    return pred, ctx.deriv(drop(i0, *k_set), order).entries
+
+
+def oracle_derivative_repr(
+    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int,
+    tolerance: float | None = None,
+) -> VerificationRecord:
+    """Derivative theta constants of order m = (|K|+1)//2 as forms in the
+    gradients: Hessians for |K| = 3, 4 (HESS_K3/K4), third derivatives for
+    |K| = 5, 6 (D3_K5/K6).  The tolerance defaults to the record's own."""
+    i0, k_set = iset(i0), iset(k_set)
+    if len(k_set) not in REPRESENTATION_RECORDS:
+        raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {len(k_set)}")
+    relation_id, default_tol = REPRESENTATION_RECORDS[len(k_set)]
+    pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, (len(k_set) + 1) // 2)
+    return VerificationRecord(
+        relation_id,
+        {"I0": i0, "K": k_set, "j_m": j_m, "j_n": j_n},
+        tensor_match_residual(pred, target),
+        default_tol if tolerance is None else tolerance,
+    )
+
+
+# --- oracles: the list-building enumerations ---------------------------------
+
+def list_i0_splits(ctx, ksize: int) -> list:
+    """(I_0, K, j_m, j_n) for every finite g-set I_0, every ksize-subset K of
+    I_0, and the two smallest indices j_m < j_n of J_0."""
+    out = []
+    for i0 in combinations(range(1, ctx.spec.n_finite + 1), ctx.g):
+        j0 = complement_finite(ctx.spec.n_finite, i0)
+        out.extend((i0, ks, j0[0], j0[1]) for ks in combinations(i0, ksize))
+    return out
+
+
+def list_kappa_splits(ctx, isize: int, nk: int) -> list:
+    """(I, kappas, j_m, j_n) over all indices 0..2g+1: I a finite isize-set,
+    kappas nk further indices, j_m < j_n the two smallest finite ones left."""
+    all_idx = range(2 * ctx.g + 2)
+    out = []
+    for i_set in combinations(range(1, 2 * ctx.g + 2), isize):
+        rest = [x for x in all_idx if x not in i_set]
+        for kappas in combinations(rest, nk):
+            jf = [x for x in rest if x not in kappas and x != 0]
+            out.append((i_set, kappas, jf[0], jf[1]))
+    return out
+
+
+def list_eklm_bindings(ctx):
+    fin = range(1, ctx.spec.n_finite + 1)
+    bindings = []
+    for k, m, n in combinations(fin, 3):
+        others = [x for x in fin if x not in (k, m, n)]
+        for i_set in combinations(others, ctx.g - 1):
+            j_set = tuple(x for x in others if x not in i_set)
+            bindings += [(i_set, j_set, k, m, n), (i_set, j_set, m, n, k)]
+    return bindings
+
+
+# --- batch records equal oracle records -----------------------------------
+
+def _args(name, g, row):
+    """The oracle's positional arguments and keywords for one binding row."""
+    if name == "EKLM":
+        return (tuple(row[: g - 1]), tuple(row[g - 1 : 2 * g - 2]), *row[2 * g - 2 :]), {}
+    if name in ("EJI", "GRAD2"):
+        return (tuple(row[:g]), *row[g:]), {}
+    if name == "GRAD3":
+        return (tuple(row[: g - 2]), *row[g - 2 :]), {}
+    if name == "GRAD4":
+        p = row[g + 4 :]
+        return (tuple(row[: g - 3]), tuple(row[g - 3 : g + 2]), row[g + 2], row[g + 3]), \
+            {"pairs": list(zip(p[::2], p[1::2]))}
+    return (tuple(row[:g]), tuple(row[g:-2]), row[-2], row[-1]), {}
+
+
+ORACLES = {
+    "EKLM": oracle_eklm, "EJI": oracle_eji, "GRAD2": oracle_grad2, "GRAD3": oracle_grad3,
+    "GRAD4": oracle_grad4, "HESS_K3": oracle_derivative_repr, "HESS_K4": oracle_derivative_repr,
+    "D3_K5": oracle_derivative_repr, "D3_K6": oracle_derivative_repr,
+}
+# residuals computed by the same arithmetic in the same order
+BIT_EQUAL = {"GRAD2", "GRAD3", "GRAD4"}
+CASES = [(g, name) for g in (3, 4, 5, 6) for name in ORACLES if g >= FAMILIES[name].min_genus]
+
+
+@pytest.mark.parametrize("g,name", CASES)
+def test_batch_records_equal_oracle(random_ctx, g, name):
+    # every sampled binding at g <= 5, the first 50 at g = 6
+    ctx = random_ctx(g, 1)
+    cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
+    family = FAMILIES[name]
+    rows = family.bindings(ctx, cfg, _family_rng(cfg, name))
+    if g == 6:
+        rows = rows[:50]
+    tol = cfg.tol(name)
+    batch = family.verify(ctx, rows, tolerance=tol)
+    assert len(batch) == len(rows) > 0
+    for row, got in zip(rows.tolist(), batch):
+        args, kw = _args(name, g, row)
+        want = ORACLES[name](ctx, *args, tolerance=tol, **kw)
+        assert (got.relation_id, got.bindings, got.notes, got.passed) == \
+            (want.relation_id, want.bindings, want.notes, want.passed), row
+        if name in BIT_EQUAL:
+            assert got.residual == want.residual, row
+        else:
+            assert abs(got.residual - want.residual) <= 1e-3 * tol, row
+
+
+def test_mask_table_matches_char_of_set():
+    for g in range(1, 6):
+        table = mask_chars(g)
+        n = 2 * g + 2
+        assert len(table) == 1 << n
+        assert not table.flags.writeable
+        for mask in range(1 << n):
+            want = char_of_set(g, [i for i in range(n) if mask >> i & 1]).bits
+            assert table[mask] == want, (g, mask)
+
+
+# --- unranked enumerations --------------------------------------------------
+
+def test_unrank_matches_itertools():
+    for n in range(13):
+        for k in range(n + 1):
+            got = unrank_combinations(n, k, np.arange(math.comb(n, k)))
+            want = np.array(list(combinations(range(n), k)), dtype=np.int64)
+            assert np.array_equal(got, want), (n, k)
+
+
+def _flat(rows):
+    return [tuple(x for part in r for x in (part if isinstance(part, tuple) else (part,)))
+            for r in rows]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_enumerations_match_list_builders(g):
+    # the unranked rows at every position equal the old lists, in order
+    ctx = SimpleNamespace(g=g, spec=SimpleNamespace(n_finite=2 * g + 1))
+    every = np.arange
+    for ksize in range(min(g, 6) + 1):
+        assert _i0_splits(ctx, ksize, every).tolist() == \
+            [list(r) for r in _flat(list_i0_splits(ctx, ksize))], ksize
+    for isize, nk in ((g - 2, 3), (g - 3, 5)):
+        if isize >= 0:
+            assert _kappa_splits(ctx, isize, nk, every).tolist() == \
+                [list(r) for r in _flat(list_kappa_splits(ctx, isize, nk))], (isize, nk)
+    eklm = list_eklm_bindings(ctx)
+    assert _eklm_rows(ctx, np.arange(len(eklm))).tolist() == [list(r) for r in _flat(eklm)]
+
+
+# --- guards -----------------------------------------------------------------
+
+def _plain(v) -> bool:
+    if type(v) in (tuple, list):
+        return all(_plain(x) for x in v)
+    return type(v) in (int, str)
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_bindings_hold_python_types(g):
+    report = run_suite(SuiteConfig(spec=random_curve(g, 1), cap=500, seed=1))
+    for rec in report.records:
+        assert all(_plain(v) for v in rec.bindings.values()), (rec.relation_id, rec.bindings)
+
+
+BAD_BINDINGS = [
+    (rel.verify_eklm, 3, ((1,), (2, 3), 4, 5, 6)),
+    (rel.verify_eklm, 3, ((1, 2), (2, 3), 4, 5, 6)),
+    (rel.verify_eklm, 3, ((1, 1), (2, 3), 4, 5, 6)),
+    (rel.verify_eklm, 3, ((1, 2), (3, 4), 5, 6, 9)),
+    (rel.verify_eji, 3, ((1, 2, 3), 4, 2, 5, 6)),
+    (rel.verify_eji, 3, ((1, 2, 3), 1, 1, 5, 6)),
+    (rel.verify_eji, 3, ((1, 2, 3), 1, 2, 3, 6)),
+    (rel.verify_eji, 3, ((1, 2, 3), 1, 2, 5, 5)),
+    (rel.verify_grad2, 3, ((1, 2, 3), 2, 1, 4, 5)),
+    (rel.verify_grad2, 3, ((1, 2, 3), 1, 4, 5, 6)),
+    (rel.verify_grad2, 3, ((1, 2, 3), 1, 2, 3, 5)),
+    (rel.verify_grad2, 3, ((1, 2, 3), 1, 2, 5, 5)),
+    (rel.verify_grad3, 3, ((1,), 3, 2, 4, 6, 5)),
+    (rel.verify_grad3, 3, ((1, 2), 3, 4, 5, 6, 7)),
+    (rel.verify_grad3, 3, ((1,), 1, 2, 3, 6, 5)),
+    (rel.verify_grad3, 3, ((1,), 2, 3, 4, 1, 5)),
+    (rel.verify_grad3, 3, ((1,), 2, 3, 4, 5, 5)),
+    (rel.verify_grad4, 3, ((), (1, 2, 3, 4), 5, 6)),
+    (rel.verify_grad4, 3, ((), (2, 1, 3, 4, 5), 6, 7)),
+    (rel.verify_grad4, 3, ((1,), (2, 3, 4, 5, 6), 7, 0)),
+    (rel.verify_grad4, 3, ((), (1, 2, 3, 4, 5), 1, 6)),
+    (rel.derivative_repr, 4, ((1, 2, 3, 4), (1, 2), 5, 6)),
+    (rel.derivative_repr, 4, ((1, 2, 3, 4), (1, 2, 5), 6, 7)),
+    (rel.derivative_repr, 4, ((1, 2, 3), (1, 2, 3), 5, 6)),
+    (rel.derivative_repr, 4, ((0, 1, 2, 3), (1, 2, 3), 5, 6)),
+    (rel.derivative_repr, 4, ((1, 2, 3, 4), (1, 2, 3), 4, 6)),
+    (rel.derivative_repr, 4, ((1, 2, 3, 4), (1, 2, 3), 5, 5)),
+    (rel.derivative_repr, 4, ((1, 2, 3, 4), (1, 1, 2), 5, 6)),
+    (rel.representation_tensor, 4, ((1, 2, 3, 4), (1, 2, 3), 5, 6, 3)),
+    (rel.conjecture_m_repr, 4, ((1, 2, 3, 4), (1, 2, 3), 2, 4, 6)),
+]
+
+
+@pytest.mark.parametrize("verify,g,args", BAD_BINDINGS)
+def test_wrappers_reject_bad_bindings(ctx, verify, g, args):
+    with pytest.raises(ValueError):
+        verify(ctx(g), *args)
+
+
+def test_grad4_wrapper_rejects_bad_pairs(ctx):
+    with pytest.raises(ValueError):
+        rel.verify_grad4(ctx(3), (), (1, 2, 3, 4, 5), 6, 7, pairs=[(1, 1), (1, 2), (2, 3), (4, 5)])
+
+
+def test_general_r_tensor_rejects_bad_j(ctx):
+    with pytest.raises(ValueError, match="distinct members of J_0"):
+        rel.general_r_tensor(ctx(4), np.array([[1, 2, 3, 4, 1, 2, 3, 4, 6]]), 2)
+
+
+@pytest.mark.parametrize("g", [3, 5])
+def test_suite_with_empty_batches(g):
+    # cap 1 leaves HESS_K3/K4 (cap // 2) and GRAD4 with no bindings
+    report = run_suite(SuiteConfig(spec=random_curve(g, 2), cap=1, seed=2))
+    assert report.all_passed()
+    assert not any(r.relation_id in ("HESS_K3", "HESS_K4", "GRAD4") for r in report.records)
+
+
+def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
+    builds = []
+    build = thomae._thomae_tensor
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(thomae, "_thomae_tensor", counted)
+    c = ctx(5)
+    cfg = SuiteConfig(spec=c.spec, cap=100, seed=1)
+    c.calibration = thomae.calibrate_phases(c)
+    records = FAMILIES["THOMAEG"](c, cfg, _family_rng(cfg, "THOMAEG"))
+    assert records and all(r.passed for r in records)
+    assert len(builds) == 2 * len(records)

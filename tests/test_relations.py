@@ -446,7 +446,8 @@ def test_general_r_tensor_matches_entrywise_lookup(ctx, g):
             k = tuple(sorted(rng.choice(i0, size=kk, replace=False).tolist()))
             j_m, j_n = rng.choice(complement_finite(n, i0), size=2, replace=False).tolist()
             assert np.array_equal(
-                general_r_tensor(c, i0, k, j_m, j_n, m), entrywise_r_tensor(c, i0, k, j_m, j_n, m)
+                general_r_tensor(c, np.array([i0 + k + (j_m, j_n)]), m)[0],
+                entrywise_r_tensor(c, i0, k, j_m, j_n, m),
             ), (i0, k, j_m, j_n)
 
 

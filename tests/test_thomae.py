@@ -185,10 +185,11 @@ def test_calibration_failure_detected(ctx):
     import copy
 
     c = ctx(2)
+    calibrate_phases(c)  # fill the dense store before copying it
     broken = copy.copy(c)
-    broken._const = dict(c._const)
+    broken._C = c._C.copy()
     ch = c.char((1, 2))
-    broken._const[ch] = c.const((1, 2)) * 1.07
+    broken._C[ch.bits] = c.const((1, 2)) * 1.07
     with pytest.raises(ValueError, match="phase calibration failed"):
         calibrate_phases(broken)
 

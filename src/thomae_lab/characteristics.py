@@ -69,9 +69,8 @@ class HalfCharacteristic:
         return tuple(self.bits >> (self.genus - 1 - i) & 1 for i in range(self.genus))
 
     def __str__(self) -> str:
-        top = "".join(map(str, self.eps_prime))
-        bot = "".join(map(str, self.eps))
-        return f"[{top}/{bot}]"
+        bits = format(self.bits, f"0{2 * self.genus}b")  # eps, then eps'
+        return f"[{bits[self.genus:]}/{bits[: self.genus]}]"
 
     def __repr__(self) -> str:
         return f"HalfCharacteristic(eps={self.eps}, eps_prime={self.eps_prime})"

@@ -3,9 +3,9 @@
 Relation verifiers read theta constants and gradients by the thousand.  The
 context keeps them in two dense per-curve stores indexed by characteristic
 bits eps << g | eps' (``HalfCharacteristic.bits``): ``_C[4^g]`` holds the
-constants theta[c](0) and ``_G[4^g, g]`` the gradients.  A store starts as
-NaN and is filled one eps' column at a time, on demand, from the engine's
-per-class table, so a curve computes only the classes its relations touch.
+constants theta[c](0) and ``_G[4^g, g]`` the gradients.  Each store is the
+engine's all-class table (:meth:`ThetaEngine.char_table`), taken in one
+assignment on first use.
 :meth:`CurveContext.consts` and :meth:`CurveContext.grads` gather whole
 arrays of index masks at once (the batched families);
 :meth:`CurveContext.const` and :meth:`CurveContext.grad` read one index set.
@@ -42,12 +42,6 @@ class CurveContext:
     # set by ``run_suite`` once the phases are calibrated; THOMAE1 reads it
     calibration: PhaseCalibration | None = field(default=None, repr=False)
     _deriv: dict = field(default_factory=dict, repr=False)
-    _C: np.ndarray = field(init=False, repr=False, compare=False)
-    _G: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._C = np.full(4**self.g, np.nan, dtype=complex)
-        self._G = np.full((4**self.g, self.g), np.nan, dtype=complex)
 
     @classmethod
     def build(
@@ -76,28 +70,22 @@ class CurveContext:
     def partition(self, indices: Iterable[int]) -> Partition:
         return Partition.from_set(self.g, indices)
 
-    def _lookup(self, order: int, chars):
-        """Entries of the order-0 or order-1 store at characteristic bits
-        ``chars`` (an int or an int array), filling every eps' column they
-        touch while one of them is still empty."""
-        store = self._G if order else self._C
-        out = store[chars]
-        if np.isnan(out).any():
-            g = self.g
-            for eps_prime in set((np.ravel(chars) & ((1 << g) - 1)).tolist()):
-                table = self.engine.table(eps_prime, order)[0]
-                store[eps_prime :: 1 << g] = table if order else table[:, 0]
-            out = store[chars]
-        return out
+    @cached_property
+    def _C(self) -> np.ndarray:
+        return self.engine.char_table(0)[:, 0]
+
+    @cached_property
+    def _G(self) -> np.ndarray:
+        return self.engine.char_table(1)
 
     def consts(self, masks: np.ndarray) -> np.ndarray:
         """theta[I](0) for an int array of index masks I (bit i = index i)."""
-        return self._lookup(0, mask_chars(self.g)[masks])
+        return self._C[mask_chars(self.g)[masks]]
 
     def grads(self, masks: np.ndarray) -> np.ndarray:
         """Gradients of theta[I] at 0 for an int array of index masks; one
         trailing axis of length g."""
-        return self._lookup(1, mask_chars(self.g)[masks])
+        return self._G[mask_chars(self.g)[masks]]
 
     def derivs(self, masks: np.ndarray, order: int) -> np.ndarray:
         """Order-m derivative tensors of theta[I] at 0 for a 1-d array of
@@ -110,14 +98,10 @@ class CurveContext:
 
     def const(self, indices: Iterable[int]) -> complex:
         """Theta constant theta[I](0) for the partition named by the set."""
-        bits = self.char(indices).bits
-        val = self._C.item(bits)  # a NaN (val != val) marks an empty column
-        return val if val == val else complex(self._lookup(0, bits))
+        return self._C.item(self.char(indices).bits)
 
     def grad(self, indices: Iterable[int]) -> np.ndarray:
-        bits = self.char(indices).bits
-        first = self._G.item(bits, 0)
-        return self._G[bits] if first == first else self._lookup(1, bits)
+        return self._G[self.char(indices).bits]
 
     def _tensor(self, bits: int, order: int) -> DerivThetaTensor:
         """Order-m tensor of the characteristic with the given bits; orders 0

@@ -306,8 +306,8 @@ def _i0_sets(ctx, cap: int, rng: np.random.Generator) -> list:
 
 
 def _thomae1(ctx, i0, tolerance):
-    ratio = ctx.calibration.ratios[ctx.char(i0)]
-    phase, snap = snap_phase(ratio)
+    cal, c = ctx.calibration, ctx.char(i0)
+    ratio, phase, snap = cal.ratios[c], cal.phases[c], cal.residuals[c]
     residual = max(abs(abs(ratio) - 1.0), snap)
     return VerificationRecord("THOMAE1", {"I0": i0}, residual, tolerance, notes=f"phase {phase:.3f}")
 
@@ -543,14 +543,12 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
     t0 = time.perf_counter()
     cal = ctx.calibration = calibrate_phases(ctx)
+    # the calibration lists every I_0 in combinations order, i.e. sorted by set
     calibration = [
-        {
-            "char": str(c),
-            "set": list(cal.sets[c]),
-            "phase": [cal.phases[c].real, cal.phases[c].imag],
-            "residual": cal.residuals[c],
-        }
-        for c in sorted(cal.phases, key=lambda c: cal.sets[c])
+        {"char": str(c), "set": list(i0), "phase": [phase.real, phase.imag], "residual": resid}
+        for c, i0, phase, resid in zip(
+            cal.sets, cal.sets.values(), cal.phases.values(), cal.residuals.values()
+        )
     ]
     timings["calibration"] = time.perf_counter() - t0
 

@@ -14,29 +14,37 @@ the requested tolerance (Deconinck, Heil, Bobenko, van Hoeij & Schmies,
 "Computing Riemann theta functions", Math. Comp. 2004).
 
 At v = 0 the phase splits as exp(i pi q.eps) = i^{eps.eps'} (-1)^{n.eps}, so
-it depends on n only through its parity n mod 2.  The engine therefore
-builds one lattice class per eps': the integer offsets n (int16, sorted by
-parity bin), their weights m = exp(i pi q^t tau q) and the 2^g bin starts.
+it depends on n only through its parity n mod 2.  The engine enumerates the
+lattice once per tau, as the integer points p = 2q with ||L p|| <= 2R: p mod
+2 is eps' and (p >> 1) mod 2 = n mod 2 is the parity bin.  The 2g-bit key
+eps' << g | bin sorts every point of every class into one int16 array with
+4^g + 1 key starts, so the class of eps' is a contiguous slice and its 2^g
+parity bins are contiguous inside it.  The weights
+m = exp(-pi q^t Im(tau) q) are real; only a tau with Re(tau) != 0 (none
+that the certifier builds, whose tau is i Y) multiplies them by the phase
+exp(i pi q^t Re(tau) q).
 
-A class holds only half of its points.  The map q -> -q keeps the eps'
+The lattice holds only half of its points.  The map q -> -q keeps the eps'
 class and m, and sends n to -n - eps', so parity bin b to b XOR eps' (bin
-bits and eps' bits both put the first entry first).  The class keeps the
-lexicographic half-space, where the last nonzero q_i is positive, plus the
-origin when eps' = 0.  For a derivative order k it sums the moments
+bits and eps' bits both put the first entry first).  The enumeration keeps
+the lexicographic half-space, where the last nonzero p_i is positive, plus
+the origin.  For a derivative order k a class sums the moments
 H[b] = sum q^{(x)k} m of each bin over the half, one column per sorted
 multi-index; the mirror-bin identity
 
     M[b] = H[b] + (-1)^k H[b XOR eps']
 
 gives the moments of the full class (less one origin term, m = 1, for
-eps' = 0 and k = 0).  A single 2^g x 2^g Hadamard product (+-1 entries
+eps' = 0 and k = 0).  A 2^g x 2^g Hadamard product (+-1 entries
 (-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
-at once.  That table is cached per (eps', order) and public as
-:meth:`ThetaEngine.table`, which the curve context copies into its dense
-per-curve stores; a lookup reads one row.
-Every order uses the order-4 radius.  theta(char, v) for v != 0 pairs q with
--q in the same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half
-class, less 1 for eps' = 0, and holds for complex v.
+at once.  Orders 0 and 1 are built for all 4^g characteristics together
+(:meth:`ThetaEngine.char_table`, which the curve context uses as its dense
+stores): order 0 is one segmented sum over the key-sorted weights, and one
+batched Hadamard product serves every class.  Higher orders are built per
+eps' class and cached (:meth:`ThetaEngine.table`).  Every order uses the
+order-4 radius.  theta(char, v) for v != 0 pairs q with -q in the same way:
+it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for
+eps' = 0, and holds for complex v.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ from .characteristics import HalfCharacteristic
 
 DEFAULT_TOL = 1e-12
 RADIUS_WARN = 40.0
+MAX_GENUS = 8  # the 2g-bit lattice key is a uint16
+_BLOCK = 1 << 16  # points per block of the lattice's last coordinate and of the weights
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -110,43 +120,96 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float 
     return r
 
 
-def _ellipsoid_points(chol: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
-    """Integer offsets n such that q = n + c satisfies ||chol q||^2 <= r^2 and
-    q lies in the lexicographic half-space: its last nonzero entry is
-    positive, or q = 0.
+def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer points p with ||chol p||^2 <= r^2 in the lexicographic
+    half-space (the last nonzero entry is positive, or p = 0), as int16 rows
+    sorted by key, and the 4^g + 1 key starts.
+
+    The key of p is eps' << g | b, with eps' = p mod 2 and b = (p >> 1) mod 2,
+    entry i at bit g-1-i of each.  The rows of one key are in lexicographic
+    order of (p_{g-1}, ..., p_0), the order of the enumeration.
 
     Fincke-Pohst enumeration: with chol upper triangular,
-    ||chol q||^2 = sum_i chol_ii^2 (q_i - center_i)^2 where center_i depends
-    only on q_{i+1..g-1}.  Points are built from the last coordinate down;
+    ||chol p||^2 = sum_i chol_ii^2 (p_i - center_i)^2 where center_i depends
+    only on p_{i+1..g-1}.  Points are built from the last coordinate down;
     each partial point carries its partial sum and is extended by exactly
     the integers of its admissible interval, so no candidate outside the
     ellipsoid's slices is ever formed.  At most one partial point has an
-    all-zero q tail; its interval starts at q_i >= 0, and it keeps an
-    all-zero tail only through q_i = 0.
+    all-zero tail; its interval starts at p_i = 0, and it keeps an all-zero
+    tail only through p_i = 0.
+
+    The last step, entry 0, writes the points straight into key order: the
+    points of one tail whose p_0 has a given residue mod 4 share one key and
+    step by 4, so these groups are counted and sorted by key, and then
+    expanded in blocks of at most _BLOCK points into their rows.  No
+    whole-lattice array is formed besides the result.
     """
     g = chol.shape[0]
-    slack = r * r * (1.0 + 1e-9)
-    tails = np.zeros((1, 0), dtype=np.int64)
+    tails = np.zeros((1, 0), dtype=np.int16)
+    tail_key = np.zeros(1, dtype=np.uint16)
     quad = np.zeros(1)
-    zero = 0  # row of the all-zero q tail, -1 once there is none
-    for i in range(g - 1, -1, -1):
+    zero = 0  # row of the all-zero tail
+
+    def interval(i: int, bound: float):
         d = chol[i, i]
-        # center and x are offsets: q_i = x + c_i
-        center = (tails + c[i + 1 :]) @ (-chol[i, i + 1 :] / d) - c[i]
-        half = np.sqrt(np.maximum(slack - quad, 0.0)) / d
+        center = tails @ (-chol[i, i + 1 :] / d)
+        half = np.sqrt(np.maximum(bound - quad, 0.0)) / d
         lo = np.ceil(center - half)
-        if zero >= 0:
-            lo[zero] = max(lo[zero], math.ceil(-c[i]))
+        lo[zero] = max(lo[zero], 0.0)
         counts = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
-        ends = np.cumsum(counts)
+        return d, center, lo.astype(np.int64), counts
+
+    def key_bits(i: int, x: np.ndarray) -> np.ndarray:
+        # entry i: eps' bit at 2g-1-i, bin bit at g-1-i
+        return ((x & 1) << (2 * g - 1 - i) | (x >> 1 & 1) << (g - 1 - i)).astype(np.uint16)
+
+    def descend(i: int):
+        # a little slack keeps the partial points that rounding would drop
+        d, center, lo, counts = interval(i, r * r * (1.0 + 1e-9))
+        first = np.cumsum(counts) - counts
         rows = np.repeat(np.arange(len(tails)), counts)
-        # x runs through lo, lo + 1, ... within each row's group
-        x = np.arange(len(rows)) - np.repeat(ends - counts - lo.astype(np.int64), counts)
-        quad = quad[rows] + (d * (x - center[rows])) ** 2
-        tails = np.column_stack([x, tails[rows]])
-        # the zero row's group starts at x = 0, i.e. q_i = c_i
-        zero = int(ends[zero] - counts[zero]) if zero >= 0 and c[i] == 0 else -1
-    return tails[quad <= r * r]
+        x = np.arange(len(rows)) - np.repeat(first - lo, counts)  # lo, lo + 1, ... per row
+        return (np.column_stack([x.astype(np.int16), tails[rows]]),
+                tail_key[rows] | key_bits(i, x),
+                quad[rows] + (d * (x - center[rows])) ** 2,
+                int(first[zero]))  # the zero row's group starts at x = 0
+
+    for i in range(g - 1, 0, -1):
+        tails, tail_key, quad, zero = descend(i)
+    _, _, lo, counts = interval(0, r * r)
+    counts[quad > r * r] = 0
+    del quad
+
+    # Group 4 row + k holds the points lo + skip, lo + skip + 4, ... of the
+    # row with p_0 = k mod 4, all of one key.  Sorting the groups by key
+    # (stably, so the rows stay ascending within a key) gives the output
+    # order; an empty group writes nothing.
+    k = np.arange(4)
+    keys = (tail_key[:, None] | key_bits(0, k)).ravel()
+    sizes = counts[:, None] - ((k - lo[:, None]) & 3) + 3 >> 2
+    starts = np.zeros(4**g + 1, dtype=np.int64)
+    hist = np.bincount(keys, weights=sizes.ravel(), minlength=4**g)
+    np.cumsum(hist.astype(np.int64), out=starts[1:])
+    del sizes
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    del keys
+    padded = np.zeros((len(tails), g), dtype=np.int16)  # tails with a free column for p_0
+    padded[:, 1:] = tails
+    out = np.empty((starts[-1], g), dtype=np.int16)
+    done = 0
+    per = max(_BLOCK // ((counts.max() + 3) // 4), 1)  # groups per block of <= _BLOCK points
+    for a in range(0, len(order), per):
+        group = order[a : a + per]
+        row = group >> 2
+        skip = ((group & 3) - lo[row]) & 3
+        size = counts[row] - skip + 3 >> 2
+        n = int(size.sum())
+        block = out[done : done + n]
+        np.take(padded, np.repeat(row, size), axis=0, out=block)
+        step = np.arange(n) - np.repeat(np.cumsum(size) - size, size)
+        block[:, 0] = np.repeat(lo[row] + skip, size) + 4 * step
+        done += n
+    return out, starts
 
 
 @lru_cache(maxsize=None)
@@ -179,14 +242,20 @@ def _layout(g: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tail, pick, flat
 
 
-class _LatticeClass(NamedTuple):
-    """Points q = n + shift of one half eps' class (the mirror -q of each is
-    implied), sorted by parity bin: bin b (bit g-1-i is n_i mod 2) holds rows
-    starts[b]:starts[b+1]."""
+@lru_cache(maxsize=None)
+def _phases(g: int) -> np.ndarray:
+    """P[eps', eps] = i^{popcount(eps & eps')}, the v = 0 phase of a class."""
+    a = np.arange(2**g)
+    return _I_POWERS[np.bitwise_count(a[:, None] & a) % 4]
 
-    shift: np.ndarray  # eps'/2
-    n: np.ndarray  # (N, g) int16 integer offsets
-    m: np.ndarray  # (N,) exp(i pi q^t tau q)
+
+class _LatticeClass(NamedTuple):
+    """Points p = 2q of one half eps' class (the mirror -q of each is
+    implied), sorted by parity bin: bin b (bit g-1-i is (p_i >> 1) mod 2)
+    holds rows starts[b]:starts[b+1].  Views into the engine's lattice."""
+
+    p: np.ndarray  # (N, g) int16
+    m: np.ndarray  # (N,) exp(i pi q^t tau q), real when Re(tau) = 0
     starts: np.ndarray  # (2^g + 1,)
 
 
@@ -197,73 +266,130 @@ class ThetaEngine:
         self.params = ThetaParams(tau=np.asarray(tau, dtype=complex), tol=tol)
         self.g = self.params.tau.shape[0]
         self.radius = radius
-        self._chol: np.ndarray | None = None  # upper triangular, chol^t chol = pi Im(tau)
-        self._classes: dict[int, _LatticeClass] = {}
+        self._p: np.ndarray | None = None  # (N, g) int16 points p = 2q, key-sorted
+        self._m: np.ndarray | None = None  # (N,) their weights
+        self._starts: np.ndarray | None = None  # (4^g + 1,) key starts
+        self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._tables: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+
+    def _lattice(self) -> None:
+        """Enumerate the lattice and weigh its points, once."""
+        if self._p is not None:
+            return
+        g, tau = self.g, self.params.tau
+        if g > MAX_GENUS:
+            raise ValueError(f"genus {g} is beyond the lattice key limit: the 2g-bit key "
+                             f"must fit uint16, so g <= {MAX_GENUS}")
+        if self.radius is None:
+            # One radius for every derivative order used (<= 4).
+            self.radius = truncation_radius(tau, self.params.tol, order=4)
+        chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
+        # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
+        if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:
+            raise ValueError(f"theta truncation radius {self.radius} is too large")
+        p, starts = _ellipsoid_points(chol, 2 * self.radius)
+        # m = exp(-pi q^t Y q), times exp(i pi q^t X q) only when X = Re(tau) != 0
+        y, x = tau.imag, tau.real
+        real = not x.any()
+        m = np.empty(len(p), dtype=float if real else complex)
+        for lo in range(0, len(p), _BLOCK):
+            q = 0.5 * p[lo : lo + _BLOCK]
+            w = np.exp(-np.pi * np.einsum("ij,ij->i", q @ y, q))
+            m[lo : lo + _BLOCK] = w if real else w * np.exp(1j * np.pi * np.einsum("ij,ij->i", q @ x, q))
+        self._p, self._m, self._starts = p, m, starts
 
     def _lattice_class(self, eps_prime: int) -> _LatticeClass:
         """The class of eps' (g bits, first entry most significant)."""
-        cls = self._classes.get(eps_prime)
-        if cls is not None:
-            return cls
-        g, tau = self.g, self.params.tau
-        if self._chol is None:
-            if self.radius is None:
-                # One radius for every derivative order used (<= 4).
-                self.radius = truncation_radius(tau, self.params.tol, order=4)
-            self._chol = np.linalg.cholesky(np.pi * tau.imag).T
-            # |n_i| <= R sqrt((y^{-1})_ii) + 1 must fit the int16 offsets
-            if self.radius * np.linalg.norm(np.linalg.inv(self._chol), axis=1).max() + 1 >= 2**15:
-                raise ValueError(f"theta truncation radius {self.radius} is too large")
-        weights = 1 << np.arange(g - 1, -1, -1)
-        shift = 0.5 * ((eps_prime & weights) > 0)
-        n = _ellipsoid_points(self._chol, shift, self.radius)
-        parity_bin = ((n & 1) @ weights).astype(np.uint16)  # radix-sortable
-        order = np.argsort(parity_bin, kind="stable")
-        starts = np.searchsorted(parity_bin[order], np.arange(2**g + 1))
-        n = n.astype(np.int16)[order]
-        q = n + shift
-        # q @ tau as one real product: a complex matrix viewed as float interleaves re, im
-        m = np.exp(1j * np.pi * np.einsum("ij,ij->i", (q @ tau.view(float)).view(complex), q))
-        cls = self._classes[eps_prime] = _LatticeClass(shift, n, m, starts)
-        return cls
+        self._lattice()
+        starts = self._starts[eps_prime << self.g : (eps_prime + 1 << self.g) + 1]
+        lo, hi = starts[0], starts[-1]
+        return _LatticeClass(self._p[lo:hi], self._m[lo:hi], starts - lo)
+
+    def _transform(self, bins: np.ndarray, eps_prime: np.ndarray, order: int) -> np.ndarray:
+        """Values T[e, eps, j] of every eps for the half-class bin moments
+        bins[e, b, j] of the classes eps_prime[e]."""
+        g = self.g
+        e = np.arange(len(eps_prime))[:, None]
+        # -q is in bin b ^ eps' with the same m and (-1)^k times the monomial
+        full = bins + (-1) ** order * bins[e, np.arange(2**g) ^ eps_prime[:, None]]
+        if order == 0:
+            full[eps_prime == 0, 0, 0] -= 1.0  # the origin is its own mirror
+        phase = (2j * np.pi) ** order * _phases(g)[eps_prime]
+        return phase[:, :, None] * (_hadamard(g) @ full)
+
+    def char_table(self, order: int) -> np.ndarray:
+        """Order-0 (theta constants) or order-1 (gradients) values at 0 of
+        all 4^g characteristics: row c = eps << g | eps'
+        (``HalfCharacteristic.bits``), one column per sorted multi-index.
+        Built once, from every class at once, and read-only."""
+        return self._char_table(order)[0]
+
+    def _char_table(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """char_table(order) and the largest single |term| of each class."""
+        hit = self._dense.get(order)
+        if hit is not None:
+            return hit
+        if order not in (0, 1):
+            raise ValueError("the all-class table covers orders 0 and 1")
+        self._lattice()
+        g, m, key_starts = self.g, self._m, self._starts
+        size = np.zeros(2**g)  # per class, its largest |term| / (2 pi)^k
+        bins = np.zeros((4**g, g if order else 1), dtype=m.dtype)
+        cls_starts = key_starts[:: 2**g]
+        if order == 0:
+            filled = np.flatnonzero(np.diff(key_starts))
+            bins[filled, 0] = np.add.reduceat(m, key_starts[filled])
+            occupied = np.flatnonzero(np.diff(cls_starts))
+            size[occupied] = np.maximum.reduceat(np.abs(m), cls_starts[occupied])
+        else:
+            for e in range(2**g):
+                cls = self._lattice_class(e)
+                if len(cls.m):
+                    bins[e << g : e + 1 << g], size[e] = self._bins(cls, 1)
+        bins = bins.reshape(2**g, 2**g, -1)
+        eps_prime = np.arange(2**g)
+        table = self._transform(bins, eps_prime, order).swapaxes(0, 1).reshape(4**g, -1)
+        table.flags.writeable = False
+        out = self._dense[order] = (table, (2 * np.pi) ** order * size)
+        return out
+
+    def _bins(self, cls: _LatticeClass, order: int) -> tuple[np.ndarray, float]:
+        """bins[b, j], the sum over parity bin b of the class of m times the
+        j-th sorted monomial of degree order >= 1, and the class's largest
+        |m| max_i |q_i|^order."""
+        g = self.g
+        tail, pick, _ = _layout(g, order)
+        bins = np.zeros((2**g, len(pick)), dtype=cls.m.dtype)
+        filled = np.flatnonzero(np.diff(cls.starts))
+        q = 0.5 * cls.p
+        size = float(np.max(np.abs(cls.m) * reduce(np.maximum, np.abs(q).T) ** order, initial=0.0))
+        if order == 1:
+            bins[filled] = np.add.reduceat(cls.m[:, None] * q, cls.starts[filled])
+            return bins, size
+        for b in filled:
+            lo, hi = cls.starts[b], cls.starts[b + 1]
+            rest = cls.m[lo:hi, None]
+            for c in tail.T:
+                rest = rest * q[lo:hi, c]
+            bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
+        return bins, size
 
     def table(self, eps_prime: int, order: int) -> tuple[np.ndarray, float]:
         """(T, scale): T[eps, j] is the derivative of theta[eps; eps'] at 0
         along the j-th sorted multi-index of the order (for order 1, j is the
         coordinate); scale is the largest single |term|, the same for every
         eps.  Cached, and read-only."""
+        if order < 2:
+            table, scale = self._char_table(order)
+            return table[eps_prime :: 1 << self.g], float(scale[eps_prime])
         key = (eps_prime, order)
         hit = self._tables.get(key)
         if hit is not None:
             return hit
-        cls = self._lattice_class(eps_prime)
-        g = self.g
-        # bins[b, j]: sum over parity bin b of m times the j-th sorted monomial
-        tail, pick, _ = _layout(g, order)
-        bins = np.zeros((2**g, len(pick)), dtype=complex)
-        filled = np.flatnonzero(np.diff(cls.starts))
-        size = np.abs(cls.m)  # per point, its largest |term|: |m| max_i |q_i|^order
-        if order == 0:
-            bins[filled, 0] = np.add.reduceat(cls.m, cls.starts[filled])
-        else:
-            q = cls.n + cls.shift
-            size = size * reduce(np.maximum, np.abs(q).T) ** order
-            for b in filled:
-                lo, hi = cls.starts[b], cls.starts[b + 1]
-                rest = cls.m[lo:hi, None]
-                for c in tail.T:
-                    rest = rest * q[lo:hi, c]
-                bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
-        # -q is in bin b ^ eps' with the same m and (-1)^k times the monomial
-        bins += (-1) ** order * bins[np.arange(2**g) ^ eps_prime]
-        if eps_prime == 0 and order == 0:
-            bins[0, 0] -= 1.0  # the origin is its own mirror
-        pref = (2j * np.pi) ** order
-        phase = _I_POWERS[[(eps & eps_prime).bit_count() % 4 for eps in range(2**g)]]
-        table = (pref * phase)[:, None] * (_hadamard(g) @ bins)
+        bins, size = self._bins(self._lattice_class(eps_prime), order)
+        table = self._transform(bins[None], np.array([eps_prime]), order)[0]
         table.flags.writeable = False
-        out = self._tables[key] = (table, abs(pref) * float(np.max(size, initial=0.0)))
+        out = self._tables[key] = (table, (2 * np.pi) ** order * size)
         return out
 
     def theta(self, char: HalfCharacteristic, v: np.ndarray | None = None) -> complex:
@@ -273,10 +399,9 @@ class ThetaEngine:
         if v is None:
             return complex(self.table(eps_prime, 0)[0][eps, 0])
         cls = self._lattice_class(eps_prime)
-        q = cls.n + cls.shift
         shift = 0.5 * np.asarray(char.eps, dtype=float) + np.asarray(v, dtype=complex)
         # q and -q together give 2 m cos(2 pi q.shift); the origin only m = 1
-        return complex(2.0 * np.sum(cls.m * np.cos(2 * np.pi * (q @ shift))) - (eps_prime == 0))
+        return complex(2.0 * np.sum(cls.m * np.cos(np.pi * (cls.p @ shift))) - (eps_prime == 0))
 
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
         """All order-m partial derivatives of theta[char] at v = 0."""

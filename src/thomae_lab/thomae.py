@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic
+from .characteristics import HalfCharacteristic, _char, mask_chars
 from .context import CurveContext
 from .curve import elementary_symmetric_all, ordered_diff_product, vandermonde
 from .indexsets import IndexSet, complement_finite, drop, iset
@@ -236,22 +236,44 @@ class PhaseCalibration:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
+def _vandermondes(e: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """:func:`curve.vandermonde` of every row of an int array of ascending
+    index sets, the factors in the same order."""
+    hi, lo = np.tril_indices(sets.shape[1], -1)
+    return reduce(np.multiply, (e[sets[:, hi] - 1] - e[sets[:, lo] - 1]).T, np.ones(len(sets)))
+
+
 def calibrate_phases(ctx: CurveContext) -> PhaseCalibration:
     """Snap theta[I_0]/rhs to the nearest 8th root for every even
-    non-singular characteristic; a large snap residual signals an upstream
-    sign error and raises."""
-    phases, ratios, residuals, sets = {}, {}, {}, {}
-    for i0 in combinations(range(1, ctx.spec.n_finite + 1), ctx.g):
-        c = ctx.char(i0)
-        lhs = ctx.const(i0)
-        rhs = first_thomae_rhs(ctx, i0)
-        ratio = lhs / rhs
-        phase, _ = snap_phase(ratio)
-        resid = abs(ratio - phase)
-        if resid > CALIBRATION_FAIL_TOL:
-            raise ValueError(
-                f"phase calibration failed for I_0={i0} (char {c}): "
-                f"ratio {ratio}, nearest 8th root {phase}, residual {resid:.3e}"
-            )
-        phases[c], ratios[c], residuals[c], sets[c] = phase, ratio, resid, i0
-    return PhaseCalibration(phases=phases, ratios=ratios, residuals=residuals, sets=sets)
+    non-singular characteristic, all I_0 at once; a large snap residual
+    signals an upstream sign error and raises for the first such I_0 in
+    ``combinations`` order."""
+    g, n = ctx.g, ctx.spec.n_finite
+    sets = list(combinations(range(1, n + 1), g))
+    i0 = np.array(sets, dtype=np.intp).reshape(len(sets), g)
+    inside = np.zeros((len(sets), n + 1), dtype=bool)
+    np.put_along_axis(inside, i0, True, axis=1)
+    j0 = np.nonzero(~inside[:, 1:])[1].reshape(len(sets), n - g) + 1
+    masks = np.bitwise_or.reduce(1 << i0, axis=1)
+    e = np.array(ctx.spec.branch_points)
+    # first_thomae_rhs of every I_0, in its order of operations
+    rhs = ctx.det_factor * _vandermondes(e, i0) ** 0.25 * _vandermondes(e, j0) ** 0.25
+    ratios = ctx.consts(masks) / rhs
+    turns = np.nan_to_num(np.rint(np.angle(ratios) / (np.pi / 4)))
+    phases = np.array(EIGHTH_ROOTS)[turns.astype(np.intp) % 8]
+    residuals = np.abs(ratios - phases)
+    chars = [_char(g, bits) for bits in mask_chars(g)[masks].tolist()]
+    bad = np.flatnonzero(~(residuals <= CALIBRATION_FAIL_TOL))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"phase calibration failed for I_0={sets[i]} (char {chars[i]}): "
+            f"ratio {ratios[i].item()}, nearest 8th root {phases[i].item()}, "
+            f"residual {residuals[i]:.3e}"
+        )
+    return PhaseCalibration(
+        phases=dict(zip(chars, phases.tolist())),
+        ratios=dict(zip(chars, ratios.tolist())),
+        residuals=dict(zip(chars, residuals.tolist())),
+        sets=dict(zip(chars, sets)),
+    )

@@ -11,7 +11,9 @@ from thomae_lab.characteristics import (
     parity,
     zero_char,
 )
-from thomae_lab.theta import ThetaEngine, ThetaParams, truncation_radius
+from thomae_lab import theta as theta_module
+from thomae_lab.context import CurveContext
+from thomae_lab.theta import MAX_GENUS, ThetaEngine, ThetaParams, truncation_radius
 
 
 def box_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
@@ -31,9 +33,9 @@ def check_half_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
     exactly the box class; returns the box class."""
     cls = engine._lattice_class(eps_prime)
     full = box_class(engine, eps_prime)
-    half = {tuple(q) for q in (cls.n + cls.shift).tolist()}
+    half = {tuple(q) for q in (0.5 * cls.p).tolist()}
     mirror = {tuple(-x for x in q) for q in half}
-    assert len(half) == len(cls.n)
+    assert len(half) == len(cls.p)
     assert len(half & mirror) == (eps_prime == 0)  # only the origin is its own mirror
     assert half | mirror == {tuple(q) for q in full.tolist()}
     return full
@@ -214,6 +216,77 @@ def test_invalid_tau_rejected():
 def test_radius_beyond_int16_offsets_rejected():
     with pytest.raises(ValueError, match="too large"):
         ThetaEngine(np.array([[1j]]), radius=1e6).theta(zero_char(1))
+
+
+def test_genus_beyond_lattice_key_rejected(monkeypatch):
+    # the 2g-bit key of a lattice point must fit uint16; the check comes first
+    def enumerate_nothing(*args):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(theta_module, "_ellipsoid_points", enumerate_nothing)
+    g = MAX_GENUS + 1
+    with pytest.raises(ValueError, match=f"g <= {MAX_GENUS}"):
+        ThetaEngine(1j * np.eye(g)).theta(zero_char(g))
+
+
+def test_int16_bound_is_on_p():
+    # the stored points are p = 2q: |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1
+    # must fit int16, so R = 4e4 fails at tau = i where R = 2e4 does not
+    reach = 1 / np.sqrt(np.pi)
+    assert 4e4 * reach + 1 < 2**15 <= 8e4 * reach + 1
+    with pytest.raises(ValueError, match="too large"):
+        ThetaEngine(np.array([[1j]]), radius=4e4).theta(zero_char(1))
+    eng = ThetaEngine(np.array([[1j]]), radius=2e4)
+    assert abs(eng.theta(zero_char(1)) - ThetaEngine(np.array([[1j]])).theta(zero_char(1))) < 1e-15
+    assert eng._p.max() == int(2e4 * 2 * reach)
+
+
+def test_one_enumeration_per_engine(ctx, monkeypatch):
+    calls = []
+    enumerate_points = theta_module._ellipsoid_points
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_points(*args)
+
+    monkeypatch.setattr(theta_module, "_ellipsoid_points", counted)
+    c = ctx(3)
+    fresh = CurveContext.build(c.spec, periods=c.periods)
+    fresh.consts(np.arange(1 << 8))  # every constant ...
+    fresh.grads(np.arange(1 << 8))  # ... every gradient ...
+    fresh.hess((1, 2))  # ... and one order-2 tensor
+    assert len(calls) == 1
+
+
+_PI_LD = np.longdouble("3.141592653589793238462643383279502884")
+
+
+def test_real_weights_against_long_double(ctx):
+    """Constants and gradients of every characteristic against long-double
+    sums over the engine's own points, with the v = 0 phase exact: for
+    p = 2q, exp(i pi q.eps) = i^{p.eps}, and the pair q, -q gives
+    2 m Re(i^{p.eps}) and -4 pi q m Im(i^{p.eps})."""
+    eng = ctx(5).engine
+    g, tau = eng.g, eng.params.tau
+    assert not tau.real.any()  # the certifier's tau is i Y
+    consts, grads = eng.char_table(0)[:, 0], eng.char_table(1)
+    y = tau.imag.astype(np.longdouble)
+    eps = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1  # row eps, first entry first
+    ref_c = np.zeros(4**g, dtype=np.longdouble)
+    ref_g = np.zeros((4**g, g), dtype=np.longdouble)
+    for eps_prime in range(2**g):
+        cls = eng._lattice_class(eps_prime)
+        q = cls.p.astype(np.longdouble) / 2
+        m = np.exp(-_PI_LD * np.einsum("ij,ij->i", q @ y, q))
+        turns = (cls.p.astype(np.int64) @ eps.T) % 4  # (N, 2^g): p.eps mod 4
+        re = np.array([1, 0, -1, 0], dtype=np.longdouble)[turns]
+        im = np.array([0, 1, 0, -1], dtype=np.longdouble)[turns]
+        rows = (np.arange(2**g) << g) | eps_prime
+        ref_c[rows] = 2 * (m @ re) - (eps_prime == 0)
+        ref_g[rows] = -4 * _PI_LD * ((q * m[:, None]).T @ im).T
+    assert np.max(np.abs(consts.imag)) <= 2e-15 * np.max(np.abs(consts))
+    assert np.max(np.abs(consts - ref_c)) <= 2e-15 * np.max(np.abs(consts))
+    assert np.max(np.abs(grads - ref_g)) <= 2e-15 * np.max(np.abs(grads))
 
 
 def test_truncation_radius_monotone():

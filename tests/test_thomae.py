@@ -180,6 +180,21 @@ def test_calibration(ctx):
         assert len(cal.phases) == len(list(enumerate_partitions(g, 0)))
 
 
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_array_calibration_matches_scalar_rhs(ctx, g):
+    c = ctx(g)
+    cal = calibrate_phases(c)
+    sets = list(combinations(range(1, 2 * g + 2), g))
+    assert list(cal.sets.values()) == sets  # combinations order
+    assert list(cal.sets) == [c.char(i0) for i0 in sets]
+    for char, i0 in cal.sets.items():
+        ratio = c.const(i0) / first_thomae_rhs(c, i0)
+        assert abs(cal.ratios[char] - ratio) <= 1e-13 * abs(ratio), i0
+        phase, snap = snap_phase(ratio)
+        assert cal.phases[char] == phase, i0
+        assert abs(cal.residuals[char] - snap) <= 1e-13, i0
+
+
 def test_calibration_failure_detected(ctx):
     # corrupting one cached theta constant must trip the calibration guard
     import copy
@@ -237,3 +252,21 @@ def test_derivative_indices_validated(ctx):
         general_thomae_rhs(c, (), (1,), (1, 2, 3))
     with pytest.raises(ValueError, match=r"\|K\|"):
         general_thomae_ratio_rhs(c, (1,), (1,), (2, 3, 4), (1, 2, 3, 4))
+
+
+def test_calibration_failure_names_first_set(ctx):
+    # with several corrupted constants the error names the first I_0 in
+    # combinations order; a NaN constant fails like any misfit
+    import copy
+
+    c = ctx(3)
+    calibrate_phases(c)
+    broken = copy.copy(c)
+    broken._C = c._C.copy()
+    broken._C[c.char((2, 4, 6)).bits] = np.nan
+    broken._C[c.char((1, 5, 7)).bits] *= 1.07
+    with pytest.raises(ValueError, match=r"I_0=\(1, 5, 7\)"):
+        calibrate_phases(broken)
+    broken._C[c.char((1, 5, 7)).bits] = c.const((1, 5, 7))
+    with pytest.raises(ValueError, match=r"I_0=\(2, 4, 6\)"):
+        calibrate_phases(broken)

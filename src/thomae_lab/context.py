@@ -9,10 +9,10 @@ assignment on first use.
 :meth:`CurveContext.consts` and :meth:`CurveContext.grads` gather whole
 arrays of index masks at once (the batched families);
 :meth:`CurveContext.const` and :meth:`CurveContext.grad` read one index set.
-Derivative tensors of order 2 and 3 stay in a dict per (characteristic,
-order): a dense order-3 store would take about 90 MB at genus 7.  The
-context also computes the curve-wide determinant factor of the Thomae
-formulas once.
+Derivative tensors of order 2 and 3 are read from the engine's per
+(eps', order) tables (:meth:`ThetaEngine.table`), which cache them; a
+dense order-3 store would take about 90 MB at genus 7.  The context also
+computes the curve-wide determinant factor of the Thomae formulas once.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic, Partition, _char, char_of_set, mask_chars
+from .characteristics import HalfCharacteristic, Partition, char_of_set, mask_chars
 from .curve import CurveSpec
 from .periods import PeriodData, compute_periods
-from .theta import DEFAULT_TOL, DerivThetaTensor, ThetaEngine
+from .theta import DEFAULT_TOL, DerivThetaTensor, ThetaEngine, _layout
 
 if TYPE_CHECKING:
     from .thomae import PhaseCalibration
@@ -41,7 +41,6 @@ class CurveContext:
     engine: ThetaEngine
     # set by ``run_suite`` once the phases are calibrated; THOMAE1 reads it
     calibration: PhaseCalibration | None = field(default=None, repr=False)
-    _deriv: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -90,11 +89,15 @@ class CurveContext:
     def derivs(self, masks: np.ndarray, order: int) -> np.ndarray:
         """Order-m derivative tensors of theta[I] at 0 for a 1-d array of
         index masks, stacked: shape (B,) + (g,)*order."""
-        chars = mask_chars(self.g)[masks].tolist()
-        out = np.empty((len(chars),) + (self.g,) * order, dtype=complex)
-        for row, c in enumerate(chars):
-            out[row] = self._tensor(c, order).entries
-        return out
+        g = self.g
+        chars = mask_chars(g)[masks]
+        eps, eps_prime = chars >> g, chars & ((1 << g) - 1)
+        flat = _layout(g, order)[2]  # tensor position -> sorted multi-index column
+        out = np.empty((len(chars), len(flat)), dtype=complex)
+        for e in set(eps_prime.tolist()):
+            rows = eps_prime == e
+            out[rows] = self.engine.table(e, order)[0][eps[rows, None], flat]
+        return out.reshape((len(chars),) + (g,) * order)
 
     def const(self, indices: Iterable[int]) -> complex:
         """Theta constant theta[I](0) for the partition named by the set."""
@@ -103,18 +106,8 @@ class CurveContext:
     def grad(self, indices: Iterable[int]) -> np.ndarray:
         return self._G[self.char(indices).bits]
 
-    def _tensor(self, bits: int, order: int) -> DerivThetaTensor:
-        """Order-m tensor of the characteristic with the given bits; orders 0
-        and 1 live in the dense stores, so only orders >= 2 are kept."""
-        t = self._deriv.get((bits, order))
-        if t is None:
-            t = self.engine.theta_deriv(_char(self.g, bits), order)
-            if order >= 2:
-                self._deriv[bits, order] = t
-        return t
-
     def deriv(self, indices: Iterable[int], order: int) -> DerivThetaTensor:
-        return self._tensor(self.char(indices).bits, order)
+        return self.engine.theta_deriv(self.char(indices), order)
 
     def hess(self, indices: Iterable[int]) -> np.ndarray:
         return self.deriv(indices, 2).entries

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import relations as rel
 from . import schottky as sch
-from .characteristics import enumerate_partitions
+from .characteristics import _char, enumerate_partitions
 from .context import CurveContext
 from .curve import CurveSpec, load_curve_file, validate_curve
 from .indexsets import complement_finite, iset
@@ -82,6 +82,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ValueError(f"unknown tolerance families: {sorted(unknown)}; "
+                             f"known: {sorted(DEFAULT_TOLERANCES)}")
 
     def tol(self, family: str) -> float:
         return self.tolerances.get(family, DEFAULT_TOLERANCES[family])
@@ -132,8 +136,9 @@ class Report:
             worst = max(r.residual for r in rs)
             fails = [r for r in rs if not r.passed]
             status = "PASS" if not fails else f"FAIL ({len(fails)}/{len(rs)})"
-            line = (f"  {fam:<14} {status:<12} n={len(rs):<4} worst={worst:.3e} "
-                    f"tol={rs[0].tolerance:.0e}")
+            lo, hi = min(r.tolerance for r in rs), max(r.tolerance for r in rs)
+            tol = f"{lo:.0e}" if lo == hi else f"{lo:.0e}..{hi:.0e}"
+            line = f"  {fam:<14} {status:<12} n={len(rs):<4} worst={worst:.3e} tol={tol}"
             if include_timings and fam in self.timings:
                 line += f"  [{self.timings[fam]:.2f}s]"
             lines.append(line)
@@ -220,8 +225,9 @@ class Family:
 
     ``bindings(ctx, cfg, rng)`` gives the bindings and
     ``verify(ctx, bindings, tolerance=..., **extra)`` the records of all of
-    them: the batched families take an int array with one binding per row,
-    the others a list of argument tuples through :func:`_each`.
+    them: the batched families take an int array with one binding per row
+    (THOMAE1 one calibration row per binding), the others a list of argument
+    tuples through :func:`_each`.
     ``tolerances`` maps further verifier keywords to tolerance keys.  Below
     ``min_genus`` the family has no instances.
     """
@@ -305,11 +311,17 @@ def _i0_sets(ctx, cap: int, rng: np.random.Generator) -> list:
     return [(tuple(row[: ctx.g]),) for row in _i0_splits(ctx, 0, _picker(rng, cap)).tolist()]
 
 
-def _thomae1(ctx, i0, tolerance):
-    cal, c = ctx.calibration, ctx.char(i0)
-    ratio, phase, snap = cal.ratios[c], cal.phases[c], cal.residuals[c]
-    residual = max(abs(abs(ratio) - 1.0), snap)
-    return VerificationRecord("THOMAE1", {"I0": i0}, residual, tolerance, notes=f"phase {phase:.3f}")
+def _thomae1(ctx, rows, tolerance):
+    """THOMAE1 at the calibration rows ``rows``: |ratio| must be 1 and the
+    ratio an eighth root of unity."""
+    cal = ctx.calibration
+    residual = np.maximum(np.abs(np.abs(cal.ratios[rows]) - 1.0), cal.residuals[rows])
+    return [
+        VerificationRecord("THOMAE1", {"I0": tuple(i0)}, res, tolerance, notes=f"phase {phase:.3f}")
+        for i0, res, phase in zip(
+            cal.sets[rows].tolist(), residual.tolist(), cal.phases[rows].tolist()
+        )
+    ]
 
 
 def _thomae2(ctx, i1, tolerance):
@@ -479,7 +491,8 @@ def _schottky_f_bindings(ctx, cfg, rng):
 # In run order.  Each family samples from its own stream, seeded by
 # crc32(name): reordering a family's draws changes its sampled bindings.
 FAMILIES = {f.name: f for f in (
-    Family("THOMAE1", lambda ctx, cfg, rng: _i0_sets(ctx, cfg.cap, rng), _each(_thomae1)),
+    Family("THOMAE1", lambda ctx, cfg, rng: _draw(len(ctx.calibration.sets), cfg.cap, rng),
+           _thomae1),
     Family("THOMAE2", lambda ctx, cfg, rng: _parts(ctx, 1, cfg.cap, rng), _each(_thomae2)),
     Family("THOMAEG", _thomaeg_bindings, _each(_thomaeg), 3, (("tolerance_m3", "THOMAEG_G5"),)),
     Family("EKLM", _eklm_bindings, rel.eklm_batch),
@@ -545,9 +558,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
     cal = ctx.calibration = calibrate_phases(ctx)
     # the calibration lists every I_0 in combinations order, i.e. sorted by set
     calibration = [
-        {"char": str(c), "set": list(i0), "phase": [phase.real, phase.imag], "residual": resid}
-        for c, i0, phase, resid in zip(
-            cal.sets, cal.sets.values(), cal.phases.values(), cal.residuals.values()
+        {"char": str(_char(ctx.g, bits)), "set": i0, "phase": [phase.real, phase.imag],
+         "residual": resid}
+        for bits, i0, phase, resid in zip(
+            cal.bits.tolist(), cal.sets.tolist(), cal.phases.tolist(), cal.residuals.tolist()
         )
     ]
     timings["calibration"] = time.perf_counter() - t0
@@ -594,10 +608,7 @@ def _parse_tolerances(values: list[str]) -> dict:
             if not piece:
                 continue
             name, _, val = piece.partition("=")
-            name = name.strip().upper()
-            if name not in DEFAULT_TOLERANCES:
-                raise argparse.ArgumentTypeError(f"unknown tolerance family {name!r}")
-            out[name] = float(val)
+            out[name.strip().upper()] = float(val)
     return out
 
 

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic, _char, mask_chars
+from .characteristics import _char, mask_chars
 from .context import CurveContext
 from .curve import elementary_symmetric_all, ordered_diff_product, vandermonde
 from .indexsets import IndexSet, complement_finite, drop, iset
@@ -224,16 +224,15 @@ def general_thomae_forms(
 
 @dataclass
 class PhaseCalibration:
-    """Per-characteristic eighth root of theta[I_0] / first_thomae_rhs(I_0),
-    with the ratio it was snapped from."""
+    """One row per non-singular even characteristic, in the ``combinations``
+    order of its finite set I_0: the ratio theta[I_0] / first_thomae_rhs(I_0),
+    the eighth root of unity it snaps to, and the snap residual."""
 
-    phases: dict[HalfCharacteristic, complex]
-    ratios: dict[HalfCharacteristic, complex]
-    residuals: dict[HalfCharacteristic, float]
-    sets: dict[HalfCharacteristic, IndexSet]
-
-    def worst_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+    sets: np.ndarray  # (N, g) ascending I_0
+    bits: np.ndarray  # (N,) HalfCharacteristic.bits of each I_0
+    ratios: np.ndarray  # (N,) complex
+    phases: np.ndarray  # (N,) complex
+    residuals: np.ndarray  # (N,) float
 
 
 def _vandermondes(e: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -249,11 +248,10 @@ def calibrate_phases(ctx: CurveContext) -> PhaseCalibration:
     signals an upstream sign error and raises for the first such I_0 in
     ``combinations`` order."""
     g, n = ctx.g, ctx.spec.n_finite
-    sets = list(combinations(range(1, n + 1), g))
-    i0 = np.array(sets, dtype=np.intp).reshape(len(sets), g)
-    inside = np.zeros((len(sets), n + 1), dtype=bool)
+    i0 = np.array(list(combinations(range(1, n + 1), g)), dtype=np.intp).reshape(-1, g)
+    inside = np.zeros((len(i0), n + 1), dtype=bool)
     np.put_along_axis(inside, i0, True, axis=1)
-    j0 = np.nonzero(~inside[:, 1:])[1].reshape(len(sets), n - g) + 1
+    j0 = np.nonzero(~inside[:, 1:])[1].reshape(len(i0), n - g) + 1
     masks = np.bitwise_or.reduce(1 << i0, axis=1)
     e = np.array(ctx.spec.branch_points)
     # first_thomae_rhs of every I_0, in its order of operations
@@ -262,18 +260,14 @@ def calibrate_phases(ctx: CurveContext) -> PhaseCalibration:
     turns = np.nan_to_num(np.rint(np.angle(ratios) / (np.pi / 4)))
     phases = np.array(EIGHTH_ROOTS)[turns.astype(np.intp) % 8]
     residuals = np.abs(ratios - phases)
-    chars = [_char(g, bits) for bits in mask_chars(g)[masks].tolist()]
+    bits = mask_chars(g)[masks]
     bad = np.flatnonzero(~(residuals <= CALIBRATION_FAIL_TOL))
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"phase calibration failed for I_0={sets[i]} (char {chars[i]}): "
+            f"phase calibration failed for I_0={tuple(i0[i].tolist())} "
+            f"(char {_char(g, int(bits[i]))}): "
             f"ratio {ratios[i].item()}, nearest 8th root {phases[i].item()}, "
             f"residual {residuals[i]:.3e}"
         )
-    return PhaseCalibration(
-        phases=dict(zip(chars, phases.tolist())),
-        ratios=dict(zip(chars, ratios.tolist())),
-        residuals=dict(zip(chars, residuals.tolist())),
-        sets=dict(zip(chars, sets)),
-    )
+    return PhaseCalibration(sets=i0, bits=bits, ratios=ratios, phases=phases, residuals=residuals)

@@ -20,7 +20,7 @@ import pytest
 
 from thomae_lab import relations as rel
 from thomae_lab import thomae
-from thomae_lab.characteristics import char_of_set, mask_chars
+from thomae_lab.characteristics import _char, char_of_set, mask_chars
 from thomae_lab.context import CurveContext
 from thomae_lab.harness import (
     FAMILIES,
@@ -29,12 +29,14 @@ from thomae_lab.harness import (
     _family_rng,
     _i0_splits,
     _kappa_splits,
+    _picker,
     random_curve,
     run_suite,
     unrank_combinations,
 )
 from thomae_lab.indexsets import IndexSet, complement_finite, drop, iset, replace
 from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
+from thomae_lab.theta import ThetaEngine
 from thomae_lab.thomae import FOURTH_ROOTS, snap_phase
 
 TINY = 1e-300
@@ -539,6 +541,7 @@ def _plain(v) -> bool:
 @pytest.mark.parametrize("g", [3, 4, 5])
 def test_bindings_hold_python_types(g):
     report = run_suite(SuiteConfig(spec=random_curve(g, 1), cap=500, seed=1))
+    assert any(rec.relation_id == "THOMAE1" for rec in report.records)
     for rec in report.records:
         assert all(_plain(v) for v in rec.bindings.values()), (rec.relation_id, rec.bindings)
 
@@ -616,3 +619,70 @@ def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
     records = FAMILIES["THOMAEG"](c, cfg, _family_rng(cfg, "THOMAEG"))
     assert records and all(r.passed for r in records)
     assert len(builds) == 2 * len(records)
+
+
+# --- THOMAE1 from the calibration rows --------------------------------------
+
+def oracle_thomae1(ctx: CurveContext, i0: IndexSet, tolerance: float = 1e-6) -> VerificationRecord:
+    """THOMAE1 for one I_0 from scalar lookups: theta[I_0] over the first
+    Thomae right side, snapped to the nearest eighth root."""
+    ratio = ctx.const(i0) / thomae.first_thomae_rhs(ctx, i0)
+    phase, snap = snap_phase(ratio)
+    residual = max(abs(abs(ratio) - 1.0), snap)
+    return VerificationRecord("THOMAE1", {"I0": i0}, residual, tolerance, notes=f"phase {phase:.3f}")
+
+
+@pytest.mark.parametrize("cap", [1, 7, 500])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_thomae1_records_equal_oracle(random_ctx, g, cap):
+    ctx = random_ctx(g, 1)
+    ctx.calibration = cal = thomae.calibrate_phases(ctx)
+    cfg = SuiteConfig(spec=ctx.spec, cap=cap, seed=1)
+    # the sampler THOMAE1 used while it ran one binding at a time
+    rows = _i0_splits(ctx, 0, _picker(_family_rng(cfg, "THOMAE1"), cap))
+    records = FAMILIES["THOMAE1"](ctx, cfg, _family_rng(cfg, "THOMAE1"))
+    assert len(records) == len(rows) == min(cap, math.comb(2 * g + 1, g))
+    # the calibration's ratio and snap residual per characteristic, as that
+    # verifier looked them up
+    by_char = {ctx.char(i0): (ratio, snap) for i0, ratio, snap in zip(
+        cal.sets.tolist(), cal.ratios.tolist(), cal.residuals.tolist())}
+    tol = cfg.tol("THOMAE1")
+    for row, got in zip(rows.tolist(), records):
+        i0 = tuple(row[:g])
+        want = oracle_thomae1(ctx, i0, tolerance=tol)
+        assert (got.relation_id, got.bindings, got.notes, got.passed, got.tolerance) == \
+            (want.relation_id, want.bindings, want.notes, want.passed, want.tolerance), i0
+        ratio, snap = by_char[ctx.char(i0)]
+        assert got.residual == max(abs(abs(ratio) - 1.0), snap), i0
+        # NumPy's and Python's complex division round differently in the last bit
+        assert abs(got.residual - want.residual) <= 1e-13, i0
+
+
+# --- derivative tensors from the engine's tables ----------------------------
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_derivs_gather_equals_theta_deriv(ctx, monkeypatch, g):
+    base = ctx(g)
+    c = CurveContext(spec=base.spec, periods=base.periods, engine=ThetaEngine(base.periods.tau))
+    builds = []
+    bins = ThetaEngine._bins
+
+    def counted(engine, cls, order):
+        builds.append(order)
+        return bins(engine, cls, order)
+
+    monkeypatch.setattr(ThetaEngine, "_bins", counted)
+    masks = np.random.default_rng(g).integers(0, 1 << (2 * g + 2), size=40)
+    chars = mask_chars(g)[masks].tolist()
+    classes = {b & ((1 << g) - 1) for b in chars}
+    assert len(classes) >= 8
+    for order in (2, 3):
+        got = c.derivs(masks, order)
+        want = np.stack([c.engine.theta_deriv(_char(g, b), order).entries for b in chars])
+        assert got.shape == (len(masks),) + (g,) * order
+        assert np.array_equal(got, want), order
+        assert np.array_equal(c.derivs(masks[::-1], order), want[::-1]), order
+        i = [i for i in range(2 * g + 2) if masks[0] >> i & 1]
+        assert np.array_equal(c.deriv(i, order).entries, want[0]), order
+    # each (eps', order) table is built once, however often it is read
+    assert sorted(builds) == [2] * len(classes) + [3] * len(classes)

@@ -103,6 +103,28 @@ def test_cli_rejects_bad_cap_before_compute(monkeypatch, capsys, cap):
     assert "argument --cap" in capsys.readouterr().err
 
 
+def test_suite_config_rejects_unknown_tolerance():
+    with pytest.raises(ValueError, match=r"unknown tolerance families: \['GRAD_2'\]; known: .*'GRAD2'"):
+        SuiteConfig(spec=random_curve(2, 1), tolerances={"GRAD_2": 1e-30})
+
+
+def test_cli_rejects_unknown_tolerance(monkeypatch, capsys):
+    def no_periods(*args, **kwargs):
+        raise AssertionError("periods computed for an unknown tolerance family")
+
+    monkeypatch.setattr("thomae_lab.harness.compute_periods", no_periods)
+    assert main(["verify", "--genus", "2", "--seed", "1", "--tol-family", "GRAD_2=1"]) == 2
+    assert "unknown tolerance families: ['GRAD_2']" in capsys.readouterr().err
+
+
+def test_text_report_prints_tolerance_range(capsys):
+    # at genus 5 THOMAEG mixes m = 2 (1e-5) and m = 3 (1e-4) records
+    assert main(["verify", "--genus", "5", "--seed", "1", "--relations", "THOMAE2,THOMAEG"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["THOMAEG"].endswith(" tol=1e-05..1e-04")
+    assert lines["THOMAE2"].endswith(" tol=1e-06")
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_suite_config_rejects_bad_cap(cap):
     with pytest.raises(ValueError, match="cap must be at least 1"):

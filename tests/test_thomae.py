@@ -173,11 +173,13 @@ def test_ratio_form_prefactor_positive(ctx):
 def test_calibration(ctx):
     for g in (2, 3):
         cal = calibrate_phases(ctx(g))
-        assert cal.worst_residual() < 1e-6
-        for ph in cal.phases.values():
+        assert cal.residuals.max() < 1e-6
+        for ph in cal.phases.tolist():
             assert abs(ph**8 - 1) < 1e-12
             assert any(abs(ph - r) < 1e-12 for r in EIGHTH_ROOTS)
-        assert len(cal.phases) == len(list(enumerate_partitions(g, 0)))
+        rows = len(list(enumerate_partitions(g, 0)))
+        assert cal.sets.shape == (rows, g)
+        assert len(cal.bits) == len(cal.ratios) == len(cal.phases) == len(cal.residuals) == rows
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -185,14 +187,16 @@ def test_array_calibration_matches_scalar_rhs(ctx, g):
     c = ctx(g)
     cal = calibrate_phases(c)
     sets = list(combinations(range(1, 2 * g + 2), g))
-    assert list(cal.sets.values()) == sets  # combinations order
-    assert list(cal.sets) == [c.char(i0) for i0 in sets]
-    for char, i0 in cal.sets.items():
+    assert [tuple(i0) for i0 in cal.sets.tolist()] == sets  # combinations order
+    assert cal.bits.tolist() == [c.char(i0).bits for i0 in sets]
+    for i0, got, got_phase, got_snap in zip(
+        sets, cal.ratios.tolist(), cal.phases.tolist(), cal.residuals.tolist()
+    ):
         ratio = c.const(i0) / first_thomae_rhs(c, i0)
-        assert abs(cal.ratios[char] - ratio) <= 1e-13 * abs(ratio), i0
+        assert abs(got - ratio) <= 1e-13 * abs(ratio), i0
         phase, snap = snap_phase(ratio)
-        assert cal.phases[char] == phase, i0
-        assert abs(cal.residuals[char] - snap) <= 1e-13, i0
+        assert got_phase == phase, i0
+        assert abs(got_snap - snap) <= 1e-13, i0
 
 
 def test_calibration_failure_detected(ctx):

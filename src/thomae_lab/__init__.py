@@ -24,10 +24,9 @@ from .thomae import (
     PhaseCalibration,
     calibrate_phases,
     first_thomae_rhs,
-    general_thomae_ratio_rhs,
     general_thomae_rhs,
     general_thomae_tensor,
-    second_thomae_rhs,
+    second_thomae_rhs_vector,
 )
 
 __version__ = "0.1.0"

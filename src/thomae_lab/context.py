@@ -108,6 +108,3 @@ class CurveContext:
 
     def deriv(self, indices: Iterable[int], order: int) -> DerivThetaTensor:
         return self.engine.theta_deriv(self.char(indices), order)
-
-    def hess(self, indices: Iterable[int]) -> np.ndarray:
-        return self.deriv(indices, 2).entries

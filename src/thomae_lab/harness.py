@@ -67,6 +67,13 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _check_tolerance(family: str, value: float) -> None:
+    """A tolerance must be a finite positive number: a residual is never
+    below zero or NaN, so any other value fails every record."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance for {family} must be finite and > 0, got {value}")
+
+
 @dataclass
 class SuiteConfig:
     spec: CurveSpec
@@ -82,10 +89,14 @@ class SuiteConfig:
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
+        if self.quad_order < 1:
+            raise ValueError(f"quad_order must be at least 1, got {self.quad_order}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance families: {sorted(unknown)}; "
                              f"known: {sorted(DEFAULT_TOLERANCES)}")
+        for family, value in self.tolerances.items():
+            _check_tolerance(family, value)
 
     def tol(self, family: str) -> float:
         return self.tolerances.get(family, DEFAULT_TOLERANCES[family])
@@ -306,9 +317,16 @@ def _parts(ctx, m: int, cap: int, rng: np.random.Generator) -> list:
     return [(p,) for p in _sample([p.part for p in enumerate_partitions(ctx.g, m)], cap, rng)]
 
 
-def _i0_sets(ctx, cap: int, rng: np.random.Generator) -> list:
-    """Sampled finite g-sets I_0, one per tuple."""
-    return [(tuple(row[: ctx.g]),) for row in _i0_splits(ctx, 0, _picker(rng, cap)).tolist()]
+def _mask(indices) -> int:
+    """Bit mask of an index set (bit i = index i)."""
+    return sum(1 << int(i) for i in indices)
+
+
+def _part_masks(ctx, m: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows [part mask] of the sampled finite parts of the multiplicity-m
+    partitions."""
+    masks = [_mask(p) for (p,) in _parts(ctx, m, cap, rng)]
+    return np.array(masks, dtype=np.int64).reshape(-1, 1)
 
 
 def _thomae1(ctx, rows, tolerance):
@@ -396,14 +414,15 @@ def _grad4_bindings(ctx, cfg, rng):
 
 
 def _gradn_bindings(ctx, cfg, rng):
+    # rows [I B j_m j_n], I and B as masks: three draws per r
     g = ctx.g
-    universe = list(range(2 * g + 2))
+    rows = []
     for r in range(2, min(4, g) + 1):
         for _ in range(3):
-            pick = rng.choice(len(universe), size=(g - r) + (2 * r - 1), replace=False)
-            chosen = sorted(universe[i] for i in pick)
-            j_set = [x for x in universe if x not in chosen and x != 0]
-            yield tuple(chosen[: g - r]), tuple(chosen[g - r:]), r, j_set[0], j_set[1]
+            chosen = np.sort(rng.choice(2 * g + 2, size=(g - r) + (2 * r - 1), replace=False))
+            j_set = [x for x in range(1, 2 * g + 2) if x not in chosen]
+            rows.append([_mask(chosen[: g - r]), _mask(chosen[g - r :]), j_set[0], j_set[1]])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def _rank_bindings(ctx, cfg, rng):
@@ -439,8 +458,10 @@ def _rank(ctx, sets, degenerate, tolerance):
 
 
 def _hess_equiv_bindings(ctx, cfg, rng):
+    # rows [I0_a K_a j_m j_n  I0_b K_b j_m j_n], the index sets as masks
     g, n = ctx.g, ctx.spec.n_finite
     fin = list(range(1, n + 1))
+    rows = []
     # |K| = 4 equivalence needs five spare indices
     for ksize, count in ((3, min(cfg.cap // 25, 20)), (4, min(cfg.cap // 50, 10))):
         if ksize > g:
@@ -452,7 +473,8 @@ def _hess_equiv_bindings(ctx, cfg, rng):
             ka, kb = ps[:ksize], ps[: ksize - 1] + ps[ksize:]
             ia, ib = iset(i_set + ka), iset(i_set + kb)
             jc = sorted(set(complement_finite(n, ia)) & set(complement_finite(n, ib)))
-            yield (ia, ka, jc[0], jc[1]), (ib, kb, jc[0], jc[1])
+            rows.append([_mask(ia), _mask(ka), jc[0], jc[1], _mask(ib), _mask(kb), jc[0], jc[1]])
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
 
 def _d3_k5_bindings(ctx, cfg, rng):
@@ -464,11 +486,18 @@ def _d3_k6_bindings(ctx, cfg, rng):
 
 
 def _conj_m_bindings(ctx, cfg, rng):
-    # specialisations: the general construction must match the dedicated ones
+    # rows [I0 K m j_m j_n], I0 and K as masks; specialisations: the general
+    # construction must match the dedicated ones
     i0 = tuple(range(1, ctx.g + 1))
     j0 = complement_finite(ctx.spec.n_finite, i0)
     specs = [(2, 3), (2, 4), (3, 5)] + ([(4, 7)] if cfg.enable_heavy else [])
-    return [(i0, i0[:ksize], m, j0[0], j0[1]) for m, ksize in specs if ksize <= ctx.g]
+    return np.array([[_mask(i0), _mask(i0[:ksize]), m, j0[0], j0[1]]
+                     for m, ksize in specs if ksize <= ctx.g], dtype=np.int64).reshape(-1, 5)
+
+
+def _rj_det_bindings(ctx, cfg, rng):
+    # rows [I_0]
+    return _i0_splits(ctx, 0, _picker(rng, min(cfg.cap // 10, 20)))[:, : ctx.g]
 
 
 def _schottky_r_bindings(ctx, cfg, rng):
@@ -502,20 +531,20 @@ FAMILIES = {f.name: f for f in (
     Family("GRAD3", lambda ctx, cfg, rng: _kappa_splits(ctx, ctx.g - 2, 3, _picker(rng, cfg.cap)),
            rel.grad3_batch),
     Family("GRAD4", _grad4_bindings, rel.grad4_batch, 3),
-    Family("GRADN", _gradn_bindings, _each(rel.verify_gradN)),
+    Family("GRADN", _gradn_bindings, rel.gradn_batch),
     Family("RANK", _rank_bindings, _each(_rank)),
     Family("HESS_K3", lambda ctx, cfg, rng: _i0_splits(ctx, 3, _picker(rng, cfg.cap // 2)),
            rel.derivative_batch, 3),
     Family("HESS_K4", lambda ctx, cfg, rng: _i0_splits(ctx, 4, _picker(rng, cfg.cap // 2)),
            rel.derivative_batch, 4),
-    Family("HESS_EQUIV", _hess_equiv_bindings, _each(rel.hessian_repr_equiv), 3),
-    Family("HESS_RANK", lambda ctx, cfg, rng: _parts(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
-           _each(rel.hessian_rank), 3),
+    Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_equiv_batch, 3),
+    Family("HESS_RANK",
+           lambda ctx, cfg, rng: _part_masks(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
+           rel.hessian_rank_batch, 3),
     Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 5),
     Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 6),
-    Family("CONJ_M", _conj_m_bindings, _each(rel.conjecture_m_repr), 3),
-    Family("RJ_DET", lambda ctx, cfg, rng: _i0_sets(ctx, min(cfg.cap // 10, 20), rng),
-           _each(rel.riemann_jacobi_det)),
+    Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch, 3),
+    Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch),
     Family("SCHOTTKY_R", _schottky_r_bindings, _each(sch.verify_schottky_R), 4,
            (("det_tolerance", "SCHOTTKY_DETR"),)),
     Family("SCHOTTKY_F", _schottky_f_bindings, _each(sch.verify_appendix_f)),
@@ -601,14 +630,21 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_tolerances(values: list[str]) -> dict:
+def _parse_tolerances(parser: argparse.ArgumentParser, values: list[str]) -> dict:
     out = {}
     for item in values:
         for piece in item.split(","):
             if not piece:
                 continue
-            name, _, val = piece.partition("=")
-            out[name.strip().upper()] = float(val)
+            name, sep, val = piece.partition("=")
+            name = name.strip().upper()
+            try:
+                if not sep:
+                    raise ValueError("expected NAME=VAL")
+                out[name] = float(val)
+                _check_tolerance(name, out[name])
+            except ValueError as exc:
+                parser.error(f"argument --tol-family: {piece!r}: {exc}")
     return out
 
 
@@ -646,6 +682,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cap < 1:
         parser.error(f"argument --cap: must be at least 1, got {args.cap}")
+    if args.quad_order < 1:
+        parser.error(f"argument --quad-order: must be at least 1, got {args.quad_order}")
+    tolerances = _parse_tolerances(parser, args.tol_family)
     try:
         if args.curve:
             spec = load_curve_file(args.curve)
@@ -655,7 +694,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = SuiteConfig(
             spec=spec,
             relations=relations,
-            tolerances=_parse_tolerances(args.tol_family),
+            tolerances=tolerances,
             quad_order=args.quad_order,
             theta_tol=args.theta_tol,
             cap=args.cap,

@@ -1,42 +1,43 @@
 """Numerical verification of the theta-constant relations.
 
-Every operation evaluates both sides of one relation instance from cached
-theta values and returns a :class:`VerificationRecord` whose residual is
-normalized by the largest additive term, so near-cancellation identities are
-judged fairly.  Families:
+Every verifier evaluates both sides of one relation for every row of an int
+array of bindings and returns one :class:`VerificationRecord` per row, whose
+residual is normalized by the largest additive term, so near-cancellation
+identities are judged fairly.  Families:
 
 * EKLM / EJI      -- theta-constant cross ratios (squared / fourth powers),
 * GRAD2..GRADN    -- linear relations between gradient vectors of
-                     multiplicity-1 derivative theta constants,
+                     multiplicity-1 derivative theta constants; GRAD3 and
+                     GRAD4 are GRADN at r = 2 and 3, and all three run
+                     through one kernel, :func:`_gradient_residuals`,
 * RANK            -- rank of a collection of gradients vs the combinatorial
                      prediction from the intersection pattern of partitions,
 * HESS_K3/K4,     -- one statement at orders m = 2, 3 and any m: the order-m
   D3_K5/K6,          derivative tensor of theta[I0 - K] equals
   CONJ_M             R . A^{(x)m} / theta[I0]^{m-1}, A the gradients of
                      theta[I0 - p] for p in K, |K| in {2m-1, 2m}, R a
-                     symmetric tensor of theta constants.  One verifier,
-                     :func:`derivative_repr`, takes m and the record id from
-                     |K| (3, 4, 5, 6); :func:`conjecture_m_repr` is the same
-                     body at a given m, up to a global sign,
+                     symmetric tensor of theta constants.
+                     :func:`derivative_batch` takes m and the record id from
+                     |K| (3, 4, 5, 6); :func:`conjecture_batch` is the same
+                     computation at a given m, up to a global sign,
 * HESS_EQUIV      -- two representations of the same Hessian agree,
 * HESS_RANK       -- rank of the Hessian (3 in genus > 3, full at g = 3),
 * RJ_DET          -- the hyperelliptic Riemann-Jacobi derivative formula.
 
-Batched families.  EKLM, EJI, GRAD2/3/4 and the representation records
-apply one fixed formula to many bindings, so each has a ``*_batch``
-function over an int array with one binding per row (the slots of the
-per-binding verifier, in its argument order).  An index set is a bit mask
-(bit i = index i), so the substitution I^{(a -> b)} is I ^ a ^ b, and
-:meth:`CurveContext.consts` / :meth:`CurveContext.grads` gather the theta
-values of a whole (B, ...) mask array from the curve's dense stores; the
-arithmetic then runs once over all B rows.  The per-binding verifiers
-(``verify_grad2``, ``derivative_repr``, ...) validate their arguments and
-call the batch function with one row.  Coefficient products are reduced
-along a trailing axis, which rounds as Python's scalar products do, and R is
-built with :func:`_cmul` / :func:`_cdiv`, which round as Python's complex
-arithmetic does: GRAD2/3/4 residuals and R equal the per-binding formulas
-bit for bit.  EKLM, EJI and the contraction of R with the gradients round
-in another order; their residuals agree to far below the tolerances.
+Bindings.  A row holds the slots of one binding, index sets as their
+indices; where the sets of one family differ in size from row to row
+(GRADN, HESS_EQUIV, HESS_RANK, CONJ_M), a row holds each set as its bit mask
+(bit i = index i) and the verifier groups rows by size.  Inside, an index
+set is always a mask, so the substitution I^{(a -> b)} is I ^ a ^ b, and
+:meth:`CurveContext.consts` / :meth:`CurveContext.grads` /
+:meth:`CurveContext.derivs` gather the theta values of a whole (B, ...) mask
+array from the curve's stores; the arithmetic then runs once over all B
+rows.  Coefficient products are reduced along a trailing axis, which rounds
+as Python's scalar products do, and R is built with :func:`_cmul` /
+:func:`_cdiv`, which round as Python's complex arithmetic does: GRAD2/3/4
+residuals and R equal the per-binding formulas bit for bit.  EKLM, EJI,
+GRADN and the contraction of R with the gradients round in another order;
+their residuals agree to far below the tolerances.
 
 Index-set conventions: 0 is the infinity index, smallest in the set order;
 all kappa bindings are ascending; signs alternate in ascending set order.
@@ -52,7 +53,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .context import CurveContext
-from .indexsets import IndexSet, complement_finite, drop, iset
 from .thomae import FOURTH_ROOTS
 
 TINY = 1e-300
@@ -101,11 +101,6 @@ def _vector_residuals(terms: np.ndarray) -> np.ndarray:
     return np.max(total / np.maximum(per_comp, floor), axis=1)
 
 
-def vector_identity_residual(terms: Sequence[np.ndarray]) -> float:
-    """max_n |sum_i T_i[n]| / (largest |T_i[n]| in that component)."""
-    return float(_vector_residuals(np.stack([np.asarray(t, dtype=complex) for t in terms])[None])[0])
-
-
 def scalar_identity_residual(terms: Sequence[complex]) -> float:
     mags = [abs(t) for t in terms]
     return abs(sum(terms)) / (max(mags) + TINY)
@@ -116,10 +111,6 @@ def _match_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     axes = tuple(range(1, lhs.ndim))
     scale = np.maximum(np.max(np.abs(lhs), axis=axes), np.max(np.abs(rhs), axis=axes)) + TINY
     return np.max(np.abs(lhs - rhs), axis=axes) / scale
-
-
-def tensor_match_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return float(_match_residuals(np.asarray(lhs)[None], np.asarray(rhs)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +132,9 @@ def _finite(g: int) -> int:
     return _all(g) ^ 1
 
 
-def _row(*parts) -> np.ndarray:
-    """One binding as a (1, slots) int array; parts are ints or index sets."""
-    return np.array([[x for p in parts for x in (p if isinstance(p, tuple) else (p,))]])
+def _sets(masks: np.ndarray) -> list[tuple[int, ...]]:
+    """The ascending index set of every mask, as a tuple of ints."""
+    return [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +144,8 @@ def _row(*parts) -> np.ndarray:
 def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
     """EKLM for every row [I | J | k m n] of binds (|I| = |J| = g-1)."""
     g = ctx.g
+    if np.any(np.bitwise_or.reduce(np.left_shift(1, binds), axis=1) != _finite(g)):
+        raise ValueError("I, J, {k,m,n} must partition the finite indices")
     i_mask, j_mask = _masks(binds[:, : g - 1]), _masks(binds[:, g - 1 : 2 * g - 2])
     k, m, n = binds[:, 2 * g - 2 :].T
     e = np.asarray(ctx.spec.branch_points)
@@ -176,21 +169,6 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) ->
             notes=f"phase={p:.0f}" if p.imag == 0 else f"phase={p}",
         ))
     return out
-
-
-def verify_eklm(
-    ctx: CurveContext, i_set: Iterable[int], j_set: Iterable[int], k: int, m: int, n: int,
-    tolerance: float = 1e-8,
-) -> VerificationRecord:
-    """(e_k - e_m)/(e_k - e_n) equals a squared theta cross ratio up to a
-    fourth root of unity."""
-    i_set, j_set = iset(i_set), iset(j_set)
-    g = ctx.g
-    if len(i_set) != g - 1 or len(j_set) != g - 1:
-        raise ValueError("I and J must have g-1 indices each")
-    if set(i_set) | set(j_set) | {k, m, n} != set(range(1, 2 * g + 2)):
-        raise ValueError("I, J, {k,m,n} must partition the finite indices")
-    return eklm_batch(ctx, _row(i_set, j_set, k, m, n), tolerance)[0]
 
 
 def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
@@ -246,24 +224,6 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> 
     ]
 
 
-def verify_eji(
-    ctx: CurveContext, i0: Iterable[int], i_k: int, i_l: int, j_n: int, j_m: int,
-    tolerance: float = 1e-8,
-) -> VerificationRecord:
-    """Branch-point product over J_0 as a ratio of fourth powers; the right
-    side must not depend on the choice of (j_n, j_m)."""
-    i0 = iset(i0)
-    n = ctx.spec.n_finite
-    if len(i0) != ctx.g or not set(i0) <= set(range(1, n + 1)):
-        raise ValueError("I_0 must be g finite indices")
-    j0 = complement_finite(n, i0)
-    if i_k not in i0 or i_l not in i0 or i_k == i_l:
-        raise ValueError("i_k, i_l must be distinct members of I_0")
-    if j_n not in j0 or j_m not in j0 or j_n == j_m:
-        raise ValueError("j_n, j_m must be distinct members of J_0")
-    return eji_batch(ctx, _row(i0, i_k, i_l, j_n, j_m), tolerance)[0]
-
-
 # ---------------------------------------------------------------------------
 # Gradient (multiplicity-1) linear relations
 # ---------------------------------------------------------------------------
@@ -294,39 +254,38 @@ def grad2_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     ]
 
 
-def verify_grad2(
-    ctx: CurveContext, i0: Iterable[int], kappa1: int, kappa2: int, j_m: int, j_n: int,
-    tolerance: float = 1e-8,
-) -> VerificationRecord:
-    """Two-term decomposition of d theta[I_0 - {k1,k2}] over gradients of
-    I_0^{(k2)} and I_0^{(k1)}."""
-    i0 = iset(i0)
-    n = ctx.spec.n_finite
-    if len(i0) != ctx.g or not set(i0) <= set(range(1, n + 1)):
-        raise ValueError("I_0 must be g finite indices")
-    if kappa1 >= kappa2 or kappa1 not in i0 or kappa2 not in i0:
-        raise ValueError("need kappa1 < kappa2, both in I_0")
-    j0 = complement_finite(n, i0)
-    if j_m not in j0 or j_n not in j0 or j_m == j_n:
-        raise ValueError("j_m, j_n must be distinct members of J_0")
-    return grad2_batch(ctx, _row(i0, kappa1, kappa2, j_m, j_n), tolerance)[0]
+def _gradient_residuals(
+    ctx: CurveContext, i_mask: np.ndarray, b_mask: np.ndarray, jm: np.ndarray, jn: np.ndarray,
+    subsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (r+1)-term gradient relation for every row: index set I, kappa
+    set B, the bits of j_m and j_n, and the T subsets S of B whose gradients
+    enter, all as masks ((B,) each, subsets (B, T)).
+
+    With J the indices outside I and B, term S is
+
+        th[(J^{j_n})^S] th[(J^{j_m})^S] th[(J^{j_m j_n} ^ B)^S] grad th[I + S],
+
+    and the signs alternate in ascending order of the sets I + S, which for
+    sets of one size is the order of their masks.  Returns the residuals
+    and the gradients, in that order."""
+    j = _all(ctx.g) ^ i_mask ^ b_mask
+    s = np.take_along_axis(subsets, np.argsort(subsets, axis=1, kind="stable"), axis=1)
+    coeff = ctx.consts(np.stack([
+        (j ^ jn)[:, None] ^ s, (j ^ jm)[:, None] ^ s, (j ^ jm ^ jn ^ b_mask)[:, None] ^ s,
+    ], axis=2)).prod(axis=2) * (-1.0) ** np.arange(s.shape[1])
+    grads = ctx.grads(i_mask[:, None] | s)
+    return _vector_residuals(coeff[..., None] * grads), grads
 
 
 def grad3_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """GRAD3 for every row [I | kappa1 kappa2 kappa3 | j_m j_n] of binds (|I| = g-2)."""
-    g = ctx.g
-    s = g - 2
-    i_mask = _masks(binds[:, :s])
+    """GRAD3 for every row [I | kappa1 kappa2 kappa3 | j_m j_n] of binds
+    (|I| = g-2, 0 allowed among the kappas): GRADN at r = 2, S the single
+    kappas.  Any two of the three gradients must be linearly independent."""
+    s = ctx.g - 2
     kap = 1 << binds[:, s : s + 3]
     jm, jn = (1 << binds[:, s + 3 :]).T
-    j = _all(g) ^ i_mask ^ kap.sum(axis=1)
-    # terms (ka; kb, kc) = (k1; k2, k3), (k2; k1, k3), (k3; k1, k2), signs + - +
-    rest = kap[:, [1, 0, 0]] | kap[:, [2, 2, 1]]
-    coeff = ctx.consts(np.stack([
-        (j ^ jn)[:, None] ^ kap, (j ^ jm)[:, None] ^ kap, (j ^ jm ^ jn)[:, None] ^ rest,
-    ], axis=2)).prod(axis=2) * np.array([1, -1, 1])
-    grads = ctx.grads(i_mask[:, None] | kap)
-    residual = _vector_residuals(coeff[..., None] * grads)
+    residual, grads = _gradient_residuals(ctx, _masks(binds[:, :s]), kap.sum(axis=1), jm, jn, kap)
     # pairwise independence: smallest singular value of each 2 x g stack
     pairs = list(combinations(range(3), 2))
     sv = np.linalg.svd(grads[:, pairs], compute_uv=False)
@@ -346,31 +305,6 @@ def grad3_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     return out
 
 
-def verify_grad3(
-    ctx: CurveContext, i_set: Iterable[int], kappa1: int, kappa2: int, kappa3: int,
-    j_m: int, j_n: int, tolerance: float = 1e-8,
-) -> VerificationRecord:
-    """Three-term vanishing combination of gradients sharing a (g-2)-set.
-
-    The partition is I + {k1,k2,k3} + J over all indices 0..2g+1 (0 allowed
-    among the kappas, smallest); any two of the three gradients must be
-    linearly independent.
-    """
-    i_set = iset(i_set)
-    kappas = (kappa1, kappa2, kappa3)
-    if list(kappas) != sorted(kappas):
-        raise ValueError("kappas must be ascending (0 = infinity smallest)")
-    g = ctx.g
-    if len(i_set) != g - 2:
-        raise ValueError("|I| must be g-2")
-    j_set = iset(set(range(2 * g + 2)) - set(i_set) - set(kappas))
-    if len(j_set) != g + 1:
-        raise ValueError("bindings do not partition the index set")
-    if j_m not in j_set or j_n not in j_set or j_m == j_n:
-        raise ValueError("j_m, j_n must be distinct members of J")
-    return grad3_batch(ctx, _row(i_set, kappas, j_m, j_n), tolerance)[0]
-
-
 # the canonical grouping ((k1k2), (k1k3), (k2k3), (k4k5)), and the regrouped
 # variant ((k2k3), (k1k4), (k2k5), (k3k5)), as positions in the five kappas
 GRAD4_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4))
@@ -379,23 +313,14 @@ GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
 
 def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
     """GRAD4 for every row [I | kappas (5) | j_m j_n | pairs (4 x 2)] of binds
-    (|I| = g-3); the pairs are kappa values."""
-    g = ctx.g
-    s = g - 3
-    i_mask = _masks(binds[:, :s])
-    kap = _masks(binds[:, s : s + 5])
+    (|I| = g-3; the pairs are kappa values): GRADN at r = 3 with S the pairs,
+    canonical or regrouped.  The first three gradients must have rank 3."""
+    s = ctx.g - 3
     jm, jn = (1 << binds[:, s + 5 : s + 7]).T
-    pm = _masks(binds[:, s + 7 :].reshape(-1, 4, 2))  # (B, 4) pair masks
-    j = _all(g) ^ i_mask ^ kap
-    # signs alternate in ascending order of the sets I + pair; for sets of
-    # one size that is the order of their masks
-    order = np.argsort(i_mask[:, None] | pm, axis=1, kind="stable")
-    pm = np.take_along_axis(pm, order, axis=1)
-    coeff = ctx.consts(np.stack([
-        (j ^ jn)[:, None] ^ pm, (j ^ jm)[:, None] ^ pm, (j ^ jm ^ jn ^ kap)[:, None] ^ pm,
-    ], axis=2)).prod(axis=2) * np.array([1, -1, 1, -1])
-    grads = ctx.grads(i_mask[:, None] | pm)
-    residual = _vector_residuals(coeff[..., None] * grads)
+    residual, grads = _gradient_residuals(
+        ctx, _masks(binds[:, :s]), _masks(binds[:, s : s + 5]), jm, jn,
+        _masks(binds[:, s + 7 :].reshape(-1, 4, 2)),
+    )
     sv = np.linalg.svd(grads[:, :3], compute_uv=False)
     triple = sv[:, 2] / sv[:, 0]
     deficient = triple < 1e-6
@@ -415,84 +340,35 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     return out
 
 
-def verify_grad4(
-    ctx: CurveContext, i_set: Iterable[int], kappas: Sequence[int], j_m: int, j_n: int,
-    tolerance: float = 1e-8, pairs: Sequence[tuple[int, int]] | None = None,
-) -> VerificationRecord:
-    """Four-term relation between gradients sharing a (g-3)-set.
-
-    ``kappas`` are five ascending indices; the default grouping is the
-    canonical one ((k1k2), (k1k3), (k2k3), (k4k5)); pass ``pairs`` for a
-    regrouped variant.  Signs alternate in ascending order of the sets
-    I + pair.  Also asserts rank 3 of the first three gradients.
-    """
-    i_set = iset(i_set)
-    kappas = tuple(kappas)
-    if list(kappas) != sorted(kappas) or len(kappas) != 5:
-        raise ValueError("need five ascending kappas")
-    g = ctx.g
-    if len(i_set) != g - 3:
-        raise ValueError("|I| must be g-3")
-    j_set = iset(set(range(2 * g + 2)) - set(i_set) - set(kappas))
-    if len(j_set) != g or j_m not in j_set or j_n not in j_set or j_m == j_n:
-        raise ValueError("invalid J / j_m / j_n bindings")
-    if pairs is None:
-        pairs = [(kappas[a], kappas[b]) for a, b in GRAD4_PAIRS]
-    pairs = tuple(tuple(p) for p in pairs)
-    if len(pairs) != 4 or any(len(p) != 2 or p[0] == p[1] or not set(p) <= set(kappas)
-                              for p in pairs):
-        raise ValueError("pairs must be four pairs of distinct kappas")
-    return grad4_batch(ctx, _row(i_set, kappas, j_m, j_n, *pairs), tolerance)[0]
-
-
-def verify_gradN(
-    ctx: CurveContext, i_set: Iterable[int], b_set: Sequence[int], k_size: int,
-    j_m: int, j_n: int, tolerance: float = 1e-6,
-) -> VerificationRecord:
-    """Conjectural (r+1)-term relation; r = k_size, |B| = 2r-1, |I| = g-r.
-
-    K is the first r elements of B.  Report-only for r >= 4.
-    """
-    i_set = iset(i_set)
-    b_set = tuple(b_set)
-    r = k_size
-    if len(b_set) != 2 * r - 1 or list(b_set) != sorted(b_set):
-        raise ValueError("B must be 2r-1 ascending indices")
-    g = ctx.g
-    if len(i_set) != g - r:
-        raise ValueError("|I| must be g-r")
-    j_set = iset(set(range(2 * g + 2)) - set(i_set) - set(b_set))
-    if j_m not in j_set or j_n not in j_set or j_m == j_n:
-        raise ValueError("invalid j_m/j_n")
-    k_set = b_set[:r]
-    rest = tuple(x for x in b_set if x not in k_set)
-    jmn = drop(j_set, j_m, j_n)
-    # signs alternate in ascending set order of I + K^{(kappa_l)}, with
-    # I + (B - K) largest; dropping a smaller kappa leaves a larger set, so
-    # the term of kappa_l sits at ascending position r - l + 1.
-    terms = []
-    for pos, kappa in enumerate(k_set, start=1):
-        k_red = tuple(x for x in k_set if x != kappa)
-        coeff = (
-            ctx.const(iset(drop(j_set, j_n) + k_red))
-            * ctx.const(iset(drop(j_set, j_m) + k_red))
-            * ctx.const(iset(jmn + tuple(x for x in b_set if x not in k_red)))
+def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -> list:
+    """GRADN for every row [I B j_m j_n] of binds, I and B as masks: the
+    conjectural (r+1)-term relation with |B| = 2r-1 and |I| = g-r.  K is the
+    r smallest indices of B, and S runs over K - kappa for kappa in K, and
+    B - K.  Report-only for r >= 4."""
+    i_mask, b_mask = binds[:, 0], binds[:, 1]
+    jm, jn = (1 << binds[:, 2:]).T
+    r = (np.bitwise_count(b_mask) + 1) // 2
+    residual = np.empty(len(binds))
+    for size in np.unique(r).tolist():
+        rows = np.flatnonzero(r == size)
+        bits = 1 << np.array(_sets(b_mask[rows]))
+        k_mask, rest = bits[:, :size].sum(axis=1), bits[:, size:].sum(axis=1)
+        subsets = np.hstack([k_mask[:, None] ^ bits[:, :size], rest[:, None]])
+        residual[rows] = _gradient_residuals(
+            ctx, i_mask[rows], b_mask[rows], jm[rows], jn[rows], subsets
+        )[0]
+    return [
+        VerificationRecord(
+            "GRADN",
+            {"I": i_set, "B": b_set, "r": size, "j_m": row[2], "j_n": row[3]},
+            res,
+            tolerance,
+            notes="conjecture: residual reported" if size >= 4 else "",
         )
-        terms.append((-1) ** (r - pos) * coeff * ctx.grad(iset(i_set + k_red)))
-    coeff = (
-        ctx.const(iset(drop(j_set, j_n) + rest))
-        * ctx.const(iset(drop(j_set, j_m) + rest))
-        * ctx.const(iset(jmn + k_set))
-    )
-    terms.append((-1) ** r * coeff * ctx.grad(iset(i_set + rest)))
-    residual = vector_identity_residual(terms)
-    return VerificationRecord(
-        "GRADN",
-        {"I": i_set, "B": b_set, "r": r, "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
-        notes="conjecture: residual reported" if r >= 4 else "",
-    )
+        for row, i_set, b_set, size, res in zip(
+            binds.tolist(), _sets(i_mask), _sets(b_mask), r.tolist(), residual.tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -685,21 +561,10 @@ def _repr_tensors(
     return _predicted(ctx, binds, order), target
 
 
-def _check_repr(ctx: CurveContext, i0: IndexSet, k_set: IndexSet) -> None:
-    if not set(k_set) <= set(i0):
-        raise ValueError("K must be a subset of I_0")
-    if len(i0) != ctx.g or not set(i0) <= set(range(1, ctx.spec.n_finite + 1)):
-        raise ValueError("I_0 must be the g finite indices of a multiplicity-0 set")
-
-
-def representation_tensor(
-    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int, order: int
-) -> np.ndarray:
-    """Predicted order-m derivative tensor of theta[I0 - K]: R applied to the
-    gradients of theta[I0 - p], p in K, divided by theta[I0]^(m-1)."""
-    i0, k_set = iset(i0), iset(k_set)
-    _check_repr(ctx, i0, k_set)
-    return _predicted(ctx, _row(i0, k_set, j_m, j_n), order)[0]
+def _repr_rows(binds: np.ndarray) -> np.ndarray:
+    """Rows [I0 | K | j_m j_n] from rows [I0 K j_m j_n] with I0 and K as
+    masks, one |K| for all rows."""
+    return np.hstack([np.array(_sets(binds[:, 0])), np.array(_sets(binds[:, 1])), binds[:, 2:]])
 
 
 # |K| -> (record id, default tolerance) of the order-(|K|+1)//2 representation
@@ -718,6 +583,8 @@ def derivative_batch(
     one |K| for all rows; the tolerance defaults to the record's own."""
     g = ctx.g
     kk = binds.shape[1] - g - 2
+    if kk not in REPRESENTATION_RECORDS:
+        raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {kk}")
     relation_id, default_tol = REPRESENTATION_RECORDS[kk]
     residual = _match_residuals(*_repr_tensors(ctx, binds, (kk + 1) // 2))
     return [
@@ -731,106 +598,107 @@ def derivative_batch(
     ]
 
 
-def derivative_repr(
-    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int,
-    tolerance: float | None = None,
-) -> VerificationRecord:
-    """Derivative theta constants of order m = (|K|+1)//2 as forms in the
-    gradients: Hessians for |K| = 3, 4 (HESS_K3/K4), third derivatives for
-    |K| = 5, 6 (D3_K5/K6).  The tolerance defaults to the record's own."""
-    i0, k_set = iset(i0), iset(k_set)
-    if len(k_set) not in REPRESENTATION_RECORDS:
-        raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {len(k_set)}")
-    _check_repr(ctx, i0, k_set)
-    return derivative_batch(ctx, _row(i0, k_set, j_m, j_n), tolerance)[0]
-
-
-def hessian_repr_equiv(
-    ctx: CurveContext,
-    binding_a: tuple[IndexSet, IndexSet, int, int],
-    binding_b: tuple[IndexSet, IndexSet, int, int],
-    tolerance: float = 1e-8,
-) -> VerificationRecord:
-    """Two representations of the same Hessian agree entrywise."""
-    ia, ka, jma, jna = binding_a
-    ib, kb, jmb, jnb = binding_b
-    if drop(iset(ia), *iset(ka)) != drop(iset(ib), *iset(kb)):
+def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds,
+    the index sets as masks: two representations of the same Hessian agree
+    entrywise."""
+    if np.any(binds[:, 0] ^ binds[:, 1] != binds[:, 4] ^ binds[:, 5]):
         raise ValueError("bindings must represent the same characteristic")
-    va = representation_tensor(ctx, ia, ka, jma, jna, 2)
-    vb = representation_tensor(ctx, ib, kb, jmb, jnb, 2)
-    return VerificationRecord(
-        "HESS_EQUIV",
-        {"I0_a": iset(ia), "K_a": iset(ka), "I0_b": iset(ib), "K_b": iset(kb),
-         "j_a": (jma, jna), "j_b": (jmb, jnb)},
-        tensor_match_residual(va, vb),
-        tolerance,
-    )
+    kk = np.bitwise_count(binds[:, 1])
+    residual = np.empty(len(binds))
+    for size in np.unique(kk).tolist():
+        rows = np.flatnonzero(kk == size)
+        va, vb = (_predicted(ctx, _repr_rows(binds[rows, c : c + 4]), 2) for c in (0, 4))
+        residual[rows] = _match_residuals(va, vb)
+    sets = [_sets(binds[:, c]) for c in (0, 1, 4, 5)]
+    return [
+        VerificationRecord(
+            "HESS_EQUIV",
+            {"I0_a": ia, "K_a": ka, "I0_b": ib, "K_b": kb,
+             "j_a": tuple(row[2:4]), "j_b": tuple(row[6:8])},
+            res,
+            tolerance,
+        )
+        for row, ia, ka, ib, kb, res in zip(binds.tolist(), *sets, residual.tolist())
+    ]
 
 
-def hessian_rank(
-    ctx: CurveContext, i2: Iterable[int], tolerance: float = 1e-8
-) -> VerificationRecord:
-    """Rank of the Hessian of a multiplicity-2 characteristic: exactly 3 for
-    g > 3 (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6), full at g = 3."""
-    part = ctx.partition(i2)
-    if part.multiplicity() != 2:
-        raise ValueError(f"{tuple(i2)} is not a multiplicity-2 index set")
-    h = ctx.hess(part.part)
-    sv = np.linalg.svd(h, compute_uv=False)
-    g = ctx.g
+def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+    """HESS_RANK for every row [I2] of binds, I2 as a mask: the finite part of
+    a multiplicity-2 partition, whose Hessian has rank exactly 3 for g > 3
+    (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6) and full rank at g = 3."""
+    g, masks = ctx.g, binds[:, 0]
+    size = np.bitwise_count(masks)
+    # with the infinity index the parity asks for, a multiplicity-2 part has g - 3
+    if np.any(size + (size % 2 != (g + 1) % 2) != g - 3):
+        raise ValueError("every set must be the finite part of a multiplicity-2 partition")
+    sv = np.linalg.svd(ctx.derivs(masks, 2), compute_uv=False)
+    keep3 = sv[:, 2] / sv[:, 0]
     if g == 3:
-        residual = 0.0 if sv[2] / sv[0] > 1e-6 else 1.0
-        notes = f"sigma3/sigma1={sv[2]/sv[0]:.2e} (full rank expected)"
+        residual = np.where(keep3 > 1e-6, 0.0, 1.0)
+        notes = [f"sigma3/sigma1={k:.2e} (full rank expected)" for k in keep3.tolist()]
     else:
-        drop4 = sv[3] / sv[0]
-        keep3 = sv[2] / sv[0]
-        residual = drop4 if keep3 > 1e-6 else 1.0
-        notes = f"sigma4/sigma1={drop4:.2e}, sigma3/sigma1={keep3:.2e}"
-    return VerificationRecord("HESS_RANK", {"I2": part.part}, residual, tolerance, notes=notes)
+        drop4 = sv[:, 3] / sv[:, 0]
+        residual = np.where(keep3 > 1e-6, drop4, 1.0)
+        notes = [f"sigma4/sigma1={d:.2e}, sigma3/sigma1={k:.2e}"
+                 for d, k in zip(drop4.tolist(), keep3.tolist())]
+    return [
+        VerificationRecord("HESS_RANK", {"I2": i2}, res, tolerance, notes=note)
+        for i2, res, note in zip(_sets(masks), residual.tolist(), notes)
+    ]
 
 
-def conjecture_m_repr(
-    ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], order: int,
-    j_m: int, j_n: int, tolerance: float = 1e-3,
-) -> VerificationRecord:
-    """The same representation at order m = order, matched up to a global
-    sign; for m >= 4 the residual is reported only."""
-    i0, k_set = iset(i0), iset(k_set)
-    if order >= 4 and ctx.g < 7:
+def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-3) -> list:
+    """CONJ_M for every row [I0 K m j_m j_n] of binds, I0 and K as masks: the
+    representation at order m, matched up to a global sign; for m >= 4 the
+    residual is reported only."""
+    order = binds[:, 2]
+    if ctx.g < 7 and np.any(order >= 4):
         raise ValueError("multiplicity >= 4 requires genus >= 7")
-    _check_repr(ctx, i0, k_set)
-    pred, target = _repr_tensors(ctx, _row(i0, k_set, j_m, j_n), order)
-    residual, sign = float(_match_residuals(pred, target)[0]), 1
-    flipped = float(_match_residuals(-pred, target)[0])
-    if flipped < residual:
-        residual, sign = flipped, -1
-    return VerificationRecord(
-        "CONJ_M",
-        {"I0": i0, "K": k_set, "m": order, "j_m": j_m, "j_n": j_n},
-        residual,
-        tolerance,
-        notes=f"global sign {sign:+d}; conjecture: residual reported" if order >= 4 else "",
-    )
+    kk = np.bitwise_count(binds[:, 1])
+    residual, sign = np.empty(len(binds)), np.empty(len(binds), dtype=int)
+    for m, size in sorted(set(zip(order.tolist(), kk.tolist()))):
+        rows = np.flatnonzero((order == m) & (kk == size))
+        pred, target = _repr_tensors(ctx, _repr_rows(binds[rows][:, [0, 1, 3, 4]]), m)
+        direct, flipped = _match_residuals(pred, target), _match_residuals(-pred, target)
+        flip = flipped < direct
+        residual[rows] = np.where(flip, flipped, direct)
+        sign[rows] = np.where(flip, -1, 1)
+    return [
+        VerificationRecord(
+            "CONJ_M",
+            {"I0": i0, "K": k_set, "m": row[2], "j_m": row[3], "j_n": row[4]},
+            res,
+            tolerance,
+            notes=f"global sign {s:+d}; conjecture: residual reported" if row[2] >= 4 else "",
+        )
+        for row, i0, k_set, res, s in zip(
+            binds.tolist(), _sets(binds[:, 0]), _sets(binds[:, 1]), residual.tolist(), sign.tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Riemann-Jacobi derivative formula
 # ---------------------------------------------------------------------------
 
-def riemann_jacobi_det(
-    ctx: CurveContext, i0: Iterable[int], tolerance: float = 1e-6
-) -> VerificationRecord:
-    """|det(grad theta[I0^{(i)}], i in I0)| = pi^g |theta[I0]| *
-    prod_{j in J0} |theta[J0^{(j)}]|   (g+2 even constants; the genus-1 case
-    is Jacobi's derivative formula with its three theta constants)."""
-    i0 = iset(i0)
-    if len(i0) != ctx.g or 0 in i0 or ctx.partition(i0).multiplicity() != 0:
-        raise ValueError("I_0 must be a multiplicity-0 set of g finite indices")
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    mat = np.stack([ctx.grad(drop(i0, i)) for i in i0], axis=1)
-    lhs = abs(np.linalg.det(mat))
-    rhs = np.pi ** ctx.g * abs(ctx.const(i0))
-    for j in j0:
-        rhs *= abs(ctx.const(drop(j0, j)))
-    residual = abs(lhs - rhs) / max(lhs, rhs)
-    return VerificationRecord("RJ_DET", {"I0": i0}, residual, tolerance)
+def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -> list:
+    """RJ_DET for every row [I0] of binds (g finite indices):
+
+        |det(grad theta[I0^{(i)}], i in I0)| = pi^g |theta[I0]| prod_{j in J0} |theta[J0^{(j)}]|
+
+    (g+2 even constants; the genus-1 case is Jacobi's derivative formula
+    with its three theta constants)."""
+    g = ctx.g
+    i0 = _masks(binds)
+    j0 = _finite(g) ^ i0
+    # column i of each matrix is the gradient of theta[I0^{(i)}]
+    lhs = np.abs(np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << binds)), 1, 2)))
+    rhs = np.pi**g * np.abs(ctx.consts(i0))
+    for j in range(1, 2 * g + 2):  # the factors of j in J0, in ascending order
+        rhs = np.where(j0 >> j & 1, rhs * np.abs(ctx.consts(j0 ^ 1 << j)), rhs)
+    residual = np.abs(lhs - rhs) / np.maximum(lhs, rhs)
+    return [
+        VerificationRecord("RJ_DET", {"I0": tuple(row)}, res, tolerance)
+        for row, res in zip(binds.tolist(), residual.tolist())
+    ]

@@ -413,9 +413,6 @@ class ThetaEngine:
         entries = table[char.bits >> g][_layout(g, order)[2]].reshape((g,) * order)
         return DerivThetaTensor(char=char, order=order, entries=entries, scale=scale)
 
-    def gradient(self, char: HalfCharacteristic) -> np.ndarray:
-        return self.theta_deriv(char, 1).entries
-
     def _check(self, char: HalfCharacteristic) -> None:
         if char.genus != self.g:
             raise ValueError("characteristic genus mismatch")

@@ -179,11 +179,6 @@ def second_thomae_rhs_vector(ctx: CurveContext, i1: Iterable[int]) -> np.ndarray
     return general_thomae_tensor(ctx, a, complement_finite(ctx.spec.n_finite, a)[:2])
 
 
-def second_thomae_rhs(ctx: CurveContext, i1: Iterable[int], n: int) -> complex:
-    """Entry n (1-based) of :func:`second_thomae_rhs_vector`."""
-    return second_thomae_rhs_vector(ctx, i1)[_entry((n,), 1, ctx.g)]
-
-
 def _ratio_prefactor(ctx: CurveContext, a: IndexSet, k: IndexSet, i0: IndexSet) -> float:
     """prod_{kappa in K} (prod_{j in J_0} (e_kappa - e_j) / prod_{i in A} (e_kappa - e_i))^{1/4},
     both products ordered, J_0 the finite complement of I_0."""
@@ -194,22 +189,6 @@ def _ratio_prefactor(ctx: CurveContext, a: IndexSet, k: IndexSet, i0: IndexSet) 
         den = ordered_diff_product(ctx.spec, (kappa,), a) if a else 1.0
         pref *= (num / den) ** 0.25
     return pref
-
-
-def general_thomae_ratio_rhs(
-    ctx: CurveContext,
-    i_m: Iterable[int],
-    multi_index: Sequence[int],
-    k_set: Iterable[int],
-    i0: Iterable[int],
-) -> complex:
-    """Ratio form: d^m theta[I_m] / theta[I_0] with quartic-root prefactor."""
-    a, k, m = _general_args(ctx, i_m, k_set)
-    idx = _entry(multi_index, m, ctx.g)
-    i0 = iset(i0)
-    if iset(a + k) != i0 and drop(i0, *[x for x in i0 if x in k]) != a:
-        raise ValueError(f"I_m={a} must equal I_0\\K for I_0={i0}, K={k}")
-    return complex(_ratio_prefactor(ctx, a, k, i0) * _thomae_tensor(ctx, a, k, m)[idx])
 
 
 def general_thomae_forms(

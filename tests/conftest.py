@@ -48,3 +48,16 @@ def random_ctx():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def one():
+    """one(verify, ctx, *parts, **kw): the record of a single binding, from a
+    batch verifier run on a one-row array.  The parts are ints or tuples of
+    ints, laid out in order along the row."""
+
+    def run(verify, ctx, *parts, **kw):
+        row = [x for p in parts for x in (p if isinstance(p, tuple) else (p,))]
+        return verify(ctx, np.array([row], dtype=np.int64), **kw)[0]
+
+    return run

@@ -17,22 +17,24 @@ import pytest
 
 from thomae_lab.characteristics import count_by_multiplicity, enumerate_partitions, parity
 from thomae_lab.context import CurveContext
-from thomae_lab.harness import SuiteConfig, random_curve, run_suite
+from thomae_lab.harness import SuiteConfig, _mask, random_curve, run_suite
 from thomae_lab.indexsets import complement_finite, iset
 from thomae_lab.periods import branch_point_char_residuals, compute_periods
 from thomae_lab.relations import (
+    GRAD4_PAIRS,
     collection_rank,
-    derivative_repr,
-    hessian_rank,
-    hessian_repr_equiv,
-    riemann_jacobi_det,
-    verify_grad3,
-    verify_grad4,
+    derivative_batch,
+    grad2_batch,
+    grad3_batch,
+    grad4_batch,
+    hessian_equiv_batch,
+    hessian_rank_batch,
+    rj_det_batch,
 )
 from thomae_lab.schottky import verify_appendix_f, verify_schottky_R
 from thomae_lab.thomae import (
     first_thomae_rhs,
-    general_thomae_ratio_rhs,
+    general_thomae_forms,
     general_thomae_rhs,
     second_thomae_rhs_vector,
     snap_phase,
@@ -198,7 +200,7 @@ def test_criterion_06_general_thomae(announce, ctx):
             v2 = general_thomae_rhs(c, a, entry, kalt)
             worst["k"] = max(worst["k"], abs(v1 - v2) / float(np.max(np.abs(pred))))
             i0 = iset(a + kset)
-            r1 = general_thomae_ratio_rhs(c, a, entry, kset, i0)
+            r1 = complex(general_thomae_forms(c, a, kset)[1][tuple(n - 1 for n in entry)])
             r2 = v1 / first_thomae_rhs(c, i0)
             worst["ratio"] = max(worst["ratio"], abs(r1 - r2) / max(abs(r1), abs(r2)))
     ok = (
@@ -212,20 +214,18 @@ def test_criterion_06_general_thomae(announce, ctx):
     )
 
 
-def test_criterion_07_appendix_a_b(announce, ctx):
-    from thomae_lab.relations import verify_grad2
-
+def test_criterion_07_appendix_a_b(announce, ctx, one):
     worst_a = 0.0
     c2 = ctx(2)
     for i0 in combinations(range(1, 6), 2):
         j0 = complement_finite(5, i0)
-        worst_a = max(worst_a, verify_grad2(c2, i0, i0[0], i0[1], j0[0], j0[1]).residual)
+        worst_a = max(worst_a, one(grad2_batch, c2, i0, i0[0], i0[1], j0[0], j0[1]).residual)
     worst_b, count_b = 0.0, 0
     c3 = ctx(3)
     for kap in combinations(range(2, 8), 2):
         i0 = iset((1,) + kap)
         j0 = complement_finite(7, i0)
-        worst_b = max(worst_b, verify_grad2(c3, i0, kap[0], kap[1], j0[0], j0[1]).residual)
+        worst_b = max(worst_b, one(grad2_batch, c3, i0, kap[0], kap[1], j0[0], j0[1]).residual)
         count_b += 1
     ok = worst_a < 1e-8 and worst_b < 1e-8 and count_b == 15
     report(
@@ -234,17 +234,17 @@ def test_criterion_07_appendix_a_b(announce, ctx):
     )
 
 
-def test_criterion_08_grad34_and_rank(announce, ctx):
+def test_criterion_08_grad34_and_rank(announce, ctx, one):
     worst = 0.0
     c2, c3 = ctx(2), ctx(3)
     # closing instances of the three-term relation
-    worst = max(worst, verify_grad3(c2, (), 1, 2, 3, 4, 5).residual)
-    worst = max(worst, verify_grad3(c3, (1,), 2, 3, 4, 6, 5).residual)
+    worst = max(worst, one(grad3_batch, c2, (), 1, 2, 3, 4, 5).residual)
+    worst = max(worst, one(grad3_batch, c3, (1,), 2, 3, 4, 6, 5).residual)
     # four-term relation and the regrouped variant
     k = (1, 2, 3, 4, 5)
-    worst = max(worst, verify_grad4(c3, (), k, 6, 7).residual)
+    worst = max(worst, one(grad4_batch, c3, (), k, 6, 7, (1, 2), (1, 3), (2, 3), (4, 5)).residual)
     worst = max(
-        worst, verify_grad4(c3, (), k, 6, 7, pairs=[(2, 3), (1, 4), (2, 5), (3, 5)]).residual
+        worst, one(grad4_batch, c3, (), k, 6, 7, (2, 3), (1, 4), (2, 5), (3, 5)).residual
     )
     # exhaustive binding enumeration (one j-pair each) at g = 2..4
     n3 = n4 = 0
@@ -255,7 +255,7 @@ def test_criterion_08_grad34_and_rank(announce, ctx):
             rest = sorted(all_idx - set(i_set))
             for kap in combinations(rest, 3):
                 j_set = [x for x in rest if x not in kap and x != 0]
-                worst = max(worst, verify_grad3(c, i_set, *kap, j_set[0], j_set[1]).residual)
+                worst = max(worst, one(grad3_batch, c, i_set, *kap, j_set[0], j_set[1]).residual)
                 n3 += 1
         if g >= 3:
             for i_set in combinations(range(1, 2 * g + 2), g - 3):
@@ -264,8 +264,9 @@ def test_criterion_08_grad34_and_rank(announce, ctx):
                     j_set = [x for x in rest if x not in kap and x != 0]
                     if len(j_set) < 2:
                         continue
+                    pairs = tuple(kap[a] for pair in GRAD4_PAIRS for a in pair)
                     worst = max(
-                        worst, verify_grad4(c, i_set, kap, j_set[0], j_set[1]).residual
+                        worst, one(grad4_batch, c, i_set, kap, j_set[0], j_set[1], pairs).residual
                     )
                     n4 += 1
     # genus-5 sample
@@ -275,7 +276,7 @@ def test_criterion_08_grad34_and_rank(announce, ctx):
         pick = sorted(rng.choice(range(1, 12), size=3 + 3, replace=False).tolist())
         i_set, kap = tuple(pick[:3]), tuple(pick[3:])
         j_set = [x for x in range(12) if x not in pick and x != 0]
-        worst = max(worst, verify_grad3(c5, i_set, *kap, j_set[0], j_set[1]).residual)
+        worst = max(worst, one(grad3_batch, c5, i_set, *kap, j_set[0], j_set[1]).residual)
     # rank theorem: 200 random collections per genus plus the degenerate family
     mismatches = 0
     for g in (3, 4, 5):
@@ -298,14 +299,14 @@ def test_criterion_08_grad34_and_rank(announce, ctx):
     )
 
 
-def test_criterion_09_hessian_representation(announce, ctx):
+def test_criterion_09_hessian_representation(announce, ctx, one):
     worst = 0.0
     c3 = ctx(3)
     for i0 in combinations(range(1, 8), 3):
         j0 = complement_finite(7, i0)
-        worst = max(worst, derivative_repr(c3, i0, i0, j0[0], j0[1]).residual)
-    worst = max(worst, derivative_repr(c3, (1, 2, 3), (1, 2, 3), 6, 5).residual)
-    worst = max(worst, derivative_repr(c3, (1, 2, 4), (1, 2, 4), 6, 5).residual)
+        worst = max(worst, one(derivative_batch, c3, i0, i0, j0[0], j0[1]).residual)
+    worst = max(worst, one(derivative_batch, c3, (1, 2, 3), (1, 2, 3), 6, 5).residual)
+    worst = max(worst, one(derivative_batch, c3, (1, 2, 4), (1, 2, 4), 6, 5).residual)
     c4 = ctx(4)
     rng = np.random.default_rng(9)
     fin = list(range(1, 10))
@@ -314,18 +315,20 @@ def test_criterion_09_hessian_representation(announce, ctx):
         j0 = complement_finite(9, i0)
         for ks in (3, 4):
             kk = tuple(sorted(rng.choice(i0, size=ks, replace=False).tolist()))
-            worst = max(worst, derivative_repr(c4, i0, kk, j0[0], j0[1]).residual)
-    worst = max(worst, derivative_repr(c4, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual)
-    worst = max(worst, derivative_repr(c4, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual)
-    worst = max(worst, derivative_repr(c4, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual)
-    worst_eq = hessian_repr_equiv(
-        c4, ((1, 2, 3, 5), (2, 3, 5), 4, 6), ((1, 2, 3, 7), (2, 3, 7), 4, 6)
+            worst = max(worst, one(derivative_batch, c4, i0, kk, j0[0], j0[1]).residual)
+    worst = max(worst, one(derivative_batch, c4, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual)
+    worst = max(worst, one(derivative_batch, c4, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual)
+    worst = max(worst, one(derivative_batch, c4, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual)
+    worst_eq = one(
+        hessian_equiv_batch, c4, _mask((1, 2, 3, 5)), _mask((2, 3, 5)), 4, 6,
+        _mask((1, 2, 3, 7)), _mask((2, 3, 7)), 4, 6,
     ).residual
     c5 = ctx(5)
     worst_eq = max(
         worst_eq,
-        hessian_repr_equiv(
-            c5, ((1, 2, 3, 4, 6), (1, 3, 4, 6), 5, 7), ((1, 2, 3, 4, 8), (1, 3, 4, 8), 5, 7)
+        one(
+            hessian_equiv_batch, c5, _mask((1, 2, 3, 4, 6)), _mask((1, 3, 4, 6)), 5, 7,
+            _mask((1, 2, 3, 4, 8)), _mask((1, 3, 4, 8)), 5, 7,
         ).residual,
     )
     ok = worst < 1e-6 and worst_eq < 1e-8
@@ -335,13 +338,13 @@ def test_criterion_09_hessian_representation(announce, ctx):
     )
 
 
-def test_criterion_10_hessian_rank(announce, ctx):
+def test_criterion_10_hessian_rank(announce, ctx, one):
     c4 = ctx(4)
-    ok4 = all(hessian_rank(c4, p.part).passed for p in enumerate_partitions(4, 2))
+    ok4 = all(one(hessian_rank_batch, c4, _mask(p.part)).passed for p in enumerate_partitions(4, 2))
     c5 = ctx(5)
     parts5 = list(enumerate_partitions(5, 2))[:10]
-    ok5 = all(hessian_rank(c5, p.part).passed for p in parts5)
-    ok3 = hessian_rank(ctx(3), ()).passed
+    ok5 = all(one(hessian_rank_batch, c5, _mask(p.part)).passed for p in parts5)
+    ok3 = one(hessian_rank_batch, ctx(3), _mask(())).passed
     ok = ok3 and ok4 and ok5
     report(
         announce, 10, "Hessian rank exactly 3 (g=4 all, g=5 sample), full rank at g=3", ok,
@@ -349,7 +352,7 @@ def test_criterion_10_hessian_rank(announce, ctx):
     )
 
 
-def test_criterion_11_third_derivative(announce, ctx):
+def test_criterion_11_third_derivative(announce, ctx, one):
     c5 = ctx(5)
     worst, n = 0.0, 0
     rng = np.random.default_rng(11)
@@ -358,12 +361,12 @@ def test_criterion_11_third_derivative(announce, ctx):
         i0 = tuple(sorted(rng.choice(fin, size=5, replace=False).tolist()))
         j0 = complement_finite(11, i0)
         jm, jn = rng.choice(j0, size=2, replace=False).tolist()
-        worst = max(worst, derivative_repr(c5, i0, i0, int(jm), int(jn)).residual)
+        worst = max(worst, one(derivative_batch, c5, i0, i0, int(jm), int(jn)).residual)
         n += 1
     # |K| = 6 demands a partition with the infinity index in its part, i.e.
     # genus >= 6; the smallest admissible instances are checked there.
     c6 = ctx(6)
-    worst6 = derivative_repr(c6, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7).residual
+    worst6 = one(derivative_batch, c6, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7).residual
     n6 = 1
     ok = worst < 1e-4 and worst6 < 1e-4
     report(
@@ -410,12 +413,12 @@ def test_criterion_12_schottky(announce, ctx):
     )
 
 
-def test_criterion_13_riemann_jacobi(announce, ctx):
+def test_criterion_13_riemann_jacobi(announce, ctx, one):
     worst = 0.0
     for g in (2, 3):
         c = ctx(g)
         for i0 in list(combinations(range(1, 2 * g + 2), g))[:8]:
-            worst = max(worst, riemann_jacobi_det(c, i0).residual)
+            worst = max(worst, one(rj_det_batch, c, i0).residual)
     ok = worst < 1e-6
     report(announce, 13, "Riemann-Jacobi determinant at g=2,3", ok, f"worst {worst:.1e}")
 

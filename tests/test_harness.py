@@ -117,6 +117,35 @@ def test_cli_rejects_unknown_tolerance(monkeypatch, capsys):
     assert "unknown tolerance families: ['GRAD_2']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_suite_config_rejects_bad_tolerance(value):
+    with pytest.raises(ValueError, match=r"tolerance for GRAD2 must be finite and > 0, got"):
+        SuiteConfig(spec=random_curve(2, 1), tolerances={"GRAD2": value})
+
+
+def test_suite_config_rejects_bad_quad_order():
+    with pytest.raises(ValueError, match="quad_order must be at least 1, got 0"):
+        SuiteConfig(spec=random_curve(2, 1), quad_order=0)
+
+
+@pytest.mark.parametrize("args,option,item", [
+    (["--tol-family", "GRAD2=-1"], "--tol-family", "'GRAD2=-1'"),
+    (["--tol-family", "GRAD2=nan"], "--tol-family", "'GRAD2=nan'"),
+    (["--tol-family", "GRAD2"], "--tol-family", "'GRAD2'"),
+    (["--quad-order", "0"], "--quad-order", "got 0"),
+], ids=["negative", "nan", "no-value", "quad-order-0"])
+def test_cli_rejects_bad_numbers_before_compute(monkeypatch, capsys, args, option, item):
+    def no_periods(*a, **kw):
+        raise AssertionError("periods computed for an invalid option")
+
+    monkeypatch.setattr("thomae_lab.harness.compute_periods", no_periods)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--genus", "2", "--seed", "1", "--relations", "GRAD2", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and item in err
+
+
 def test_text_report_prints_tolerance_range(capsys):
     # at genus 5 THOMAEG mixes m = 2 (1e-5) and m = 3 (1e-4) records
     assert main(["verify", "--genus", "5", "--seed", "1", "--relations", "THOMAE2,THOMAEG"]) == 0

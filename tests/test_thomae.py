@@ -11,10 +11,9 @@ from thomae_lab.thomae import (
     _s_vector,
     calibrate_phases,
     first_thomae_rhs,
-    general_thomae_ratio_rhs,
+    general_thomae_forms,
     general_thomae_rhs,
     general_thomae_tensor,
-    second_thomae_rhs,
     second_thomae_rhs_vector,
     snap_phase,
 )
@@ -99,17 +98,17 @@ def test_second_thomae_matches_general_machinery(ctx):
     i1 = (2, 5)
     for k in complement_finite(7, i1)[:3]:
         v = general_thomae_rhs(c, i1, (2,), (k,))
-        assert abs(v - second_thomae_rhs(c, i1, 2)) < 1e-12 * abs(v)
+        assert abs(v - second_thomae_rhs_vector(c, i1)[1]) < 1e-12 * abs(v)
 
 
 def test_second_thomae_rejects_wrong_multiplicity(ctx):
     with pytest.raises(ValueError):
-        second_thomae_rhs(ctx(2), (1, 2), 1)
+        second_thomae_rhs_vector(ctx(2), (1, 2))
 
 
 def test_general_thomae_m2_full_tensor(ctx):
     c = ctx(3)
-    lhs = c.hess(())
+    lhs = c.deriv((), 2).entries
     k_set = (1, 2, 3)
     pred = np.empty((3, 3), dtype=complex)
     for n1 in range(1, 4):
@@ -156,7 +155,7 @@ def test_ratio_form_equals_quotient(ctx):
     c = ctx(3)
     i0 = (2, 4, 6)
     k_set = (2, 4, 6)
-    r1 = general_thomae_ratio_rhs(c, (), (1, 3), k_set, i0)
+    r1 = general_thomae_forms(c, (), k_set)[1][0, 2]
     r2 = general_thomae_rhs(c, (), (1, 3), k_set) / first_thomae_rhs(c, i0)
     assert abs(r1 - r2) < 1e-10 * abs(r1)
 
@@ -165,7 +164,7 @@ def test_ratio_form_prefactor_positive(ctx):
     # with sorted real branch points the quartic prefactor is positive real
     c = ctx(4)
     i0 = (1, 2, 3, 4)
-    val_a = general_thomae_ratio_rhs(c, (4,), (1, 1), (1, 2, 3), i0)
+    val_a = general_thomae_forms(c, (4,), (1, 2, 3))[1][0, 0]
     val_b = general_thomae_rhs(c, (4,), (1, 1), (1, 2, 3)) / first_thomae_rhs(c, i0)
     assert abs(val_a - val_b) < 1e-10 * abs(val_a)
 
@@ -245,17 +244,13 @@ def test_derivative_indices_validated(ctx):
     c = ctx(3)
     for n in (0, 4):
         with pytest.raises(ValueError, match="entries in 1..3"):
-            second_thomae_rhs(c, (1, 2), n)
-        with pytest.raises(ValueError, match="entries in 1..3"):
             general_thomae_rhs(c, (1,), (n,), (2, 3))
-        with pytest.raises(ValueError, match="entries in 1..3"):
-            general_thomae_ratio_rhs(c, (1,), (n,), (2, 3), (1, 2, 3))
     with pytest.raises(ValueError, match="length m=1"):
-        general_thomae_ratio_rhs(c, (1,), (1, 2), (2, 3), (1, 2, 3))
+        general_thomae_rhs(c, (1,), (1, 2), (2, 3))
     with pytest.raises(ValueError, match="length m=2"):
         general_thomae_rhs(c, (), (1,), (1, 2, 3))
     with pytest.raises(ValueError, match=r"\|K\|"):
-        general_thomae_ratio_rhs(c, (1,), (1,), (2, 3, 4), (1, 2, 3, 4))
+        general_thomae_forms(c, (1,), (2, 3, 4))
 
 
 def test_calibration_failure_names_first_set(ctx):

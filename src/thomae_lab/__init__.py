@@ -24,9 +24,7 @@ from .thomae import (
     PhaseCalibration,
     calibrate_phases,
     first_thomae_rhs,
-    general_thomae_rhs,
-    general_thomae_tensor,
-    second_thomae_rhs_vector,
+    general_thomae_batch,
 )
 
 __version__ = "0.1.0"

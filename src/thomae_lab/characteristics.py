@@ -29,7 +29,6 @@ per (2g+2)-bit index mask, so [I^{(a -> b)}] is a table lookup at I ^ a ^ b.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -74,9 +73,6 @@ class HalfCharacteristic:
 
     def __repr__(self) -> str:
         return f"HalfCharacteristic(eps={self.eps}, eps_prime={self.eps_prime})"
-
-    def is_zero(self) -> bool:
-        return not self.bits
 
 
 @lru_cache(maxsize=None)
@@ -255,13 +251,6 @@ def enumerate_partitions(g: int, m: int) -> Iterator[Partition]:
     sizes = (g,) if m == 0 else [s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0]
     for size in sizes:
         yield from (Partition(genus=g, part=t) for t in combinations(idx, size))
-
-
-@lru_cache(maxsize=None)
-def count_by_multiplicity(g: int, m: int) -> int:
-    if m == 0:
-        return math.comb(2 * g + 1, g)
-    return math.comb(2 * g + 2, g + 1 - 2 * m)
 
 
 def set_order_less(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -71,15 +70,6 @@ def load_curve_file(path: str) -> CurveSpec:
     return validate_curve(raw["genus"], raw["branch_points"], raw.get("label", ""))
 
 
-def save_curve_file(spec: CurveSpec, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {"label": spec.label, "genus": spec.genus, "branch_points": list(spec.branch_points)},
-            fh,
-            indent=2,
-        )
-
-
 def _check_finite_indexset(spec: CurveSpec, index_set: Iterable[int]) -> tuple[int, ...]:
     idx = tuple(sorted(index_set))
     if len(set(idx)) != len(idx):
@@ -100,17 +90,6 @@ def vandermonde(spec: CurveSpec, index_set: Iterable[int]) -> float:
     idx = _check_finite_indexset(spec, index_set)
     e = spec.branch_points
     out = 1.0
-    for a in range(len(idx)):
-        for b in range(a):
-            out *= e[idx[a] - 1] - e[idx[b] - 1]
-    return out
-
-
-def vandermonde_exact(spec: CurveSpec, index_set: Iterable[int]) -> Fraction:
-    """Exact-rational variant of :func:`vandermonde` (floats are binary rationals)."""
-    idx = _check_finite_indexset(spec, index_set)
-    e = [Fraction(x) for x in spec.branch_points]
-    out = Fraction(1)
     for a in range(len(idx)):
         for b in range(a):
             out *= e[idx[a] - 1] - e[idx[b] - 1]

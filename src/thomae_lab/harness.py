@@ -29,17 +29,10 @@ from . import schottky as sch
 from .characteristics import _char, enumerate_partitions
 from .context import CurveContext
 from .curve import CurveSpec, load_curve_file, validate_curve
-from .indexsets import complement_finite, iset
+from .indexsets import complement_finite, index_masks, index_rows, index_sets, iset
 from .periods import compute_periods, periods_from_json, periods_to_json
 from .relations import VerificationRecord
-from .thomae import (
-    calibrate_phases,
-    first_thomae_rhs,
-    general_thomae_forms,
-    general_thomae_rhs,
-    second_thomae_rhs_vector,
-    snap_phase,
-)
+from .thomae import calibrate_phases, general_thomae_batch, snap_phase, thomae_prefactor
 
 DEFAULT_TOLERANCES = {
     "THOMAE1": 1e-6,
@@ -91,6 +84,8 @@ class SuiteConfig:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
         if self.quad_order < 1:
             raise ValueError(f"quad_order must be at least 1, got {self.quad_order}")
+        if not (math.isfinite(self.theta_tol) and self.theta_tol > 0):
+            raise ValueError(f"theta_tol must be finite and > 0, got {self.theta_tol}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance families: {sorted(unknown)}; "
@@ -234,11 +229,9 @@ def _picker(rng: np.random.Generator, *caps: int) -> Callable:
 class Family:
     """One verification family as a table entry.
 
-    ``bindings(ctx, cfg, rng)`` gives the bindings and
-    ``verify(ctx, bindings, tolerance=..., **extra)`` the records of all of
-    them: the batched families take an int array with one binding per row
-    (THOMAE1 one calibration row per binding), the others a list of argument
-    tuples through :func:`_each`.
+    ``bindings(ctx, cfg, rng)`` gives the bindings as an int array with one
+    binding per row, and ``verify(ctx, bindings, tolerance=..., **extra)``
+    the records of all of them, in row order.
     ``tolerances`` maps further verifier keywords to tolerance keys.  Below
     ``min_genus`` the family has no instances.
     """
@@ -255,20 +248,6 @@ class Family:
         tols = {"tolerance": cfg.tol(self.name)}
         tols.update((kw, cfg.tol(key)) for kw, key in self.tolerances)
         return self.verify(ctx, self.bindings(ctx, cfg, rng), **tols)
-
-
-def _each(verify: Callable) -> Callable:
-    """A whole-list verifier from a per-binding one that returns one record
-    or a list of records."""
-
-    def run(ctx, bindings, **tols):
-        out = []
-        for args in bindings:
-            rec = verify(ctx, *args, **tols)
-            out.extend(rec if isinstance(rec, list) else [rec])
-        return out
-
-    return run
 
 
 def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
@@ -312,11 +291,6 @@ def _eklm_rows(ctx, idx: np.ndarray) -> np.ndarray:
     return np.hstack([i_set, j_set, kmn])
 
 
-def _parts(ctx, m: int, cap: int, rng: np.random.Generator) -> list:
-    """Sampled finite parts of the multiplicity-m partitions, one per tuple."""
-    return [(p,) for p in _sample([p.part for p in enumerate_partitions(ctx.g, m)], cap, rng)]
-
-
 def _mask(indices) -> int:
     """Bit mask of an index set (bit i = index i)."""
     return sum(1 << int(i) for i in indices)
@@ -325,8 +299,8 @@ def _mask(indices) -> int:
 def _part_masks(ctx, m: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Rows [part mask] of the sampled finite parts of the multiplicity-m
     partitions."""
-    masks = [_mask(p) for (p,) in _parts(ctx, m, cap, rng)]
-    return np.array(masks, dtype=np.int64).reshape(-1, 1)
+    masks = [_mask(p.part) for p in enumerate_partitions(ctx.g, m)]
+    return np.array(_sample(masks, cap, rng), dtype=np.int64).reshape(-1, 1)
 
 
 def _thomae1(ctx, rows, tolerance):
@@ -342,51 +316,94 @@ def _thomae1(ctx, rows, tolerance):
     ]
 
 
-def _thomae2(ctx, i1, tolerance):
-    lhs = ctx.grad(i1)
-    rhs = second_thomae_rhs_vector(ctx, i1)
-    k = int(np.argmax(np.abs(lhs)))
-    phase, snap = snap_phase(lhs[k] / rhs[k])
-    residual = max(float(np.max(np.abs(lhs - phase * rhs)) / np.max(np.abs(lhs))), snap)
-    return VerificationRecord("THOMAE2", {"I1": i1}, residual, tolerance, notes=f"phase {phase:.3f}")
+def _phase_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of two (B, ...) arrays: the eighth root of unity that takes rhs
+    to lhs at the largest |lhs| entry, the residual
+    max |lhs - phase * rhs| / max |lhs| (at least the snap residual), and the
+    flat position of that entry."""
+    lhs, rhs = lhs.reshape(len(lhs), -1), rhs.reshape(len(rhs), -1)
+    rows = np.arange(len(lhs))
+    flat = np.argmax(np.abs(lhs), axis=1)
+    phase, snap = snap_phase(lhs[rows, flat] / rhs[rows, flat])
+    fit = np.max(np.abs(lhs - phase[:, None] * rhs), axis=1) / np.abs(lhs[rows, flat])
+    return phase, np.maximum(fit, snap), flat
+
+
+def _thomae_k(ctx, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the first and of the last g - |A| finite indices outside A,
+    for every part mask A (one |A| for all)."""
+    free = index_rows(((1 << ctx.spec.n_finite + 1) - 2) ^ parts)
+    size = ctx.g + free.shape[1] - ctx.spec.n_finite
+    return index_masks(free[:, :size]), index_masks(free[:, -size:])
+
+
+def _thomae2(ctx, rows, tolerance):
+    """THOMAE2 for every row [I1] of rows, the finite part of a
+    multiplicity-1 partition as a mask: its gradient is the general formula
+    at m = 1 up to an eighth root of unity."""
+    parts = rows[:, 0]
+    size = np.bitwise_count(parts)
+    phase, residual = np.empty(len(parts), dtype=complex), np.empty(len(parts))
+    for s in np.unique(size).tolist():
+        at = np.flatnonzero(size == s)
+        pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
+        phase[at], residual[at], _ = _phase_fit(ctx.grads(parts[at]), pred)
+    return [
+        VerificationRecord("THOMAE2", {"I1": i1}, res, tolerance, notes=f"phase {p:.3f}")
+        for i1, res, p in zip(index_sets(parts), residual.tolist(), phase.tolist())
+    ]
 
 
 def _thomaeg_bindings(ctx, cfg, rng):
-    for m in (2, 3) if ctx.g >= 5 else (2,):
-        for (a,) in _parts(ctx, m, max(cfg.cap // 20, 5), rng):
-            yield a, m
+    # rows [Im m], Im the finite part of a multiplicity-m partition as a mask
+    rows = [[part, m] for m in ((2, 3) if ctx.g >= 5 else (2,))
+            for part in _part_masks(ctx, m, max(cfg.cap // 20, 5), rng)[:, 0].tolist()]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
-def _thomaeg(ctx, a, m, tolerance, tolerance_m3):
-    g = ctx.g
-    ksize = g - len(a)
-    jm_fin = complement_finite(ctx.spec.n_finite, a)
-    kset = jm_fin[:ksize]
-    lhs = ctx.deriv(a, m).entries
-    pred, ratio = general_thomae_forms(ctx, a, kset)
-    flat = int(np.argmax(np.abs(lhs)))
-    phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
-    residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
-    # K-choice independence, probed on the best-conditioned entry
-    kalt = jm_fin[-ksize:]
-    entry = tuple(i + 1 for i in np.unravel_index(flat, lhs.shape))
-    scale = float(np.max(np.abs(pred)))
-    v1 = pred.flat[flat]
-    v2 = general_thomae_rhs(ctx, a, entry, kalt)
-    k_indep = abs(v1 - v2) / scale
-    # ratio form consistency
-    r1 = complex(ratio.flat[flat])
-    r2 = v1 / first_thomae_rhs(ctx, iset(a + kset))
-    ratio_resid = abs(r1 - r2) / max(abs(r1), abs(r2))
-    if k_indep > 1e-8 or ratio_resid > 1e-10:
-        residual = max(residual, 1.0)
-    return VerificationRecord(
-        "THOMAEG",
-        {"Im": a, "m": m, "K": kset},
-        residual,
-        tolerance_m3 if m == 3 else tolerance,  # m = 3 runs from genus 5 on
-        notes=f"phase {phase:.3f}; K-indep {k_indep:.2e}; ratio-form {ratio_resid:.2e}",
-    )
+def _thomaeg(ctx, rows, tolerance, tolerance_m3):
+    """THOMAEG for every row [Im m] of rows: the order-m derivative tensor
+    of theta[Im] is the general formula with K the first g - |Im| finite
+    indices outside Im, up to an eighth root of unity.  At the largest
+    entry, K made of the last such indices must give the same value
+    (K-independence), and the ratio form must be the direct form over the
+    first Thomae right side of Im + K; either failing fails the record."""
+    parts, order = rows[:, 0], rows[:, 1]
+    size = np.bitwise_count(parts)
+    phase, k_sets = np.empty(len(rows), dtype=complex), np.empty(len(rows), dtype=np.int64)
+    residual, k_indep, ratio_resid = (np.empty(len(rows)) for _ in range(3))
+    for s, m in sorted(set(zip(size.tolist(), order.tolist()))):
+        if (ctx.g - s + 1) // 2 != m:
+            raise ValueError(f"a part of {s} indices has no multiplicity {m} at genus {ctx.g}")
+        at = np.flatnonzero((size == s) & (order == m))
+        k, k_alt = _thomae_k(ctx, parts[at])
+        pred, ratio = general_thomae_batch(ctx, parts[at], k)
+        phase[at], residual[at], flat = _phase_fit(ctx.derivs(parts[at], m), pred)
+
+        def entry(t):
+            return t.reshape(len(at), -1)[np.arange(len(at)), flat]
+
+        v1, r1 = entry(pred), entry(ratio)
+        scale = np.abs(pred).reshape(len(at), -1).max(axis=1)
+        k_indep[at] = np.abs(v1 - entry(general_thomae_batch(ctx, parts[at], k_alt)[0])) / scale
+        r2 = v1 / thomae_prefactor(ctx, parts[at] | k)
+        ratio_resid[at] = np.abs(r1 - r2) / np.maximum(np.abs(r1), np.abs(r2))
+        k_sets[at] = k
+    residual = np.where((k_indep > 1e-8) | (ratio_resid > 1e-10), np.maximum(residual, 1.0),
+                        residual)
+    return [
+        VerificationRecord(
+            "THOMAEG",
+            {"Im": a, "m": m, "K": kset},
+            res,
+            tolerance_m3 if m == 3 else tolerance,  # m = 3 runs from genus 5 on
+            notes=f"phase {p:.3f}; K-indep {ki:.2e}; ratio-form {rr:.2e}",
+        )
+        for a, m, kset, res, p, ki, rr in zip(
+            index_sets(parts), order.tolist(), index_sets(k_sets), residual.tolist(),
+            phase.tolist(), k_indep.tolist(), ratio_resid.tolist(),
+        )
+    ]
 
 
 def _eklm_bindings(ctx, cfg, rng):
@@ -426,35 +443,24 @@ def _gradn_bindings(ctx, cfg, rng):
 
 
 def _rank_bindings(ctx, cfg, rng):
+    # rows [degenerate | part masks], padded with -1: collections of 2 to
+    # min(g + 2, 6) multiplicity-1 parts, then the degenerate family from the
+    # rank theorem, three sets sharing a (g-2)-set plus one disjoint-ish set
+    # (intersection g-4 but rank 3)
     g = ctx.g
-    parts = [p.part for p in enumerate_partitions(g, 1)]
+    parts = [_mask(p.part) for p in enumerate_partitions(g, 1)]
+    width = min(g + 2, 6)
+    rows = []
     for _ in range(min(cfg.cap, 200)):
-        size = int(rng.integers(2, min(g + 3, 7)))
+        size = int(rng.integers(2, width + 1))
         idx = rng.choice(len(parts), size=size, replace=False)
-        yield [parts[i] for i in idx], False
-    # the degenerate family from the rank theorem: three sets sharing a
-    # (g-2)-set plus one disjoint-ish set; intersection g-4 but rank 3
+        rows.append([0] + [parts[i] for i in idx] + [-1] * (width - size))
     if g >= 4:
         shared = tuple(range(1, g - 1))
-        fam = [iset(shared + (g - 1 + i,)) for i in range(3)]
+        fam = [shared + (g - 1 + i,) for i in range(3)]
         fam.append(tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):]))
-        yield fam, True
-
-
-def _rank(ctx, sets, degenerate, tolerance):
-    obs, pred = rel.collection_rank(ctx, sets)
-    if degenerate:
-        return VerificationRecord(
-            "RANK",
-            {"sets": tuple(sets), "family": "degenerate"},
-            0.0 if obs == pred == 3 else 1.0,
-            tolerance,
-            notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
-        )
-    return VerificationRecord(
-        "RANK", {"sets": tuple(sets)}, 0.0 if obs == pred else 1.0, tolerance,
-        notes=f"observed {obs}, predicted {pred}",
-    )
+        rows.append([1] + [_mask(s) for s in fam] + [-1] * (width - len(fam)))
+    return np.array(rows, dtype=np.int64)
 
 
 def _hess_equiv_bindings(ctx, cfg, rng):
@@ -501,20 +507,22 @@ def _rj_det_bindings(ctx, cfg, rng):
 
 
 def _schottky_r_bindings(ctx, cfg, rng):
+    # rows [I0 | p1..p4 | j_m j_n]
     fin = list(range(1, ctx.spec.n_finite + 1))
+    rows = []
     for _ in range(min(cfg.cap // 25, 20)):
         pick = sorted(rng.choice(len(fin), size=ctx.g, replace=False))
         i0 = tuple(fin[i] for i in pick)
         ps = tuple(sorted(rng.choice(i0, size=4, replace=False).tolist()))
         j0 = complement_finite(ctx.spec.n_finite, i0)
-        yield i0, ps, j0[0], j0[1]
+        rows.append(i0 + ps + j0[:2])
+    return np.array(rows, dtype=np.int64).reshape(-1, ctx.g + 6)
 
 
 def _schottky_f_bindings(ctx, cfg, rng):
-    return [(c,) for c in sch.CASE_IDS
-            if (sch._F_CASES.get(c, {}).get("genus") == ctx.g)
-            or (c == "schottky.F69G3" and ctx.g == 3)
-            or (c == "schottky.Ratio45" and ctx.g == 5)]
+    # rows [position in CASE_IDS] of the cases stated at this genus
+    return np.array([[i] for i, c in enumerate(sch.CASE_IDS) if sch.CASE_GENUS[c] == ctx.g],
+                    dtype=np.int64).reshape(-1, 1)
 
 
 # In run order.  Each family samples from its own stream, seeded by
@@ -522,8 +530,8 @@ def _schottky_f_bindings(ctx, cfg, rng):
 FAMILIES = {f.name: f for f in (
     Family("THOMAE1", lambda ctx, cfg, rng: _draw(len(ctx.calibration.sets), cfg.cap, rng),
            _thomae1),
-    Family("THOMAE2", lambda ctx, cfg, rng: _parts(ctx, 1, cfg.cap, rng), _each(_thomae2)),
-    Family("THOMAEG", _thomaeg_bindings, _each(_thomaeg), 3, (("tolerance_m3", "THOMAEG_G5"),)),
+    Family("THOMAE2", lambda ctx, cfg, rng: _part_masks(ctx, 1, cfg.cap, rng), _thomae2),
+    Family("THOMAEG", _thomaeg_bindings, _thomaeg, 3, (("tolerance_m3", "THOMAEG_G5"),)),
     Family("EKLM", _eklm_bindings, rel.eklm_batch),
     Family("EJI", _eji_bindings, rel.eji_batch),
     Family("GRAD2", lambda ctx, cfg, rng: _i0_splits(ctx, 2, _picker(rng, cfg.cap)),
@@ -532,7 +540,7 @@ FAMILIES = {f.name: f for f in (
            rel.grad3_batch),
     Family("GRAD4", _grad4_bindings, rel.grad4_batch, 3),
     Family("GRADN", _gradn_bindings, rel.gradn_batch),
-    Family("RANK", _rank_bindings, _each(_rank)),
+    Family("RANK", _rank_bindings, rel.rank_batch),
     Family("HESS_K3", lambda ctx, cfg, rng: _i0_splits(ctx, 3, _picker(rng, cfg.cap // 2)),
            rel.derivative_batch, 3),
     Family("HESS_K4", lambda ctx, cfg, rng: _i0_splits(ctx, 4, _picker(rng, cfg.cap // 2)),
@@ -545,9 +553,9 @@ FAMILIES = {f.name: f for f in (
     Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 6),
     Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch, 3),
     Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch),
-    Family("SCHOTTKY_R", _schottky_r_bindings, _each(sch.verify_schottky_R), 4,
+    Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 4,
            (("det_tolerance", "SCHOTTKY_DETR"),)),
-    Family("SCHOTTKY_F", _schottky_f_bindings, _each(sch.verify_appendix_f)),
+    Family("SCHOTTKY_F", _schottky_f_bindings, sch.appendix_f_batch),
 )}
 
 # SCHOTTKY_R emits three record kinds; map filters to runners.
@@ -684,6 +692,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --cap: must be at least 1, got {args.cap}")
     if args.quad_order < 1:
         parser.error(f"argument --quad-order: must be at least 1, got {args.quad_order}")
+    if not (math.isfinite(args.theta_tol) and args.theta_tol > 0):
+        parser.error(f"argument --theta-tol: must be finite and > 0, got {args.theta_tol}")
     tolerances = _parse_tolerances(parser, args.tol_family)
     try:
         if args.curve:

@@ -3,11 +3,16 @@
 Sets are sorted tuples of branch indices (0 = infinity).  The substitution
 notation of the closed-form theta expressions, e.g. I^{(a,b -> c,d)} for
 "replace a, b by c, d", maps onto :func:`replace`; J^{(j)} is :func:`drop`.
+Array code holds a set as its bit mask (bit i = index i):
+:func:`index_masks` builds masks from index rows, :func:`index_rows` and
+:func:`index_sets` turn them back into ascending rows or tuples.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 IndexSet = tuple[int, ...]
 
@@ -47,3 +52,22 @@ def complement_finite(n_finite: int, s: Iterable[int]) -> IndexSet:
     """Finite indices 1..n_finite not in s (ignores 0 in s)."""
     base = set(iset(s)) - {0}
     return tuple(i for i in range(1, n_finite + 1) if i not in base)
+
+
+def index_rows(masks: np.ndarray) -> np.ndarray:
+    """The indices of every mask of an int array, ascending along a new
+    last axis; every mask must hold the same number of indices."""
+    masks = np.asarray(masks)
+    bits = masks[..., None] >> np.arange(int(masks.max(initial=0)).bit_length()) & 1
+    width = int(bits.sum(axis=-1).max(initial=0))
+    return np.nonzero(bits)[-1].reshape(bits.shape[:-1] + (width,))
+
+
+def index_masks(idx: np.ndarray) -> np.ndarray:
+    """Bit mask of the index set along the last axis of an int array."""
+    return np.sum(np.left_shift(1, idx), axis=-1)
+
+
+def index_sets(masks: np.ndarray) -> list[tuple[int, ...]]:
+    """The ascending index set of every mask of a 1-d int array, as tuples."""
+    return [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks.tolist()]

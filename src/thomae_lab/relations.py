@@ -11,7 +11,9 @@ identities are judged fairly.  Families:
                      GRAD4 are GRADN at r = 2 and 3, and all three run
                      through one kernel, :func:`_gradient_residuals`,
 * RANK            -- rank of a collection of gradients vs the combinatorial
-                     prediction from the intersection pattern of partitions,
+                     prediction from the intersection pattern of partitions
+                     (:func:`rank_batch`: one gather and one batched SVD per
+                     collection size),
 * HESS_K3/K4,     -- one statement at orders m = 2, 3 and any m: the order-m
   D3_K5/K6,          derivative tensor of theta[I0 - K] equals
   CONJ_M             R . A^{(x)m} / theta[I0]^{m-1}, A the gradients of
@@ -24,20 +26,22 @@ identities are judged fairly.  Families:
 * HESS_RANK       -- rank of the Hessian (3 in genus > 3, full at g = 3),
 * RJ_DET          -- the hyperelliptic Riemann-Jacobi derivative formula.
 
+The Thomae families live in ``harness`` on :mod:`thomae`'s batched kernel,
+the Schottky families in :mod:`schottky`; every family has this shape.
+
 Bindings.  A row holds the slots of one binding, index sets as their
 indices; where the sets of one family differ in size from row to row
-(GRADN, HESS_EQUIV, HESS_RANK, CONJ_M), a row holds each set as its bit mask
-(bit i = index i) and the verifier groups rows by size.  Inside, an index
-set is always a mask, so the substitution I^{(a -> b)} is I ^ a ^ b, and
-:meth:`CurveContext.consts` / :meth:`CurveContext.grads` /
-:meth:`CurveContext.derivs` gather the theta values of a whole (B, ...) mask
-array from the curve's stores; the arithmetic then runs once over all B
-rows.  Coefficient products are reduced along a trailing axis, which rounds
-as Python's scalar products do, and R is built with :func:`_cmul` /
-:func:`_cdiv`, which round as Python's complex arithmetic does: GRAD2/3/4
-residuals and R equal the per-binding formulas bit for bit.  EKLM, EJI,
-GRADN and the contraction of R with the gradients round in another order;
-their residuals agree to far below the tolerances.
+(GRADN, RANK, HESS_EQUIV, HESS_RANK, CONJ_M), a row holds each set as its
+bit mask (bit i = index i) and the verifier groups rows by size.  Inside, an
+index set is always a mask, so the substitution I^{(a -> b)} is I ^ a ^ b,
+and :meth:`CurveContext.consts` / :meth:`CurveContext.grads` /
+:meth:`CurveContext.derivs` gather the theta values of a whole (B, ...)
+mask array from the curve's stores; the arithmetic then runs once over all
+B rows, in plain NumPy.  Coefficient products are reduced along a trailing
+axis, which rounds as Python's scalar products do, so GRAD2/3/4 residuals
+equal the per-binding formulas bit for bit; the other families round in
+another order, far below their tolerances, and R agrees with a 30-digit
+evaluation of its formula to a few units of 2^-53.
 
 Index-set conventions: 0 is the infinity index, smallest in the set order;
 all kappa bindings are ascending; signs alternate in ascending set order.
@@ -48,12 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .context import CurveContext
-from .thomae import FOURTH_ROOTS
+from .indexsets import index_masks, index_rows, index_sets
+from .thomae import FOURTH_ROOTS, snap_phase
 
 TINY = 1e-300
 # singular values below this share of the largest do not count toward a rank
@@ -101,11 +106,6 @@ def _vector_residuals(terms: np.ndarray) -> np.ndarray:
     return np.max(total / np.maximum(per_comp, floor), axis=1)
 
 
-def scalar_identity_residual(terms: Sequence[complex]) -> float:
-    mags = [abs(t) for t in terms]
-    return abs(sum(terms)) / (max(mags) + TINY)
-
-
 def _match_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Per row: max |lhs - rhs| over the largest |entry| of either side."""
     axes = tuple(range(1, lhs.ndim))
@@ -117,11 +117,6 @@ def _match_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # Index masks
 # ---------------------------------------------------------------------------
 
-def _masks(idx: np.ndarray) -> np.ndarray:
-    """Bit mask of the index set along the last axis (bit i = index i)."""
-    return np.sum(np.left_shift(1, idx), axis=-1)
-
-
 def _all(g: int) -> int:
     """Mask of all indices 0..2g+1."""
     return (1 << 2 * g + 2) - 1
@@ -130,11 +125,6 @@ def _all(g: int) -> int:
 def _finite(g: int) -> int:
     """Mask of the finite indices 1..2g+1."""
     return _all(g) ^ 1
-
-
-def _sets(masks: np.ndarray) -> list[tuple[int, ...]]:
-    """The ascending index set of every mask, as a tuple of ints."""
-    return [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +136,17 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) ->
     g = ctx.g
     if np.any(np.bitwise_or.reduce(np.left_shift(1, binds), axis=1) != _finite(g)):
         raise ValueError("I, J, {k,m,n} must partition the finite indices")
-    i_mask, j_mask = _masks(binds[:, : g - 1]), _masks(binds[:, g - 1 : 2 * g - 2])
+    i_mask, j_mask = index_masks(binds[:, : g - 1]), index_masks(binds[:, g - 1 : 2 * g - 2])
     k, m, n = binds[:, 2 * g - 2 :].T
     e = np.asarray(ctx.spec.branch_points)
     lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
     bm, bn = 1 << m, 1 << n
     c = ctx.consts(np.stack([i_mask | bn, j_mask | bn, i_mask | bm, j_mask | bm], axis=1))
     rhs = c[:, 0] ** 2 * c[:, 1] ** 2 / (c[:, 2] ** 2 * c[:, 3] ** 2)
-    # the nearest fourth root of unity to lhs / rhs, first on ties
-    ratio, roots = lhs / rhs, np.array(FOURTH_ROOTS)
-    snap = np.argmin(np.abs((ratio / np.abs(ratio))[:, None] - roots), axis=1)
-    residual = np.abs(lhs - roots[snap] * rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+    phase = snap_phase(lhs / rhs, FOURTH_ROOTS)[0]
+    residual = np.abs(lhs - phase * rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
     out = []
-    for row, s, res in zip(binds.tolist(), snap.tolist(), residual.tolist()):
-        p = FOURTH_ROOTS[s]
+    for row, p, res in zip(binds.tolist(), phase.tolist(), residual.tolist()):
         out.append(VerificationRecord(
             "EKLM",
             {"I": tuple(row[: g - 1]), "J": tuple(row[g - 1 : 2 * g - 2]),
@@ -178,7 +165,7 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> 
     also compares it with the swapped pair and, where J0 has two more
     indices, with the smallest pair of them."""
     g = ctx.g
-    i0 = _masks(binds[:, :g])
+    i0 = index_masks(binds[:, :g])
     ik, il, jn, jm = binds[:, g:].T
     j0 = _finite(g) ^ i0
     e = np.asarray(ctx.spec.branch_points)
@@ -231,7 +218,7 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> 
 def grad2_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
     """GRAD2 for every row [I0 | kappa1 kappa2 | j_m j_n] of binds."""
     g = ctx.g
-    i0 = _masks(binds[:, :g])
+    i0 = index_masks(binds[:, :g])
     k1, k2, jm, jn = (1 << binds[:, g:]).T
     j0 = _finite(g) ^ i0
     coeff = ctx.consts(np.stack([
@@ -285,7 +272,9 @@ def grad3_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     s = ctx.g - 2
     kap = 1 << binds[:, s : s + 3]
     jm, jn = (1 << binds[:, s + 3 :]).T
-    residual, grads = _gradient_residuals(ctx, _masks(binds[:, :s]), kap.sum(axis=1), jm, jn, kap)
+    residual, grads = _gradient_residuals(
+        ctx, index_masks(binds[:, :s]), kap.sum(axis=1), jm, jn, kap
+    )
     # pairwise independence: smallest singular value of each 2 x g stack
     pairs = list(combinations(range(3), 2))
     sv = np.linalg.svd(grads[:, pairs], compute_uv=False)
@@ -318,8 +307,8 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     s = ctx.g - 3
     jm, jn = (1 << binds[:, s + 5 : s + 7]).T
     residual, grads = _gradient_residuals(
-        ctx, _masks(binds[:, :s]), _masks(binds[:, s : s + 5]), jm, jn,
-        _masks(binds[:, s + 7 :].reshape(-1, 4, 2)),
+        ctx, index_masks(binds[:, :s]), index_masks(binds[:, s : s + 5]), jm, jn,
+        index_masks(binds[:, s + 7 :].reshape(-1, 4, 2)),
     )
     sv = np.linalg.svd(grads[:, :3], compute_uv=False)
     triple = sv[:, 2] / sv[:, 0]
@@ -351,7 +340,7 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -
     residual = np.empty(len(binds))
     for size in np.unique(r).tolist():
         rows = np.flatnonzero(r == size)
-        bits = 1 << np.array(_sets(b_mask[rows]))
+        bits = 1 << np.array(index_sets(b_mask[rows]))
         k_mask, rest = bits[:, :size].sum(axis=1), bits[:, size:].sum(axis=1)
         subsets = np.hstack([k_mask[:, None] ^ bits[:, :size], rest[:, None]])
         residual[rows] = _gradient_residuals(
@@ -366,7 +355,7 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -
             notes="conjecture: residual reported" if size >= 4 else "",
         )
         for row, i_set, b_set, size, res in zip(
-            binds.tolist(), _sets(i_mask), _sets(b_mask), r.tolist(), residual.tolist()
+            binds.tolist(), index_sets(i_mask), index_sets(b_mask), r.tolist(), residual.tolist()
         )
     ]
 
@@ -400,22 +389,41 @@ def predicted_collection_rank(g: int, full_parts: Sequence[frozenset]) -> int:
     return best
 
 
-def collection_rank(ctx: CurveContext, sets: Sequence[Iterable[int]]) -> tuple[int, int]:
-    """(observed, predicted) rank of a collection of multiplicity-1 gradients."""
-    parts = []
-    rows = []
-    for s in sets:
-        p = ctx.partition(s)
-        if p.multiplicity() != 1:
-            raise ValueError(f"{tuple(s)} is not a multiplicity-1 index set")
-        parts.append(frozenset(p.full_part()))
-        rows.append(ctx.grad(p.part))
-    dedup = list(dict.fromkeys(parts))
-    rows = [rows[parts.index(p)] for p in dedup]
-    sv = np.linalg.svd(np.stack(rows), compute_uv=False)
-    observed = int(np.sum(sv > RANK_SVD_CUT * sv[0]))
-    predicted = predicted_collection_rank(ctx.g, dedup)
-    return observed, predicted
+def rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 0.5) -> list:
+    """RANK for every row [degenerate | part masks] of binds, the masks padded
+    with -1: the finite parts of distinct multiplicity-1 partitions, whose
+    gradients must have the rank that :func:`predicted_collection_rank`
+    gives; a row flagged degenerate must have rank 3 as well."""
+    g = ctx.g
+    flag, masks = binds[:, 0], binds[:, 1:]
+    held = masks >= 0
+    parts = np.where(held, masks, 0)
+    # the infinity index joins a part whose size has the wrong parity
+    full = parts | (np.bitwise_count(parts) % 2 != (g + 1) % 2)
+    if np.any(held & ((parts & 1) | (np.bitwise_count(full) != g - 1)).astype(bool)):
+        raise ValueError("every set must be the finite part of a multiplicity-1 partition")
+    size = held.sum(axis=1)
+    observed = np.empty(len(binds), dtype=np.int64)
+    for n in np.unique(size).tolist():
+        rows = np.flatnonzero(size == n)
+        sv = np.linalg.svd(ctx.grads(parts[rows, :n]), compute_uv=False)
+        observed[rows] = np.sum(sv > RANK_SVD_CUT * sv[:, :1], axis=1)
+    out = []
+    for row, deg, obs, n in zip(full.tolist(), flag.tolist(), observed.tolist(), size.tolist()):
+        sets = index_sets(np.array(row[:n]))
+        pred = predicted_collection_rank(g, [frozenset(s) for s in sets])
+        bindings = {"sets": tuple(tuple(i for i in s if i) for s in sets)}
+        if deg:
+            out.append(VerificationRecord(
+                "RANK", {**bindings, "family": "degenerate"}, 0.0 if obs == pred == 3 else 1.0,
+                tolerance, notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
+            ))
+        else:
+            out.append(VerificationRecord(
+                "RANK", bindings, 0.0 if obs == pred else 1.0, tolerance,
+                notes=f"observed {obs}, predicted {pred}",
+            ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,40 +439,17 @@ def _entry_sign(positions: Sequence[int], kk: int) -> float:
     return float((-1) ** (sum(positions) + m + offset))
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b with every real product and sum rounded on its own, as Python
-    rounds a complex product (NumPy's vector loops may fuse them)."""
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b by Smith's algorithm, rounded as Python rounds a complex
-    quotient (NumPy scales by a reciprocal instead)."""
-    wide = np.abs(b.real) >= np.abs(b.imag)
-    big, small = np.where(wide, b.real, b.imag), np.where(wide, b.imag, b.real)
-    x, y = np.where(wide, a.real, a.imag), np.where(wide, a.imag, a.real)
-    ratio = small / big
-    denom = big + small * ratio
-    return _complex((x + y * ratio) / denom, np.where(wide, 1.0, -1.0) * (y - x * ratio) / denom)
-
-
 @lru_cache(maxsize=None)
-def _r_layout(kk: int, m: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+def _r_layout(kk: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """How R is assembled from a per-binding factor table.
 
     Factor columns: the C(kk, 2) pair values, then kk single products, kk
-    swap values and the denominator base.  Every entry with positions
-    P = (k_1 < ... < k_m) starts at its sign and takes the same sequence of
-    multiplications and divisions, in the order of the formula in
-    :func:`general_r_tensor`; ``steps`` lists them as (divide, column per
-    entry).  ``fill`` maps each position of the (kk,)*m tensor to its entry,
-    or to one past the last entry (zero) when an index repeats.
+    swap values and the denominator base.  The entry with positions
+    P = (k_1 < ... < k_m) is its sign times the product of its ``num``
+    columns over the product of its ``den`` columns, as in the formula of
+    :func:`general_r_tensor`.  ``fill`` maps each position of the (kk,)*m
+    tensor to its entry, or to one past the last entry (zero) when an index
+    repeats.
     """
     pair_list = list(combinations(range(kk), 2))
     col = {}
@@ -472,26 +457,18 @@ def _r_layout(kk: int, m: int) -> tuple[np.ndarray, tuple, np.ndarray]:
         col[a, b] = col[b, a] = c
     single, swap, base = len(pair_list), len(pair_list) + kk, len(pair_list) + 2 * kk
     entries = list(combinations(range(kk), m))
-    signs, rows = [], []
+    signs, num, den = [], [], []
     for ps in entries:
         qs = [t for t in range(kk) if t not in ps]
-        ops = [(False, col[ab]) for ab in combinations(ps, 2)]
-        ops += [(False, col[ab]) for ab in combinations(qs, 2)]
-        if kk == 2 * m:
-            ops += [(False, swap + p) for p in ps]
-        for q in qs:
-            ops.append((False, single + q))
-            if kk == 2 * m - 1:
-                ops.append((False, swap + q))
-            ops += [(True, col[p, q]) for p in ps]
-        ops.append((True, base))
+        up = [col[ab] for ab in combinations(ps, 2)] + [col[ab] for ab in combinations(qs, 2)]
+        up += [swap + p for p in (ps if kk == 2 * m else qs)] + [single + q for q in qs]
         signs.append(_entry_sign(ps, kk))
-        rows.append(ops)
-    steps = tuple((rows[0][s][0], np.array([r[s][1] for r in rows])) for s in range(len(rows[0])))
+        num.append(up)
+        den.append([col[p, q] for p in ps for q in qs] + [base])
     index = {ps: e for e, ps in enumerate(entries)}
     fill = np.array([index.get(tuple(sorted(pos)), len(entries)) if len(set(pos)) == m
                      else len(entries) for pos in product(range(kk), repeat=m)])
-    return np.array(signs), steps, fill
+    return np.array(signs), np.array(num), np.array(den), fill
 
 
 def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.ndarray:
@@ -510,13 +487,13 @@ def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.nda
                     * prod_{p, q} th[I0^{(p,q -> jn,jm)}] )
 
     Every theta constant is read once per binding, into a factor table
-    indexed by position in K, and each entry is assembled in the order above.
+    indexed by position in K (:func:`_r_layout`).
     """
     g, m = ctx.g, order
     kk = binds.shape[1] - g - 2
     if kk not in (2 * m - 1, 2 * m):
         raise ValueError(f"|K|={kk} incompatible with order {m}")
-    i0 = _masks(binds[:, :g])
+    i0 = index_masks(binds[:, :g])
     kap = 1 << binds[:, g : g + kk]
     jm, jn = (1 << binds[:, g + kk :]).T
     j0 = _finite(g) ^ i0
@@ -527,13 +504,9 @@ def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.nda
     single = ctx.consts(np.stack([(i0 ^ jm)[:, None] ^ kap, (i0 ^ jn)[:, None] ^ kap], axis=2))
     swap = ctx.consts((j0 ^ jn ^ jm)[:, None] ^ kap)
     base = ctx.consts(np.stack([j0 ^ jm, j0 ^ jn], axis=1)).prod(axis=1)
-    # an integral float exponent takes NumPy's repeated-squaring power, which
-    # rounds as Python's complex ** int does
-    factors = np.hstack([pair, single.prod(axis=2), swap, np.power(base, float(kk - m))[:, None]])
-    signs, steps, fill = _r_layout(kk, m)
-    val = np.broadcast_to(signs.astype(complex), (len(binds), len(signs)))
-    for divide, cols in steps:
-        val = (_cdiv if divide else _cmul)(val, factors[:, cols])
+    factors = np.hstack([pair, single.prod(axis=2), swap, (base ** (kk - m))[:, None]])
+    signs, num, den, fill = _r_layout(kk, m)
+    val = signs * factors[:, num].prod(axis=-1) / factors[:, den].prod(axis=-1)
     val = np.hstack([val, np.zeros((len(binds), 1))])
     return val[:, fill].reshape((len(binds),) + (kk,) * m)
 
@@ -543,7 +516,7 @@ def _predicted(ctx: CurveContext, binds: np.ndarray, order: int) -> np.ndarray:
     [I0 | K | j_m j_n]: R applied to the gradients of theta[I0 - p], p in K,
     divided by theta[I0]^(m-1)."""
     g = ctx.g
-    i0 = _masks(binds[:, :g])
+    i0 = index_masks(binds[:, :g])
     pred = general_r_tensor(ctx, binds, order)
     grads = ctx.grads(i0[:, None] ^ (1 << binds[:, g:-2]))  # (B, |K|, g)
     for _ in range(order):  # contract the leading |K| axis, append a g axis
@@ -557,14 +530,14 @@ def _repr_tensors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(predicted, computed) order-m derivative tensors of theta[I0 - K]."""
     g = ctx.g
-    target = ctx.derivs(_masks(binds[:, :g]) ^ _masks(binds[:, g:-2]), order)
+    target = ctx.derivs(index_masks(binds[:, :g]) ^ index_masks(binds[:, g:-2]), order)
     return _predicted(ctx, binds, order), target
 
 
 def _repr_rows(binds: np.ndarray) -> np.ndarray:
     """Rows [I0 | K | j_m j_n] from rows [I0 K j_m j_n] with I0 and K as
     masks, one |K| for all rows."""
-    return np.hstack([np.array(_sets(binds[:, 0])), np.array(_sets(binds[:, 1])), binds[:, 2:]])
+    return np.hstack([index_rows(binds[:, 0]), index_rows(binds[:, 1]), binds[:, 2:]])
 
 
 # |K| -> (record id, default tolerance) of the order-(|K|+1)//2 representation
@@ -610,7 +583,7 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float =
         rows = np.flatnonzero(kk == size)
         va, vb = (_predicted(ctx, _repr_rows(binds[rows, c : c + 4]), 2) for c in (0, 4))
         residual[rows] = _match_residuals(va, vb)
-    sets = [_sets(binds[:, c]) for c in (0, 1, 4, 5)]
+    sets = [index_sets(binds[:, c]) for c in (0, 1, 4, 5)]
     return [
         VerificationRecord(
             "HESS_EQUIV",
@@ -644,7 +617,7 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 
                  for d, k in zip(drop4.tolist(), keep3.tolist())]
     return [
         VerificationRecord("HESS_RANK", {"I2": i2}, res, tolerance, notes=note)
-        for i2, res, note in zip(_sets(masks), residual.tolist(), notes)
+        for i2, res, note in zip(index_sets(masks), residual.tolist(), notes)
     ]
 
 
@@ -673,7 +646,8 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e
             notes=f"global sign {s:+d}; conjecture: residual reported" if row[2] >= 4 else "",
         )
         for row, i0, k_set, res, s in zip(
-            binds.tolist(), _sets(binds[:, 0]), _sets(binds[:, 1]), residual.tolist(), sign.tolist()
+            binds.tolist(), index_sets(binds[:, 0]), index_sets(binds[:, 1]), residual.tolist(),
+            sign.tolist(),
         )
     ]
 
@@ -690,7 +664,7 @@ def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) 
     (g+2 even constants; the genus-1 case is Jacobi's derivative formula
     with its three theta constants)."""
     g = ctx.g
-    i0 = _masks(binds)
+    i0 = index_masks(binds)
     j0 = _finite(g) ^ i0
     # column i of each matrix is the gradient of theta[I0^{(i)}]
     lhs = np.abs(np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << binds)), 1, 2)))

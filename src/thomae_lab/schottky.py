@@ -2,9 +2,9 @@
 vanishing combinations of their square roots.
 
 A Goepel group (P) is a subgroup of characteristics under addition mod 2,
-realised here on branch-index sets: the characteristic of A(S) is
-sum_{i in S} [eps_i], and set symmetric difference implements the sum (an
-index occurring twice drops).  Three further characteristics A_1, A_2, A_3
+realised here on branch-index masks: the characteristic of A(S) is
+sum_{i in S} [eps_i], and XOR of masks implements the sum (an index
+occurring twice drops).  Three further characteristics A_1, A_2, A_3
 generate cosets (A_i P) whose members must all be even non-singular; the
 coset products
 
@@ -24,152 +24,102 @@ points reduces to the exact identity a1 - a2 + a3 = 0 with
     a3 = (e_{p4}-e_{p1})(e_{p3}-e_{p2});
 
 this identity is checked in exact rational arithmetic.
+
+Both families take an int array with one binding per row, and both read
+their coset products from :func:`coset_products`: the group elements of
+every row are XOR combinations of its generator masks, and one
+:meth:`CurveContext.consts` gather reads every coset member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic, char_of_set, char_sum, parity, riemann_char, zero_char
+from .characteristics import mask_chars
 from .context import CurveContext
-from .indexsets import IndexSet, complement_finite, iset, replace
-from .relations import VerificationRecord, general_r_tensor, scalar_identity_residual
+from .indexsets import index_masks, index_sets
+from .relations import VerificationRecord, general_r_tensor
 from .thomae import first_thomae_rhs
 
 
-def syzygy_test(a: HalfCharacteristic, b: HalfCharacteristic, c: HalfCharacteristic) -> str:
-    """'azygetic' iff parity(a)+parity(b)+parity(c)+parity(a+b+c) is odd."""
-    chars = (a, b, c, char_sum(char_sum(a, b), c))
-    total = sum(parity(x) == "odd" for x in chars)
-    return "azygetic" if total % 2 else "syzygetic"
+def raw_chars(g: int, masks: np.ndarray) -> np.ndarray:
+    """Bits of [A(S)] = sum_{i in S} [eps_i] for an int array of index masks
+    S: the period characteristic of the set, without the Riemann-constant
+    shift [K] that partition characteristics carry."""
+    table = mask_chars(g)
+    return table[masks] ^ table[0]
 
 
-def raw_char(g: int, s: frozenset) -> HalfCharacteristic:
-    """[A(S)] = sum_{i in S} [eps_i]: the period characteristic of the set,
-    without the Riemann-constant shift that partition characteristics carry."""
-    return char_sum(char_of_set(g, s), riemann_char(g))
-
-
-@dataclass
-class GoepelGroup:
-    """Group of characteristics under XOR, elements held as index sets."""
-
-    genus: int
-    generators: tuple[frozenset, ...]
-    elements: tuple[frozenset, ...]
-    rank: int
-
-    def is_syzygetic(self) -> bool:
-        zero = zero_char(self.genus)
-        chars = [raw_char(self.genus, s) for s in self.elements]
-        # pair (a, b) syzygetic <=> triple (a, b, 0) syzygetic
-        return all(
-            syzygy_test(a, b, zero) == "syzygetic" for a, b in combinations(chars, 2)
-        )
-
-
-def build_goepel(g: int, generators: list[IndexSet]) -> GoepelGroup:
-    """Group generated by the characteristics of the given index sets.
+def goepel_elements(g: int, gens: np.ndarray) -> np.ndarray:
+    """Elements of the Goepel group generated by the characteristics of the
+    index masks ``gens`` (..., R), the infinity index dropped: (..., 2^R)
+    masks, element e the XOR of the generators at the set bits of e.
 
     Raises on generators that are dependent as characteristics (the full
     finite index set maps to the zero characteristic, so set-level and
     characteristic-level independence differ).
     """
-    gens = [frozenset(iset(s)) - {0} for s in generators]
-    basis_bits: list[int] = []
-    for s in gens:
-        v = raw_char(g, s).bits
-        for b in basis_bits:
-            v = min(v, v ^ b)
-        if v == 0:
-            raise ValueError(f"dependent generator {sorted(s)}")
-        basis_bits.append(v)
-        basis_bits.sort(reverse=True)
-    elements = [frozenset()]
-    for s in gens:
-        elements += [e ^ s for e in elements]
-    return GoepelGroup(genus=g, generators=tuple(gens), elements=tuple(elements), rank=len(gens))
+    gens = np.asarray(gens) & ~1
+    r = gens.shape[-1]
+    picks = np.arange(1 << r)[:, None] >> np.arange(r) & 1
+    elements = np.bitwise_xor.reduce(np.where(picks == 1, gens[..., None, :], 0), axis=-1)
+    zero = raw_chars(g, elements[..., 1:]) == 0
+    if np.any(zero):
+        # the highest generator of the first element with zero characteristic
+        # is the first generator that depends on the ones before it
+        row, e = np.argwhere(zero.reshape(-1, (1 << r) - 1))[0].tolist()
+        gen = gens.reshape(-1, r)[row, (e + 1).bit_length() - 1]
+        raise ValueError(f"dependent generator {list(index_sets(np.array([gen]))[0])}")
+    return elements
 
 
-@dataclass
-class SchottkyTriple:
-    a_sets: tuple[IndexSet, ...]
-    r: tuple[complex, ...]
-    roots: tuple[complex, ...]
-    coset_sets: tuple[tuple[IndexSet, ...], ...]
+def coset_products(ctx: CurveContext, gens: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """prod theta[A] over the coset (A_i P) for every row: ``gens`` (B, R)
+    generator masks of (P), ``reps`` (B, T) masks of the A_i; (B, T).  Every
+    coset member must be even non-singular, i.e. hold g or g + 1 finite
+    indices."""
+    members = (reps & ~1)[:, :, None] ^ goepel_elements(ctx.g, gens)[:, None, :]
+    size = np.bitwise_count(members)
+    bad = (size != ctx.g) & (size != ctx.g + 1)
+    if np.any(bad):
+        part = ctx.partition(index_sets(members[bad][:1])[0])
+        raise ValueError(
+            f"coset member {part} (char {part.char()}) has multiplicity "
+            f"{part.multiplicity()}; all members must be even non-singular"
+        )
+    return ctx.consts(members).prod(axis=-1)
 
 
-def coset_product(ctx: CurveContext, group: GoepelGroup, a_set: IndexSet) -> tuple[complex, tuple[IndexSet, ...]]:
-    """prod theta[A] over the coset of the partition a_set; every member
-    must be even non-singular."""
-    base = frozenset(iset(a_set)) - {0}
-    members = []
-    prod = 1.0 + 0j
-    for el in group.elements:
-        s = base ^ el
-        p = ctx.partition(s)
-        if p.multiplicity() != 0:
-            raise ValueError(
-                f"coset member {str(p)} (char {p.char()}) has multiplicity "
-                f"{p.multiplicity()}; all members must be even non-singular"
-            )
-        members.append(p.part)
-        prod *= ctx.const(p.part)
-    return prod, tuple(members)
-
-
-def schottky_triple(
-    ctx: CurveContext, group: GoepelGroup, a_sets: list[IndexSet]
-) -> SchottkyTriple:
-    """Coset products normalised to degree 8, and their square roots."""
-    exponent = 8.0 / 2.0**group.rank
-    rs, roots, cosets = [], [], []
-    for a in a_sets:
-        prod, members = coset_product(ctx, group, a)
-        r = complex(prod) ** exponent
-        rs.append(r)
-        roots.append(complex(prod) ** (exponent / 2.0))
-        cosets.append(members)
-    return SchottkyTriple(
-        a_sets=tuple(iset(a) for a in a_sets),
-        r=tuple(rs),
-        roots=tuple(roots),
-        coset_sets=tuple(cosets),
-    )
-
-
-def schottky_J(triple: SchottkyTriple) -> tuple[complex, float]:
-    """Schottky invariant and its residual relative to max |r_i|^2."""
-    r1, r2, r3 = triple.r[:3]
+def schottky_J(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schottky invariant of the last axis (r1, r2, r3) and its residual
+    relative to max |r_i|^2."""
+    r1, r2, r3 = np.moveaxis(r, -1, 0)
     j = r1**2 + r2**2 + r3**2 - 2 * r1 * r2 - 2 * r1 * r3 - 2 * r2 * r3
-    scale = max(abs(r) for r in triple.r[:3]) ** 2
-    return j, abs(j) / scale
+    return j, np.abs(j) / np.max(np.abs(r), axis=-1) ** 2
 
 
-def true_schottky_group(
-    ctx: CurveContext, i0: IndexSet, ps: tuple[int, int, int, int], j_m: int, j_n: int,
-) -> tuple[GoepelGroup, list[IndexSet]]:
-    """Rank-3 group and azygetic triplet realising the classical Schottky
-    invariant from a 4-subset of I_0: (P) is generated by the characteristic
-    of K = {p_1..p_4} together with [A({q_1, j_m})] and [A({q_2, j_n})],
-    q_1 < q_2 the two smallest indices of J_0 besides j_m and j_n, and
-    A_i = [I_0^{(p_1, p_{i+1} -> j_m, j_n)}].  sqrt(r_1) - sqrt(r_2)
-    + sqrt(r_3) = 0 for ascending p's, hence J = 0."""
-    i0, ps = iset(i0), tuple(sorted(ps))
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    q1, q2 = [j for j in j0 if j not in (j_m, j_n)][:2]
-    group = build_goepel(ctx.g, [ps, (q1, j_m), (q2, j_n)])
-    a_sets = [replace(i0, (ps[0], ps[i]), (j_m, j_n)) for i in (1, 2, 3)]
-    return group, a_sets
+def schottky_r_cosets(ctx: CurveContext, binds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generators and coset representatives, as masks ((B, 3) each), of the
+    rank-3 Goepel group and azygetic triplet that realise the classical
+    Schottky invariant for every row [I0 | p1..p4 | j_m j_n] (ascending p's):
+    (P) is generated by the characteristic of K = {p_1..p_4} together with
+    [A({q_1, j_m})] and [A({q_2, j_n})], q_1 < q_2 the two smallest indices
+    of J_0 besides j_m and j_n, and A_i = [I_0^{(p_1, p_{i+1} -> j_m, j_n)}].
+    sqrt(r_1) - sqrt(r_2) + sqrt(r_3) = 0, hence J = 0."""
+    g = ctx.g
+    i0, ps = index_masks(binds[:, :g]), 1 << binds[:, g : g + 4]
+    jm, jn = (1 << binds[:, g + 4 :]).T
+    rest = ((1 << 2 * g + 2) - 2) ^ i0 ^ jm ^ jn
+    q1 = rest & -rest
+    q2 = (rest ^ q1) & -(rest ^ q1)
+    gens = np.stack([ps.sum(axis=1), q1 | jm, q2 | jn], axis=1)
+    return gens, (i0 ^ ps[:, 0] ^ jm ^ jn)[:, None] ^ ps[:, 1:]
 
 
-def root_sum_residual(
-    roots: tuple[complex, ...], printed_signs: str
-) -> tuple[float, str, float]:
+def root_sum_residual(roots: np.ndarray, printed_signs: str) -> tuple[float, str, float]:
     """Residual of sum(sign_i * sqrt(r_i)) with the printed signs, plus the
     minimal-magnitude sign choice over the free signs (first is +).
 
@@ -179,91 +129,61 @@ def root_sum_residual(
     """
     n = len(roots)
     assert len(printed_signs) == n and printed_signs[0] == "+"
-    scale = max(abs(r) for r in roots)
-
-    def combo(signs):
-        return abs(sum((1 if s == "+" else -1) * r for s, r in zip(signs, roots))) / scale
-
-    best_signs, best = "+" * n, float("inf")
-    for mask in range(2 ** (n - 1)):
-        signs = "+" + "".join("+" if (mask >> i) & 1 == 0 else "-" for i in range(n - 1))
-        v = combo(signs)
-        if v < best:
-            best, best_signs = v, signs
-    return combo(printed_signs), best_signs, best
+    patterns = ["+" + "".join("+-"[mask >> i & 1] for i in range(n - 1))
+                for mask in range(2 ** (n - 1))]
+    signs = np.array([[1.0 if c == "+" else -1.0 for c in p] for p in patterns + [printed_signs]])
+    combos = (np.abs(signs @ np.asarray(roots)) / np.max(np.abs(roots))).tolist()
+    best = int(np.argmin(combos[:-1]))
+    return combos[-1], patterns[best], combos[best]
 
 
-def verify_schottky_R(
-    ctx: CurveContext,
-    i0: IndexSet,
-    ps: tuple[int, int, int, int],
-    j_m: int,
-    j_n: int,
-    tolerance: float = 1e-8,
-    det_tolerance: float = 1e-10,
-) -> list[VerificationRecord]:
-    """The three routes to the rank-1 Schottky relation.
+def schottky_r_batch(
+    ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8, det_tolerance: float = 1e-10,
+) -> list:
+    """The three routes to the rank-1 Schottky relation, three records for
+    every row [I0 | p1..p4 | j_m j_n] of binds (ascending p's in I0):
 
-    (i) the invariant J = 0 of the rank-3 Goepel group and azygetic triplet
-    that :func:`true_schottky_group` builds from I_0 and p_1..p_4; (ii)
-    det R = 0 for the 4x4 quadratic-representation matrix, with all 3x3
-    minors nonzero; (iii) a1 - a2 + a3 = 0 exactly in rational arithmetic.
+    (i) the invariant J = 0 of the Goepel group and azygetic triplet of
+    :func:`schottky_r_cosets`; (ii) det R = 0 for the 4x4
+    quadratic-representation matrix, with all 3x3 minors nonzero; (iii)
+    a1 - a2 + a3 = 0 exactly in rational arithmetic.
     """
-    i0 = iset(i0)
-    ps = tuple(sorted(ps))
-    if not set(ps) <= set(i0):
-        raise ValueError("p1..p4 must lie in I_0")
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    if j_m not in j0 or j_n not in j0 or j_m == j_n:
-        raise ValueError("j_m, j_n must be distinct members of J_0")
-    out = []
-
-    group, a_sets = true_schottky_group(ctx, i0, ps, j_m, j_n)
-    out.append(
-        VerificationRecord(
-            "SCHOTTKY_R",
-            {"I0": i0, "p": ps, "j_m": j_m, "j_n": j_n},
-            schottky_J(schottky_triple(ctx, group, a_sets))[1],
-            tolerance,
-        )
-    )
-
-    r_hat = general_r_tensor(ctx, np.array([i0 + ps + (j_m, j_n)]), order=2)[0]
+    g = ctx.g
+    i0, ps = index_masks(binds[:, :g]), binds[:, g : g + 4]
+    if np.any(np.diff(ps, axis=1) <= 0) or np.any(index_masks(ps) & ~i0):
+        raise ValueError("p1..p4 must be ascending members of I_0")
+    r_hat = general_r_tensor(ctx, binds, order=2)  # checks j_m, j_n
+    # rank 3: each coset has eight members and enters with exponent 1
+    j_resid = schottky_J(coset_products(ctx, *schottky_r_cosets(ctx, binds)))[1]
     sv = np.linalg.svd(r_hat, compute_uv=False)
-    det_resid = abs(np.linalg.det(r_hat)) / (sv[0] ** 4)
-    minors = [
-        abs(np.linalg.det(r_hat[np.ix_(rows, cols)])) / sv[0] ** 3
-        for rows in combinations(range(4), 3)
-        for cols in combinations(range(4), 3)
-    ]
-    notes = f"sigma3/sigma1={sv[2]/sv[0]:.2e}, smallest 3x3 minor {min(minors):.2e}"
-    if sv[2] / sv[0] < 1e-6 or min(minors) < 1e-6:
-        notes += " (3x3 minors unexpectedly small)"
-        det_resid = max(det_resid, 1.0)
-    out.append(
-        VerificationRecord(
-            "SCHOTTKY_DETR",
-            {"I0": i0, "K": ps, "j_m": j_m, "j_n": j_n},
-            det_resid,
-            det_tolerance,
-            notes=notes,
-        )
-    )
+    det_resid = np.abs(np.linalg.det(r_hat)) / sv[:, 0] ** 4
+    three = np.array(list(combinations(range(4), 3)))
+    minors = np.abs(np.linalg.det(r_hat[:, three[:, None, :, None], three[None, :, None, :]]))
+    smallest = minors.min(axis=(1, 2), initial=np.inf) / sv[:, 0] ** 3
+    small = (sv[:, 2] / sv[:, 0] < 1e-6) | (smallest < 1e-6)
+    det_resid = np.where(small, np.maximum(det_resid, 1.0), det_resid)
 
-    e = [Fraction(ctx.spec.branch_points[p - 1]) for p in ps]
-    a1 = (e[1] - e[0]) * (e[3] - e[2])
-    a2 = (e[2] - e[0]) * (e[3] - e[1])
-    a3 = (e[3] - e[0]) * (e[2] - e[1])
-    exact = a1 - a2 + a3
-    out.append(
-        VerificationRecord(
-            "SCHOTTKY_A123",
-            {"p": ps},
-            float(abs(exact)),
+    e = [Fraction(x) for x in ctx.spec.branch_points]
+    out = []
+    for row, jr, dr, s3, low, bad in zip(binds.tolist(), j_resid.tolist(), det_resid.tolist(),
+                                         (sv[:, 2] / sv[:, 0]).tolist(), smallest.tolist(),
+                                         small.tolist()):
+        i0_set, p, (jm, jn) = tuple(row[:g]), tuple(row[g : g + 4]), row[g + 4 :]
+        out.append(VerificationRecord(
+            "SCHOTTKY_R", {"I0": i0_set, "p": p, "j_m": jm, "j_n": jn}, jr, tolerance,
+        ))
+        notes = f"sigma3/sigma1={s3:.2e}, smallest 3x3 minor {low:.2e}"
+        out.append(VerificationRecord(
+            "SCHOTTKY_DETR", {"I0": i0_set, "K": p, "j_m": jm, "j_n": jn}, dr, det_tolerance,
+            notes=notes + (" (3x3 minors unexpectedly small)" if bad else ""),
+        ))
+        e1, e2, e3, e4 = (e[i - 1] for i in p)
+        exact = (e2 - e1) * (e4 - e3) - (e3 - e1) * (e4 - e2) + (e4 - e1) * (e3 - e2)
+        out.append(VerificationRecord(
+            "SCHOTTKY_A123", {"p": p}, float(abs(exact)),
             0.5,  # exact-zero contract: anything nonzero is a failure
             notes="exact rational arithmetic; residual must be exactly 0",
-        )
-    )
+        ))
     return out
 
 
@@ -327,42 +247,48 @@ _RATIO45_PRODUCTS = [
 ]
 
 CASE_IDS = tuple(sorted(_F_CASES)) + ("schottky.F69G3", "schottky.Ratio45")
+CASE_GENUS = {**{c: case["genus"] for c, case in _F_CASES.items()},
+              "schottky.F69G3": 3, "schottky.Ratio45": 5}
 
 
-def verify_appendix_f(ctx: CurveContext, case_id: str, tolerance: float = 1e-7) -> VerificationRecord:
-    """One Appendix-F Schottky case with the printed sign pattern."""
-    if case_id == "schottky.F69G3":
-        if ctx.g != 3:
-            raise ValueError("F69G3 needs genus 3")
-        qs = [np.prod([ctx.const(s) for s in group]) for group in _F69G3_PRODUCTS]
-        resid = scalar_identity_residual([qs[0], -qs[1], -qs[2]])
-        return VerificationRecord(
-            "SCHOTTKY_F", {"case": case_id}, resid, tolerance, notes="signs +--"
-        )
-    if case_id == "schottky.Ratio45":
-        if ctx.g != 5:
-            raise ValueError("Ratio45 needs genus 5")
-        worst = 0.0
-        for pair in _RATIO45_PRODUCTS:
-            prod = np.prod([ctx.const(s) for s in pair])
-            ref = np.prod([first_thomae_rhs(ctx, s) for s in pair])
-            worst = max(worst, abs(abs(prod) - abs(ref)) / abs(ref))
-        return VerificationRecord(
-            "SCHOTTKY_F",
-            {"case": case_id},
-            worst,
-            tolerance,
-            notes="intra-genus Thomae consistency of the listed products",
-        )
-    if case_id not in _F_CASES:
-        raise ValueError(f"unknown Schottky case {case_id!r}; known: {CASE_IDS}")
-    cfg = _F_CASES[case_id]
-    if ctx.g != cfg["genus"]:
-        raise ValueError(f"{case_id} needs genus {cfg['genus']}")
-    group = build_goepel(ctx.g, [iset(s) for s in cfg["group"]])
-    triple = schottky_triple(ctx, group, [iset(a) for a in cfg["a_sets"]])
-    printed, best_signs, best = root_sum_residual(triple.roots, cfg["signs"])
-    _, j_resid = schottky_J(triple) if len(triple.r) == 3 else (0, 0.0)
-    notes = f"printed signs {cfg['signs']}, best {best_signs} ({best:.2e}); J residual {j_resid:.2e}"
-    residual = printed if best_signs == cfg["signs"] else max(printed, 1.0)
-    return VerificationRecord("SCHOTTKY_F", {"case": case_id}, residual, tolerance, notes=notes)
+def appendix_f_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-7) -> list:
+    """The Appendix-F Schottky case at every row [position in CASE_IDS] of
+    binds, each with its printed sign pattern."""
+    out = []
+    for (pos,) in binds.tolist():
+        if not 0 <= pos < len(CASE_IDS):
+            raise ValueError(f"unknown Schottky case position {pos}; known: {CASE_IDS}")
+        case_id = CASE_IDS[pos]
+        if ctx.g != CASE_GENUS[case_id]:
+            raise ValueError(f"{case_id} needs genus {CASE_GENUS[case_id]}")
+        if case_id == "schottky.F69G3":
+            terms = ctx.consts(index_masks(np.array(_F69G3_PRODUCTS))).prod(axis=1) * [1, -1, -1]
+            resid = float(np.abs(terms.sum()) / np.abs(terms).max())
+            out.append(VerificationRecord(
+                "SCHOTTKY_F", {"case": case_id}, resid, tolerance, notes="signs +--"
+            ))
+            continue
+        if case_id == "schottky.Ratio45":
+            prods = ctx.consts(index_masks(np.array(_RATIO45_PRODUCTS))).prod(axis=1)
+            refs = np.array([first_thomae_rhs(ctx, a) * first_thomae_rhs(ctx, b)
+                             for a, b in _RATIO45_PRODUCTS])
+            worst = float(np.max(np.abs(np.abs(prods) - np.abs(refs)) / np.abs(refs)))
+            out.append(VerificationRecord(
+                "SCHOTTKY_F", {"case": case_id}, worst, tolerance,
+                notes="intra-genus Thomae consistency of the listed products",
+            ))
+            continue
+        case = _F_CASES[case_id]
+        gens = np.array([[sum(1 << i for i in s) for s in case["group"]]])
+        prods = coset_products(ctx, gens, index_masks(np.array(case["a_sets"]))[None])[0]
+        # degree-8 normalisation: a coset of 2^rank members enters with 8 / 2^rank
+        exponent = 8.0 / 2.0 ** len(case["group"])
+        printed, best_signs, best = root_sum_residual(prods ** (exponent / 2), case["signs"])
+        j_resid = schottky_J(prods ** exponent)[1] if len(prods) == 3 else 0.0
+        out.append(VerificationRecord(
+            "SCHOTTKY_F", {"case": case_id},
+            printed if best_signs == case["signs"] else max(printed, 1.0), tolerance,
+            notes=f"printed signs {case['signs']}, best {best_signs} ({best:.2e}); "
+                  f"J residual {j_resid:.2e}",
+        ))
+    return out

@@ -74,8 +74,8 @@ class ThetaParams:
 
     def __post_init__(self):
         self.tau = np.ascontiguousarray(self.tau, dtype=complex)  # ThetaEngine views it as float
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"ThetaParams.tol must be finite and > 0, got {self.tol}")
         eig = np.linalg.eigvalsh(self.tau.imag)
         if np.min(eig) <= 0:
             raise ValueError("Im tau must be positive definite")
@@ -89,9 +89,6 @@ class DerivThetaTensor:
     order: int
     entries: np.ndarray  # shape (g,)*order; shape () for order 0
     scale: float  # largest single |term| contributing to any entry
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries))) if self.order else abs(complex(self.entries))
 
 
 def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float = RADIUS_WARN) -> float:

@@ -3,26 +3,35 @@
 The oracles below are the per-binding verifiers as they were before the
 families became array code: each binding looks its theta values up one at a
 time through ``ctx.const`` / ``ctx.grad`` / ``ctx.deriv`` and index-set
-surgery on sorted tuples (HESS_EQUIV and CONJ_M build their predicted
-tensors from a one-row batch, as they did).  The batch functions must give
-the same records: ids, bindings, verdicts and notes equal, residuals
-bit-equal where the arithmetic is the same and within 1e-3 x tolerance
-elsewhere.  The enumerations the samplers unrank are checked against the
-list builders they replaced.
+surgery on sorted tuples, and builds R, the general Thomae tensor and the
+Goepel cosets with scalar Python arithmetic.  The batch functions must give
+the same records: ids, bindings and verdicts equal, notes equal (up to the
+rounding of the measured numbers in THOMAEG, SCHOTTKY_DETR and SCHOTTKY_F
+notes), residuals bit-equal where the arithmetic is the same and within
+1e-3 x tolerance elsewhere.  R itself is checked against a 30-digit mpmath
+evaluation of its formula.  The enumerations the samplers unrank are checked
+against the list builders they replaced.
 """
 
 import math
+import re
+from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
+import mpmath
 import numpy as np
 import pytest
 
+from thomae_lab import harness
 from thomae_lab import relations as rel
+from thomae_lab import schottky as sch
 from thomae_lab import thomae
-from thomae_lab.characteristics import _char, char_of_set, mask_chars
+from thomae_lab.characteristics import _char, char_of_set, char_sum, mask_chars, riemann_char
 from thomae_lab.context import CurveContext
+from thomae_lab.curve import elementary_symmetric_all, ordered_diff_product, vandermonde
 from thomae_lab.harness import (
     FAMILIES,
     SuiteConfig,
@@ -454,14 +463,6 @@ def oracle_derivative_repr(
     )
 
 
-def _one_row_prediction(
-    ctx: CurveContext, i0: IndexSet, k_set: IndexSet, j_m: int, j_n: int, order: int
-) -> np.ndarray:
-    """The batched prediction of one binding, as the per-binding
-    representation tensor computed it."""
-    return rel._predicted(ctx, np.array([i0 + k_set + (j_m, j_n)]), order)[0]
-
-
 def oracle_hess_equiv(
     ctx: CurveContext,
     binding_a: tuple[IndexSet, IndexSet, int, int],
@@ -473,8 +474,8 @@ def oracle_hess_equiv(
     ib, kb, jmb, jnb = binding_b
     if drop(iset(ia), *iset(ka)) != drop(iset(ib), *iset(kb)):
         raise ValueError("bindings must represent the same characteristic")
-    va = _one_row_prediction(ctx, iset(ia), iset(ka), jma, jna, 2)
-    vb = _one_row_prediction(ctx, iset(ib), iset(kb), jmb, jnb, 2)
+    va = oracle_representation_tensor(ctx, ia, ka, jma, jna, 2)
+    vb = oracle_representation_tensor(ctx, ib, kb, jmb, jnb, 2)
     return VerificationRecord(
         "HESS_EQUIV",
         {"I0_a": iset(ia), "K_a": iset(ka), "I0_b": iset(ib), "K_b": iset(kb),
@@ -515,8 +516,7 @@ def oracle_conjecture(
     i0, k_set = iset(i0), iset(k_set)
     if order >= 4 and ctx.g < 7:
         raise ValueError("multiplicity >= 4 requires genus >= 7")
-    pred = _one_row_prediction(ctx, i0, k_set, j_m, j_n, order)
-    target = ctx.deriv(drop(i0, *k_set), order).entries
+    pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, order)
     residual, sign = tensor_match_residual(pred, target), 1
     flipped = tensor_match_residual(-pred, target)
     if flipped < residual:
@@ -546,6 +546,230 @@ def oracle_rj_det(
         rhs *= abs(ctx.const(drop(j0, j)))
     residual = abs(lhs - rhs) / max(lhs, rhs)
     return VerificationRecord("RJ_DET", {"I0": i0}, residual, tolerance)
+
+
+# --- oracles: the Thomae, rank and Schottky families ----------------------
+
+def _s_vector(ctx: CurveContext, indices: IndexSet) -> np.ndarray:
+    """omega^t (s_0, -s_1, ..., (-1)^{g-1} s_{g-1})(indices): one value per n."""
+    g = ctx.g
+    signs = np.array([(-1) ** j for j in range(g)], dtype=float)
+    s = np.array((elementary_symmetric_all(ctx.spec, indices) + [0.0] * g)[:g])
+    return ctx.periods.omega.T @ (signs * s)
+
+
+def _prefactor(ctx: CurveContext, a: IndexSet) -> complex:
+    """(det omega/pi^g)^{1/2} Delta(A)^{1/4} Delta(B)^{1/4}, B the finite complement of A."""
+    b = complement_finite(ctx.spec.n_finite, a)
+    return ctx.det_factor * vandermonde(ctx.spec, a) ** 0.25 * vandermonde(ctx.spec, b) ** 0.25
+
+
+def _thomae_tensor(ctx: CurveContext, a: IndexSet, k: IndexSet, m: int) -> np.ndarray:
+    """The ordered-tuple sum of the general formula as a symmetric (g,)*m
+    tensor: over ordered distinct (p_1..p_m) in K, the outer product of
+    s(A + K - p_i) / prod_{q in K - {p_1..p_m}} (e_{p_i} - e_q)."""
+    e = ctx.spec.branch_points
+    svec = {p: _s_vector(ctx, drop(iset(a + k), p)) for p in k}
+    total = np.zeros((ctx.g,) * m, dtype=complex)
+    for chosen in combinations(k, m):
+        rest = [q for q in k if q not in chosen]
+        w = {p: svec[p] / math.prod(e[p - 1] - e[q - 1] for q in rest) for p in chosen}
+        for ordering in permutations(chosen):
+            total += reduce(np.multiply.outer, [w[p] for p in ordering])
+    sorted_idx = np.sort(np.indices(total.shape).reshape(m, -1), axis=0)
+    return total.ravel()[np.ravel_multi_index(sorted_idx, total.shape)].reshape(total.shape)
+
+
+def oracle_thomae2(ctx: CurveContext, i1: IndexSet, tolerance: float = 1e-6) -> VerificationRecord:
+    """The gradient of a multiplicity-1 characteristic against the closed
+    second Thomae form (the general one with the first two finite indices
+    of the complement as K when the part holds infinity)."""
+    a = ctx.partition(i1).part
+    lhs = ctx.grad(i1)
+    if len(a) == ctx.g - 1:
+        rhs = _prefactor(ctx, a) * _s_vector(ctx, a)
+    else:
+        k = complement_finite(ctx.spec.n_finite, a)[:2]
+        rhs = _prefactor(ctx, a) * _thomae_tensor(ctx, a, k, 1)
+    k = int(np.argmax(np.abs(lhs)))
+    phase, snap = snap_phase(lhs[k] / rhs[k])
+    residual = max(float(np.max(np.abs(lhs - phase * rhs)) / np.max(np.abs(lhs))), snap)
+    return VerificationRecord("THOMAE2", {"I1": i1}, residual, tolerance,
+                              notes=f"phase {phase:.3f}")
+
+
+def oracle_thomaeg(
+    ctx: CurveContext, a: IndexSet, m: int, tolerance: float = 1e-5, tolerance_m3: float = 1e-4,
+) -> VerificationRecord:
+    """The general Thomae formula at multiplicity m with K the first
+    g - |A| finite indices outside A, plus K-independence and the ratio
+    form at the largest entry."""
+    ksize = ctx.g - len(a)
+    jm_fin = complement_finite(ctx.spec.n_finite, a)
+    kset = jm_fin[:ksize]
+    lhs = ctx.deriv(a, m).entries
+    t = _thomae_tensor(ctx, a, kset, m)
+    pred = _prefactor(ctx, a) * t
+    flat = int(np.argmax(np.abs(lhs)))
+    phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
+    residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
+    v1 = pred.flat[flat]
+    v2 = (_prefactor(ctx, a) * _thomae_tensor(ctx, a, jm_fin[-ksize:], m)).flat[flat]
+    k_indep = abs(v1 - v2) / float(np.max(np.abs(pred)))
+    # prod_{kappa in K} (prod_{j in J_0} (e_kappa - e_j) / prod_{i in A} (e_kappa - e_i))^{1/4}
+    i0 = iset(a + kset)
+    pref = 1.0
+    for kappa in kset:
+        num = ordered_diff_product(ctx.spec, (kappa,), complement_finite(ctx.spec.n_finite, i0))
+        den = ordered_diff_product(ctx.spec, (kappa,), a) if a else 1.0
+        pref *= (num / den) ** 0.25
+    r1, r2 = complex(pref * t.flat[flat]), v1 / _prefactor(ctx, i0)
+    ratio_resid = abs(r1 - r2) / max(abs(r1), abs(r2))
+    if k_indep > 1e-8 or ratio_resid > 1e-10:
+        residual = max(residual, 1.0)
+    return VerificationRecord(
+        "THOMAEG", {"Im": a, "m": m, "K": kset}, residual,
+        tolerance_m3 if m == 3 else tolerance,
+        notes=f"phase {phase:.3f}; K-indep {k_indep:.2e}; ratio-form {ratio_resid:.2e}",
+    )
+
+
+def oracle_rank(
+    ctx: CurveContext, sets: Sequence[IndexSet], degenerate: bool, tolerance: float = 0.5,
+) -> VerificationRecord:
+    """Observed rank of a collection of multiplicity-1 gradients against
+    the combinatorial prediction; the degenerate family must have rank 3."""
+    parts, rows = [], []
+    for s in sets:
+        p = ctx.partition(s)
+        parts.append(frozenset(p.full_part()))
+        rows.append(ctx.grad(p.part))
+    dedup = list(dict.fromkeys(parts))
+    sv = np.linalg.svd(np.stack([rows[parts.index(p)] for p in dedup]), compute_uv=False)
+    obs = int(np.sum(sv > rel.RANK_SVD_CUT * sv[0]))
+    pred = rel.predicted_collection_rank(ctx.g, dedup)
+    if degenerate:
+        return VerificationRecord(
+            "RANK", {"sets": tuple(sets), "family": "degenerate"},
+            0.0 if obs == pred == 3 else 1.0, tolerance,
+            notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
+        )
+    return VerificationRecord("RANK", {"sets": tuple(sets)}, 0.0 if obs == pred else 1.0,
+                              tolerance, notes=f"observed {obs}, predicted {pred}")
+
+
+def _raw_char(g: int, s: Iterable[int]):
+    return char_sum(char_of_set(g, s), riemann_char(g))
+
+
+def _goepel(g: int, generators: Sequence[IndexSet]) -> list[frozenset]:
+    """Elements of the group generated by the characteristics of the sets,
+    as sets under symmetric difference; the generators must be independent."""
+    gens = [frozenset(s) - {0} for s in generators]
+    basis: list[int] = []
+    for s in gens:
+        v = _raw_char(g, s).bits
+        for b in basis:
+            v = min(v, v ^ b)
+        assert v != 0, f"dependent generator {sorted(s)}"
+        basis = sorted(basis + [v], reverse=True)
+    elements = [frozenset()]
+    for s in gens:
+        elements += [e ^ s for e in elements]
+    return elements
+
+
+def _coset_powers(ctx: CurveContext, generators, a_sets) -> tuple[list, list]:
+    """The coset products normalised to degree 8, and their square roots."""
+    elements = _goepel(ctx.g, generators)
+    exponent = 8.0 / len(elements)
+    r, roots = [], []
+    for a in a_sets:
+        prod = 1.0 + 0j
+        for el in elements:
+            p = ctx.partition((frozenset(a) - {0}) ^ el)
+            assert p.multiplicity() == 0, p
+            prod *= ctx.const(p.part)
+        r.append(complex(prod) ** exponent)
+        roots.append(complex(prod) ** (exponent / 2.0))
+    return r, roots
+
+
+def _j_residual(r: Sequence[complex]) -> float:
+    r1, r2, r3 = r
+    j = r1**2 + r2**2 + r3**2 - 2 * r1 * r2 - 2 * r1 * r3 - 2 * r2 * r3
+    return abs(j) / max(abs(x) for x in r) ** 2
+
+
+def oracle_schottky_r(
+    ctx: CurveContext, i0: IndexSet, ps: IndexSet, j_m: int, j_n: int,
+    tolerance: float = 1e-8, det_tolerance: float = 1e-10,
+) -> list[VerificationRecord]:
+    """The three routes to the rank-1 Schottky relation: J = 0 for the
+    rank-3 Goepel group of K = {p_1..p_4}, [A({q_1, j_m})], [A({q_2, j_n})];
+    det R = 0 with all 3x3 minors nonzero; a1 - a2 + a3 = 0 exactly."""
+    j0 = complement_finite(ctx.spec.n_finite, i0)
+    q1, q2 = [j for j in j0 if j not in (j_m, j_n)][:2]
+    a_sets = [replace(i0, (ps[0], ps[i]), (j_m, j_n)) for i in (1, 2, 3)]
+    r, _ = _coset_powers(ctx, [ps, (q1, j_m), (q2, j_n)], a_sets)
+    out = [VerificationRecord("SCHOTTKY_R", {"I0": i0, "p": ps, "j_m": j_m, "j_n": j_n},
+                              _j_residual(r), tolerance)]
+    r_hat = oracle_r_tensor(ctx, i0, ps, j_m, j_n, 2)
+    sv = np.linalg.svd(r_hat, compute_uv=False)
+    det_resid = abs(np.linalg.det(r_hat)) / (sv[0] ** 4)
+    minors = [abs(np.linalg.det(r_hat[np.ix_(rows, cols)])) / sv[0] ** 3
+              for rows in combinations(range(4), 3) for cols in combinations(range(4), 3)]
+    notes = f"sigma3/sigma1={sv[2]/sv[0]:.2e}, smallest 3x3 minor {min(minors):.2e}"
+    if sv[2] / sv[0] < 1e-6 or min(minors) < 1e-6:
+        notes += " (3x3 minors unexpectedly small)"
+        det_resid = max(det_resid, 1.0)
+    out.append(VerificationRecord("SCHOTTKY_DETR", {"I0": i0, "K": ps, "j_m": j_m, "j_n": j_n},
+                                  det_resid, det_tolerance, notes=notes))
+    e = [Fraction(ctx.spec.branch_points[p - 1]) for p in ps]
+    exact = (e[1] - e[0]) * (e[3] - e[2]) - (e[2] - e[0]) * (e[3] - e[1]) \
+        + (e[3] - e[0]) * (e[2] - e[1])
+    out.append(VerificationRecord("SCHOTTKY_A123", {"p": ps}, float(abs(exact)), 0.5,
+                                  notes="exact rational arithmetic; residual must be exactly 0"))
+    return out
+
+
+def oracle_appendix_f(
+    ctx: CurveContext, case_id: str, tolerance: float = 1e-7
+) -> VerificationRecord:
+    """One Appendix-F Schottky case with the printed sign pattern."""
+    if case_id == "schottky.F69G3":
+        qs = [np.prod([ctx.const(s) for s in group]) for group in sch._F69G3_PRODUCTS]
+        terms = [qs[0], -qs[1], -qs[2]]
+        resid = abs(sum(terms)) / (max(abs(t) for t in terms) + TINY)
+        return VerificationRecord("SCHOTTKY_F", {"case": case_id}, resid, tolerance,
+                                  notes="signs +--")
+    if case_id == "schottky.Ratio45":
+        worst = 0.0
+        for pair in sch._RATIO45_PRODUCTS:
+            prod = np.prod([ctx.const(s) for s in pair])
+            ref = np.prod([_prefactor(ctx, s) for s in pair])
+            worst = max(worst, abs(abs(prod) - abs(ref)) / abs(ref))
+        return VerificationRecord("SCHOTTKY_F", {"case": case_id}, worst, tolerance,
+                                  notes="intra-genus Thomae consistency of the listed products")
+    case = sch._F_CASES[case_id]
+    r, roots = _coset_powers(ctx, case["group"], case["a_sets"])
+    printed_signs = case["signs"]
+    scale = max(abs(x) for x in roots)
+
+    def combo(signs):
+        return abs(sum((1 if s == "+" else -1) * x for s, x in zip(signs, roots))) / scale
+
+    best_signs, best = "+" * len(roots), float("inf")
+    for mask in range(2 ** (len(roots) - 1)):
+        signs = "+" + "".join("+" if (mask >> i) & 1 == 0 else "-" for i in range(len(roots) - 1))
+        if combo(signs) < best:
+            best, best_signs = combo(signs), signs
+    printed = combo(printed_signs)
+    j_resid = _j_residual(r) if len(r) == 3 else 0.0
+    notes = (f"printed signs {printed_signs}, best {best_signs} ({best:.2e}); "
+             f"J residual {j_resid:.2e}")
+    residual = printed if best_signs == printed_signs else max(printed, 1.0)
+    return VerificationRecord("SCHOTTKY_F", {"case": case_id}, residual, tolerance, notes=notes)
 
 
 # --- oracles: the list-building enumerations ---------------------------------
@@ -615,43 +839,67 @@ def _args(name, g, row):
                 (_set(row[4]), _set(row[5]), row[6], row[7])), {}
     if name == "CONJ_M":
         return (_set(row[0]), _set(row[1]), *row[2:]), {}
+    if name == "THOMAE2":
+        return (_set(row[0]),), {}
+    if name == "THOMAEG":
+        return (_set(row[0]), row[1]), {}
+    if name == "RANK":
+        return ([_set(x) for x in row[1:] if x >= 0], bool(row[0])), {}
+    if name == "SCHOTTKY_R":
+        return (tuple(row[:g]), tuple(row[g : g + 4]), row[g + 4], row[g + 5]), {}
+    if name == "SCHOTTKY_F":
+        return (sch.CASE_IDS[row[0]],), {}
     return (tuple(row[:g]), tuple(row[g:-2]), row[-2], row[-1]), {}
 
 
 ORACLES = {
+    "THOMAE2": oracle_thomae2, "THOMAEG": oracle_thomaeg,
     "EKLM": oracle_eklm, "EJI": oracle_eji, "GRAD2": oracle_grad2, "GRAD3": oracle_grad3,
-    "GRAD4": oracle_grad4, "GRADN": oracle_gradn, "HESS_K3": oracle_derivative_repr,
+    "GRAD4": oracle_grad4, "GRADN": oracle_gradn, "RANK": oracle_rank,
+    "HESS_K3": oracle_derivative_repr,
     "HESS_K4": oracle_derivative_repr, "HESS_EQUIV": oracle_hess_equiv,
     "HESS_RANK": oracle_hessian_rank, "D3_K5": oracle_derivative_repr,
     "D3_K6": oracle_derivative_repr, "CONJ_M": oracle_conjecture, "RJ_DET": oracle_rj_det,
+    "SCHOTTKY_R": oracle_schottky_r, "SCHOTTKY_F": oracle_appendix_f,
 }
 # residuals computed by the same arithmetic in the same order; GRADN sums
 # its terms in ascending set order, the oracle in the order of K
-BIT_EQUAL = {"GRAD2", "GRAD3", "GRAD4", "HESS_EQUIV", "HESS_RANK", "CONJ_M", "RJ_DET"}
-CASES = [(g, name) for g in (3, 4, 5, 6) for name in ORACLES if g >= FAMILIES[name].min_genus]
+BIT_EQUAL = {"GRAD2", "GRAD3", "GRAD4", "HESS_RANK", "RJ_DET"}
+# record ids whose notes carry measured numbers that round with the arithmetic
+ROUNDED_NOTES = {"THOMAEG", "SCHOTTKY_DETR", "SCHOTTKY_F"}
+CASES = [(g, name) for g in (3, 4, 5, 6) for name in ORACLES
+         if g >= FAMILIES[name].min_genus
+         and (name != "SCHOTTKY_F" or g in sch.CASE_GENUS.values())]
+_NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
 
 
 @pytest.mark.parametrize("g,name", CASES)
 def test_batch_records_equal_oracle(random_ctx, g, name):
     # every sampled binding at g <= 5, the first 50 at g = 6
     ctx = random_ctx(g, 1)
+    ctx.calibration = thomae.calibrate_phases(ctx)
     cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
     family = FAMILIES[name]
     rows = family.bindings(ctx, cfg, _family_rng(cfg, name))
     if g == 6:
         rows = rows[:50]
-    tol = cfg.tol(name)
-    batch = family.verify(ctx, rows, tolerance=tol)
-    assert len(batch) == len(rows) > 0
-    for row, got in zip(rows.tolist(), batch):
+    tols = {"tolerance": cfg.tol(name), **{kw: cfg.tol(key) for kw, key in family.tolerances}}
+    batch = family.verify(ctx, rows, **tols)
+    want = []
+    for row in rows.tolist():
         args, kw = _args(name, g, row)
-        want = ORACLES[name](ctx, *args, tolerance=tol, **kw)
-        assert (got.relation_id, got.bindings, got.notes, got.passed) == \
-            (want.relation_id, want.bindings, want.notes, want.passed), row
+        rec = ORACLES[name](ctx, *args, **tols, **kw)
+        want.extend(rec if isinstance(rec, list) else [rec])
+    assert len(batch) == len(want) >= len(rows) > 0
+    for got, rec in zip(batch, want):
+        notes = [_NUMBER.sub("#", r.notes) if r.relation_id in ROUNDED_NOTES else r.notes
+                 for r in (got, rec)]
+        assert (got.relation_id, got.bindings, notes[0], got.passed, got.tolerance) == \
+            (rec.relation_id, rec.bindings, notes[1], rec.passed, rec.tolerance), rec.bindings
         if name in BIT_EQUAL:
-            assert got.residual == want.residual, row
+            assert got.residual == rec.residual, rec.bindings
         else:
-            assert abs(got.residual - want.residual) <= 1e-3 * tol, row
+            assert abs(got.residual - rec.residual) <= 1e-3 * rec.tolerance, rec.bindings
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
@@ -725,11 +973,20 @@ def _plain(v) -> bool:
 
 
 @pytest.mark.parametrize("g", [3, 4, 5])
-def test_bindings_hold_python_types(g):
+def test_bindings_hold_python_types(random_ctx, g):
     report = run_suite(SuiteConfig(spec=random_curve(g, 1), cap=500, seed=1))
     assert any(rec.relation_id == "THOMAE1" for rec in report.records)
     for rec in report.records:
         assert all(_plain(v) for v in rec.bindings.values()), (rec.relation_id, rec.bindings)
+    # every family hands its verifier an int array, one binding per row
+    ctx = random_ctx(g, 1)
+    ctx.calibration = thomae.calibrate_phases(ctx)
+    cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
+    for name, family in FAMILIES.items():
+        if g < family.min_genus:
+            continue
+        rows = family.bindings(ctx, cfg, _family_rng(cfg, name))
+        assert isinstance(rows, np.ndarray) and rows.dtype.kind == "i", name
 
 
 def test_general_r_tensor_rejects_bad_j(ctx):
@@ -739,27 +996,36 @@ def test_general_r_tensor_rejects_bad_j(ctx):
 
 @pytest.mark.parametrize("g", [3, 5])
 def test_suite_with_empty_batches(g):
-    # cap 1 leaves HESS_K3/K4 (cap // 2) and GRAD4 with no bindings
+    # cap 1 leaves HESS_K3/K4 (cap // 2), GRAD4 and, at genus 5, SCHOTTKY_R
+    # (cap // 25) with no bindings
     report = run_suite(SuiteConfig(spec=random_curve(g, 2), cap=1, seed=2))
     assert report.all_passed()
-    assert not any(r.relation_id in ("HESS_K3", "HESS_K4", "GRAD4") for r in report.records)
+    empty = ("HESS_K3", "HESS_K4", "GRAD4", "SCHOTTKY_R", "SCHOTTKY_DETR", "SCHOTTKY_A123")
+    assert not any(r.relation_id in empty for r in report.records)
+    if g == 5:
+        assert any(r.relation_id == "SCHOTTKY_F" for r in report.records)
 
 
 def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
-    builds = []
-    build = thomae._thomae_tensor
+    # one batch with K and one with the alternative K per (|Im|, m) group:
+    # two tensor rows per record
+    rows, calls = [], []
+    build = harness.general_thomae_batch
 
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
+    def counted(c, a_masks, k_masks):
+        calls.append(len(a_masks))
+        rows.extend(zip(a_masks.tolist(), k_masks.tolist()))
+        return build(c, a_masks, k_masks)
 
-    monkeypatch.setattr(thomae, "_thomae_tensor", counted)
+    monkeypatch.setattr(harness, "general_thomae_batch", counted)
     c = ctx(5)
     cfg = SuiteConfig(spec=c.spec, cap=100, seed=1)
     c.calibration = thomae.calibrate_phases(c)
     records = FAMILIES["THOMAEG"](c, cfg, _family_rng(cfg, "THOMAEG"))
     assert records and all(r.passed for r in records)
-    assert len(builds) == 2 * len(records)
+    assert len(rows) == len(set(rows)) == 2 * len(records)
+    groups = {(len(r.bindings["Im"]), r.bindings["m"]) for r in records}
+    assert len(calls) == 2 * len(groups)
 
 
 # --- THOMAE1 from the calibration rows --------------------------------------
@@ -827,3 +1093,75 @@ def test_derivs_gather_equals_theta_deriv(ctx, monkeypatch, g):
         assert np.array_equal(c.deriv(i, order).entries, want[0]), order
     # each (eps', order) table is built once, however often it is read
     assert sorted(builds) == [2] * len(classes) + [3] * len(classes)
+
+
+# --- R against its formula at 30 digits --------------------------------------
+
+def mp_r_entries(ctx: CurveContext, row: Sequence[int], m: int) -> dict:
+    """The entries of R for one row [I0 | K | j_m j_n], keyed by their
+    ascending positions in K: general_r_tensor's formula evaluated in 30-digit
+    mpmath arithmetic from the same double theta constants."""
+    g, kk = ctx.g, len(row) - ctx.g - 2
+    i0, ks = _mask(row[:g]), [1 << k for k in row[g : g + kk]]
+    jm, jn = 1 << row[-2], 1 << row[-1]
+    j0 = ((1 << 2 * g + 2) - 2) ^ i0
+
+    def th(mask):
+        return mpmath.mpc(complex(ctx.consts(np.array([mask]))[0]))
+
+    out = {}
+    with mpmath.workdps(30):
+        pair = {}
+        for a, b in combinations(range(kk), 2):
+            pair[a, b] = pair[b, a] = th(i0 ^ ks[a] ^ ks[b] ^ jn ^ jm)
+        single = [th(i0 ^ q ^ jm) * th(i0 ^ q ^ jn) for q in ks]
+        swap = [th(j0 ^ jn ^ jm ^ p) for p in ks]
+        base = (th(j0 ^ jm) * th(j0 ^ jn)) ** (kk - m)
+        for ps in combinations(range(kk), m):
+            qs = [t for t in range(kk) if t not in ps]
+            val = mpmath.mpf(_entry_sign(ps, kk))
+            for a, b in list(combinations(ps, 2)) + list(combinations(qs, 2)):
+                val *= pair[a, b]
+            for p in ps if kk == 2 * m else qs:
+                val *= swap[p]
+            for q in qs:
+                val *= single[q]
+                for p in ps:
+                    val /= pair[p, q]
+            out[ps] = val / base
+    return out
+
+
+# Measured relative error of a batch entry (random_curve(g, 1), g = 3..6):
+# at most 6.4e-16 over the bindings below, and 7.3e-16 (6.6 units of
+# 2^-53) over the first 200 sampled bindings of each family, 5,671 entries.
+# An entry takes at most 22 rounded products and quotients.
+R_ORACLE_BOUND = 2e-15
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_r_tensor_against_mpmath(random_ctx, g):
+    ctx = random_ctx(g, 1)
+    cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
+    checked = 0
+    for name in ("HESS_K3", "HESS_K4", "D3_K5", "D3_K6", "CONJ_M"):
+        if g < FAMILIES[name].min_genus:
+            continue
+        rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))[:12]
+        if name == "CONJ_M":  # [I0 K m j_m j_n] with masks, one row at a time
+            pairs = [(rel._repr_rows(r[None, [0, 1, 3, 4]]), int(r[2])) for r in rows]
+        else:
+            pairs = [(rows, (rows.shape[1] - g - 1) // 2)] if len(rows) else []
+        for batch_rows, m in pairs:
+            tensors = rel.general_r_tensor(ctx, batch_rows, m)
+            for row, t in zip(batch_rows.tolist(), tensors):
+                entries = mp_r_entries(ctx, row, m)
+                # entries with a repeated position vanish
+                assert np.count_nonzero(t) == len(entries) * math.factorial(m), (name, row)
+                for ps, want in entries.items():
+                    with mpmath.workdps(30):
+                        for perm in permutations(ps):
+                            err = abs(mpmath.mpc(complex(t[perm])) - want) / abs(want)
+                            assert err <= R_ORACLE_BOUND, (name, row, ps, float(err))
+                checked += 1
+    assert checked >= 12

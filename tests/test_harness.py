@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from thomae_lab.curve import save_curve_file, validate_curve
+from thomae_lab.curve import validate_curve
 from thomae_lab.harness import (
     DEFAULT_TOLERANCES,
     SuiteConfig,
@@ -13,6 +13,7 @@ from thomae_lab.harness import (
     random_curve,
     run_suite,
 )
+from thomae_lab.theta import ThetaParams
 
 
 def test_random_curve_deterministic():
@@ -52,8 +53,10 @@ def test_unknown_family_rejected_before_compute():
         run_suite(cfg)
 
 
-def test_reports_byte_identical():
-    cfg = SuiteConfig(spec=random_curve(2, 9), cap=50, seed=9)
+@pytest.mark.parametrize("g", [2, 5])
+def test_reports_byte_identical(g):
+    # genus 5 runs every family, THOMAEG at m = 2 and 3 and SCHOTTKY_R included
+    cfg = SuiteConfig(spec=random_curve(g, 9), cap=50, seed=9)
     r1 = run_suite(cfg).to_json(include_timings=False)
     r2 = run_suite(cfg).to_json(include_timings=False)
     assert r1 == r2
@@ -73,7 +76,10 @@ def test_report_json_schema():
 
 def test_cli_exit_codes(tmp_path, capsys):
     curve_path = tmp_path / "c.json"
-    save_curve_file(validate_curve(2, [1, 2, 3, 4, 5], "cli"), str(curve_path))
+    spec = validate_curve(2, [1, 2, 3, 4, 5], "cli")
+    curve_path.write_text(json.dumps(
+        {"label": spec.label, "genus": spec.genus, "branch_points": list(spec.branch_points)}
+    ))
     code = main(["verify", "--curve", str(curve_path), "--relations", "THOMAE1",
                  "--format", "json", "--out", str(tmp_path / "r.json")])
     assert code == 0
@@ -121,6 +127,10 @@ def test_cli_rejects_unknown_tolerance(monkeypatch, capsys):
 def test_suite_config_rejects_bad_tolerance(value):
     with pytest.raises(ValueError, match=r"tolerance for GRAD2 must be finite and > 0, got"):
         SuiteConfig(spec=random_curve(2, 1), tolerances={"GRAD2": value})
+    with pytest.raises(ValueError, match=r"theta_tol must be finite and > 0, got"):
+        SuiteConfig(spec=random_curve(2, 1), theta_tol=value)
+    with pytest.raises(ValueError, match=r"ThetaParams.tol must be finite and > 0, got"):
+        ThetaParams(tau=1j * np.eye(2), tol=value)
 
 
 def test_suite_config_rejects_bad_quad_order():
@@ -133,7 +143,12 @@ def test_suite_config_rejects_bad_quad_order():
     (["--tol-family", "GRAD2=nan"], "--tol-family", "'GRAD2=nan'"),
     (["--tol-family", "GRAD2"], "--tol-family", "'GRAD2'"),
     (["--quad-order", "0"], "--quad-order", "got 0"),
-], ids=["negative", "nan", "no-value", "quad-order-0"])
+    (["--theta-tol", "nan"], "--theta-tol", "got nan"),
+    (["--theta-tol", "inf"], "--theta-tol", "got inf"),
+    (["--theta-tol", "-1"], "--theta-tol", "got -1.0"),
+    (["--theta-tol", "0"], "--theta-tol", "got 0.0"),
+], ids=["negative", "nan", "no-value", "quad-order-0", "theta-tol-nan", "theta-tol-inf",
+        "theta-tol-negative", "theta-tol-0"])
 def test_cli_rejects_bad_numbers_before_compute(monkeypatch, capsys, args, option, item):
     def no_periods(*a, **kw):
         raise AssertionError("periods computed for an invalid option")

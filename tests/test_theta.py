@@ -330,12 +330,13 @@ def test_vanishing_order_exhaustive(ctx, g):
             ch = part.char()
             for order in range(m):
                 t = c.engine.theta_deriv(ch, order)
-                assert t.max_abs() < 1e-8 * t.scale, (part, order, t.max_abs(), t.scale)
+                size = np.max(np.abs(t.entries))
+                assert size < 1e-8 * t.scale, (part, order, size, t.scale)
             t = c.engine.theta_deriv(ch, m)
-            assert t.max_abs() > 1e-6 * t.scale, (part, m)
+            assert np.max(np.abs(t.entries)) > 1e-6 * t.scale, (part, m)
 
 
 def test_even_char_gradient_vanishes(ctx):
     c = ctx(4)
     t = c.deriv((1, 2, 3, 4), 1)
-    assert t.max_abs() < 1e-10 * t.scale
+    assert np.max(np.abs(t.entries)) < 1e-10 * t.scale

@@ -4,19 +4,31 @@ import numpy as np
 import pytest
 
 from thomae_lab.characteristics import enumerate_partitions
+from thomae_lab.curve import elementary_symmetric_all, vandermonde
+from thomae_lab.harness import _mask
 from thomae_lab.indexsets import complement_finite, drop, iset
 from thomae_lab.thomae import (
     EIGHTH_ROOTS,
-    _prefactor,
-    _s_vector,
     calibrate_phases,
     first_thomae_rhs,
-    general_thomae_forms,
-    general_thomae_rhs,
-    general_thomae_tensor,
-    second_thomae_rhs_vector,
+    general_thomae_batch,
     snap_phase,
+    thomae_prefactor,
 )
+
+
+def forms(ctx, a, k):
+    """The direct and the ratio-form tensor of one (A, K), from a one-row
+    batch."""
+    direct, ratio = general_thomae_batch(ctx, np.array([_mask(a)]), np.array([_mask(k)]))
+    return direct[0], ratio[0]
+
+
+def _s_vector(ctx, indices):
+    """omega^t (s_0, -s_1, ..., (-1)^{g-1} s_{g-1})(indices): one value per n."""
+    g = ctx.g
+    s = np.array((elementary_symmetric_all(ctx.spec, indices) + [0.0] * g)[:g])
+    return ctx.periods.omega.T @ (s * (-1.0) ** np.arange(g))
 
 
 def _thomae_sum(ctx, a, multi_index, k):
@@ -77,7 +89,8 @@ def test_second_thomae_componentwise(ctx, g):
     c = ctx(g)
     for part in enumerate_partitions(g, 1):
         lhs = c.grad(part.part)
-        rhs = second_thomae_rhs_vector(c, part.part)
+        k = complement_finite(c.spec.n_finite, part.part)[: g - len(part.part)]
+        rhs = forms(c, part.part, k)[0]
         k = int(np.argmax(np.abs(lhs)))
         phase, snap = snap_phase(lhs[k] / rhs[k])
         assert snap < 1e-6, part
@@ -87,34 +100,32 @@ def test_second_thomae_componentwise(ctx, g):
 def test_second_thomae_phase_common_across_components(ctx):
     c = ctx(3)
     lhs = c.grad((1, 2))
-    rhs = second_thomae_rhs_vector(c, (1, 2))
+    rhs = forms(c, (1, 2), (3,))[0]
     phases = lhs / rhs
     assert np.max(np.abs(phases - phases[0])) < 1e-10
 
 
 def test_second_thomae_matches_general_machinery(ctx):
-    # the closed form is the |K| = 1 general formula
+    # the closed form prefactor * s(I_1) is the |K| = 1 general formula
     c = ctx(3)
     i1 = (2, 5)
+    closed = thomae_prefactor(c, np.array([_mask(i1)]))[0] * _s_vector(c, i1)
     for k in complement_finite(7, i1)[:3]:
-        v = general_thomae_rhs(c, i1, (2,), (k,))
-        assert abs(v - second_thomae_rhs_vector(c, i1)[1]) < 1e-12 * abs(v)
+        v = forms(c, i1, (k,))[0][1]
+        assert abs(v - closed[1]) < 1e-12 * abs(v)
 
 
 def test_second_thomae_rejects_wrong_multiplicity(ctx):
-    with pytest.raises(ValueError):
-        second_thomae_rhs_vector(ctx(2), (1, 2))
+    # (1, 2) is a multiplicity-0 set at genus 2: no K is left for it
+    with pytest.raises(ValueError, match=r"\|K\|"):
+        forms(ctx(2), (1, 2), ())
 
 
 def test_general_thomae_m2_full_tensor(ctx):
     c = ctx(3)
     lhs = c.deriv((), 2).entries
-    k_set = (1, 2, 3)
-    pred = np.empty((3, 3), dtype=complex)
-    for n1 in range(1, 4):
-        for n2 in range(n1, 4):
-            v = general_thomae_rhs(c, (), (n1, n2), k_set)
-            pred[n1 - 1, n2 - 1] = pred[n2 - 1, n1 - 1] = v
+    pred = forms(c, (), (1, 2, 3))[0]
+    assert pred.shape == (3, 3)
     i, j = np.unravel_index(np.argmax(np.abs(lhs)), lhs.shape)
     phase, snap = snap_phase(lhs[i, j] / pred[i, j])
     assert snap < 1e-5
@@ -123,10 +134,11 @@ def test_general_thomae_m2_full_tensor(ctx):
 
 def test_general_thomae_k_independence(ctx):
     c = ctx(3)
-    vals = [
-        general_thomae_rhs(c, (), (1, 2), k)
-        for k in [(1, 2, 3), (4, 5, 6), (2, 5, 7), (3, 6, 7)]
-    ]
+    k_sets = [(1, 2, 3), (4, 5, 6), (2, 5, 7), (3, 6, 7)]
+    direct = general_thomae_batch(
+        c, np.zeros(4, dtype=np.int64), np.array([_mask(k) for k in k_sets])
+    )[0]
+    vals = direct[:, 0, 1].tolist()
     scale = max(abs(v) for v in vals)
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-8 * scale
@@ -136,27 +148,29 @@ def test_general_thomae_tensor_symmetry(ctx):
     # the ordered-tuple sum is symmetric in the multi-index (up to the
     # floating-point summation order)
     c = ctx(3)
-    v1 = general_thomae_rhs(c, (), (1, 2), (1, 2, 3))
-    v2 = general_thomae_rhs(c, (), (2, 1), (1, 2, 3))
+    t = forms(c, (), (1, 2, 3))[0]
+    v1, v2 = t[0, 1], t[1, 0]
     assert abs(v1 - v2) < 1e-13 * abs(v1)
 
 
 def test_general_thomae_k_size_validation(ctx):
     c = ctx(3)
     with pytest.raises(ValueError, match=r"\|K\|"):
-        general_thomae_rhs(c, (), (1, 2), (1, 2, 3, 4))
+        forms(c, (), (1, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"\|K\|"):
+        forms(c, (1,), (2, 3, 4))
     with pytest.raises(ValueError, match="disjoint"):
-        general_thomae_rhs(c, (1,), (1,), (1, 2))
+        forms(c, (1,), (1, 2))
     with pytest.raises(ValueError, match="infinity"):
-        general_thomae_rhs(c, (), (1, 2), (0, 2, 3))
+        forms(c, (), (0, 2, 3))
 
 
 def test_ratio_form_equals_quotient(ctx):
     c = ctx(3)
     i0 = (2, 4, 6)
-    k_set = (2, 4, 6)
-    r1 = general_thomae_forms(c, (), k_set)[1][0, 2]
-    r2 = general_thomae_rhs(c, (), (1, 3), k_set) / first_thomae_rhs(c, i0)
+    direct, ratio = forms(c, (), (2, 4, 6))
+    r1 = ratio[0, 2]
+    r2 = direct[0, 2] / first_thomae_rhs(c, i0)
     assert abs(r1 - r2) < 1e-10 * abs(r1)
 
 
@@ -164,8 +178,9 @@ def test_ratio_form_prefactor_positive(ctx):
     # with sorted real branch points the quartic prefactor is positive real
     c = ctx(4)
     i0 = (1, 2, 3, 4)
-    val_a = general_thomae_forms(c, (4,), (1, 2, 3))[1][0, 0]
-    val_b = general_thomae_rhs(c, (4,), (1, 1), (1, 2, 3)) / first_thomae_rhs(c, i0)
+    direct, ratio = forms(c, (4,), (1, 2, 3))
+    val_a = ratio[0, 0]
+    val_b = direct[0, 0] / first_thomae_rhs(c, i0)
     assert abs(val_a - val_b) < 1e-10 * abs(val_a)
 
 
@@ -220,37 +235,33 @@ def test_general_thomae_tensor_matches_entrywise_sum(ctx, g):
         # which needs |I_m| = g + 1 - 2m >= 1)
         parts = {}
         for p in enumerate_partitions(g, m):
-            parts.setdefault(g - len(p.part), p.part)
+            parts.setdefault(g - len(p.part), []).append(p.part)
         assert sorted(parts) == [2 * m - 1, 2 * m][: 1 + (g + 1 - 2 * m >= 1)]
-        for ksize, a in parts.items():
-            k = complement_finite(c.spec.n_finite, a)[-ksize:]
-            t = general_thomae_tensor(c, a, k)
-            assert t.shape == (g,) * m
-            ref, size = np.array(
-                [_thomae_sum(c, a, idx, k) for idx in product(range(1, g + 1), repeat=m)]
-            ).T.reshape((2,) + t.shape)
-            pref = _prefactor(c, a)
-            # relative to the size of its terms: at m = 3 an entry can cancel to 1e-15 of it
-            assert np.all(np.abs(t - pref * ref) <= 1e-12 * abs(pref) * size.real), (m, a, k)
-            for axes in permutations(range(m)):
-                assert np.array_equal(t, np.transpose(t, axes)), (m, a, k)
-            entry = tuple(range(1, m + 1))
-            assert general_thomae_rhs(c, a, entry, k) == t[tuple(n - 1 for n in entry)]
+        for ksize, sets in parts.items():
+            sets = sets[:4]  # one batch of rows
+            ks = [complement_finite(c.spec.n_finite, a)[-ksize:] for a in sets]
+            batch = general_thomae_batch(
+                c, np.array([_mask(a) for a in sets]), np.array([_mask(k) for k in ks])
+            )[0]
+            assert batch.shape == (len(sets),) + (g,) * m
+            for a, k, t in zip(sets, ks, batch):
+                ref, size = np.array(
+                    [_thomae_sum(c, a, idx, k) for idx in product(range(1, g + 1), repeat=m)]
+                ).T.reshape((2,) + t.shape)
+                pref = first_thomae_rhs_like(c, a)
+                # relative to the size of its terms: at m = 3 an entry can cancel to 1e-15 of it
+                assert np.all(np.abs(t - pref * ref) <= 1e-12 * abs(pref) * size.real), (m, a, k)
+                for axes in permutations(range(m)):
+                    assert np.array_equal(t, np.transpose(t, axes)), (m, a, k)
+                # a row of the batch is the one-row result
+                assert np.array_equal(t, forms(c, a, k)[0]), (m, a, k)
 
 
-def test_derivative_indices_validated(ctx):
-    # 1-based indices: 0 and g + 1 are out of range, and the multi-index
-    # length must be the multiplicity
-    c = ctx(3)
-    for n in (0, 4):
-        with pytest.raises(ValueError, match="entries in 1..3"):
-            general_thomae_rhs(c, (1,), (n,), (2, 3))
-    with pytest.raises(ValueError, match="length m=1"):
-        general_thomae_rhs(c, (1,), (1, 2), (2, 3))
-    with pytest.raises(ValueError, match="length m=2"):
-        general_thomae_rhs(c, (), (1,), (1, 2, 3))
-    with pytest.raises(ValueError, match=r"\|K\|"):
-        general_thomae_forms(c, (1,), (2, 3, 4))
+def first_thomae_rhs_like(c, a):
+    """(det omega/pi^g)^{1/2} Delta(A)^{1/4} Delta(B)^{1/4}, B the finite
+    complement of A, from the scalar Vandermonde products."""
+    b = complement_finite(c.spec.n_finite, a)
+    return c.det_factor * vandermonde(c.spec, a) ** 0.25 * vandermonde(c.spec, b) ** 0.25
 
 
 def test_calibration_failure_names_first_set(ctx):

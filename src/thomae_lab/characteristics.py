@@ -241,15 +241,22 @@ def char_to_partition(g: int, c: HalfCharacteristic) -> Partition:
     return _partition(g, mask)
 
 
-def enumerate_partitions(g: int, m: int) -> Iterator[Partition]:
-    """All canonical partitions of multiplicity m, in lexicographic order."""
+def part_sizes(g: int, m: int) -> tuple[int, ...]:
+    """Sizes of the stored parts of the multiplicity-m partitions, in the
+    order :func:`enumerate_partitions` lists them."""
     if not 0 <= m <= (g + 1) // 2:
         raise ValueError(f"multiplicity {m} out of range 0..{(g + 1) // 2}")
-    idx = range(1, 2 * g + 2)
     # Stored sizes g+1-2m (infinity on the J side) and g-2m (infinity in
     # part); at m = 0 the canonical part is the one holding infinity.
-    sizes = (g,) if m == 0 else [s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0]
-    for size in sizes:
+    return (g,) if m == 0 else tuple(s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0)
+
+
+def enumerate_partitions(g: int, m: int) -> Iterator[Partition]:
+    """All canonical partitions of multiplicity m, in lexicographic order:
+    by part size as :func:`part_sizes` lists them, then in
+    ``combinations`` order of the part."""
+    idx = range(1, 2 * g + 2)
+    for size in part_sizes(g, m):
         yield from (Partition(genus=g, part=t) for t in combinations(idx, size))
 
 

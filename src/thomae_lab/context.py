@@ -9,10 +9,13 @@ assignment on first use.
 :meth:`CurveContext.consts` and :meth:`CurveContext.grads` gather whole
 arrays of index masks at once (the batched families);
 :meth:`CurveContext.const` and :meth:`CurveContext.grad` read one index set.
-Derivative tensors of order 2 and 3 are read from the engine's per
+Derivative tensors of order 2 and up are read from the engine's per
 (eps', order) tables (:meth:`ThetaEngine.table`), which cache them; a
-dense order-3 store would take about 90 MB at genus 7.  The context also
-computes the curve-wide determinant factor of the Thomae formulas once.
+dense order-3 store would take about 90 MB at genus 7.  The context is
+built for the highest derivative order its caller reads (4 by default): the
+engine enumerates its lattice at that order's truncation radius and refuses
+higher orders.  The context also computes the curve-wide determinant factor
+of the Thomae formulas once.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ class CurveContext:
         quad_order: int = 96,
         theta_tol: float = DEFAULT_TOL,
         periods: PeriodData | None = None,
+        order: int = 4,
     ) -> "CurveContext":
         periods = periods if periods is not None else compute_periods(spec, quad_order)
-        return cls(spec=spec, periods=periods, engine=ThetaEngine(periods.tau, tol=theta_tol))
+        engine = ThetaEngine(periods.tau, tol=theta_tol, order=order)
+        return cls(spec=spec, periods=periods, engine=engine)
 
     @property
     def g(self) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import relations as rel
 from . import schottky as sch
-from .characteristics import _char, enumerate_partitions
+from .characteristics import _char, part_sizes
 from .context import CurveContext
 from .curve import CurveSpec, load_curve_file, validate_curve
 from .indexsets import complement_finite, index_masks, index_rows, index_sets, iset
@@ -101,6 +101,7 @@ class SuiteConfig:
 class Report:
     curve: dict
     periods: dict
+    theta: dict
     calibration: list
     records: list[VerificationRecord]
     timings: dict
@@ -117,6 +118,7 @@ class Report:
         payload = {
             "curve": self.curve,
             "periods": self.periods,
+            "theta": self.theta,
             "calibration": self.calibration,
             "records": [r.as_dict() for r in self.records],
             "summary": self.summary(),
@@ -131,6 +133,8 @@ class Report:
             f"curve {self.curve['label'] or '(unnamed)'}: genus {self.curve['genus']}, "
             f"points {self.curve['branch_points']}",
             f"periods: quad_order {self.periods['quad_order']}, est_error {self.periods['est_error']:.3e}",
+            f"theta lattice: order {self.theta['order']}, radius {self.theta['radius']}, "
+            f"{self.theta['points']} points",
             f"calibration: {len(self.calibration)} characteristics, "
             f"worst residual {max((c['residual'] for c in self.calibration), default=0.0):.3e}",
         ]
@@ -176,10 +180,6 @@ def _draw(count: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     if count <= cap:
         return np.arange(count)
     return np.sort(rng.choice(count, size=cap, replace=False))
-
-
-def _sample(items: list, cap: int, rng: np.random.Generator) -> list:
-    return [items[i] for i in _draw(len(items), cap, rng)]
 
 
 def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
@@ -232,13 +232,16 @@ class Family:
     ``bindings(ctx, cfg, rng)`` gives the bindings as an int array with one
     binding per row, and ``verify(ctx, bindings, tolerance=..., **extra)``
     the records of all of them, in row order.
-    ``tolerances`` maps further verifier keywords to tolerance keys.  Below
-    ``min_genus`` the family has no instances.
+    ``order`` is the highest derivative order of theta it reads: a run
+    enumerates the lattice at the truncation radius of the highest order of
+    its families.  ``tolerances`` maps further verifier keywords to
+    tolerance keys.  Below ``min_genus`` the family has no instances.
     """
 
     name: str
     bindings: Callable
     verify: Callable
+    order: int
     min_genus: int = 2
     tolerances: tuple[tuple[str, str], ...] = ()
 
@@ -296,11 +299,26 @@ def _mask(indices) -> int:
     return sum(1 << int(i) for i in indices)
 
 
+def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
+    """Masks of the finite parts of the multiplicity-m partitions at the
+    positions ``pick(count)`` of :func:`enumerate_partitions`, unranked
+    block by block of part size."""
+    n, sizes = 2 * g + 1, part_sizes(g, m)
+    counts = [math.comb(n, size) for size in sizes]
+    idx = pick(sum(counts))
+    out = np.empty(len(idx), dtype=np.int64)
+    start = 0
+    for size, count in zip(sizes, counts):
+        at = (idx >= start) & (idx < start + count)
+        out[at] = index_masks(1 + unrank_combinations(n, size, idx[at] - start))
+        start += count
+    return out
+
+
 def _part_masks(ctx, m: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Rows [part mask] of the sampled finite parts of the multiplicity-m
     partitions."""
-    masks = [_mask(p.part) for p in enumerate_partitions(ctx.g, m)]
-    return np.array(_sample(masks, cap, rng), dtype=np.int64).reshape(-1, 1)
+    return _partition_masks(ctx.g, m, _picker(rng, cap)).reshape(-1, 1)
 
 
 def _thomae1(ctx, rows, tolerance):
@@ -448,7 +466,7 @@ def _rank_bindings(ctx, cfg, rng):
     # rank theorem, three sets sharing a (g-2)-set plus one disjoint-ish set
     # (intersection g-4 but rank 3)
     g = ctx.g
-    parts = [_mask(p.part) for p in enumerate_partitions(g, 1)]
+    parts = _partition_masks(g, 1, np.arange).tolist()
     width = min(g + 2, 6)
     rows = []
     for _ in range(min(cfg.cap, 200)):
@@ -525,37 +543,38 @@ def _schottky_f_bindings(ctx, cfg, rng):
                     dtype=np.int64).reshape(-1, 1)
 
 
-# In run order.  Each family samples from its own stream, seeded by
-# crc32(name): reordering a family's draws changes its sampled bindings.
+# In run order, as (name, bindings, verify, order[, min_genus[, tolerances]]).
+# Each family samples from its own stream, seeded by crc32(name):
+# reordering a family's draws changes its sampled bindings.
 FAMILIES = {f.name: f for f in (
     Family("THOMAE1", lambda ctx, cfg, rng: _draw(len(ctx.calibration.sets), cfg.cap, rng),
-           _thomae1),
-    Family("THOMAE2", lambda ctx, cfg, rng: _part_masks(ctx, 1, cfg.cap, rng), _thomae2),
-    Family("THOMAEG", _thomaeg_bindings, _thomaeg, 3, (("tolerance_m3", "THOMAEG_G5"),)),
-    Family("EKLM", _eklm_bindings, rel.eklm_batch),
-    Family("EJI", _eji_bindings, rel.eji_batch),
+           _thomae1, 0),
+    Family("THOMAE2", lambda ctx, cfg, rng: _part_masks(ctx, 1, cfg.cap, rng), _thomae2, 1),
+    Family("THOMAEG", _thomaeg_bindings, _thomaeg, 3, 3, (("tolerance_m3", "THOMAEG_G5"),)),
+    Family("EKLM", _eklm_bindings, rel.eklm_batch, 0),
+    Family("EJI", _eji_bindings, rel.eji_batch, 0),
     Family("GRAD2", lambda ctx, cfg, rng: _i0_splits(ctx, 2, _picker(rng, cfg.cap)),
-           rel.grad2_batch),
+           rel.grad2_batch, 1),
     Family("GRAD3", lambda ctx, cfg, rng: _kappa_splits(ctx, ctx.g - 2, 3, _picker(rng, cfg.cap)),
-           rel.grad3_batch),
-    Family("GRAD4", _grad4_bindings, rel.grad4_batch, 3),
-    Family("GRADN", _gradn_bindings, rel.gradn_batch),
-    Family("RANK", _rank_bindings, rel.rank_batch),
+           rel.grad3_batch, 1),
+    Family("GRAD4", _grad4_bindings, rel.grad4_batch, 1, 3),
+    Family("GRADN", _gradn_bindings, rel.gradn_batch, 1),
+    Family("RANK", _rank_bindings, rel.rank_batch, 1),
     Family("HESS_K3", lambda ctx, cfg, rng: _i0_splits(ctx, 3, _picker(rng, cfg.cap // 2)),
-           rel.derivative_batch, 3),
+           rel.derivative_batch, 2, 3),
     Family("HESS_K4", lambda ctx, cfg, rng: _i0_splits(ctx, 4, _picker(rng, cfg.cap // 2)),
-           rel.derivative_batch, 4),
-    Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_equiv_batch, 3),
+           rel.derivative_batch, 2, 4),
+    Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_equiv_batch, 2, 3),
     Family("HESS_RANK",
            lambda ctx, cfg, rng: _part_masks(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
-           rel.hessian_rank_batch, 3),
-    Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 5),
-    Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 6),
-    Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch, 3),
-    Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch),
-    Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 4,
+           rel.hessian_rank_batch, 2, 3),
+    Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 3, 5),
+    Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 3, 6),
+    Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch, 4, 3),  # m = 4 with enable_heavy
+    Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch, 1),
+    Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 0, 4,
            (("det_tolerance", "SCHOTTKY_DETR"),)),
-    Family("SCHOTTKY_F", _schottky_f_bindings, sch.appendix_f_batch),
+    Family("SCHOTTKY_F", _schottky_f_bindings, sch.appendix_f_batch, 0),
 )}
 
 # SCHOTTKY_R emits three record kinds; map filters to runners.
@@ -571,6 +590,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         if unknown:
             raise ValueError(f"unknown relation families: {sorted(unknown)}; "
                              f"known: {sorted(FAMILIES)}")
+    running = [f for f in FAMILIES.values() if wanted is None or f.name in wanted]
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -588,7 +608,9 @@ def run_suite(cfg: SuiteConfig) -> Report:
         periods = compute_periods(cfg.spec, cfg.quad_order)
         if cfg.period_cache:
             Path(cfg.period_cache).write_text(json.dumps(periods_to_json(periods)))
-    ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol)
+    # the lattice serves the highest order read; the calibration reads order 0
+    order = max((f.order for f in running), default=0)
+    ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     timings["periods"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -604,12 +626,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
     timings["calibration"] = time.perf_counter() - t0
 
     records: list[VerificationRecord] = []
-    for family, runner in FAMILIES.items():
-        if wanted is not None and family not in wanted:
-            continue
+    for family in running:
         t0 = time.perf_counter()
-        records.extend(runner(ctx, cfg, _family_rng(cfg, family)))
-        timings[family] = time.perf_counter() - t0
+        records.extend(family(ctx, cfg, _family_rng(cfg, family.name)))
+        timings[family.name] = time.perf_counter() - t0
 
     return Report(
         curve={
@@ -619,6 +639,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
             "hash": cfg.spec.content_hash(),
         },
         periods={"quad_order": periods.quad_order, "est_error": periods.est_error},
+        # points before radius: the enumeration sets the radius
+        theta={"order": order, "points": ctx.engine.points, "radius": round(ctx.engine.radius, 6)},
         calibration=calibration,
         records=records,
         timings={k: round(v, 6) for k, v in timings.items()},

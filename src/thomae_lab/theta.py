@@ -41,10 +41,12 @@ at once.  Orders 0 and 1 are built for all 4^g characteristics together
 (:meth:`ThetaEngine.char_table`, which the curve context uses as its dense
 stores): order 0 is one segmented sum over the key-sorted weights, and one
 batched Hadamard product serves every class.  Higher orders are built per
-eps' class and cached (:meth:`ThetaEngine.table`).  Every order uses the
-order-4 radius.  theta(char, v) for v != 0 pairs q with -q in the same way:
-it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for
-eps' = 0, and holds for complex v.
+eps' class and cached (:meth:`ThetaEngine.table`).  The engine is built
+for a highest derivative order k (4 by default) and enumerates once, at the
+order-k radius R_k, which also serves every lower order; it refuses any
+order above k, whose tail R_k would cut short.  theta(char, v) for v != 0
+pairs q with -q in the same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over
+the half class, less 1 for eps' = 0, and holds for complex v.
 """
 
 from __future__ import annotations
@@ -257,11 +259,15 @@ class _LatticeClass(NamedTuple):
 
 
 class ThetaEngine:
-    """Theta constants and derivative tensors for one fixed tau."""
+    """Theta constants and derivative tensors up to order ``order`` for one
+    fixed tau.  The lattice radius is ``radius`` if given, else the order's
+    truncation radius."""
 
-    def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, radius: float | None = None):
+    def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, radius: float | None = None,
+                 order: int = 4):
         self.params = ThetaParams(tau=np.asarray(tau, dtype=complex), tol=tol)
         self.g = self.params.tau.shape[0]
+        self.order = order
         self.radius = radius
         self._p: np.ndarray | None = None  # (N, g) int16 points p = 2q, key-sorted
         self._m: np.ndarray | None = None  # (N,) their weights
@@ -278,8 +284,8 @@ class ThetaEngine:
             raise ValueError(f"genus {g} is beyond the lattice key limit: the 2g-bit key "
                              f"must fit uint16, so g <= {MAX_GENUS}")
         if self.radius is None:
-            # One radius for every derivative order used (<= 4).
-            self.radius = truncation_radius(tau, self.params.tol, order=4)
+            # the radius grows with the order, so R_k serves every order <= k
+            self.radius = truncation_radius(tau, self.params.tol, order=self.order)
         chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
         # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
         if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:
@@ -294,6 +300,12 @@ class ThetaEngine:
             w = np.exp(-np.pi * np.einsum("ij,ij->i", q @ y, q))
             m[lo : lo + _BLOCK] = w if real else w * np.exp(1j * np.pi * np.einsum("ij,ij->i", q @ x, q))
         self._p, self._m, self._starts = p, m, starts
+
+    @property
+    def points(self) -> int:
+        """Lattice points stored: one of each pair q, -q, and the origin."""
+        self._lattice()
+        return len(self._p)
 
     def _lattice_class(self, eps_prime: int) -> _LatticeClass:
         """The class of eps' (g bits, first entry most significant)."""
@@ -319,6 +331,7 @@ class ThetaEngine:
         all 4^g characteristics: row c = eps << g | eps'
         (``HalfCharacteristic.bits``), one column per sorted multi-index.
         Built once, from every class at once, and read-only."""
+        self._check_order(order)
         return self._char_table(order)[0]
 
     def _char_table(self, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,6 +389,7 @@ class ThetaEngine:
         along the j-th sorted multi-index of the order (for order 1, j is the
         coordinate); scale is the largest single |term|, the same for every
         eps.  Cached, and read-only."""
+        self._check_order(order)
         if order < 2:
             table, scale = self._char_table(order)
             return table[eps_prime :: 1 << self.g], float(scale[eps_prime])
@@ -413,3 +427,8 @@ class ThetaEngine:
     def _check(self, char: HalfCharacteristic) -> None:
         if char.genus != self.g:
             raise ValueError("characteristic genus mismatch")
+
+    def _check_order(self, order: int) -> None:
+        if order > self.order:
+            raise ValueError(f"derivative order {order} is above the engine's order {self.order}: "
+                             f"the order-{self.order} lattice radius cuts its tail short")

@@ -29,18 +29,28 @@ from thomae_lab import harness
 from thomae_lab import relations as rel
 from thomae_lab import schottky as sch
 from thomae_lab import thomae
-from thomae_lab.characteristics import _char, char_of_set, char_sum, mask_chars, riemann_char
+from thomae_lab.characteristics import (
+    _char,
+    char_of_set,
+    char_sum,
+    enumerate_partitions,
+    mask_chars,
+    riemann_char,
+)
 from thomae_lab.context import CurveContext
 from thomae_lab.curve import elementary_symmetric_all, ordered_diff_product, vandermonde
 from thomae_lab.harness import (
     FAMILIES,
     SuiteConfig,
+    _draw,
     _eklm_rows,
     _mask,
     _family_rng,
     _i0_splits,
     _kappa_splits,
+    _part_masks,
     _picker,
+    _rank_bindings,
     random_curve,
     run_suite,
     unrank_combinations,
@@ -808,6 +818,32 @@ def list_eklm_bindings(ctx):
     return bindings
 
 
+def list_part_masks(ctx, m: int, cap: int, rng) -> np.ndarray:
+    """The partition sampler as it was: the mask of every multiplicity-m
+    partition from a validated ``Partition`` each, then a sample of the list."""
+    masks = [_mask(p.part) for p in enumerate_partitions(ctx.g, m)]
+    return np.array([masks[i] for i in _draw(len(masks), cap, rng)],
+                    dtype=np.int64).reshape(-1, 1)
+
+
+def list_rank_bindings(ctx, cfg, rng) -> np.ndarray:
+    """The RANK sampler as it was, over the list of multiplicity-1 masks."""
+    g = ctx.g
+    parts = [_mask(p.part) for p in enumerate_partitions(g, 1)]
+    width = min(g + 2, 6)
+    rows = []
+    for _ in range(min(cfg.cap, 200)):
+        size = int(rng.integers(2, width + 1))
+        idx = rng.choice(len(parts), size=size, replace=False)
+        rows.append([0] + [parts[i] for i in idx] + [-1] * (width - size))
+    if g >= 4:
+        shared = tuple(range(1, g - 1))
+        fam = [shared + (g - 1 + i,) for i in range(3)]
+        fam.append(tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):]))
+        rows.append([1] + [_mask(s) for s in fam] + [-1] * (width - len(fam)))
+    return np.array(rows, dtype=np.int64)
+
+
 # --- batch records equal oracle records -----------------------------------
 
 def _set(mask: int) -> tuple:
@@ -962,6 +998,23 @@ def test_enumerations_match_list_builders(g):
                 [list(r) for r in _flat(list_kappa_splits(ctx, isize, nk))], (isize, nk)
     eklm = list_eklm_bindings(ctx)
     assert _eklm_rows(ctx, np.arange(len(eklm))).tolist() == [list(r) for r in _flat(eklm)]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
+def test_partition_samplers_match_list_builders(g):
+    # same rows from the same draws, and the stream left in the same state
+    ctx = SimpleNamespace(g=g)
+    for cap in (3, 10, 500, 10**6):
+        for m in range((g + 1) // 2 + 1):
+            old, new = np.random.default_rng([g, m, cap]), np.random.default_rng([g, m, cap])
+            want = list_part_masks(ctx, m, cap, old)
+            got = _part_masks(ctx, m, cap, new)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (m, cap)
+            assert old.random() == new.random(), (m, cap)
+        cfg = SimpleNamespace(cap=cap)
+        old, new = np.random.default_rng([g, cap]), np.random.default_rng([g, cap])
+        assert np.array_equal(_rank_bindings(ctx, cfg, new), list_rank_bindings(ctx, cfg, old))
+        assert old.random() == new.random(), cap
 
 
 # --- guards -----------------------------------------------------------------

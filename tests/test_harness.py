@@ -8,12 +8,14 @@ import pytest
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import (
     DEFAULT_TOLERANCES,
+    FAMILIES,
     SuiteConfig,
     main,
     random_curve,
     run_suite,
 )
-from thomae_lab.theta import ThetaParams
+from thomae_lab.periods import compute_periods
+from thomae_lab.theta import ThetaEngine, ThetaParams, truncation_radius
 
 
 def test_random_curve_deterministic():
@@ -65,8 +67,10 @@ def test_reports_byte_identical(g):
 def test_report_json_schema():
     cfg = SuiteConfig(spec=random_curve(2, 9), relations=("THOMAE1",), cap=20, seed=9)
     payload = json.loads(run_suite(cfg).to_json(include_timings=False))
-    assert set(payload) == {"curve", "periods", "calibration", "records", "summary", "config"}
+    assert set(payload) == {"curve", "periods", "theta", "calibration", "records", "summary",
+                            "config"}
     assert "est_error" in payload["periods"]
+    assert set(payload["theta"]) == {"order", "radius", "points"}
     rec = payload["records"][0]
     assert set(rec) == {"relation_id", "bindings", "residual", "tolerance", "pass", "notes"}
     cal = payload["calibration"][0]
@@ -270,3 +274,40 @@ def test_tolerance_defaults_cover_all_record_kinds():
     for rec in report.records:
         if rec.relation_id in DEFAULT_TOLERANCES:
             assert rec.tolerance <= DEFAULT_TOLERANCES[rec.relation_id] or rec.tolerance == 0.5
+
+
+# --- the lattice order of a run ---------------------------------------------
+
+def test_thomae1_run_enumerates_at_the_order0_radius():
+    spec = random_curve(4, 2)
+    report = run_suite(SuiteConfig(spec=spec, relations=("THOMAE1",), cap=20, seed=2))
+    tau = compute_periods(spec, 96).tau
+    assert report.theta == {"order": 0, "radius": round(truncation_radius(tau, 1e-12, order=0), 6),
+                            "points": ThetaEngine(tau, order=0).points}
+    assert report.theta["points"] < ThetaEngine(tau).points  # the order-4 lattice
+    line = (f"theta lattice: order 0, radius {report.theta['radius']}, "
+            f"{report.theta['points']} points")
+    assert line in report.to_text().splitlines()
+    full = run_suite(SuiteConfig(spec=spec, cap=20, seed=2))
+    assert full.theta["order"] == 4
+
+
+def _family_alone(g: int, name: str, cache_dir) -> None:
+    cache = cache_dir / f"periods-g{g}.json"  # one quadrature per genus
+    cfg = SuiteConfig(spec=random_curve(g, 4), relations=(name,), cap=20, seed=4,
+                      enable_heavy=True, period_cache=str(cache))
+    report = run_suite(cfg)  # a family reading above its declared order raises
+    assert report.theta["order"] == FAMILIES[name].order
+    assert report.all_passed(), [r.as_dict() for r in report.records if not r.passed]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_each_family_runs_at_its_declared_order(g, name, tmp_path_factory):
+    _family_alone(g, name, tmp_path_factory.getbasetemp())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_each_family_runs_at_its_declared_order_g6(name, tmp_path_factory):
+    _family_alone(6, name, tmp_path_factory.getbasetemp())

@@ -1,4 +1,6 @@
+import importlib.util
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,6 +15,8 @@ from thomae_lab.characteristics import (
 )
 from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
+from thomae_lab.harness import random_curve
+from thomae_lab.periods import compute_periods
 from thomae_lab.theta import MAX_GENUS, ThetaEngine, ThetaParams, truncation_radius
 
 
@@ -340,3 +344,63 @@ def test_even_char_gradient_vanishes(ctx):
     c = ctx(4)
     t = c.deriv((1, 2, 3, 4), 1)
     assert np.max(np.abs(t.entries)) < 1e-10 * t.scale
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_engine_refuses_orders_above_its_own(ctx, order):
+    tau = ctx(3).periods.tau
+    eng = ThetaEngine(tau, order=order)
+    char = _char(3, 0b101110)
+    above = f"derivative order {order + 1} is above the engine's order {order}"
+    with pytest.raises(ValueError, match=above):
+        eng.table(0b110, order + 1)
+    with pytest.raises(ValueError, match=above):
+        eng.theta_deriv(char, order + 1)
+    if order == 0:
+        with pytest.raises(ValueError, match=above):
+            eng.char_table(1)
+    # its own order sums, over the lattice at its own radius
+    assert eng.theta_deriv(char, order).entries.shape == (3,) * order
+    assert eng.radius == truncation_radius(tau, eng.params.tol, order=order)
+
+
+def test_explicit_radius_keeps_its_meaning(ctx):
+    tau = ctx(2).periods.tau
+    r = truncation_radius(tau, 1e-12, order=4)
+    eng = ThetaEngine(tau, radius=r, order=0)
+    assert eng.points == ThetaEngine(tau).points
+    assert eng.radius == r
+
+
+def _tail_curves():
+    """random_curve(g, s) for g = 2..6 and s = 1..3 (the single-curve
+    benchmark workloads run random_curve(5, 1) and random_curve(6, 1)), and
+    the benchmark's sweep curves, whose close branch-point pairs stretch tau."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sweep = [cfg.spec for cfg in workloads.build("sweep-g2to4", 1)]
+    return [random_curve(g, s) for g in range(2, 7) for s in range(1, 4)] + sweep
+
+
+def test_truncation_tail_at_each_order_radius():
+    """Over the points of the order-4 lattice outside R_k, the bound
+    2 sum |m| (2 pi max_i |q_i|)^k on the order-k terms (both of each pair
+    q, -q) stays below the tolerance for k = 0..3: a lattice at R_k keeps
+    the accuracy an order-4 lattice gives every order k.  The tail beyond
+    R_4 is outside this check."""
+    tol, worst = 1e-12, np.zeros(4)
+    for spec in _tail_curves():
+        tau = compute_periods(spec, 96).tau
+        eng = ThetaEngine(tau, tol=tol)
+        eng._lattice()
+        q = 0.5 * eng._p
+        norm2 = np.pi * np.einsum("ij,ij->i", q @ tau.imag, q)  # ||L q||^2
+        reach = 2 * np.pi * np.abs(q).max(axis=1)
+        for k in range(4):
+            outside = norm2 > truncation_radius(tau, tol, order=k) ** 2
+            tail = 2 * np.sum(np.abs(eng._m[outside]) * reach[outside] ** k)
+            worst[k] = max(worst[k], tail)
+            assert tail < tol, (spec.label, k, tail)
+    assert np.all(worst > 0)  # every order's radius leaves points outside it

@@ -16,7 +16,7 @@ from .characteristics import (
     set_order_less,
 )
 from .context import CurveContext
-from .curve import CurveSpec, elementary_symmetric, validate_curve, vandermonde
+from .curve import CurveSpec, validate_curve
 from .harness import Report, SuiteConfig, random_curve, run_suite
 from .periods import PeriodData, abel_branch_point, compute_periods, halfperiod_residual
 from .theta import DerivThetaTensor, ThetaEngine, ThetaParams, truncation_radius

@@ -112,13 +112,6 @@ def mask_chars(g: int) -> np.ndarray:
     return out
 
 
-def char_from_string(text: str) -> HalfCharacteristic:
-    """Parse "[e1'e2'.../e1e2...]" (top row eps', bottom row eps)."""
-    body = text.strip().strip("[]")
-    top, bot = body.split("/")
-    return HalfCharacteristic(eps=tuple(map(int, bot)), eps_prime=tuple(map(int, top)))
-
-
 def zero_char(g: int) -> HalfCharacteristic:
     return _char(g, 0)
 

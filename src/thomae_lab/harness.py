@@ -645,7 +645,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
         records=records,
         timings={k: round(v, 6) for k, v in timings.items()},
         config={
-            "relations": sorted(cfg.relations) if cfg.relations else None,
+            # None runs every family; an empty filter runs none and echoes []
+            "relations": None if cfg.relations is None else sorted(cfg.relations),
             "quad_order": cfg.quad_order,
             "theta_tol": cfg.theta_tol,
             "cap": cfg.cap,

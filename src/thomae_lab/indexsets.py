@@ -1,16 +1,14 @@
-"""Small helpers for the index-set surgery used throughout the relations.
+"""Small helpers for the index-set bookkeeping of the relations.
 
-Sets are sorted tuples of branch indices (0 = infinity).  The substitution
-notation of the closed-form theta expressions, e.g. I^{(a,b -> c,d)} for
-"replace a, b by c, d", maps onto :func:`replace`; J^{(j)} is :func:`drop`.
-Array code holds a set as its bit mask (bit i = index i):
-:func:`index_masks` builds masks from index rows, :func:`index_rows` and
-:func:`index_sets` turn them back into ascending rows or tuples.
+Sets are sorted tuples of branch indices (0 = infinity).  Array code holds
+a set as its bit mask (bit i = index i): :func:`index_masks` builds masks
+from index rows, :func:`index_rows` and :func:`index_sets` turn them back
+into ascending rows or tuples.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,30 +20,6 @@ def iset(indices: Iterable[int]) -> IndexSet:
     if len(set(t)) != len(t):
         raise ValueError(f"duplicate indices in {t}")
     return t
-
-
-def drop(s: Iterable[int], *gone: int) -> IndexSet:
-    base = iset(s)
-    missing = [x for x in gone if x not in base]
-    if missing:
-        raise ValueError(f"cannot drop {missing} from {base}")
-    return tuple(x for x in base if x not in gone)
-
-
-def replace(s: Iterable[int], out_idx: Sequence[int], in_idx: Sequence[int]) -> IndexSet:
-    """I^{(out -> in)}: drop out_idx, then add in_idx."""
-    s = tuple(s)
-    kept = set(s)
-    if len(kept) != len(s):
-        raise ValueError(f"duplicate indices in {tuple(sorted(s))}")
-    missing = [x for x in out_idx if x not in kept]
-    if missing:
-        raise ValueError(f"cannot drop {missing} from {tuple(sorted(s))}")
-    kept.difference_update(out_idx)
-    clash = [x for x in in_idx if x in kept]
-    if clash:
-        raise ValueError(f"{clash} already in {tuple(sorted(kept))}")
-    return iset([*kept, *in_idx])
 
 
 def complement_finite(n_finite: int, s: Iterable[int]) -> IndexSet:

@@ -38,29 +38,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _sheet_power(spec: CurveSpec, x: float) -> int:
-    """p = number of branch points strictly greater than x."""
-    return int(np.sum(np.asarray(spec.branch_points) > x))
-
-
-def differential_row(spec: CurveSpec, n: int, x: float, branch_sign: int = 1) -> complex:
-    """Value of du_n = x^{g-n} / (-2y) on the fixed sheet at real x.
-
-    Between consecutive branch points the value is purely real or purely
-    imaginary according to the parity of the number of branch points to the
-    right of x.
-    """
-    g = spec.genus
-    if not 1 <= n <= g:
-        raise ValueError(f"differential index {n} out of range 1..{g}")
-    if x in spec.branch_points:
-        raise ValueError(f"integrand singular at branch point x={x}")
-    e = np.asarray(spec.branch_points)
-    p = _sheet_power(spec, x)
-    y = branch_sign * (1j**p) * np.sqrt(np.abs(np.prod(x - e)))
-    return complex(x ** (g - n) / (-2.0 * y))
-
-
 def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
     """V[l-1, n-1] = int_{e_l}^{e_{l+1}} x^{g-n} dx / sqrt|f(x)|, l = 1..2g.
 
@@ -262,7 +239,9 @@ def halfperiod_residual(
 
 
 def branch_point_char_residuals(spec: CurveSpec, periods: PeriodData) -> dict[int, float]:
-    """Cross-check: A(e_k) matches [eps_k] mod lattice, for every k."""
+    """Cross-check: A(e_k) matches [eps_k] mod lattice, for every k.  Only
+    the tests call it today; it stays for the runner to report as a
+    per-curve precondition (ROADMAP item 4(c))."""
     out = {}
     for k in range(1, 2 * spec.genus + 2):
         v = abel_branch_point(spec, periods, k)

@@ -37,16 +37,18 @@ multi-index; the mirror-bin identity
 gives the moments of the full class (less one origin term, m = 1, for
 eps' = 0 and k = 0).  A 2^g x 2^g Hadamard product (+-1 entries
 (-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
-at once.  Orders 0 and 1 are built for all 4^g characteristics together
-(:meth:`ThetaEngine.char_table`, which the curve context uses as its dense
-stores): order 0 is one segmented sum over the key-sorted weights, and one
-batched Hadamard product serves every class.  Higher orders are built per
-eps' class and cached (:meth:`ThetaEngine.table`).  The engine is built
-for a highest derivative order k (4 by default) and enumerates once, at the
-order-k radius R_k, which also serves every lower order; it refuses any
-order above k, whose tail R_k would cut short.  theta(char, v) for v != 0
-pairs q with -q in the same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over
-the half class, less 1 for eps' = 0, and holds for complex v.
+at once.  The engine keeps one store per derivative order: an array with
+row eps' << g | eps for every characteristic and one column per sorted
+multi-index, plus the largest single |term| of each class.  One gather,
+:meth:`ThetaEngine.values`, serves every reader, and builds a class the
+first time one of its rows is read, with one batched Hadamard product for
+every class a read adds; order 0 is built whole, by one segmented sum over
+the key-sorted weights.  The engine is built for a highest derivative order
+k (4 by default) and enumerates once, at the order-k radius R_k, which also
+serves every lower order; it refuses any order above k, whose tail R_k
+would cut short.  theta(char, v) for v != 0 pairs q with -q in the same
+way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for
+eps' = 0, and holds for complex v.
 """
 
 from __future__ import annotations
@@ -248,6 +250,13 @@ def _phases(g: int) -> np.ndarray:
     return _I_POWERS[np.bitwise_count(a[:, None] & a) % 4]
 
 
+@lru_cache(maxsize=None)
+def _store_rows(g: int) -> np.ndarray:
+    """The store row eps' << g | eps of every characteristic eps << g | eps'."""
+    c = np.arange(4**g)
+    return (c & (1 << g) - 1) << g | c >> g
+
+
 class _LatticeClass(NamedTuple):
     """Points p = 2q of one half eps' class (the mirror -q of each is
     implied), sorted by parity bin: bin b (bit g-1-i is (p_i >> 1) mod 2)
@@ -272,8 +281,7 @@ class ThetaEngine:
         self._p: np.ndarray | None = None  # (N, g) int16 points p = 2q, key-sorted
         self._m: np.ndarray | None = None  # (N,) their weights
         self._starts: np.ndarray | None = None  # (4^g + 1,) key starts
-        self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._tables: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+        self._stores: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # order -> (T, scale)
 
     def _lattice(self) -> None:
         """Enumerate the lattice and weigh its points, once."""
@@ -326,42 +334,29 @@ class ThetaEngine:
         phase = (2j * np.pi) ** order * _phases(g)[eps_prime]
         return phase[:, :, None] * (_hadamard(g) @ full)
 
-    def char_table(self, order: int) -> np.ndarray:
-        """Order-0 (theta constants) or order-1 (gradients) values at 0 of
-        all 4^g characteristics: row c = eps << g | eps'
-        (``HalfCharacteristic.bits``), one column per sorted multi-index.
-        Built once, from every class at once, and read-only."""
-        self._check_order(order)
-        return self._char_table(order)[0]
-
-    def _char_table(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """char_table(order) and the largest single |term| of each class."""
-        hit = self._dense.get(order)
-        if hit is not None:
-            return hit
-        if order not in (0, 1):
-            raise ValueError("the all-class table covers orders 0 and 1")
-        self._lattice()
-        g, m, key_starts = self.g, self._m, self._starts
-        size = np.zeros(2**g)  # per class, its largest |term| / (2 pi)^k
-        bins = np.zeros((4**g, g if order else 1), dtype=m.dtype)
-        cls_starts = key_starts[:: 2**g]
+    def _build(self, order: int, eps_prime: np.ndarray) -> None:
+        """Fill the store rows and scales of the classes eps_prime with one
+        batched transform.  Order 0 fills every class, from one segmented
+        sum over the key-sorted weights."""
+        g, m = self.g, self._m
+        table, scale = self._stores[order]
         if order == 0:
+            eps_prime, key_starts = np.arange(2**g), self._starts
+            bins = np.zeros(4**g, dtype=m.dtype)
             filled = np.flatnonzero(np.diff(key_starts))
-            bins[filled, 0] = np.add.reduceat(m, key_starts[filled])
+            bins[filled] = np.add.reduceat(m, key_starts[filled])
+            size = np.zeros(2**g)
+            cls_starts = key_starts[:: 2**g]
             occupied = np.flatnonzero(np.diff(cls_starts))
             size[occupied] = np.maximum.reduceat(np.abs(m), cls_starts[occupied])
         else:
-            for e in range(2**g):
-                cls = self._lattice_class(e)
-                if len(cls.m):
-                    bins[e << g : e + 1 << g], size[e] = self._bins(cls, 1)
-        bins = bins.reshape(2**g, 2**g, -1)
-        eps_prime = np.arange(2**g)
-        table = self._transform(bins, eps_prime, order).swapaxes(0, 1).reshape(4**g, -1)
-        table.flags.writeable = False
-        out = self._dense[order] = (table, (2 * np.pi) ** order * size)
-        return out
+            bins = np.zeros((len(eps_prime), 2**g, table.shape[1]), dtype=m.dtype)
+            size = np.zeros(len(eps_prime))
+            for i, e in enumerate(eps_prime.tolist()):
+                bins[i], size[i] = self._bins(self._lattice_class(e), order)
+        table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
+            bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order)
+        scale[eps_prime] = (2 * np.pi) ** order * size
 
     def _bins(self, cls: _LatticeClass, order: int) -> tuple[np.ndarray, float]:
         """bins[b, j], the sum over parity bin b of the class of m times the
@@ -384,31 +379,39 @@ class ThetaEngine:
             bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
         return bins, size
 
-    def table(self, eps_prime: int, order: int) -> tuple[np.ndarray, float]:
-        """(T, scale): T[eps, j] is the derivative of theta[eps; eps'] at 0
-        along the j-th sorted multi-index of the order (for order 1, j is the
-        coordinate); scale is the largest single |term|, the same for every
-        eps.  Cached, and read-only."""
+    def values(self, chars: np.ndarray, order: int) -> np.ndarray:
+        """Order-k derivative tensors at 0 of theta[c] for an int array of
+        characteristic bits c = eps << g | eps' (``HalfCharacteristic.bits``),
+        shape chars.shape + (g,)*k: the constants for k = 0, the gradients for
+        k = 1.  A class is built the first time one of its rows is read."""
         self._check_order(order)
+        self._lattice()
+        g = self.g
+        if order not in self._stores:
+            self._stores[order] = (np.empty((4**g, math.comb(g + order - 1, order)), dtype=complex),
+                                   np.full(2**g, np.nan))
+        table, scale = self._stores[order]
+        chars = np.asarray(chars)
+        if math.isnan(scale.sum()):  # a class is not built yet
+            new = np.zeros(2**g, dtype=bool)
+            new[chars & (1 << g) - 1] = True
+            new = np.flatnonzero(new & np.isnan(scale))
+            if len(new):
+                self._build(order, new)
+        # a C-contiguous gather, as the families' sums expect
+        out = (table[:, 0] if order == 0 else table)[_store_rows(g)[chars]]
         if order < 2:
-            table, scale = self._char_table(order)
-            return table[eps_prime :: 1 << self.g], float(scale[eps_prime])
-        key = (eps_prime, order)
-        hit = self._tables.get(key)
-        if hit is not None:
-            return hit
-        bins, size = self._bins(self._lattice_class(eps_prime), order)
-        table = self._transform(bins[None], np.array([eps_prime]), order)[0]
-        table.flags.writeable = False
-        out = self._tables[key] = (table, (2 * np.pi) ** order * size)
-        return out
+            return out
+        return np.take(out, _layout(g, order)[2], axis=-1).reshape(chars.shape + (g,) * order)
 
     def theta(self, char: HalfCharacteristic, v: np.ndarray | None = None) -> complex:
-        """theta[char](v); v defaults to 0."""
+        """theta[char](v); v defaults to 0.  The cosine sum at v != 0 reads
+        the lattice directly, not the stores, and so stays an independent
+        check of the Hadamard transform that builds them."""
         self._check(char)
-        eps, eps_prime = char.bits >> self.g, char.bits & ((1 << self.g) - 1)
         if v is None:
-            return complex(self.table(eps_prime, 0)[0][eps, 0])
+            return complex(self.values(char.bits, 0))
+        eps_prime = char.bits & ((1 << self.g) - 1)
         cls = self._lattice_class(eps_prime)
         shift = 0.5 * np.asarray(char.eps, dtype=float) + np.asarray(v, dtype=complex)
         # q and -q together give 2 m cos(2 pi q.shift); the origin only m = 1
@@ -417,18 +420,17 @@ class ThetaEngine:
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
         """All order-m partial derivatives of theta[char] at v = 0."""
         self._check(char)
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        g = self.g
-        table, scale = self.table(char.bits & ((1 << g) - 1), order)
-        entries = table[char.bits >> g][_layout(g, order)[2]].reshape((g,) * order)
-        return DerivThetaTensor(char=char, order=order, entries=entries, scale=scale)
+        entries = np.asarray(self.values(char.bits, order))  # shape () at order 0
+        scale = self._stores[order][1][char.bits & ((1 << self.g) - 1)]
+        return DerivThetaTensor(char=char, order=order, entries=entries, scale=float(scale))
 
     def _check(self, char: HalfCharacteristic) -> None:
         if char.genus != self.g:
             raise ValueError("characteristic genus mismatch")
 
     def _check_order(self, order: int) -> None:
+        if order < 0:
+            raise ValueError("order must be >= 0")
         if order > self.order:
             raise ValueError(f"derivative order {order} is above the engine's order {self.order}: "
                              f"the order-{self.order} lattice radius cuts its tail short")

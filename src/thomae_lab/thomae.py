@@ -62,8 +62,8 @@ def snap_phase(ratio, roots: Sequence[complex] = EIGHTH_ROOTS) -> tuple:
 
 
 def _vandermondes(e: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """:func:`curve.vandermonde` of every row of an int array of ascending
-    index sets, the factors in the same order."""
+    """The ordered Vandermonde product prod_{i > l in I} (e_i - e_l), larger
+    index first, of every row of an int array of ascending index sets."""
     hi, lo = np.tril_indices(sets.shape[1], -1)
     return reduce(np.multiply, (e[sets[:, hi] - 1] - e[sets[:, lo] - 1]).T, np.ones(len(sets)))
 

@@ -1,0 +1,149 @@
+"""Scalar reference helpers that only the tests read.
+
+The package works on arrays (index masks, batched Vandermonde products,
+whole period quadratures); these are the one-set, one-point forms of the
+same algebra, kept here as independent oracles for its tests:
+
+- index-set surgery: :func:`drop` (J^{(j)}) and :func:`replace`
+  (I^{(a,b -> c,d)}, "replace a, b by c, d") on sorted index tuples;
+- branch-point algebra with right ordering (larger index first, so every
+  product is positive for sorted real branch points): :func:`vandermonde`,
+  :func:`ordered_diff_product` and the elementary symmetric polynomials;
+- :func:`char_from_string`, the "[eps'/eps]" notation of the paper;
+- :func:`differential_row`, one holomorphic differential at one point of
+  the fixed sheet.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from thomae_lab.characteristics import HalfCharacteristic
+from thomae_lab.curve import CurveSpec
+from thomae_lab.indexsets import IndexSet, iset
+
+
+def drop(s: Iterable[int], *gone: int) -> IndexSet:
+    base = iset(s)
+    missing = [x for x in gone if x not in base]
+    if missing:
+        raise ValueError(f"cannot drop {missing} from {base}")
+    return tuple(x for x in base if x not in gone)
+
+
+def replace(s: Iterable[int], out_idx: Sequence[int], in_idx: Sequence[int]) -> IndexSet:
+    """I^{(out -> in)}: drop out_idx, then add in_idx."""
+    s = tuple(s)
+    kept = set(s)
+    if len(kept) != len(s):
+        raise ValueError(f"duplicate indices in {tuple(sorted(s))}")
+    missing = [x for x in out_idx if x not in kept]
+    if missing:
+        raise ValueError(f"cannot drop {missing} from {tuple(sorted(s))}")
+    kept.difference_update(out_idx)
+    clash = [x for x in in_idx if x in kept]
+    if clash:
+        raise ValueError(f"{clash} already in {tuple(sorted(kept))}")
+    return iset([*kept, *in_idx])
+
+
+def _check_finite_indexset(spec: CurveSpec, index_set: Iterable[int]) -> tuple[int, ...]:
+    idx = tuple(sorted(index_set))
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"index set {idx} has duplicates")
+    if idx and idx[0] == 0:
+        raise ValueError("index 0 (infinity) is not allowed in branch-point products")
+    if idx and (idx[0] < 0 or idx[-1] > spec.n_finite):
+        raise ValueError(f"index set {idx} out of range 1..{spec.n_finite}")
+    return idx
+
+
+def vandermonde(spec: CurveSpec, index_set: Iterable[int]) -> float:
+    """Ordered Vandermonde product prod_{i>l in I} (e_i - e_l).
+
+    Right ordering (larger index first) makes the result strictly positive
+    for sorted real branch points; an empty or singleton set gives 1.
+    """
+    idx = _check_finite_indexset(spec, index_set)
+    e = spec.branch_points
+    out = 1.0
+    for a in range(len(idx)):
+        for b in range(a):
+            out *= e[idx[a] - 1] - e[idx[b] - 1]
+    return out
+
+
+def elementary_symmetric_all(spec: CurveSpec, index_set: Iterable[int]) -> list[float]:
+    """[s_0, s_1, ..., s_|I|] of {e_i | i in I}, from one expansion of the
+    generating product prod_{i in I} (1 + e_i t) = sum_n s_n t^n."""
+    idx = _check_finite_indexset(spec, index_set)
+    # Newton-free direct recurrence: expand the generating product.
+    coeffs = [1.0] + [0.0] * len(idx)
+    for i in idx:
+        e = spec.branch_points[i - 1]
+        for d in range(len(idx), 0, -1):
+            coeffs[d] += e * coeffs[d - 1]
+    return coeffs
+
+
+def elementary_symmetric(spec: CurveSpec, index_set: Iterable[int], n: int) -> float:
+    """Elementary symmetric polynomial s_n of {e_i | i in I}.
+
+    s_0 = 1 and s_n = 0 for n > |I|, matching the generating identity
+    prod_{i in I} (1 + e_i t) = sum_n s_n t^n.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    coeffs = elementary_symmetric_all(spec, index_set)
+    return coeffs[n] if n < len(coeffs) else 0.0
+
+
+def ordered_diff_product(spec: CurveSpec, left: Iterable[int], right: Iterable[int]) -> float:
+    """prod_{a in left, b in right} (e_max - e_min) with right ordering.
+
+    Every factor is written with the larger index first, so the value is
+    positive for disjoint sorted index sets.
+    """
+    lt = _check_finite_indexset(spec, left)
+    rt = _check_finite_indexset(spec, right)
+    e = spec.branch_points
+    out = 1.0
+    for a in lt:
+        for b in rt:
+            if a == b:
+                raise ValueError(f"index {a} appears on both sides")
+            hi, lo = (a, b) if a > b else (b, a)
+            out *= e[hi - 1] - e[lo - 1]
+    return out
+
+
+def char_from_string(text: str) -> HalfCharacteristic:
+    """Parse "[e1'e2'.../e1e2...]" (top row eps', bottom row eps)."""
+    body = text.strip().strip("[]")
+    top, bot = body.split("/")
+    return HalfCharacteristic(eps=tuple(map(int, bot)), eps_prime=tuple(map(int, top)))
+
+
+def _sheet_power(spec: CurveSpec, x: float) -> int:
+    """p = number of branch points strictly greater than x."""
+    return int(np.sum(np.asarray(spec.branch_points) > x))
+
+
+def differential_row(spec: CurveSpec, n: int, x: float, branch_sign: int = 1) -> complex:
+    """Value of du_n = x^{g-n} / (-2y) on the fixed sheet at real x.
+
+    Between consecutive branch points the value is purely real or purely
+    imaginary according to the parity of the number of branch points to the
+    right of x.
+    """
+    g = spec.genus
+    if not 1 <= n <= g:
+        raise ValueError(f"differential index {n} out of range 1..{g}")
+    if x in spec.branch_points:
+        raise ValueError(f"integrand singular at branch point x={x}")
+    e = np.asarray(spec.branch_points)
+    p = _sheet_power(spec, x)
+    y = branch_sign * (1j**p) * np.sqrt(np.abs(np.prod(x - e)))
+    return complex(x ** (g - n) / (-2.0 * y))

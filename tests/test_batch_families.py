@@ -25,6 +25,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import drop, elementary_symmetric_all, ordered_diff_product, replace, vandermonde
 from thomae_lab import harness
 from thomae_lab import relations as rel
 from thomae_lab import schottky as sch
@@ -38,7 +39,6 @@ from thomae_lab.characteristics import (
     riemann_char,
 )
 from thomae_lab.context import CurveContext
-from thomae_lab.curve import elementary_symmetric_all, ordered_diff_product, vandermonde
 from thomae_lab.harness import (
     FAMILIES,
     SuiteConfig,
@@ -55,7 +55,7 @@ from thomae_lab.harness import (
     run_suite,
     unrank_combinations,
 )
-from thomae_lab.indexsets import IndexSet, complement_finite, drop, iset, replace
+from thomae_lab.indexsets import IndexSet, complement_finite, iset
 from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
 from thomae_lab.theta import ThetaEngine
 from thomae_lab.thomae import FOURTH_ROOTS, snap_phase

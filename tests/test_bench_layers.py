@@ -1,0 +1,50 @@
+"""The benchmark's layer map (bench/layers.py) patches program entry points
+by name and silently reports a layer absent once all of its names are gone.
+This guards those names: every layer must find a live target, the entry
+points the layers rely on must exist, and the engine's truncation radius
+must reach the tracer."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = """
+import numpy as np
+import layers
+from thomae_lab.context import CurveContext
+from thomae_lab.harness import random_curve
+
+LIVE = [
+    "context: thomae_lab.context.CurveContext.const",
+    "context: thomae_lab.context.CurveContext.deriv",
+    "theta.const: thomae_lab.theta.ThetaEngine.theta",
+    "theta.deriv: thomae_lab.theta.ThetaEngine.theta_deriv",
+    "thomae.rhs: thomae_lab.thomae.first_thomae_rhs",
+    "characteristics: thomae_lab.context.char_of_set",
+    "characteristics: thomae_lab.characteristics.Partition.from_set",
+    "periods: thomae_lab.harness.compute_periods",
+    "thomae.calibration: thomae_lab.harness.calibrate_phases",
+]
+tracer = layers.Tracer()
+layers.install(tracer)
+# the context's lookup counters patch under a layer name of their own
+absent = [name for name in layers.LAYERS + ("context",) if name not in tracer.present]
+assert not absent, f"layers with no live target: {absent}; missing: {tracer.missing}"
+gone = [name for name in LIVE if name in tracer.missing]
+assert not gone, f"traced entry points gone: {gone}"
+ctx = CurveContext.build(random_curve(2, 1))
+ctx.consts(np.arange(1 << 6))
+assert tracer.radii, "the engine's truncation_radius call was not traced"
+print("ok")
+"""
+
+
+def test_every_benchmark_layer_finds_a_live_target():
+    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}:{ROOT / 'bench'}")
+    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import char_from_string
 from thomae_lab.characteristics import (
     HalfCharacteristic,
     Partition,
     branch_char,
-    char_from_string,
     char_of_set,
     char_sum,
     char_to_partition,

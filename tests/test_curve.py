@@ -5,12 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thomae_lab.curve import (
-    elementary_symmetric,
-    ordered_diff_product,
-    validate_curve,
-    vandermonde,
-)
+from oracles import elementary_symmetric, ordered_diff_product, vandermonde
+from thomae_lab.curve import validate_curve
 
 
 def test_validate_sorted():
@@ -36,6 +32,64 @@ def test_validate_rejects_wrong_count():
 def test_validate_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         validate_curve(2, [1, 2, 3, 4, math.inf])
+
+
+@pytest.mark.parametrize("genus", [2.0, True, "2", None])
+def test_validate_rejects_a_genus_that_is_not_an_integer(genus):
+    pts = [1.0, 2.0, 3.0, 4.0, 5.0] if genus is not True else [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="genus must be an integer"):
+        validate_curve(genus, pts)
+
+
+@pytest.mark.parametrize("bad", [True, "5", None, [5.0]])
+def test_validate_rejects_branch_points_that_are_not_real(bad):
+    with pytest.raises(ValueError, match="branch_points must be real numbers"):
+        validate_curve(2, [1.0, 2.0, 3.0, 4.0, bad])
+
+
+@pytest.mark.parametrize("points", ["12345", 5.0, {"1": 1}])
+def test_validate_rejects_branch_points_that_are_not_a_list(points):
+    with pytest.raises(ValueError, match="branch_points must be a list"):
+        validate_curve(2, points)
+
+
+def test_validate_accepts_integral_and_real_number_types():
+    spec = validate_curve(np.int64(2), [np.int32(1), 2, np.float32(3.5), Fraction(9, 2), 5.0])
+    assert spec.genus == 2 and type(spec.genus) is int
+    assert spec.branch_points == (1.0, 2.0, 3.5, 4.5, 5.0)
+    assert all(type(e) is float for e in spec.branch_points)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("genus", 2.0, "genus must be an integer"),
+    ("genus", True, "genus must be an integer"),
+    ("branch_points", [1, 2, 3, 4, True], "branch_points must be real numbers"),
+    ("branch_points", [1, 2, 3, 4, "5"], "branch_points must be real numbers"),
+    ("branch_points", None, "branch_points must be a list"),
+])
+def test_cli_rejects_a_malformed_curve_file_before_compute(tmp_path, monkeypatch, capsys,
+                                                           field, value, match):
+    from thomae_lab.harness import main
+
+    def no_periods(*args, **kwargs):
+        raise AssertionError("periods computed for a malformed curve file")
+
+    monkeypatch.setattr("thomae_lab.harness.compute_periods", no_periods)
+    raw = {"label": "bad", "genus": 2, "branch_points": [1.0, 2.0, 3.0, 4.0, 5.0], field: value}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--curve", str(path)]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_load_curve_file_names_missing_fields(tmp_path):
+    from thomae_lab.curve import load_curve_file
+
+    path = tmp_path / "curve.json"
+    for payload in ({"genus": 2}, {"branch_points": [1, 2, 3, 4, 5]}, [2, [1, 2, 3, 4, 5]]):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match='"genus" and "branch_points"'):
+            load_curve_file(str(path))
 
 
 def test_vandermonde_direct():

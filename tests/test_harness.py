@@ -49,6 +49,19 @@ def test_relations_filter():
     assert {r.relation_id for r in report.records} == {"GRAD3"}
 
 
+def test_config_echoes_the_relations_filter():
+    # an empty filter runs no family and says so; only no filter echoes null
+    spec = random_curve(2, 7)
+    empty = run_suite(SuiteConfig(spec=spec, relations=(), cap=30, seed=7))
+    assert empty.records == []
+    assert empty.config["relations"] == []
+    assert json.loads(empty.to_json(False))["config"]["relations"] == []
+    full = run_suite(SuiteConfig(spec=spec, cap=30, seed=7))
+    assert full.records and full.config["relations"] is None
+    one = run_suite(SuiteConfig(spec=spec, relations=("GRAD3", "EKLM"), cap=30, seed=7))
+    assert one.config["relations"] == ["EKLM", "GRAD3"]
+
+
 def test_unknown_family_rejected_before_compute():
     cfg = SuiteConfig(spec=random_curve(2, 7), relations=("NOPE",))
     with pytest.raises(ValueError, match="unknown relation families"):

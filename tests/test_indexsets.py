@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from thomae_lab.indexsets import complement_finite, drop, iset, replace
+from oracles import drop, replace
+from thomae_lab.indexsets import complement_finite, iset
 
 
 def add(s, *new):

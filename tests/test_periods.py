@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import differential_row
 from thomae_lab.characteristics import branch_char
 from thomae_lab.curve import validate_curve
 from thomae_lab.periods import (
     abel_branch_point,
     branch_point_char_residuals,
     compute_periods,
-    differential_row,
     halfperiod_residual,
 )
 

@@ -3,9 +3,10 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from thomae_lab.characteristics import char_from_string, enumerate_partitions
+from oracles import char_from_string, drop, replace
+from thomae_lab.characteristics import enumerate_partitions
 from thomae_lab.harness import _mask
-from thomae_lab.indexsets import complement_finite, drop, iset, replace
+from thomae_lab.indexsets import complement_finite, iset
 from thomae_lab.relations import (
     _match_residuals,
     _predicted,

@@ -273,7 +273,7 @@ def test_real_weights_against_long_double(ctx):
     eng = ctx(5).engine
     g, tau = eng.g, eng.params.tau
     assert not tau.real.any()  # the certifier's tau is i Y
-    consts, grads = eng.char_table(0)[:, 0], eng.char_table(1)
+    consts, grads = eng.values(np.arange(4**g), 0), eng.values(np.arange(4**g), 1)
     y = tau.imag.astype(np.longdouble)
     eps = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1  # row eps, first entry first
     ref_c = np.zeros(4**g, dtype=np.longdouble)
@@ -353,12 +353,12 @@ def test_engine_refuses_orders_above_its_own(ctx, order):
     char = _char(3, 0b101110)
     above = f"derivative order {order + 1} is above the engine's order {order}"
     with pytest.raises(ValueError, match=above):
-        eng.table(0b110, order + 1)
+        eng.values(np.array([0b110]), order + 1)
     with pytest.raises(ValueError, match=above):
         eng.theta_deriv(char, order + 1)
     if order == 0:
         with pytest.raises(ValueError, match=above):
-            eng.char_table(1)
+            eng.values(np.arange(4**3), 1)
     # its own order sums, over the lattice at its own radius
     assert eng.theta_deriv(char, order).entries.shape == (3,) * order
     assert eng.radius == truncation_radius(tau, eng.params.tol, order=order)

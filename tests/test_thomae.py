@@ -3,10 +3,11 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
+from oracles import drop, elementary_symmetric_all, vandermonde
 from thomae_lab.characteristics import enumerate_partitions
-from thomae_lab.curve import elementary_symmetric_all, vandermonde
 from thomae_lab.harness import _mask
-from thomae_lab.indexsets import complement_finite, drop, iset
+from thomae_lab.indexsets import complement_finite, iset
+from thomae_lab.theta import _store_rows
 from thomae_lab.thomae import (
     EIGHTH_ROOTS,
     calibrate_phases,
@@ -72,8 +73,6 @@ def test_first_thomae_rejects_wrong_multiplicity(ctx):
 def test_first_thomae_common_factor_ratio(ctx):
     # the det(omega) factor drops out of ratios of two characteristics
     c = ctx(2)
-    from thomae_lab.curve import vandermonde
-
     a, b = (1, 2), (3, 5)
     ratio = first_thomae_rhs(c, a) / first_thomae_rhs(c, b)
     ja, jb = complement_finite(5, a), complement_finite(5, b)
@@ -213,16 +212,28 @@ def test_array_calibration_matches_scalar_rhs(ctx, g):
         assert abs(got_snap - snap) <= 1e-13, i0
 
 
-def test_calibration_failure_detected(ctx):
-    # corrupting one cached theta constant must trip the calibration guard
+def _own_constants(c):
+    """A shallow copy of the context whose engine holds its own copy of the
+    order-0 store, that store, and the store row of an index set."""
     import copy
 
-    c = ctx(2)
-    calibrate_phases(c)  # fill the dense store before copying it
     broken = copy.copy(c)
-    broken._C = c._C.copy()
-    ch = c.char((1, 2))
-    broken._C[ch.bits] = c.const((1, 2)) * 1.07
+    broken.engine = copy.copy(c.engine)
+    table, scale = c.engine._stores[0]
+    broken.engine._stores = {0: (table.copy(), scale)}
+
+    def row(indices):
+        return _store_rows(c.g)[c.char(indices).bits]
+
+    return broken, broken.engine._stores[0][0][:, 0], row
+
+
+def test_calibration_failure_detected(ctx):
+    # corrupting one cached theta constant must trip the calibration guard
+    c = ctx(2)
+    calibrate_phases(c)  # fill the order-0 store before copying it
+    broken, consts, row = _own_constants(c)
+    consts[row((1, 2))] = c.const((1, 2)) * 1.07
     with pytest.raises(ValueError, match="phase calibration failed"):
         calibrate_phases(broken)
 
@@ -267,16 +278,13 @@ def first_thomae_rhs_like(c, a):
 def test_calibration_failure_names_first_set(ctx):
     # with several corrupted constants the error names the first I_0 in
     # combinations order; a NaN constant fails like any misfit
-    import copy
-
     c = ctx(3)
     calibrate_phases(c)
-    broken = copy.copy(c)
-    broken._C = c._C.copy()
-    broken._C[c.char((2, 4, 6)).bits] = np.nan
-    broken._C[c.char((1, 5, 7)).bits] *= 1.07
+    broken, consts, row = _own_constants(c)
+    consts[row((2, 4, 6))] = np.nan
+    consts[row((1, 5, 7))] *= 1.07
     with pytest.raises(ValueError, match=r"I_0=\(1, 5, 7\)"):
         calibrate_phases(broken)
-    broken._C[c.char((1, 5, 7)).bits] = c.const((1, 5, 7))
+    consts[row((1, 5, 7))] = c.const((1, 5, 7))
     with pytest.raises(ValueError, match=r"I_0=\(2, 4, 6\)"):
         calibrate_phases(broken)

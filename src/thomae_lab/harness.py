@@ -232,16 +232,16 @@ class Family:
     ``bindings(ctx, cfg, rng)`` gives the bindings as an int array with one
     binding per row, and ``verify(ctx, bindings, tolerance=..., **extra)``
     the records of all of them, in row order.
-    ``order`` is the highest derivative order of theta it reads: a run
-    enumerates the lattice at the truncation radius of the highest order of
-    its families.  ``tolerances`` maps further verifier keywords to
+    ``order`` is the highest derivative order of theta it reads, or
+    ``order(g, enable_heavy)`` where that depends on the run; see
+    :func:`run_order`.  ``tolerances`` maps further verifier keywords to
     tolerance keys.  Below ``min_genus`` the family has no instances.
     """
 
     name: str
     bindings: Callable
     verify: Callable
-    order: int
+    order: int | Callable[[int, bool], int]
     min_genus: int = 2
     tolerances: tuple[tuple[str, str], ...] = ()
 
@@ -251,6 +251,17 @@ class Family:
         tols = {"tolerance": cfg.tol(self.name)}
         tols.update((kw, cfg.tol(key)) for kw, key in self.tolerances)
         return self.verify(ctx, self.bindings(ctx, cfg, rng), **tols)
+
+
+def run_order(families, g: int, enable_heavy: bool) -> int:
+    """The highest derivative order the families read at genus g, at least
+    0 for the phase calibration: a run enumerates the lattice at its
+    truncation radius.  A family below its ``min_genus`` reads nothing.
+    Only the entries' fields are read, so an entry replaced by a
+    ``functools.wraps`` wrapper still counts."""
+    orders = [f.order(g, enable_heavy) if callable(f.order) else f.order
+              for f in families if g >= f.min_genus]
+    return max(orders, default=0)
 
 
 def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
@@ -362,7 +373,7 @@ def _thomae2(ctx, rows, tolerance):
     parts = rows[:, 0]
     size = np.bitwise_count(parts)
     phase, residual = np.empty(len(parts), dtype=complex), np.empty(len(parts))
-    for s in np.unique(size).tolist():
+    for s in sorted(set(size.tolist())):
         at = np.flatnonzero(size == s)
         pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
         phase[at], residual[at], _ = _phase_fit(ctx.grads(parts[at]), pred)
@@ -372,9 +383,14 @@ def _thomae2(ctx, rows, tolerance):
     ]
 
 
+def _thomaeg_orders(g: int) -> tuple[int, ...]:
+    """The multiplicities m (derivative orders) THOMAEG checks at genus g."""
+    return (2, 3) if g >= 5 else (2,)
+
+
 def _thomaeg_bindings(ctx, cfg, rng):
     # rows [Im m], Im the finite part of a multiplicity-m partition as a mask
-    rows = [[part, m] for m in ((2, 3) if ctx.g >= 5 else (2,))
+    rows = [[part, m] for m in _thomaeg_orders(ctx.g)
             for part in _part_masks(ctx, m, max(cfg.cap // 20, 5), rng)[:, 0].tolist()]
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
@@ -509,14 +525,20 @@ def _d3_k6_bindings(ctx, cfg, rng):
     return _i0_splits(ctx, 6, _picker(rng, 2 * cfg.cap, 3))
 
 
+def _conj_m_specs(g: int, enable_heavy: bool) -> list[tuple[int, int]]:
+    """The (m, |K|) pairs CONJ_M checks at genus g; m = 4 only when heavy."""
+    specs = [(2, 3), (2, 4), (3, 5)] + ([(4, 7)] if enable_heavy else [])
+    return [(m, ksize) for m, ksize in specs if ksize <= g]
+
+
 def _conj_m_bindings(ctx, cfg, rng):
     # rows [I0 K m j_m j_n], I0 and K as masks; specialisations: the general
     # construction must match the dedicated ones
     i0 = tuple(range(1, ctx.g + 1))
     j0 = complement_finite(ctx.spec.n_finite, i0)
-    specs = [(2, 3), (2, 4), (3, 5)] + ([(4, 7)] if cfg.enable_heavy else [])
     return np.array([[_mask(i0), _mask(i0[:ksize]), m, j0[0], j0[1]]
-                     for m, ksize in specs if ksize <= ctx.g], dtype=np.int64).reshape(-1, 5)
+                     for m, ksize in _conj_m_specs(ctx.g, cfg.enable_heavy)],
+                    dtype=np.int64).reshape(-1, 5)
 
 
 def _rj_det_bindings(ctx, cfg, rng):
@@ -543,14 +565,16 @@ def _schottky_f_bindings(ctx, cfg, rng):
                     dtype=np.int64).reshape(-1, 1)
 
 
-# In run order, as (name, bindings, verify, order[, min_genus[, tolerances]]).
+# In run order, as (name, bindings, verify, order[, min_genus[, tolerances]]);
+# an order that varies with the run comes from the rule the bindings use.
 # Each family samples from its own stream, seeded by crc32(name):
 # reordering a family's draws changes its sampled bindings.
 FAMILIES = {f.name: f for f in (
     Family("THOMAE1", lambda ctx, cfg, rng: _draw(len(ctx.calibration.sets), cfg.cap, rng),
            _thomae1, 0),
     Family("THOMAE2", lambda ctx, cfg, rng: _part_masks(ctx, 1, cfg.cap, rng), _thomae2, 1),
-    Family("THOMAEG", _thomaeg_bindings, _thomaeg, 3, 3, (("tolerance_m3", "THOMAEG_G5"),)),
+    Family("THOMAEG", _thomaeg_bindings, _thomaeg, lambda g, heavy: max(_thomaeg_orders(g)), 3,
+           (("tolerance_m3", "THOMAEG_G5"),)),
     Family("EKLM", _eklm_bindings, rel.eklm_batch, 0),
     Family("EJI", _eji_bindings, rel.eji_batch, 0),
     Family("GRAD2", lambda ctx, cfg, rng: _i0_splits(ctx, 2, _picker(rng, cfg.cap)),
@@ -570,7 +594,8 @@ FAMILIES = {f.name: f for f in (
            rel.hessian_rank_batch, 2, 3),
     Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 3, 5),
     Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 3, 6),
-    Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch, 4, 3),  # m = 4 with enable_heavy
+    Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch,
+           lambda g, heavy: max((m for m, _ in _conj_m_specs(g, heavy)), default=0), 3),
     Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch, 1),
     Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 0, 4,
            (("det_tolerance", "SCHOTTKY_DETR"),)),
@@ -608,8 +633,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         periods = compute_periods(cfg.spec, cfg.quad_order)
         if cfg.period_cache:
             Path(cfg.period_cache).write_text(json.dumps(periods_to_json(periods)))
-    # the lattice serves the highest order read; the calibration reads order 0
-    order = max((f.order for f in running), default=0)
+    order = run_order(running, cfg.spec.genus, cfg.enable_heavy)
     ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     timings["periods"] = time.perf_counter() - t0
 

@@ -338,7 +338,7 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -
     jm, jn = (1 << binds[:, 2:]).T
     r = (np.bitwise_count(b_mask) + 1) // 2
     residual = np.empty(len(binds))
-    for size in np.unique(r).tolist():
+    for size in sorted(set(r.tolist())):
         rows = np.flatnonzero(r == size)
         bits = 1 << np.array(index_sets(b_mask[rows]))
         k_mask, rest = bits[:, :size].sum(axis=1), bits[:, size:].sum(axis=1)
@@ -404,7 +404,7 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 0.5) -> 
         raise ValueError("every set must be the finite part of a multiplicity-1 partition")
     size = held.sum(axis=1)
     observed = np.empty(len(binds), dtype=np.int64)
-    for n in np.unique(size).tolist():
+    for n in sorted(set(size.tolist())):
         rows = np.flatnonzero(size == n)
         sv = np.linalg.svd(ctx.grads(parts[rows, :n]), compute_uv=False)
         observed[rows] = np.sum(sv > RANK_SVD_CUT * sv[:, :1], axis=1)
@@ -579,7 +579,7 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float =
         raise ValueError("bindings must represent the same characteristic")
     kk = np.bitwise_count(binds[:, 1])
     residual = np.empty(len(binds))
-    for size in np.unique(kk).tolist():
+    for size in sorted(set(kk.tolist())):
         rows = np.flatnonzero(kk == size)
         va, vb = (_predicted(ctx, _repr_rows(binds[rows, c : c + 4]), 2) for c in (0, 4))
         residual[rows] = _match_residuals(va, vb)

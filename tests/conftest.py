@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,18 @@ def random_ctx():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def sweep_curves():
+    """The 300 curves of the benchmark's sweep-g2to4 workload at seed 1: a
+    quarter each without a close pair and with one pair about 1e-2, 1e-4 or
+    1e-5 apart."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cfg.spec for cfg in workloads.build("sweep-g2to4", 1)]
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """The benchmark's layer map (bench/layers.py) patches program entry points
 by name and silently reports a layer absent once all of its names are gone.
 This guards those names: every layer must find a live target, the entry
-points the layers rely on must exist, and the engine's truncation radius
-must reach the tracer."""
+points the layers rely on must exist, the engine's truncation radius must
+reach the tracer, and a suite must run on the wrapped family table."""
 
 import os
 import subprocess
@@ -38,6 +38,10 @@ assert not gone, f"traced entry points gone: {gone}"
 ctx = CurveContext.build(random_curve(2, 1))
 ctx.consts(np.arange(1 << 6))
 assert tracer.radii, "the engine's truncation_radius call was not traced"
+# the family table is wrapped in place: a run must still read its entries
+from thomae_lab.harness import SuiteConfig, run_suite
+report = run_suite(SuiteConfig(spec=random_curve(3, 1), seed=1, cap=5))
+assert report.theta["order"] == 2 and report.all_passed()
 print("ok")
 """
 

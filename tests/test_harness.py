@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from thomae_lab.harness import (
     SuiteConfig,
     main,
     random_curve,
+    run_order,
     run_suite,
 )
 from thomae_lab.periods import compute_periods
@@ -302,7 +307,17 @@ def test_thomae1_run_enumerates_at_the_order0_radius():
             f"{report.theta['points']} points")
     assert line in report.to_text().splitlines()
     full = run_suite(SuiteConfig(spec=spec, cap=20, seed=2))
-    assert full.theta["order"] == 4
+    assert full.theta["order"] == 2  # Hessians; orders 3 and 4 start at genus 5 and 7
+
+
+def test_run_order_follows_the_genus():
+    # THOMAEG reads order 3 and CONJ_M order 3 from genus 5 on, CONJ_M order 4
+    # only with enable_heavy at genus 7; families below min_genus read nothing
+    families = FAMILIES.values()
+    assert [run_order(families, g, False) for g in range(2, 9)] == [1, 2, 2, 3, 3, 3, 3]
+    assert [run_order(families, g, True) for g in range(2, 9)] == [1, 2, 2, 3, 3, 4, 4]
+    assert run_order([FAMILIES["D3_K5"]], 4, True) == 0
+    assert run_order([], 5, False) == 0
 
 
 def _family_alone(g: int, name: str, cache_dir) -> None:
@@ -310,7 +325,7 @@ def _family_alone(g: int, name: str, cache_dir) -> None:
     cfg = SuiteConfig(spec=random_curve(g, 4), relations=(name,), cap=20, seed=4,
                       enable_heavy=True, period_cache=str(cache))
     report = run_suite(cfg)  # a family reading above its declared order raises
-    assert report.theta["order"] == FAMILIES[name].order
+    assert report.theta["order"] == run_order([FAMILIES[name]], g, True)
     assert report.all_passed(), [r.as_dict() for r in report.records if not r.passed]
 
 
@@ -324,3 +339,32 @@ def test_each_family_runs_at_its_declared_order(g, name, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_each_family_runs_at_its_declared_order_g6(name, tmp_path_factory):
     _family_alone(6, name, tmp_path_factory.getbasetemp())
+
+
+def test_cli_names_an_unconverged_quadrature(tmp_path, capsys):
+    # two branch points 1e-12 apart: the quadrature reaches max_order without
+    # meeting refine_tol, which is an infrastructure failure of the periods
+    curve = tmp_path / "close.json"
+    curve.write_text(json.dumps(
+        {"genus": 3, "branch_points": [-4, -2.5, -1, 0, 1.5, 1.5 + 1e-12, 3]}
+    ))
+    assert main(["verify", "--curve", str(curve)]) == 2
+    err = capsys.readouterr().err
+    assert "period quadrature did not converge" in err
+    assert "quad_order 3072" in err and "refine_tol 1.0e-11" in err
+
+
+def test_a_run_imports_neither_numpy_ma_nor_numpy_polynomial():
+    probe = (
+        "import sys\n"
+        "from thomae_lab.harness import SuiteConfig, random_curve, run_suite\n"
+        "report = run_suite(SuiteConfig(spec=random_curve(5, 1), seed=1, cap=10))\n"
+        "assert report.records and report.all_passed()\n"
+        "print(sorted(m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

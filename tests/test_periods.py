@@ -1,15 +1,22 @@
+import time
+
 import numpy as np
 import pytest
 
-from oracles import differential_row
+from oracles import differential_row, gauss_legendre_exact, segment_integrals_loop
 from thomae_lab.characteristics import branch_char
 from thomae_lab.curve import validate_curve
 from thomae_lab.periods import (
+    _gauss_legendre,
+    _segment_integrals,
     abel_branch_point,
     branch_point_char_residuals,
     compute_periods,
     halfperiod_residual,
 )
+
+# genus 3 with two branch points 1e-6 apart (a narrow gap between cuts)
+GAP_CURVE = [-4.0, -2.5, -1.0, 0.0, 1.5, 1.500001, 3.0]
 
 
 def test_differential_row_imaginary_on_negative_f(curve):
@@ -113,3 +120,62 @@ def test_period_cache_roundtrip(curve):
     other = validate_curve(2, [1, 2, 3, 4, 6])
     with pytest.raises(ValueError, match="does not match curve"):
         periods_from_json(other, periods_to_json(p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 97, 192, 768])
+def test_gauss_legendre_rule_against_a_40_digit_rule(n):
+    mp = pytest.importorskip("mpmath").mp
+    ref_nodes, ref_weights = gauss_legendre_exact(n)
+    nodes, weights = _gauss_legendre(n)
+    assert len(nodes) == len(weights) == n and np.all(np.diff(nodes) > 0)
+    with mp.workdps(40):
+        node_err = max(abs(mp.mpf(float(a)) - b) for a, b in zip(nodes, ref_nodes))
+        weight_err = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(weights, ref_weights))
+    assert node_err <= 2.3e-16, node_err
+    assert weight_err <= 1e-11, weight_err
+
+
+@pytest.mark.parametrize("degree", [1, 6])
+def test_exact_rule_oracle_matches_mpmath_gauss_legendre(degree):
+    # mpmath's own rule, at the sizes it has (3 * 2^(degree - 1) nodes)
+    mp = pytest.importorskip("mpmath").mp
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    ref_nodes, ref_weights = gauss_legendre_exact(3 * 2 ** (degree - 1))
+    with mp.workdps(40):
+        rule = sorted(GaussLegendre(mp).calc_nodes(degree, mp.prec))
+        assert max(abs(x - a) for (x, _), a in zip(rule, ref_nodes)) < mp.mpf(10) ** -38
+        assert max(abs(w - b) for (_, w), b in zip(rule, ref_weights)) < mp.mpf(10) ** -38
+
+
+def test_gauss_legendre_3072_is_quick():
+    start = time.perf_counter()
+    _gauss_legendre.__wrapped__(3072)  # bypass the cache
+    assert time.perf_counter() - start < 0.5
+
+
+def test_segment_integrals_match_the_per_segment_loop(sweep_curves):
+    assert len(sweep_curves) == 300
+    for order in (96, 192, 384, 768):
+        nodes, weights = _gauss_legendre(order)
+        for spec in sweep_curves:
+            ref = segment_integrals_loop(spec, nodes, weights)
+            got = _segment_integrals(spec, order)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.max(np.abs(got - ref) / scale) <= 1e-14, (order, spec.branch_points)
+
+
+def test_gap_curve_higher_order_is_no_worse():
+    # the rule's own weight error once grew with the order and made a
+    # higher starting order end less converged
+    spec = validate_curve(3, GAP_CURVE)
+    low, high = compute_periods(spec, 96), compute_periods(spec, 1536)
+    assert high.est_error <= low.est_error
+    assert high.quad_order == 3072 and high.est_error <= 1e-11
+
+
+def test_unconverged_quadrature_raises():
+    spec = validate_curve(3, GAP_CURVE)
+    with pytest.raises(ValueError, match=r"period quadrature did not converge: est_error "
+                       r"\S+ > refine_tol 1\.0e-11 at quad_order 192 \(max_order 192\)"):
+        compute_periods(spec, 96, max_order=192)

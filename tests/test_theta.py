@@ -1,6 +1,4 @@
-import importlib.util
 from itertools import combinations_with_replacement, permutations, product
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -372,26 +370,21 @@ def test_explicit_radius_keeps_its_meaning(ctx):
     assert eng.radius == r
 
 
-def _tail_curves():
+def _tail_curves(sweep):
     """random_curve(g, s) for g = 2..6 and s = 1..3 (the single-curve
     benchmark workloads run random_curve(5, 1) and random_curve(6, 1)), and
     the benchmark's sweep curves, whose close branch-point pairs stretch tau."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    sweep = [cfg.spec for cfg in workloads.build("sweep-g2to4", 1)]
     return [random_curve(g, s) for g in range(2, 7) for s in range(1, 4)] + sweep
 
 
-def test_truncation_tail_at_each_order_radius():
+def test_truncation_tail_at_each_order_radius(sweep_curves):
     """Over the points of the order-4 lattice outside R_k, the bound
     2 sum |m| (2 pi max_i |q_i|)^k on the order-k terms (both of each pair
     q, -q) stays below the tolerance for k = 0..3: a lattice at R_k keeps
     the accuracy an order-4 lattice gives every order k.  The tail beyond
     R_4 is outside this check."""
     tol, worst = 1e-12, np.zeros(4)
-    for spec in _tail_curves():
+    for spec in _tail_curves(sweep_curves):
         tau = compute_periods(spec, 96).tau
         eng = ThetaEngine(tau, tol=tol)
         eng._lattice()

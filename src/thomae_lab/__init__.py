@@ -3,18 +3,7 @@ curves with real branch points: period matrices, theta derivative tensors,
 Thomae formulas, gradient/Hessian/third-derivative identities and
 Schottky-type relations."""
 
-from .characteristics import (
-    HalfCharacteristic,
-    Partition,
-    branch_char,
-    char_sum,
-    char_to_partition,
-    enumerate_partitions,
-    parity,
-    partition_char,
-    riemann_char,
-    set_order_less,
-)
+from .characteristics import HalfCharacteristic, Partition
 from .context import CurveContext
 from .curve import CurveSpec, validate_curve
 from .harness import Report, SuiteConfig, random_curve, run_suite

@@ -21,67 +21,45 @@ Parity convention: a characteristic is odd iff eps^t eps' is odd, so that
 multiplicity-1 characteristics are odd and [K] at genus 2 is odd.
 
 Representation: a characteristic is its genus plus one 2g-bit int (eps high,
-eps' low).  [I] XOR-folds a per-genus table of [eps_k] (Mumford's eta-map),
-the sum is XOR, the parity a popcount; index sets are bit masks.  The
-batched relation families index :func:`mask_chars`, one characteristic
-per (2g+2)-bit index mask, so [I^{(a -> b)}] is a table lookup at I ^ a ^ b.
+eps' low); the sum of characteristics is XOR and the parity a popcount.
+[I] XOR-folds a per-genus table of [eps_k] (Mumford's eta-map, *Tata
+Lectures on Theta II*, ch. IIIa).  The batched relation families index
+:func:`mask_chars`, one characteristic per (2g+2)-bit index mask, so
+[I^{(a -> b)}] is a table lookup at I ^ a ^ b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
-Bits = tuple[int, ...]
 
-
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True)
 class HalfCharacteristic:
     """Characteristic [eps] displayed as the 2 x g matrix [eps' over eps]."""
 
     genus: int
-    bits: int
-
-    def __init__(self, eps: Iterable[int], eps_prime: Iterable[int]):
-        eps, eps_prime = tuple(eps), tuple(eps_prime)
-        if len(eps) != len(eps_prime):
-            raise ValueError("eps and eps' must have equal length")
-        bits = 0
-        for b in eps + eps_prime:
-            if b not in (0, 1):
-                raise ValueError("characteristic entries must be bits")
-            bits = bits << 1 | int(b)
-        object.__setattr__(self, "genus", len(eps))
-        object.__setattr__(self, "bits", bits)
+    bits: int  # eps << g | eps'
 
     @property
-    def eps(self) -> Bits:
-        return tuple(self.bits >> (2 * self.genus - 1 - i) & 1 for i in range(self.genus))
-
-    @property
-    def eps_prime(self) -> Bits:
+    def eps_prime(self) -> tuple[int, ...]:
+        """eps' as a tuple.  The benchmark's tracer (bench/layers.py) keys
+        ``theta.lattice.classes`` and the ``theta.lattice`` span on it."""
         return tuple(self.bits >> (self.genus - 1 - i) & 1 for i in range(self.genus))
 
     def __str__(self) -> str:
         bits = format(self.bits, f"0{2 * self.genus}b")  # eps, then eps'
         return f"[{bits[self.genus:]}/{bits[: self.genus]}]"
 
-    def __repr__(self) -> str:
-        return f"HalfCharacteristic(eps={self.eps}, eps_prime={self.eps_prime})"
-
 
 @lru_cache(maxsize=None)
 def _char(g: int, bits: int) -> HalfCharacteristic:
     """The characteristic of genus g with the given 2g bits, built once."""
-    c = object.__new__(HalfCharacteristic)
-    object.__setattr__(c, "genus", g)
-    object.__setattr__(c, "bits", bits)
-    return c
+    return HalfCharacteristic(g, bits)
 
 
 @lru_cache(maxsize=None)
@@ -112,34 +90,6 @@ def mask_chars(g: int) -> np.ndarray:
     return out
 
 
-def zero_char(g: int) -> HalfCharacteristic:
-    return _char(g, 0)
-
-
-def char_sum(a: HalfCharacteristic, b: HalfCharacteristic) -> HalfCharacteristic:
-    """Characteristic addition: XOR."""
-    if a.genus != b.genus:
-        raise ValueError("characteristics of different genus")
-    return _char(a.genus, a.bits ^ b.bits)
-
-
-def branch_char(g: int, k: int) -> HalfCharacteristic:
-    """Characteristic [eps_k] of branch point e_k; k = 0 is infinity (zero)."""
-    if not 0 <= k <= 2 * g + 1:
-        raise ValueError(f"branch index {k} out of range 0..{2 * g + 1}")
-    return _char(g, _table(g)[0][k])
-
-
-def riemann_char(g: int) -> HalfCharacteristic:
-    """Characteristic [K] of the vector of Riemann constants."""
-    return _char(g, _table(g)[1])
-
-
-def parity(c: HalfCharacteristic) -> str:
-    """'odd' iff eps^t eps' is odd, else 'even'."""
-    return "odd" if (c.bits >> c.genus & c.bits).bit_count() & 1 else "even"
-
-
 @dataclass(frozen=True)
 class Partition:
     """Canonical branch-index partition, referred to by its smaller part.
@@ -154,6 +104,9 @@ class Partition:
 
     @classmethod
     def from_set(cls, g: int, indices: Iterable[int]) -> "Partition":
+        """The canonical partition of an index set.  Also a traced entry
+        point of the benchmark (bench/layers.py): ``characteristics.self_s``
+        and ``characteristics.calls`` count its calls."""
         mask = 0
         for i in indices:
             if not 0 <= i <= 2 * g + 1:
@@ -180,9 +133,6 @@ class Partition:
     def multiplicity(self) -> int:
         return (self.genus + 1 - len(self.full_part())) // 2
 
-    def char(self) -> HalfCharacteristic:
-        return partition_char(self)
-
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.part)) + "}"
 
@@ -200,13 +150,12 @@ def _partition(g: int, mask: int) -> Partition:
     return Partition(genus=g, part=tuple(i for i in range(1, 2 * g + 2) if mask >> i & 1))
 
 
-def partition_char(p: Partition) -> HalfCharacteristic:
-    """[I] = sum_{i in I} [eps_i] + [K]; infinity contributes nothing."""
-    return char_of_set(p.genus, p.part)
-
-
 def char_of_set(g: int, indices: Iterable[int]) -> HalfCharacteristic:
-    """Characteristic of the partition referred to by an arbitrary index set."""
+    """Characteristic of the partition referred to by an arbitrary index set.
+    Kept for the scalar lookups :meth:`CurveContext.const` and
+    :meth:`CurveContext.deriv`; the benchmark (bench/layers.py) patches it
+    where ``context`` imports it, and ``characteristics.self_s`` and
+    ``characteristics.calls`` count its calls."""
     branch, bits = _table(g)
     for i in indices:
         if not 0 <= i <= 2 * g + 1:
@@ -215,47 +164,11 @@ def char_of_set(g: int, indices: Iterable[int]) -> HalfCharacteristic:
     return _char(g, bits)
 
 
-def char_to_partition(g: int, c: HalfCharacteristic) -> Partition:
-    """Invert :func:`partition_char`; total on all 2^{2g} characteristics."""
-    if c.genus != g:
-        raise ValueError("genus mismatch")
-    branch, k_bits = _table(g)
-    target = c.bits ^ k_bits  # = sum over the part of [eps_i]
-    # [eps_{2k}] has eps' = delta_k, so the even-index picks fix eps'.
-    mask = 0
-    for k in range(1, g + 1):
-        if target >> (g - k) & 1:
-            mask ^= 1 << 2 * k
-            target ^= branch[2 * k]
-    # [eps_{2k}] + [eps_{2k-1}] has eps' = 0, eps = delta_k: fix eps.
-    for k in range(1, g + 1):
-        if target >> (2 * g - k) & 1:
-            mask ^= 0b11 << (2 * k - 1)
-    return _partition(g, mask)
-
-
 def part_sizes(g: int, m: int) -> tuple[int, ...]:
     """Sizes of the stored parts of the multiplicity-m partitions, in the
-    order :func:`enumerate_partitions` lists them."""
+    order ``harness._partition_masks`` lists its blocks."""
     if not 0 <= m <= (g + 1) // 2:
         raise ValueError(f"multiplicity {m} out of range 0..{(g + 1) // 2}")
     # Stored sizes g+1-2m (infinity on the J side) and g-2m (infinity in
     # part); at m = 0 the canonical part is the one holding infinity.
     return (g,) if m == 0 else tuple(s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0)
-
-
-def enumerate_partitions(g: int, m: int) -> Iterator[Partition]:
-    """All canonical partitions of multiplicity m, in lexicographic order:
-    by part size as :func:`part_sizes` lists them, then in
-    ``combinations`` order of the part."""
-    idx = range(1, 2 * g + 2)
-    for size in part_sizes(g, m):
-        yield from (Partition(genus=g, part=t) for t in combinations(idx, size))
-
-
-def set_order_less(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Order of index sets: compare highest indices first, 0 is smallest."""
-    ta, tb = tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True))
-    if len(ta) != len(tb):
-        raise ValueError("only sets of equal cardinality are comparable")
-    return ta < tb

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic, Partition, char_of_set, mask_chars
+from .characteristics import Partition, char_of_set, mask_chars
 from .curve import CurveSpec
 from .periods import PeriodData, compute_periods
 from .theta import DEFAULT_TOL, DerivThetaTensor, ThetaEngine
@@ -79,21 +79,15 @@ class CurveContext:
         """Gradients of theta[I] at 0 for an int array of index masks."""
         return self.derivs(masks, 1)
 
-    def char(self, indices: Iterable[int]) -> HalfCharacteristic:
-        """The characteristic of theta[I].  No family calls this or the scalar
-        lookups below; they stay for the tests' per-binding oracles."""
-        return char_of_set(self.g, indices)
-
     def const(self, indices: Iterable[int]) -> complex:
-        """theta[I](0) for one index set; also a traced entry point of the
-        benchmark's layer map (bench/layers.py)."""
-        return complex(self.engine.values(self.char(indices).bits, 0))
-
-    def grad(self, indices: Iterable[int]) -> np.ndarray:
-        """The gradient of theta[I] at 0 for one index set."""
-        return self.engine.values(self.char(indices).bits, 1)
+        """theta[I](0) for one index set.  No family calls it: it stays as a
+        traced entry point of the benchmark (bench/layers.py), whose
+        ``context.const.lookups`` and ``context.const.hits`` count its calls."""
+        return complex(self.engine.values(char_of_set(self.g, indices).bits, 0))
 
     def deriv(self, indices: Iterable[int], order: int) -> DerivThetaTensor:
-        """theta[I]'s order-m tensor with its scale; also a traced entry point
-        of the benchmark's layer map (bench/layers.py)."""
-        return self.engine.theta_deriv(self.char(indices), order)
+        """theta[I]'s order-m tensor with its scale.  No family calls it: it
+        stays as a traced entry point of the benchmark (bench/layers.py),
+        whose ``context.deriv.lookups`` and ``context.deriv.hits`` count its
+        calls."""
+        return self.engine.theta_deriv(char_of_set(self.g, indices), order)

@@ -30,7 +30,7 @@ from .characteristics import _char, part_sizes
 from .context import CurveContext
 from .curve import CurveSpec, load_curve_file, validate_curve
 from .indexsets import complement_finite, index_masks, index_rows, index_sets, iset
-from .periods import compute_periods, periods_from_json, periods_to_json
+from .periods import compute_periods
 from .relations import VerificationRecord
 from .thomae import calibrate_phases, general_thomae_batch, snap_phase, thomae_prefactor
 
@@ -77,7 +77,6 @@ class SuiteConfig:
     cap: int = 500
     seed: int = 0
     enable_heavy: bool = False
-    period_cache: str | None = None
 
     def __post_init__(self):
         if self.cap < 1:
@@ -312,8 +311,9 @@ def _mask(indices) -> int:
 
 def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     """Masks of the finite parts of the multiplicity-m partitions at the
-    positions ``pick(count)`` of :func:`enumerate_partitions`, unranked
-    block by block of part size."""
+    positions ``pick(count)`` of their canonical list (by part size as
+    :func:`part_sizes` lists them, then in ``combinations`` order of the
+    part), unranked block by block of part size."""
     n, sizes = 2 * g + 1, part_sizes(g, m)
     counts = [math.comb(n, size) for size in sizes]
     idx = pick(sum(counts))
@@ -619,20 +619,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    periods = None
-    if cfg.period_cache:
-        path = Path(cfg.period_cache)
-        if path.exists():
-            try:
-                periods = periods_from_json(cfg.spec, json.loads(path.read_text()))
-                if periods.quad_order < cfg.quad_order:  # stale lower-order cache
-                    periods = None
-            except (ValueError, KeyError, TypeError):  # stale or malformed cache
-                periods = None
-    if periods is None:
-        periods = compute_periods(cfg.spec, cfg.quad_order)
-        if cfg.period_cache:
-            Path(cfg.period_cache).write_text(json.dumps(periods_to_json(periods)))
+    periods = compute_periods(cfg.spec, cfg.quad_order)
     order = run_order(running, cfg.spec.genus, cfg.enable_heavy)
     ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     timings["periods"] = time.perf_counter() - t0
@@ -725,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include multiplicity >= 4 conjecture runs (needs genus >= 7)")
     v.add_argument("--format", choices=["json", "text"], default="text")
     v.add_argument("--out", help="write the report to this path instead of stdout")
-    v.add_argument("--period-cache", help="JSON period cache path")
     v.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the report "
                    "(reports are byte-identical only without them)")
@@ -757,7 +743,6 @@ def main(argv: list[str] | None = None) -> int:
             cap=args.cap,
             seed=args.seed,
             enable_heavy=args.enable_heavy,
-            period_cache=args.period_cache,
         )
         report = run_suite(cfg)
     except Exception as exc:  # infrastructure failure

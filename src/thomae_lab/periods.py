@@ -17,8 +17,11 @@ endpoint singularities analytically.  The period columns are assembled as
 
 gap l being the segment (e_{2l}, e_{2l+1}) between consecutive cuts.  The
 resulting tau = omega^{-1} omega' is symmetric with positive-definite
-imaginary part, and the Abel images of the branch points land on the
-half-periods of the standard characteristic table; both facts are asserted.
+imaginary part, which every run asserts (``_check_tau``).  The Abel images
+of the branch points land on the half-periods of the standard
+characteristic table; :func:`branch_point_char_residuals` measures that,
+but only the tests call it.  It is kept as the cross-check that ROADMAP
+item 4(c) would report per curve.
 
 The Gauss-Legendre rule is built by Halley's variant of Newton's method
 on the Legendre recurrence, O(n^2) per order and cached, with weights
@@ -32,12 +35,12 @@ periods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .characteristics import HalfCharacteristic, branch_char
+from .characteristics import _table
 from .curve import CurveSpec
 
 
@@ -142,8 +145,6 @@ class PeriodData:
     omega_prime: np.ndarray
     quad_order: int
     est_error: float
-    _cuts: np.ndarray = field(repr=False, default=None)
-    _gaps: np.ndarray = field(repr=False, default=None)
 
     @property
     def tau(self) -> np.ndarray:
@@ -181,7 +182,9 @@ def compute_periods(
     est_error is the largest entrywise relative change of omega and omega'
     between quad_order and 2*quad_order; the order is doubled until it drops
     below refine_tol.  A curve whose estimate is still above refine_tol
-    once 2*quad_order reaches max_order raises ValueError.
+    once 2*quad_order reaches max_order raises ValueError.  The benchmark
+    (bench/layers.py) wraps it where ``harness`` imports it and reads
+    ``quad_order`` and ``refine_tol`` by name for its ``periods.*`` metrics.
     """
     order = quad_order
     o1 = _assemble(spec, _segment_integrals(spec, order))
@@ -198,15 +201,12 @@ def compute_periods(
             f"period quadrature did not converge: est_error {est:.3e} > refine_tol "
             f"{refine_tol:.1e} at quad_order {2 * order} (max_order {max_order})"
         )
-    omega, omega_prime, cuts, gaps = o2
     data = PeriodData(
         spec=spec,
-        omega=omega,
-        omega_prime=omega_prime,
+        omega=o2[0],
+        omega_prime=o2[1],
         quad_order=2 * order,
         est_error=float(est),
-        _cuts=cuts,
-        _gaps=gaps,
     )
     _check_tau(data.tau)
     return data
@@ -244,17 +244,13 @@ class LatticeResidual:
     shift_m: np.ndarray
 
 
-def halfperiod_residual(
-    periods: PeriodData, v: np.ndarray, char: HalfCharacteristic
-) -> LatticeResidual:
-    """Lattice-reduced distance of v from eps/2 + tau eps'/2."""
+def halfperiod_residual(periods: PeriodData, v: np.ndarray, bits: int) -> LatticeResidual:
+    """Lattice-reduced distance of v from eps/2 + tau eps'/2, for the
+    characteristic bits eps << g | eps'."""
     tau = periods.tau
     g = periods.genus
-    if char.genus != g:
-        raise ValueError("characteristic genus mismatch")
-    target = 0.5 * np.asarray(char.eps, dtype=float) + tau @ (
-        0.5 * np.asarray(char.eps_prime, dtype=float)
-    )
+    digits = bits >> np.arange(2 * g - 1, -1, -1) & 1  # eps, then eps'
+    target = 0.5 * digits[:g] + tau @ (0.5 * digits[g:])
     w = np.asarray(v, dtype=complex) - target
     # Real coordinates w = alpha + tau beta; round, then a small local search.
     beta = np.linalg.solve(tau.imag, w.imag)
@@ -297,36 +293,10 @@ def branch_point_char_residuals(spec: CurveSpec, periods: PeriodData) -> dict[in
     """Cross-check: A(e_k) matches [eps_k] mod lattice, for every k.  Only
     the tests call it today; it stays for the runner to report as a
     per-curve precondition (ROADMAP item 4(c))."""
+    branch = _table(spec.genus)[0]
     out = {}
     for k in range(1, 2 * spec.genus + 2):
         v = abel_branch_point(spec, periods, k)
-        out[k] = halfperiod_residual(periods, v, branch_char(spec.genus, k)).norm
+        out[k] = halfperiod_residual(periods, v, branch[k]).norm
     return out
 
-
-def periods_to_json(periods: PeriodData) -> dict:
-    return {
-        "curve_hash": periods.spec.content_hash(),
-        "quad_order": periods.quad_order,
-        "est_error": periods.est_error,
-        "omega_re": periods.omega.real.tolist(),
-        "omega_im": periods.omega.imag.tolist(),
-        "omega_prime_re": periods.omega_prime.real.tolist(),
-        "omega_prime_im": periods.omega_prime.imag.tolist(),
-    }
-
-
-def periods_from_json(spec: CurveSpec, raw: dict) -> PeriodData:
-    if raw["curve_hash"] != spec.content_hash():
-        raise ValueError("period cache does not match curve")
-    omega = np.asarray(raw["omega_re"]) + 1j * np.asarray(raw["omega_im"])
-    omega_prime = np.asarray(raw["omega_prime_re"]) + 1j * np.asarray(raw["omega_prime_im"])
-    data = PeriodData(
-        spec=spec,
-        omega=omega,
-        omega_prime=omega_prime,
-        quad_order=raw["quad_order"],
-        est_error=raw["est_error"],
-    )
-    _check_tau(data.tau)
-    return data

@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .characteristics import mask_chars
+from .characteristics import _char, mask_chars
 from .context import CurveContext
 from .indexsets import index_masks, index_sets
 from .relations import VerificationRecord, general_r_tensor
@@ -85,9 +85,11 @@ def coset_products(ctx: CurveContext, gens: np.ndarray, reps: np.ndarray) -> np.
     size = np.bitwise_count(members)
     bad = (size != ctx.g) & (size != ctx.g + 1)
     if np.any(bad):
-        part = ctx.partition(index_sets(members[bad][:1])[0])
+        first = members[bad][:1]
+        part = ctx.partition(index_sets(first)[0])
+        char = _char(ctx.g, int(mask_chars(ctx.g)[first[0]]))
         raise ValueError(
-            f"coset member {part} (char {part.char()}) has multiplicity "
+            f"coset member {part} (char {char}) has multiplicity "
             f"{part.multiplicity()}; all members must be even non-singular"
         )
     return ctx.consts(members).prod(axis=-1)

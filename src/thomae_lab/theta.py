@@ -87,7 +87,8 @@ class ThetaParams:
 
 @dataclass
 class DerivThetaTensor:
-    """Fully symmetric order-m tensor of m-th derivative theta constants."""
+    """Fully symmetric order-m tensor of m-th derivative theta constants,
+    as :meth:`ThetaEngine.theta_deriv` returns it."""
 
     char: HalfCharacteristic
     order: int
@@ -101,7 +102,9 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float 
     Gaussian tail estimate: the number of lattice points in a shell of the
     metric L grows like R^{g-1} / det L, and an order-m derivative adds a
     polynomial factor (2 pi |q|)^m; both enter logarithmically, so a short
-    fixed-point iteration converges.
+    fixed-point iteration converges.  The benchmark (bench/layers.py) wraps
+    it by this name and reads ``tau``, ``tol`` and ``order`` by name for
+    ``theta.lattice.radius`` and ``theta.lattice.radius_ratio_o0_o4``.
     """
     tau = np.asarray(tau, dtype=complex)
     g = tau.shape[0]
@@ -407,18 +410,27 @@ class ThetaEngine:
     def theta(self, char: HalfCharacteristic, v: np.ndarray | None = None) -> complex:
         """theta[char](v); v defaults to 0.  The cosine sum at v != 0 reads
         the lattice directly, not the stores, and so stays an independent
-        check of the Hadamard transform that builds them."""
+        check of the Hadamard transform that builds them.  No run calls it;
+        it is also a traced entry point of the benchmark (bench/layers.py),
+        whose ``theta.const.*`` and ``theta.lattice.classes`` metrics count
+        its calls."""
         self._check(char)
         if v is None:
             return complex(self.values(char.bits, 0))
-        eps_prime = char.bits & ((1 << self.g) - 1)
+        g = self.g
+        eps_prime = char.bits & ((1 << g) - 1)
         cls = self._lattice_class(eps_prime)
-        shift = 0.5 * np.asarray(char.eps, dtype=float) + np.asarray(v, dtype=complex)
+        eps = char.bits >> g >> np.arange(g - 1, -1, -1) & 1
+        shift = 0.5 * eps + np.asarray(v, dtype=complex)
         # q and -q together give 2 m cos(2 pi q.shift); the origin only m = 1
         return complex(2.0 * np.sum(cls.m * np.cos(np.pi * (cls.p @ shift))) - (eps_prime == 0))
 
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
-        """All order-m partial derivatives of theta[char] at v = 0."""
+        """All order-m partial derivatives of theta[char] at v = 0.  No run
+        calls it: it is a traced entry point of the benchmark
+        (bench/layers.py), which reads ``order`` by name for its
+        ``theta.deriv.calls.o1``..``o3`` counters and times it as
+        ``theta.deriv.self_s``; :meth:`CurveContext.deriv` calls it."""
         self._check(char)
         entries = np.asarray(self.values(char.bits, order))  # shape () at order 0
         scale = self._stores[order][1][char.bits & ((1 << self.g) - 1)]

@@ -9,7 +9,11 @@ same algebra, kept here as independent oracles for its tests:
 - branch-point algebra with right ordering (larger index first, so every
   product is positive for sorted real branch points): :func:`vandermonde`,
   :func:`ordered_diff_product` and the elementary symmetric polynomials;
-- :func:`char_from_string`, the "[eps'/eps]" notation of the paper;
+- characteristics as tuples: :func:`char_from_string`, the "[eps'/eps]"
+  notation of the paper; :func:`ref_char`, [I] XOR-folded entrywise from
+  the branch-point table; :func:`char_tuples` and :func:`parity`;
+- :func:`enumerate_partitions`, the list of all canonical partitions of a
+  multiplicity, the list-based form of ``harness._partition_masks``;
 - :func:`differential_row`, one holomorphic differential at one point of
   the fixed sheet;
 - :func:`segment_integrals_loop`, the period quadrature one segment and
@@ -19,11 +23,12 @@ same algebra, kept here as independent oracles for its tests:
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from thomae_lab.characteristics import HalfCharacteristic
+from thomae_lab.characteristics import HalfCharacteristic, Partition
 from thomae_lab.curve import CurveSpec
 from thomae_lab.indexsets import IndexSet, iset
 
@@ -123,10 +128,58 @@ def ordered_diff_product(spec: CurveSpec, left: Iterable[int], right: Iterable[i
 
 
 def char_from_string(text: str) -> HalfCharacteristic:
-    """Parse "[e1'e2'.../e1e2...]" (top row eps', bottom row eps)."""
+    """Parse "[e1'e2'.../e1e2...]" (top row eps', bottom row eps) into the
+    characteristic with bits eps << g | eps'."""
     body = text.strip().strip("[]")
     top, bot = body.split("/")
-    return HalfCharacteristic(eps=tuple(map(int, bot)), eps_prime=tuple(map(int, top)))
+    if len(top) != len(bot) or set(top + bot) - {"0", "1"}:
+        raise ValueError(f"not a characteristic: {text!r}")
+    return HalfCharacteristic(genus=len(bot), bits=int(bot + top, 2))
+
+
+def char_tuples(c: HalfCharacteristic) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(eps, eps') of a characteristic, read off its bits."""
+    digits = tuple(map(int, format(c.bits, f"0{2 * c.genus}b")))
+    return digits[: c.genus], digits[c.genus :]
+
+
+def parity(c: HalfCharacteristic) -> str:
+    """'odd' iff eps^t eps' is odd, else 'even'."""
+    eps, eps_prime = char_tuples(c)
+    return "odd" if sum(x * y for x, y in zip(eps, eps_prime)) % 2 else "even"
+
+
+def ref_branch(g: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """[eps_k] as (eps, eps') tuples, read off the table in the docstring of
+    ``thomae_lab.characteristics``; k = 0 is infinity."""
+    if k == 0:
+        return (0,) * g, (0,) * g
+    if k == 2 * g + 1:
+        return (1,) * g, (0,) * g
+    j = (k + 1) // 2
+    ones = j if k % 2 == 0 else j - 1
+    return tuple(int(i <= ones) for i in range(1, g + 1)), tuple(int(i == j) for i in range(1, g + 1))
+
+
+def ref_char(g: int, indices: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """[I] = sum_{i in I} [eps_i] + [K], [K] = sum_k [eps_{2k}], as (eps, eps')
+    tuples folded entrywise by XOR."""
+    eps, eps_prime = [0] * g, [0] * g
+    for k in tuple(range(2, 2 * g + 1, 2)) + tuple(indices):
+        e, ep = ref_branch(g, k)
+        eps = [x ^ y for x, y in zip(eps, e)]
+        eps_prime = [x ^ y for x, y in zip(eps_prime, ep)]
+    return tuple(eps), tuple(eps_prime)
+
+
+def enumerate_partitions(g: int, m: int) -> list[Partition]:
+    """All canonical partitions of multiplicity m as validated ``Partition``
+    objects, in lexicographic order: stored part size g + 1 - 2m (infinity on
+    the other side), then g - 2m (infinity in the part), at m = 0 only g;
+    then ``combinations`` order of the part."""
+    sizes = (g,) if m == 0 else tuple(s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0)
+    return [Partition(genus=g, part=t) for size in sizes
+            for t in combinations(range(1, 2 * g + 2), size)]
 
 
 def _sheet_power(spec: CurveSpec, x: float) -> int:

@@ -2,7 +2,7 @@
 
 The oracles below are the per-binding verifiers as they were before the
 families became array code: each binding looks its theta values up one at a
-time through ``ctx.const`` / ``ctx.grad`` / ``ctx.deriv`` and index-set
+time through ``ctx.const`` / ``ctx.grads`` / ``ctx.deriv`` and index-set
 surgery on sorted tuples, and builds R, the general Thomae tensor and the
 Goepel cosets with scalar Python arithmetic.  The batch functions must give
 the same records: ids, bindings and verdicts equal, notes equal (up to the
@@ -25,19 +25,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import drop, elementary_symmetric_all, ordered_diff_product, replace, vandermonde
+from oracles import (
+    drop,
+    elementary_symmetric_all,
+    enumerate_partitions,
+    ordered_diff_product,
+    replace,
+    vandermonde,
+)
 from thomae_lab import harness
 from thomae_lab import relations as rel
 from thomae_lab import schottky as sch
 from thomae_lab import thomae
-from thomae_lab.characteristics import (
-    _char,
-    char_of_set,
-    char_sum,
-    enumerate_partitions,
-    mask_chars,
-    riemann_char,
-)
+from thomae_lab.characteristics import _char, _table, char_of_set, mask_chars
 from thomae_lab.context import CurveContext
 from thomae_lab.harness import (
     FAMILIES,
@@ -178,18 +178,18 @@ def oracle_grad2(
         * ctx.const(drop(j0, j_m))
         * ctx.const(drop(j0, j_n))
     )
-    lhs = pref * ctx.grad(drop(i0, kappa1, kappa2))
+    lhs = pref * ctx.grads(_mask(drop(i0, kappa1, kappa2)))
     t1 = (
         ctx.const(replace(i0, (kappa1,), (j_m,)))
         * ctx.const(replace(i0, (kappa1,), (j_n,)))
         * ctx.const(replace(j0, (j_m, j_n), (kappa2,)))
-        * ctx.grad(drop(i0, kappa2))
+        * ctx.grads(_mask(drop(i0, kappa2)))
     )
     t2 = (
         ctx.const(replace(i0, (kappa2,), (j_m,)))
         * ctx.const(replace(i0, (kappa2,), (j_n,)))
         * ctx.const(replace(j0, (j_m, j_n), (kappa1,)))
-        * ctx.grad(drop(i0, kappa1))
+        * ctx.grads(_mask(drop(i0, kappa1)))
     )
     residual = vector_identity_residual([lhs, -t1, t2])
     return VerificationRecord(
@@ -211,7 +211,7 @@ def _grad3_terms(
             * ctx.const(replace(j_set, (j_m,), (ka,)))
             * ctx.const(replace(j_set, (j_m, j_n), (kb, kc)))
         )
-        out.append(sign * coeff * ctx.grad(iset(i_set + (ka,))))
+        out.append(sign * coeff * ctx.grads(_mask(iset(i_set + (ka,)))))
     return out
 
 
@@ -244,7 +244,8 @@ def oracle_grad3(
     notes = []
     for a, b in combinations(range(3), 2):
         s = np.linalg.svd(
-            np.stack([ctx.grad(iset(i_set + (kappas[a],))), ctx.grad(iset(i_set + (kappas[b],)))]),
+            np.stack([ctx.grads(_mask(iset(i_set + (kappas[a],)))),
+                      ctx.grads(_mask(iset(i_set + (kappas[b],))))]),
             compute_uv=False,
         )
         if s[1] / s[0] < 1e-6:
@@ -294,7 +295,7 @@ def oracle_grad4(
             * ctx.const(replace(j_set, (j_m,), (pa, pb)))
             * ctx.const(replace(j_set, (j_m, j_n), rest))
         )
-        vec = ctx.grad(sets[t])
+        vec = ctx.grads(_mask(sets[t]))
         grads.append(vec)
         terms.append((-1) ** rank_pos * coeff * vec)
     residual = vector_identity_residual(terms)
@@ -345,13 +346,13 @@ def oracle_gradn(
             * ctx.const(iset(drop(j_set, j_m) + k_red))
             * ctx.const(iset(jmn + tuple(x for x in b_set if x not in k_red)))
         )
-        terms.append((-1) ** (r - pos) * coeff * ctx.grad(iset(i_set + k_red)))
+        terms.append((-1) ** (r - pos) * coeff * ctx.grads(_mask(iset(i_set + k_red))))
     coeff = (
         ctx.const(iset(drop(j_set, j_n) + rest))
         * ctx.const(iset(drop(j_set, j_m) + rest))
         * ctx.const(iset(jmn + k_set))
     )
-    terms.append((-1) ** r * coeff * ctx.grad(iset(i_set + rest)))
+    terms.append((-1) ** r * coeff * ctx.grads(_mask(iset(i_set + rest))))
     residual = vector_identity_residual(terms)
     return VerificationRecord(
         "GRADN",
@@ -437,7 +438,7 @@ def oracle_representation_tensor(
     if len(i0) != ctx.g or 0 in i0:
         raise ValueError("I_0 must be the g finite indices of a multiplicity-0 set")
     r = oracle_r_tensor(ctx, i0, k_set, j_m, j_n, order)
-    a = np.stack([ctx.grad(drop(i0, p)) for p in k_set])  # |K| x g
+    a = np.stack([ctx.grads(_mask(drop(i0, p))) for p in k_set])  # |K| x g
     theta0 = ctx.const(i0)
     out = r
     for _ in range(order):
@@ -549,7 +550,7 @@ def oracle_rj_det(
     if len(i0) != ctx.g or 0 in i0 or ctx.partition(i0).multiplicity() != 0:
         raise ValueError("I_0 must be a multiplicity-0 set of g finite indices")
     j0 = complement_finite(ctx.spec.n_finite, i0)
-    mat = np.stack([ctx.grad(drop(i0, i)) for i in i0], axis=1)
+    mat = np.stack([ctx.grads(_mask(drop(i0, i))) for i in i0], axis=1)
     lhs = abs(np.linalg.det(mat))
     rhs = np.pi ** ctx.g * abs(ctx.const(i0))
     for j in j0:
@@ -595,7 +596,7 @@ def oracle_thomae2(ctx: CurveContext, i1: IndexSet, tolerance: float = 1e-6) -> 
     second Thomae form (the general one with the first two finite indices
     of the complement as K when the part holds infinity)."""
     a = ctx.partition(i1).part
-    lhs = ctx.grad(i1)
+    lhs = ctx.grads(_mask(i1))
     if len(a) == ctx.g - 1:
         rhs = _prefactor(ctx, a) * _s_vector(ctx, a)
     else:
@@ -653,7 +654,7 @@ def oracle_rank(
     for s in sets:
         p = ctx.partition(s)
         parts.append(frozenset(p.full_part()))
-        rows.append(ctx.grad(p.part))
+        rows.append(ctx.grads(_mask(p.part)))
     dedup = list(dict.fromkeys(parts))
     sv = np.linalg.svd(np.stack([rows[parts.index(p)] for p in dedup]), compute_uv=False)
     obs = int(np.sum(sv > rel.RANK_SVD_CUT * sv[0]))
@@ -669,7 +670,7 @@ def oracle_rank(
 
 
 def _raw_char(g: int, s: Iterable[int]):
-    return char_sum(char_of_set(g, s), riemann_char(g))
+    return _char(g, char_of_set(g, s).bits ^ _table(g)[1])
 
 
 def _goepel(g: int, generators: Sequence[IndexSet]) -> list[frozenset]:
@@ -1104,7 +1105,7 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
     assert len(records) == len(rows) == min(cap, math.comb(2 * g + 1, g))
     # the calibration's ratio and snap residual per characteristic, as that
     # verifier looked them up
-    by_char = {ctx.char(i0): (ratio, snap) for i0, ratio, snap in zip(
+    by_char = {char_of_set(g, i0): (ratio, snap) for i0, ratio, snap in zip(
         cal.sets.tolist(), cal.ratios.tolist(), cal.residuals.tolist())}
     tol = cfg.tol("THOMAE1")
     for row, got in zip(rows.tolist(), records):
@@ -1112,7 +1113,7 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
         want = oracle_thomae1(ctx, i0, tolerance=tol)
         assert (got.relation_id, got.bindings, got.notes, got.passed, got.tolerance) == \
             (want.relation_id, want.bindings, want.notes, want.passed, want.tolerance), i0
-        ratio, snap = by_char[ctx.char(i0)]
+        ratio, snap = by_char[char_of_set(g, i0)]
         assert got.residual == max(abs(abs(ratio) - 1.0), snap), i0
         # NumPy's and Python's complex division round differently in the last bit
         assert abs(got.residual - want.residual) <= 1e-13, i0

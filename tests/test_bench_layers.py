@@ -2,8 +2,13 @@
 by name and silently reports a layer absent once all of its names are gone.
 This guards those names: every layer must find a live target, the entry
 points the layers rely on must exist, the engine's truncation radius must
-reach the tracer, and a suite must run on the wrapped family table."""
+reach the tracer, and a suite must run on the wrapped family table.  A
+traced pass must also yield every ``per_layer`` metric that BENCHMARK.json
+declares, since a metric whose layer vanished is dropped, not zeroed."""
 
+import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -52,3 +57,25 @@ def test_every_benchmark_layer_finds_a_live_target():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_traced_pass_yields_every_declared_per_layer_metric():
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    # one pass as bench/run.py starts it: PYTHONPATH=src, one BLAS thread
+    env = dict(run.child_env(), PYTHONPATH=f"{ROOT / 'src'}:{ROOT / 'bench'}")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), "--src", str(ROOT / "src"),
+         "--workload", "suite-g5", "--seed", "1", "--trace"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = run.layer_metrics(traced, [traced])
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(metrics) == sorted(declared), (
+        f"missing {sorted(set(declared) - set(metrics))}, "
+        f"undeclared {sorted(set(metrics) - set(declared))}; "
+        f"missing targets {traced['trace']['missing']}")
+    assert all(math.isfinite(m["value"]) for m in metrics.values()), metrics

@@ -216,47 +216,6 @@ def test_cli_text_output_reproducible(capsys):
     assert "s]" in capsys.readouterr().out
 
 
-def test_period_cache(tmp_path):
-    cache = tmp_path / "periods.json"
-    cfg = SuiteConfig(spec=random_curve(2, 5), relations=("THOMAE1",), cap=10,
-                      period_cache=str(cache))
-    r1 = run_suite(cfg)
-    assert cache.exists()
-    stamp = cache.read_text()
-    r2 = run_suite(cfg)
-    assert cache.read_text() == stamp
-    assert r1.to_json(False) == r2.to_json(False)
-
-
-def test_period_cache_rejects_lower_order(tmp_path):
-    cache = tmp_path / "periods.json"
-    spec = random_curve(2, 5)
-    base = SuiteConfig(spec=spec, relations=("THOMAE1",), cap=10,
-                       quad_order=32, period_cache=str(cache))
-    r_low = run_suite(base)
-    finer = SuiteConfig(spec=spec, relations=("THOMAE1",), cap=10,
-                        quad_order=128, period_cache=str(cache))
-    r_high = run_suite(finer)
-    assert json.loads(cache.read_text())["quad_order"] >= 256
-    assert r_high.periods["quad_order"] > r_low.periods["quad_order"]
-
-
-@pytest.mark.parametrize("payload", [
-    lambda spec: {},
-    lambda spec: [],
-    lambda spec: 7,
-    lambda spec: {"curve_hash": spec.content_hash()},
-], ids=["empty-object", "list", "number", "hash-only"])
-def test_period_cache_malformed_is_recomputed(tmp_path, payload):
-    spec = random_curve(2, 5)
-    cache = tmp_path / "periods.json"
-    cache.write_text(json.dumps(payload(spec)))
-    cfg = SuiteConfig(spec=spec, relations=("THOMAE1",), cap=10, period_cache=str(cache))
-    report = run_suite(cfg)
-    assert report.all_passed()
-    assert json.loads(cache.read_text())["quad_order"] == report.periods["quad_order"]
-
-
 # Records per family and a sha256 of the sorted (family, bindings) list of
 # the default suite on random_curve(g, 14), sampling seed 14, default cap.
 PINNED_BINDINGS = {
@@ -320,10 +279,9 @@ def test_run_order_follows_the_genus():
     assert run_order([], 5, False) == 0
 
 
-def _family_alone(g: int, name: str, cache_dir) -> None:
-    cache = cache_dir / f"periods-g{g}.json"  # one quadrature per genus
+def _family_alone(g: int, name: str) -> None:
     cfg = SuiteConfig(spec=random_curve(g, 4), relations=(name,), cap=20, seed=4,
-                      enable_heavy=True, period_cache=str(cache))
+                      enable_heavy=True)
     report = run_suite(cfg)  # a family reading above its declared order raises
     assert report.theta["order"] == run_order([FAMILIES[name]], g, True)
     assert report.all_passed(), [r.as_dict() for r in report.records if not r.passed]
@@ -331,14 +289,14 @@ def _family_alone(g: int, name: str, cache_dir) -> None:
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
-def test_each_family_runs_at_its_declared_order(g, name, tmp_path_factory):
-    _family_alone(g, name, tmp_path_factory.getbasetemp())
+def test_each_family_runs_at_its_declared_order(g, name):
+    _family_alone(g, name)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_each_family_runs_at_its_declared_order_g6(name, tmp_path_factory):
-    _family_alone(6, name, tmp_path_factory.getbasetemp())
+def test_each_family_runs_at_its_declared_order_g6(name):
+    _family_alone(6, name)
 
 
 def test_cli_names_an_unconverged_quadrature(tmp_path, capsys):

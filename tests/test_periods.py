@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import differential_row, gauss_legendre_exact, segment_integrals_loop
-from thomae_lab.characteristics import branch_char
+from oracles import differential_row, gauss_legendre_exact, ref_branch, segment_integrals_loop
+from thomae_lab.characteristics import _table
 from thomae_lab.curve import validate_curve
 from thomae_lab.periods import (
     _gauss_legendre,
@@ -68,27 +68,30 @@ def test_order_doubling_stability(curve):
     assert p1.est_error < 1e-10
 
 
+def _half_period(tau, g, k):
+    """eps/2 + tau eps'/2 for [eps_k], from the tuple reference table."""
+    eps, eps_prime = ref_branch(g, k)
+    return 0.5 * np.asarray(eps, float) + tau @ (0.5 * np.asarray(eps_prime, float))
+
+
 def test_halfperiod_residual_exact_target(ctx):
     c = ctx(2)
-    char = branch_char(2, 3)
-    tau = c.periods.tau
-    v = 0.5 * np.asarray(char.eps, float) + tau @ (0.5 * np.asarray(char.eps_prime, float))
-    assert halfperiod_residual(c.periods, v, char).norm < 1e-12
+    v = _half_period(c.periods.tau, 2, 3)
+    assert halfperiod_residual(c.periods, v, _table(2)[0][3]).norm < 1e-12
 
 
 def test_halfperiod_residual_lattice_shift(ctx):
     c = ctx(2)
-    char = branch_char(2, 4)
     tau = c.periods.tau
-    v = 0.5 * np.asarray(char.eps, float) + tau @ (0.5 * np.asarray(char.eps_prime, float))
+    v = _half_period(tau, 2, 4)
     v = v + tau[:, 0] + np.array([1.0, 0.0])
-    assert halfperiod_residual(c.periods, v, char).norm < 1e-12
+    assert halfperiod_residual(c.periods, v, _table(2)[0][4]).norm < 1e-12
 
 
 def test_halfperiod_residual_detects_wrong_char(ctx):
     c = ctx(2)
     v = abel_branch_point(c.spec, c.periods, 1)
-    assert halfperiod_residual(c.periods, v, branch_char(2, 2)).norm > 1e-3
+    assert halfperiod_residual(c.periods, v, _table(2)[0][2]).norm > 1e-3
 
 
 def test_abel_branch_points_match_characteristic_table(ctx):
@@ -101,25 +104,10 @@ def test_abel_branch_points_match_characteristic_table(ctx):
 
 def test_abel_half_period_doubling(ctx):
     # 2 A(e_k) is a lattice point
-    from thomae_lab.characteristics import zero_char
-
     c = ctx(2)
     for k in (1, 3, 5):
         v = 2.0 * abel_branch_point(c.spec, c.periods, k)
-        assert halfperiod_residual(c.periods, v, zero_char(2)).norm < 1e-8
-
-
-def test_period_cache_roundtrip(curve):
-    from thomae_lab.periods import periods_from_json, periods_to_json
-
-    spec = curve(2)
-    p = compute_periods(spec, 48)
-    back = periods_from_json(spec, periods_to_json(p))
-    assert np.allclose(back.omega, p.omega)
-    assert np.allclose(back.omega_prime, p.omega_prime)
-    other = validate_curve(2, [1, 2, 3, 4, 6])
-    with pytest.raises(ValueError, match="does not match curve"):
-        periods_from_json(other, periods_to_json(p))
+        assert halfperiod_residual(c.periods, v, 0).norm < 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 97, 192, 768])

@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from thomae_lab.characteristics import _char, char_of_set, char_sum, parity, zero_char
+from oracles import parity, ref_char
+from thomae_lab.characteristics import _char, _table, char_of_set
 from thomae_lab.harness import _mask
 from thomae_lab.schottky import (
     CASE_IDS,
@@ -21,7 +22,7 @@ from thomae_lab.schottky import (
 
 def syzygy(a, b, c) -> str:
     """'azygetic' iff parity(a)+parity(b)+parity(c)+parity(a+b+c) is odd."""
-    chars = (a, b, c, char_sum(char_sum(a, b), c))
+    chars = (a, b, c, _char(a.genus, a.bits ^ b.bits ^ c.bits))
     return "azygetic" if sum(parity(x) == "odd" for x in chars) % 2 else "syzygetic"
 
 
@@ -38,7 +39,7 @@ def case_record(c, case_id):
 
 
 def test_syzygy_trivial_cases():
-    z = zero_char(4)
+    z = _char(4, 0)
     assert syzygy(z, z, z) == "syzygetic"
     a = char_of_set(4, (1, 2, 3, 4))
     assert syzygy(a, a, z) == "syzygetic"
@@ -59,7 +60,7 @@ def test_goepel_f1_element_list():
     assert len(elements) == 2**3
     # every pair (a, b) of the group is syzygetic: the triple (a, b, 0) is
     chars = [_char(4, bits) for bits in raw_chars(4, elements).tolist()]
-    assert all(syzygy(a, b, zero_char(4)) == "syzygetic" for a, b in combinations(chars, 2))
+    assert all(syzygy(a, b, _char(4, 0)) == "syzygetic" for a, b in combinations(chars, 2))
 
 
 def test_goepel_rank_and_errors():
@@ -72,12 +73,10 @@ def test_goepel_rank_and_errors():
 
 def test_raw_char_vs_partition_char():
     # the partition characteristic is the raw sum shifted by [K]
-    from thomae_lab.characteristics import riemann_char
-
     g = 4
     s = frozenset({1, 4, 6})
     raw = _char(g, int(raw_chars(g, np.array(_mask(s)))))
-    assert char_of_set(g, s) == char_sum(raw, riemann_char(g))
+    assert char_of_set(g, s) == _char(g, raw.bits ^ _table(g)[1])
 
 
 def test_coset_rejects_singular_member(ctx):
@@ -86,6 +85,19 @@ def test_coset_rejects_singular_member(ctx):
     # a multiplicity-1 base set must be rejected outright
     with pytest.raises(ValueError, match="multiplicity"):
         coset_products(c, masks([(1, 2)])[None], masks([(1, 2, 3)])[None])
+
+
+@pytest.mark.parametrize("rep, part, mult", [((1, 2, 3), "{1,2,3}", 1), ((1,), "{1}", 2)])
+def test_coset_error_names_partition_and_characteristic(ctx, rep, part, mult):
+    """The first bad coset member is named by its canonical partition and
+    its characteristic string "[eps'/eps]", read off the tuple reference."""
+    c = ctx(4)
+    eps, eps_prime = ref_char(4, rep)
+    char = "[" + "".join(map(str, eps_prime)) + "/" + "".join(map(str, eps)) + "]"
+    with pytest.raises(ValueError) as err:
+        coset_products(c, masks([(4, 5)])[None], masks([rep])[None])
+    assert str(err.value) == (f"coset member {part} (char {char}) has multiplicity {mult}; "
+                              "all members must be even non-singular")
 
 
 def test_schottky_r_three_routes(ctx):

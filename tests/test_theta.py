@@ -4,13 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from thomae_lab.characteristics import (
-    HalfCharacteristic,
-    _char,
-    enumerate_partitions,
-    parity,
-    zero_char,
-)
+from oracles import char_from_string, char_tuples, enumerate_partitions, parity
+from thomae_lab.characteristics import HalfCharacteristic, _char, char_of_set
 from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
 from thomae_lab.harness import random_curve
@@ -49,7 +44,7 @@ def per_character_deriv(tau: np.ndarray, q: np.ndarray, char: HalfCharacteristic
     Returns (entries, scale)."""
     g = tau.shape[0]
     m = np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", q, tau, q))
-    weighted = m * np.exp(1j * np.pi * (q @ np.asarray(char.eps, dtype=float)))
+    weighted = m * np.exp(1j * np.pi * (q @ np.asarray(char_tuples(char)[0], dtype=float)))
     entries = np.zeros((g,) * order, dtype=complex)
     scale = 0.0
     pref = (2j * np.pi) ** order
@@ -104,10 +99,11 @@ def _mp_theta_and_gradient(tau, char, box, v=None):
     g = len(tau)
     tau = [[mpmath.mpc(z.real, z.imag) for z in row] for row in tau]
     v = [0] * g if v is None else [mpmath.mpc(z.real, z.imag) for z in v]
-    eps = [mpmath.mpf(e) / 2 + z for e, z in zip(char.eps, v)]
+    char_eps, char_eps_prime = char_tuples(char)
+    eps = [mpmath.mpf(e) / 2 + z for e, z in zip(char_eps, v)]
     value, grad = mpmath.mpc(0), [mpmath.mpc(0)] * g
     for n in product(range(-box, box + 1), repeat=g):
-        q = [n[i] + mpmath.mpf(char.eps_prime[i]) / 2 for i in range(g)]
+        q = [n[i] + mpmath.mpf(char_eps_prime[i]) / 2 for i in range(g)]
         quad = sum((2 - (i == j)) * q[i] * q[j] * tau[i][j] for i in range(g) for j in range(i, g))
         term = mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * sum(a * b for a, b in zip(q, eps)))
         value += term
@@ -122,7 +118,7 @@ def test_theta_against_mpmath_box_sum(g):
     # every omitted term has |term| <= exp(-pi lam_min (box + 1/2)^2) < 1e-24
     lam_min = float(np.min(np.linalg.eigvalsh(tau.imag)))
     box = int(np.ceil(np.sqrt(24 * np.log(10) / (np.pi * lam_min))))
-    chars = [zero_char(g), _char(g, 1), _char(g, (1 << g) | 1), _char(g, 4 ** g - 1),
+    chars = [_char(g, 0), _char(g, 1), _char(g, (1 << g) | 1), _char(g, 4 ** g - 1),
              _char(g, 0b10 << g | 0b01)]
     with mpmath.workdps(30):
         for char in chars:
@@ -142,7 +138,7 @@ def test_theta_at_complex_v_against_mpmath_box_sum(g):
     lam_min = float(np.min(np.linalg.eigvalsh(tau.imag)))
     box = int(np.ceil(np.sqrt(24 * np.log(10) / (np.pi * lam_min))))
     # eps' = 0 (the origin is its own mirror) and eps' != 0, even and odd
-    chars = [zero_char(g), _char(g, 0b11 << g), _char(g, 1), _char(g, 4 ** g - 1),
+    chars = [_char(g, 0), _char(g, 0b11 << g), _char(g, 1), _char(g, 4 ** g - 1),
              _char(g, 0b10 << g | 0b01)]
     with mpmath.workdps(30):
         for char in chars:
@@ -153,7 +149,7 @@ def test_theta_at_complex_v_against_mpmath_box_sum(g):
 def test_g1_value_against_brute_force():
     # tau = i, zero characteristic: direct 401-term sum is the oracle
     eng = ThetaEngine(np.array([[1j]]))
-    val = eng.theta(zero_char(1))
+    val = eng.theta(_char(1, 0))
     oracle = sum(np.exp(1j * np.pi * n * n * 1j) for n in range(-200, 201))
     assert abs(val - oracle) < 1e-14
 
@@ -161,7 +157,7 @@ def test_g1_value_against_brute_force():
 def test_g1_shifted_char_against_brute_force():
     tau = np.array([[0.3 + 0.8j]])
     eng = ThetaEngine(tau)
-    c = HalfCharacteristic((1,), (1,))
+    c = char_from_string("[1/1]")
     v = np.array([0.21 - 0.05j])
     oracle = sum(
         np.exp(1j * np.pi * (n + 0.5) ** 2 * tau[0, 0] + 2j * np.pi * (n + 0.5) * (v[0] + 0.5))
@@ -177,22 +173,21 @@ def test_char_shift_identity_g2(ctx):
     c = ctx(2)
     tau = c.periods.tau
     eng = c.engine
-    for char in [HalfCharacteristic((1, 0), (0, 1)), HalfCharacteristic((1, 1), (1, 0)),
-                 HalfCharacteristic((0, 1), (1, 1))]:
-        eps = np.asarray(char.eps, float)
-        epsp = np.asarray(char.eps_prime, float)
+    for char in [char_from_string("[01/10]"), char_from_string("[10/11]"),
+                 char_from_string("[11/01]")]:
+        eps, epsp = (np.asarray(t, float) for t in char_tuples(char))
         z0 = 0.5 * eps + tau @ (0.5 * epsp)
         pref = np.exp(
             1j * np.pi * (0.5 * epsp) @ tau @ (0.5 * epsp)
             + 2j * np.pi * (0.5 * eps) @ (0.5 * epsp)
         )
-        direct = pref * eng.theta(zero_char(2), z0)
+        direct = pref * eng.theta(_char(2, 0), z0)
         assert abs(eng.theta(char) - direct) < 1e-11, char
 
 
 def test_odd_char_vanishes_at_zero():
     eng = ThetaEngine(np.array([[1j]]))
-    c = HalfCharacteristic((1,), (1,))
+    c = char_from_string("[1/1]")
     assert parity(c) == "odd"
     assert abs(eng.theta(c)) < 1e-12
 
@@ -200,8 +195,8 @@ def test_odd_char_vanishes_at_zero():
 def test_parity_symmetry_random_v(ctx):
     eng = ctx(2).engine
     rng = np.random.default_rng(3)
-    for c in [HalfCharacteristic((1, 0), (0, 1)), HalfCharacteristic((1, 1), (0, 1)),
-              HalfCharacteristic((0, 0), (0, 0)), HalfCharacteristic((1, 1), (1, 1))]:
+    for c in [char_from_string("[01/10]"), char_from_string("[01/11]"),
+              char_from_string("[00/00]"), char_from_string("[11/11]")]:
         sign = -1 if parity(c) == "odd" else 1
         for _ in range(5):
             v = rng.normal(size=2) * 0.4 + 1j * rng.normal(size=2) * 0.15
@@ -217,7 +212,7 @@ def test_invalid_tau_rejected():
 
 def test_radius_beyond_int16_offsets_rejected():
     with pytest.raises(ValueError, match="too large"):
-        ThetaEngine(np.array([[1j]]), radius=1e6).theta(zero_char(1))
+        ThetaEngine(np.array([[1j]]), radius=1e6).theta(_char(1, 0))
 
 
 def test_genus_beyond_lattice_key_rejected(monkeypatch):
@@ -228,7 +223,7 @@ def test_genus_beyond_lattice_key_rejected(monkeypatch):
     monkeypatch.setattr(theta_module, "_ellipsoid_points", enumerate_nothing)
     g = MAX_GENUS + 1
     with pytest.raises(ValueError, match=f"g <= {MAX_GENUS}"):
-        ThetaEngine(1j * np.eye(g)).theta(zero_char(g))
+        ThetaEngine(1j * np.eye(g)).theta(_char(g, 0))
 
 
 def test_int16_bound_is_on_p():
@@ -237,9 +232,9 @@ def test_int16_bound_is_on_p():
     reach = 1 / np.sqrt(np.pi)
     assert 4e4 * reach + 1 < 2**15 <= 8e4 * reach + 1
     with pytest.raises(ValueError, match="too large"):
-        ThetaEngine(np.array([[1j]]), radius=4e4).theta(zero_char(1))
+        ThetaEngine(np.array([[1j]]), radius=4e4).theta(_char(1, 0))
     eng = ThetaEngine(np.array([[1j]]), radius=2e4)
-    assert abs(eng.theta(zero_char(1)) - ThetaEngine(np.array([[1j]])).theta(zero_char(1))) < 1e-15
+    assert abs(eng.theta(_char(1, 0)) - ThetaEngine(np.array([[1j]])).theta(_char(1, 0))) < 1e-15
     assert eng._p.max() == int(2e4 * 2 * reach)
 
 
@@ -310,7 +305,7 @@ def test_doubling_radius_stability(ctx):
     base = ThetaEngine(tau, tol=1e-12)
     wide = ThetaEngine(tau, tol=1e-12, radius=2 * truncation_radius(tau, 1e-12, order=4))
     for part in enumerate_partitions(2, 0):
-        ch = part.char()
+        ch = char_of_set(2, part.part)
         assert abs(base.theta(ch) - wide.theta(ch)) < 1e-12
 
 
@@ -329,7 +324,7 @@ def test_vanishing_order_exhaustive(ctx, g):
     c = ctx(g)
     for m in range((g + 1) // 2 + 1):
         for part in enumerate_partitions(g, m):
-            ch = part.char()
+            ch = char_of_set(g, part.part)
             for order in range(m):
                 t = c.engine.theta_deriv(ch, order)
                 size = np.max(np.abs(t.entries))

@@ -4,8 +4,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from oracles import drop, vandermonde
-from thomae_lab.characteristics import enumerate_partitions
+from oracles import drop, enumerate_partitions, vandermonde
+from thomae_lab.characteristics import char_of_set
 from thomae_lab.harness import _mask
 from thomae_lab.indexsets import complement_finite, iset
 from thomae_lab.theta import _store_rows
@@ -103,7 +103,7 @@ def test_first_thomae_common_factor_ratio(ctx):
 def test_second_thomae_componentwise(ctx, g):
     c = ctx(g)
     for part in enumerate_partitions(g, 1):
-        lhs = c.grad(part.part)
+        lhs = c.grads(_mask(part.part))
         k = complement_finite(c.spec.n_finite, part.part)[: g - len(part.part)]
         rhs = forms(c, part.part, k)[0]
         k = int(np.argmax(np.abs(lhs)))
@@ -114,7 +114,7 @@ def test_second_thomae_componentwise(ctx, g):
 
 def test_second_thomae_phase_common_across_components(ctx):
     c = ctx(3)
-    lhs = c.grad((1, 2))
+    lhs = c.grads(_mask((1, 2)))
     rhs = forms(c, (1, 2), (3,))[0]
     phases = lhs / rhs
     assert np.max(np.abs(phases - phases[0])) < 1e-10
@@ -217,7 +217,7 @@ def test_array_calibration_matches_scalar_rhs(ctx, g):
     cal = calibrate_phases(c)
     sets = list(combinations(range(1, 2 * g + 2), g))
     assert [tuple(i0) for i0 in cal.sets.tolist()] == sets  # combinations order
-    assert cal.bits.tolist() == [c.char(i0).bits for i0 in sets]
+    assert cal.bits.tolist() == [char_of_set(c.g, i0).bits for i0 in sets]
     for i0, got, got_phase, got_snap in zip(
         sets, cal.ratios.tolist(), cal.phases.tolist(), cal.residuals.tolist()
     ):
@@ -239,7 +239,7 @@ def _own_constants(c):
     broken.engine._stores = {0: (table.copy(), scale)}
 
     def row(indices):
-        return _store_rows(c.g)[c.char(indices).bits]
+        return _store_rows(c.g)[char_of_set(c.g, indices).bits]
 
     return broken, broken.engine._stores[0][0][:, 0], row
 

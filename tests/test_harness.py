@@ -231,6 +231,18 @@ PINNED_BINDINGS = {
          "RANK": 201, "RJ_DET": 20, "SCHOTTKY_A123": 20, "SCHOTTKY_DETR": 20,
          "SCHOTTKY_F": 1, "SCHOTTKY_R": 20, "THOMAE1": 126, "THOMAE2": 120, "THOMAEG": 10},
         "3dc84d0db957a357cef061c271f1c029b67a0820c984b64317c524902eb16afa"),
+    # D3_K5, THOMAEG and CONJ_M at m = 3, and the genus-5 Schottky cases
+    5: ({"CONJ_M": 3, "D3_K5": 25, "EJI": 100, "EKLM": 200, "GRAD2": 500, "GRAD3": 500,
+         "GRAD4": 275, "GRADN": 9, "HESS_EQUIV": 30, "HESS_K3": 250, "HESS_K4": 250,
+         "HESS_RANK": 10, "RANK": 201, "RJ_DET": 20, "SCHOTTKY_A123": 20, "SCHOTTKY_DETR": 20,
+         "SCHOTTKY_F": 6, "SCHOTTKY_R": 20, "THOMAE1": 462, "THOMAE2": 495, "THOMAEG": 26},
+        "e53935622f68157a700678cf4c55a1524022cfd8a92501d0de58caf8a6f943a1"),
+    # D3_K6 from genus 6 on
+    6: ({"CONJ_M": 3, "D3_K5": 25, "D3_K6": 3, "EJI": 100, "EKLM": 200, "GRAD2": 500,
+         "GRAD3": 500, "GRAD4": 275, "GRADN": 9, "HESS_EQUIV": 30, "HESS_K3": 250,
+         "HESS_K4": 250, "HESS_RANK": 10, "RANK": 201, "RJ_DET": 20, "SCHOTTKY_A123": 20,
+         "SCHOTTKY_DETR": 20, "SCHOTTKY_R": 20, "THOMAE1": 500, "THOMAE2": 500, "THOMAEG": 39},
+        "4ade27f32ef7adb6b5684e895ae40477173bdfa17c29f4b7300cc39080793c56"),
 }
 
 

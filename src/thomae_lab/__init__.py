@@ -8,7 +8,7 @@ from .context import CurveContext
 from .curve import CurveSpec, validate_curve
 from .harness import Report, SuiteConfig, random_curve, run_suite
 from .periods import PeriodData, abel_branch_point, compute_periods, halfperiod_residual
-from .theta import DerivThetaTensor, ThetaEngine, ThetaParams, truncation_radius
+from .theta import DerivThetaTensor, ThetaEngine, truncation_radius
 from .thomae import (
     PhaseCalibration,
     calibrate_phases,

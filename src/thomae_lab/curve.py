@@ -18,6 +18,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+MAX_GENUS = 8  # the theta lattice keys a point by 2g bits in a uint16
+
+
+def check_genus(genus: int) -> None:
+    """Reject a genus beyond the theta lattice's key limit, before any work."""
+    if genus > MAX_GENUS:
+        raise ValueError(f"genus {genus} is beyond the lattice key limit: the 2g-bit key "
+                         f"must fit uint16, so g <= {MAX_GENUS}")
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """A hyperelliptic curve y^2 = prod_{j=1}^{2g+1} (x - e_j), real e_j."""
@@ -52,6 +62,7 @@ def validate_curve(genus: int, branch_points: Sequence[float], label: str = "") 
     if genus < 2 and genus != 1:
         # genus 1 is admitted for oracle tests; the suites require g >= 2
         raise ValueError(f"genus must be a positive integer >= 2 (got {genus})")
+    check_genus(genus)
     if isinstance(branch_points, (str, bytes, dict)) or not isinstance(branch_points, Iterable):
         raise ValueError(f"branch_points must be a list of real numbers, got {branch_points!r}")
     pts = list(branch_points)

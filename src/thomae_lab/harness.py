@@ -28,8 +28,8 @@ from . import relations as rel
 from . import schottky as sch
 from .characteristics import _char, part_sizes
 from .context import CurveContext
-from .curve import CurveSpec, load_curve_file, validate_curve
-from .indexsets import complement_finite, index_masks, index_rows, index_sets, iset
+from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
+from .indexsets import finite_mask, index_masks, index_rows, index_sets
 from .periods import compute_periods
 from .relations import VerificationRecord
 from .thomae import calibrate_phases, general_thomae_batch, snap_phase, thomae_prefactor
@@ -162,6 +162,7 @@ def random_curve(g: int, seed: int, low: float = -10.0, high: float = 10.0, min_
     """2g+1 sorted uniform points with a minimum gap, deterministic per seed."""
     if g < 2:
         raise ValueError("random curves start at genus 2")
+    check_genus(g)
     rng = np.random.default_rng([g, seed])
     while True:
         pts = np.sort(rng.uniform(low, high, size=2 * g + 1))
@@ -229,8 +230,10 @@ class Family:
     """One verification family as a table entry.
 
     ``bindings(ctx, cfg, rng)`` gives the bindings as an int array with one
-    binding per row, and ``verify(ctx, bindings, tolerance=..., **extra)``
-    the records of all of them, in row order.
+    binding per row, every index set as one mask column, so the width of a
+    family's rows does not depend on g (RANK's grows with g up to six parts);
+    ``verify(ctx, bindings, tolerance=..., **extra)`` gives the records of
+    all of them, in row order, and is not called without rows.
     ``order`` is the highest derivative order of theta it reads, or
     ``order(g, enable_heavy)`` where that depends on the run; see
     :func:`run_order`.  ``tolerances`` maps further verifier keywords to
@@ -249,7 +252,8 @@ class Family:
             return []
         tols = {"tolerance": cfg.tol(self.name)}
         tols.update((kw, cfg.tol(key)) for kw, key in self.tolerances)
-        return self.verify(ctx, self.bindings(ctx, cfg, rng), **tols)
+        rows = self.bindings(ctx, cfg, rng)
+        return self.verify(ctx, rows, **tols) if len(rows) else []
 
 
 def run_order(families, g: int, enable_heavy: bool) -> int:
@@ -264,7 +268,7 @@ def run_order(families, g: int, enable_heavy: bool) -> int:
 
 
 def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
-    """Rows [I_0 | K | j_m j_n] at the positions ``pick(count)`` of the
+    """Rows [I_0 K j_m j_n] at the positions ``pick(count)`` of the
     enumeration over every finite g-set I_0, every ksize-subset K of I_0,
     and the two smallest indices j_m < j_n of J_0."""
     g, n = ctx.g, ctx.spec.n_finite
@@ -272,13 +276,13 @@ def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
     idx = pick(math.comb(n, g) * per)
     i0 = 1 + unrank_combinations(n, g, idx // per)
     ks = np.take_along_axis(i0, unrank_combinations(g, ksize, idx % per), axis=1)
-    return np.hstack([i0, ks, _free(i0, range(1, n + 1))[:, :2]])
+    return np.column_stack([index_masks(i0), index_masks(ks), _free(i0, range(1, n + 1))[:, :2]])
 
 
 def _kappa_splits(ctx, isize: int, nk: int, pick: Callable) -> np.ndarray:
-    """Rows [I | kappas | j_m j_n] at the positions ``pick(count)`` of the
-    enumeration over all indices 0..2g+1: I a finite isize-set, kappas nk
-    further indices, j_m < j_n the two smallest finite ones left."""
+    """Rows [I B j_m j_n] at the positions ``pick(count)`` of the
+    enumeration over all indices 0..2g+1: I a finite isize-set, B nk further
+    indices, j_m < j_n the two smallest finite ones left."""
     n = 2 * ctx.g + 1
     nrest = n + 1 - isize
     per = math.comb(nrest, nk)
@@ -287,11 +291,11 @@ def _kappa_splits(ctx, isize: int, nk: int, pick: Callable) -> np.ndarray:
     rest = _free(i_set, range(n + 1))[:, :nrest]
     kappas = np.take_along_axis(rest, unrank_combinations(nrest, nk, idx % per), axis=1)
     jf = _free(np.hstack([i_set, kappas]), range(1, n + 1))[:, :2]
-    return np.hstack([i_set, kappas, jf])
+    return np.column_stack([index_masks(i_set), index_masks(kappas), jf])
 
 
 def _eklm_rows(ctx, idx: np.ndarray) -> np.ndarray:
-    """Rows [I | J | k m n] at positions idx of the EKLM enumeration: every
+    """Rows [I J k m n] at positions idx of the EKLM enumeration: every
     finite triple k < m < n, every (g-1)-set I of the other finite indices,
     J the rest; position 2p is pair p as (k, m, n), 2p + 1 as (m, n, k)."""
     g, n = ctx.g, ctx.spec.n_finite
@@ -301,7 +305,7 @@ def _eklm_rows(ctx, idx: np.ndarray) -> np.ndarray:
     i_set = np.take_along_axis(others, unrank_combinations(n - 3, g - 1, idx // 2 % per), axis=1)
     j_set = _free(np.hstack([kmn, i_set]), range(1, n + 1))[:, : g - 1]
     kmn = np.where((idx % 2 == 0)[:, None], kmn, kmn[:, [1, 2, 0]])
-    return np.hstack([i_set, j_set, kmn])
+    return np.column_stack([index_masks(i_set), index_masks(j_set), kmn])
 
 
 def _mask(indices) -> int:
@@ -361,7 +365,7 @@ def _phase_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _thomae_k(ctx, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the first and of the last g - |A| finite indices outside A,
     for every part mask A (one |A| for all)."""
-    free = index_rows(((1 << ctx.spec.n_finite + 1) - 2) ^ parts)
+    free = index_rows(finite_mask(ctx.g) ^ parts)
     size = ctx.g + free.shape[1] - ctx.spec.n_finite
     return index_masks(free[:, :size]), index_masks(free[:, -size:])
 
@@ -373,8 +377,7 @@ def _thomae2(ctx, rows, tolerance):
     parts = rows[:, 0]
     size = np.bitwise_count(parts)
     phase, residual = np.empty(len(parts), dtype=complex), np.empty(len(parts))
-    for s in sorted(set(size.tolist())):
-        at = np.flatnonzero(size == s)
+    for _, at in rel._groups(size):
         pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
         phase[at], residual[at], _ = _phase_fit(ctx.grads(parts[at]), pred)
     return [
@@ -389,27 +392,26 @@ def _thomaeg_orders(g: int) -> tuple[int, ...]:
 
 
 def _thomaeg_bindings(ctx, cfg, rng):
-    # rows [Im m], Im the finite part of a multiplicity-m partition as a mask
-    rows = [[part, m] for m in _thomaeg_orders(ctx.g)
-            for part in _part_masks(ctx, m, max(cfg.cap // 20, 5), rng)[:, 0].tolist()]
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    # rows [Im], Im the finite part of a multiplicity-m partition as a mask
+    return np.vstack([_part_masks(ctx, m, max(cfg.cap // 20, 5), rng)
+                      for m in _thomaeg_orders(ctx.g)])
 
 
 def _thomaeg(ctx, rows, tolerance, tolerance_m3):
-    """THOMAEG for every row [Im m] of rows: the order-m derivative tensor
-    of theta[Im] is the general formula with K the first g - |Im| finite
-    indices outside Im, up to an eighth root of unity.  At the largest
-    entry, K made of the last such indices must give the same value
-    (K-independence), and the ratio form must be the direct form over the
-    first Thomae right side of Im + K; either failing fails the record."""
-    parts, order = rows[:, 0], rows[:, 1]
+    """THOMAEG for every row [Im] of rows, Im the finite part of a
+    multiplicity-m partition, m = (g - |Im| + 1) // 2: the order-m
+    derivative tensor of theta[Im] is the general formula with K the first
+    g - |Im| finite indices outside Im, up to an eighth root of unity.  At
+    the largest entry, K made of the last such indices must give the same
+    value (K-independence), and the ratio form must be the direct form over
+    the first Thomae right side of Im + K; either failing fails the record."""
+    parts = rows[:, 0]
     size = np.bitwise_count(parts)
+    order = (ctx.g - size + 1) // 2
     phase, k_sets = np.empty(len(rows), dtype=complex), np.empty(len(rows), dtype=np.int64)
     residual, k_indep, ratio_resid = (np.empty(len(rows)) for _ in range(3))
-    for s, m in sorted(set(zip(size.tolist(), order.tolist()))):
-        if (ctx.g - s + 1) // 2 != m:
-            raise ValueError(f"a part of {s} indices has no multiplicity {m} at genus {ctx.g}")
-        at = np.flatnonzero((size == s) & (order == m))
+    for s, at in rel._groups(size):
+        m = (ctx.g - s + 1) // 2
         k, k_alt = _thomae_k(ctx, parts[at])
         pred, ratio = general_thomae_batch(ctx, parts[at], k)
         phase[at], residual[at], flat = _phase_fit(ctx.derivs(parts[at], m), pred)
@@ -447,20 +449,24 @@ def _eklm_bindings(ctx, cfg, rng):
 
 
 def _eji_bindings(ctx, cfg, rng):
-    # [I0 | i_k i_l | j_n j_m] with i_k, i_l the two smallest of I_0 and
+    # [I0 K j_n j_m] with K = {i_k, i_l} the two smallest of I_0 and
     # j_n < j_m the two smallest of J_0
     rows = _i0_splits(ctx, 0, _picker(rng, min(cfg.cap, 100)))
-    return np.hstack([rows[:, : ctx.g], rows[:, :2], rows[:, ctx.g :]])
+    i0 = rows[:, 0]
+    low = i0 & -i0
+    rows[:, 1] = low | (i0 ^ low) & -(i0 ^ low)
+    return rows
 
 
 def _grad4_bindings(ctx, cfg, rng):
+    # [I B j_m j_n S1..S4], the pairs S canonical or, on a small subsample,
+    # regrouped
     rows = _kappa_splits(ctx, ctx.g - 3, 5, _picker(rng, cfg.cap // 2))
-    kappas = rows[:, ctx.g - 3 : ctx.g + 2]
-    # the regrouped variant on a small subsample
+    kappas = index_rows(rows[:, 1]).reshape(-1, 5)
     sub = max(len(rows) // 10, 1)
     return np.vstack([
-        np.hstack([rows, kappas[:, np.ravel(rel.GRAD4_PAIRS)]]),
-        np.hstack([rows[:sub], kappas[:sub, np.ravel(rel.GRAD4_REGROUPED)]]),
+        np.hstack([rows, index_masks(kappas[:, np.array(rel.GRAD4_PAIRS)])]),
+        np.hstack([rows[:sub], index_masks(kappas[:sub, np.array(rel.GRAD4_REGROUPED)])]),
     ])
 
 
@@ -509,11 +515,10 @@ def _hess_equiv_bindings(ctx, cfg, rng):
         for _ in range(count):
             pick = sorted(rng.choice(len(fin), size=g + 1, replace=False))
             chosen = [fin[i] for i in pick]
-            i_set, ps = tuple(chosen[: g - ksize]), tuple(chosen[g - ksize:])
-            ka, kb = ps[:ksize], ps[: ksize - 1] + ps[ksize:]
-            ia, ib = iset(i_set + ka), iset(i_set + kb)
-            jc = sorted(set(complement_finite(n, ia)) & set(complement_finite(n, ib)))
-            rows.append([_mask(ia), _mask(ka), jc[0], jc[1], _mask(ib), _mask(kb), jc[0], jc[1]])
+            i_mask, ps = _mask(chosen[: g - ksize]), chosen[g - ksize:]
+            ka, kb = _mask(ps[:ksize]), _mask(ps[: ksize - 1] + ps[ksize:])
+            jc = [j for j in fin if j not in chosen][:2]
+            rows.append([i_mask | ka, ka, *jc, i_mask | kb, kb, *jc])
     return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
 
@@ -525,38 +530,36 @@ def _d3_k6_bindings(ctx, cfg, rng):
     return _i0_splits(ctx, 6, _picker(rng, 2 * cfg.cap, 3))
 
 
-def _conj_m_specs(g: int, enable_heavy: bool) -> list[tuple[int, int]]:
-    """The (m, |K|) pairs CONJ_M checks at genus g; m = 4 only when heavy."""
-    specs = [(2, 3), (2, 4), (3, 5)] + ([(4, 7)] if enable_heavy else [])
-    return [(m, ksize) for m, ksize in specs if ksize <= g]
+def _conj_m_sizes(g: int, enable_heavy: bool) -> list[int]:
+    """The |K| CONJ_M checks at genus g, at order m = (|K|+1)//2; m = 4 only
+    when heavy."""
+    return [ksize for ksize in (3, 4, 5) + ((7,) if enable_heavy else ()) if ksize <= g]
 
 
 def _conj_m_bindings(ctx, cfg, rng):
-    # rows [I0 K m j_m j_n], I0 and K as masks; specialisations: the general
-    # construction must match the dedicated ones
-    i0 = tuple(range(1, ctx.g + 1))
-    j0 = complement_finite(ctx.spec.n_finite, i0)
-    return np.array([[_mask(i0), _mask(i0[:ksize]), m, j0[0], j0[1]]
-                     for m, ksize in _conj_m_specs(ctx.g, cfg.enable_heavy)],
-                    dtype=np.int64).reshape(-1, 5)
+    # rows [I0 K j_m j_n], I0 = {1..g}, K its |K| smallest indices;
+    # specialisations: the general construction must match the dedicated ones
+    g = ctx.g
+    return np.array([[_mask(range(1, g + 1)), _mask(range(1, ksize + 1)), g + 1, g + 2]
+                     for ksize in _conj_m_sizes(g, cfg.enable_heavy)],
+                    dtype=np.int64).reshape(-1, 4)
 
 
 def _rj_det_bindings(ctx, cfg, rng):
     # rows [I_0]
-    return _i0_splits(ctx, 0, _picker(rng, min(cfg.cap // 10, 20)))[:, : ctx.g]
+    return _i0_splits(ctx, 0, _picker(rng, min(cfg.cap // 10, 20)))[:, :1]
 
 
 def _schottky_r_bindings(ctx, cfg, rng):
-    # rows [I0 | p1..p4 | j_m j_n]
+    # rows [I0 K j_m j_n], K four indices of I0
     fin = list(range(1, ctx.spec.n_finite + 1))
     rows = []
     for _ in range(min(cfg.cap // 25, 20)):
         pick = sorted(rng.choice(len(fin), size=ctx.g, replace=False))
-        i0 = tuple(fin[i] for i in pick)
-        ps = tuple(sorted(rng.choice(i0, size=4, replace=False).tolist()))
-        j0 = complement_finite(ctx.spec.n_finite, i0)
-        rows.append(i0 + ps + j0[:2])
-    return np.array(rows, dtype=np.int64).reshape(-1, ctx.g + 6)
+        i0 = [fin[i] for i in pick]
+        ps = rng.choice(i0, size=4, replace=False)
+        rows.append([_mask(i0), _mask(ps), *[j for j in fin if j not in i0][:2]])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def _schottky_f_bindings(ctx, cfg, rng):
@@ -595,7 +598,7 @@ FAMILIES = {f.name: f for f in (
     Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 3, 5),
     Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 3, 6),
     Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch,
-           lambda g, heavy: max((m for m, _ in _conj_m_specs(g, heavy)), default=0), 3),
+           lambda g, heavy: max(((k + 1) // 2 for k in _conj_m_sizes(g, heavy)), default=0), 3),
     Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch, 1),
     Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 0, 4,
            (("det_tolerance", "SCHOTTKY_DETR"),)),

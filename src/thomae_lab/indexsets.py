@@ -1,9 +1,10 @@
 """Small helpers for the index-set bookkeeping of the relations.
 
-Sets are sorted tuples of branch indices (0 = infinity).  Array code holds
-a set as its bit mask (bit i = index i): :func:`index_masks` builds masks
-from index rows, :func:`index_rows` and :func:`index_sets` turn them back
-into ascending rows or tuples.
+Sets are sorted tuples of branch indices (0 = infinity).  Binding rows and
+array code hold a set as its bit mask (bit i = index i): :func:`index_masks`
+builds masks from index rows, :func:`index_rows` and :func:`index_sets` turn
+them back into ascending rows or tuples, and :func:`finite_mask` is the set
+of all finite indices, the universe of every complement J = finite ^ I.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ def iset(indices: Iterable[int]) -> IndexSet:
     return t
 
 
-def complement_finite(n_finite: int, s: Iterable[int]) -> IndexSet:
-    """Finite indices 1..n_finite not in s (ignores 0 in s)."""
-    base = set(iset(s)) - {0}
-    return tuple(i for i in range(1, n_finite + 1) if i not in base)
+def finite_mask(g: int) -> int:
+    """Mask of the finite indices 1..2g+1."""
+    return (1 << 2 * g + 2) - 2
 
 
 def index_rows(masks: np.ndarray) -> np.ndarray:
@@ -43,5 +43,13 @@ def index_masks(idx: np.ndarray) -> np.ndarray:
 
 
 def index_sets(masks: np.ndarray) -> list[tuple[int, ...]]:
-    """The ascending index set of every mask of a 1-d int array, as tuples."""
-    return [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks.tolist()]
+    """The ascending index set of every mask of a 1-d int array, as tuples:
+    :func:`index_rows` over the masks of each size at once."""
+    masks = np.asarray(masks)
+    sizes = np.bitwise_count(masks)
+    out = [()] * len(masks)
+    for size in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == size)
+        for i, row in zip(at.tolist(), index_rows(masks[at]).tolist()):
+            out[i] = tuple(row)
+    return out

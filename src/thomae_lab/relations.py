@@ -17,11 +17,12 @@ identities are judged fairly.  Families:
 * HESS_K3/K4,     -- one statement at orders m = 2, 3 and any m: the order-m
   D3_K5/K6,          derivative tensor of theta[I0 - K] equals
   CONJ_M             R . A^{(x)m} / theta[I0]^{m-1}, A the gradients of
-                     theta[I0 - p] for p in K, |K| in {2m-1, 2m}, R a
-                     symmetric tensor of theta constants.
-                     :func:`derivative_batch` takes m and the record id from
-                     |K| (3, 4, 5, 6); :func:`conjecture_batch` is the same
-                     computation at a given m, up to a global sign,
+                     theta[I0 - p] for p in K, m = (|K|+1)//2, R a
+                     symmetric tensor of theta constants.  Both verifiers
+                     run :func:`_repr_residuals` over the rows of each |K|:
+                     :func:`derivative_batch` takes the record id from |K|
+                     (3, 4, 5, 6), :func:`conjecture_batch` matches up to a
+                     global sign,
 * HESS_EQUIV      -- two representations of the same Hessian agree,
 * HESS_RANK       -- rank of the Hessian (3 in genus > 3, full at g = 3),
 * RJ_DET          -- the hyperelliptic Riemann-Jacobi derivative formula.
@@ -29,11 +30,15 @@ identities are judged fairly.  Families:
 The Thomae families live in ``harness`` on :mod:`thomae`'s batched kernel,
 the Schottky families in :mod:`schottky`; every family has this shape.
 
-Bindings.  A row holds the slots of one binding, index sets as their
-indices; where the sets of one family differ in size from row to row
-(GRADN, RANK, HESS_EQUIV, HESS_RANK, CONJ_M), a row holds each set as its
-bit mask (bit i = index i) and the verifier groups rows by size.  Inside, an
-index set is always a mask, so the substitution I^{(a -> b)} is I ^ a ^ b,
+Bindings.  A row holds the slots of one binding, every index set as one
+bit-mask column (bit i = index i), so no row's width depends on g.  Two
+row shapes serve most families: [I0 K j_m j_n] (EJI, GRAD2, HESS_K3/K4,
+D3_K5/K6, CONJ_M and SCHOTTKY_R; RJ_DET reads its first column and
+HESS_EQUIV two such rows side by side) and [I B j_m j_n] (GRAD3, GRAD4 and
+GRADN; GRAD4 adds its four pair masks S).  EKLM reads [I J k m n], RANK
+[degenerate | part masks] and HESS_RANK [I2].  Where the sets of one slot
+differ in size from row to row, the verifier groups the rows by size.  The
+substitution I^{(a -> b)} is I ^ a ^ b,
 and :meth:`CurveContext.consts` / :meth:`CurveContext.grads` /
 :meth:`CurveContext.derivs` gather the theta values of a whole (B, ...)
 mask array from the curve's stores; the arithmetic then runs once over all
@@ -51,13 +56,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Sequence
 
 import numpy as np
 
 from .context import CurveContext
-from .indexsets import index_masks, index_rows, index_sets
+from .indexsets import finite_mask, index_rows, index_sets
 from .thomae import FOURTH_ROOTS, snap_phase
 
 TINY = 1e-300
@@ -113,18 +118,10 @@ def _match_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(lhs - rhs), axis=axes) / scale
 
 
-# ---------------------------------------------------------------------------
-# Index masks
-# ---------------------------------------------------------------------------
-
-def _all(g: int) -> int:
-    """Mask of all indices 0..2g+1."""
-    return (1 << 2 * g + 2) - 1
-
-
-def _finite(g: int) -> int:
-    """Mask of the finite indices 1..2g+1."""
-    return _all(g) ^ 1
+def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(key, positions of the rows with that key) for every distinct value
+    of a 1-d int array, ascending."""
+    return [(k, np.flatnonzero(keys == k)) for k in sorted(set(keys.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -132,42 +129,45 @@ def _finite(g: int) -> int:
 # ---------------------------------------------------------------------------
 
 def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """EKLM for every row [I | J | k m n] of binds (|I| = |J| = g-1)."""
+    """EKLM for every row [I J k m n] of binds (|I| = |J| = g-1)."""
     g = ctx.g
-    if np.any(np.bitwise_or.reduce(np.left_shift(1, binds), axis=1) != _finite(g)):
+    i_mask, j_mask = binds[:, 0], binds[:, 1]
+    k, m, n = binds[:, 2:].T
+    bm, bn = 1 << m, 1 << n
+    if np.any((np.bitwise_count(i_mask) != g - 1) | (np.bitwise_count(j_mask) != g - 1)
+              | (i_mask | j_mask | 1 << k | bm | bn != finite_mask(g))):
         raise ValueError("I, J, {k,m,n} must partition the finite indices")
-    i_mask, j_mask = index_masks(binds[:, : g - 1]), index_masks(binds[:, g - 1 : 2 * g - 2])
-    k, m, n = binds[:, 2 * g - 2 :].T
     e = np.asarray(ctx.spec.branch_points)
     lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
-    bm, bn = 1 << m, 1 << n
     c = ctx.consts(np.stack([i_mask | bn, j_mask | bn, i_mask | bm, j_mask | bm], axis=1))
     rhs = c[:, 0] ** 2 * c[:, 1] ** 2 / (c[:, 2] ** 2 * c[:, 3] ** 2)
     phase = snap_phase(lhs / rhs, FOURTH_ROOTS)[0]
     residual = np.abs(lhs - phase * rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-    out = []
-    for row, p, res in zip(binds.tolist(), phase.tolist(), residual.tolist()):
-        out.append(VerificationRecord(
+    return [
+        VerificationRecord(
             "EKLM",
-            {"I": tuple(row[: g - 1]), "J": tuple(row[g - 1 : 2 * g - 2]),
-             "k": row[-3], "m": row[-2], "n": row[-1]},
+            {"I": tuple(i_set), "J": tuple(j_set), "k": row[2], "m": row[3], "n": row[4]},
             res,
             tolerance,
             notes=f"phase={p:.0f}" if p.imag == 0 else f"phase={p}",
-        ))
-    return out
+        )
+        for row, i_set, j_set, p, res in zip(
+            binds.tolist(), index_rows(i_mask).tolist(), index_rows(j_mask).tolist(),
+            phase.tolist(), residual.tolist(),
+        )
+    ]
 
 
 def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """EJI for every row [I0 | i_k i_l | j_n j_m] of binds.
+    """EJI for every row [I0 K j_n j_m] of binds, K = {i_k < i_l} in I0.
 
     The right side must not depend on the choice of (j_n, j_m): the record
     also compares it with the swapped pair and, where J0 has two more
     indices, with the smallest pair of them."""
     g = ctx.g
-    i0 = index_masks(binds[:, :g])
-    ik, il, jn, jm = binds[:, g:].T
-    j0 = _finite(g) ^ i0
+    i0 = binds[:, 0]
+    (ik, il), (jn, jm) = index_rows(binds[:, 1]).T, binds[:, 2:].T
+    j0 = finite_mask(g) ^ i0
     e = np.asarray(ctx.spec.branch_points)
     idx = np.arange(1, 2 * g + 2)
     diff = e[ik - 1][:, None] - e[idx - 1]  # (B, n): e_{i_k} - e_i
@@ -201,13 +201,15 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> 
     return [
         VerificationRecord(
             "EJI",
-            {"I0": tuple(row[:g]), "i_k": row[g], "i_l": row[g + 1], "j_n": row[g + 2],
-             "j_m": row[g + 3]},
+            {"I0": tuple(i0_set), "i_k": a, "i_l": b, "j_n": row[2], "j_m": row[3]},
             res,
             tolerance,
             notes=f"sign={s:+.0f}",
         )
-        for row, s, res in zip(binds.tolist(), sign.tolist(), residual.tolist())
+        for row, i0_set, a, b, s, res in zip(
+            binds.tolist(), index_rows(i0).tolist(), ik.tolist(), il.tolist(), sign.tolist(),
+            residual.tolist(),
+        )
     ]
 
 
@@ -216,11 +218,10 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> 
 # ---------------------------------------------------------------------------
 
 def grad2_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """GRAD2 for every row [I0 | kappa1 kappa2 | j_m j_n] of binds."""
-    g = ctx.g
-    i0 = index_masks(binds[:, :g])
-    k1, k2, jm, jn = (1 << binds[:, g:]).T
-    j0 = _finite(g) ^ i0
+    """GRAD2 for every row [I0 K j_m j_n] of binds, K = {kappa1 < kappa2}."""
+    i0, kappas = binds[:, 0], index_rows(binds[:, 1])
+    (k1, k2), (jm, jn) = (1 << kappas).T, (1 << binds[:, 2:]).T
+    j0 = finite_mask(ctx.g) ^ i0
     coeff = ctx.consts(np.stack([
         np.stack([i0 ^ k1 ^ k2 ^ jm ^ jn, j0 ^ jm, j0 ^ jn], axis=1),
         np.stack([i0 ^ k1 ^ jm, i0 ^ k1 ^ jn, j0 ^ jm ^ jn ^ k2], axis=1),
@@ -232,12 +233,13 @@ def grad2_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     return [
         VerificationRecord(
             "GRAD2",
-            {"I0": tuple(row[:g]), "kappa1": row[g], "kappa2": row[g + 1], "j_m": row[g + 2],
-             "j_n": row[g + 3]},
+            {"I0": tuple(i0_set), "kappa1": ka, "kappa2": kb, "j_m": row[2], "j_n": row[3]},
             res,
             tolerance,
         )
-        for row, res in zip(binds.tolist(), residual.tolist())
+        for row, i0_set, (ka, kb), res in zip(
+            binds.tolist(), index_rows(i0).tolist(), kappas.tolist(), residual.tolist()
+        )
     ]
 
 
@@ -256,7 +258,7 @@ def _gradient_residuals(
     and the signs alternate in ascending order of the sets I + S, which for
     sets of one size is the order of their masks.  Returns the residuals
     and the gradients, in that order."""
-    j = _all(ctx.g) ^ i_mask ^ b_mask
+    j = (finite_mask(ctx.g) | 1) ^ i_mask ^ b_mask
     s = np.take_along_axis(subsets, np.argsort(subsets, axis=1, kind="stable"), axis=1)
     coeff = ctx.consts(np.stack([
         (j ^ jn)[:, None] ^ s, (j ^ jm)[:, None] ^ s, (j ^ jm ^ jn ^ b_mask)[:, None] ^ s,
@@ -266,27 +268,24 @@ def _gradient_residuals(
 
 
 def grad3_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """GRAD3 for every row [I | kappa1 kappa2 kappa3 | j_m j_n] of binds
-    (|I| = g-2, 0 allowed among the kappas): GRADN at r = 2, S the single
-    kappas.  Any two of the three gradients must be linearly independent."""
-    s = ctx.g - 2
-    kap = 1 << binds[:, s : s + 3]
-    jm, jn = (1 << binds[:, s + 3 :]).T
-    residual, grads = _gradient_residuals(
-        ctx, index_masks(binds[:, :s]), kap.sum(axis=1), jm, jn, kap
-    )
+    """GRAD3 for every row [I B j_m j_n] of binds (|I| = g-2, |B| = 3, 0
+    allowed in B): GRADN at r = 2, S the single kappas of B.  Any two of the
+    three gradients must be linearly independent."""
+    kappas = index_rows(binds[:, 1])
+    jm, jn = (1 << binds[:, 2:]).T
+    residual, grads = _gradient_residuals(ctx, binds[:, 0], binds[:, 1], jm, jn, 1 << kappas)
     # pairwise independence: smallest singular value of each 2 x g stack
     pairs = list(combinations(range(3), 2))
     sv = np.linalg.svd(grads[:, pairs], compute_uv=False)
     ratios = sv[..., 1] / sv[..., 0]
     out = []
-    for row, res, rat in zip(binds.tolist(), residual.tolist(), ratios.tolist()):
-        kappas = tuple(row[s : s + 3])
-        notes = [f"pair ({kappas[a]},{kappas[b]}) nearly dependent: {r:.2e}"
+    for row, i_set, kap, res, rat in zip(binds.tolist(), index_rows(binds[:, 0]).tolist(),
+                                         kappas.tolist(), residual.tolist(), ratios.tolist()):
+        notes = [f"pair ({kap[a]},{kap[b]}) nearly dependent: {r:.2e}"
                  for (a, b), r in zip(pairs, rat) if r < 1e-6]
         out.append(VerificationRecord(
             "GRAD3",
-            {"I": tuple(row[:s]), "kappas": kappas, "j_m": row[s + 3], "j_n": row[s + 4]},
+            {"I": tuple(i_set), "kappas": tuple(kap), "j_m": row[2], "j_n": row[3]},
             res,
             tolerance,
             notes="; ".join(notes),
@@ -301,32 +300,30 @@ GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
 
 
 def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """GRAD4 for every row [I | kappas (5) | j_m j_n | pairs (4 x 2)] of binds
-    (|I| = g-3; the pairs are kappa values): GRADN at r = 3 with S the pairs,
+    """GRAD4 for every row [I B j_m j_n S1 S2 S3 S4] of binds (|I| = g-3,
+    |B| = 5, each S a pair of kappas in B): GRADN at r = 3 with the pairs S,
     canonical or regrouped.  The first three gradients must have rank 3."""
-    s = ctx.g - 3
-    jm, jn = (1 << binds[:, s + 5 : s + 7]).T
-    residual, grads = _gradient_residuals(
-        ctx, index_masks(binds[:, :s]), index_masks(binds[:, s : s + 5]), jm, jn,
-        index_masks(binds[:, s + 7 :].reshape(-1, 4, 2)),
-    )
+    jm, jn = (1 << binds[:, 2:4]).T
+    residual, grads = _gradient_residuals(ctx, binds[:, 0], binds[:, 1], jm, jn, binds[:, 4:])
     sv = np.linalg.svd(grads[:, :3], compute_uv=False)
     triple = sv[:, 2] / sv[:, 0]
     deficient = triple < 1e-6
     residual = np.where(deficient, np.maximum(residual, 1.0), residual)
-    out = []
-    for row, res, t, bad in zip(binds.tolist(), residual.tolist(), triple.tolist(),
-                                deficient.tolist()):
-        pairs = row[s + 7 :]
-        out.append(VerificationRecord(
+    return [
+        VerificationRecord(
             "GRAD4",
-            {"I": tuple(row[:s]), "kappas": tuple(row[s : s + 5]),
-             "pairs": tuple(zip(pairs[::2], pairs[1::2])), "j_m": row[s + 5], "j_n": row[s + 6]},
+            {"I": tuple(i_set), "kappas": tuple(kap), "pairs": tuple(map(tuple, pairs)),
+             "j_m": row[2], "j_n": row[3]},
             res,
             tolerance,
             notes=f"triple sigma3/sigma1={t:.2e}" + (" (rank deficient!)" if bad else ""),
-        ))
-    return out
+        )
+        for row, i_set, kap, pairs, res, t, bad in zip(
+            binds.tolist(), index_rows(binds[:, 0]).tolist(), index_rows(binds[:, 1]).tolist(),
+            index_rows(binds[:, 4:]).tolist(), residual.tolist(), triple.tolist(),
+            deficient.tolist(),
+        )
+    ]
 
 
 def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -> list:
@@ -338,9 +335,8 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -
     jm, jn = (1 << binds[:, 2:]).T
     r = (np.bitwise_count(b_mask) + 1) // 2
     residual = np.empty(len(binds))
-    for size in sorted(set(r.tolist())):
-        rows = np.flatnonzero(r == size)
-        bits = 1 << np.array(index_sets(b_mask[rows]))
+    for size, rows in _groups(r):
+        bits = 1 << index_rows(b_mask[rows])
         k_mask, rest = bits[:, :size].sum(axis=1), bits[:, size:].sum(axis=1)
         subsets = np.hstack([k_mask[:, None] ^ bits[:, :size], rest[:, None]])
         residual[rows] = _gradient_residuals(
@@ -404,13 +400,13 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 0.5) -> 
         raise ValueError("every set must be the finite part of a multiplicity-1 partition")
     size = held.sum(axis=1)
     observed = np.empty(len(binds), dtype=np.int64)
-    for n in sorted(set(size.tolist())):
-        rows = np.flatnonzero(size == n)
+    for n, rows in _groups(size):
         sv = np.linalg.svd(ctx.grads(parts[rows, :n]), compute_uv=False)
         observed[rows] = np.sum(sv > RANK_SVD_CUT * sv[:, :1], axis=1)
+    held_sets = iter(index_sets(full[held]))  # the full parts, row after row
     out = []
-    for row, deg, obs, n in zip(full.tolist(), flag.tolist(), observed.tolist(), size.tolist()):
-        sets = index_sets(np.array(row[:n]))
+    for deg, obs, n in zip(flag.tolist(), observed.tolist(), size.tolist()):
+        sets = list(islice(held_sets, n))
         pred = predicted_collection_rank(g, [frozenset(s) for s in sets])
         bindings = {"sets": tuple(tuple(i for i in s if i) for s in sets)}
         if deg:
@@ -471,9 +467,10 @@ def _r_layout(kk: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return np.array(signs), np.array(num), np.array(den), fill
 
 
-def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.ndarray:
+def general_r_tensor(ctx: CurveContext, binds: np.ndarray) -> np.ndarray:
     """Symmetric coefficient tensor R of the order-m representation for every
-    row [I0 | K | j_m j_n] of binds: shape (B,) + (|K|,)*m.
+    row [I0 K j_m j_n] of binds, one |K| for all rows and m = (|K|+1)//2:
+    shape (B,) + (|K|,)*m.
 
     Entries with repeated indices vanish; for positions k_1 < ... < k_m of
     elements P of K (ascending), with Q = K - P,
@@ -489,14 +486,12 @@ def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.nda
     Every theta constant is read once per binding, into a factor table
     indexed by position in K (:func:`_r_layout`).
     """
-    g, m = ctx.g, order
-    kk = binds.shape[1] - g - 2
-    if kk not in (2 * m - 1, 2 * m):
-        raise ValueError(f"|K|={kk} incompatible with order {m}")
-    i0 = index_masks(binds[:, :g])
-    kap = 1 << binds[:, g : g + kk]
-    jm, jn = (1 << binds[:, g + kk :]).T
-    j0 = _finite(g) ^ i0
+    i0 = binds[:, 0]
+    kap = 1 << index_rows(binds[:, 1])
+    kk = kap.shape[1]
+    m = (kk + 1) // 2
+    jm, jn = (1 << binds[:, 2:]).T
+    j0 = finite_mask(ctx.g) ^ i0
     if np.any(((jm & j0) == 0) | ((jn & j0) == 0) | (jm == jn)):
         raise ValueError("j_m, j_n must be distinct members of J_0")
     a, b = np.array(list(combinations(range(kk), 2))).reshape(-1, 2).T
@@ -511,78 +506,66 @@ def general_r_tensor(ctx: CurveContext, binds: np.ndarray, order: int) -> np.nda
     return val[:, fill].reshape((len(binds),) + (kk,) * m)
 
 
-def _predicted(ctx: CurveContext, binds: np.ndarray, order: int) -> np.ndarray:
+def _predicted(ctx: CurveContext, binds: np.ndarray) -> np.ndarray:
     """Predicted order-m derivative tensor of theta[I0 - K] for every row
-    [I0 | K | j_m j_n]: R applied to the gradients of theta[I0 - p], p in K,
-    divided by theta[I0]^(m-1)."""
-    g = ctx.g
-    i0 = index_masks(binds[:, :g])
-    pred = general_r_tensor(ctx, binds, order)
-    grads = ctx.grads(i0[:, None] ^ (1 << binds[:, g:-2]))  # (B, |K|, g)
+    [I0 K j_m j_n], one |K| for all rows: R applied to the gradients of
+    theta[I0 - p], p in K, divided by theta[I0]^(m-1)."""
+    i0 = binds[:, 0]
+    pred = general_r_tensor(ctx, binds)
+    order = pred.ndim - 1
+    grads = ctx.grads(i0[:, None] ^ (1 << index_rows(binds[:, 1])))  # (B, |K|, g)
     for _ in range(order):  # contract the leading |K| axis, append a g axis
         pred = np.einsum("bi...,bin->b...n", pred, grads)
     theta0 = np.power(ctx.consts(i0), float(order - 1))
     return pred / theta0.reshape((-1,) + (1,) * order)
 
 
-def _repr_tensors(
-    ctx: CurveContext, binds: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted, computed) order-m derivative tensors of theta[I0 - K]."""
-    g = ctx.g
-    target = ctx.derivs(index_masks(binds[:, :g]) ^ index_masks(binds[:, g:-2]), order)
-    return _predicted(ctx, binds, order), target
+def _repr_residuals(ctx: CurveContext, binds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals of the order-m representation of theta[I0 - K]'s
+    derivative tensor, with R and with -R, for every row [I0 K j_m j_n],
+    m = (|K|+1)//2, over the rows of each |K| at once."""
+    direct, flipped = np.empty(len(binds)), np.empty(len(binds))
+    for _, rows in _groups(np.bitwise_count(binds[:, 1])):
+        pred = _predicted(ctx, binds[rows])
+        target = ctx.derivs(binds[rows, 0] ^ binds[rows, 1], pred.ndim - 1)
+        direct[rows], flipped[rows] = _match_residuals(pred, target), _match_residuals(-pred, target)
+    return direct, flipped
 
 
-def _repr_rows(binds: np.ndarray) -> np.ndarray:
-    """Rows [I0 | K | j_m j_n] from rows [I0 K j_m j_n] with I0 and K as
-    masks, one |K| for all rows."""
-    return np.hstack([index_rows(binds[:, 0]), index_rows(binds[:, 1]), binds[:, 2:]])
+# |K| -> record id of the order-(|K|+1)//2 representation
+REPRESENTATION_RECORDS = {3: "HESS_K3", 4: "HESS_K4", 5: "D3_K5", 6: "D3_K6"}
 
 
-# |K| -> (record id, default tolerance) of the order-(|K|+1)//2 representation
-REPRESENTATION_RECORDS = {
-    3: ("HESS_K3", 1e-6),
-    4: ("HESS_K4", 1e-6),
-    5: ("D3_K5", 1e-4),
-    6: ("D3_K6", 1e-4),
-}
-
-
-def derivative_batch(
-    ctx: CurveContext, binds: np.ndarray, tolerance: float | None = None
-) -> list:
-    """The representation record of every row [I0 | K | j_m j_n] of binds,
-    one |K| for all rows; the tolerance defaults to the record's own."""
-    g = ctx.g
-    kk = binds.shape[1] - g - 2
-    if kk not in REPRESENTATION_RECORDS:
-        raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {kk}")
-    relation_id, default_tol = REPRESENTATION_RECORDS[kk]
-    residual = _match_residuals(*_repr_tensors(ctx, binds, (kk + 1) // 2))
+def derivative_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float) -> list:
+    """The representation record of every row [I0 K j_m j_n] of binds, its
+    id from |K|."""
+    kk = np.bitwise_count(binds[:, 1])
+    bad = sorted(set(kk.tolist()) - set(REPRESENTATION_RECORDS))
+    if bad:
+        raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {bad[0]}")
+    residual = _repr_residuals(ctx, binds)[0]
     return [
         VerificationRecord(
-            relation_id,
-            {"I0": tuple(row[:g]), "K": tuple(row[g : g + kk]), "j_m": row[-2], "j_n": row[-1]},
+            REPRESENTATION_RECORDS[size],
+            {"I0": tuple(i0), "K": k_set, "j_m": row[2], "j_n": row[3]},
             res,
-            default_tol if tolerance is None else tolerance,
+            tolerance,
         )
-        for row, res in zip(binds.tolist(), residual.tolist())
+        for row, i0, k_set, size, res in zip(
+            binds.tolist(), index_rows(binds[:, 0]).tolist(), index_sets(binds[:, 1]),
+            kk.tolist(), residual.tolist(),
+        )
     ]
 
 
 def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
-    """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds,
-    the index sets as masks: two representations of the same Hessian agree
-    entrywise."""
+    """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds:
+    two representations of the same Hessian agree entrywise."""
     if np.any(binds[:, 0] ^ binds[:, 1] != binds[:, 4] ^ binds[:, 5]):
         raise ValueError("bindings must represent the same characteristic")
-    kk = np.bitwise_count(binds[:, 1])
     residual = np.empty(len(binds))
-    for size in sorted(set(kk.tolist())):
-        rows = np.flatnonzero(kk == size)
-        va, vb = (_predicted(ctx, _repr_rows(binds[rows, c : c + 4]), 2) for c in (0, 4))
-        residual[rows] = _match_residuals(va, vb)
+    for _, rows in _groups(np.bitwise_count(binds[:, 1])):
+        residual[rows] = _match_residuals(*(_predicted(ctx, binds[rows, c : c + 4]) for c in (0, 4)))
     sets = [index_sets(binds[:, c]) for c in (0, 1, 4, 5)]
     return [
         VerificationRecord(
@@ -622,32 +605,26 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 
 
 
 def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-3) -> list:
-    """CONJ_M for every row [I0 K m j_m j_n] of binds, I0 and K as masks: the
-    representation at order m, matched up to a global sign; for m >= 4 the
+    """CONJ_M for every row [I0 K j_m j_n] of binds: the representation at
+    order m = (|K|+1)//2, matched up to a global sign; for m >= 4 the
     residual is reported only."""
-    order = binds[:, 2]
+    order = (np.bitwise_count(binds[:, 1]) + 1) // 2
     if ctx.g < 7 and np.any(order >= 4):
         raise ValueError("multiplicity >= 4 requires genus >= 7")
-    kk = np.bitwise_count(binds[:, 1])
-    residual, sign = np.empty(len(binds)), np.empty(len(binds), dtype=int)
-    for m, size in sorted(set(zip(order.tolist(), kk.tolist()))):
-        rows = np.flatnonzero((order == m) & (kk == size))
-        pred, target = _repr_tensors(ctx, _repr_rows(binds[rows][:, [0, 1, 3, 4]]), m)
-        direct, flipped = _match_residuals(pred, target), _match_residuals(-pred, target)
-        flip = flipped < direct
-        residual[rows] = np.where(flip, flipped, direct)
-        sign[rows] = np.where(flip, -1, 1)
+    direct, flipped = _repr_residuals(ctx, binds)
+    flip = flipped < direct
+    residual, sign = np.where(flip, flipped, direct), np.where(flip, -1, 1)
     return [
         VerificationRecord(
             "CONJ_M",
-            {"I0": i0, "K": k_set, "m": row[2], "j_m": row[3], "j_n": row[4]},
+            {"I0": tuple(i0), "K": k_set, "m": m, "j_m": row[2], "j_n": row[3]},
             res,
             tolerance,
-            notes=f"global sign {s:+d}; conjecture: residual reported" if row[2] >= 4 else "",
+            notes=f"global sign {s:+d}; conjecture: residual reported" if m >= 4 else "",
         )
-        for row, i0, k_set, res, s in zip(
-            binds.tolist(), index_sets(binds[:, 0]), index_sets(binds[:, 1]), residual.tolist(),
-            sign.tolist(),
+        for row, i0, k_set, m, res, s in zip(
+            binds.tolist(), index_rows(binds[:, 0]).tolist(), index_sets(binds[:, 1]),
+            order.tolist(), residual.tolist(), sign.tolist(),
         )
     ]
 
@@ -657,22 +634,22 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e
 # ---------------------------------------------------------------------------
 
 def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -> list:
-    """RJ_DET for every row [I0] of binds (g finite indices):
+    """RJ_DET for the first column I0 of every row of binds (g finite indices):
 
         |det(grad theta[I0^{(i)}], i in I0)| = pi^g |theta[I0]| prod_{j in J0} |theta[J0^{(j)}]|
 
     (g+2 even constants; the genus-1 case is Jacobi's derivative formula
     with its three theta constants)."""
     g = ctx.g
-    i0 = index_masks(binds)
-    j0 = _finite(g) ^ i0
+    i0, i0_sets = binds[:, 0], index_rows(binds[:, 0])
+    j0 = finite_mask(g) ^ i0
     # column i of each matrix is the gradient of theta[I0^{(i)}]
-    lhs = np.abs(np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << binds)), 1, 2)))
+    lhs = np.abs(np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << i0_sets)), 1, 2)))
     rhs = np.pi**g * np.abs(ctx.consts(i0))
     for j in range(1, 2 * g + 2):  # the factors of j in J0, in ascending order
         rhs = np.where(j0 >> j & 1, rhs * np.abs(ctx.consts(j0 ^ 1 << j)), rhs)
     residual = np.abs(lhs - rhs) / np.maximum(lhs, rhs)
     return [
-        VerificationRecord("RJ_DET", {"I0": tuple(row)}, res, tolerance)
-        for row, res in zip(binds.tolist(), residual.tolist())
+        VerificationRecord("RJ_DET", {"I0": tuple(i0_set)}, res, tolerance)
+        for i0_set, res in zip(i0_sets.tolist(), residual.tolist())
     ]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .characteristics import _char, mask_chars
 from .context import CurveContext
-from .indexsets import index_masks, index_sets
+from .indexsets import finite_mask, index_masks, index_rows, index_sets
 from .relations import VerificationRecord, general_r_tensor
 from .thomae import first_thomae_rhs
 
@@ -106,18 +106,17 @@ def schottky_J(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def schottky_r_cosets(ctx: CurveContext, binds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Generators and coset representatives, as masks ((B, 3) each), of the
     rank-3 Goepel group and azygetic triplet that realise the classical
-    Schottky invariant for every row [I0 | p1..p4 | j_m j_n] (ascending p's):
-    (P) is generated by the characteristic of K = {p_1..p_4} together with
+    Schottky invariant for every row [I0 K j_m j_n], K = {p_1 < .. < p_4}:
+    (P) is generated by the characteristic of K together with
     [A({q_1, j_m})] and [A({q_2, j_n})], q_1 < q_2 the two smallest indices
     of J_0 besides j_m and j_n, and A_i = [I_0^{(p_1, p_{i+1} -> j_m, j_n)}].
     sqrt(r_1) - sqrt(r_2) + sqrt(r_3) = 0, hence J = 0."""
-    g = ctx.g
-    i0, ps = index_masks(binds[:, :g]), 1 << binds[:, g : g + 4]
-    jm, jn = (1 << binds[:, g + 4 :]).T
-    rest = ((1 << 2 * g + 2) - 2) ^ i0 ^ jm ^ jn
+    i0, k_mask, ps = binds[:, 0], binds[:, 1], 1 << index_rows(binds[:, 1])
+    jm, jn = (1 << binds[:, 2:]).T
+    rest = finite_mask(ctx.g) ^ i0 ^ jm ^ jn
     q1 = rest & -rest
     q2 = (rest ^ q1) & -(rest ^ q1)
-    gens = np.stack([ps.sum(axis=1), q1 | jm, q2 | jn], axis=1)
+    gens = np.stack([k_mask, q1 | jm, q2 | jn], axis=1)
     return gens, (i0 ^ ps[:, 0] ^ jm ^ jn)[:, None] ^ ps[:, 1:]
 
 
@@ -143,18 +142,16 @@ def schottky_r_batch(
     ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8, det_tolerance: float = 1e-10,
 ) -> list:
     """The three routes to the rank-1 Schottky relation, three records for
-    every row [I0 | p1..p4 | j_m j_n] of binds (ascending p's in I0):
+    every row [I0 K j_m j_n] of binds, K = {p_1 < .. < p_4} in I0:
 
     (i) the invariant J = 0 of the Goepel group and azygetic triplet of
     :func:`schottky_r_cosets`; (ii) det R = 0 for the 4x4
     quadratic-representation matrix, with all 3x3 minors nonzero; (iii)
     a1 - a2 + a3 = 0 exactly in rational arithmetic.
     """
-    g = ctx.g
-    i0, ps = index_masks(binds[:, :g]), binds[:, g : g + 4]
-    if np.any(np.diff(ps, axis=1) <= 0) or np.any(index_masks(ps) & ~i0):
-        raise ValueError("p1..p4 must be ascending members of I_0")
-    r_hat = general_r_tensor(ctx, binds, order=2)  # checks j_m, j_n
+    if np.any((np.bitwise_count(binds[:, 1]) != 4) | (binds[:, 1] & ~binds[:, 0] != 0)):
+        raise ValueError("K must be four members of I_0")
+    r_hat = general_r_tensor(ctx, binds)  # checks j_m, j_n
     # rank 3: each coset has eight members and enters with exponent 1
     j_resid = schottky_J(coset_products(ctx, *schottky_r_cosets(ctx, binds)))[1]
     sv = np.linalg.svd(r_hat, compute_uv=False)
@@ -167,10 +164,12 @@ def schottky_r_batch(
 
     e = [Fraction(x) for x in ctx.spec.branch_points]
     out = []
-    for row, jr, dr, s3, low, bad in zip(binds.tolist(), j_resid.tolist(), det_resid.tolist(),
-                                         (sv[:, 2] / sv[:, 0]).tolist(), smallest.tolist(),
-                                         small.tolist()):
-        i0_set, p, (jm, jn) = tuple(row[:g]), tuple(row[g : g + 4]), row[g + 4 :]
+    for row, i0_set, p, jr, dr, s3, low, bad in zip(
+        binds.tolist(), index_rows(binds[:, 0]).tolist(), index_rows(binds[:, 1]).tolist(),
+        j_resid.tolist(), det_resid.tolist(), (sv[:, 2] / sv[:, 0]).tolist(), smallest.tolist(),
+        small.tolist(),
+    ):
+        i0_set, p, (jm, jn) = tuple(i0_set), tuple(p), row[2:]
         out.append(VerificationRecord(
             "SCHOTTKY_R", {"I0": i0_set, "p": p, "j_m": jm, "j_n": jn}, jr, tolerance,
         ))

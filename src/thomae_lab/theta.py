@@ -63,26 +63,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .characteristics import HalfCharacteristic
+from .curve import check_genus
 
 DEFAULT_TOL = 1e-12
 RADIUS_WARN = 40.0
-MAX_GENUS = 8  # the 2g-bit lattice key is a uint16
 _BLOCK = 1 << 16  # points per block of the lattice's last coordinate and of the weights
 _I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-@dataclass
-class ThetaParams:
-    tau: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        self.tau = np.ascontiguousarray(self.tau, dtype=complex)  # ThetaEngine views it as float
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"ThetaParams.tol must be finite and > 0, got {self.tol}")
-        eig = np.linalg.eigvalsh(self.tau.imag)
-        if np.min(eig) <= 0:
-            raise ValueError("Im tau must be positive definite")
 
 
 @dataclass
@@ -277,8 +263,13 @@ class ThetaEngine:
 
     def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, radius: float | None = None,
                  order: int = 4):
-        self.params = ThetaParams(tau=np.asarray(tau, dtype=complex), tol=tol)
-        self.g = self.params.tau.shape[0]
+        self.tau = np.ascontiguousarray(tau, dtype=complex)  # .imag, .real: float views
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"ThetaEngine.tol must be finite and > 0, got {tol}")
+        if np.min(np.linalg.eigvalsh(self.tau.imag)) <= 0:
+            raise ValueError("Im tau must be positive definite")
+        self.tol = tol
+        self.g = self.tau.shape[0]
         self.order = order
         self.radius = radius
         self._p: np.ndarray | None = None  # (N, g) int16 points p = 2q, key-sorted
@@ -290,13 +281,11 @@ class ThetaEngine:
         """Enumerate the lattice and weigh its points, once."""
         if self._p is not None:
             return
-        g, tau = self.g, self.params.tau
-        if g > MAX_GENUS:
-            raise ValueError(f"genus {g} is beyond the lattice key limit: the 2g-bit key "
-                             f"must fit uint16, so g <= {MAX_GENUS}")
+        g, tau = self.g, self.tau
+        check_genus(g)
         if self.radius is None:
             # the radius grows with the order, so R_k serves every order <= k
-            self.radius = truncation_radius(tau, self.params.tol, order=self.order)
+            self.radius = truncation_radius(tau, self.tol, order=self.order)
         chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
         # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
         if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .characteristics import _char, mask_chars
 from .context import CurveContext
-from .indexsets import index_rows, iset
+from .indexsets import finite_mask, index_rows, iset
 
 EIGHTH_ROOTS = tuple(cmath.exp(1j * math.pi * k / 4) for k in range(8))
 FOURTH_ROOTS = tuple(1j**k for k in range(4))
@@ -73,8 +73,7 @@ def thomae_prefactor(ctx: CurveContext, masks: np.ndarray) -> np.ndarray:
     index mask A (one |A| for all), B the finite complement of A; at |A| = g
     this is the first Thomae right side of I_0 = A."""
     e = np.asarray(ctx.spec.branch_points)
-    finite = (1 << ctx.spec.n_finite + 1) - 2
-    a, b = index_rows(masks), index_rows(finite ^ masks)
+    a, b = index_rows(masks), index_rows(finite_mask(ctx.g) ^ masks)
     return ctx.det_factor * _vandermondes(e, a) ** 0.25 * _vandermondes(e, b) ** 0.25
 
 
@@ -98,7 +97,7 @@ def general_thomae_batch(
     Returns the direct right side and the ratio form
     d^m theta[A] / theta[A + K], each of shape (B,) + (g,)*m and exactly
     symmetric."""
-    g, n = ctx.g, ctx.spec.n_finite
+    g = ctx.g
     if np.any((a_masks | k_masks) & 1):
         raise ValueError("A and K must avoid the infinity index")
     if np.any(a_masks & k_masks):
@@ -132,7 +131,7 @@ def general_thomae_batch(
     flat = np.ravel_multi_index(np.sort(np.indices((g,) * m).reshape(m, -1), axis=0), (g,) * m)
     t = t.reshape(len(t), -1)[:, flat].reshape(t.shape)
     # prod_{kappa in K} (prod_{j in J_0} |e_kappa - e_j| / prod_{i in A} |e_kappa - e_i|)^{1/4}
-    j0 = index_rows(((1 << n + 1) - 2) ^ i0)
+    j0 = index_rows(finite_mask(g) ^ i0)
     a = index_rows(a_masks)
     num = np.abs(ek[:, :, None] - e[j0 - 1][:, None, :]).prod(axis=-1)
     den = np.abs(ek[:, :, None] - e[a - 1][:, None, :]).prod(axis=-1)

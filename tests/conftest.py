@@ -68,11 +68,11 @@ def sweep_curves():
 @pytest.fixture(scope="session")
 def one():
     """one(verify, ctx, *parts, **kw): the record of a single binding, from a
-    batch verifier run on a one-row array.  The parts are ints or tuples of
-    ints, laid out in order along the row."""
+    batch verifier run on a one-row array.  Each part is one column: an int
+    as itself, a tuple of ints as the bit mask of that index set."""
 
     def run(verify, ctx, *parts, **kw):
-        row = [x for p in parts for x in (p if isinstance(p, tuple) else (p,))]
+        row = [sum(1 << i for i in p) if isinstance(p, tuple) else p for p in parts]
         return verify(ctx, np.array([row], dtype=np.int64), **kw)[0]
 
     return run

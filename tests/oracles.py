@@ -41,6 +41,12 @@ def drop(s: Iterable[int], *gone: int) -> IndexSet:
     return tuple(x for x in base if x not in gone)
 
 
+def complement_finite(n_finite: int, s: Iterable[int]) -> IndexSet:
+    """Finite indices 1..n_finite not in s (ignores 0 in s)."""
+    base = set(iset(s)) - {0}
+    return tuple(i for i in range(1, n_finite + 1) if i not in base)
+
+
 def replace(s: Iterable[int], out_idx: Sequence[int], in_idx: Sequence[int]) -> IndexSet:
     """I^{(out -> in)}: drop out_idx, then add in_idx."""
     s = tuple(s)

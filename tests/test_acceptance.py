@@ -16,14 +16,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import enumerate_partitions, parity
+from oracles import complement_finite, enumerate_partitions, parity
 from thomae_lab.characteristics import char_of_set
 from thomae_lab.context import CurveContext
-from thomae_lab.harness import SuiteConfig, _mask, random_curve, run_suite
-from thomae_lab.indexsets import complement_finite, iset
+from thomae_lab.harness import DEFAULT_TOLERANCES, SuiteConfig, _mask, random_curve, run_suite
+from thomae_lab.indexsets import iset
 from thomae_lab.periods import branch_point_char_residuals, compute_periods
 from thomae_lab.relations import (
     GRAD4_PAIRS,
+    REPRESENTATION_RECORDS,
     derivative_batch,
     grad2_batch,
     grad3_batch,
@@ -37,6 +38,12 @@ from thomae_lab.schottky import CASE_IDS, appendix_f_batch, schottky_r_batch
 from thomae_lab.thomae import first_thomae_rhs, general_thomae_batch, snap_phase
 
 pytestmark = pytest.mark.acceptance
+
+
+def repr_residual(one, c, i0, k_set, j_m, j_n):
+    """The residual of the derivative-representation record of one binding."""
+    tol = DEFAULT_TOLERANCES[REPRESENTATION_RECORDS[len(k_set)]]
+    return one(derivative_batch, c, i0, k_set, j_m, j_n, tolerance=tol).residual
 
 
 def thomae_forms(c, a, k):
@@ -219,13 +226,13 @@ def test_criterion_07_appendix_a_b(announce, ctx, one):
     c2 = ctx(2)
     for i0 in combinations(range(1, 6), 2):
         j0 = complement_finite(5, i0)
-        worst_a = max(worst_a, one(grad2_batch, c2, i0, i0[0], i0[1], j0[0], j0[1]).residual)
+        worst_a = max(worst_a, one(grad2_batch, c2, i0, i0[:2], j0[0], j0[1]).residual)
     worst_b, count_b = 0.0, 0
     c3 = ctx(3)
     for kap in combinations(range(2, 8), 2):
         i0 = iset((1,) + kap)
         j0 = complement_finite(7, i0)
-        worst_b = max(worst_b, one(grad2_batch, c3, i0, kap[0], kap[1], j0[0], j0[1]).residual)
+        worst_b = max(worst_b, one(grad2_batch, c3, i0, kap, j0[0], j0[1]).residual)
         count_b += 1
     ok = worst_a < 1e-8 and worst_b < 1e-8 and count_b == 15
     report(
@@ -238,8 +245,8 @@ def test_criterion_08_grad34_and_rank(announce, ctx, one):
     worst = 0.0
     c2, c3 = ctx(2), ctx(3)
     # closing instances of the three-term relation
-    worst = max(worst, one(grad3_batch, c2, (), 1, 2, 3, 4, 5).residual)
-    worst = max(worst, one(grad3_batch, c3, (1,), 2, 3, 4, 6, 5).residual)
+    worst = max(worst, one(grad3_batch, c2, (), (1, 2, 3), 4, 5).residual)
+    worst = max(worst, one(grad3_batch, c3, (1,), (2, 3, 4), 6, 5).residual)
     # four-term relation and the regrouped variant
     k = (1, 2, 3, 4, 5)
     worst = max(worst, one(grad4_batch, c3, (), k, 6, 7, (1, 2), (1, 3), (2, 3), (4, 5)).residual)
@@ -255,7 +262,7 @@ def test_criterion_08_grad34_and_rank(announce, ctx, one):
             rest = sorted(all_idx - set(i_set))
             for kap in combinations(rest, 3):
                 j_set = [x for x in rest if x not in kap and x != 0]
-                worst = max(worst, one(grad3_batch, c, i_set, *kap, j_set[0], j_set[1]).residual)
+                worst = max(worst, one(grad3_batch, c, i_set, kap, j_set[0], j_set[1]).residual)
                 n3 += 1
         if g >= 3:
             for i_set in combinations(range(1, 2 * g + 2), g - 3):
@@ -264,9 +271,9 @@ def test_criterion_08_grad34_and_rank(announce, ctx, one):
                     j_set = [x for x in rest if x not in kap and x != 0]
                     if len(j_set) < 2:
                         continue
-                    pairs = tuple(kap[a] for pair in GRAD4_PAIRS for a in pair)
+                    pairs = [tuple(kap[a] for a in pair) for pair in GRAD4_PAIRS]
                     worst = max(
-                        worst, one(grad4_batch, c, i_set, kap, j_set[0], j_set[1], pairs).residual
+                        worst, one(grad4_batch, c, i_set, kap, j_set[0], j_set[1], *pairs).residual
                     )
                     n4 += 1
     # genus-5 sample
@@ -276,7 +283,7 @@ def test_criterion_08_grad34_and_rank(announce, ctx, one):
         pick = sorted(rng.choice(range(1, 12), size=3 + 3, replace=False).tolist())
         i_set, kap = tuple(pick[:3]), tuple(pick[3:])
         j_set = [x for x in range(12) if x not in pick and x != 0]
-        worst = max(worst, one(grad3_batch, c5, i_set, *kap, j_set[0], j_set[1]).residual)
+        worst = max(worst, one(grad3_batch, c5, i_set, kap, j_set[0], j_set[1]).residual)
     # rank theorem: 200 random collections per genus plus the degenerate family
     mismatches = 0
     for g in (3, 4, 5):
@@ -307,9 +314,9 @@ def test_criterion_09_hessian_representation(announce, ctx, one):
     c3 = ctx(3)
     for i0 in combinations(range(1, 8), 3):
         j0 = complement_finite(7, i0)
-        worst = max(worst, one(derivative_batch, c3, i0, i0, j0[0], j0[1]).residual)
-    worst = max(worst, one(derivative_batch, c3, (1, 2, 3), (1, 2, 3), 6, 5).residual)
-    worst = max(worst, one(derivative_batch, c3, (1, 2, 4), (1, 2, 4), 6, 5).residual)
+        worst = max(worst, repr_residual(one, c3, i0, i0, j0[0], j0[1]))
+    worst = max(worst, repr_residual(one, c3, (1, 2, 3), (1, 2, 3), 6, 5))
+    worst = max(worst, repr_residual(one, c3, (1, 2, 4), (1, 2, 4), 6, 5))
     c4 = ctx(4)
     rng = np.random.default_rng(9)
     fin = list(range(1, 10))
@@ -318,10 +325,10 @@ def test_criterion_09_hessian_representation(announce, ctx, one):
         j0 = complement_finite(9, i0)
         for ks in (3, 4):
             kk = tuple(sorted(rng.choice(i0, size=ks, replace=False).tolist()))
-            worst = max(worst, one(derivative_batch, c4, i0, kk, j0[0], j0[1]).residual)
-    worst = max(worst, one(derivative_batch, c4, (1, 2, 3, 4), (2, 3, 4), 5, 6).residual)
-    worst = max(worst, one(derivative_batch, c4, (1, 2, 3, 4), (1, 3, 4), 5, 6).residual)
-    worst = max(worst, one(derivative_batch, c4, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6).residual)
+            worst = max(worst, repr_residual(one, c4, i0, kk, j0[0], j0[1]))
+    worst = max(worst, repr_residual(one, c4, (1, 2, 3, 4), (2, 3, 4), 5, 6))
+    worst = max(worst, repr_residual(one, c4, (1, 2, 3, 4), (1, 3, 4), 5, 6))
+    worst = max(worst, repr_residual(one, c4, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6))
     worst_eq = one(
         hessian_equiv_batch, c4, _mask((1, 2, 3, 5)), _mask((2, 3, 5)), 4, 6,
         _mask((1, 2, 3, 7)), _mask((2, 3, 7)), 4, 6,
@@ -364,12 +371,13 @@ def test_criterion_11_third_derivative(announce, ctx, one):
         i0 = tuple(sorted(rng.choice(fin, size=5, replace=False).tolist()))
         j0 = complement_finite(11, i0)
         jm, jn = rng.choice(j0, size=2, replace=False).tolist()
-        worst = max(worst, one(derivative_batch, c5, i0, i0, int(jm), int(jn)).residual)
+        worst = max(worst, repr_residual(one, c5, i0, i0, int(jm), int(jn)))
         n += 1
     # |K| = 6 demands a partition with the infinity index in its part, i.e.
     # genus >= 6; the smallest admissible instances are checked there.
     c6 = ctx(6)
-    worst6 = one(derivative_batch, c6, (1, 2, 4, 6, 9, 11), (1, 2, 4, 6, 9, 11), 3, 7).residual
+    k6 = (1, 2, 4, 6, 9, 11)
+    worst6 = repr_residual(one, c6, k6, k6, 3, 7)
     n6 = 1
     ok = worst < 1e-4 and worst6 < 1e-4
     report(
@@ -393,7 +401,7 @@ def test_criterion_12_schottky(announce, ctx):
     for c, i0 in ((c4, (1, 2, 3, 4)), (c4, (2, 4, 6, 8)), (c5, (1, 3, 5, 7, 9))):
         j0 = complement_finite(c.spec.n_finite, i0)
         ps = i0[:4]
-        recs = schottky_r_batch(c, np.array([i0 + ps + j0[:2]]))
+        recs = schottky_r_batch(c, np.array([[_mask(i0), _mask(ps), *j0[:2]]]))
         worst_r = max(worst_r, recs[0].residual)
         worst_det = max(worst_det, recs[1].residual)
     cases = {

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    complement_finite,
     drop,
     elementary_symmetric_all,
     enumerate_partitions,
@@ -55,7 +56,7 @@ from thomae_lab.harness import (
     run_suite,
     unrank_combinations,
 )
-from thomae_lab.indexsets import IndexSet, complement_finite, iset
+from thomae_lab.indexsets import IndexSet, iset
 from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
 from thomae_lab.theta import ThetaEngine
 from thomae_lab.thomae import FOURTH_ROOTS, snap_phase
@@ -456,21 +457,20 @@ def _repr_tensors(
 
 def oracle_derivative_repr(
     ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], j_m: int, j_n: int,
-    tolerance: float | None = None,
+    tolerance: float,
 ) -> VerificationRecord:
     """Derivative theta constants of order m = (|K|+1)//2 as forms in the
     gradients: Hessians for |K| = 3, 4 (HESS_K3/K4), third derivatives for
-    |K| = 5, 6 (D3_K5/K6).  The tolerance defaults to the record's own."""
+    |K| = 5, 6 (D3_K5/K6)."""
     i0, k_set = iset(i0), iset(k_set)
     if len(k_set) not in REPRESENTATION_RECORDS:
         raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {len(k_set)}")
-    relation_id, default_tol = REPRESENTATION_RECORDS[len(k_set)]
     pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, (len(k_set) + 1) // 2)
     return VerificationRecord(
-        relation_id,
+        REPRESENTATION_RECORDS[len(k_set)],
         {"I0": i0, "K": k_set, "j_m": j_m, "j_n": j_n},
         tensor_match_residual(pred, target),
-        default_tol if tolerance is None else tolerance,
+        tolerance,
     )
 
 
@@ -854,39 +854,31 @@ def _set(mask: int) -> tuple:
 
 def _args(name, g, row):
     """The oracle's positional arguments and keywords for one binding row."""
-    if name == "EKLM":
-        return (tuple(row[: g - 1]), tuple(row[g - 1 : 2 * g - 2]), *row[2 * g - 2 :]), {}
-    if name in ("EJI", "GRAD2"):
-        return (tuple(row[:g]), *row[g:]), {}
-    if name == "GRAD3":
-        return (tuple(row[: g - 2]), *row[g - 2 :]), {}
+    if name in ("EJI", "GRAD2", "GRAD3"):  # [I K j j], the indices of K one by one
+        return (_set(row[0]), *_set(row[1]), *row[2:]), {}
     if name == "GRAD4":
-        p = row[g + 4 :]
-        return (tuple(row[: g - 3]), tuple(row[g - 3 : g + 2]), row[g + 2], row[g + 3]), \
-            {"pairs": list(zip(p[::2], p[1::2]))}
+        return (_set(row[0]), _set(row[1]), row[2], row[3]), \
+            {"pairs": [_set(s) for s in row[4:]]}
     if name == "GRADN":
         i_set, b_set = _set(row[0]), _set(row[1])
         return (i_set, b_set, (len(b_set) + 1) // 2, row[2], row[3]), {}
-    if name == "RJ_DET":
-        return (tuple(row),), {}
-    if name == "HESS_RANK":
+    if name in ("RJ_DET", "HESS_RANK", "THOMAE2"):
         return (_set(row[0]),), {}
     if name == "HESS_EQUIV":
         return ((_set(row[0]), _set(row[1]), row[2], row[3]),
                 (_set(row[4]), _set(row[5]), row[6], row[7])), {}
     if name == "CONJ_M":
-        return (_set(row[0]), _set(row[1]), *row[2:]), {}
-    if name == "THOMAE2":
-        return (_set(row[0]),), {}
+        k_set = _set(row[1])
+        return (_set(row[0]), k_set, (len(k_set) + 1) // 2, *row[2:]), {}
     if name == "THOMAEG":
-        return (_set(row[0]), row[1]), {}
+        a = _set(row[0])
+        return (a, (g - len(a) + 1) // 2), {}
     if name == "RANK":
         return ([_set(x) for x in row[1:] if x >= 0], bool(row[0])), {}
-    if name == "SCHOTTKY_R":
-        return (tuple(row[:g]), tuple(row[g : g + 4]), row[g + 4], row[g + 5]), {}
     if name == "SCHOTTKY_F":
         return (sch.CASE_IDS[row[0]],), {}
-    return (tuple(row[:g]), tuple(row[g:-2]), row[-2], row[-1]), {}
+    # EKLM [I J k m n]; [I0 K j_m j_n] of the representations and SCHOTTKY_R
+    return (_set(row[0]), _set(row[1]), *row[2:]), {}
 
 
 ORACLES = {
@@ -945,15 +937,14 @@ def test_gradn_kernel_gives_grad3_and_grad4(random_ctx, g):
     # canonically grouped GRAD4 bindings: the same terms in the same order
     ctx = random_ctx(g, 1)
     cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
-    for name, isize, nk in (("GRAD3", g - 2, 3), ("GRAD4", g - 3, 5)):
+    for name, nk in (("GRAD3", 3), ("GRAD4", 5)):
         rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))
         if name == "GRAD4":
-            canonical = rows[:, isize : isize + nk][:, np.ravel(rel.GRAD4_PAIRS)]
-            rows = rows[(rows[:, isize + nk + 2 :] == canonical).all(axis=1)]
+            canonical = [[_mask(_set(b)[a] for a in pair) for pair in rel.GRAD4_PAIRS]
+                         for b in rows[:, 1].tolist()]
+            rows = rows[(rows[:, 4:] == canonical).all(axis=1)]
         want = FAMILIES[name].verify(ctx, rows, tolerance=cfg.tol(name))
-        gradn = np.array([[_mask(r[:isize]), _mask(r[isize : isize + nk]), r[isize + nk],
-                           r[isize + nk + 1]] for r in rows.tolist()])
-        got = rel.gradn_batch(ctx, gradn)
+        got = rel.gradn_batch(ctx, rows[:, :4])
         assert len(got) == len(want) > 0
         assert {rec.bindings["r"] for rec in got} == {(nk + 1) // 2}
         for a, b in zip(got, want):
@@ -981,8 +972,8 @@ def test_unrank_matches_itertools():
 
 
 def _flat(rows):
-    return [tuple(x for part in r for x in (part if isinstance(part, tuple) else (part,)))
-            for r in rows]
+    """The rows with every tuple part as its mask."""
+    return [tuple(_mask(part) if isinstance(part, tuple) else part for part in r) for r in rows]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -1045,7 +1036,7 @@ def test_bindings_hold_python_types(random_ctx, g):
 
 def test_general_r_tensor_rejects_bad_j(ctx):
     with pytest.raises(ValueError, match="distinct members of J_0"):
-        rel.general_r_tensor(ctx(4), np.array([[1, 2, 3, 4, 1, 2, 3, 4, 6]]), 2)
+        rel.general_r_tensor(ctx(4), np.array([[_mask((1, 2, 3, 4)), _mask((1, 2, 3)), 4, 6]]))
 
 
 @pytest.mark.parametrize("g", [3, 5])
@@ -1109,7 +1100,7 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
         cal.sets.tolist(), cal.ratios.tolist(), cal.residuals.tolist())}
     tol = cfg.tol("THOMAE1")
     for row, got in zip(rows.tolist(), records):
-        i0 = tuple(row[:g])
+        i0 = _set(row[0])
         want = oracle_thomae1(ctx, i0, tolerance=tol)
         assert (got.relation_id, got.bindings, got.notes, got.passed, got.tolerance) == \
             (want.relation_id, want.bindings, want.notes, want.passed, want.tolerance), i0
@@ -1152,12 +1143,11 @@ def test_derivs_gather_equals_theta_deriv(ctx, monkeypatch, g):
 # --- R against its formula at 30 digits --------------------------------------
 
 def mp_r_entries(ctx: CurveContext, row: Sequence[int], m: int) -> dict:
-    """The entries of R for one row [I0 | K | j_m j_n], keyed by their
-    ascending positions in K: general_r_tensor's formula evaluated in 30-digit
-    mpmath arithmetic from the same double theta constants."""
-    g, kk = ctx.g, len(row) - ctx.g - 2
-    i0, ks = _mask(row[:g]), [1 << k for k in row[g : g + kk]]
-    jm, jn = 1 << row[-2], 1 << row[-1]
+    """The entries of R for one row [I0 K j_m j_n], keyed by their ascending
+    positions in K: general_r_tensor's formula evaluated in 30-digit mpmath
+    arithmetic from the same double theta constants."""
+    g, i0, ks = ctx.g, row[0], [1 << k for k in _set(row[1])]
+    kk, jm, jn = len(ks), 1 << row[2], 1 << row[3]
     j0 = ((1 << 2 * g + 2) - 2) ^ i0
 
     def th(mask):
@@ -1202,12 +1192,10 @@ def test_r_tensor_against_mpmath(random_ctx, g):
         if g < FAMILIES[name].min_genus:
             continue
         rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))[:12]
-        if name == "CONJ_M":  # [I0 K m j_m j_n] with masks, one row at a time
-            pairs = [(rel._repr_rows(r[None, [0, 1, 3, 4]]), int(r[2])) for r in rows]
-        else:
-            pairs = [(rows, (rows.shape[1] - g - 1) // 2)] if len(rows) else []
-        for batch_rows, m in pairs:
-            tensors = rel.general_r_tensor(ctx, batch_rows, m)
+        for size in sorted(set(np.bitwise_count(rows[:, 1]).tolist())):  # CONJ_M mixes |K|
+            batch_rows = rows[np.bitwise_count(rows[:, 1]) == size]
+            m = (size + 1) // 2
+            tensors = rel.general_r_tensor(ctx, batch_rows)
             for row, t in zip(batch_rows.tolist(), tensors):
                 entries = mp_r_entries(ctx, row, m)
                 # entries with a repeated position vanish

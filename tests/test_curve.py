@@ -29,6 +29,13 @@ def test_validate_rejects_wrong_count():
         validate_curve(2, [1, 2, 3, 4])
 
 
+def test_validate_rejects_a_genus_beyond_the_lattice_key_limit():
+    # the theta lattice keys its points by 2g bits in a uint16
+    with pytest.raises(ValueError, match=r"genus 9 is beyond the lattice key limit.*g <= 8"):
+        validate_curve(9, range(19))
+    assert validate_curve(8, range(17)).genus == 8
+
+
 def test_validate_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         validate_curve(2, [1, 2, 3, 4, math.inf])
@@ -66,6 +73,7 @@ def test_validate_accepts_integral_and_real_number_types():
     ("branch_points", [1, 2, 3, 4, True], "branch_points must be real numbers"),
     ("branch_points", [1, 2, 3, 4, "5"], "branch_points must be real numbers"),
     ("branch_points", None, "branch_points must be a list"),
+    ("genus", 9, "g <= 8"),
 ])
 def test_cli_rejects_a_malformed_curve_file_before_compute(tmp_path, monkeypatch, capsys,
                                                            field, value, match):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from thomae_lab.harness import (
     DEFAULT_TOLERANCES,
     FAMILIES,
     SuiteConfig,
+    _family_rng,
     main,
     random_curve,
     run_order,
     run_suite,
 )
 from thomae_lab.periods import compute_periods
-from thomae_lab.theta import ThetaEngine, ThetaParams, truncation_radius
+from thomae_lab.theta import ThetaEngine, truncation_radius
 
 
 def test_random_curve_deterministic():
@@ -28,6 +31,32 @@ def test_random_curve_deterministic():
     b = random_curve(3, 1)
     assert a == b
     assert random_curve(3, 2) != a
+
+
+def test_random_curve_rejects_a_genus_beyond_the_lattice_key_limit():
+    with pytest.raises(ValueError, match="g <= 8"):
+        random_curve(9, 1)
+
+
+def test_cli_rejects_a_large_genus_at_once():
+    # random_curve rejects g > 8 before its rejection loop, which at genus 15
+    # would run for ever: 31 uniform points in [-10, 10] are almost never all
+    # 0.3 apart
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "thomae_lab", "verify", "--genus", "15",
+                           "--seed", "1"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "genus 15 is beyond the lattice key limit" in proc.stderr and "g <= 8" in proc.stderr
+
+
+def test_cli_rejects_genus_9_before_the_periods(monkeypatch, capsys):
+    def no_periods(*args, **kwargs):
+        raise AssertionError("periods computed for a genus beyond the lattice key limit")
+
+    monkeypatch.setattr("thomae_lab.harness.compute_periods", no_periods)
+    assert main(["verify", "--genus", "9", "--seed", "1"]) == 2
+    assert "g <= 8" in capsys.readouterr().err
 
 
 def test_random_curve_gaps_and_range():
@@ -151,8 +180,8 @@ def test_suite_config_rejects_bad_tolerance(value):
         SuiteConfig(spec=random_curve(2, 1), tolerances={"GRAD2": value})
     with pytest.raises(ValueError, match=r"theta_tol must be finite and > 0, got"):
         SuiteConfig(spec=random_curve(2, 1), theta_tol=value)
-    with pytest.raises(ValueError, match=r"ThetaParams.tol must be finite and > 0, got"):
-        ThetaParams(tau=1j * np.eye(2), tol=value)
+    with pytest.raises(ValueError, match=r"ThetaEngine.tol must be finite and > 0, got"):
+        ThetaEngine(1j * np.eye(2), tol=value)
 
 
 def test_suite_config_rejects_bad_quad_order():
@@ -255,6 +284,25 @@ def test_pinned_bindings(g):
     bindings = sorted((d["relation_id"], json.dumps(d["bindings"], sort_keys=True)) for d in dicts)
     digest = hashlib.sha256(json.dumps(bindings).encode()).hexdigest()
     assert (dict(counts), digest) == PINNED_BINDINGS[g]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_binding_width_does_not_depend_on_g(name):
+    # every index set of a binding is one mask column, so a family's rows are
+    # as wide at every genus; RANK holds min(g + 2, 6) part masks after its flag
+    widths = {}
+    for g in (4, 5, 6):
+        n = 2 * g + 1
+        ctx = SimpleNamespace(g=g, spec=SimpleNamespace(n_finite=n),
+                              calibration=SimpleNamespace(sets=np.zeros((math.comb(n, g), g))))
+        cfg = SuiteConfig(spec=random_curve(g, 1), seed=1)
+        rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64, (name, g)
+        widths[g] = rows.shape[1:]
+    if name == "RANK":
+        assert widths == {g: (min(g + 2, 6) + 1,) for g in (4, 5, 6)}
+    else:
+        assert len(set(widths.values())) == 1, widths
 
 
 def test_tolerance_defaults_cover_all_record_kinds():

@@ -1,9 +1,10 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from oracles import drop, replace
-from thomae_lab.indexsets import complement_finite, iset
+from oracles import complement_finite, drop, replace
+from thomae_lab.indexsets import finite_mask, index_masks, index_rows, index_sets, iset
 
 
 def add(s, *new):
@@ -74,3 +75,18 @@ def test_replace_matches_drop_then_add():
 def test_complement_finite():
     assert complement_finite(5, (0, 2, 4)) == (1, 3, 5)
     assert complement_finite(3, ()) == (1, 2, 3)
+
+
+def test_index_sets_of_masks_of_mixed_sizes():
+    # grouped by size through index_rows, returned in the order of the masks
+    masks = np.array([0b1011, 0, 0b110, 0b1, 0b11010, 0b110])
+    want = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks.tolist()]
+    assert index_sets(masks) == want == [(0, 1, 3), (), (1, 2), (0,), (1, 3, 4), (1, 2)]
+    assert index_sets(np.array([], dtype=np.int64)) == []
+    assert index_rows(masks[[0, 4]]).tolist() == [[0, 1, 3], [1, 3, 4]]
+    assert index_masks(index_rows(masks[[2, 5]])).tolist() == [0b110, 0b110]
+
+
+def test_finite_mask():
+    assert finite_mask(2) == 0b111110
+    assert finite_mask(7) == sum(1 << i for i in range(1, 16))

@@ -102,7 +102,7 @@ def test_coset_error_names_partition_and_characteristic(ctx, rep, part, mult):
 
 def test_schottky_r_three_routes(ctx):
     c = ctx(4)
-    recs = schottky_r_batch(c, np.array([(1, 2, 3, 4) + (1, 2, 3, 4) + (5, 6)]))
+    recs = schottky_r_batch(c, np.array([[_mask((1, 2, 3, 4)), _mask((1, 2, 3, 4)), 5, 6]]))
     by_id = {r.relation_id: r for r in recs}
     assert by_id["SCHOTTKY_R"].residual < 1e-8
     assert by_id["SCHOTTKY_DETR"].residual < 1e-10
@@ -112,7 +112,7 @@ def test_schottky_r_three_routes(ctx):
 @pytest.mark.slow
 def test_schottky_r_holds_at_g5(ctx):
     c = ctx(5)
-    recs = schottky_r_batch(c, np.array([(1, 3, 5, 7, 9) + (1, 3, 5, 7) + (2, 4)]))
+    recs = schottky_r_batch(c, np.array([[_mask((1, 3, 5, 7, 9)), _mask((1, 3, 5, 7)), 2, 4]]))
     assert all(
         r.residual < r.tolerance for r in recs
     ), [(r.relation_id, r.residual) for r in recs]
@@ -185,7 +185,7 @@ def test_true_schottky_rank3_group_g4(ctx):
     # classical invariant from a rank-3 group: J = 0 and
     # sqrt(r1) - sqrt(r2) + sqrt(r3) = 0 with ascending p's
     c = ctx(4)
-    gens, reps = schottky_r_cosets(c, np.array([(1, 2, 3, 4) + (1, 2, 3, 4) + (5, 6)]))
+    gens, reps = schottky_r_cosets(c, np.array([[_mask((1, 2, 3, 4)), _mask((1, 2, 3, 4)), 5, 6]]))
     elements = goepel_elements(4, gens[0])
     assert len(elements) == 2**3
     assert sets_of(reps[0, 0] ^ elements) == {

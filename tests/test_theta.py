@@ -10,13 +10,14 @@ from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
 from thomae_lab.harness import random_curve
 from thomae_lab.periods import compute_periods
-from thomae_lab.theta import MAX_GENUS, ThetaEngine, ThetaParams, truncation_radius
+from thomae_lab.curve import MAX_GENUS
+from thomae_lab.theta import ThetaEngine, truncation_radius
 
 
 def box_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
     """Reference class: every q = n + eps'/2 with ||L q|| <= R, L^t L = pi Im(tau),
     found in the plain box |n_i| <= R sqrt(((pi Im tau)^{-1})_ii) + 1."""
-    g, tau, r = engine.g, engine.params.tau, engine.radius
+    g, tau, r = engine.g, engine.tau, engine.radius
     shift = 0.5 * np.array([(eps_prime >> (g - 1 - i)) & 1 for i in range(g)])
     bound = (r * np.sqrt(np.diag(np.linalg.inv(np.pi * tau.imag))) + 1).astype(int)
     n = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in bound], indexing="ij"), -1)
@@ -64,7 +65,7 @@ def _check_against_reference(engine, chars, orders):
             classes[eps_prime] = check_half_class(engine, eps_prime)
         for order in orders:
             t = engine.theta_deriv(char, order)
-            ref, scale = per_character_deriv(engine.params.tau, classes[eps_prime], char, order)
+            ref, scale = per_character_deriv(engine.tau, classes[eps_prime], char, order)
             assert t.entries.shape == (engine.g,) * order
             assert abs(t.scale - scale) <= 1e-12 * scale, (char, order)
             assert np.max(np.abs(t.entries - ref), initial=0.0) <= 1e-13 * scale, (char, order)
@@ -207,7 +208,7 @@ def test_parity_symmetry_random_v(ctx):
 
 def test_invalid_tau_rejected():
     with pytest.raises(ValueError, match="positive definite"):
-        ThetaParams(tau=np.array([[1.0 + 0j]]))
+        ThetaEngine(np.array([[1.0 + 0j]]))
 
 
 def test_radius_beyond_int16_offsets_rejected():
@@ -264,7 +265,7 @@ def test_real_weights_against_long_double(ctx):
     p = 2q, exp(i pi q.eps) = i^{p.eps}, and the pair q, -q gives
     2 m Re(i^{p.eps}) and -4 pi q m Im(i^{p.eps})."""
     eng = ctx(5).engine
-    g, tau = eng.g, eng.params.tau
+    g, tau = eng.g, eng.tau
     assert not tau.real.any()  # the certifier's tau is i Y
     consts, grads = eng.values(np.arange(4**g), 0), eng.values(np.arange(4**g), 1)
     y = tau.imag.astype(np.longdouble)
@@ -354,7 +355,7 @@ def test_engine_refuses_orders_above_its_own(ctx, order):
             eng.values(np.arange(4**3), 1)
     # its own order sums, over the lattice at its own radius
     assert eng.theta_deriv(char, order).entries.shape == (3,) * order
-    assert eng.radius == truncation_radius(tau, eng.params.tol, order=order)
+    assert eng.radius == truncation_radius(tau, eng.tol, order=order)
 
 
 def test_explicit_radius_keeps_its_meaning(ctx):

@@ -4,10 +4,10 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from oracles import drop, enumerate_partitions, vandermonde
+from oracles import complement_finite, drop, enumerate_partitions, vandermonde
 from thomae_lab.characteristics import char_of_set
 from thomae_lab.harness import _mask
-from thomae_lab.indexsets import complement_finite, iset
+from thomae_lab.indexsets import iset
 from thomae_lab.theta import _store_rows
 from thomae_lab.thomae import (
     EIGHTH_ROOTS,

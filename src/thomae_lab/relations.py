@@ -37,8 +37,10 @@ D3_K5/K6, CONJ_M and SCHOTTKY_R; RJ_DET reads its first column and
 HESS_EQUIV two such rows side by side) and [I B j_m j_n] (GRAD3, GRAD4 and
 GRADN; GRAD4 adds its four pair masks S).  EKLM reads [I J k m n], RANK
 [degenerate | part masks] and HESS_RANK [I2].  Where the sets of one slot
-differ in size from row to row, the verifier groups the rows by size.  The
-substitution I^{(a -> b)} is I ^ a ^ b,
+differ in size from row to row, the verifier groups the rows by size.  A
+verifier takes at least one row: the width of a set's indices comes from its
+masks, and the harness runs no verifier without rows.  The substitution
+I^{(a -> b)} is I ^ a ^ b,
 and :meth:`CurveContext.consts` / :meth:`CurveContext.grads` /
 :meth:`CurveContext.derivs` gather the theta values of a whole (B, ...)
 mask array from the curve's stores; the arithmetic then runs once over all
@@ -528,7 +530,8 @@ def _repr_residuals(ctx: CurveContext, binds: np.ndarray) -> tuple[np.ndarray, n
     for _, rows in _groups(np.bitwise_count(binds[:, 1])):
         pred = _predicted(ctx, binds[rows])
         target = ctx.derivs(binds[rows, 0] ^ binds[rows, 1], pred.ndim - 1)
-        direct[rows], flipped[rows] = _match_residuals(pred, target), _match_residuals(-pred, target)
+        direct[rows] = _match_residuals(pred, target)
+        flipped[rows] = _match_residuals(-pred, target)
     return direct, flipped
 
 
@@ -565,7 +568,8 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float =
         raise ValueError("bindings must represent the same characteristic")
     residual = np.empty(len(binds))
     for _, rows in _groups(np.bitwise_count(binds[:, 1])):
-        residual[rows] = _match_residuals(*(_predicted(ctx, binds[rows, c : c + 4]) for c in (0, 4)))
+        va, vb = (_predicted(ctx, binds[rows, c : c + 4]) for c in (0, 4))
+        residual[rows] = _match_residuals(va, vb)
     sets = [index_sets(binds[:, c]) for c in (0, 1, 4, 5)]
     return [
         VerificationRecord(

@@ -304,10 +304,11 @@ def test_appendix_e_genus3_instances(ctx, one):
 def test_appendix_e_genus4_instances(ctx, one):
     c = ctx(4)
     # d^2 theta^{iota} via K of size 3, iota = 1 and 2
-    assert one(derivative_batch, c, (1, 2, 3, 4), (2, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
-    assert one(derivative_batch, c, (1, 2, 3, 4), (1, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
+    i0 = (1, 2, 3, 4)
+    assert one(derivative_batch, c, i0, (2, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
+    assert one(derivative_batch, c, i0, (1, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
     # d^2 theta^{} via all four dropped indices
-    assert one(derivative_batch, c, (1, 2, 3, 4), (1, 2, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
+    assert one(derivative_batch, c, i0, i0, 5, 6, tolerance=HESS_TOL).residual < 1e-6
 
 
 def test_hessian_k3_and_k4_sampled_g4(ctx, one):

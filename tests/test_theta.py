@@ -8,9 +8,9 @@ from oracles import char_from_string, char_tuples, enumerate_partitions, parity
 from thomae_lab.characteristics import HalfCharacteristic, _char, char_of_set
 from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
+from thomae_lab.curve import MAX_GENUS
 from thomae_lab.harness import random_curve
 from thomae_lab.periods import compute_periods
-from thomae_lab.curve import MAX_GENUS
 from thomae_lab.theta import ThetaEngine, truncation_radius
 
 

@@ -362,29 +362,22 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -
 # Rank of gradient collections
 # ---------------------------------------------------------------------------
 
-def predicted_collection_rank(g: int, full_parts: Sequence[frozenset]) -> int:
-    """Combinatorial rank: the largest subcollection whose every
-    subfamily F satisfies |F| <= g - |intersection of F| is independent."""
-    parts = list(dict.fromkeys(full_parts))
-    n = len(parts)
-    best = 0
-    for size in range(min(n, g), 0, -1):
-        if size <= best:
-            break
-        for sub in combinations(range(n), size):
-            ok = True
-            for r in range(2, size + 1):
-                for fam in combinations(sub, r):
-                    inter = frozenset.intersection(*[parts[t] for t in fam])
-                    if r > g - len(inter):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                best = size
-                break
-    return best
+def predicted_collection_rank(g: int, parts: np.ndarray) -> np.ndarray:
+    """Combinatorial rank of every row of an int array of full-part masks,
+    each holding g - 1 indices: the size of the largest subcollection whose
+    every subfamily F of two or more parts has |F| <= g - |intersection of F|.
+    A subfamily is one subset bit pattern S < 2^n of a row of n parts; its
+    intersection is the AND of its masks (all bits set when S is empty) and
+    its size a popcount.  A repeated part fails that test with its copy, so
+    repeats count once."""
+    n = parts.shape[-1]
+    subs = np.arange(1 << n)
+    member = (subs[:, None] >> np.arange(n) & 1).astype(bool)  # (2^n, n)
+    size = member.sum(axis=1)
+    inter = np.bitwise_and.reduce(np.where(member, parts[..., None, :], -1), axis=-1)
+    bad = (size > 1) & (size > g - np.bitwise_count(inter))
+    within = (subs[:, None] & subs) == subs[:, None]  # [F, S]: F is a subfamily of S
+    return np.max(np.where(bad.astype(np.int64) @ within, 0, size), axis=-1)
 
 
 def rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 0.5) -> list:
@@ -401,15 +394,15 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 0.5) -> 
     if np.any(held & ((parts & 1) | (np.bitwise_count(full) != g - 1)).astype(bool)):
         raise ValueError("every set must be the finite part of a multiplicity-1 partition")
     size = held.sum(axis=1)
-    observed = np.empty(len(binds), dtype=np.int64)
+    observed, predicted = np.empty((2, len(binds)), dtype=np.int64)
     for n, rows in _groups(size):
         sv = np.linalg.svd(ctx.grads(parts[rows, :n]), compute_uv=False)
         observed[rows] = np.sum(sv > RANK_SVD_CUT * sv[:, :1], axis=1)
+        predicted[rows] = predicted_collection_rank(g, full[rows, :n])
     held_sets = iter(index_sets(full[held]))  # the full parts, row after row
     out = []
-    for deg, obs, n in zip(flag.tolist(), observed.tolist(), size.tolist()):
+    for deg, obs, pred, n in zip(flag.tolist(), observed.tolist(), predicted.tolist(), size.tolist()):
         sets = list(islice(held_sets, n))
-        pred = predicted_collection_rank(g, [frozenset(s) for s in sets])
         bindings = {"sets": tuple(tuple(i for i in s if i) for s in sets)}
         if deg:
             out.append(VerificationRecord(

@@ -8,10 +8,11 @@ The series is summed in the shifted form
 
 whose k-th v-derivative at 0 carries the polynomial prefactor
 prod_i (2 pi i q_{n_i}).  Terms are kept inside the ellipsoid
-||L q|| <= R with L the Cholesky factor of pi Im(tau); the radius is chosen
-from a Gaussian tail estimate so the absolute truncation error stays below
-the requested tolerance (Deconinck, Heil, Bobenko, van Hoeij & Schmies,
-"Computing Riemann theta functions", Math. Comp. 2004).
+||L q|| <= R with L the Cholesky factor of pi Im(tau).  The radius is the
+smallest R at which a proven bound on the summed |term| outside it, in the
+lattice-point-count style of Deconinck, Heil, Bobenko, van Hoeij & Schmies
+("Computing Riemann theta functions", Math. Comp. 2004), falls below the
+requested tolerance; :func:`truncation_radius` states the bound.
 
 At v = 0 the phase splits as exp(i pi q.eps) = i^{eps.eps'} (-1)^{n.eps}, so
 it depends on n only through its parity n mod 2.  The engine enumerates the
@@ -82,25 +83,83 @@ class DerivThetaTensor:
     scale: float  # largest single |term| contributing to any entry
 
 
-def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float = RADIUS_WARN) -> float:
-    """Radius R with sum_{||Lq|| > R} |term| < tol, L^t L = pi Im(tau).
+def _tail_bound(tau: np.ndarray, order: int):
+    """lam_min and the function R -> (B_k(R), -dB_k/d(R^2)) of
+    :func:`truncation_radius` for k = order."""
+    y = np.pi * np.asarray(tau).imag
+    g = y.shape[0]
+    diag = np.linalg.cholesky(y).diagonal().tolist()  # Gram-Schmidt lengths of the basis L e_i
+    lam_min = float(np.linalg.eigvalsh(y)[0])
+    mu = 0.5 * math.hypot(*diag)
+    unit_ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1)
+    scale = (2 * math.pi / math.sqrt(lam_min)) ** order * unit_ball / math.prod(diag)
+    coef = [g * math.comb(g - 1, j) * mu ** (g - 1 - j) for j in range(g)]
 
-    Gaussian tail estimate: the number of lattice points in a shell of the
-    metric L grows like R^{g-1} / det L, and an order-m derivative adds a
-    polynomial factor (2 pi |q|)^m; both enter logarithmically, so a short
-    fixed-point iteration converges.  The benchmark (bench/layers.py) wraps
-    it by this name and reads ``tau``, ``tol`` and ``order`` by name for
-    ``theta.lattice.radius`` and ``theta.lattice.radius_ratio_o0_o4``.
+    def bound(r: float) -> tuple[float, float]:
+        r2, e = r * r, math.exp(-r * r)
+        ints = [0.5 * math.sqrt(math.pi) * math.erfc(r), 0.5 * e]  # I_n(R), n = 0, 1, ...
+        for n in range(2, g + order):
+            ints.append(0.5 * r ** (n - 1) * e + 0.5 * (n - 1) * ints[n - 2])
+        head = scale * (r + mu) ** g * r**order * e
+        # dB/dR = -N(R) (-h'(R)) = -head (2 R^2 - k) / R
+        return head + scale * sum(map(math.prod, zip(coef, ints[order:]))), head * (r2 - order / 2) / r2
+
+    return lam_min, bound
+
+
+def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float = RADIUS_WARN) -> float:
+    """The smallest R (to about 1e-3 in R^2) at which the proven bound B_k(R)
+    on the order-k tail falls below tol.  L^t L = pi Im(tau).
+
+    B_k(R) bounds, for every characteristic and every order-k multi-index
+    alpha, the sum over the class q in Z^g + eps'/2 with ||L q|| > R of
+    |(2 pi q)^alpha| exp(-||L q||^2), which bounds the truncation error of
+    each entry:
+
+        B_k(R) = (2 pi / sqrt(lam_min))^k (V_g / det L)
+                 [ (R + mu)^g R^k e^{-R^2}
+                   + g sum_{j<g} C(g-1, j) mu^{g-1-j} I_{j+k}(R) ],
+
+    with lam_min the smallest eigenvalue of L^t L, V_g the volume of the unit
+    g-ball, mu = ||diag L|| / 2 and I_n(R) = int_R^oo s^n e^{-s^2} ds
+    (I_0 = sqrt(pi) erfc(R) / 2, I_1 = e^{-R^2} / 2, I_n = R^{n-1} e^{-R^2} / 2
+    + (n - 1) I_{n-2} / 2).  Its proof has three steps:
+
+    1. Count.  Babai's bound puts every point of R^g within mu of the lattice
+       L Z^g (the diagonal of the triangular L gives the Gram-Schmidt
+       lengths), so the Voronoi cells, of volume det L each, lie in balls of
+       radius mu around their points, and the class has at most
+       N(s) = V_g (s + mu)^g / det L points with ||L q|| <= s.
+    2. Size.  ||L q||^2 >= lam_min ||q||^2, so
+       |q^alpha| <= ||q||^k <= (||L q|| / sqrt(lam_min))^k, and a term is at
+       most (2 pi / sqrt(lam_min))^k h(||L q||), h(s) = s^k e^{-s^2}.
+    3. Abel summation.  h decreases past sqrt(k / 2) < R, so the sum of h
+       over the points beyond R is at most int_R^oo N(s) (-h'(s)) ds, which
+       integrates by parts to the bracket above.
+
+    R^2 is found by Newton's method on ln B_k as a function of R^2, from
+    ln(1 / tol): R^2 <- R^2 + ln(B_k / tol) B_k / D with D = -dB_k/d(R^2),
+    which is the fixed-point step R^2 <- R^2 + ln(B_k / tol) lengthened by
+    B_k / D and takes about half as many steps.  It stops at the first R
+    with B_k(R) < tol and a step shorter than 1e-3, and raises if there is
+    none.
+
+    The benchmark (bench/layers.py) wraps this function by name and reads
+    ``tau``, ``tol`` and ``order`` by name for ``theta.lattice.radius`` and
+    ``theta.lattice.radius_ratio_o0_o4``.
     """
-    tau = np.asarray(tau, dtype=complex)
-    g = tau.shape[0]
-    lam_min = float(np.min(np.linalg.eigvalsh(np.pi * tau.imag)))
-    det_l = math.sqrt(abs(np.linalg.det(np.pi * tau.imag)))
-    r = math.sqrt(max(math.log(1.0 / tol), 1.0)) + 1.0
-    for _ in range(4):
-        poly = order * math.log1p(2.0 * math.pi * r / math.sqrt(lam_min))
-        shell = max(g, 1) * math.log1p(r) + math.log1p(2.0 ** g / det_l)
-        r = math.sqrt(max(math.log(1.0 / tol) + poly + shell + 2.0, 1.0))
+    lam_min, bound = _tail_bound(tau, order)
+    floor = order / 2 + 1.0  # keeps R^2 past k/2, where h decreases and D > 0
+    r2 = max(math.log(1.0 / tol), floor)
+    for _ in range(20):
+        b, slope = bound(math.sqrt(r2))
+        step = math.log(b / tol) * b / slope
+        if b < tol and (step > -1e-3 or r2 + step < floor):
+            break
+        r2 += step
+    else:
+        raise ArithmeticError(f"no theta truncation radius with a tail bound below {tol} was found")
+    r = math.sqrt(r2)
     if r / math.sqrt(lam_min) > r_max:
         warnings.warn(
             f"theta truncation radius {r / math.sqrt(lam_min):.1f} exceeds {r_max}: "

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -61,10 +61,16 @@ def snap_phase(ratio, roots: Sequence[complex] = EIGHTH_ROOTS) -> tuple:
     return best, np.where(ratio == 0, np.inf, np.abs(ratio - best))[()]
 
 
+@lru_cache(maxsize=None)
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions (i, l), i > l, of the pairs of a set of ``size``."""
+    return np.tril_indices(size, -1)
+
+
 def _vandermondes(e: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """The ordered Vandermonde product prod_{i > l in I} (e_i - e_l), larger
     index first, of every row of an int array of ascending index sets."""
-    hi, lo = np.tril_indices(sets.shape[1], -1)
+    hi, lo = _pairs(sets.shape[1])
     return reduce(np.multiply, (e[sets[:, hi] - 1] - e[sets[:, lo] - 1]).T, np.ones(len(sets)))
 
 

@@ -14,6 +14,9 @@ same algebra, kept here as independent oracles for its tests:
   the branch-point table; :func:`char_tuples` and :func:`parity`;
 - :func:`enumerate_partitions`, the list of all canonical partitions of a
   multiplicity, the list-based form of ``harness._partition_masks``;
+- :func:`ref_collection_rank`, the combinatorial rank of one collection of
+  parts by a search over frozensets, the set form of
+  ``relations.predicted_collection_rank``;
 - :func:`differential_row`, one holomorphic differential at one point of
   the fixed sheet;
 - :func:`segment_integrals_loop`, the period quadrature one segment and
@@ -186,6 +189,31 @@ def enumerate_partitions(g: int, m: int) -> list[Partition]:
     sizes = (g,) if m == 0 else tuple(s for s in (g + 1 - 2 * m, g - 2 * m) if s >= 0)
     return [Partition(genus=g, part=t) for size in sizes
             for t in combinations(range(1, 2 * g + 2), size)]
+
+
+def ref_collection_rank(g: int, full_parts: Sequence[frozenset]) -> int:
+    """Combinatorial rank: the largest subcollection whose every
+    subfamily F satisfies |F| <= g - |intersection of F| is independent."""
+    parts = list(dict.fromkeys(full_parts))
+    n = len(parts)
+    best = 0
+    for size in range(min(n, g), 0, -1):
+        if size <= best:
+            break
+        for sub in combinations(range(n), size):
+            ok = True
+            for r in range(2, size + 1):
+                for fam in combinations(sub, r):
+                    inter = frozenset.intersection(*[parts[t] for t in fam])
+                    if r > g - len(inter):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                best = size
+                break
+    return best
 
 
 def _sheet_power(spec: CurveSpec, x: float) -> int:

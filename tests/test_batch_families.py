@@ -31,6 +31,7 @@ from oracles import (
     elementary_symmetric_all,
     enumerate_partitions,
     ordered_diff_product,
+    ref_collection_rank,
     replace,
     vandermonde,
 )
@@ -658,7 +659,7 @@ def oracle_rank(
     dedup = list(dict.fromkeys(parts))
     sv = np.linalg.svd(np.stack([rows[parts.index(p)] for p in dedup]), compute_uv=False)
     obs = int(np.sum(sv > rel.RANK_SVD_CUT * sv[0]))
-    pred = rel.predicted_collection_rank(ctx.g, dedup)
+    pred = ref_collection_rank(ctx.g, dedup)
     if degenerate:
         return VerificationRecord(
             "RANK", {"sets": tuple(sets), "family": "degenerate"},

@@ -1,10 +1,18 @@
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import char_from_string, complement_finite, drop, enumerate_partitions, replace
-from thomae_lab.harness import DEFAULT_TOLERANCES, _mask
+from oracles import (
+    char_from_string,
+    complement_finite,
+    drop,
+    enumerate_partitions,
+    ref_collection_rank,
+    replace,
+)
+from thomae_lab.harness import DEFAULT_TOLERANCES, FAMILIES, SuiteConfig, _family_rng, _mask, random_curve
 from thomae_lab.indexsets import iset
 from thomae_lab.relations import (
     _match_residuals,
@@ -277,10 +285,25 @@ def test_rank_rejects_wrong_multiplicity(ctx):
 def test_predicted_rank_pure():
     # pairs are independent, triples sharing a (g-2)-set are not
     g = 3
-    f = lambda *sets: predicted_collection_rank(g, [frozenset(s) for s in sets])
-    assert f((0, 1), (0, 2)) == 2
-    assert f((0, 1), (0, 2), (0, 3)) == 2
-    assert f((0, 1), (0, 2), (1, 2)) == 3
+    for f in (lambda *sets: ref_collection_rank(g, [frozenset(s) for s in sets]),
+              lambda *sets: int(predicted_collection_rank(g, np.array([_mask(s) for s in sets])))):
+        assert f((0, 1), (0, 2)) == 2
+        assert f((0, 1), (0, 2), (0, 3)) == 2
+        assert f((0, 1), (0, 2), (1, 2)) == 3
+        assert f((0, 1), (0, 1), (0, 2)) == 2  # a repeated part counts once
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_predicted_rank_on_masks_matches_the_set_search(g):
+    # every RANK collection of seeds 1-3, as the run's full-part masks
+    for seed in (1, 2, 3):
+        cfg = SuiteConfig(spec=random_curve(g, seed), seed=seed)
+        binds = FAMILIES["RANK"].bindings(SimpleNamespace(g=g), cfg, _family_rng(cfg, "RANK"))
+        for row in binds[:, 1:]:
+            parts = row[row >= 0]
+            full = parts | (np.bitwise_count(parts) % 2 != (g + 1) % 2)
+            sets = [frozenset(i for i in range(2 * g + 2) if m >> i & 1) for m in full.tolist()]
+            assert predicted_collection_rank(g, full) == ref_collection_rank(g, sets), (seed, sets)
 
 
 # --- quadratic and cubic representations ------------------------------------

@@ -374,22 +374,52 @@ def _tail_curves(sweep):
 
 
 def test_truncation_tail_at_each_order_radius(sweep_curves):
-    """Over the points of the order-4 lattice outside R_k, the bound
-    2 sum |m| (2 pi max_i |q_i|)^k on the order-k terms (both of each pair
-    q, -q) stays below the tolerance for k = 0..3: a lattice at R_k keeps
-    the accuracy an order-4 lattice gives every order k.  The tail beyond
-    R_4 is outside this check."""
-    tol, worst = 1e-12, np.zeros(4)
+    """For k = 0..4, the summed bound 2 sum |m| (2 pi max_i |q_i|)^k on the
+    order-k terms outside R_k (both of each pair q, -q) of every eps' class
+    stays below the proven bound B_k(R_k), which stays below the tolerance.
+    The tail is measured on a lattice of radius R_4 + 1, so it holds every
+    point of each order's tail but those beyond R_4 + 1."""
+    tol, worst = 1e-12, np.zeros(5)
     for spec in _tail_curves(sweep_curves):
         tau = compute_periods(spec, 96).tau
-        eng = ThetaEngine(tau, tol=tol)
+        g = tau.shape[0]
+        radii = [truncation_radius(tau, tol, order=k) for k in range(5)]
+        eng = ThetaEngine(tau, tol=tol, radius=radii[4] + 1.0)
         eng._lattice()
         q = 0.5 * eng._p
         norm2 = np.pi * np.einsum("ij,ij->i", q @ tau.imag, q)  # ||L q||^2
         reach = 2 * np.pi * np.abs(q).max(axis=1)
-        for k in range(4):
-            outside = norm2 > truncation_radius(tau, tol, order=k) ** 2
-            tail = 2 * np.sum(np.abs(eng._m[outside]) * reach[outside] ** k)
-            worst[k] = max(worst[k], tail)
-            assert tail < tol, (spec.label, k, tail)
+        cls = np.repeat(np.arange(2**g), np.diff(eng._starts[:: 2**g]))  # eps' of each point
+        for k, r in enumerate(radii):
+            outside = norm2 > r * r
+            tail = 2 * np.bincount(cls[outside], np.abs(eng._m[outside]) * reach[outside] ** k,
+                                   minlength=2**g).max()
+            bound = theta_module._tail_bound(tau, k)[1](r)[0]
+            worst[k] = max(worst[k], tail / bound)
+            assert tail <= bound < tol, (spec.label, k, tail, bound)
     assert np.all(worst > 0)  # every order's radius leaves points outside it
+
+
+@pytest.mark.parametrize("g", range(1, MAX_GENUS + 1))
+def test_tail_bound_closed_form_against_quadrature(g):
+    """B_k(R) is (2 pi / sqrt(lam_min))^k int_R^oo N(s) (-h'(s)) ds with
+    N(s) = V_g (s + mu)^g / det L and h(s) = s^k e^{-s^2}, here integrated by
+    mpmath, at the radius the solve returns; and the solve is tight: the
+    bound there is within a factor 50 of the tolerance."""
+    tol = 1e-12
+    rng = np.random.default_rng(g)
+    a = rng.normal(size=(g, g))
+    tau = 1j * (a @ a.T / g + 0.3 * np.eye(g))
+    y = np.pi * tau.imag
+    diag = np.diag(np.linalg.cholesky(y))
+    lam_min = np.linalg.eigvalsh(y)[0]
+    mu = mpmath.mpf(0.5 * float(np.sqrt(diag @ diag)))
+    count = mpmath.pi ** (g / 2) / mpmath.gamma(g / 2 + 1) / mpmath.mpf(float(np.prod(diag)))
+    for k in range(5):
+        r = truncation_radius(tau, tol, order=k)
+        bound = theta_module._tail_bound(tau, k)[1](r)[0]
+        with mpmath.workdps(30):
+            n_dh = lambda s: count * (s + mu) ** g * (2 * s * s - k) * s ** (k - 1) * mpmath.exp(-s * s)
+            want = (2 * mpmath.pi / mpmath.sqrt(lam_min)) ** k * mpmath.quad(n_dh, [r, r + 2, r + 6, mpmath.inf])
+        assert abs(bound - float(want)) <= 1e-10 * float(want), (k, bound, want)
+        assert tol / 50 < bound < tol, (k, bound)

@@ -7,7 +7,7 @@ from .characteristics import HalfCharacteristic, Partition
 from .context import CurveContext
 from .curve import CurveSpec, validate_curve
 from .harness import Report, SuiteConfig, random_curve, run_suite
-from .periods import PeriodData, abel_branch_point, compute_periods, halfperiod_residual
+from .periods import PeriodData, abel_images, compute_periods, halfperiod_residual
 from .theta import DerivThetaTensor, ThetaEngine, truncation_radius
 from .thomae import (
     PhaseCalibration,

@@ -40,12 +40,6 @@ class CurveSpec:
     def n_finite(self) -> int:
         return 2 * self.genus + 1
 
-    def point(self, k: int) -> float:
-        """Branch point e_k, k = 1..2g+1 (index 0 = infinity is not a value)."""
-        if not 1 <= k <= self.n_finite:
-            raise ValueError(f"branch point index {k} out of range 1..{self.n_finite}")
-        return self.branch_points[k - 1]
-
     def content_hash(self) -> str:
         payload = json.dumps({"g": self.genus, "e": [repr(e) for e in self.branch_points]})
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -59,9 +53,8 @@ def validate_curve(genus: int, branch_points: Sequence[float], label: str = "") 
     if isinstance(genus, bool) or not isinstance(genus, numbers.Integral):
         raise ValueError(f"genus must be an integer, got {genus!r}")
     genus = int(genus)
-    if genus < 2 and genus != 1:
-        # genus 1 is admitted for oracle tests; the suites require g >= 2
-        raise ValueError(f"genus must be a positive integer >= 2 (got {genus})")
+    if genus < 1:  # genus 1 serves the oracle tests; a suite needs g >= 2
+        raise ValueError(f"genus must be a positive integer (got {genus})")
     check_genus(genus)
     if isinstance(branch_points, (str, bytes, dict)) or not isinstance(branch_points, Iterable):
         raise ValueError(f"branch_points must be a list of real numbers, got {branch_points!r}")

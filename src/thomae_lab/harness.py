@@ -31,33 +31,8 @@ from .context import CurveContext
 from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
 from .indexsets import finite_mask, index_masks, index_rows, index_sets
 from .periods import compute_periods
-from .relations import VerificationRecord
+from .relations import DEFAULT_TOLERANCES, VerificationRecord
 from .thomae import calibrate_phases, general_thomae_batch, snap_phase, thomae_prefactor
-
-DEFAULT_TOLERANCES = {
-    "THOMAE1": 1e-6,
-    "THOMAE2": 1e-6,
-    "THOMAEG": 1e-5,
-    "THOMAEG_G5": 1e-4,
-    "EKLM": 1e-8,
-    "EJI": 1e-8,
-    "GRAD2": 1e-8,
-    "GRAD3": 1e-8,
-    "GRAD4": 1e-8,
-    "GRADN": 1e-6,
-    "RANK": 0.5,
-    "HESS_K3": 1e-6,
-    "HESS_K4": 1e-6,
-    "HESS_EQUIV": 1e-8,
-    "HESS_RANK": 1e-8,
-    "D3_K5": 1e-4,
-    "D3_K6": 1e-4,
-    "CONJ_M": 1e-3,
-    "RJ_DET": 1e-6,
-    "SCHOTTKY_R": 1e-8,
-    "SCHOTTKY_DETR": 1e-10,
-    "SCHOTTKY_F": 1e-7,
-}
 
 
 def _check_tolerance(family: str, value: float) -> None:
@@ -79,6 +54,8 @@ class SuiteConfig:
     enable_heavy: bool = False
 
     def __post_init__(self):
+        if self.spec.genus < 2:
+            raise ValueError(f"the suite needs genus >= 2, got genus {self.spec.genus}")
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
         if self.quad_order < 1:
@@ -731,12 +708,16 @@ def main(argv: list[str] | None = None) -> int:
     if not (math.isfinite(args.theta_tol) and args.theta_tol > 0):
         parser.error(f"argument --theta-tol: must be finite and > 0, got {args.theta_tol}")
     tolerances = _parse_tolerances(parser, args.tol_family)
+    relations = None
+    if args.relations is not None:
+        relations = tuple(p for p in (s.strip().upper() for s in args.relations.split(",")) if p)
+        if not relations:
+            parser.error(f"argument --relations: {args.relations!r} names no family")
     try:
         if args.curve:
             spec = load_curve_file(args.curve)
         else:
             spec = random_curve(args.genus, args.seed)
-        relations = tuple(s.strip().upper() for s in args.relations.split(",")) if args.relations else None
         cfg = SuiteConfig(
             spec=spec,
             relations=relations,

@@ -19,9 +19,10 @@ gap l being the segment (e_{2l}, e_{2l+1}) between consecutive cuts.  The
 resulting tau = omega^{-1} omega' is symmetric with positive-definite
 imaginary part, which every run asserts (``_check_tau``).  The Abel images
 of the branch points land on the half-periods of the standard
-characteristic table; :func:`branch_point_char_residuals` measures that,
-but only the tests call it.  It is kept as the cross-check that ROADMAP
-item 4(c) would report per curve.
+characteristic table: :func:`abel_images` gives all 2g+1 of them from one
+quadrature pass, and :func:`branch_point_char_residuals` reduces each by
+rounding its lattice coordinates.  Only the tests call them; they are kept
+as the cross-check that ROADMAP item 4(c) would report per curve.
 
 The Gauss-Legendre rule is built by Halley's variant of Newton's method
 on the Legendre recurrence, O(n^2) per order and cached, with weights
@@ -124,23 +125,26 @@ def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
     return (powers @ core[:, :, None])[:, :, 0]
 
 
-def _assemble(spec: CurveSpec, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (omega, omega', cuts, gaps) from raw segment integrals."""
+def _segment_columns(spec: CurveSpec, order: int) -> np.ndarray:
+    """(g, 2g) sheet-signed segment integrals of du: column l - 1 is the
+    integral over segment l, so the even columns are the cuts and the odd
+    ones the gaps."""
     g = spec.genus
     # segment l has p = 2g + 1 - l branch points above it
     coeff = np.array([-0.5 * (-1j) ** (p % 4) for p in range(2 * g, 0, -1)])
-    cols = (coeff[:, None] * V).T  # column l - 1 = integral over segment l
+    return (coeff[:, None] * _segment_integrals(spec, order)).T
+
+
+def _assemble(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, omega') from the segment columns."""
     cuts, gaps = cols[:, 0::2], cols[:, 1::2]  # column k: cut k, gap k
-    omega = 2.0 * cuts
-    omega_prime = 2.0 * np.cumsum(gaps[:, ::-1], axis=1)[:, ::-1]
-    return omega, omega_prime, cuts, gaps
+    return 2.0 * cuts, 2.0 * np.cumsum(gaps[:, ::-1], axis=1)[:, ::-1]
 
 
 @dataclass
 class PeriodData:
     """Non-normalized periods omega, omega' and tau = omega^{-1} omega'."""
 
-    spec: CurveSpec
     omega: np.ndarray
     omega_prime: np.ndarray
     quad_order: int
@@ -149,10 +153,6 @@ class PeriodData:
     @property
     def tau(self) -> np.ndarray:
         return np.linalg.solve(self.omega, self.omega_prime)
-
-    @property
-    def genus(self) -> int:
-        return self.spec.genus
 
 
 def _check_tau(tau: np.ndarray) -> None:
@@ -187,9 +187,9 @@ def compute_periods(
     ``quad_order`` and ``refine_tol`` by name for its ``periods.*`` metrics.
     """
     order = quad_order
-    o1 = _assemble(spec, _segment_integrals(spec, order))
+    o1 = _assemble(_segment_columns(spec, order))
     while True:
-        o2 = _assemble(spec, _segment_integrals(spec, 2 * order))
+        o2 = _assemble(_segment_columns(spec, 2 * order))
         scale = max(np.max(np.abs(o2[0])), np.max(np.abs(o2[1])))
         est = max(np.max(np.abs(o1[0] - o2[0])), np.max(np.abs(o1[1] - o2[1]))) / scale
         if est <= refine_tol or 2 * order >= max_order:
@@ -201,92 +201,40 @@ def compute_periods(
             f"period quadrature did not converge: est_error {est:.3e} > refine_tol "
             f"{refine_tol:.1e} at quad_order {2 * order} (max_order {max_order})"
         )
-    data = PeriodData(
-        spec=spec,
-        omega=o2[0],
-        omega_prime=o2[1],
-        quad_order=2 * order,
-        est_error=float(est),
-    )
+    data = PeriodData(*o2, quad_order=2 * order, est_error=float(est))
     _check_tau(data.tau)
     return data
 
 
-def abel_branch_point(
-    spec: CurveSpec, periods: PeriodData, k: int, quad_order: int | None = None
-) -> np.ndarray:
-    """Abel image A(e_k) = int_inf^{(e_k, 0)} dv, as a chain of segments.
+def abel_images(spec: CurveSpec, periods: PeriodData) -> np.ndarray:
+    """Abel images A(e_k) = int_inf^{(e_k, 0)} dv, k = 1..2g+1, as the
+    columns of a (g, 2g+1) array, all from one quadrature pass.
 
-    Recomputed from fresh segment integrals (at an order unrelated to the
-    one used for the periods) so that the characteristic cross-check also
-    validates quadrature convergence.  A(e_{2g+1}) = -sum_k (cut_k integral);
-    walking left from e_{2g+1} subtracts one segment integral per step.
+    The segments are integrated afresh at an order unrelated to the one of
+    the periods, so that the characteristic cross-check also validates
+    quadrature convergence.  A(e_{2g+1}) = -sum_k (cut_k integral), and
+    A(e_k) subtracts every segment integral from e_k to e_{2g+1}: a reverse
+    cumulative sum of the segment columns.
     """
-    g = spec.genus
-    if not 1 <= k <= 2 * g + 1:
-        raise ValueError(f"branch index {k} out of range 1..{2 * g + 1}")
-    order = quad_order if quad_order is not None else periods.quad_order + 17
-    V = _segment_integrals(spec, order)
-    _, _, cuts, gaps = _assemble(spec, V)
-    du = -np.sum(cuts, axis=1)
-    for l in range(2 * g, k - 1, -1):  # segment (e_l, e_{l+1})
-        du = du - (cuts[:, (l - 1) // 2] if l % 2 else gaps[:, l // 2 - 1])
+    cols = _segment_columns(spec, periods.quad_order + 17)
+    # column k - 1: the integral over the segments from e_k to e_{2g+1}
+    rest = np.cumsum(np.pad(cols, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
+    du = -np.sum(cols[:, 0::2], axis=1, keepdims=True) - rest
     return np.linalg.solve(periods.omega, du)
 
 
-@dataclass
-class LatticeResidual:
-    """Distance of a vector from a target point, reduced mod (1, tau)Z^{2g}."""
-
-    reduced: np.ndarray
-    norm: float
-    shift_n: np.ndarray
-    shift_m: np.ndarray
-
-
-def halfperiod_residual(periods: PeriodData, v: np.ndarray, bits: int) -> LatticeResidual:
-    """Lattice-reduced distance of v from eps/2 + tau eps'/2, for the
-    characteristic bits eps << g | eps'."""
+def halfperiod_residual(periods: PeriodData, v: np.ndarray, bits: int) -> float:
+    """Distance of v from eps/2 + tau eps'/2 mod (1, tau)Z^{2g}, for the
+    characteristic bits eps << g | eps', to the translate that rounding the
+    real coordinates of w = alpha + tau beta gives: exact when v is near a
+    translate, and never below the true distance when it is not."""
     tau = periods.tau
-    g = periods.genus
+    g = len(tau)
     digits = bits >> np.arange(2 * g - 1, -1, -1) & 1  # eps, then eps'
-    target = 0.5 * digits[:g] + tau @ (0.5 * digits[g:])
-    w = np.asarray(v, dtype=complex) - target
-    # Real coordinates w = alpha + tau beta; round, then a small local search.
-    beta = np.linalg.solve(tau.imag, w.imag)
-    alpha = w.real - tau.real @ beta
-    m0 = np.round(beta).astype(int)
-    n0 = np.round(alpha).astype(int)
-
-    def residual(n, m):
-        return w - n - tau @ m
-
-    best_n, best_m = n0.astype(float), m0.astype(float)
-    best = residual(best_n, best_m)
-    best_norm = np.linalg.norm(best)
-    improved = True
-    sweeps = 0
-    while improved and sweeps < 8 and best_norm > 1e-12:
-        improved = False
-        sweeps += 1
-        for i in range(g):
-            for dm in (-2, -1, 1, 2):
-                m_try = best_m.copy()
-                m_try[i] += dm
-                alpha_try = np.round(w.real - tau.real @ m_try)
-                r = residual(alpha_try, m_try)
-                if np.linalg.norm(r) < best_norm - 1e-15:
-                    best_norm = np.linalg.norm(r)
-                    best_n, best_m, best = alpha_try, m_try, r
-                    improved = True
-        # re-center alpha for the current m
-        alpha_try = np.round(w.real - tau.real @ best_m)
-        r = residual(alpha_try, best_m)
-        if np.linalg.norm(r) < best_norm:
-            best_norm, best_n, best = np.linalg.norm(r), alpha_try, r
-    return LatticeResidual(
-        reduced=best, norm=float(best_norm), shift_n=best_n.astype(int), shift_m=best_m.astype(int)
-    )
+    w = np.asarray(v, dtype=complex) - 0.5 * digits[:g] - tau @ (0.5 * digits[g:])
+    m = np.round(np.linalg.solve(tau.imag, w.imag))
+    n = np.round(w.real - tau.real @ m)
+    return float(np.linalg.norm(w - n - tau @ m))
 
 
 def branch_point_char_residuals(spec: CurveSpec, periods: PeriodData) -> dict[int, float]:
@@ -294,9 +242,6 @@ def branch_point_char_residuals(spec: CurveSpec, periods: PeriodData) -> dict[in
     the tests call it today; it stays for the runner to report as a
     per-curve precondition (ROADMAP item 4(c))."""
     branch = _table(spec.genus)[0]
-    out = {}
-    for k in range(1, 2 * spec.genus + 2):
-        v = abel_branch_point(spec, periods, k)
-        out[k] = halfperiod_residual(periods, v, branch[k]).norm
-    return out
-
+    images = abel_images(spec, periods)
+    return {k: halfperiod_residual(periods, images[:, k - 1], branch[k])
+            for k in range(1, 2 * spec.genus + 2)}

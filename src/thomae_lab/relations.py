@@ -68,6 +68,31 @@ from .indexsets import finite_mask, index_rows, index_sets
 from .thomae import FOURTH_ROOTS, snap_phase
 
 TINY = 1e-300
+# The tolerance of each record kind; a verifier's default reads its key.
+DEFAULT_TOLERANCES = {
+    "THOMAE1": 1e-6,
+    "THOMAE2": 1e-6,
+    "THOMAEG": 1e-5,
+    "THOMAEG_G5": 1e-4,
+    "EKLM": 1e-8,
+    "EJI": 1e-8,
+    "GRAD2": 1e-8,
+    "GRAD3": 1e-8,
+    "GRAD4": 1e-8,
+    "GRADN": 1e-6,
+    "RANK": 0.5,
+    "HESS_K3": 1e-6,
+    "HESS_K4": 1e-6,
+    "HESS_EQUIV": 1e-8,
+    "HESS_RANK": 1e-8,
+    "D3_K5": 1e-4,
+    "D3_K6": 1e-4,
+    "CONJ_M": 1e-3,
+    "RJ_DET": 1e-6,
+    "SCHOTTKY_R": 1e-8,
+    "SCHOTTKY_DETR": 1e-10,
+    "SCHOTTKY_F": 1e-7,
+}
 # singular values below this share of the largest do not count toward a rank
 RANK_SVD_CUT = 1e-8
 
@@ -85,18 +110,9 @@ class VerificationRecord:
         return bool(self.residual < self.tolerance)
 
     def as_dict(self) -> dict:
-        def jsonable(v):
-            if isinstance(v, tuple):
-                return [jsonable(x) for x in v]
-            if isinstance(v, (np.integer,)):
-                return int(v)
-            if isinstance(v, (np.floating,)):
-                return float(v)
-            return v
-
         return {
             "relation_id": self.relation_id,
-            "bindings": {k: jsonable(v) for k, v in self.bindings.items()},
+            "bindings": dict(self.bindings),
             "residual": float(self.residual),
             "tolerance": float(self.tolerance),
             "pass": self.passed,
@@ -130,7 +146,8 @@ def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # First-Thomae corollaries: cross ratios of theta constants
 # ---------------------------------------------------------------------------
 
-def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def eklm_batch(ctx: CurveContext, binds: np.ndarray,
+               tolerance: float = DEFAULT_TOLERANCES["EKLM"]) -> list:
     """EKLM for every row [I J k m n] of binds (|I| = |J| = g-1)."""
     g = ctx.g
     i_mask, j_mask = binds[:, 0], binds[:, 1]
@@ -160,7 +177,8 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) ->
     ]
 
 
-def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def eji_batch(ctx: CurveContext, binds: np.ndarray,
+              tolerance: float = DEFAULT_TOLERANCES["EJI"]) -> list:
     """EJI for every row [I0 K j_n j_m] of binds, K = {i_k < i_l} in I0.
 
     The right side must not depend on the choice of (j_n, j_m): the record
@@ -219,7 +237,8 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> 
 # Gradient (multiplicity-1) linear relations
 # ---------------------------------------------------------------------------
 
-def grad2_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def grad2_batch(ctx: CurveContext, binds: np.ndarray,
+                tolerance: float = DEFAULT_TOLERANCES["GRAD2"]) -> list:
     """GRAD2 for every row [I0 K j_m j_n] of binds, K = {kappa1 < kappa2}."""
     i0, kappas = binds[:, 0], index_rows(binds[:, 1])
     (k1, k2), (jm, jn) = (1 << kappas).T, (1 << binds[:, 2:]).T
@@ -269,7 +288,8 @@ def _gradient_residuals(
     return _vector_residuals(coeff[..., None] * grads), grads
 
 
-def grad3_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def grad3_batch(ctx: CurveContext, binds: np.ndarray,
+                tolerance: float = DEFAULT_TOLERANCES["GRAD3"]) -> list:
     """GRAD3 for every row [I B j_m j_n] of binds (|I| = g-2, |B| = 3, 0
     allowed in B): GRADN at r = 2, S the single kappas of B.  Any two of the
     three gradients must be linearly independent."""
@@ -301,7 +321,8 @@ GRAD4_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4))
 GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
 
 
-def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def grad4_batch(ctx: CurveContext, binds: np.ndarray,
+                tolerance: float = DEFAULT_TOLERANCES["GRAD4"]) -> list:
     """GRAD4 for every row [I B j_m j_n S1 S2 S3 S4] of binds (|I| = g-3,
     |B| = 5, each S a pair of kappas in B): GRADN at r = 3 with the pairs S,
     canonical or regrouped.  The first three gradients must have rank 3."""
@@ -328,7 +349,8 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -
     ]
 
 
-def gradn_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -> list:
+def gradn_batch(ctx: CurveContext, binds: np.ndarray,
+                tolerance: float = DEFAULT_TOLERANCES["GRADN"]) -> list:
     """GRADN for every row [I B j_m j_n] of binds, I and B as masks: the
     conjectural (r+1)-term relation with |B| = 2r-1 and |I| = g-r.  K is the
     r smallest indices of B, and S runs over K - kappa for kappa in K, and
@@ -380,7 +402,8 @@ def predicted_collection_rank(g: int, parts: np.ndarray) -> np.ndarray:
     return np.max(np.where(bad.astype(np.int64) @ within, 0, size), axis=-1)
 
 
-def rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 0.5) -> list:
+def rank_batch(ctx: CurveContext, binds: np.ndarray,
+               tolerance: float = DEFAULT_TOLERANCES["RANK"]) -> list:
     """RANK for every row [degenerate | part masks] of binds, the masks padded
     with -1: the finite parts of distinct multiplicity-1 partitions, whose
     gradients must have the rank that :func:`predicted_collection_rank`
@@ -554,7 +577,8 @@ def derivative_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float) -> 
     ]
 
 
-def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
+                        tolerance: float = DEFAULT_TOLERANCES["HESS_EQUIV"]) -> list:
     """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds:
     two representations of the same Hessian agree entrywise."""
     if np.any(binds[:, 0] ^ binds[:, 1] != binds[:, 4] ^ binds[:, 5]):
@@ -576,7 +600,8 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float =
     ]
 
 
-def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8) -> list:
+def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
+                       tolerance: float = DEFAULT_TOLERANCES["HESS_RANK"]) -> list:
     """HESS_RANK for every row [I2] of binds, I2 as a mask: the finite part of
     a multiplicity-2 partition, whose Hessian has rank exactly 3 for g > 3
     (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6) and full rank at g = 3."""
@@ -601,7 +626,8 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 
     ]
 
 
-def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-3) -> list:
+def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
+                     tolerance: float = DEFAULT_TOLERANCES["CONJ_M"]) -> list:
     """CONJ_M for every row [I0 K j_m j_n] of binds: the representation at
     order m = (|K|+1)//2, matched up to a global sign; for m >= 4 the
     residual is reported only."""
@@ -630,7 +656,8 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e
 # Riemann-Jacobi derivative formula
 # ---------------------------------------------------------------------------
 
-def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-6) -> list:
+def rj_det_batch(ctx: CurveContext, binds: np.ndarray,
+                 tolerance: float = DEFAULT_TOLERANCES["RJ_DET"]) -> list:
     """RJ_DET for the first column I0 of every row of binds (g finite indices):
 
         |det(grad theta[I0^{(i)}], i in I0)| = pi^g |theta[I0]| prod_{j in J0} |theta[J0^{(j)}]|

@@ -41,7 +41,7 @@ import numpy as np
 from .characteristics import _char, mask_chars
 from .context import CurveContext
 from .indexsets import finite_mask, index_masks, index_rows, index_sets
-from .relations import VerificationRecord, general_r_tensor
+from .relations import DEFAULT_TOLERANCES, VerificationRecord, general_r_tensor
 from .thomae import first_thomae_rhs
 
 
@@ -138,9 +138,9 @@ def root_sum_residual(roots: np.ndarray, printed_signs: str) -> tuple[float, str
     return combos[-1], patterns[best], combos[best]
 
 
-def schottky_r_batch(
-    ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-8, det_tolerance: float = 1e-10,
-) -> list:
+def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
+                     tolerance: float = DEFAULT_TOLERANCES["SCHOTTKY_R"],
+                     det_tolerance: float = DEFAULT_TOLERANCES["SCHOTTKY_DETR"]) -> list:
     """The three routes to the rank-1 Schottky relation, three records for
     every row [I0 K j_m j_n] of binds, K = {p_1 < .. < p_4} in I0:
 
@@ -191,6 +191,13 @@ def schottky_r_batch(
 # --- Appendix F case definitions -------------------------------------------
 
 _F_CASES: dict[str, dict] = {
+    # genus 3, rank 2: the cosets are the printed 4-term products
+    "schottky.F69G3": {
+        "genus": 3,
+        "group": [(2, 3), (4, 5, 6, 7)],
+        "a_sets": [(2, 4, 6), (2, 4, 7), (2, 4, 5)],
+        "signs": "+--",
+    },
     "schottky.F69": {
         "genus": 4,
         "group": [(1, 2), (1, 2, 3), (1, 2, 3, 4, 5)],
@@ -229,13 +236,6 @@ _F_CASES: dict[str, dict] = {
     },
 }
 
-# Genus-3 relation printed without square roots: the three 4-term products.
-_F69G3_PRODUCTS = [
-    ((2, 4, 6), (3, 5, 7), (2, 5, 7), (3, 4, 6)),
-    ((2, 4, 7), (3, 5, 6), (2, 5, 6), (3, 4, 7)),
-    ((2, 4, 5), (3, 6, 7), (2, 6, 7), (3, 4, 5)),
-]
-
 # Equal-ratio chain, genus 4 to 5: the genus-5 theta products under the
 # listed ratios; verified against their own Thomae values (single curve).
 _RATIO45_PRODUCTS = [
@@ -247,12 +247,12 @@ _RATIO45_PRODUCTS = [
     ((2, 3, 6, 9, 11), (1, 3, 6, 9, 11)),
 ]
 
-CASE_IDS = tuple(sorted(_F_CASES)) + ("schottky.F69G3", "schottky.Ratio45")
-CASE_GENUS = {**{c: case["genus"] for c, case in _F_CASES.items()},
-              "schottky.F69G3": 3, "schottky.Ratio45": 5}
+CASE_IDS = tuple(sorted(_F_CASES)) + ("schottky.Ratio45",)
+CASE_GENUS = {**{c: case["genus"] for c, case in _F_CASES.items()}, "schottky.Ratio45": 5}
 
 
-def appendix_f_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e-7) -> list:
+def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
+                     tolerance: float = DEFAULT_TOLERANCES["SCHOTTKY_F"]) -> list:
     """The Appendix-F Schottky case at every row [position in CASE_IDS] of
     binds, each with its printed sign pattern."""
     out = []
@@ -262,13 +262,6 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float = 1e
         case_id = CASE_IDS[pos]
         if ctx.g != CASE_GENUS[case_id]:
             raise ValueError(f"{case_id} needs genus {CASE_GENUS[case_id]}")
-        if case_id == "schottky.F69G3":
-            terms = ctx.consts(index_masks(np.array(_F69G3_PRODUCTS))).prod(axis=1) * [1, -1, -1]
-            resid = float(np.abs(terms.sum()) / np.abs(terms).max())
-            out.append(VerificationRecord(
-                "SCHOTTKY_F", {"case": case_id}, resid, tolerance, notes="signs +--"
-            ))
-            continue
         if case_id == "schottky.Ratio45":
             prods = ctx.consts(index_masks(np.array(_RATIO45_PRODUCTS))).prod(axis=1)
             refs = np.array([first_thomae_rhs(ctx, a) * first_thomae_rhs(ctx, b)

@@ -749,12 +749,6 @@ def oracle_appendix_f(
     ctx: CurveContext, case_id: str, tolerance: float = 1e-7
 ) -> VerificationRecord:
     """One Appendix-F Schottky case with the printed sign pattern."""
-    if case_id == "schottky.F69G3":
-        qs = [np.prod([ctx.const(s) for s in group]) for group in sch._F69G3_PRODUCTS]
-        terms = [qs[0], -qs[1], -qs[2]]
-        resid = abs(sum(terms)) / (max(abs(t) for t in terms) + TINY)
-        return VerificationRecord("SCHOTTKY_F", {"case": case_id}, resid, tolerance,
-                                  notes="signs +--")
     if case_id == "schottky.Ratio45":
         worst = 0.0
         for pair in sch._RATIO45_PRODUCTS:

@@ -136,7 +136,7 @@ def test_elementary_symmetric_generating_identity():
     idx = (1, 3, 4, 6, 7)
     rng = np.random.default_rng(7)
     for t in rng.uniform(-1.5, 1.5, size=10):
-        lhs = np.prod([1 + spec.point(i) * t for i in idx])
+        lhs = np.prod([1 + spec.branch_points[i - 1] * t for i in idx])
         rhs = sum(elementary_symmetric(spec, idx, n) * t**n for n in range(len(idx) + 1))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 

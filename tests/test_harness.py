@@ -148,6 +148,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+def test_cli_rejects_a_relations_filter_naming_no_family(monkeypatch, capsys, value):
+    # an empty filter once ran every family
+    def no_periods(*args, **kwargs):
+        raise AssertionError("periods computed for an empty --relations")
+
+    monkeypatch.setattr("thomae_lab.harness.compute_periods", no_periods)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--genus", "2", "--seed", "1", "--relations", value])
+    assert exc.value.code == 2
+    assert f"argument --relations: {value!r} names no family" in capsys.readouterr().err
+
+
+def test_cli_skips_empty_relation_names(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--genus", "2", "--seed", "1", "--relations", "THOMAE1,",
+                 "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["relations"] == ["THOMAE1"]
+    assert {r["relation_id"] for r in payload["records"]} == {"THOMAE1"}
+
+
+def test_genus_1_curve_is_rejected(tmp_path, capsys):
+    # a genus-1 curve has no instance of any family: it once passed with 0 records
+    spec = validate_curve(1, [-1, 0, 1])
+    with pytest.raises(ValueError, match="the suite needs genus >= 2, got genus 1"):
+        SuiteConfig(spec=spec)
+    curve_path = tmp_path / "g1.json"
+    curve_path.write_text(json.dumps({"genus": 1, "branch_points": [-1, 0, 1]}))
+    assert main(["verify", "--curve", str(curve_path)]) == 2
+    assert "the suite needs genus >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", ["-5", "0", "x"])
 def test_cli_rejects_bad_cap_before_compute(monkeypatch, capsys, cap):
     def no_periods(*args, **kwargs):

@@ -9,6 +9,7 @@ from thomae_lab.characteristics import _char, _table, char_of_set
 from thomae_lab.harness import _mask
 from thomae_lab.schottky import (
     CASE_IDS,
+    _F_CASES,
     appendix_f_batch,
     coset_products,
     goepel_elements,
@@ -136,9 +137,36 @@ def test_f69_case(ctx):
     assert "best +--" in rec.notes
 
 
+# Appendix F's genus-3 relation as printed, without square roots: the three
+# 4-term products, q_1 - q_2 - q_3 = 0
+F69G3_PRODUCTS = [
+    ((2, 4, 6), (3, 5, 7), (2, 5, 7), (3, 4, 6)),
+    ((2, 4, 7), (3, 5, 6), (2, 5, 6), (3, 4, 7)),
+    ((2, 4, 5), (3, 6, 7), (2, 6, 7), (3, 4, 5)),
+]
+
+
+def test_f69g3_cosets_are_the_printed_products():
+    case = _F_CASES["schottky.F69G3"]
+    members = masks(case["a_sets"])[:, None] ^ goepel_elements(3, masks(case["group"]))
+    assert [sets_of(row) for row in members] == [set(p) for p in F69G3_PRODUCTS]
+
+
 def test_f69g3_case(ctx):
     rec = case_record(ctx(3), "schottky.F69G3")
     assert rec.residual < 1e-7
+    assert "best +--" in rec.notes
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_f69g3_case_matches_the_printed_products(random_ctx, seed):
+    # the coset route against q_1 - q_2 - q_3 of the printed products
+    c = random_ctx(3, seed)
+    q = [np.prod(c.consts(masks(group))) for group in F69G3_PRODUCTS]
+    printed = abs(q[0] - q[1] - q[2]) / max(abs(x) for x in q)
+    rec = case_record(c, "schottky.F69G3")
+    assert "best +--" in rec.notes
+    assert abs(rec.residual - printed) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -44,12 +44,11 @@ class CurveContext:
     def build(
         cls,
         spec: CurveSpec,
-        quad_order: int = 96,
         theta_tol: float = DEFAULT_TOL,
         periods: PeriodData | None = None,
         order: int = 4,
     ) -> "CurveContext":
-        periods = periods if periods is not None else compute_periods(spec, quad_order)
+        periods = periods if periods is not None else compute_periods(spec)
         engine = ThetaEngine(periods.tau, tol=theta_tol, order=order)
         return cls(spec=spec, periods=periods, engine=engine)
 

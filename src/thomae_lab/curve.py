@@ -52,6 +52,8 @@ def validate_curve(genus: int, branch_points: Sequence[float], label: str = "") 
     or a string is neither, though JSON and Python would convert it."""
     if isinstance(genus, bool) or not isinstance(genus, numbers.Integral):
         raise ValueError(f"genus must be an integer, got {genus!r}")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
     genus = int(genus)
     if genus < 1:  # genus 1 serves the oracle tests; a suite needs g >= 2
         raise ValueError(f"genus must be a positive integer (got {genus})")

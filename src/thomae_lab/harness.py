@@ -58,6 +58,8 @@ class SuiteConfig:
             raise ValueError(f"the suite needs genus >= 2, got genus {self.spec.genus}")
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.quad_order < 1:
             raise ValueError(f"quad_order must be at least 1, got {self.quad_order}")
         if not (math.isfinite(self.theta_tol) and self.theta_tol > 0):
@@ -135,15 +137,15 @@ class Report:
         return "\n".join(lines)
 
 
-def random_curve(g: int, seed: int, low: float = -10.0, high: float = 10.0, min_gap: float = 0.3) -> CurveSpec:
-    """2g+1 sorted uniform points with a minimum gap, deterministic per seed."""
+def random_curve(g: int, seed: int) -> CurveSpec:
+    """2g+1 sorted uniform points on [-10, 10] with gaps >= 0.3, deterministic per seed."""
     if g < 2:
         raise ValueError("random curves start at genus 2")
     check_genus(g)
     rng = np.random.default_rng([g, seed])
     while True:
-        pts = np.sort(rng.uniform(low, high, size=2 * g + 1))
-        if np.min(np.diff(pts)) >= min_gap:
+        pts = np.sort(rng.uniform(-10.0, 10.0, size=2 * g + 1))
+        if np.min(np.diff(pts)) >= 0.3:
             return validate_curve(g, pts.tolist(), label=f"random-g{g}-seed{seed}")
 
 
@@ -600,11 +602,12 @@ def run_suite(cfg: SuiteConfig) -> Report:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     periods = compute_periods(cfg.spec, cfg.quad_order)
-    order = run_order(running, cfg.spec.genus, cfg.enable_heavy)
-    ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     timings["periods"] = time.perf_counter() - t0
 
+    # the engine enumerates its lattice as it is built: calibration time
     t0 = time.perf_counter()
+    order = run_order(running, cfg.spec.genus, cfg.enable_heavy)
+    ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     cal = ctx.calibration = calibrate_phases(ctx)
     # the calibration lists every I_0 in combinations order, i.e. sorted by set
     calibration = [
@@ -630,7 +633,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
             "hash": cfg.spec.content_hash(),
         },
         periods={"quad_order": periods.quad_order, "est_error": periods.est_error},
-        # points before radius: the enumeration sets the radius
         theta={"order": order, "points": ctx.engine.points, "radius": round(ctx.engine.radius, 6)},
         calibration=calibration,
         records=records,
@@ -656,7 +658,7 @@ def _parse_tolerances(parser: argparse.ArgumentParser, values: list[str]) -> dic
     out = {}
     for item in values:
         for piece in item.split(","):
-            if not piece:
+            if not piece.strip():
                 continue
             name, sep, val = piece.partition("=")
             name = name.strip().upper()
@@ -701,6 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     if args.cap < 1:
         parser.error(f"argument --cap: must be at least 1, got {args.cap}")
     if args.quad_order < 1:

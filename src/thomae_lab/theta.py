@@ -38,14 +38,15 @@ multi-index; the mirror-bin identity
 gives the moments of the full class (less one origin term, m = 1, for
 eps' = 0 and k = 0).  A 2^g x 2^g Hadamard product (+-1 entries
 (-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
-at once.  The engine keeps one store per derivative order: an array with
-row eps' << g | eps for every characteristic and one column per sorted
-multi-index, plus the largest single |term| of each class.  One gather,
-:meth:`ThetaEngine.values`, serves every reader, and builds a class the
-first time one of its rows is read, with one batched Hadamard product for
-every class a read adds; order 0 is built whole, by one segmented sum over
-the key-sorted weights.  The engine is built for a highest derivative order
-k (4 by default) and enumerates once, at the order-k radius R_k, which also
+at once.  The engine keeps one store per derivative order, (table, built):
+the table has row eps' << g | eps for every characteristic and one column
+per sorted multi-index, and built marks the classes whose rows are filled.
+One gather, :meth:`ThetaEngine.values`, serves every reader, and builds a
+class the first time one of its rows is read, with one batched Hadamard
+product for every class a read adds; order 0 is built whole, by one
+segmented sum over the key-sorted weights.  The engine is built for a
+highest derivative order k (4 by default) and enumerates and weighs the
+lattice once, at construction, at the order-k radius R_k, which also
 serves every lower order; it refuses any order above k, whose tail R_k
 would cut short.  theta(char, v) for v != 0 pairs q with -q in the same
 way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -80,7 +81,7 @@ class DerivThetaTensor:
     char: HalfCharacteristic
     order: int
     entries: np.ndarray  # shape (g,)*order; shape () for order 0
-    scale: float  # largest single |term| contributing to any entry
+    scale: float  # largest single |term| of any entry, computed on each call
 
 
 def _tail_bound(tau: np.ndarray, order: int):
@@ -107,7 +108,7 @@ def _tail_bound(tau: np.ndarray, order: int):
     return lam_min, bound
 
 
-def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float = RADIUS_WARN) -> float:
+def truncation_radius(tau: np.ndarray, tol: float, order: int = 0) -> float:
     """The smallest R (to about 1e-3 in R^2) at which the proven bound B_k(R)
     on the order-k tail falls below tol.  L^t L = pi Im(tau).
 
@@ -160,9 +161,9 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0, r_max: float 
     else:
         raise ArithmeticError(f"no theta truncation radius with a tail bound below {tol} was found")
     r = math.sqrt(r2)
-    if r / math.sqrt(lam_min) > r_max:
+    if r / math.sqrt(lam_min) > RADIUS_WARN:
         warnings.warn(
-            f"theta truncation radius {r / math.sqrt(lam_min):.1f} exceeds {r_max}: "
+            f"theta truncation radius {r / math.sqrt(lam_min):.1f} exceeds {RADIUS_WARN}: "
             "Im tau is nearly singular",
             RuntimeWarning,
         )
@@ -322,35 +323,24 @@ class ThetaEngine:
 
     def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, radius: float | None = None,
                  order: int = 4):
-        self.tau = np.ascontiguousarray(tau, dtype=complex)  # .imag, .real: float views
+        self.tau = tau = np.ascontiguousarray(tau, dtype=complex)  # .imag, .real: float views
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"ThetaEngine.tol must be finite and > 0, got {tol}")
-        if np.min(np.linalg.eigvalsh(self.tau.imag)) <= 0:
+        if np.min(np.linalg.eigvalsh(tau.imag)) <= 0:
             raise ValueError("Im tau must be positive definite")
         self.tol = tol
-        self.g = self.tau.shape[0]
+        self.g = tau.shape[0]
         self.order = order
-        self.radius = radius
-        self._p: np.ndarray | None = None  # (N, g) int16 points p = 2q, key-sorted
-        self._m: np.ndarray | None = None  # (N,) their weights
-        self._starts: np.ndarray | None = None  # (4^g + 1,) key starts
-        self._stores: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # order -> (T, scale)
-
-    def _lattice(self) -> None:
-        """Enumerate the lattice and weigh its points, once."""
-        if self._p is not None:
-            return
-        g, tau = self.g, self.tau
-        check_genus(g)
-        if self.radius is None:
-            # the radius grows with the order, so R_k serves every order <= k
-            self.radius = truncation_radius(tau, self.tol, order=self.order)
+        check_genus(self.g)
+        # the radius grows with the order, so R_k serves every order <= k
+        self.radius = truncation_radius(tau, tol, order=order) if radius is None else radius
         chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
         # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
         if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:
             raise ValueError(f"theta truncation radius {self.radius} is too large")
-        p, starts = _ellipsoid_points(chol, 2 * self.radius)
-        # m = exp(-pi q^t Y q), times exp(i pi q^t X q) only when X = Re(tau) != 0
+        # (N, g) int16 points p = 2q, key-sorted, and the (4^g + 1,) key starts
+        p, self._starts = _ellipsoid_points(chol, 2 * self.radius)
+        # their weights m = exp(-pi q^t Y q), times exp(i pi q^t X q) only when X = Re(tau) != 0
         y, x = tau.imag, tau.real
         real = not x.any()
         m = np.empty(len(p), dtype=float if real else complex)
@@ -358,17 +348,16 @@ class ThetaEngine:
             q = 0.5 * p[lo : lo + _BLOCK]
             w = np.exp(-np.pi * np.einsum("ij,ij->i", q @ y, q))
             m[lo : lo + _BLOCK] = w if real else w * np.exp(1j * np.pi * np.einsum("ij,ij->i", q @ x, q))
-        self._p, self._m, self._starts = p, m, starts
+        self._p, self._m = p, m
+        self._stores: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # order -> (T, built)
 
     @property
     def points(self) -> int:
         """Lattice points stored: one of each pair q, -q, and the origin."""
-        self._lattice()
         return len(self._p)
 
     def _lattice_class(self, eps_prime: int) -> _LatticeClass:
         """The class of eps' (g bits, first entry most significant)."""
-        self._lattice()
         starts = self._starts[eps_prime << self.g : (eps_prime + 1 << self.g) + 1]
         lo, hi = starts[0], starts[-1]
         return _LatticeClass(self._p[lo:hi], self._m[lo:hi], starts - lo)
@@ -386,49 +375,39 @@ class ThetaEngine:
         return phase[:, :, None] * (_hadamard(g) @ full)
 
     def _build(self, order: int, eps_prime: np.ndarray) -> None:
-        """Fill the store rows and scales of the classes eps_prime with one
-        batched transform.  Order 0 fills every class, from one segmented
-        sum over the key-sorted weights."""
+        """Fill the store rows of the classes eps_prime with one batched
+        transform.  Order 0 fills every class, from one segmented sum over
+        the key-sorted weights."""
         g, m = self.g, self._m
-        table, scale = self._stores[order]
+        table, built = self._stores[order]
         if order == 0:
-            eps_prime, key_starts = np.arange(2**g), self._starts
+            eps_prime, starts = np.arange(2**g), self._starts
             bins = np.zeros(4**g, dtype=m.dtype)
-            filled = np.flatnonzero(np.diff(key_starts))
-            bins[filled] = np.add.reduceat(m, key_starts[filled])
-            size = np.zeros(2**g)
-            cls_starts = key_starts[:: 2**g]
-            occupied = np.flatnonzero(np.diff(cls_starts))
-            size[occupied] = np.maximum.reduceat(np.abs(m), cls_starts[occupied])
+            filled = np.flatnonzero(np.diff(starts))
+            bins[filled] = np.add.reduceat(m, starts[filled])
         else:
-            bins = np.zeros((len(eps_prime), 2**g, table.shape[1]), dtype=m.dtype)
-            size = np.zeros(len(eps_prime))
-            for i, e in enumerate(eps_prime.tolist()):
-                bins[i], size[i] = self._bins(self._lattice_class(e), order)
+            bins = np.stack([self._bins(self._lattice_class(e), order) for e in eps_prime.tolist()])
         table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
             bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order)
-        scale[eps_prime] = (2 * np.pi) ** order * size
+        built[eps_prime] = True
 
-    def _bins(self, cls: _LatticeClass, order: int) -> tuple[np.ndarray, float]:
+    def _bins(self, cls: _LatticeClass, order: int) -> np.ndarray:
         """bins[b, j], the sum over parity bin b of the class of m times the
-        j-th sorted monomial of degree order >= 1, and the class's largest
-        |m| max_i |q_i|^order."""
-        g = self.g
-        tail, pick, _ = _layout(g, order)
-        bins = np.zeros((2**g, len(pick)), dtype=cls.m.dtype)
+        j-th sorted monomial of degree order >= 1."""
+        tail, pick, _ = _layout(self.g, order)
+        bins = np.zeros((2**self.g, len(pick)), dtype=cls.m.dtype)
         filled = np.flatnonzero(np.diff(cls.starts))
         q = 0.5 * cls.p
-        size = float(np.max(np.abs(cls.m) * reduce(np.maximum, np.abs(q).T) ** order, initial=0.0))
         if order == 1:
             bins[filled] = np.add.reduceat(cls.m[:, None] * q, cls.starts[filled])
-            return bins, size
+            return bins
         for b in filled:
             lo, hi = cls.starts[b], cls.starts[b + 1]
             rest = cls.m[lo:hi, None]
             for c in tail.T:
                 rest = rest * q[lo:hi, c]
             bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
-        return bins, size
+        return bins
 
     def values(self, chars: np.ndarray, order: int) -> np.ndarray:
         """Order-k derivative tensors at 0 of theta[c] for an int array of
@@ -436,17 +415,16 @@ class ThetaEngine:
         shape chars.shape + (g,)*k: the constants for k = 0, the gradients for
         k = 1.  A class is built the first time one of its rows is read."""
         self._check_order(order)
-        self._lattice()
         g = self.g
         if order not in self._stores:
             self._stores[order] = (np.empty((4**g, math.comb(g + order - 1, order)), dtype=complex),
-                                   np.full(2**g, np.nan))
-        table, scale = self._stores[order]
+                                   np.zeros(2**g, dtype=bool))
+        table, built = self._stores[order]
         chars = np.asarray(chars)
-        if math.isnan(scale.sum()):  # a class is not built yet
+        if not built.all():
             new = np.zeros(2**g, dtype=bool)
             new[chars & (1 << g) - 1] = True
-            new = np.flatnonzero(new & np.isnan(scale))
+            new = np.flatnonzero(new & ~built)
             if len(new):
                 self._build(order, new)
         # a C-contiguous gather, as the families' sums expect
@@ -474,15 +452,17 @@ class ThetaEngine:
         return complex(2.0 * np.sum(cls.m * np.cos(np.pi * (cls.p @ shift))) - (eps_prime == 0))
 
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
-        """All order-m partial derivatives of theta[char] at v = 0.  No run
-        calls it: it is a traced entry point of the benchmark
+        """All order-m partial derivatives of theta[char] at v = 0, and their
+        scale (2 pi)^m max |m| max_i |q_i|^m over the class, computed here.
+        No run calls it: it is a traced entry point of the benchmark
         (bench/layers.py), which reads ``order`` by name for its
         ``theta.deriv.calls.o1``..``o3`` counters and times it as
         ``theta.deriv.self_s``; :meth:`CurveContext.deriv` calls it."""
         self._check(char)
         entries = np.asarray(self.values(char.bits, order))  # shape () at order 0
-        scale = self._stores[order][1][char.bits & ((1 << self.g) - 1)]
-        return DerivThetaTensor(char=char, order=order, entries=entries, scale=float(scale))
+        cls = self._lattice_class(char.bits & ((1 << self.g) - 1))
+        size = np.max(np.abs(cls.m) * np.abs(0.5 * cls.p).max(axis=1) ** order, initial=0.0)
+        return DerivThetaTensor(char, order, entries, float((2 * np.pi) ** order * size))
 
     def _check(self, char: HalfCharacteristic) -> None:
         if char.genus != self.g:

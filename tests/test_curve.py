@@ -74,6 +74,7 @@ def test_validate_accepts_integral_and_real_number_types():
     ("branch_points", [1, 2, 3, 4, "5"], "branch_points must be real numbers"),
     ("branch_points", None, "branch_points must be a list"),
     ("genus", 9, "g <= 8"),
+    ("label", [1], "label must be a string"),
 ])
 def test_cli_rejects_a_malformed_curve_file_before_compute(tmp_path, monkeypatch, capsys,
                                                            field, value, match):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,12 +12,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from thomae_lab import theta as theta_module
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import (
     DEFAULT_TOLERANCES,
     FAMILIES,
     SuiteConfig,
     _family_rng,
+    _parse_tolerances,
+    build_parser,
     main,
     random_curve,
     run_order,
@@ -170,6 +174,15 @@ def test_cli_skips_empty_relation_names(tmp_path):
     assert {r["relation_id"] for r in payload["records"]} == {"THOMAE1"}
 
 
+def test_cli_skips_blank_tolerance_pieces(tmp_path):
+    # a trailing ", " once failed with "' ': expected NAME=VAL"
+    out = tmp_path / "r.json"
+    assert main(["verify", "--genus", "2", "--seed", "1", "--relations", "THOMAE1",
+                 "--tol-family", "THOMAE1=1e-6, ", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tolerances"] == {"THOMAE1": 1e-6}
+    assert _parse_tolerances(build_parser(), [" , "]) == {}
+
+
 def test_genus_1_curve_is_rejected(tmp_path, capsys):
     # a genus-1 curve has no instance of any family: it once passed with 0 records
     spec = validate_curve(1, [-1, 0, 1])
@@ -231,8 +244,9 @@ def test_suite_config_rejects_bad_quad_order():
     (["--theta-tol", "inf"], "--theta-tol", "got inf"),
     (["--theta-tol", "-1"], "--theta-tol", "got -1.0"),
     (["--theta-tol", "0"], "--theta-tol", "got 0.0"),
+    (["--seed", "-1"], "--seed", "got -1"),
 ], ids=["negative", "nan", "no-value", "quad-order-0", "theta-tol-nan", "theta-tol-inf",
-        "theta-tol-negative", "theta-tol-0"])
+        "theta-tol-negative", "theta-tol-0", "seed-negative"])
 def test_cli_rejects_bad_numbers_before_compute(monkeypatch, capsys, args, option, item):
     def no_periods(*a, **kw):
         raise AssertionError("periods computed for an invalid option")
@@ -257,6 +271,25 @@ def test_text_report_prints_tolerance_range(capsys):
 def test_suite_config_rejects_bad_cap(cap):
     with pytest.raises(ValueError, match="cap must be at least 1"):
         SuiteConfig(spec=random_curve(2, 1), cap=cap)
+
+
+def test_suite_config_rejects_a_negative_seed():
+    # numpy's default_rng rejects it only once the periods are computed
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SuiteConfig(spec=random_curve(2, 1), seed=-1)
+
+
+def test_timings_charge_the_lattice_to_calibration(monkeypatch):
+    # the engine enumerates its lattice as the context is built
+    enumerate_points = theta_module._ellipsoid_points
+
+    def slow(*args):
+        time.sleep(0.3)
+        return enumerate_points(*args)
+
+    monkeypatch.setattr(theta_module, "_ellipsoid_points", slow)
+    report = run_suite(SuiteConfig(spec=random_curve(2, 1), relations=("THOMAE1",), cap=5, seed=1))
+    assert report.timings["periods"] < 0.3 <= report.timings["calibration"]
 
 
 def test_cli_text_output(capsys):

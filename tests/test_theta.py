@@ -297,7 +297,7 @@ def test_truncation_radius_monotone():
 def test_truncation_radius_warns_near_singular():
     tau = 1j * np.diag([1.0, 1e-4])
     with pytest.warns(RuntimeWarning, match="nearly singular"):
-        truncation_radius(tau, 1e-14, r_max=40.0)
+        truncation_radius(tau, 1e-14)
 
 
 def test_doubling_radius_stability(ctx):
@@ -385,7 +385,6 @@ def test_truncation_tail_at_each_order_radius(sweep_curves):
         g = tau.shape[0]
         radii = [truncation_radius(tau, tol, order=k) for k in range(5)]
         eng = ThetaEngine(tau, tol=tol, radius=radii[4] + 1.0)
-        eng._lattice()
         q = 0.5 * eng._p
         norm2 = np.pi * np.einsum("ij,ij->i", q @ tau.imag, q)  # ||L q||^2
         reach = 2 * np.pi * np.abs(q).max(axis=1)

@@ -235,8 +235,8 @@ def _own_constants(c):
 
     broken = copy.copy(c)
     broken.engine = copy.copy(c.engine)
-    table, scale = c.engine._stores[0]
-    broken.engine._stores = {0: (table.copy(), scale)}
+    table, built = c.engine._stores[0]
+    broken.engine._stores = {0: (table.copy(), built)}
 
     def row(indices):
         return _store_rows(c.g)[char_of_set(c.g, indices).bits]

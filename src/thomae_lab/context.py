@@ -10,16 +10,17 @@ first time it is read; :meth:`CurveContext.consts` and
 for the highest derivative order its caller reads (4 by default): the
 engine enumerates its lattice at that order's truncation radius and refuses
 higher orders.  The context also computes the curve-wide determinant factor
-of the Thomae formulas once.
+of the Thomae formulas once.  It holds no per-curve phase: every Thomae
+phase is a prediction of :mod:`thomae`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -28,17 +29,12 @@ from .curve import CurveSpec
 from .periods import PeriodData, compute_periods
 from .theta import DEFAULT_TOL, DerivThetaTensor, ThetaEngine
 
-if TYPE_CHECKING:
-    from .thomae import PhaseCalibration
-
 
 @dataclass
 class CurveContext:
     spec: CurveSpec
     periods: PeriodData
     engine: ThetaEngine
-    # set by ``run_suite`` once the phases are calibrated; THOMAE1 reads it
-    calibration: PhaseCalibration | None = field(default=None, repr=False)
 
     @classmethod
     def build(

@@ -1,13 +1,15 @@
 """Suite orchestration and the ``thomae-lab`` command line interface.
 
-``run_suite`` executes verification families in dependency order (periods,
-phase calibration, Thomae formulas, relations, Schottky) over exhaustive or
-seeded-sampled bindings, and assembles a reproducible report: given the same
-configuration the JSON output is byte-identical (wall-clock timings are
-included only on request).
+``run_suite`` computes the periods, builds the theta engine, and runs the
+verification families in table order (Thomae formulas, relations, Schottky)
+over exhaustive or seeded-sampled bindings.  It assembles a reproducible
+report: given the same configuration the JSON output is byte-identical
+(wall-clock timings are included only on request).  Every phase the Thomae
+families compare is predicted by :mod:`thomae`, none is fitted, so a misfit
+of the first Thomae formula is a failed THOMAE1 record.
 
 Exit codes: 0 all relations pass, 1 at least one relation failed, 2 the
-infrastructure (curve, periods, calibration) failed.
+infrastructure (curve, periods, lattice) failed.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ import numpy as np
 
 from . import relations as rel
 from . import schottky as sch
-from .characteristics import _char, part_sizes
+from .characteristics import part_sizes
 from .context import CurveContext
 from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
 from .indexsets import finite_mask, index_masks, index_rows, index_sets
 from .periods import compute_periods
 from .relations import DEFAULT_TOLERANCES, VerificationRecord
-from .thomae import calibrate_phases, general_thomae_batch, snap_phase, thomae_prefactor
+from .thomae import calibrate_phases, general_thomae_batch, thomae_prefactor
 
 
 def _check_tolerance(family: str, value: float) -> None:
@@ -80,7 +82,6 @@ class Report:
     curve: dict
     periods: dict
     theta: dict
-    calibration: list
     records: list[VerificationRecord]
     timings: dict
     config: dict
@@ -97,7 +98,6 @@ class Report:
             "curve": self.curve,
             "periods": self.periods,
             "theta": self.theta,
-            "calibration": self.calibration,
             "records": [r.as_dict() for r in self.records],
             "summary": self.summary(),
             "config": self.config,
@@ -113,8 +113,6 @@ class Report:
             f"periods: quad_order {self.periods['quad_order']}, est_error {self.periods['est_error']:.3e}",
             f"theta lattice: order {self.theta['order']}, radius {self.theta['radius']}, "
             f"{self.theta['points']} points",
-            f"calibration: {len(self.calibration)} characteristics, "
-            f"worst residual {max((c['residual'] for c in self.calibration), default=0.0):.3e}",
         ]
         by_family: dict[str, list[VerificationRecord]] = {}
         for r in self.records:
@@ -237,8 +235,9 @@ class Family:
 
 def run_order(families, g: int, enable_heavy: bool) -> int:
     """The highest derivative order the families read at genus g, at least
-    0 for the phase calibration: a run enumerates the lattice at its
-    truncation radius.  A family below its ``min_genus`` reads nothing.
+    0: a run enumerates the lattice at its truncation radius, and builds it
+    at order 0 when no family reads theta.  A family below its
+    ``min_genus`` reads nothing.
     Only the entries' fields are read, so an entry replaced by a
     ``functools.wraps`` wrapper still counts."""
     orders = [f.order(g, enable_heavy) if callable(f.order) else f.order
@@ -316,29 +315,20 @@ def _part_masks(ctx, m: int, cap: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _thomae1(ctx, rows, tolerance):
-    """THOMAE1 at the calibration rows ``rows``: |ratio| must be 1 and the
-    ratio an eighth root of unity."""
-    cal = ctx.calibration
-    residual = np.maximum(np.abs(np.abs(cal.ratios[rows]) - 1.0), cal.residuals[rows])
-    return [
-        VerificationRecord("THOMAE1", {"I0": tuple(i0)}, res, tolerance, notes=f"phase {phase:.3f}")
-        for i0, res, phase in zip(
-            cal.sets[rows].tolist(), residual.tolist(), cal.phases[rows].tolist()
-        )
-    ]
+    """THOMAE1 for every row [I0] of rows: theta[I0] over the first Thomae
+    right side must be +1."""
+    residual = np.abs(calibrate_phases(ctx, rows[:, 0]) - 1.0)
+    return [VerificationRecord("THOMAE1", {"I0": i0}, res, tolerance)
+            for i0, res in zip(index_sets(rows[:, 0]), residual.tolist())]
 
 
-def _phase_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of two (B, ...) arrays: the eighth root of unity that takes rhs
-    to lhs at the largest |lhs| entry, the residual
-    max |lhs - phase * rhs| / max |lhs| (at least the snap residual), and the
-    flat position of that entry."""
+def _tensor_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two (B, ...) arrays: the residual max |lhs - rhs| / max |lhs|,
+    and the flat position of the largest |lhs| entry."""
     lhs, rhs = lhs.reshape(len(lhs), -1), rhs.reshape(len(rhs), -1)
-    rows = np.arange(len(lhs))
     flat = np.argmax(np.abs(lhs), axis=1)
-    phase, snap = snap_phase(lhs[rows, flat] / rhs[rows, flat])
-    fit = np.max(np.abs(lhs - phase[:, None] * rhs), axis=1) / np.abs(lhs[rows, flat])
-    return phase, np.maximum(fit, snap), flat
+    largest = np.abs(lhs[np.arange(len(lhs)), flat])
+    return np.max(np.abs(lhs - rhs), axis=1) / largest, flat
 
 
 def _thomae_k(ctx, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,17 +342,14 @@ def _thomae_k(ctx, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _thomae2(ctx, rows, tolerance):
     """THOMAE2 for every row [I1] of rows, the finite part of a
     multiplicity-1 partition as a mask: its gradient is the general formula
-    at m = 1 up to an eighth root of unity."""
+    at m = 1, phase included."""
     parts = rows[:, 0]
-    size = np.bitwise_count(parts)
-    phase, residual = np.empty(len(parts), dtype=complex), np.empty(len(parts))
-    for _, at in rel._groups(size):
+    residual = np.empty(len(parts))
+    for _, at in rel._groups(np.bitwise_count(parts)):
         pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
-        phase[at], residual[at], _ = _phase_fit(ctx.grads(parts[at]), pred)
-    return [
-        VerificationRecord("THOMAE2", {"I1": i1}, res, tolerance, notes=f"phase {p:.3f}")
-        for i1, res, p in zip(index_sets(parts), residual.tolist(), phase.tolist())
-    ]
+        residual[at] = _tensor_fit(ctx.grads(parts[at]), pred)[0]
+    return [VerificationRecord("THOMAE2", {"I1": i1}, res, tolerance)
+            for i1, res in zip(index_sets(parts), residual.tolist())]
 
 
 def _thomaeg_orders(g: int) -> tuple[int, ...]:
@@ -380,20 +367,20 @@ def _thomaeg(ctx, rows, tolerance, tolerance_m3):
     """THOMAEG for every row [Im] of rows, Im the finite part of a
     multiplicity-m partition, m = (g - |Im| + 1) // 2: the order-m
     derivative tensor of theta[Im] is the general formula with K the first
-    g - |Im| finite indices outside Im, up to an eighth root of unity.  At
-    the largest entry, K made of the last such indices must give the same
-    value (K-independence), and the ratio form must be the direct form over
-    the first Thomae right side of Im + K; either failing fails the record."""
+    g - |Im| finite indices outside Im, phase included.  At the largest
+    entry, K made of the last such indices must give the same value
+    (K-independence), and the ratio form must be the direct form over the
+    first Thomae right side of Im + K; either failing fails the record."""
     parts = rows[:, 0]
     size = np.bitwise_count(parts)
     order = (ctx.g - size + 1) // 2
-    phase, k_sets = np.empty(len(rows), dtype=complex), np.empty(len(rows), dtype=np.int64)
+    k_sets = np.empty(len(rows), dtype=np.int64)
     residual, k_indep, ratio_resid = (np.empty(len(rows)) for _ in range(3))
     for s, at in rel._groups(size):
         m = (ctx.g - s + 1) // 2
         k, k_alt = _thomae_k(ctx, parts[at])
         pred, ratio = general_thomae_batch(ctx, parts[at], k)
-        phase[at], residual[at], flat = _phase_fit(ctx.derivs(parts[at], m), pred)
+        residual[at], flat = _tensor_fit(ctx.derivs(parts[at], m), pred)
 
         def entry(t):
             return t.reshape(len(at), -1)[np.arange(len(at)), flat]
@@ -402,7 +389,7 @@ def _thomaeg(ctx, rows, tolerance, tolerance_m3):
         scale = np.abs(pred).reshape(len(at), -1).max(axis=1)
         k_indep[at] = np.abs(v1 - entry(general_thomae_batch(ctx, parts[at], k_alt)[0])) / scale
         r2 = v1 / thomae_prefactor(ctx, parts[at] | k)
-        ratio_resid[at] = np.abs(r1 - r2) / np.maximum(np.abs(r1), np.abs(r2))
+        ratio_resid[at] = rel._match_residuals(r1, r2)
         k_sets[at] = k
     residual = np.where((k_indep > 1e-8) | (ratio_resid > 1e-10), np.maximum(residual, 1.0),
                         residual)
@@ -412,11 +399,11 @@ def _thomaeg(ctx, rows, tolerance, tolerance_m3):
             {"Im": a, "m": m, "K": kset},
             res,
             tolerance_m3 if m == 3 else tolerance,  # m = 3 runs from genus 5 on
-            notes=f"phase {p:.3f}; K-indep {ki:.2e}; ratio-form {rr:.2e}",
+            notes=f"K-indep {ki:.2e}; ratio-form {rr:.2e}",
         )
-        for a, m, kset, res, p, ki, rr in zip(
+        for a, m, kset, res, ki, rr in zip(
             index_sets(parts), order.tolist(), index_sets(k_sets), residual.tolist(),
-            phase.tolist(), k_indep.tolist(), ratio_resid.tolist(),
+            k_indep.tolist(), ratio_resid.tolist(),
         )
     ]
 
@@ -552,7 +539,7 @@ def _schottky_f_bindings(ctx, cfg, rng):
 # Each family samples from its own stream, seeded by crc32(name):
 # reordering a family's draws changes its sampled bindings.
 FAMILIES = {f.name: f for f in (
-    Family("THOMAE1", lambda ctx, cfg, rng: _draw(len(ctx.calibration.sets), cfg.cap, rng),
+    Family("THOMAE1", lambda ctx, cfg, rng: _i0_splits(ctx, 0, _picker(rng, cfg.cap))[:, :1],
            _thomae1, 0),
     Family("THOMAE2", lambda ctx, cfg, rng: _part_masks(ctx, 1, cfg.cap, rng), _thomae2, 1),
     Family("THOMAEG", _thomaeg_bindings, _thomaeg, lambda g, heavy: max(_thomaeg_orders(g)), 3,
@@ -604,20 +591,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
     periods = compute_periods(cfg.spec, cfg.quad_order)
     timings["periods"] = time.perf_counter() - t0
 
-    # the engine enumerates its lattice as it is built: calibration time
+    # the engine enumerates its lattice as it is built
     t0 = time.perf_counter()
     order = run_order(running, cfg.spec.genus, cfg.enable_heavy)
     ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
-    cal = ctx.calibration = calibrate_phases(ctx)
-    # the calibration lists every I_0 in combinations order, i.e. sorted by set
-    calibration = [
-        {"char": str(_char(ctx.g, bits)), "set": i0, "phase": [phase.real, phase.imag],
-         "residual": resid}
-        for bits, i0, phase, resid in zip(
-            cal.bits.tolist(), cal.sets.tolist(), cal.phases.tolist(), cal.residuals.tolist()
-        )
-    ]
-    timings["calibration"] = time.perf_counter() - t0
+    timings["lattice"] = time.perf_counter() - t0
 
     records: list[VerificationRecord] = []
     for family in running:
@@ -634,7 +612,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
         },
         periods={"quad_order": periods.quad_order, "est_error": periods.est_error},
         theta={"order": order, "points": ctx.engine.points, "radius": round(ctx.engine.radius, 6)},
-        calibration=calibration,
         records=records,
         timings={k: round(v, 6) for k, v in timings.items()},
         config={

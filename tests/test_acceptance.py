@@ -35,7 +35,7 @@ from thomae_lab.relations import (
     rj_det_batch,
 )
 from thomae_lab.schottky import CASE_IDS, appendix_f_batch, schottky_r_batch
-from thomae_lab.thomae import first_thomae_rhs, general_thomae_batch, snap_phase
+from thomae_lab.thomae import first_thomae_rhs, general_thomae_batch
 
 pytestmark = pytest.mark.acceptance
 
@@ -150,7 +150,8 @@ def test_criterion_03_vanishing_order(announce, ctx):
 
 
 def test_criterion_04_thomae_one(announce, ctx):
-    worst_mod, worst_snap, counts = 0.0, 0.0, []
+    # the predicted phase is +1
+    worst_mod, worst_phase, counts = 0.0, 0.0, []
     for g in (2, 3, 4):
         c = ctx(g)
         sets = list(combinations(range(1, 2 * g + 2), g))
@@ -158,11 +159,11 @@ def test_criterion_04_thomae_one(announce, ctx):
         for i0 in sets:
             ratio = c.const(i0) / first_thomae_rhs(c, i0)
             worst_mod = max(worst_mod, abs(abs(ratio) - 1.0))
-            worst_snap = max(worst_snap, snap_phase(ratio)[1])
-    ok = worst_mod < 1e-6 and worst_snap < 1e-6 and counts == [10, 35, 126]
+            worst_phase = max(worst_phase, abs(ratio - 1.0))
+    ok = worst_mod < 1e-6 and worst_phase < 1e-6 and counts == [10, 35, 126]
     report(
         announce, 4, "first Thomae, all even non-singular characteristics g=2..4", ok,
-        f"counts {counts}, worst modulus {worst_mod:.1e}, worst 8th-root snap {worst_snap:.1e}",
+        f"counts {counts}, worst modulus {worst_mod:.1e}, worst |ratio - 1| {worst_phase:.1e}",
     )
 
 
@@ -174,10 +175,10 @@ def test_criterion_05_thomae_two(announce, ctx):
             lhs = c.grads(_mask(p.part))
             jm_fin = complement_finite(c.spec.n_finite, p.part)
             rhs = thomae_forms(c, p.part, jm_fin[: g - len(p.part)])[0]
+            # the predicted phase is folded into rhs
             k = int(np.argmax(np.abs(lhs)))
-            phase, snap = snap_phase(lhs[k] / rhs[k])
-            resid = float(np.max(np.abs(lhs - phase * rhs)) / np.max(np.abs(lhs)))
-            worst = max(worst, resid, snap)
+            resid = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
+            worst = max(worst, resid, abs(lhs[k] / rhs[k] - 1.0))
             n += 1
     ok = worst < 1e-6
     report(
@@ -198,8 +199,9 @@ def test_criterion_06_general_thomae(announce, ctx):
             kset = jm_fin[:ksize]
             pred, ratio = thomae_forms(c, a, kset)
             flat = int(np.argmax(np.abs(lhs)))
-            phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
-            resid = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
+            # the predicted phase is folded into pred
+            resid = max(float(np.max(np.abs(lhs - pred)) / np.max(np.abs(lhs))),
+                        abs(lhs.flat[flat] / pred.flat[flat] - 1.0))
             worst["m2" if m == 2 else "m3"] = max(worst["m2" if m == 2 else "m3"], resid)
             entry = np.unravel_index(flat, lhs.shape)
             kalt = jm_fin[-ksize:]

@@ -60,7 +60,6 @@ from thomae_lab.harness import (
 from thomae_lab.indexsets import IndexSet, iset
 from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
 from thomae_lab.theta import ThetaEngine
-from thomae_lab.thomae import FOURTH_ROOTS, snap_phase
 
 TINY = 1e-300
 
@@ -85,8 +84,8 @@ def oracle_eklm(
     ctx: CurveContext, i_set: Iterable[int], j_set: Iterable[int], k: int, m: int, n: int,
     tolerance: float = 1e-8,
 ) -> VerificationRecord:
-    """(e_k - e_m)/(e_k - e_n) equals a squared theta cross ratio up to a
-    fourth root of unity."""
+    """(e_k - e_m)/(e_k - e_n) equals a squared theta cross ratio up to
+    sign."""
     i_set, j_set = iset(i_set), iset(j_set)
     g = ctx.g
     if len(i_set) != g - 1 or len(j_set) != g - 1:
@@ -101,14 +100,14 @@ def oracle_eklm(
         * ctx.const(iset(j_set + (n,))) ** 2
         / (ctx.const(iset(i_set + (m,))) ** 2 * ctx.const(iset(j_set + (m,))) ** 2)
     )
-    phase, _ = snap_phase(lhs / rhs, FOURTH_ROOTS)
-    residual = abs(lhs - phase * rhs) / max(abs(lhs), abs(rhs))
+    sign = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
+    residual = abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
     return VerificationRecord(
         "EKLM",
         {"I": i_set, "J": j_set, "k": k, "m": m, "n": n},
         residual,
         tolerance,
-        notes=f"phase={phase:.0f}" if phase.imag == 0 else f"phase={phase}",
+        notes=f"sign={sign:+.0f}",
     )
 
 
@@ -523,40 +522,36 @@ def oracle_conjecture(
     ctx: CurveContext, i0: Iterable[int], k_set: Iterable[int], order: int,
     j_m: int, j_n: int, tolerance: float = 1e-3,
 ) -> VerificationRecord:
-    """The representation at order m = order, matched up to a global sign;
-    for m >= 4 the residual is reported only."""
+    """The representation at order m = order, R with its own sign; for
+    m >= 4 the residual is reported only."""
     i0, k_set = iset(i0), iset(k_set)
     if order >= 4 and ctx.g < 7:
         raise ValueError("multiplicity >= 4 requires genus >= 7")
     pred, target = _repr_tensors(ctx, i0, k_set, j_m, j_n, order)
-    residual, sign = tensor_match_residual(pred, target), 1
-    flipped = tensor_match_residual(-pred, target)
-    if flipped < residual:
-        residual, sign = flipped, -1
     return VerificationRecord(
         "CONJ_M",
         {"I0": i0, "K": k_set, "m": order, "j_m": j_m, "j_n": j_n},
-        residual,
+        tensor_match_residual(pred, target),
         tolerance,
-        notes=f"global sign {sign:+d}; conjecture: residual reported" if order >= 4 else "",
+        notes="conjecture: residual reported" if order >= 4 else "",
     )
 
 
 def oracle_rj_det(
     ctx: CurveContext, i0: Iterable[int], tolerance: float = 1e-6
 ) -> VerificationRecord:
-    """|det(grad theta[I0^{(i)}], i in I0)| = pi^g |theta[I0]| *
-    prod_{j in J0} |theta[J0^{(j)}]|."""
+    """det(grad theta[I0^{(i)}], i in I0) = (-pi)^g theta[I0] *
+    prod_{j in J0} theta[J0^{(j)}], the sign (-1)^g predicted."""
     i0 = iset(i0)
     if len(i0) != ctx.g or 0 in i0 or ctx.partition(i0).multiplicity() != 0:
         raise ValueError("I_0 must be a multiplicity-0 set of g finite indices")
     j0 = complement_finite(ctx.spec.n_finite, i0)
     mat = np.stack([ctx.grads(_mask(drop(i0, i))) for i in i0], axis=1)
-    lhs = abs(np.linalg.det(mat))
-    rhs = np.pi ** ctx.g * abs(ctx.const(i0))
+    lhs = np.linalg.det(mat)
+    rhs = (-np.pi) ** ctx.g * ctx.const(i0)
     for j in j0:
-        rhs *= abs(ctx.const(drop(j0, j)))
-    residual = abs(lhs - rhs) / max(lhs, rhs)
+        rhs *= ctx.const(drop(j0, j))
+    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return VerificationRecord("RJ_DET", {"I0": i0}, residual, tolerance)
 
 
@@ -595,7 +590,8 @@ def _thomae_tensor(ctx: CurveContext, a: IndexSet, k: IndexSet, m: int) -> np.nd
 def oracle_thomae2(ctx: CurveContext, i1: IndexSet, tolerance: float = 1e-6) -> VerificationRecord:
     """The gradient of a multiplicity-1 characteristic against the closed
     second Thomae form (the general one with the first two finite indices
-    of the complement as K when the part holds infinity)."""
+    of the complement as K when the part holds infinity), times the
+    predicted phase -1."""
     a = ctx.partition(i1).part
     lhs = ctx.grads(_mask(i1))
     if len(a) == ctx.g - 1:
@@ -603,19 +599,17 @@ def oracle_thomae2(ctx: CurveContext, i1: IndexSet, tolerance: float = 1e-6) -> 
     else:
         k = complement_finite(ctx.spec.n_finite, a)[:2]
         rhs = _prefactor(ctx, a) * _thomae_tensor(ctx, a, k, 1)
-    k = int(np.argmax(np.abs(lhs)))
-    phase, snap = snap_phase(lhs[k] / rhs[k])
-    residual = max(float(np.max(np.abs(lhs - phase * rhs)) / np.max(np.abs(lhs))), snap)
-    return VerificationRecord("THOMAE2", {"I1": i1}, residual, tolerance,
-                              notes=f"phase {phase:.3f}")
+    residual = float(np.max(np.abs(lhs + rhs)) / np.max(np.abs(lhs)))
+    return VerificationRecord("THOMAE2", {"I1": i1}, residual, tolerance)
 
 
 def oracle_thomaeg(
     ctx: CurveContext, a: IndexSet, m: int, tolerance: float = 1e-5, tolerance_m3: float = 1e-4,
 ) -> VerificationRecord:
     """The general Thomae formula at multiplicity m with K the first
-    g - |A| finite indices outside A, plus K-independence and the ratio
-    form at the largest entry."""
+    g - |A| finite indices outside A, times the predicted phase
+    (-1)^{m(m+1)/2}, plus K-independence and the ratio form at the largest
+    entry."""
     ksize = ctx.g - len(a)
     jm_fin = complement_finite(ctx.spec.n_finite, a)
     kset = jm_fin[:ksize]
@@ -623,8 +617,8 @@ def oracle_thomaeg(
     t = _thomae_tensor(ctx, a, kset, m)
     pred = _prefactor(ctx, a) * t
     flat = int(np.argmax(np.abs(lhs)))
-    phase, snap = snap_phase(lhs.flat[flat] / pred.flat[flat])
-    residual = max(float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs))), snap)
+    phase = (-1) ** (m * (m + 1) // 2)
+    residual = float(np.max(np.abs(lhs - phase * pred)) / np.max(np.abs(lhs)))
     v1 = pred.flat[flat]
     v2 = (_prefactor(ctx, a) * _thomae_tensor(ctx, a, jm_fin[-ksize:], m)).flat[flat]
     k_indep = abs(v1 - v2) / float(np.max(np.abs(pred)))
@@ -642,7 +636,7 @@ def oracle_thomaeg(
     return VerificationRecord(
         "THOMAEG", {"Im": a, "m": m, "K": kset}, residual,
         tolerance_m3 if m == 3 else tolerance,
-        notes=f"phase {phase:.3f}; K-indep {k_indep:.2e}; ratio-form {ratio_resid:.2e}",
+        notes=f"K-indep {k_indep:.2e}; ratio-form {ratio_resid:.2e}",
     )
 
 
@@ -901,7 +895,6 @@ _NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
 def test_batch_records_equal_oracle(random_ctx, g, name):
     # every sampled binding at g <= 5, the first 50 at g = 6
     ctx = random_ctx(g, 1)
-    ctx.calibration = thomae.calibrate_phases(ctx)
     cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
     family = FAMILIES[name]
     rows = family.bindings(ctx, cfg, _family_rng(cfg, name))
@@ -1020,7 +1013,6 @@ def test_bindings_hold_python_types(random_ctx, g):
         assert all(_plain(v) for v in rec.bindings.values()), (rec.relation_id, rec.bindings)
     # every family hands its verifier an int array, one binding per row
     ctx = random_ctx(g, 1)
-    ctx.calibration = thomae.calibrate_phases(ctx)
     cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
     for name, family in FAMILIES.items():
         if g < family.min_genus:
@@ -1060,7 +1052,6 @@ def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
     monkeypatch.setattr(harness, "general_thomae_batch", counted)
     c = ctx(5)
     cfg = SuiteConfig(spec=c.spec, cap=100, seed=1)
-    c.calibration = thomae.calibrate_phases(c)
     records = FAMILIES["THOMAEG"](c, cfg, _family_rng(cfg, "THOMAEG"))
     assert records and all(r.passed for r in records)
     assert len(rows) == len(set(rows)) == 2 * len(records)
@@ -1068,39 +1059,36 @@ def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
     assert len(calls) == 2 * len(groups)
 
 
-# --- THOMAE1 from the calibration rows --------------------------------------
+# --- THOMAE1 ------------------------------------------------------------------
 
 def oracle_thomae1(ctx: CurveContext, i0: IndexSet, tolerance: float = 1e-6) -> VerificationRecord:
     """THOMAE1 for one I_0 from scalar lookups: theta[I_0] over the first
-    Thomae right side, snapped to the nearest eighth root."""
+    Thomae right side against the predicted phase +1."""
     ratio = ctx.const(i0) / thomae.first_thomae_rhs(ctx, i0)
-    phase, snap = snap_phase(ratio)
-    residual = max(abs(abs(ratio) - 1.0), snap)
-    return VerificationRecord("THOMAE1", {"I0": i0}, residual, tolerance, notes=f"phase {phase:.3f}")
+    return VerificationRecord("THOMAE1", {"I0": i0}, abs(ratio - 1.0), tolerance)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 500])
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_thomae1_records_equal_oracle(random_ctx, g, cap):
     ctx = random_ctx(g, 1)
-    ctx.calibration = cal = thomae.calibrate_phases(ctx)
     cfg = SuiteConfig(spec=ctx.spec, cap=cap, seed=1)
     # the sampler THOMAE1 used while it ran one binding at a time
     rows = _i0_splits(ctx, 0, _picker(_family_rng(cfg, "THOMAE1"), cap))
     records = FAMILIES["THOMAE1"](ctx, cfg, _family_rng(cfg, "THOMAE1"))
     assert len(records) == len(rows) == min(cap, math.comb(2 * g + 1, g))
-    # the calibration's ratio and snap residual per characteristic, as that
-    # verifier looked them up
-    by_char = {char_of_set(g, i0): (ratio, snap) for i0, ratio, snap in zip(
-        cal.sets.tolist(), cal.ratios.tolist(), cal.residuals.tolist())}
+    # the ratio kernel over every I_0 in combinations order, looked up per
+    # characteristic
+    sets = list(combinations(range(1, 2 * g + 2), g))
+    ratios = thomae.calibrate_phases(ctx, np.array([_mask(i0) for i0 in sets]))
+    by_char = {char_of_set(g, i0): ratio for i0, ratio in zip(sets, ratios.tolist())}
     tol = cfg.tol("THOMAE1")
     for row, got in zip(rows.tolist(), records):
         i0 = _set(row[0])
         want = oracle_thomae1(ctx, i0, tolerance=tol)
         assert (got.relation_id, got.bindings, got.notes, got.passed, got.tolerance) == \
             (want.relation_id, want.bindings, want.notes, want.passed, want.tolerance), i0
-        ratio, snap = by_char[char_of_set(g, i0)]
-        assert got.residual == max(abs(abs(ratio) - 1.0), snap), i0
+        assert got.residual == abs(by_char[char_of_set(g, i0)] - 1.0), i0
         # NumPy's and Python's complex division round differently in the last bit
         assert abs(got.residual - want.residual) <= 1e-13, i0
 

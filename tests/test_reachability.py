@@ -26,6 +26,8 @@ UNREACHED = {
     "theta.ThetaEngine.theta_deriv": "bench-traced theta.deriv.* entry point",
     "theta.ThetaEngine._check": "argument check of the two entry points above",
     "characteristics.Partition.__str__": "only an error message prints a partition",
+    "characteristics.HalfCharacteristic.__str__": "only an error message prints a characteristic",
+    "characteristics._char": "called by char_of_set above and by the coset error message",
     # the Abel-map cross-check of the characteristic table (ROADMAP item 4(c))
     "periods.abel_images": "Abel-map oracle",
     "periods.halfperiod_residual": "Abel-map oracle",

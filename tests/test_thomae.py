@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -5,23 +6,21 @@ import numpy as np
 import pytest
 
 from oracles import complement_finite, drop, enumerate_partitions, vandermonde
-from thomae_lab.characteristics import char_of_set
-from thomae_lab.harness import _mask
+from thomae_lab.characteristics import char_of_set, mask_chars
+from thomae_lab.harness import FAMILIES, _mask, main
 from thomae_lab.indexsets import iset
-from thomae_lab.theta import _store_rows
+from thomae_lab.theta import ThetaEngine, _store_rows
 from thomae_lab.thomae import (
-    EIGHTH_ROOTS,
     calibrate_phases,
     first_thomae_rhs,
     general_thomae_batch,
-    snap_phase,
     thomae_prefactor,
 )
 
 
 def forms(ctx, a, k):
     """The direct and the ratio-form tensor of one (A, K), from a one-row
-    batch."""
+    batch, with the predicted phase folded in."""
     direct, ratio = general_thomae_batch(ctx, np.array([_mask(a)]), np.array([_mask(k)]))
     return direct[0], ratio[0]
 
@@ -77,8 +76,7 @@ def test_first_thomae_all_characteristics(ctx, g):
         rhs = first_thomae_rhs(c, i0)
         ratio = lhs / rhs
         assert abs(abs(ratio) - 1.0) < 1e-6, i0
-        _, snap = snap_phase(ratio)
-        assert snap < 1e-6, i0
+        assert abs(ratio - 1.0) < 1e-6, i0  # the predicted phase is +1
 
 
 def test_first_thomae_rejects_wrong_multiplicity(ctx):
@@ -107,9 +105,8 @@ def test_second_thomae_componentwise(ctx, g):
         k = complement_finite(c.spec.n_finite, part.part)[: g - len(part.part)]
         rhs = forms(c, part.part, k)[0]
         k = int(np.argmax(np.abs(lhs)))
-        phase, snap = snap_phase(lhs[k] / rhs[k])
-        assert snap < 1e-6, part
-        assert np.max(np.abs(lhs - phase * rhs)) < 1e-6 * np.max(np.abs(lhs)), part
+        assert abs(lhs[k] / rhs[k] - 1.0) < 1e-6, part
+        assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(lhs)), part
 
 
 def test_second_thomae_phase_common_across_components(ctx):
@@ -121,10 +118,11 @@ def test_second_thomae_phase_common_across_components(ctx):
 
 
 def test_second_thomae_matches_general_machinery(ctx):
-    # the closed form prefactor * s(I_1) is the |K| = 1 general formula
+    # the closed form -prefactor * s(I_1) is the |K| = 1 general formula; the
+    # predicted phase (-1)^{m(m+1)/2} is -1 at m = 1
     c = ctx(3)
     i1 = (2, 5)
-    closed = thomae_prefactor(c, np.array([_mask(i1)]))[0] * _s_vector(c, i1)
+    closed = -thomae_prefactor(c, np.array([_mask(i1)]))[0] * _s_vector(c, i1)
     for k in complement_finite(7, i1)[:3]:
         v = forms(c, i1, (k,))[0][1]
         assert abs(v - closed[1]) < 1e-12 * abs(v)
@@ -142,9 +140,8 @@ def test_general_thomae_m2_full_tensor(ctx):
     pred = forms(c, (), (1, 2, 3))[0]
     assert pred.shape == (3, 3)
     i, j = np.unravel_index(np.argmax(np.abs(lhs)), lhs.shape)
-    phase, snap = snap_phase(lhs[i, j] / pred[i, j])
-    assert snap < 1e-5
-    assert np.max(np.abs(lhs - phase * pred)) < 1e-5 * np.max(np.abs(lhs))
+    assert abs(lhs[i, j] / pred[i, j] - 1.0) < 1e-5
+    assert np.max(np.abs(lhs - pred)) < 1e-5 * np.max(np.abs(lhs))
 
 
 def test_general_thomae_k_independence(ctx):
@@ -199,33 +196,35 @@ def test_ratio_form_prefactor_positive(ctx):
     assert abs(val_a - val_b) < 1e-10 * abs(val_a)
 
 
+def _first_masks(g):
+    """The finite g-sets I_0 in ``combinations`` order, and their masks."""
+    sets = list(combinations(range(1, 2 * g + 2), g))
+    return sets, np.array([_mask(i0) for i0 in sets])
+
+
 def test_calibration(ctx):
+    # THOMAE1's ratio kernel over every even non-singular characteristic:
+    # each ratio is the predicted phase +1
     for g in (2, 3):
-        cal = calibrate_phases(ctx(g))
-        assert cal.residuals.max() < 1e-6
-        for ph in cal.phases.tolist():
-            assert abs(ph**8 - 1) < 1e-12
-            assert any(abs(ph - r) < 1e-12 for r in EIGHTH_ROOTS)
+        ratios = calibrate_phases(ctx(g), _first_masks(g)[1])
+        assert np.abs(ratios - 1.0).max() < 1e-6
+        for ratio in ratios.tolist():
+            assert abs(ratio / abs(ratio) - 1.0) < 1e-6
         rows = len(list(enumerate_partitions(g, 0)))
-        assert cal.sets.shape == (rows, g)
-        assert len(cal.bits) == len(cal.ratios) == len(cal.phases) == len(cal.residuals) == rows
+        assert ratios.shape == (rows,)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_array_calibration_matches_scalar_rhs(ctx, g):
     c = ctx(g)
-    cal = calibrate_phases(c)
-    sets = list(combinations(range(1, 2 * g + 2), g))
-    assert [tuple(i0) for i0 in cal.sets.tolist()] == sets  # combinations order
-    assert cal.bits.tolist() == [char_of_set(c.g, i0).bits for i0 in sets]
-    for i0, got, got_phase, got_snap in zip(
-        sets, cal.ratios.tolist(), cal.phases.tolist(), cal.residuals.tolist()
-    ):
+    sets, masks = _first_masks(g)
+    ratios = calibrate_phases(c, masks)
+    assert mask_chars(g)[masks].tolist() == [char_of_set(c.g, i0).bits for i0 in sets]
+    for i0, got in zip(sets, ratios.tolist()):
         ratio = c.const(i0) / first_thomae_rhs(c, i0)
         assert abs(got - ratio) <= 1e-13 * abs(ratio), i0
-        phase, snap = snap_phase(ratio)
-        assert got_phase == phase, i0
-        assert abs(got_snap - snap) <= 1e-13, i0
+        assert abs(got - 1.0) < 1e-6, i0  # the predicted phase
+        assert abs(abs(got - 1.0) - abs(ratio - 1.0)) <= 1e-13, i0
 
 
 def _own_constants(c):
@@ -244,14 +243,22 @@ def _own_constants(c):
     return broken, broken.engine._stores[0][0][:, 0], row
 
 
+def _thomae1_fails(c):
+    """The I_0 of the THOMAE1 records that fail, over every I_0 of c."""
+    rows = _first_masks(c.g)[1][:, None]
+    records = FAMILIES["THOMAE1"].verify(c, rows, tolerance=1e-6)
+    assert len(records) == len(rows)
+    return [r.bindings["I0"] for r in records if not r.passed]
+
+
 def test_calibration_failure_detected(ctx):
-    # corrupting one cached theta constant must trip the calibration guard
+    # corrupting one cached theta constant fails exactly its THOMAE1 record
     c = ctx(2)
-    calibrate_phases(c)  # fill the order-0 store before copying it
+    c.const((1, 2))  # fill the order-0 store before copying it
     broken, consts, row = _own_constants(c)
+    assert _thomae1_fails(broken) == []
     consts[row((1, 2))] = c.const((1, 2)) * 1.07
-    with pytest.raises(ValueError, match="phase calibration failed"):
-        calibrate_phases(broken)
+    assert _thomae1_fails(broken) == [(1, 2)]
 
 
 @pytest.mark.parametrize("g", [5, 6])
@@ -273,7 +280,7 @@ def test_general_thomae_tensor_matches_entrywise_sum(ctx, g):
             assert batch.shape == (len(sets),) + (g,) * m
             for a, k, t in zip(sets, ks, batch):
                 ref, size = _thomae_sums(c, a, k, m).reshape((2,) + t.shape)
-                pref = first_thomae_rhs_like(c, a)
+                pref = first_thomae_rhs_like(c, a) * (-1) ** (m * (m + 1) // 2)
                 # relative to the size of its terms: at m = 3 an entry can cancel to 1e-15 of it
                 assert np.all(np.abs(t - pref * ref) <= 1e-12 * abs(pref) * size.real), (m, a, k)
                 for axes in permutations(range(m)):
@@ -290,15 +297,33 @@ def first_thomae_rhs_like(c, a):
 
 
 def test_calibration_failure_names_first_set(ctx):
-    # with several corrupted constants the error names the first I_0 in
-    # combinations order; a NaN constant fails like any misfit
+    # several corrupted constants fail their own records, in combinations
+    # order; a NaN constant fails like any misfit
     c = ctx(3)
-    calibrate_phases(c)
+    c.const((1, 2, 3))
     broken, consts, row = _own_constants(c)
     consts[row((2, 4, 6))] = np.nan
     consts[row((1, 5, 7))] *= 1.07
-    with pytest.raises(ValueError, match=r"I_0=\(1, 5, 7\)"):
-        calibrate_phases(broken)
+    assert _thomae1_fails(broken) == [(1, 5, 7), (2, 4, 6)]
     consts[row((1, 5, 7))] = c.const((1, 5, 7))
-    with pytest.raises(ValueError, match=r"I_0=\(2, 4, 6\)"):
-        calibrate_phases(broken)
+    assert _thomae1_fails(broken) == [(2, 4, 6)]
+
+
+def test_perturbed_constants_fail_thomae1_not_the_run(monkeypatch, capsys):
+    # every order-0 store value scaled by (1 + 1e-3 xi), xi complex normal
+    # per characteristic: a misfit of the first Thomae formula is a failed
+    # record (exit 1), not an infrastructure failure (exit 2)
+    build = ThetaEngine._build
+
+    def perturbed(engine, order, eps_prime):
+        build(engine, order, eps_prime)
+        if order == 0:
+            table = engine._stores[0][0]
+            xi = np.array([1, 1j]) @ np.random.default_rng(0).standard_normal((2, len(table)))
+            table[:, 0] *= 1 + 1e-3 * xi
+
+    monkeypatch.setattr(ThetaEngine, "_build", perturbed)
+    assert main(["verify", "--genus", "3", "--seed", "1", "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    thomae1 = [r for r in records if r["relation_id"] == "THOMAE1"]
+    assert thomae1 and not any(r["pass"] for r in thomae1)

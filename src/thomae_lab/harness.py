@@ -21,8 +21,10 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -73,8 +75,11 @@ class SuiteConfig:
         for family, value in self.tolerances.items():
             _check_tolerance(family, value)
 
-    def tol(self, family: str) -> float:
-        return self.tolerances.get(family, DEFAULT_TOLERANCES[family])
+    @cached_property
+    def tolerance_table(self) -> Mapping[str, float]:
+        """DEFAULT_TOLERANCES overlaid with ``tolerances``, read-only: built once
+        per run, the one mapping every verifier reads."""
+        return MappingProxyType({**DEFAULT_TOLERANCES, **self.tolerances})
 
 
 @dataclass
@@ -119,7 +124,7 @@ class Report:
             by_family.setdefault(r.relation_id, []).append(r)
         for fam in sorted(by_family):
             rs = by_family[fam]
-            worst = max(r.residual for r in rs)
+            worst = np.max([r.residual for r in rs])  # NaN when any residual is NaN
             fails = [r for r in rs if not r.passed]
             status = "PASS" if not fails else f"FAIL ({len(fails)}/{len(rs)})"
             lo, hi = min(r.tolerance for r in rs), max(r.tolerance for r in rs)
@@ -206,15 +211,16 @@ def _picker(rng: np.random.Generator, *caps: int) -> Callable:
 class Family:
     """One verification family as a table entry.
 
-    ``bindings(ctx, cfg, rng)`` gives the bindings as an int array with one
+    ``bindings(g, cfg, rng)`` gives the bindings as an int array with one
     binding per row, every index set as one mask column, so the width of a
     family's rows does not depend on g (RANK's grows with g up to six parts);
-    ``verify(ctx, bindings, tolerance=..., **extra)`` gives the records of
-    all of them, in row order, and is not called without rows.
+    it reads no curve, so every binding can be drawn before the engine exists.
+    ``verify(ctx, bindings, tol)`` gives the records of all of them, in row
+    order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`; it is not
+    called without rows.
     ``order`` is the highest derivative order of theta it reads, or
     ``order(g, enable_heavy)`` where that depends on the run; see
-    :func:`run_order`.  ``tolerances`` maps further verifier keywords to
-    tolerance keys.  Below ``min_genus`` the family has no instances.
+    :func:`run_order`.  Below ``min_genus`` the family has no instances.
     """
 
     name: str
@@ -222,15 +228,12 @@ class Family:
     verify: Callable
     order: int | Callable[[int, bool], int]
     min_genus: int = 2
-    tolerances: tuple[tuple[str, str], ...] = ()
 
     def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rng: np.random.Generator) -> list:
         if ctx.g < self.min_genus:
             return []
-        tols = {"tolerance": cfg.tol(self.name)}
-        tols.update((kw, cfg.tol(key)) for kw, key in self.tolerances)
-        rows = self.bindings(ctx, cfg, rng)
-        return self.verify(ctx, rows, **tols) if len(rows) else []
+        rows = self.bindings(ctx.g, cfg, rng)
+        return self.verify(ctx, rows, cfg.tolerance_table) if len(rows) else []
 
 
 def run_order(families, g: int, enable_heavy: bool) -> int:
@@ -245,11 +248,11 @@ def run_order(families, g: int, enable_heavy: bool) -> int:
     return max(orders, default=0)
 
 
-def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
+def _i0_splits(g: int, ksize: int, pick: Callable) -> np.ndarray:
     """Rows [I_0 K j_m j_n] at the positions ``pick(count)`` of the
     enumeration over every finite g-set I_0, every ksize-subset K of I_0,
     and the two smallest indices j_m < j_n of J_0."""
-    g, n = ctx.g, ctx.spec.n_finite
+    n = 2 * g + 1
     per = math.comb(g, ksize)
     idx = pick(math.comb(n, g) * per)
     i0 = 1 + unrank_combinations(n, g, idx // per)
@@ -257,11 +260,11 @@ def _i0_splits(ctx, ksize: int, pick: Callable) -> np.ndarray:
     return np.column_stack([index_masks(i0), index_masks(ks), _free(i0, range(1, n + 1))[:, :2]])
 
 
-def _kappa_splits(ctx, isize: int, nk: int, pick: Callable) -> np.ndarray:
+def _kappa_splits(g: int, isize: int, nk: int, pick: Callable) -> np.ndarray:
     """Rows [I B j_m j_n] at the positions ``pick(count)`` of the
     enumeration over all indices 0..2g+1: I a finite isize-set, B nk further
     indices, j_m < j_n the two smallest finite ones left."""
-    n = 2 * ctx.g + 1
+    n = 2 * g + 1
     nrest = n + 1 - isize
     per = math.comb(nrest, nk)
     idx = pick(math.comb(n, isize) * per)
@@ -272,11 +275,11 @@ def _kappa_splits(ctx, isize: int, nk: int, pick: Callable) -> np.ndarray:
     return np.column_stack([index_masks(i_set), index_masks(kappas), jf])
 
 
-def _eklm_rows(ctx, idx: np.ndarray) -> np.ndarray:
+def _eklm_rows(g: int, idx: np.ndarray) -> np.ndarray:
     """Rows [I J k m n] at positions idx of the EKLM enumeration: every
     finite triple k < m < n, every (g-1)-set I of the other finite indices,
     J the rest; position 2p is pair p as (k, m, n), 2p + 1 as (m, n, k)."""
-    g, n = ctx.g, ctx.spec.n_finite
+    n = 2 * g + 1
     per = math.comb(n - 3, g - 1)
     kmn = 1 + unrank_combinations(n, 3, idx // 2 // per)
     others = _free(kmn, range(1, n + 1))[:, : n - 3]
@@ -308,17 +311,17 @@ def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     return out
 
 
-def _part_masks(ctx, m: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+def _part_masks(g: int, m: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Rows [part mask] of the sampled finite parts of the multiplicity-m
     partitions."""
-    return _partition_masks(ctx.g, m, _picker(rng, cap)).reshape(-1, 1)
+    return _partition_masks(g, m, _picker(rng, cap)).reshape(-1, 1)
 
 
-def _thomae1(ctx, rows, tolerance):
+def _thomae1(ctx, rows, tol=DEFAULT_TOLERANCES):
     """THOMAE1 for every row [I0] of rows: theta[I0] over the first Thomae
     right side must be +1."""
     residual = np.abs(calibrate_phases(ctx, rows[:, 0]) - 1.0)
-    return [VerificationRecord("THOMAE1", {"I0": i0}, res, tolerance)
+    return [VerificationRecord("THOMAE1", {"I0": i0}, res, tol["THOMAE1"])
             for i0, res in zip(index_sets(rows[:, 0]), residual.tolist())]
 
 
@@ -339,7 +342,7 @@ def _thomae_k(ctx, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index_masks(free[:, :size]), index_masks(free[:, -size:])
 
 
-def _thomae2(ctx, rows, tolerance):
+def _thomae2(ctx, rows, tol=DEFAULT_TOLERANCES):
     """THOMAE2 for every row [I1] of rows, the finite part of a
     multiplicity-1 partition as a mask: its gradient is the general formula
     at m = 1, phase included."""
@@ -348,7 +351,7 @@ def _thomae2(ctx, rows, tolerance):
     for _, at in rel._groups(np.bitwise_count(parts)):
         pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
         residual[at] = _tensor_fit(ctx.grads(parts[at]), pred)[0]
-    return [VerificationRecord("THOMAE2", {"I1": i1}, res, tolerance)
+    return [VerificationRecord("THOMAE2", {"I1": i1}, res, tol["THOMAE2"])
             for i1, res in zip(index_sets(parts), residual.tolist())]
 
 
@@ -357,13 +360,12 @@ def _thomaeg_orders(g: int) -> tuple[int, ...]:
     return (2, 3) if g >= 5 else (2,)
 
 
-def _thomaeg_bindings(ctx, cfg, rng):
+def _thomaeg_bindings(g, cfg, rng):
     # rows [Im], Im the finite part of a multiplicity-m partition as a mask
-    return np.vstack([_part_masks(ctx, m, max(cfg.cap // 20, 5), rng)
-                      for m in _thomaeg_orders(ctx.g)])
+    return np.vstack([_part_masks(g, m, max(cfg.cap // 20, 5), rng) for m in _thomaeg_orders(g)])
 
 
-def _thomaeg(ctx, rows, tolerance, tolerance_m3):
+def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
     """THOMAEG for every row [Im] of rows, Im the finite part of a
     multiplicity-m partition, m = (g - |Im| + 1) // 2: the order-m
     derivative tensor of theta[Im] is the general formula with K the first
@@ -398,7 +400,7 @@ def _thomaeg(ctx, rows, tolerance, tolerance_m3):
             "THOMAEG",
             {"Im": a, "m": m, "K": kset},
             res,
-            tolerance_m3 if m == 3 else tolerance,  # m = 3 runs from genus 5 on
+            tol["THOMAEG_G5" if m == 3 else "THOMAEG"],  # m = 3 runs from genus 5 on
             notes=f"K-indep {ki:.2e}; ratio-form {rr:.2e}",
         )
         for a, m, kset, res, ki, rr in zip(
@@ -408,26 +410,26 @@ def _thomaeg(ctx, rows, tolerance, tolerance_m3):
     ]
 
 
-def _eklm_bindings(ctx, cfg, rng):
-    n = ctx.spec.n_finite
-    count = 2 * math.comb(n, 3) * math.comb(n - 3, ctx.g - 1)
-    return _eklm_rows(ctx, _draw(count, min(cfg.cap, 200), rng))
+def _eklm_bindings(g, cfg, rng):
+    n = 2 * g + 1
+    count = 2 * math.comb(n, 3) * math.comb(n - 3, g - 1)
+    return _eklm_rows(g, _draw(count, min(cfg.cap, 200), rng))
 
 
-def _eji_bindings(ctx, cfg, rng):
+def _eji_bindings(g, cfg, rng):
     # [I0 K j_n j_m] with K = {i_k, i_l} the two smallest of I_0 and
     # j_n < j_m the two smallest of J_0
-    rows = _i0_splits(ctx, 0, _picker(rng, min(cfg.cap, 100)))
+    rows = _i0_splits(g, 0, _picker(rng, min(cfg.cap, 100)))
     i0 = rows[:, 0]
     low = i0 & -i0
     rows[:, 1] = low | (i0 ^ low) & -(i0 ^ low)
     return rows
 
 
-def _grad4_bindings(ctx, cfg, rng):
+def _grad4_bindings(g, cfg, rng):
     # [I B j_m j_n S1..S4], the pairs S canonical or, on a small subsample,
     # regrouped
-    rows = _kappa_splits(ctx, ctx.g - 3, 5, _picker(rng, cfg.cap // 2))
+    rows = _kappa_splits(g, g - 3, 5, _picker(rng, cfg.cap // 2))
     kappas = index_rows(rows[:, 1]).reshape(-1, 5)
     sub = max(len(rows) // 10, 1)
     return np.vstack([
@@ -436,9 +438,8 @@ def _grad4_bindings(ctx, cfg, rng):
     ])
 
 
-def _gradn_bindings(ctx, cfg, rng):
+def _gradn_bindings(g, cfg, rng):
     # rows [I B j_m j_n], I and B as masks: three draws per r
-    g = ctx.g
     rows = []
     for r in range(2, min(4, g) + 1):
         for _ in range(3):
@@ -448,12 +449,11 @@ def _gradn_bindings(ctx, cfg, rng):
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _rank_bindings(ctx, cfg, rng):
+def _rank_bindings(g, cfg, rng):
     # rows [degenerate | part masks], padded with -1: collections of 2 to
     # min(g + 2, 6) multiplicity-1 parts, then the degenerate family from the
     # rank theorem, three sets sharing a (g-2)-set plus one disjoint-ish set
     # (intersection g-4 but rank 3)
-    g = ctx.g
     parts = _partition_masks(g, 1, np.arange).tolist()
     width = min(g + 2, 6)
     rows = []
@@ -469,10 +469,9 @@ def _rank_bindings(ctx, cfg, rng):
     return np.array(rows, dtype=np.int64)
 
 
-def _hess_equiv_bindings(ctx, cfg, rng):
+def _hess_equiv_bindings(g, cfg, rng):
     # rows [I0_a K_a j_m j_n  I0_b K_b j_m j_n], the index sets as masks
-    g, n = ctx.g, ctx.spec.n_finite
-    fin = list(range(1, n + 1))
+    fin = list(range(1, 2 * g + 2))
     rows = []
     # |K| = 4 equivalence needs five spare indices
     for ksize, count in ((3, min(cfg.cap // 25, 20)), (4, min(cfg.cap // 50, 10))):
@@ -488,12 +487,12 @@ def _hess_equiv_bindings(ctx, cfg, rng):
     return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
 
-def _d3_k5_bindings(ctx, cfg, rng):
-    return _i0_splits(ctx, 5, _picker(rng, 2 * cfg.cap, max(cfg.cap // 20, 20)))
+def _d3_k5_bindings(g, cfg, rng):
+    return _i0_splits(g, 5, _picker(rng, 2 * cfg.cap, max(cfg.cap // 20, 20)))
 
 
-def _d3_k6_bindings(ctx, cfg, rng):
-    return _i0_splits(ctx, 6, _picker(rng, 2 * cfg.cap, 3))
+def _d3_k6_bindings(g, cfg, rng):
+    return _i0_splits(g, 6, _picker(rng, 2 * cfg.cap, 3))
 
 
 def _conj_m_sizes(g: int, enable_heavy: bool) -> list[int]:
@@ -502,72 +501,68 @@ def _conj_m_sizes(g: int, enable_heavy: bool) -> list[int]:
     return [ksize for ksize in (3, 4, 5) + ((7,) if enable_heavy else ()) if ksize <= g]
 
 
-def _conj_m_bindings(ctx, cfg, rng):
+def _conj_m_bindings(g, cfg, rng):
     # rows [I0 K j_m j_n], I0 = {1..g}, K its |K| smallest indices;
     # specialisations: the general construction must match the dedicated ones
-    g = ctx.g
     return np.array([[_mask(range(1, g + 1)), _mask(range(1, ksize + 1)), g + 1, g + 2]
                      for ksize in _conj_m_sizes(g, cfg.enable_heavy)],
                     dtype=np.int64).reshape(-1, 4)
 
 
-def _rj_det_bindings(ctx, cfg, rng):
+def _rj_det_bindings(g, cfg, rng):
     # rows [I_0]
-    return _i0_splits(ctx, 0, _picker(rng, min(cfg.cap // 10, 20)))[:, :1]
+    return _i0_splits(g, 0, _picker(rng, min(cfg.cap // 10, 20)))[:, :1]
 
 
-def _schottky_r_bindings(ctx, cfg, rng):
+def _schottky_r_bindings(g, cfg, rng):
     # rows [I0 K j_m j_n], K four indices of I0
-    fin = list(range(1, ctx.spec.n_finite + 1))
+    fin = list(range(1, 2 * g + 2))
     rows = []
     for _ in range(min(cfg.cap // 25, 20)):
-        pick = sorted(rng.choice(len(fin), size=ctx.g, replace=False))
+        pick = sorted(rng.choice(len(fin), size=g, replace=False))
         i0 = [fin[i] for i in pick]
         ps = rng.choice(i0, size=4, replace=False)
         rows.append([_mask(i0), _mask(ps), *[j for j in fin if j not in i0][:2]])
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _schottky_f_bindings(ctx, cfg, rng):
+def _schottky_f_bindings(g, cfg, rng):
     # rows [position in CASE_IDS] of the cases stated at this genus
-    return np.array([[i] for i, c in enumerate(sch.CASE_IDS) if sch.CASE_GENUS[c] == ctx.g],
+    return np.array([[i] for i, c in enumerate(sch.CASE_IDS) if sch.CASE_GENUS[c] == g],
                     dtype=np.int64).reshape(-1, 1)
 
 
-# In run order, as (name, bindings, verify, order[, min_genus[, tolerances]]);
+# In run order, as (name, bindings, verify, order[, min_genus]);
 # an order that varies with the run comes from the rule the bindings use.
 # Each family samples from its own stream, seeded by crc32(name):
 # reordering a family's draws changes its sampled bindings.
 FAMILIES = {f.name: f for f in (
-    Family("THOMAE1", lambda ctx, cfg, rng: _i0_splits(ctx, 0, _picker(rng, cfg.cap))[:, :1],
+    Family("THOMAE1", lambda g, cfg, rng: _i0_splits(g, 0, _picker(rng, cfg.cap))[:, :1],
            _thomae1, 0),
-    Family("THOMAE2", lambda ctx, cfg, rng: _part_masks(ctx, 1, cfg.cap, rng), _thomae2, 1),
-    Family("THOMAEG", _thomaeg_bindings, _thomaeg, lambda g, heavy: max(_thomaeg_orders(g)), 3,
-           (("tolerance_m3", "THOMAEG_G5"),)),
+    Family("THOMAE2", lambda g, cfg, rng: _part_masks(g, 1, cfg.cap, rng), _thomae2, 1),
+    Family("THOMAEG", _thomaeg_bindings, _thomaeg, lambda g, heavy: max(_thomaeg_orders(g)), 3),
     Family("EKLM", _eklm_bindings, rel.eklm_batch, 0),
     Family("EJI", _eji_bindings, rel.eji_batch, 0),
-    Family("GRAD2", lambda ctx, cfg, rng: _i0_splits(ctx, 2, _picker(rng, cfg.cap)),
+    Family("GRAD2", lambda g, cfg, rng: _i0_splits(g, 2, _picker(rng, cfg.cap)),
            rel.grad2_batch, 1),
-    Family("GRAD3", lambda ctx, cfg, rng: _kappa_splits(ctx, ctx.g - 2, 3, _picker(rng, cfg.cap)),
+    Family("GRAD3", lambda g, cfg, rng: _kappa_splits(g, g - 2, 3, _picker(rng, cfg.cap)),
            rel.grad3_batch, 1),
     Family("GRAD4", _grad4_bindings, rel.grad4_batch, 1, 3),
     Family("GRADN", _gradn_bindings, rel.gradn_batch, 1),
     Family("RANK", _rank_bindings, rel.rank_batch, 1),
-    Family("HESS_K3", lambda ctx, cfg, rng: _i0_splits(ctx, 3, _picker(rng, cfg.cap // 2)),
+    Family("HESS_K3", lambda g, cfg, rng: _i0_splits(g, 3, _picker(rng, cfg.cap // 2)),
            rel.derivative_batch, 2, 3),
-    Family("HESS_K4", lambda ctx, cfg, rng: _i0_splits(ctx, 4, _picker(rng, cfg.cap // 2)),
+    Family("HESS_K4", lambda g, cfg, rng: _i0_splits(g, 4, _picker(rng, cfg.cap // 2)),
            rel.derivative_batch, 2, 4),
     Family("HESS_EQUIV", _hess_equiv_bindings, rel.hessian_equiv_batch, 2, 3),
-    Family("HESS_RANK",
-           lambda ctx, cfg, rng: _part_masks(ctx, 2, cfg.cap if ctx.g <= 4 else 10, rng),
+    Family("HESS_RANK", lambda g, cfg, rng: _part_masks(g, 2, cfg.cap if g <= 4 else 10, rng),
            rel.hessian_rank_batch, 2, 3),
     Family("D3_K5", _d3_k5_bindings, rel.derivative_batch, 3, 5),
     Family("D3_K6", _d3_k6_bindings, rel.derivative_batch, 3, 6),
     Family("CONJ_M", _conj_m_bindings, rel.conjecture_batch,
            lambda g, heavy: max(((k + 1) // 2 for k in _conj_m_sizes(g, heavy)), default=0), 3),
     Family("RJ_DET", _rj_det_bindings, rel.rj_det_batch, 1),
-    Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 0, 4,
-           (("det_tolerance", "SCHOTTKY_DETR"),)),
+    Family("SCHOTTKY_R", _schottky_r_bindings, sch.schottky_r_batch, 0, 4),
     Family("SCHOTTKY_F", _schottky_f_bindings, sch.appendix_f_batch, 0),
 )}
 

@@ -5,8 +5,8 @@ array of bindings and returns one :class:`VerificationRecord` per row, whose
 residual is normalized by the largest additive term, so near-cancellation
 identities are judged fairly.  Families:
 
-* EKLM / EJI      -- theta-constant cross ratios (squared / fourth powers),
-                     checked up to sign (:func:`_sign_fit`),
+* EKLM / EJI      -- theta-constant cross ratios (squared / fourth powers)
+                     against the modulus of a branch-point quotient,
 * GRAD2..GRADN    -- linear relations between gradient vectors of
                      multiplicity-1 derivative theta constants; GRAD3 and
                      GRAD4 are GRADN at r = 2 and 3, and all three run
@@ -28,8 +28,9 @@ identities are judged fairly.  Families:
 * RJ_DET          -- the hyperelliptic Riemann-Jacobi derivative formula,
                      signed.
 
-Every family but EKLM and EJI compares the two sides with their predicted
-phase or sign; none fits one.
+Every family compares the two sides with their predicted phase or sign;
+none fits one.  A verifier ``verify(ctx, binds, tol)`` reads the tolerance
+of each record it writes from ``tol`` under the record's kind.
 
 The Thomae families live in ``harness`` on :mod:`thomae`'s batched kernel,
 the Schottky families in :mod:`schottky`; every family has this shape.
@@ -63,7 +64,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,8 +73,8 @@ from .context import CurveContext
 from .indexsets import finite_mask, index_rows, index_sets
 
 TINY = 1e-300
-# The tolerance of each record kind; a verifier's default reads its key.
-DEFAULT_TOLERANCES = {
+# The tolerance of each record kind, read-only; a run overlays its overrides.
+DEFAULT_TOLERANCES = MappingProxyType({
     "THOMAE1": 1e-6,
     "THOMAE2": 1e-6,
     "THOMAEG": 1e-5,
@@ -95,7 +97,7 @@ DEFAULT_TOLERANCES = {
     "SCHOTTKY_R": 1e-8,
     "SCHOTTKY_DETR": 1e-10,
     "SCHOTTKY_F": 1e-7,
-}
+})
 # singular values below this share of the largest do not count toward a rank
 RANK_SVD_CUT = 1e-8
 
@@ -140,13 +142,6 @@ def _match_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(lhs - rhs), axis=axes) / scale
 
 
-def _sign_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry: the sign s = +-1 that takes rhs nearer to lhs, and the
-    residual of lhs against s * rhs.  EKLM and EJI are checked up to sign."""
-    sign = np.where(np.abs(lhs - rhs) < np.abs(lhs + rhs), 1.0, -1.0)
-    return sign, _match_residuals(lhs, sign * rhs)
-
-
 def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """(key, positions of the rows with that key) for every distinct value
     of a 1-d int array, ascending."""
@@ -157,16 +152,14 @@ def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # First-Thomae corollaries: cross ratios of theta constants
 # ---------------------------------------------------------------------------
 
-def eklm_batch(ctx: CurveContext, binds: np.ndarray,
-               tolerance: float = DEFAULT_TOLERANCES["EKLM"]) -> list:
-    """EKLM for every row [I J k m n] of binds (|I| = |J| = g-1), checked up
-    to sign.  The right side is positive: by the first Thomae formula, with
-    phase +1, each of its four constants is (det omega/pi^g)^{1/2} times a
-    positive number, and that factor cancels.  The quotient
-    (e_k - e_m)/(e_k - e_n) on the left takes either sign with the order of
-    k, m and n, so the identity holds for the moduli.  Measured on
-    ``random_curve(g, s)``, g = 2..7 at s = 1-3 and g = 8 at s = 2: the
-    sign is +1 in 1,596 records and -1 in 1,624, and none is nearer +-i."""
+def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+    """EKLM for every row [I J k m n] of binds (|I| = |J| = g-1): the
+    modulus of (e_k - e_m)/(e_k - e_n) against the right side, predicted
+    positive: by the first Thomae formula, with phase +1, each of its four
+    constants is (det omega/pi^g)^{1/2} times a positive number, and that
+    factor cancels.  The quotient takes either sign with the order of k, m
+    and n (positive in 1,596 records of ``random_curve(g, s)``, g = 2..7 at
+    s = 1-3 and g = 8 at s = 2, negative in 1,624)."""
     g = ctx.g
     i_mask, j_mask = binds[:, 0], binds[:, 1]
     k, m, n = binds[:, 2:].T
@@ -178,29 +171,27 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray,
     lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
     c = ctx.consts(np.stack([i_mask | bn, j_mask | bn, i_mask | bm, j_mask | bm], axis=1))
     rhs = c[:, 0] ** 2 * c[:, 1] ** 2 / (c[:, 2] ** 2 * c[:, 3] ** 2)
-    sign, residual = _sign_fit(lhs, rhs)
+    residual = _match_residuals(np.abs(lhs), rhs)
     return [
         VerificationRecord(
             "EKLM",
             {"I": tuple(i_set), "J": tuple(j_set), "k": row[2], "m": row[3], "n": row[4]},
             res,
-            tolerance,
-            notes=f"sign={s:+.0f}",
+            tol["EKLM"],
         )
-        for row, i_set, j_set, s, res in zip(
+        for row, i_set, j_set, res in zip(
             binds.tolist(), index_rows(i_mask).tolist(), index_rows(j_mask).tolist(),
-            sign.tolist(), residual.tolist(),
+            residual.tolist(),
         )
     ]
 
 
-def eji_batch(ctx: CurveContext, binds: np.ndarray,
-              tolerance: float = DEFAULT_TOLERANCES["EJI"]) -> list:
-    """EJI for every row [I0 K j_n j_m] of binds, K = {i_k < i_l} in I0,
-    checked up to sign.  The right side is a product of fourth powers of
-    theta constants, each i^{eps.eps'} times a real number (tau = iY), so it
-    is positive, while the branch-point quotient on the left takes either
-    sign: the identity holds for the moduli.
+def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+    """EJI for every row [I0 K j_n j_m] of binds, K = {i_k < i_l} in I0: the
+    modulus of the branch-point quotient against the right side, a product
+    of fourth powers of theta constants, each i^{eps.eps'} times a real
+    number (tau = iY), so predicted positive.  The quotient takes either
+    sign, so a right side of any other sign or phase fails.
 
     The right side must not depend on the choice of (j_n, j_m): the record
     also compares it with the swapped pair and, where J0 has two more
@@ -229,7 +220,7 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray,
 
     bn, bm = 1 << jn, 1 << jm
     rhs = rhs_for(bn, bm)
-    sign, residual = _sign_fit(lhs, rhs)
+    residual = _match_residuals(np.abs(lhs), rhs)
     alts = [(bm, bn)]
     if g >= 3:  # the first pair of J0 avoiding j_n, j_m: its two lowest bits
         rest = j0 ^ bn ^ bm
@@ -243,12 +234,10 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray,
             "EJI",
             {"I0": tuple(i0_set), "i_k": a, "i_l": b, "j_n": row[2], "j_m": row[3]},
             res,
-            tolerance,
-            notes=f"sign={s:+.0f}",
+            tol["EJI"],
         )
-        for row, i0_set, a, b, s, res in zip(
-            binds.tolist(), index_rows(i0).tolist(), ik.tolist(), il.tolist(), sign.tolist(),
-            residual.tolist(),
+        for row, i0_set, a, b, res in zip(
+            binds.tolist(), index_rows(i0).tolist(), ik.tolist(), il.tolist(), residual.tolist(),
         )
     ]
 
@@ -257,8 +246,7 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray,
 # Gradient (multiplicity-1) linear relations
 # ---------------------------------------------------------------------------
 
-def grad2_batch(ctx: CurveContext, binds: np.ndarray,
-                tolerance: float = DEFAULT_TOLERANCES["GRAD2"]) -> list:
+def grad2_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """GRAD2 for every row [I0 K j_m j_n] of binds, K = {kappa1 < kappa2}."""
     i0, kappas = binds[:, 0], index_rows(binds[:, 1])
     (k1, k2), (jm, jn) = (1 << kappas).T, (1 << binds[:, 2:]).T
@@ -276,7 +264,7 @@ def grad2_batch(ctx: CurveContext, binds: np.ndarray,
             "GRAD2",
             {"I0": tuple(i0_set), "kappa1": ka, "kappa2": kb, "j_m": row[2], "j_n": row[3]},
             res,
-            tolerance,
+            tol["GRAD2"],
         )
         for row, i0_set, (ka, kb), res in zip(
             binds.tolist(), index_rows(i0).tolist(), kappas.tolist(), residual.tolist()
@@ -308,8 +296,7 @@ def _gradient_residuals(
     return _vector_residuals(coeff[..., None] * grads), grads
 
 
-def grad3_batch(ctx: CurveContext, binds: np.ndarray,
-                tolerance: float = DEFAULT_TOLERANCES["GRAD3"]) -> list:
+def grad3_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """GRAD3 for every row [I B j_m j_n] of binds (|I| = g-2, |B| = 3, 0
     allowed in B): GRADN at r = 2, S the single kappas of B.  Any two of the
     three gradients must be linearly independent."""
@@ -329,7 +316,7 @@ def grad3_batch(ctx: CurveContext, binds: np.ndarray,
             "GRAD3",
             {"I": tuple(i_set), "kappas": tuple(kap), "j_m": row[2], "j_n": row[3]},
             res,
-            tolerance,
+            tol["GRAD3"],
             notes="; ".join(notes),
         ))
     return out
@@ -341,8 +328,7 @@ GRAD4_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4))
 GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
 
 
-def grad4_batch(ctx: CurveContext, binds: np.ndarray,
-                tolerance: float = DEFAULT_TOLERANCES["GRAD4"]) -> list:
+def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """GRAD4 for every row [I B j_m j_n S1 S2 S3 S4] of binds (|I| = g-3,
     |B| = 5, each S a pair of kappas in B): GRADN at r = 3 with the pairs S,
     canonical or regrouped.  The first three gradients must have rank 3."""
@@ -358,7 +344,7 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray,
             {"I": tuple(i_set), "kappas": tuple(kap), "pairs": tuple(map(tuple, pairs)),
              "j_m": row[2], "j_n": row[3]},
             res,
-            tolerance,
+            tol["GRAD4"],
             notes=f"triple sigma3/sigma1={t:.2e}" + (" (rank deficient!)" if bad else ""),
         )
         for row, i_set, kap, pairs, res, t, bad in zip(
@@ -369,8 +355,7 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray,
     ]
 
 
-def gradn_batch(ctx: CurveContext, binds: np.ndarray,
-                tolerance: float = DEFAULT_TOLERANCES["GRADN"]) -> list:
+def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """GRADN for every row [I B j_m j_n] of binds, I and B as masks: the
     conjectural (r+1)-term relation with |B| = 2r-1 and |I| = g-r.  K is the
     r smallest indices of B, and S runs over K - kappa for kappa in K, and
@@ -391,7 +376,7 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray,
             "GRADN",
             {"I": i_set, "B": b_set, "r": size, "j_m": row[2], "j_n": row[3]},
             res,
-            tolerance,
+            tol["GRADN"],
             notes="conjecture: residual reported" if size >= 4 else "",
         )
         for row, i_set, b_set, size, res in zip(
@@ -422,8 +407,7 @@ def predicted_collection_rank(g: int, parts: np.ndarray) -> np.ndarray:
     return np.max(np.where(bad.astype(np.int64) @ within, 0, size), axis=-1)
 
 
-def rank_batch(ctx: CurveContext, binds: np.ndarray,
-               tolerance: float = DEFAULT_TOLERANCES["RANK"]) -> list:
+def rank_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """RANK for every row [degenerate | part masks] of binds, the masks padded
     with -1: the finite parts of distinct multiplicity-1 partitions, whose
     gradients must have the rank that :func:`predicted_collection_rank`
@@ -450,11 +434,11 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray,
         if deg:
             out.append(VerificationRecord(
                 "RANK", {**bindings, "family": "degenerate"}, 0.0 if obs == pred == 3 else 1.0,
-                tolerance, notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
+                tol["RANK"], notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
             ))
         else:
             out.append(VerificationRecord(
-                "RANK", bindings, 0.0 if obs == pred else 1.0, tolerance,
+                "RANK", bindings, 0.0 if obs == pred else 1.0, tol["RANK"],
                 notes=f"observed {obs}, predicted {pred}",
             ))
     return out
@@ -574,9 +558,10 @@ def _repr_residuals(ctx: CurveContext, binds: np.ndarray) -> np.ndarray:
 REPRESENTATION_RECORDS = {3: "HESS_K3", 4: "HESS_K4", 5: "D3_K5", 6: "D3_K6"}
 
 
-def derivative_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float) -> list:
+def derivative_batch(ctx: CurveContext, binds: np.ndarray,
+                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """The representation record of every row [I0 K j_m j_n] of binds, its
-    id from |K|."""
+    id and its tolerance key from |K|."""
     kk = np.bitwise_count(binds[:, 1])
     bad = sorted(set(kk.tolist()) - set(REPRESENTATION_RECORDS))
     if bad:
@@ -587,7 +572,7 @@ def derivative_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float) -> 
             REPRESENTATION_RECORDS[size],
             {"I0": tuple(i0), "K": k_set, "j_m": row[2], "j_n": row[3]},
             res,
-            tolerance,
+            tol[REPRESENTATION_RECORDS[size]],
         )
         for row, i0, k_set, size, res in zip(
             binds.tolist(), index_rows(binds[:, 0]).tolist(), index_sets(binds[:, 1]),
@@ -597,7 +582,7 @@ def derivative_batch(ctx: CurveContext, binds: np.ndarray, tolerance: float) -> 
 
 
 def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
-                        tolerance: float = DEFAULT_TOLERANCES["HESS_EQUIV"]) -> list:
+                        tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds:
     two representations of the same Hessian agree entrywise."""
     if np.any(binds[:, 0] ^ binds[:, 1] != binds[:, 4] ^ binds[:, 5]):
@@ -613,14 +598,14 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
             {"I0_a": ia, "K_a": ka, "I0_b": ib, "K_b": kb,
              "j_a": tuple(row[2:4]), "j_b": tuple(row[6:8])},
             res,
-            tolerance,
+            tol["HESS_EQUIV"],
         )
         for row, ia, ka, ib, kb, res in zip(binds.tolist(), *sets, residual.tolist())
     ]
 
 
 def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
-                       tolerance: float = DEFAULT_TOLERANCES["HESS_RANK"]) -> list:
+                       tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """HESS_RANK for every row [I2] of binds, I2 as a mask: the finite part of
     a multiplicity-2 partition, whose Hessian has rank exactly 3 for g > 3
     (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6) and full rank at g = 3."""
@@ -640,13 +625,13 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
         notes = [f"sigma4/sigma1={d:.2e}, sigma3/sigma1={k:.2e}"
                  for d, k in zip(drop4.tolist(), keep3.tolist())]
     return [
-        VerificationRecord("HESS_RANK", {"I2": i2}, res, tolerance, notes=note)
+        VerificationRecord("HESS_RANK", {"I2": i2}, res, tol["HESS_RANK"], notes=note)
         for i2, res, note in zip(index_sets(masks), residual.tolist(), notes)
     ]
 
 
 def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
-                     tolerance: float = DEFAULT_TOLERANCES["CONJ_M"]) -> list:
+                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """CONJ_M for every row [I0 K j_m j_n] of binds: the representation at
     order m = (|K|+1)//2, with R's own sign; for m >= 4 the residual is
     reported only.  R's signs come from :func:`_entry_sign`, so R with the
@@ -662,7 +647,7 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
             "CONJ_M",
             {"I0": tuple(i0), "K": k_set, "m": m, "j_m": row[2], "j_n": row[3]},
             res,
-            tolerance,
+            tol["CONJ_M"],
             notes="conjecture: residual reported" if m >= 4 else "",
         )
         for row, i0, k_set, m, res in zip(
@@ -676,8 +661,7 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
 # Riemann-Jacobi derivative formula
 # ---------------------------------------------------------------------------
 
-def rj_det_batch(ctx: CurveContext, binds: np.ndarray,
-                 tolerance: float = DEFAULT_TOLERANCES["RJ_DET"]) -> list:
+def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """RJ_DET for the first column I0 of every row of binds (g finite indices):
 
         det(grad theta[I0^{(i)}], i in I0) = (-pi)^g theta[I0] prod_{j in J0} theta[J0^{(j)}]
@@ -697,6 +681,6 @@ def rj_det_batch(ctx: CurveContext, binds: np.ndarray,
         rhs = np.where(j0 >> j & 1, rhs * ctx.consts(j0 ^ 1 << j), rhs)
     residual = _match_residuals(lhs, rhs)
     return [
-        VerificationRecord("RJ_DET", {"I0": tuple(i0_set)}, res, tolerance)
+        VerificationRecord("RJ_DET", {"I0": tuple(i0_set)}, res, tol["RJ_DET"])
         for i0_set, res in zip(i0_sets.tolist(), residual.tolist())
     ]

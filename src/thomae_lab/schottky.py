@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
@@ -139,15 +140,15 @@ def root_sum_residual(roots: np.ndarray, printed_signs: str) -> tuple[float, str
 
 
 def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
-                     tolerance: float = DEFAULT_TOLERANCES["SCHOTTKY_R"],
-                     det_tolerance: float = DEFAULT_TOLERANCES["SCHOTTKY_DETR"]) -> list:
+                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """The three routes to the rank-1 Schottky relation, three records for
     every row [I0 K j_m j_n] of binds, K = {p_1 < .. < p_4} in I0:
 
     (i) the invariant J = 0 of the Goepel group and azygetic triplet of
     :func:`schottky_r_cosets`; (ii) det R = 0 for the 4x4
     quadratic-representation matrix, with all 3x3 minors nonzero; (iii)
-    a1 - a2 + a3 = 0 exactly in rational arithmetic.
+    a1 - a2 + a3 = 0 exactly in rational arithmetic.  The first two read
+    their tolerances under their own ids; the exact third fails on any nonzero.
     """
     if np.any((np.bitwise_count(binds[:, 1]) != 4) | (binds[:, 1] & ~binds[:, 0] != 0)):
         raise ValueError("K must be four members of I_0")
@@ -171,11 +172,11 @@ def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
     ):
         i0_set, p, (jm, jn) = tuple(i0_set), tuple(p), row[2:]
         out.append(VerificationRecord(
-            "SCHOTTKY_R", {"I0": i0_set, "p": p, "j_m": jm, "j_n": jn}, jr, tolerance,
+            "SCHOTTKY_R", {"I0": i0_set, "p": p, "j_m": jm, "j_n": jn}, jr, tol["SCHOTTKY_R"],
         ))
         notes = f"sigma3/sigma1={s3:.2e}, smallest 3x3 minor {low:.2e}"
         out.append(VerificationRecord(
-            "SCHOTTKY_DETR", {"I0": i0_set, "K": p, "j_m": jm, "j_n": jn}, dr, det_tolerance,
+            "SCHOTTKY_DETR", {"I0": i0_set, "K": p, "j_m": jm, "j_n": jn}, dr, tol["SCHOTTKY_DETR"],
             notes=notes + (" (3x3 minors unexpectedly small)" if bad else ""),
         ))
         e1, e2, e3, e4 = (e[i - 1] for i in p)
@@ -252,7 +253,7 @@ CASE_GENUS = {**{c: case["genus"] for c, case in _F_CASES.items()}, "schottky.Ra
 
 
 def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
-                     tolerance: float = DEFAULT_TOLERANCES["SCHOTTKY_F"]) -> list:
+                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """The Appendix-F Schottky case at every row [position in CASE_IDS] of
     binds, each with its printed sign pattern."""
     out = []
@@ -268,7 +269,7 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
                              for a, b in _RATIO45_PRODUCTS])
             worst = float(np.max(np.abs(np.abs(prods) - np.abs(refs)) / np.abs(refs)))
             out.append(VerificationRecord(
-                "SCHOTTKY_F", {"case": case_id}, worst, tolerance,
+                "SCHOTTKY_F", {"case": case_id}, worst, tol["SCHOTTKY_F"],
                 notes="intra-genus Thomae consistency of the listed products",
             ))
             continue
@@ -281,7 +282,7 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
         j_resid = schottky_J(prods ** exponent)[1] if len(prods) == 3 else 0.0
         out.append(VerificationRecord(
             "SCHOTTKY_F", {"case": case_id},
-            printed if best_signs == case["signs"] else max(printed, 1.0), tolerance,
+            printed if best_signs == case["signs"] else max(printed, 1.0), tol["SCHOTTKY_F"],
             notes=f"printed signs {case['signs']}, best {best_signs} ({best:.2e}); "
                   f"J residual {j_resid:.2e}",
         ))

@@ -19,12 +19,11 @@ import pytest
 from oracles import complement_finite, enumerate_partitions, parity
 from thomae_lab.characteristics import char_of_set
 from thomae_lab.context import CurveContext
-from thomae_lab.harness import DEFAULT_TOLERANCES, SuiteConfig, _mask, random_curve, run_suite
+from thomae_lab.harness import SuiteConfig, _mask, random_curve, run_suite
 from thomae_lab.indexsets import iset
 from thomae_lab.periods import branch_point_char_residuals, compute_periods
 from thomae_lab.relations import (
     GRAD4_PAIRS,
-    REPRESENTATION_RECORDS,
     derivative_batch,
     grad2_batch,
     grad3_batch,
@@ -42,8 +41,7 @@ pytestmark = pytest.mark.acceptance
 
 def repr_residual(one, c, i0, k_set, j_m, j_n):
     """The residual of the derivative-representation record of one binding."""
-    tol = DEFAULT_TOLERANCES[REPRESENTATION_RECORDS[len(k_set)]]
-    return one(derivative_batch, c, i0, k_set, j_m, j_n, tolerance=tol).residual
+    return one(derivative_batch, c, i0, k_set, j_m, j_n).residual
 
 
 def thomae_forms(c, a, k):

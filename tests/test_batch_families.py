@@ -18,7 +18,6 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import mpmath
@@ -84,8 +83,8 @@ def oracle_eklm(
     ctx: CurveContext, i_set: Iterable[int], j_set: Iterable[int], k: int, m: int, n: int,
     tolerance: float = 1e-8,
 ) -> VerificationRecord:
-    """(e_k - e_m)/(e_k - e_n) equals a squared theta cross ratio up to
-    sign."""
+    """|(e_k - e_m)/(e_k - e_n)| equals a squared theta cross ratio, which
+    is positive."""
     i_set, j_set = iset(i_set), iset(j_set)
     g = ctx.g
     if len(i_set) != g - 1 or len(j_set) != g - 1:
@@ -100,14 +99,9 @@ def oracle_eklm(
         * ctx.const(iset(j_set + (n,))) ** 2
         / (ctx.const(iset(i_set + (m,))) ** 2 * ctx.const(iset(j_set + (m,))) ** 2)
     )
-    sign = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
-    residual = abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
+    residual = abs(abs(lhs) - rhs) / max(abs(lhs), abs(rhs))
     return VerificationRecord(
-        "EKLM",
-        {"I": i_set, "J": j_set, "k": k, "m": m, "n": n},
-        residual,
-        tolerance,
-        notes=f"sign={sign:+.0f}",
+        "EKLM", {"I": i_set, "J": j_set, "k": k, "m": m, "n": n}, residual, tolerance
     )
 
 
@@ -115,8 +109,9 @@ def oracle_eji(
     ctx: CurveContext, i0: Iterable[int], i_k: int, i_l: int, j_n: int, j_m: int,
     tolerance: float = 1e-8,
 ) -> VerificationRecord:
-    """Branch-point product over J_0 as a ratio of fourth powers; the right
-    side must not depend on the choice of (j_n, j_m)."""
+    """The modulus of a branch-point quotient as a ratio of fourth powers,
+    which is positive; the right side must not depend on the choice of
+    (j_n, j_m)."""
     i0 = iset(i0)
     j0 = complement_finite(ctx.spec.n_finite, i0)
     if i_k not in i0 or i_l not in i0 or i_k == i_l:
@@ -146,8 +141,7 @@ def oracle_eji(
         )
 
     rhs = rhs_for(j_n, j_m)
-    sign = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
-    residual = abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
+    residual = abs(abs(lhs) - rhs) / max(abs(lhs), abs(rhs))
     # independence of the (j_n, j_m) choice, including the swap
     alts = [(j_m, j_n)] + [p for p in combinations(j0, 2) if j_n not in p and j_m not in p][:1]
     for jn2, jm2 in alts:
@@ -158,7 +152,6 @@ def oracle_eji(
         {"I0": i0, "i_k": i_k, "i_l": i_l, "j_n": j_n, "j_m": j_m},
         residual,
         tolerance,
-        notes=f"sign={sign:+.0f}",
     )
 
 
@@ -774,22 +767,22 @@ def oracle_appendix_f(
 
 # --- oracles: the list-building enumerations ---------------------------------
 
-def list_i0_splits(ctx, ksize: int) -> list:
+def list_i0_splits(g: int, ksize: int) -> list:
     """(I_0, K, j_m, j_n) for every finite g-set I_0, every ksize-subset K of
     I_0, and the two smallest indices j_m < j_n of J_0."""
     out = []
-    for i0 in combinations(range(1, ctx.spec.n_finite + 1), ctx.g):
-        j0 = complement_finite(ctx.spec.n_finite, i0)
+    for i0 in combinations(range(1, 2 * g + 2), g):
+        j0 = complement_finite(2 * g + 1, i0)
         out.extend((i0, ks, j0[0], j0[1]) for ks in combinations(i0, ksize))
     return out
 
 
-def list_kappa_splits(ctx, isize: int, nk: int) -> list:
+def list_kappa_splits(g: int, isize: int, nk: int) -> list:
     """(I, kappas, j_m, j_n) over all indices 0..2g+1: I a finite isize-set,
     kappas nk further indices, j_m < j_n the two smallest finite ones left."""
-    all_idx = range(2 * ctx.g + 2)
+    all_idx = range(2 * g + 2)
     out = []
-    for i_set in combinations(range(1, 2 * ctx.g + 2), isize):
+    for i_set in combinations(range(1, 2 * g + 2), isize):
         rest = [x for x in all_idx if x not in i_set]
         for kappas in combinations(rest, nk):
             jf = [x for x in rest if x not in kappas and x != 0]
@@ -797,28 +790,27 @@ def list_kappa_splits(ctx, isize: int, nk: int) -> list:
     return out
 
 
-def list_eklm_bindings(ctx):
-    fin = range(1, ctx.spec.n_finite + 1)
+def list_eklm_bindings(g: int):
+    fin = range(1, 2 * g + 2)
     bindings = []
     for k, m, n in combinations(fin, 3):
         others = [x for x in fin if x not in (k, m, n)]
-        for i_set in combinations(others, ctx.g - 1):
+        for i_set in combinations(others, g - 1):
             j_set = tuple(x for x in others if x not in i_set)
             bindings += [(i_set, j_set, k, m, n), (i_set, j_set, m, n, k)]
     return bindings
 
 
-def list_part_masks(ctx, m: int, cap: int, rng) -> np.ndarray:
+def list_part_masks(g: int, m: int, cap: int, rng) -> np.ndarray:
     """The partition sampler as it was: the mask of every multiplicity-m
     partition from a validated ``Partition`` each, then a sample of the list."""
-    masks = [_mask(p.part) for p in enumerate_partitions(ctx.g, m)]
+    masks = [_mask(p.part) for p in enumerate_partitions(g, m)]
     return np.array([masks[i] for i in _draw(len(masks), cap, rng)],
                     dtype=np.int64).reshape(-1, 1)
 
 
-def list_rank_bindings(ctx, cfg, rng) -> np.ndarray:
+def list_rank_bindings(g: int, cfg, rng) -> np.ndarray:
     """The RANK sampler as it was, over the list of multiplicity-1 masks."""
-    g = ctx.g
     parts = [_mask(p.part) for p in enumerate_partitions(g, 1)]
     width = min(g + 2, 6)
     rows = []
@@ -880,6 +872,9 @@ ORACLES = {
     "D3_K6": oracle_derivative_repr, "CONJ_M": oracle_conjecture, "RJ_DET": oracle_rj_det,
     "SCHOTTKY_R": oracle_schottky_r, "SCHOTTKY_F": oracle_appendix_f,
 }
+# the oracles' further tolerance keywords and the table keys they take
+ORACLE_TOLERANCES = {"THOMAEG": (("tolerance_m3", "THOMAEG_G5"),),
+                     "SCHOTTKY_R": (("det_tolerance", "SCHOTTKY_DETR"),)}
 # residuals computed by the same arithmetic in the same order; GRADN sums
 # its terms in ascending set order, the oracle in the order of K
 BIT_EQUAL = {"GRAD2", "GRAD3", "GRAD4", "HESS_RANK", "RJ_DET"}
@@ -897,11 +892,14 @@ def test_batch_records_equal_oracle(random_ctx, g, name):
     ctx = random_ctx(g, 1)
     cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
     family = FAMILIES[name]
-    rows = family.bindings(ctx, cfg, _family_rng(cfg, name))
+    rows = family.bindings(g, cfg, _family_rng(cfg, name))
     if g == 6:
         rows = rows[:50]
-    tols = {"tolerance": cfg.tol(name), **{kw: cfg.tol(key) for kw, key in family.tolerances}}
-    batch = family.verify(ctx, rows, **tols)
+    tol = cfg.tolerance_table
+    batch = family.verify(ctx, rows, tol)
+    # the oracles take their tolerances as keywords, the verifiers' old API
+    tols = {"tolerance": tol[name],
+            **{kw: tol[key] for kw, key in ORACLE_TOLERANCES.get(name, ())}}
     want = []
     for row in rows.tolist():
         args, kw = _args(name, g, row)
@@ -926,12 +924,12 @@ def test_gradn_kernel_gives_grad3_and_grad4(random_ctx, g):
     ctx = random_ctx(g, 1)
     cfg = SuiteConfig(spec=ctx.spec, cap=500, seed=1)
     for name, nk in (("GRAD3", 3), ("GRAD4", 5)):
-        rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))
+        rows = FAMILIES[name].bindings(g, cfg, _family_rng(cfg, name))
         if name == "GRAD4":
             canonical = [[_mask(_set(b)[a] for a in pair) for pair in rel.GRAD4_PAIRS]
                          for b in rows[:, 1].tolist()]
             rows = rows[(rows[:, 4:] == canonical).all(axis=1)]
-        want = FAMILIES[name].verify(ctx, rows, tolerance=cfg.tol(name))
+        want = FAMILIES[name].verify(ctx, rows)
         got = rel.gradn_batch(ctx, rows[:, :4])
         assert len(got) == len(want) > 0
         assert {rec.bindings["r"] for rec in got} == {(nk + 1) // 2}
@@ -967,33 +965,31 @@ def _flat(rows):
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_enumerations_match_list_builders(g):
     # the unranked rows at every position equal the old lists, in order
-    ctx = SimpleNamespace(g=g, spec=SimpleNamespace(n_finite=2 * g + 1))
     every = np.arange
     for ksize in range(min(g, 6) + 1):
-        assert _i0_splits(ctx, ksize, every).tolist() == \
-            [list(r) for r in _flat(list_i0_splits(ctx, ksize))], ksize
+        assert _i0_splits(g, ksize, every).tolist() == \
+            [list(r) for r in _flat(list_i0_splits(g, ksize))], ksize
     for isize, nk in ((g - 2, 3), (g - 3, 5)):
         if isize >= 0:
-            assert _kappa_splits(ctx, isize, nk, every).tolist() == \
-                [list(r) for r in _flat(list_kappa_splits(ctx, isize, nk))], (isize, nk)
-    eklm = list_eklm_bindings(ctx)
-    assert _eklm_rows(ctx, np.arange(len(eklm))).tolist() == [list(r) for r in _flat(eklm)]
+            assert _kappa_splits(g, isize, nk, every).tolist() == \
+                [list(r) for r in _flat(list_kappa_splits(g, isize, nk))], (isize, nk)
+    eklm = list_eklm_bindings(g)
+    assert _eklm_rows(g, np.arange(len(eklm))).tolist() == [list(r) for r in _flat(eklm)]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
 def test_partition_samplers_match_list_builders(g):
     # same rows from the same draws, and the stream left in the same state
-    ctx = SimpleNamespace(g=g)
     for cap in (3, 10, 500, 10**6):
         for m in range((g + 1) // 2 + 1):
             old, new = np.random.default_rng([g, m, cap]), np.random.default_rng([g, m, cap])
-            want = list_part_masks(ctx, m, cap, old)
-            got = _part_masks(ctx, m, cap, new)
+            want = list_part_masks(g, m, cap, old)
+            got = _part_masks(g, m, cap, new)
             assert got.dtype == np.int64 and np.array_equal(got, want), (m, cap)
             assert old.random() == new.random(), (m, cap)
-        cfg = SimpleNamespace(cap=cap)
+        cfg = SuiteConfig(spec=random_curve(g, 1), cap=cap)
         old, new = np.random.default_rng([g, cap]), np.random.default_rng([g, cap])
-        assert np.array_equal(_rank_bindings(ctx, cfg, new), list_rank_bindings(ctx, cfg, old))
+        assert np.array_equal(_rank_bindings(g, cfg, new), list_rank_bindings(g, cfg, old))
         assert old.random() == new.random(), cap
 
 
@@ -1017,7 +1013,7 @@ def test_bindings_hold_python_types(random_ctx, g):
     for name, family in FAMILIES.items():
         if g < family.min_genus:
             continue
-        rows = family.bindings(ctx, cfg, _family_rng(cfg, name))
+        rows = family.bindings(g, cfg, _family_rng(cfg, name))
         assert isinstance(rows, np.ndarray) and rows.dtype.kind == "i", name
 
 
@@ -1074,7 +1070,7 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
     ctx = random_ctx(g, 1)
     cfg = SuiteConfig(spec=ctx.spec, cap=cap, seed=1)
     # the sampler THOMAE1 used while it ran one binding at a time
-    rows = _i0_splits(ctx, 0, _picker(_family_rng(cfg, "THOMAE1"), cap))
+    rows = _i0_splits(g, 0, _picker(_family_rng(cfg, "THOMAE1"), cap))
     records = FAMILIES["THOMAE1"](ctx, cfg, _family_rng(cfg, "THOMAE1"))
     assert len(records) == len(rows) == min(cap, math.comb(2 * g + 1, g))
     # the ratio kernel over every I_0 in combinations order, looked up per
@@ -1082,7 +1078,7 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
     sets = list(combinations(range(1, 2 * g + 2), g))
     ratios = thomae.calibrate_phases(ctx, np.array([_mask(i0) for i0 in sets]))
     by_char = {char_of_set(g, i0): ratio for i0, ratio in zip(sets, ratios.tolist())}
-    tol = cfg.tol("THOMAE1")
+    tol = cfg.tolerance_table["THOMAE1"]
     for row, got in zip(rows.tolist(), records):
         i0 = _set(row[0])
         want = oracle_thomae1(ctx, i0, tolerance=tol)
@@ -1174,7 +1170,7 @@ def test_r_tensor_against_mpmath(random_ctx, g):
     for name in ("HESS_K3", "HESS_K4", "D3_K5", "D3_K6", "CONJ_M"):
         if g < FAMILIES[name].min_genus:
             continue
-        rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))[:12]
+        rows = FAMILIES[name].bindings(g, cfg, _family_rng(cfg, name))[:12]
         for size in sorted(set(np.bitwise_count(rows[:, 1]).tolist())):  # CONJ_M mixes |K|
             batch_rows = rows[np.bitwise_count(rows[:, 1]) == size]
             m = (size + 1) // 2

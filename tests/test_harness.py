@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,17 +7,18 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from thomae_lab import harness
 from thomae_lab import theta as theta_module
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import (
     DEFAULT_TOLERANCES,
     FAMILIES,
     SuiteConfig,
+    _FILTER_ALIASES,
     _family_rng,
     _parse_tolerances,
     build_parser,
@@ -255,6 +257,21 @@ def test_cli_rejects_bad_numbers_before_compute(monkeypatch, capsys, args, optio
     assert f"argument {option}" in err and item in err
 
 
+def test_text_report_worst_shows_a_nan_residual(monkeypatch):
+    # a NaN residual after a finite one must not vanish from worst=
+    ratios = harness.calibrate_phases
+
+    def last_nan(ctx, masks):
+        out = ratios(ctx, masks)
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(harness, "calibrate_phases", last_nan)
+    report = run_suite(SuiteConfig(spec=random_curve(3, 1), relations=("THOMAE1",), seed=1))
+    line = next(s for s in report.to_text().splitlines() if s.split()[0] == "THOMAE1")
+    assert "FAIL (1/35)" in line and "worst=nan" in line
+
+
 def test_text_report_prints_tolerance_range(capsys):
     # at genus 5 THOMAEG mixes m = 2 (1e-5) and m = 3 (1e-4) records
     assert main(["verify", "--genus", "5", "--seed", "1", "--relations", "THOMAE2,THOMAEG"]) == 0
@@ -363,12 +380,11 @@ def test_pinned_bindings(g):
 def test_binding_width_does_not_depend_on_g(name):
     # every index set of a binding is one mask column, so a family's rows are
     # as wide at every genus; RANK holds min(g + 2, 6) part masks after its
-    # flag.  The bindings read nothing of a curve but g and n_finite.
+    # flag.  The samplers take the genus, not a curve.
     widths = {}
     for g in (4, 5, 6):
-        ctx = SimpleNamespace(g=g, spec=SimpleNamespace(n_finite=2 * g + 1))
         cfg = SuiteConfig(spec=random_curve(g, 1), seed=1)
-        rows = FAMILIES[name].bindings(ctx, cfg, _family_rng(cfg, name))
+        rows = FAMILIES[name].bindings(g, cfg, _family_rng(cfg, name))
         assert isinstance(rows, np.ndarray) and rows.dtype == np.int64, (name, g)
         widths[g] = rows.shape[1:]
     if name == "RANK":
@@ -377,12 +393,70 @@ def test_binding_width_does_not_depend_on_g(name):
         assert len(set(widths.values())) == 1, widths
 
 
+def _tolerance_key(rec) -> str | None:
+    """The DEFAULT_TOLERANCES key of a record: THOMAEG at m = 3 reads
+    THOMAEG_G5, the exact SCHOTTKY_A123 none."""
+    if rec.relation_id == "THOMAEG" and rec.bindings["m"] == 3:
+        return "THOMAEG_G5"
+    return rec.relation_id if rec.relation_id in DEFAULT_TOLERANCES else None
+
+
 def test_tolerance_defaults_cover_all_record_kinds():
-    cfg = SuiteConfig(spec=random_curve(2, 7), cap=30)
-    report = run_suite(cfg)
-    for rec in report.records:
-        if rec.relation_id in DEFAULT_TOLERANCES:
-            assert rec.tolerance <= DEFAULT_TOLERANCES[rec.relation_id] or rec.tolerance == 0.5
+    # every key has records at genus 5 (SCHOTTKY_F, THOMAEG_G5) or 6 (D3_K6)
+    keys = set()
+    for g in (5, 6):
+        for rec in run_suite(SuiteConfig(spec=random_curve(g, 7), cap=30)).records:
+            key = _tolerance_key(rec)
+            if key is None:
+                assert (rec.relation_id, rec.tolerance) == ("SCHOTTKY_A123", 0.5)
+            else:
+                assert rec.tolerance == DEFAULT_TOLERANCES[key], (g, rec.relation_id)
+            keys.add(key)
+    assert keys == set(DEFAULT_TOLERANCES) | {None}
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+def test_a_tolerance_override_reaches_exactly_its_records(key):
+    # cap 25: below it HESS_EQUIV and SCHOTTKY_R draw no binding; THOMAE1
+    # rides along as a second family
+    spec = random_curve(6 if key == "D3_K6" else 5, 1)
+    relations = (_FILTER_ALIASES.get(key, key), "THOMAE1")
+
+    def records(tolerances):
+        cfg = SuiteConfig(spec=spec, relations=relations, cap=25, seed=1, tolerances=tolerances)
+        return run_suite(cfg).records
+
+    base, moved = records({}), records({key: 0.25})
+    assert [(r.relation_id, r.bindings) for r in moved] == \
+        [(r.relation_id, r.bindings) for r in base]
+    mine = [_tolerance_key(r) == key for r in base]
+    assert any(mine)
+    assert [m.tolerance for m in moved] == \
+        [0.25 if own else b.tolerance for b, own in zip(base, mine)]
+    assert all(b.tolerance != 0.25 for b in base)
+
+
+def test_every_family_reads_one_read_only_table(monkeypatch):
+    # the run builds the table once; every verifier gets it as verify(ctx, rows, tol)
+    seen = []
+
+    def spy(verify):
+        def run(ctx, rows, tol):
+            seen.append(tol)
+            return verify(ctx, rows, tol)
+        return run
+
+    for name, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, verify=spy(family.verify)))
+    cfg = SuiteConfig(spec=random_curve(4, 1), cap=30, seed=1, tolerances={"GRAD2": 1e-7})
+    run_suite(cfg)
+    assert len(seen) == len(FAMILIES) - 2  # D3_K5 and D3_K6 start at genus 5
+    assert all(tol is seen[0] for tol in seen)
+    assert dict(seen[0]) == {**DEFAULT_TOLERANCES, "GRAD2": 1e-7}
+    with pytest.raises(TypeError):
+        seen[0]["GRAD2"] = 1.0
+    with pytest.raises(TypeError):
+        DEFAULT_TOLERANCES["GRAD2"] = 1.0
 
 
 # --- the lattice order of a run ---------------------------------------------

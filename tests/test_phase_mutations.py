@@ -1,22 +1,29 @@
 """Mutation analysis of the predicted phases (DeMillo, Lipton & Sayward,
 "Hints on test data selection", IEEE Computer 1978).  Multiplying one right
 side by -1, +-i or exp(i pi/4) must fail at least one record of its family:
-a family that fitted the phase or the sign would pass them all.  EKLM is
-checked up to sign, so only +-i must fail it.
+a family that fitted the phase or the sign would pass them all.
 
 Each family's right side is scaled where it is formed: THOMAE1's ratio
 kernel theta/rhs, the general Thomae tensors of THOMAE2 and THOMAEG, and
-CONJ_M's coefficient tensor R.  RJ_DET and EKLM form theirs inline, so their
-right side is scaled where the two sides meet.
+CONJ_M's coefficient tensor R.  RJ_DET forms its right side inline, so it is
+scaled where the two sides meet.  EKLM and EJI form theirs inline from one
+gather of theta constants each, whose first constant enters squared (EKLM)
+or to the fourth power (EJI) in the numerator; it is scaled by the square or
+fourth root of the factor.  So every right side EJI forms is scaled alike,
+and its checks of other (j_n, j_m) pairs, which compare two right sides and
+would fail any factor applied to one of them, see no change.  A sign fitted
+between the formed right side and the comparison would absorb -1.
 """
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from thomae_lab import harness
 from thomae_lab import relations as rel
+from thomae_lab.context import CurveContext
 from thomae_lab.harness import SuiteConfig, random_curve, run_suite
 
 
@@ -32,6 +39,19 @@ def _scaled_rhs(fn, factor):
     return lambda lhs, rhs: fn(lhs, rhs * factor)
 
 
+def _scaled_first_constant(power):
+    def wrap(fn, factor):
+        def consts(self, masks):
+            out = fn(self, masks)
+            scale = np.ones(out.shape[1:], dtype=complex)
+            scale[0] = factor ** (1 / power)
+            return out * scale
+
+        return consts
+
+    return wrap
+
+
 # family -> (module, name, wrap(fn, factor)): the function the mutation wraps
 RIGHT_SIDES = {
     "THOMAE1": (harness, "calibrate_phases", lambda fn, c: _scaled_output(fn, 1 / c)),
@@ -39,11 +59,11 @@ RIGHT_SIDES = {
     "THOMAEG": (harness, "general_thomae_batch", _scaled_tensors),
     "CONJ_M": (rel, "general_r_tensor", _scaled_output),
     "RJ_DET": (rel, "_match_residuals", _scaled_rhs),
-    "EKLM": (rel, "_sign_fit", _scaled_rhs),
+    "EKLM": (CurveContext, "consts", _scaled_first_constant(2)),
+    "EJI": (CurveContext, "consts", _scaled_first_constant(4)),
 }
 FACTORS = {"-1": -1.0, "i": 1j, "-i": -1j, "exp(i pi/4)": cmath.exp(1j * math.pi / 4)}
-CASES = [(family, factor) for factor in FACTORS for family in RIGHT_SIDES
-         if family != "EKLM" or factor in ("i", "-i")]
+CASES = [(family, factor) for factor in FACTORS for family in RIGHT_SIDES]
 
 
 @pytest.mark.parametrize("family,factor", CASES)

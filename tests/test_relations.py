@@ -1,5 +1,4 @@
 from itertools import combinations, permutations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +33,6 @@ from thomae_lab.relations import (
 )
 
 GRAD_TOL = 1e-8
-# the tolerances of the Hessian and third-derivative representation records
-HESS_TOL, D3_TOL = 1e-6, 1e-4
 
 
 def representation_tensor(c, i0, k_set, j_m, j_n):
@@ -298,7 +295,7 @@ def test_predicted_rank_on_masks_matches_the_set_search(g):
     # every RANK collection of seeds 1-3, as the run's full-part masks
     for seed in (1, 2, 3):
         cfg = SuiteConfig(spec=random_curve(g, seed), seed=seed)
-        binds = FAMILIES["RANK"].bindings(SimpleNamespace(g=g), cfg, _family_rng(cfg, "RANK"))
+        binds = FAMILIES["RANK"].bindings(g, cfg, _family_rng(cfg, "RANK"))
         for row in binds[:, 1:]:
             parts = row[row >= 0]
             full = parts | (np.bitwise_count(parts) % 2 != (g + 1) % 2)
@@ -313,25 +310,25 @@ def test_hessian_all_35_representations_g3(ctx, one):
     target = c.deriv((), 2).entries
     for i0 in combinations(range(1, 8), 3):
         j0 = complement_finite(7, i0)
-        rec = one(derivative_batch, c, i0, i0, j0[0], j0[1], tolerance=HESS_TOL)
+        rec = one(derivative_batch, c, i0, i0, j0[0], j0[1])
         assert rec.residual < 1e-6, rec.bindings
     assert np.max(np.abs(target)) > 0
 
 
 def test_appendix_e_genus3_instances(ctx, one):
     c = ctx(3)
-    assert one(derivative_batch, c, (1, 2, 3), (1, 2, 3), 6, 5, tolerance=HESS_TOL).residual < 1e-6
-    assert one(derivative_batch, c, (1, 2, 4), (1, 2, 4), 6, 5, tolerance=HESS_TOL).residual < 1e-6
+    assert one(derivative_batch, c, (1, 2, 3), (1, 2, 3), 6, 5).residual < 1e-6
+    assert one(derivative_batch, c, (1, 2, 4), (1, 2, 4), 6, 5).residual < 1e-6
 
 
 def test_appendix_e_genus4_instances(ctx, one):
     c = ctx(4)
     # d^2 theta^{iota} via K of size 3, iota = 1 and 2
     i0 = (1, 2, 3, 4)
-    assert one(derivative_batch, c, i0, (2, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
-    assert one(derivative_batch, c, i0, (1, 3, 4), 5, 6, tolerance=HESS_TOL).residual < 1e-6
+    assert one(derivative_batch, c, i0, (2, 3, 4), 5, 6).residual < 1e-6
+    assert one(derivative_batch, c, i0, (1, 3, 4), 5, 6).residual < 1e-6
     # d^2 theta^{} via all four dropped indices
-    assert one(derivative_batch, c, i0, i0, 5, 6, tolerance=HESS_TOL).residual < 1e-6
+    assert one(derivative_batch, c, i0, i0, 5, 6).residual < 1e-6
 
 
 def test_hessian_k3_and_k4_sampled_g4(ctx, one):
@@ -343,7 +340,7 @@ def test_hessian_k3_and_k4_sampled_g4(ctx, one):
         j0 = complement_finite(9, i0)
         for ks in (3, 4):
             k = tuple(sorted(rng.choice(i0, size=ks, replace=False).tolist()))
-            rec = one(derivative_batch, c, i0, k, j0[0], j0[1], tolerance=HESS_TOL)
+            rec = one(derivative_batch, c, i0, k, j0[0], j0[1])
             assert rec.residual < 1e-6, rec.bindings
 
 
@@ -392,9 +389,9 @@ def test_hessian_rank_rejects_wrong_multiplicity(ctx, one):
 def test_third_deriv_repr_g5(ctx, one):
     c = ctx(5)
     k5 = (1, 2, 3, 4, 5)
-    assert one(derivative_batch, c, k5, k5, 6, 7, tolerance=D3_TOL).residual < 1e-4
+    assert one(derivative_batch, c, k5, k5, 6, 7).residual < 1e-4
     k5 = (2, 3, 5, 8, 10)
-    assert one(derivative_batch, c, k5, k5, 1, 6, tolerance=D3_TOL).residual < 1e-4
+    assert one(derivative_batch, c, k5, k5, 1, 6).residual < 1e-4
 
 
 def test_third_deriv_j_choice_independence(ctx):
@@ -415,7 +412,7 @@ def test_third_deriv_tensor_symmetry(ctx):
 def test_third_deriv_k6_at_g6(ctx, one):
     c = ctx(6)
     k6 = (1, 2, 4, 6, 9, 11)
-    rec = one(derivative_batch, c, k6, k6, 3, 7, tolerance=D3_TOL)
+    rec = one(derivative_batch, c, k6, k6, 3, 7)
     assert rec.residual < 1e-4
 
 
@@ -426,7 +423,7 @@ def test_conjecture_specializes_to_hessian(ctx, one):
     for m, ksize in ((2, 3), (2, 4), (3, 5)):
         k = i0[:ksize]
         conj = one(conjecture_batch, c, i0, k, 6, 7)
-        rec = one(derivative_batch, c, i0, k, 6, 7, tolerance={2: HESS_TOL, 3: D3_TOL}[m])
+        rec = one(derivative_batch, c, i0, k, 6, 7)
         assert conj.bindings == {**rec.bindings, "m": m}
         assert conj.residual == rec.residual
         assert rec.residual < {2: 1e-6, 3: 1e-4}[m]
@@ -438,18 +435,20 @@ def test_conjecture_specializes_to_hessian(ctx, one):
 
 
 def test_derivative_repr_record_ids(ctx, one):
-    # the record id comes from |K|, the tolerance from the one table
+    # the record id and the tolerance key come from |K|
     c = ctx(6)
     i0 = (1, 2, 3, 4, 5, 6)
     for ksize, (rid, tol) in {
         3: ("HESS_K3", 1e-6), 4: ("HESS_K4", 1e-6), 5: ("D3_K5", 1e-4), 6: ("D3_K6", 1e-4),
     }.items():
-        rec = one(derivative_batch, c, i0, i0[:ksize], 7, 8, tolerance=DEFAULT_TOLERANCES[rid])
+        rec = one(derivative_batch, c, i0, i0[:ksize], 7, 8)
         assert (rec.relation_id, rec.tolerance) == (rid, tol)
         assert rec.bindings == {"I0": i0, "K": i0[:ksize], "j_m": 7, "j_n": 8}
+        table = {**DEFAULT_TOLERANCES, rid: 0.25}
+        assert one(derivative_batch, c, i0, i0[:ksize], 7, 8, tol=table).tolerance == 0.25
     for ksize in (1, 2):
         with pytest.raises(ValueError, match=r"\|K\| must be one of \[3, 4, 5, 6\]"):
-            one(derivative_batch, c, i0, i0[:ksize], 7, 8, tolerance=HESS_TOL)
+            one(derivative_batch, c, i0, i0[:ksize], 7, 8)
 
 
 def entrywise_r_tensor(c, i0, k_set, j_m, j_n, m):

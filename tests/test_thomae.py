@@ -246,7 +246,7 @@ def _own_constants(c):
 def _thomae1_fails(c):
     """The I_0 of the THOMAE1 records that fail, over every I_0 of c."""
     rows = _first_masks(c.g)[1][:, None]
-    records = FAMILIES["THOMAE1"].verify(c, rows, tolerance=1e-6)
+    records = FAMILIES["THOMAE1"].verify(c, rows)
     assert len(records) == len(rows)
     return [r.bindings["I0"] for r in records if not r.passed]
 

@@ -1,15 +1,15 @@
 """Suite orchestration and the ``thomae-lab`` command line interface.
 
-``run_suite`` computes the periods, builds the theta engine, and runs the
-verification families in table order (Thomae formulas, relations, Schottky)
-over exhaustive or seeded-sampled bindings.  It assembles a reproducible
-report: given the same configuration the JSON output is byte-identical
-(wall-clock timings are included only on request).  Every phase the Thomae
-families compare is predicted by :mod:`thomae`, none is fitted, so a misfit
-of the first Thomae formula is a failed THOMAE1 record.
+``run_suite`` draws every family's exhaustive or seeded-sampled bindings,
+computes the periods, builds the theta engine, and runs the verification
+families in table order (Thomae formulas, relations, Schottky).  It
+assembles a reproducible report: given the same configuration the JSON
+output is byte-identical (wall-clock timings are included only on request).
+Every phase the Thomae families compare is predicted by :mod:`thomae`, none
+is fitted, so a misfit of the first Thomae formula is a failed THOMAE1 record.
 
 Exit codes: 0 all relations pass, 1 at least one relation failed, 2 the
-infrastructure (curve, periods, lattice) failed.
+infrastructure (curve, periods, lattice) failed or no family drew a binding.
 """
 
 from __future__ import annotations
@@ -229,10 +229,10 @@ class Family:
     order: int | Callable[[int, bool], int]
     min_genus: int = 2
 
-    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rng: np.random.Generator) -> list:
-        if ctx.g < self.min_genus:
-            return []
-        rows = self.bindings(ctx.g, cfg, rng)
+    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rng: np.random.Generator,
+                 rows: np.ndarray | None = None) -> list:
+        if rows is None:  # else the rows drawn for this run
+            rows = self.bindings(ctx.g, cfg, rng) if ctx.g >= self.min_genus else []
         return self.verify(ctx, rows, cfg.tolerance_table) if len(rows) else []
 
 
@@ -583,19 +583,28 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    g = cfg.spec.genus
+    drawn = [f.bindings(g, cfg, _family_rng(cfg, f.name)) if g >= f.min_genus else []
+             for f in running]
+    timings["bindings"] = time.perf_counter() - t0
+    if running and not any(map(len, drawn)):
+        names = ", ".join(f.name for f in running)
+        raise ValueError(f"no family drew a binding at genus {g} with cap {cfg.cap}: {names}")
+
+    t0 = time.perf_counter()
     periods = compute_periods(cfg.spec, cfg.quad_order)
     timings["periods"] = time.perf_counter() - t0
 
     # the engine enumerates its lattice as it is built
     t0 = time.perf_counter()
-    order = run_order(running, cfg.spec.genus, cfg.enable_heavy)
+    order = run_order([f for f, rows in zip(running, drawn) if len(rows)], g, cfg.enable_heavy)
     ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     timings["lattice"] = time.perf_counter() - t0
 
     records: list[VerificationRecord] = []
-    for family in running:
+    for family, rows in zip(running, drawn):
         t0 = time.perf_counter()
-        records.extend(family(ctx, cfg, _family_rng(cfg, family.name)))
+        records.extend(family(ctx, cfg, None, rows))  # the entry: bench/layers.py wraps it
         timings[family.name] = time.perf_counter() - t0
 
     return Report(

@@ -44,13 +44,15 @@ per sorted multi-index, and built marks the classes whose rows are filled.
 One gather, :meth:`ThetaEngine.values`, serves every reader, and builds a
 class the first time one of its rows is read, with one batched Hadamard
 product for every class a read adds; order 0 is built whole, by one
-segmented sum over the key-sorted weights.  The engine is built for a
-highest derivative order k (4 by default) and enumerates and weighs the
-lattice once, at construction, at the order-k radius R_k, which also
-serves every lower order; it refuses any order above k, whose tail R_k
-would cut short.  theta(char, v) for v != 0 pairs q with -q in the same
-way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for
-eps' = 0, and holds for complex v.
+segmented sum over the key-sorted weights; order 1 halves the sums of m p,
+which is exact, and higher orders form the monomial products per chunk of
+bins (:meth:`ThetaEngine._bins`).  The engine is built for a highest
+derivative order k (4 by default) and enumerates and weighs the lattice
+once, at construction, at the order-k radius R_k, which also serves every
+lower order; it refuses any order above k, whose tail R_k would cut short.
+theta(char, v) for v != 0 pairs q with -q in the same way: it is
+sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for eps' = 0,
+and holds for complex v.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .curve import check_genus
 
 DEFAULT_TOL = 1e-12
 RADIUS_WARN = 40.0
-_BLOCK = 1 << 16  # points per block of the lattice's last coordinate and of the weights
+_BLOCK = 1 << 14  # points per weight block; groups per batch of p_0; 4 * _BLOCK products per chunk
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -189,10 +191,11 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     tail only through p_i = 0.
 
     The last step, entry 0, writes the points straight into key order: the
-    points of one tail whose p_0 has a given residue mod 4 share one key and
-    step by 4, so these groups are counted and sorted by key, and then
-    expanded in blocks of at most _BLOCK points into their rows.  No
-    whole-lattice array is formed besides the result.
+    points of one tail whose p_0 has a given residue k mod 4 (a group) share
+    one key and step by 4.  With the tails sorted stably by key, a key's
+    groups are one range of them, and batches of _BLOCK groups of
+    consecutive keys are expanded into their rows, p_0 by one np.repeat.
+    No whole-lattice array is formed besides the result.
     """
     g = chol.shape[0]
     tails = np.zeros((1, 0), dtype=np.int16)
@@ -230,35 +233,32 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     counts[quad > r * r] = 0
     del quad
 
-    # Group 4 row + k holds the points lo + skip, lo + skip + 4, ... of the
-    # row with p_0 = k mod 4, all of one key.  Sorting the groups by key
-    # (stably, so the rows stay ascending within a key) gives the output
-    # order; an empty group writes nothing.
-    k = np.arange(4)
-    keys = (tail_key[:, None] | key_bits(0, k)).ravel()
-    sizes = counts[:, None] - ((k - lo[:, None]) & 3) + 3 >> 2
-    starts = np.zeros(4**g + 1, dtype=np.int64)
-    hist = np.bincount(keys, weights=sizes.ravel(), minlength=4**g)
-    np.cumsum(hist.astype(np.int64), out=starts[1:])
-    del sizes
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    del keys
+    key = np.arange(4**g)  # its p_0 mod 4, from entry 0's two bits, and its tail key
+    k, base = key >> 2 * g - 1 | (key >> g - 1 & 1) << 1, key & ~(1 << 2 * g - 1 | 1 << g - 1)
+    by_key = np.argsort(tail_key, kind="stable")
+    ta, tb = (np.searchsorted(tail_key[by_key], base, side) for side in ("left", "right"))
     padded = np.zeros((len(tails), g), dtype=np.int16)  # tails with a free column for p_0
     padded[:, 1:] = tails
-    out = np.empty((starts[-1], g), dtype=np.int16)
+    del tails
+    lo, counts = lo[by_key], counts[by_key]  # in sorted order: the batches read them in turn
+    out = np.empty((counts.sum(), g), dtype=np.int16)
+    starts = np.empty(4**g + 1, dtype=np.int64)
     done = 0
-    per = max(_BLOCK // ((counts.max() + 3) // 4), 1)  # groups per block of <= _BLOCK points
-    for a in range(0, len(order), per):
-        group = order[a : a + per]
-        row = group >> 2
-        skip = ((group & 3) - lo[row]) & 3
-        size = counts[row] - skip + 3 >> 2
-        n = int(size.sum())
-        block = out[done : done + n]
-        np.take(padded, np.repeat(row, size), axis=0, out=block)
-        step = np.arange(n) - np.repeat(np.cumsum(size) - size, size)
-        block[:, 0] = np.repeat(lo[row] + skip, size) + 4 * step
-        done += n
+    per = max(_BLOCK * 4**g // (4 * len(lo)), 1)  # keys per batch: about _BLOCK groups
+    for keys in (slice(k1, min(k1 + per, 4**g)) for k1 in range(0, 4**g, per)):
+        n = tb[keys] - ta[keys]
+        t = np.repeat(ta[keys] - np.cumsum(n) + n, n) + np.arange(n.sum())  # the groups' tails
+        first = lo[t] + ((np.repeat(k[keys], n) - lo[t]) & 3)
+        size = counts[t] + lo[t] - first + 3 >> 2
+        before = np.zeros(len(t) + 1, dtype=np.int64)  # points of the batch before each group
+        np.cumsum(size, out=before[1:])
+        starts[keys] = done + before[np.cumsum(n) - n]
+        block = out[done : done + before[-1]]
+        np.take(padded, np.repeat(by_key[t], size), axis=0, out=block)
+        # the j-th point of the block is first + 4 (j - before) of its group
+        block[:, 0] = np.repeat(first - 4 * before[:-1], size) + 4 * np.arange(len(block))
+        done += len(block)
+    starts[-1] = done
     return out, starts
 
 
@@ -326,15 +326,16 @@ class ThetaEngine:
         self.tau = tau = np.ascontiguousarray(tau, dtype=complex)  # .imag, .real: float views
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"ThetaEngine.tol must be finite and > 0, got {tol}")
-        if np.min(np.linalg.eigvalsh(tau.imag)) <= 0:
-            raise ValueError("Im tau must be positive definite")
+        try:
+            chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
+        except np.linalg.LinAlgError:
+            raise ValueError("Im tau must be positive definite") from None
         self.tol = tol
         self.g = tau.shape[0]
         self.order = order
         check_genus(self.g)
         # the radius grows with the order, so R_k serves every order <= k
         self.radius = truncation_radius(tau, tol, order=order) if radius is None else radius
-        chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
         # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
         if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:
             raise ValueError(f"theta truncation radius {self.radius} is too large")
@@ -393,20 +394,30 @@ class ThetaEngine:
 
     def _bins(self, cls: _LatticeClass, order: int) -> np.ndarray:
         """bins[b, j], the sum over parity bin b of the class of m times the
-        j-th sorted monomial of degree order >= 1."""
+        j-th sorted monomial of degree order >= 1.  The products m q_c1 ...
+        are formed per chunk of bins of about 4 * _BLOCK entries, and each bin
+        takes q^t @ rest on its own rows, so no bit depends on the chunks."""
         tail, pick, _ = _layout(self.g, order)
         bins = np.zeros((2**self.g, len(pick)), dtype=cls.m.dtype)
-        filled = np.flatnonzero(np.diff(cls.starts))
-        q = 0.5 * cls.p
         if order == 1:
-            bins[filled] = np.add.reduceat(cls.m[:, None] * q, cls.starts[filled])
-            return bins
-        for b in filled:
-            lo, hi = cls.starts[b], cls.starts[b + 1]
-            rest = cls.m[lo:hi, None]
+            filled = np.flatnonzero(np.diff(cls.starts))
+            bins[filled] = np.add.reduceat(cls.m[:, None] * cls.p, cls.starts[filled])
+            return 0.5 * bins  # q = p / 2, and halving is exact
+        q, starts = 0.5 * cls.p, cls.starts.tolist()
+        per = 4 * _BLOCK // len(tail)  # points per chunk, or one larger bin
+        b = 0
+        while b < 2**self.g:
+            end = b + 1  # the chunk: bins b..end-1, at least one
+            while end < 2**self.g and starts[end + 1] - starts[b] <= per:
+                end += 1
+            first = starts[b]
+            rest = cls.m[first : starts[end], None]
             for c in tail.T:
-                rest = rest * q[lo:hi, c]
-            bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
+                rest = rest * q[first : starts[end], c]
+            for k in range(b, end):
+                lo, hi = starts[k], starts[k + 1]
+                bins[k] = (q[lo:hi].T @ rest[lo - first : hi - first]).ravel()[pick]
+            b = end
         return bins
 
     def values(self, chars: np.ndarray, order: int) -> np.ndarray:

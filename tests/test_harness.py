@@ -13,6 +13,7 @@ import pytest
 
 from thomae_lab import harness
 from thomae_lab import theta as theta_module
+from thomae_lab.context import CurveContext
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import (
     DEFAULT_TOLERANCES,
@@ -488,6 +489,12 @@ def test_run_order_follows_the_genus():
 def _family_alone(g: int, name: str) -> None:
     cfg = SuiteConfig(spec=random_curve(g, 4), relations=(name,), cap=20, seed=4,
                       enable_heavy=True)
+    family = FAMILIES[name]
+    if g < family.min_genus or not len(family.bindings(g, cfg, _family_rng(cfg, name))):
+        # no binding, nothing to certify: the run stops before the lattice
+        with pytest.raises(ValueError, match=f"no family drew a binding at genus {g}.*: {name}$"):
+            run_suite(cfg)
+        return
     report = run_suite(cfg)  # a family reading above its declared order raises
     assert report.theta["order"] == run_order([FAMILIES[name]], g, True)
     assert report.all_passed(), [r.as_dict() for r in report.records if not r.passed]
@@ -503,6 +510,39 @@ def test_each_family_runs_at_its_declared_order(g, name):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_each_family_runs_at_its_declared_order_g6(name):
     _family_alone(6, name)
+
+
+def test_a_run_without_bindings_exits_2_before_the_periods(monkeypatch, capsys):
+    # at cap 20 HESS_EQUIV and SCHOTTKY_R draw cap // 25 = 0 rows each
+    def no_periods(*args, **kwargs):
+        raise AssertionError("the periods were computed")
+
+    monkeypatch.setattr(harness, "compute_periods", no_periods)
+    argv = ["verify", "--genus", "5", "--seed", "1", "--relations", "SCHOTTKY_R,HESS_EQUIV"]
+    assert main([*argv, "--cap", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "no family drew a binding at genus 5 with cap 20: HESS_EQUIV, SCHOTTKY_R" in err
+    assert main([*argv, "--cap", "25"]) == 2  # one row each: the run goes on
+    assert "error: the periods were computed" in capsys.readouterr().err
+
+
+def test_the_run_order_counts_only_families_with_bindings():
+    # HESS_EQUIV (order 2) draws nothing at cap 20, so THOMAE1 alone sets the order
+    spec = random_curve(5, 1)
+    report = run_suite(SuiteConfig(spec=spec, relations=("THOMAE1", "HESS_EQUIV"), cap=20, seed=1))
+    assert report.theta["order"] == 0
+    assert {r.relation_id for r in report.records} == {"THOMAE1"}
+    alone = run_suite(SuiteConfig(spec=spec, relations=("THOMAE1",), cap=20, seed=1))
+    assert report.theta == alone.theta
+    assert [r.as_dict() for r in report.records] == [r.as_dict() for r in alone.records]
+    # each family still draws from its own stream: the run's records are the
+    # family's own, called directly without rows
+    cfg = SuiteConfig(spec=spec, relations=("HESS_EQUIV",), cap=60, seed=1)
+    report = run_suite(cfg)
+    direct = FAMILIES["HESS_EQUIV"](CurveContext.build(spec, order=2), cfg,
+                                    _family_rng(cfg, "HESS_EQUIV"))
+    assert [r.as_dict() for r in report.records] == [r.as_dict() for r in direct]
+    assert report.theta["order"] == 2 and len(direct) == 3  # cap // 25 = 2, cap // 50 = 1
 
 
 def test_cli_names_an_unconverged_quadrature(tmp_path, capsys):

@@ -206,9 +206,14 @@ def test_parity_symmetry_random_v(ctx):
             assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1e-3)
 
 
-def test_invalid_tau_rejected():
+def test_invalid_tau_rejected(monkeypatch):
     with pytest.raises(ValueError, match="positive definite"):
         ThetaEngine(np.array([[1.0 + 0j]]))
+    # symmetric and indefinite (eigenvalues 3 and -1): refused through the
+    # Cholesky factor, before the radius is sought
+    monkeypatch.setattr(theta_module, "truncation_radius", None)
+    with pytest.raises(ValueError, match="positive definite"):
+        ThetaEngine(1j * np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_radius_beyond_int16_offsets_rejected():
@@ -254,6 +259,60 @@ def test_one_enumeration_per_engine(ctx, monkeypatch):
     fresh.grads(np.arange(1 << 8))  # ... every gradient ...
     fresh.deriv((1, 2), 2)  # ... and one order-2 tensor
     assert len(calls) == 1
+
+
+def _per_bin_reference(cls, g: int, order: int) -> np.ndarray:
+    """The bin sums as the kernel once formed them: q = p / 2 first, order 1
+    as one segmented sum of m q, and every higher order bin by bin, with the
+    monomial product m q_c1 ... of that bin alone."""
+    tail, pick, _ = theta_module._layout(g, order)
+    bins = np.zeros((2**g, len(pick)), dtype=cls.m.dtype)
+    filled = np.flatnonzero(np.diff(cls.starts))
+    q = 0.5 * cls.p
+    if order == 1:
+        bins[filled] = np.add.reduceat(cls.m[:, None] * q, cls.starts[filled])
+        return bins
+    for b in filled:
+        lo, hi = cls.starts[b], cls.starts[b + 1]
+        rest = cls.m[lo:hi, None]
+        for c in tail.T:
+            rest = rest * q[lo:hi, c]
+        bins[b] = (q[lo:hi].T @ rest).ravel()[pick]
+    return bins
+
+
+@pytest.mark.parametrize("block", [64, theta_module._BLOCK])
+@pytest.mark.parametrize("g", [5, 6])
+def test_bins_are_bit_identical_to_per_bin_sums(ctx, monkeypatch, g, block):
+    # chunked products change no bit, neither with chunks of many bins nor
+    # with bins larger than a chunk (block 64); order 1 halves exactly.  At
+    # genus 5 a tau with Re(tau) != 0 gives complex weights.
+    monkeypatch.setattr(theta_module, "_BLOCK", block)
+    tau = ctx(g).periods.tau
+    engines = [ctx(g).engine] + ([ThetaEngine(tau + 0.05 * np.ones((g, g)), order=3)] if g == 5 else [])
+    rng = np.random.default_rng(g)
+    classes = [0, 2**g - 1, *rng.choice(np.arange(1, 2**g - 1), size=6, replace=False).tolist()]
+    for eng in engines:
+        for eps_prime in classes:
+            cls = eng._lattice_class(eps_prime)
+            for order in (1, 2, 3):
+                assert np.array_equal(eng._bins(cls, order), _per_bin_reference(cls, g, order)), \
+                    (eps_prime, order, cls.m.dtype)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_points_are_key_sorted_and_lexicographic_within_a_key(ctx, g):
+    eng = ctx(g).engine
+    p = eng._p.astype(np.int64)
+    bit = 1 << np.arange(g - 1, -1, -1)  # entry i at bit g-1-i
+    key = (p & 1) @ bit << g | (p >> 1 & 1) @ bit
+    assert np.all(np.diff(key) >= 0)
+    assert np.array_equal(eng._starts, np.concatenate([[0], np.cumsum(np.bincount(key, minlength=4**g))]))
+    # within a key, strictly ascending in (p_{g-1}, ..., p_0): the last
+    # entry that differs between neighbours grows
+    same = np.diff(key) == 0
+    step = (p[1:] - p[:-1])[same][:, ::-1]
+    assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
 
 
 _PI_LD = np.longdouble("3.141592653589793238462643383279502884")

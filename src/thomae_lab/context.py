@@ -7,11 +7,11 @@ characteristic bits and reads them through the engine's one gather
 (:meth:`ThetaEngine.values`), which builds each class of each order the
 first time it is read; :meth:`CurveContext.consts` and
 :meth:`CurveContext.grads` are its orders 0 and 1.  The context is built
-for the highest derivative order its caller reads (4 by default): the
-engine enumerates its lattice at that order's truncation radius and refuses
-higher orders.  The context also computes the curve-wide determinant factor
-of the Thomae formulas once.  It holds no per-curve phase: every Thomae
-phase is a prediction of :mod:`thomae`.
+for the highest derivative order k its caller reads (4 by default): the
+engine sums orders up to 2 over one lattice, each class read at order 3 or
+4 over its own points at R_k, and refuses higher orders.  The context also
+computes the curve-wide determinant factor of the Thomae formulas once.  It
+holds no per-curve phase: every Thomae phase is a prediction of :mod:`thomae`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ lattice-point-count style of Deconinck, Heil, Bobenko, van Hoeij & Schmies
 requested tolerance; :func:`truncation_radius` states the bound.
 
 At v = 0 the phase splits as exp(i pi q.eps) = i^{eps.eps'} (-1)^{n.eps}, so
-it depends on n only through its parity n mod 2.  The engine enumerates the
+it depends on n only through its parity n mod 2.  The engine enumerates a
 lattice once per tau, as the integer points p = 2q with ||L p|| <= 2R: p mod
 2 is eps' and (p >> 1) mod 2 = n mod 2 is the parity bin.  The 2g-bit key
 eps' << g | bin sorts every point of every class into one int16 array with
@@ -47,10 +47,14 @@ product for every class a read adds; order 0 is built whole, by one
 segmented sum over the key-sorted weights; order 1 halves the sums of m p,
 which is exact, and higher orders form the monomial products per chunk of
 bins (:meth:`ThetaEngine._bins`).  The engine is built for a highest
-derivative order k (4 by default) and enumerates and weighs the lattice
-once, at construction, at the order-k radius R_k, which also serves every
-lower order; it refuses any order above k, whose tail R_k would cut short.
-theta(char, v) for v != 0 pairs q with -q in the same way: it is
+derivative order k (4 by default) and refuses any order above k, whose
+tail R_k would cut short.  Orders 0, 1 and 2, which the Thomae formulas,
+gradients and Hessians read, sum one lattice, enumerated and weighed at
+construction at R_min(k, 2) (the radius grows with the order).  A class
+read at order 3 or 4 enumerates its own points at R_k, its slice of a
+lattice at R_k in the same order, builds its rows and drops them.  An
+explicit radius cuts one lattice for every order.  theta(char, v) for
+v != 0 reads the lattice and pairs q with -q in the same way: it is
 sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for eps' = 0,
 and holds for complex v.
 """
@@ -172,14 +176,18 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0) -> float:
     return r
 
 
-def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integer points p with ||chol p||^2 <= r^2 in the lexicographic
     half-space (the last nonzero entry is positive, or p = 0), as int16 rows
-    sorted by key, and the 4^g + 1 key starts.
+    sorted by key, and the 4^g + 1 key starts.  With a class ``parity``
+    eps', only the points p = eps' mod 2: entry i steps by 2 from bit g-1-i
+    of eps', and the result is that class's rows, sorted by parity bin, and
+    its 2^g + 1 bin starts.
 
     The key of p is eps' << g | b, with eps' = p mod 2 and b = (p >> 1) mod 2,
     entry i at bit g-1-i of each.  The rows of one key are in lexicographic
-    order of (p_{g-1}, ..., p_0), the order of the enumeration.
+    order of (p_{g-1}, ..., p_0), the order of the enumeration, so a class
+    enumerated alone has the rows of its slice of the whole lattice.
 
     Fincke-Pohst enumeration: with chol upper triangular,
     ||chol p||^2 = sum_i chol_ii^2 (p_i - center_i)^2 where center_i depends
@@ -187,8 +195,8 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     each partial point carries its partial sum and is extended by exactly
     the integers of its admissible interval, so no candidate outside the
     ellipsoid's slices is ever formed.  At most one partial point has an
-    all-zero tail; its interval starts at p_i = 0, and it keeps an all-zero
-    tail only through p_i = 0.
+    all-zero tail; its interval starts at p_i = 0 (p_i = 1 for an odd
+    parity bit), and it keeps an all-zero tail only through p_i = 0.
 
     The last step, entry 0, writes the points straight into key order: the
     points of one tail whose p_0 has a given residue k mod 4 (a group) share
@@ -198,18 +206,24 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     No whole-lattice array is formed besides the result.
     """
     g = chol.shape[0]
+    par = [0 if parity is None else parity >> g - 1 - i & 1 for i in range(g)]
     tails = np.zeros((1, 0), dtype=np.int16)
     tail_key = np.zeros(1, dtype=np.uint16)
     quad = np.zeros(1)
-    zero = 0  # row of the all-zero tail
+    zero = 0  # row of the all-zero tail, None once there is none
 
     def interval(i: int, bound: float):
         d = chol[i, i]
         center = tails @ (-chol[i, i + 1 :] / d)
         half = np.sqrt(np.maximum(bound - quad, 0.0)) / d
         lo = np.ceil(center - half)
-        lo[zero] = max(lo[zero], 0.0)
+        if parity is not None:
+            lo += (lo - par[i]) % 2  # up to the first integer of the class's parity
+        if zero is not None:
+            lo[zero] = max(lo[zero], par[i])
         counts = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
+        if parity is not None:
+            counts = counts + 1 >> 1  # every other integer from lo on
         return d, center, lo.astype(np.int64), counts
 
     def key_bits(i: int, x: np.ndarray) -> np.ndarray:
@@ -222,10 +236,12 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
         first = np.cumsum(counts) - counts
         rows = np.repeat(np.arange(len(tails)), counts)
         x = np.arange(len(rows)) - np.repeat(first - lo, counts)  # lo, lo + 1, ... per row
+        if parity is not None:
+            x += np.arange(len(rows)) - np.repeat(first, counts)  # lo, lo + 2, ...
         return (np.column_stack([x.astype(np.int16), tails[rows]]),
                 tail_key[rows] | key_bits(i, x),
                 quad[rows] + (d * (x - center[rows])) ** 2,
-                int(first[zero]))  # the zero row's group starts at x = 0
+                None if zero is None or par[i] else int(first[zero]))  # the zero row's group starts at x = 0
 
     for i in range(g - 1, 0, -1):
         tails, tail_key, quad, zero = descend(i)
@@ -233,7 +249,8 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     counts[quad > r * r] = 0
     del quad
 
-    key = np.arange(4**g)  # its p_0 mod 4, from entry 0's two bits, and its tail key
+    # the keys written, their p_0 mod 4 (from entry 0's two bits) and their tail key
+    key = np.arange(4**g) if parity is None else parity << g | np.arange(2**g)
     k, base = key >> 2 * g - 1 | (key >> g - 1 & 1) << 1, key & ~(1 << 2 * g - 1 | 1 << g - 1)
     by_key = np.argsort(tail_key, kind="stable")
     ta, tb = (np.searchsorted(tail_key[by_key], base, side) for side in ("left", "right"))
@@ -241,15 +258,16 @@ def _ellipsoid_points(chol: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     padded[:, 1:] = tails
     del tails
     lo, counts = lo[by_key], counts[by_key]  # in sorted order: the batches read them in turn
+    span = counts if parity is None else 2 * counts  # each tail's p_0 lie in [lo, lo + span)
     out = np.empty((counts.sum(), g), dtype=np.int16)
-    starts = np.empty(4**g + 1, dtype=np.int64)
+    starts = np.empty(len(key) + 1, dtype=np.int64)
     done = 0
-    per = max(_BLOCK * 4**g // (4 * len(lo)), 1)  # keys per batch: about _BLOCK groups
-    for keys in (slice(k1, min(k1 + per, 4**g)) for k1 in range(0, 4**g, per)):
+    per = max(_BLOCK * len(key) // max(4 * len(lo), 1), 1)  # keys per batch: about _BLOCK groups
+    for keys in (slice(k1, min(k1 + per, len(key))) for k1 in range(0, len(key), per)):
         n = tb[keys] - ta[keys]
         t = np.repeat(ta[keys] - np.cumsum(n) + n, n) + np.arange(n.sum())  # the groups' tails
         first = lo[t] + ((np.repeat(k[keys], n) - lo[t]) & 3)
-        size = counts[t] + lo[t] - first + 3 >> 2
+        size = span[t] + lo[t] - first + 3 >> 2
         before = np.zeros(len(t) + 1, dtype=np.int64)  # points of the batch before each group
         np.cumsum(size, out=before[1:])
         starts[keys] = done + before[np.cumsum(n) - n]
@@ -309,7 +327,8 @@ def _store_rows(g: int) -> np.ndarray:
 class _LatticeClass(NamedTuple):
     """Points p = 2q of one half eps' class (the mirror -q of each is
     implied), sorted by parity bin: bin b (bit g-1-i is (p_i >> 1) mod 2)
-    holds rows starts[b]:starts[b+1].  Views into the engine's lattice."""
+    holds rows starts[b]:starts[b+1].  Views into the engine's lattice, or
+    a class enumerated on its own."""
 
     p: np.ndarray  # (N, g) int16
     m: np.ndarray  # (N,) exp(i pi q^t tau q), real when Re(tau) = 0
@@ -318,8 +337,10 @@ class _LatticeClass(NamedTuple):
 
 class ThetaEngine:
     """Theta constants and derivative tensors up to order ``order`` for one
-    fixed tau.  The lattice radius is ``radius`` if given, else the order's
-    truncation radius."""
+    fixed tau.  ``radius`` is R_k, the order's truncation radius, unless
+    given.  Orders 0-2 sum one lattice cut at R_min(k, 2); orders 3 and 4 sum
+    each class's own points at R_k, dropped once its rows are built.  A given
+    radius cuts one lattice for every order."""
 
     def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, radius: float | None = None,
                  order: int = 4):
@@ -334,31 +355,47 @@ class ThetaEngine:
         self.g = tau.shape[0]
         self.order = order
         check_genus(self.g)
-        # the radius grows with the order, so R_k serves every order <= k
+        # R_k first: the benchmark's tracer keeps the first radius per tau
         self.radius = truncation_radius(tau, tol, order=order) if radius is None else radius
         # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
         if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:
             raise ValueError(f"theta truncation radius {self.radius} is too large")
-        # (N, g) int16 points p = 2q, key-sorted, and the (4^g + 1,) key starts
-        p, self._starts = _ellipsoid_points(chol, 2 * self.radius)
-        # their weights m = exp(-pi q^t Y q), times exp(i pi q^t X q) only when X = Re(tau) != 0
-        y, x = tau.imag, tau.real
+        # the radius grows with the order, so R_2 serves orders 0, 1 and 2
+        self._chol = chol
+        self._lattice_radius = (truncation_radius(tau, tol, order=2) if radius is None and order > 2
+                                else self.radius)
+        # (N, g) int16 points p = 2q, key-sorted, the (4^g + 1,) key starts and the weights
+        p, self._starts = _ellipsoid_points(chol, 2 * self._lattice_radius)
+        self._p, self._m = p, self._weights(p)
+        self._enumerated = len(p)
+        self._stores: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # order -> (T, built)
+
+    @property
+    def points(self) -> int:
+        """Lattice points enumerated: the lattice's (one of each pair q, -q, and
+        the origin) and those of each class enumerated for an order above 2."""
+        return self._enumerated
+
+    def _weights(self, p: np.ndarray) -> np.ndarray:
+        """m = exp(-pi q^t Y q) of the points p = 2q, times exp(i pi q^t X q)
+        only when X = Re(tau) != 0, in blocks of _BLOCK points."""
+        y, x = self.tau.imag, self.tau.real
         real = not x.any()
         m = np.empty(len(p), dtype=float if real else complex)
         for lo in range(0, len(p), _BLOCK):
             q = 0.5 * p[lo : lo + _BLOCK]
             w = np.exp(-np.pi * np.einsum("ij,ij->i", q @ y, q))
             m[lo : lo + _BLOCK] = w if real else w * np.exp(1j * np.pi * np.einsum("ij,ij->i", q @ x, q))
-        self._p, self._m = p, m
-        self._stores: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # order -> (T, built)
+        return m
 
-    @property
-    def points(self) -> int:
-        """Lattice points stored: one of each pair q, -q, and the origin."""
-        return len(self._p)
-
-    def _lattice_class(self, eps_prime: int) -> _LatticeClass:
-        """The class of eps' (g bits, first entry most significant)."""
+    def _lattice_class(self, eps_prime: int, order: int = 0) -> _LatticeClass:
+        """The class of eps' (g bits, first entry most significant) that the
+        order-k sums read: a view into the lattice, or, for k > 2 when R_k
+        lies past it, its own points at R_k, enumerated here and kept by no one."""
+        if order > 2 and self._lattice_radius != self.radius:
+            p, starts = _ellipsoid_points(self._chol, 2 * self.radius, eps_prime)
+            self._enumerated += len(p)
+            return _LatticeClass(p, self._weights(p), starts)
         starts = self._starts[eps_prime << self.g : (eps_prime + 1 << self.g) + 1]
         lo, hi = starts[0], starts[-1]
         return _LatticeClass(self._p[lo:hi], self._m[lo:hi], starts - lo)
@@ -387,7 +424,7 @@ class ThetaEngine:
             filled = np.flatnonzero(np.diff(starts))
             bins[filled] = np.add.reduceat(m, starts[filled])
         else:
-            bins = np.stack([self._bins(self._lattice_class(e), order) for e in eps_prime.tolist()])
+            bins = np.stack([self._bins(self._lattice_class(e, order), order) for e in eps_prime.tolist()])
         table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
             bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order)
         built[eps_prime] = True
@@ -464,14 +501,15 @@ class ThetaEngine:
 
     def theta_deriv(self, char: HalfCharacteristic, order: int) -> DerivThetaTensor:
         """All order-m partial derivatives of theta[char] at v = 0, and their
-        scale (2 pi)^m max |m| max_i |q_i|^m over the class, computed here.
+        scale (2 pi)^m max |m| max_i |q_i|^m over the points of the class
+        that order sums, computed here.
         No run calls it: it is a traced entry point of the benchmark
         (bench/layers.py), which reads ``order`` by name for its
         ``theta.deriv.calls.o1``..``o3`` counters and times it as
         ``theta.deriv.self_s``; :meth:`CurveContext.deriv` calls it."""
         self._check(char)
         entries = np.asarray(self.values(char.bits, order))  # shape () at order 0
-        cls = self._lattice_class(char.bits & ((1 << self.g) - 1))
+        cls = self._lattice_class(char.bits & ((1 << self.g) - 1), order)
         size = np.max(np.abs(cls.m) * np.abs(0.5 * cls.p).max(axis=1) ** order, initial=0.0)
         return DerivThetaTensor(char, order, entries, float((2 * np.pi) ** order * size))
 

@@ -43,6 +43,13 @@ assert not gone, f"traced entry points gone: {gone}"
 ctx = CurveContext.build(random_curve(2, 1))
 ctx.consts(np.arange(1 << 6))
 assert tracer.radii, "the engine's truncation_radius call was not traced"
+# an order-3 engine also asks for R_2, its lattice's radius, but the tracer
+# keeps the first radius per tau: that must be R_3, so that
+# theta.lattice.radius_ratio_o0_o4 reads R_0 / R_k
+from thomae_lab.theta import ThetaEngine
+eng = ThetaEngine(ctx.periods.tau.copy(), order=3)
+_, tol, r = tracer.radius_inputs[id(eng.tau)]
+assert r == eng.radius == tracer.radius_fn(eng.tau, tol, order=3) > eng._lattice_radius, r
 # the family table is wrapped in place: a run must still read its entries
 from thomae_lab.harness import SuiteConfig, run_suite
 report = run_suite(SuiteConfig(spec=random_curve(3, 1), seed=1, cap=5))

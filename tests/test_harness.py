@@ -468,7 +468,7 @@ def test_thomae1_run_enumerates_at_the_order0_radius():
     tau = compute_periods(spec, 96).tau
     assert report.theta == {"order": 0, "radius": round(truncation_radius(tau, 1e-12, order=0), 6),
                             "points": ThetaEngine(tau, order=0).points}
-    assert report.theta["points"] < ThetaEngine(tau).points  # the order-4 lattice
+    assert report.theta["points"] < ThetaEngine(tau).points  # the order-4 engine's lattice, at R_2
     line = (f"theta lattice: order 0, radius {report.theta['radius']}, "
             f"{report.theta['points']} points")
     assert line in report.to_text().splitlines()

@@ -14,10 +14,18 @@ from thomae_lab.periods import compute_periods
 from thomae_lab.theta import ThetaEngine, truncation_radius
 
 
-def box_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
+def order_radius(engine: ThetaEngine, order: int) -> float:
+    """The radius of the points that the engine's order-k sums read: R_k past
+    order 2, where each class enumerates its own points, else the radius of
+    the one lattice, R_min(k, 2) (both are ``radius`` when it was given)."""
+    return engine.radius if order > 2 else engine._lattice_radius
+
+
+def box_class(engine: ThetaEngine, eps_prime: int, order: int = 0) -> np.ndarray:
     """Reference class: every q = n + eps'/2 with ||L q|| <= R, L^t L = pi Im(tau),
-    found in the plain box |n_i| <= R sqrt(((pi Im tau)^{-1})_ii) + 1."""
-    g, tau, r = engine.g, engine.tau, engine.radius
+    found in the plain box |n_i| <= R sqrt(((pi Im tau)^{-1})_ii) + 1, with R
+    the radius of the order-k sums."""
+    g, tau, r = engine.g, engine.tau, order_radius(engine, order)
     shift = 0.5 * np.array([(eps_prime >> (g - 1 - i)) & 1 for i in range(g)])
     bound = (r * np.sqrt(np.diag(np.linalg.inv(np.pi * tau.imag))) + 1).astype(int)
     n = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in bound], indexing="ij"), -1)
@@ -26,11 +34,11 @@ def box_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
     return q[np.sum((q @ chol) ** 2, axis=1) <= r * r]
 
 
-def check_half_class(engine: ThetaEngine, eps_prime: int) -> np.ndarray:
-    """The engine's class and its mirror -q, the origin counted once, must be
-    exactly the box class; returns the box class."""
-    cls = engine._lattice_class(eps_prime)
-    full = box_class(engine, eps_prime)
+def check_half_class(engine: ThetaEngine, eps_prime: int, order: int = 0) -> np.ndarray:
+    """The class the engine's order-k sums read and its mirror -q, the origin
+    counted once, must be exactly the box class; returns the box class."""
+    cls = engine._lattice_class(eps_prime, order)
+    full = box_class(engine, eps_prime, order)
     half = {tuple(q) for q in (0.5 * cls.p).tolist()}
     mirror = {tuple(-x for x in q) for q in half}
     assert len(half) == len(cls.p)
@@ -58,14 +66,16 @@ def per_character_deriv(tau: np.ndarray, q: np.ndarray, char: HalfCharacteristic
 
 
 def _check_against_reference(engine, chars, orders):
+    """Each order against per-character sums over the points it sums."""
     classes = {}
     for char in chars:
         eps_prime = char.bits & ((1 << engine.g) - 1)
-        if eps_prime not in classes:
-            classes[eps_prime] = check_half_class(engine, eps_prime)
         for order in orders:
+            key = eps_prime, order_radius(engine, order)
+            if key not in classes:
+                classes[key] = check_half_class(engine, eps_prime, order)
             t = engine.theta_deriv(char, order)
-            ref, scale = per_character_deriv(engine.tau, classes[eps_prime], char, order)
+            ref, scale = per_character_deriv(engine.tau, classes[key], char, order)
             assert t.entries.shape == (engine.g,) * order
             assert abs(t.scale - scale) <= 1e-12 * scale, (char, order)
             assert np.max(np.abs(t.entries - ref), initial=0.0) <= 1e-13 * scale, (char, order)
@@ -170,10 +180,11 @@ def test_g1_shifted_char_against_brute_force():
 def test_char_shift_identity_g2(ctx):
     # independent route: theta[eps](0) = exp(i pi (eps'/2) tau (eps'/2)
     #   + 2 i pi (eps/2) . (eps'/2)) * theta(eps/2 + tau eps'/2) with the
-    # plain zero-characteristic series at a shifted argument
+    # plain zero-characteristic series at a shifted argument.  No radius
+    # bounds the series at v != 0, so the lattice is cut at R_4.
     c = ctx(2)
     tau = c.periods.tau
-    eng = c.engine
+    eng = ThetaEngine(tau, radius=truncation_radius(tau, c.engine.tol, order=4))
     for char in [char_from_string("[01/10]"), char_from_string("[10/11]"),
                  char_from_string("[11/01]")]:
         eps, epsp = (np.asarray(t, float) for t in char_tuples(char))
@@ -418,11 +429,87 @@ def test_engine_refuses_orders_above_its_own(ctx, order):
 
 
 def test_explicit_radius_keeps_its_meaning(ctx):
+    # a given radius cuts one lattice for every order: reading order 3
+    # enumerates nothing more.  The default order-4 engine sums orders 3
+    # and 4 over each class's own points at R_4, which together are the
+    # same lattice, in the same order.
     tau = ctx(2).periods.tau
     r = truncation_radius(tau, 1e-12, order=4)
-    eng = ThetaEngine(tau, radius=r, order=0)
-    assert eng.points == ThetaEngine(tau).points
-    assert eng.radius == r
+    eng, default = ThetaEngine(tau, radius=r), ThetaEngine(tau)
+    lattice = eng.points
+    assert np.array_equal(eng.values(np.arange(16), 3), default.values(np.arange(16), 3))
+    assert eng.points == lattice == ThetaEngine(tau, radius=r, order=0).points
+    assert default.points == ThetaEngine(tau, order=2).points + lattice
+    assert eng.radius == default.radius == r
+
+
+@pytest.mark.parametrize("g", [3, 5, 6])
+def test_orders_past_2_are_bit_identical_to_one_lattice_at_r_k(ctx, g):
+    # the reference sums every order over one lattice at R_4, as the engine
+    # once did: each class enumerated on its own at R_4 gives the same
+    # points, in the same order, with the same weights.  Orders 0-2 sum the
+    # lattice at R_2 and differ from the reference by terms past R_2 alone,
+    # whose sum is at most B_j(R_2) <= theta_tol.
+    eng = ctx(g).engine
+    tau, chars = eng.tau, np.arange(4**g)
+    ref = ThetaEngine(tau, radius=truncation_radius(tau, eng.tol, order=eng.order))
+    assert eng._lattice_radius == truncation_radius(tau, eng.tol, order=2) < eng.radius == ref.radius
+    for order in (3, 4) if g == 3 else (3,):
+        assert np.array_equal(eng.values(chars, order), ref.values(chars, order)), order
+    for order in range(3):
+        bound = theta_module._tail_bound(tau, order)[1](eng._lattice_radius)[0]
+        diff = np.max(np.abs(eng.values(chars, order) - ref.values(chars, order)))
+        assert diff <= bound <= eng.tol, (order, diff, bound)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_a_parity_enumeration_is_its_slice_of_the_lattice(ctx, g):
+    # each class enumerated alone has the rows of its key range of the whole
+    # lattice at the same radius, in the same order; at g <= 3 its points
+    # and their mirrors are also exactly the box class
+    eng = ctx(g).engine
+    chol = np.linalg.cholesky(np.pi * eng.tau.imag).T
+    p, starts = theta_module._ellipsoid_points(chol, 2 * eng.radius)
+    for eps_prime in range(2**g):
+        own, bins = theta_module._ellipsoid_points(chol, 2 * eng.radius, eps_prime)
+        keys = starts[eps_prime << g : (eps_prime + 1 << g) + 1]
+        assert np.array_equal(own, p[keys[0] : keys[-1]]), eps_prime
+        assert np.array_equal(bins, keys - keys[0]), eps_prime
+        if g <= 3:
+            check_half_class(eng, eps_prime, eng.order)
+
+
+def test_an_order_past_2_enumerates_each_class_once(ctx, monkeypatch):
+    calls = []
+    enumerate_points = theta_module._ellipsoid_points
+
+    def counted(*args):
+        calls.append(args[2:])
+        return enumerate_points(*args)
+
+    monkeypatch.setattr(theta_module, "_ellipsoid_points", counted)
+    eng = ThetaEngine(ctx(3).periods.tau)
+    lattice = eng.points
+    eng.values(np.array([0b000101, 0b110101, 0b000011]), 3)  # eps' = 0b101 and 0b011
+    eng.values(np.array([0b000101]), 3)  # built: no enumeration
+    assert calls == [(), (0b011,), (0b101,)]
+    own = [len(enumerate_points(np.linalg.cholesky(np.pi * eng.tau.imag).T, 2 * eng.radius, e)[0])
+           for e in (0b011, 0b101)]
+    assert eng.points == lattice + sum(own)
+
+
+def test_int16_bound_is_checked_on_r_k_before_any_enumeration(monkeypatch):
+    # R_2 would fit int16; R_3 does not, and no point is enumerated
+    def radius(tau, tol, order=0):
+        return 4e4 if order > 2 else 5.0
+
+    def enumerate_nothing(*args):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(theta_module, "truncation_radius", radius)
+    monkeypatch.setattr(theta_module, "_ellipsoid_points", enumerate_nothing)
+    with pytest.raises(ValueError, match="too large"):
+        ThetaEngine(np.array([[1j]]), order=3)
 
 
 def _tail_curves(sweep):

@@ -119,6 +119,9 @@ class Report:
             f"theta lattice: order {self.theta['order']}, radius {self.theta['radius']}, "
             f"{self.theta['points']} points",
         ]
+        if include_timings:
+            stages = ("bindings", "periods", "lattice")
+            lines.append("stages: " + ", ".join(f"{k} {self.timings[k]:.2f}s" for k in stages))
         by_family: dict[str, list[VerificationRecord]] = {}
         for r in self.records:
             by_family.setdefault(r.relation_id, []).append(r)

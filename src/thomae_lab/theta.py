@@ -18,9 +18,12 @@ At v = 0 the phase splits as exp(i pi q.eps) = i^{eps.eps'} (-1)^{n.eps}, so
 it depends on n only through its parity n mod 2.  The engine enumerates a
 lattice once per tau, as the integer points p = 2q with ||L p|| <= 2R: p mod
 2 is eps' and (p >> 1) mod 2 = n mod 2 is the parity bin.  The 2g-bit key
-eps' << g | bin sorts every point of every class into one int16 array with
+eps' << g | bin sorts every point of every class into one integer array with
 4^g + 1 key starts, so the class of eps' is a contiguous slice and its 2^g
-parity bins are contiguous inside it.  The weights
+parity bins are contiguous inside it.  The array is int8 when the proven
+bound on |p_i| (:func:`_point_dtype`) is below 2^7, as on every curve the
+certifier builds, else int16; every float formed from p is the same either
+way.  The weights
 m = exp(-pi q^t Im(tau) q) are real; only a tau with Re(tau) != 0 (none
 that the certifier builds, whose tau is i Y) multiplies them by the phase
 exp(i pi q^t Re(tau) q).
@@ -176,10 +179,25 @@ def truncation_radius(tau: np.ndarray, tol: float, order: int = 0) -> float:
     return r
 
 
+def _point_dtype(chol: np.ndarray, r: float) -> type[np.signedinteger]:
+    """The narrowest signed type, int8 or int16, of the points p with
+    ||chol p|| <= r, the points p = 2q of a lattice at R = r / 2.  Each
+    |p_i| = |e_i^t chol^{-1} (chol p)| is at most r ||row i of chol^{-1}||,
+    plus 1 for the enumeration's slack; a bound of 2^15 or more raises."""
+    bound = r * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1
+    if bound < 2**7:
+        return np.int8
+    if bound < 2**15:
+        return np.int16
+    raise ValueError(f"theta truncation radius {r / 2} is too large: |p_i| may reach {bound:.0f}, past int16")
+
+
 def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integer points p with ||chol p||^2 <= r^2 in the lexicographic
-    half-space (the last nonzero entry is positive, or p = 0), as int16 rows
-    sorted by key, and the 4^g + 1 key starts.  With a class ``parity``
+    half-space (the last nonzero entry is positive, or p = 0), as rows of
+    :func:`_point_dtype` sorted by key, and the 4^g + 1 key starts.  The
+    tails and padded tails of the enumeration take the same type, and an r
+    past int16 raises before any point is formed.  With a class ``parity``
     eps', only the points p = eps' mod 2: entry i steps by 2 from bit g-1-i
     of eps', and the result is that class's rows, sorted by parity bin, and
     its 2^g + 1 bin starts.
@@ -205,9 +223,9 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
     consecutive keys are expanded into their rows, p_0 by one np.repeat.
     No whole-lattice array is formed besides the result.
     """
-    g = chol.shape[0]
+    g, dtype = chol.shape[0], _point_dtype(chol, r)
     par = [0 if parity is None else parity >> g - 1 - i & 1 for i in range(g)]
-    tails = np.zeros((1, 0), dtype=np.int16)
+    tails = np.zeros((1, 0), dtype=dtype)
     tail_key = np.zeros(1, dtype=np.uint16)
     quad = np.zeros(1)
     zero = 0  # row of the all-zero tail, None once there is none
@@ -238,7 +256,7 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
         x = np.arange(len(rows)) - np.repeat(first - lo, counts)  # lo, lo + 1, ... per row
         if parity is not None:
             x += np.arange(len(rows)) - np.repeat(first, counts)  # lo, lo + 2, ...
-        return (np.column_stack([x.astype(np.int16), tails[rows]]),
+        return (np.column_stack([x.astype(dtype), tails[rows]]),
                 tail_key[rows] | key_bits(i, x),
                 quad[rows] + (d * (x - center[rows])) ** 2,
                 None if zero is None or par[i] else int(first[zero]))  # the zero row's group starts at x = 0
@@ -254,12 +272,12 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
     k, base = key >> 2 * g - 1 | (key >> g - 1 & 1) << 1, key & ~(1 << 2 * g - 1 | 1 << g - 1)
     by_key = np.argsort(tail_key, kind="stable")
     ta, tb = (np.searchsorted(tail_key[by_key], base, side) for side in ("left", "right"))
-    padded = np.zeros((len(tails), g), dtype=np.int16)  # tails with a free column for p_0
+    padded = np.zeros((len(tails), g), dtype=dtype)  # tails with a free column for p_0
     padded[:, 1:] = tails
     del tails
     lo, counts = lo[by_key], counts[by_key]  # in sorted order: the batches read them in turn
     span = counts if parity is None else 2 * counts  # each tail's p_0 lie in [lo, lo + span)
-    out = np.empty((counts.sum(), g), dtype=np.int16)
+    out = np.empty((counts.sum(), g), dtype=dtype)
     starts = np.empty(len(key) + 1, dtype=np.int64)
     done = 0
     per = max(_BLOCK * len(key) // max(4 * len(lo), 1), 1)  # keys per batch: about _BLOCK groups
@@ -330,7 +348,7 @@ class _LatticeClass(NamedTuple):
     holds rows starts[b]:starts[b+1].  Views into the engine's lattice, or
     a class enumerated on its own."""
 
-    p: np.ndarray  # (N, g) int16
+    p: np.ndarray  # (N, g) int8, or int16 past a bound of 2^7
     m: np.ndarray  # (N,) exp(i pi q^t tau q), real when Re(tau) = 0
     starts: np.ndarray  # (2^g + 1,)
 
@@ -357,14 +375,14 @@ class ThetaEngine:
         check_genus(self.g)
         # R_k first: the benchmark's tracer keeps the first radius per tau
         self.radius = truncation_radius(tau, tol, order=order) if radius is None else radius
-        # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16
-        if 2 * self.radius * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1 >= 2**15:
-            raise ValueError(f"theta truncation radius {self.radius} is too large")
+        # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16 at R_k,
+        # checked before any enumeration; each enumeration takes its own width
+        _point_dtype(chol, 2 * self.radius)
         # the radius grows with the order, so R_2 serves orders 0, 1 and 2
         self._chol = chol
         self._lattice_radius = (truncation_radius(tau, tol, order=2) if radius is None and order > 2
                                 else self.radius)
-        # (N, g) int16 points p = 2q, key-sorted, the (4^g + 1,) key starts and the weights
+        # (N, g) int8 or int16 points p = 2q, key-sorted, the (4^g + 1,) key starts and the weights
         p, self._starts = _ellipsoid_points(chol, 2 * self._lattice_radius)
         self._p, self._m = p, self._weights(p)
         self._enumerated = len(p)

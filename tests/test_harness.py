@@ -336,6 +336,16 @@ def test_cli_text_output_reproducible(capsys):
     assert "s]" in capsys.readouterr().out
 
 
+def test_text_timings_print_the_stages_on_one_line():
+    report = run_suite(SuiteConfig(spec=random_curve(2, 1), relations=("THOMAE1",), cap=5, seed=1))
+    lines = report.to_text(include_timings=True).splitlines()
+    stages = [line for line in lines if line.startswith("stages: ")]
+    assert stages == [f"stages: bindings {report.timings['bindings']:.2f}s, "
+                      f"periods {report.timings['periods']:.2f}s, lattice {report.timings['lattice']:.2f}s"]
+    assert lines.index(stages[0]) == 3  # after the theta lattice line
+    assert not any(line.startswith("stages") for line in report.to_text().splitlines())
+
+
 # Records per family and a sha256 of the sorted (family, bindings) list of
 # the default suite on random_curve(g, 14), sampling seed 14, default cap.
 PINNED_BINDINGS = {

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations_with_replacement, permutations, product
 
 import mpmath
@@ -253,6 +254,80 @@ def test_int16_bound_is_on_p():
     eng = ThetaEngine(np.array([[1j]]), radius=2e4)
     assert abs(eng.theta(_char(1, 0)) - ThetaEngine(np.array([[1j]])).theta(_char(1, 0))) < 1e-15
     assert eng._p.max() == int(2e4 * 2 * reach)
+
+
+def test_enumerator_refuses_a_radius_past_int16_before_forming_points(monkeypatch):
+    # at tau = i, chol = sqrt(pi) and |p| <= r / sqrt(pi) + 1: the enumerator
+    # checks the bound itself, not only through the engine
+    chol = np.array([[np.sqrt(np.pi)]])
+    p, _ = theta_module._ellipsoid_points(chol, (2**15 - 2) * np.sqrt(np.pi))
+    assert p.dtype == np.int16 and p.max() == 2**15 - 2
+
+    def form_nothing(*args, **kwargs):
+        raise AssertionError("a point was formed")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "repeat", form_nothing)  # every row of the result is laid out by np.repeat
+        with pytest.raises(ValueError, match="too large"):
+            theta_module._ellipsoid_points(chol, 2**15 * np.sqrt(np.pi))  # p = 2^15 would wrap
+
+
+def test_a_bound_past_2_to_the_7_stores_int16():
+    # at tau = i the bound 2R / sqrt(pi) + 1 reaches 2^7 between R = 112 and 113
+    reach = 2 / np.sqrt(np.pi)
+    assert 112 * reach + 1 < 2**7 <= 113 * reach + 1
+    narrow, wide = (ThetaEngine(np.array([[1j]]), radius=r) for r in (112, 113))
+    assert narrow._p.dtype == np.int8 and wide._p.dtype == np.int16
+    assert np.array_equal(narrow.values(np.arange(4), 0), wide.values(np.arange(4), 0))
+
+
+def test_every_real_curve_stores_one_byte_per_coordinate(sweep_curves):
+    # the lattice at R_2 and each class enumerated at R_k for orders 3 and 4
+    for spec in _tail_curves(sweep_curves):
+        eng = ThetaEngine(compute_periods(spec, 96).tau)
+        assert eng._p.itemsize == 1, spec.label
+        assert theta_module._point_dtype(eng._chol, 2 * eng.radius) is np.int8, spec.label
+
+
+@pytest.mark.parametrize("g", [7, 8])
+def test_genus_7_and_8_curves_take_int8_at_r_4(g):
+    for seed in (1, 2, 3):
+        tau = compute_periods(random_curve(g, seed), 96).tau
+        chol = np.linalg.cholesky(np.pi * tau.imag).T
+        assert theta_module._point_dtype(chol, 2 * truncation_radius(tau, 1e-12, order=4)) is np.int8, seed
+
+
+def test_a_radius_below_the_near_singular_warning_stores_int8():
+    # ||row i of chol^-1|| <= 1 / sqrt(lam_min), so below the warning
+    # R / sqrt(lam_min) <= RADIUS_WARN = 40 the bound is at most 2 * 40 + 1 = 81
+    assert 2 * theta_module.RADIUS_WARN + 1 < 2**7
+    rng = np.random.default_rng(7)
+    for g in range(1, MAX_GENUS + 1):
+        rot, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        y = rot @ np.diag(np.logspace(-4, 0, g)) @ rot.T  # eigenvalues 1e-4 to 1, rotated
+        chol = np.linalg.cholesky(np.pi * y).T
+        r = theta_module.RADIUS_WARN * np.sqrt(np.linalg.eigvalsh(np.pi * y)[0])
+        assert theta_module._point_dtype(chol, 2 * r) is np.int8, g
+    # a radius just below the warning, on a stretched genus-2 tau
+    tau = 1j * np.diag([1.0, 0.0069])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng = ThetaEngine(tau, order=0)
+    assert eng.radius / np.sqrt(np.pi * 0.0069) > 0.95 * theta_module.RADIUS_WARN
+    assert eng._p.dtype == np.int8 and np.abs(eng._p).max() <= 81
+
+
+@pytest.mark.parametrize("g", [3, 5])
+def test_int16_points_give_the_same_stores(ctx, monkeypatch, g):
+    tau, chars = ctx(g).periods.tau, np.arange(4**g)
+    narrow = ThetaEngine(tau)
+    point_dtype = theta_module._point_dtype
+    monkeypatch.setattr(theta_module, "_point_dtype", lambda chol, r: point_dtype(chol, r) and np.int16)
+    wide = ThetaEngine(tau)
+    assert narrow._p.dtype == np.int8 and wide._p.dtype == np.int16
+    for order in range(4):
+        assert np.array_equal(narrow.values(chars, order), wide.values(chars, order)), order
+    assert np.array_equal(narrow._m, wide._m)
 
 
 def test_one_enumeration_per_engine(ctx, monkeypatch):

@@ -220,7 +220,8 @@ class Family:
     it reads no curve, so every binding can be drawn before the engine exists.
     ``verify(ctx, bindings, tol)`` gives the records of all of them, in row
     order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`; it is not
-    called without rows.
+    called without rows.  Calling the entry, ``family(ctx, cfg, rows)``,
+    verifies the rows drawn for a run.
     ``order`` is the highest derivative order of theta it reads, or
     ``order(g, enable_heavy)`` where that depends on the run; see
     :func:`run_order`.  Below ``min_genus`` the family has no instances.
@@ -232,10 +233,7 @@ class Family:
     order: int | Callable[[int, bool], int]
     min_genus: int = 2
 
-    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rng: np.random.Generator,
-                 rows: np.ndarray | None = None) -> list:
-        if rows is None:  # else the rows drawn for this run
-            rows = self.bindings(ctx.g, cfg, rng) if ctx.g >= self.min_genus else []
+    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rows: np.ndarray) -> list:
         return self.verify(ctx, rows, cfg.tolerance_table) if len(rows) else []
 
 
@@ -607,7 +605,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     records: list[VerificationRecord] = []
     for family, rows in zip(running, drawn):
         t0 = time.perf_counter()
-        records.extend(family(ctx, cfg, None, rows))  # the entry: bench/layers.py wraps it
+        records.extend(family(ctx, cfg, rows))  # the entry: bench/layers.py wraps it
         timings[family.name] = time.perf_counter() - t0
 
     return Report(

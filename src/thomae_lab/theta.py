@@ -23,10 +23,8 @@ eps' << g | bin sorts every point of every class into one integer array with
 parity bins are contiguous inside it.  The array is int8 when the proven
 bound on |p_i| (:func:`_point_dtype`) is below 2^7, as on every curve the
 certifier builds, else int16; every float formed from p is the same either
-way.  The weights
-m = exp(-pi q^t Im(tau) q) are real; only a tau with Re(tau) != 0 (none
-that the certifier builds, whose tau is i Y) multiplies them by the phase
-exp(i pi q^t Re(tau) q).
+way.  A curve with real branch points has tau = i Y, so the weights
+m = exp(-pi q^t Y q) are real; the engine refuses a tau with Re(tau) != 0.
 
 The lattice holds only half of its points.  The map q -> -q keeps the eps'
 class and m, and sends n to -n - eps', so parity bin b to b XOR eps' (bin
@@ -55,11 +53,10 @@ tail R_k would cut short.  Orders 0, 1 and 2, which the Thomae formulas,
 gradients and Hessians read, sum one lattice, enumerated and weighed at
 construction at R_min(k, 2) (the radius grows with the order).  A class
 read at order 3 or 4 enumerates its own points at R_k, its slice of a
-lattice at R_k in the same order, builds its rows and drops them.  An
-explicit radius cuts one lattice for every order.  theta(char, v) for
-v != 0 reads the lattice and pairs q with -q in the same way: it is
-sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1 for eps' = 0,
-and holds for complex v.
+lattice at R_k in the same order, builds its rows and drops them.
+theta(char, v) for v != 0 reads the lattice and pairs q with -q in the
+same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1
+for eps' = 0, and holds for complex v.
 """
 
 from __future__ import annotations
@@ -349,39 +346,40 @@ class _LatticeClass(NamedTuple):
     a class enumerated on its own."""
 
     p: np.ndarray  # (N, g) int8, or int16 past a bound of 2^7
-    m: np.ndarray  # (N,) exp(i pi q^t tau q), real when Re(tau) = 0
+    m: np.ndarray  # (N,) float64 exp(-pi q^t Y q), tau = i Y
     starts: np.ndarray  # (2^g + 1,)
 
 
 class ThetaEngine:
     """Theta constants and derivative tensors up to order ``order`` for one
-    fixed tau.  ``radius`` is R_k, the order's truncation radius, unless
-    given.  Orders 0-2 sum one lattice cut at R_min(k, 2); orders 3 and 4 sum
-    each class's own points at R_k, dropped once its rows are built.  A given
-    radius cuts one lattice for every order."""
+    fixed tau = i Y.  ``radius`` is R_k, the order's truncation radius.
+    Orders 0-2 sum one lattice cut at R_min(k, 2); orders 3 and 4 sum each
+    class's own points at R_k, dropped once its rows are built."""
 
-    def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, radius: float | None = None,
-                 order: int = 4):
-        self.tau = tau = np.ascontiguousarray(tau, dtype=complex)  # .imag, .real: float views
+    def __init__(self, tau: np.ndarray, tol: float = DEFAULT_TOL, order: int = 4):
+        self.tau = tau = np.ascontiguousarray(tau, dtype=complex)  # .imag: a float view
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"ThetaEngine.tol must be finite and > 0, got {tol}")
         try:
             chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
         except np.linalg.LinAlgError:
             raise ValueError("Im tau must be positive definite") from None
+        if tau.real.any():
+            raise ValueError("Re tau must be 0: the engine sums tau = i Y, the tau of a curve "
+                             "with real branch points")
         self.tol = tol
         self.g = tau.shape[0]
         self.order = order
         check_genus(self.g)
         # R_k first: the benchmark's tracer keeps the first radius per tau
-        self.radius = truncation_radius(tau, tol, order=order) if radius is None else radius
-        # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16 at R_k,
-        # checked before any enumeration; each enumeration takes its own width
-        _point_dtype(chol, 2 * self.radius)
-        # the radius grows with the order, so R_2 serves orders 0, 1 and 2
+        self.radius = truncation_radius(tau, tol, order=order)
         self._chol = chol
-        self._lattice_radius = (truncation_radius(tau, tol, order=2) if radius is None and order > 2
-                                else self.radius)
+        if order > 2:
+            # |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1 must fit int16 at R_k
+            # before the lattice is enumerated, which checks its own radius
+            _point_dtype(chol, 2 * self.radius)
+        # the radius grows with the order, so R_2 serves orders 0, 1 and 2
+        self._lattice_radius = truncation_radius(tau, tol, order=2) if order > 2 else self.radius
         # (N, g) int8 or int16 points p = 2q, key-sorted, the (4^g + 1,) key starts and the weights
         p, self._starts = _ellipsoid_points(chol, 2 * self._lattice_radius)
         self._p, self._m = p, self._weights(p)
@@ -395,22 +393,20 @@ class ThetaEngine:
         return self._enumerated
 
     def _weights(self, p: np.ndarray) -> np.ndarray:
-        """m = exp(-pi q^t Y q) of the points p = 2q, times exp(i pi q^t X q)
-        only when X = Re(tau) != 0, in blocks of _BLOCK points."""
-        y, x = self.tau.imag, self.tau.real
-        real = not x.any()
-        m = np.empty(len(p), dtype=float if real else complex)
+        """m = exp(-pi q^t Y q) of the points p = 2q, in blocks of _BLOCK
+        points."""
+        y = self.tau.imag
+        m = np.empty(len(p))
         for lo in range(0, len(p), _BLOCK):
             q = 0.5 * p[lo : lo + _BLOCK]
-            w = np.exp(-np.pi * np.einsum("ij,ij->i", q @ y, q))
-            m[lo : lo + _BLOCK] = w if real else w * np.exp(1j * np.pi * np.einsum("ij,ij->i", q @ x, q))
+            m[lo : lo + _BLOCK] = np.exp(-np.pi * np.einsum("ij,ij->i", q @ y, q))
         return m
 
     def _lattice_class(self, eps_prime: int, order: int = 0) -> _LatticeClass:
         """The class of eps' (g bits, first entry most significant) that the
-        order-k sums read: a view into the lattice, or, for k > 2 when R_k
-        lies past it, its own points at R_k, enumerated here and kept by no one."""
-        if order > 2 and self._lattice_radius != self.radius:
+        order-k sums read: a view into the lattice, or, for k > 2, its own
+        points at R_k, enumerated here and kept by no one."""
+        if order > 2:
             p, starts = _ellipsoid_points(self._chol, 2 * self.radius, eps_prime)
             self._enumerated += len(p)
             return _LatticeClass(p, self._weights(p), starts)
@@ -434,13 +430,13 @@ class ThetaEngine:
         """Fill the store rows of the classes eps_prime with one batched
         transform.  Order 0 fills every class, from one segmented sum over
         the key-sorted weights."""
-        g, m = self.g, self._m
+        g = self.g
         table, built = self._stores[order]
         if order == 0:
             eps_prime, starts = np.arange(2**g), self._starts
-            bins = np.zeros(4**g, dtype=m.dtype)
+            bins = np.zeros(4**g)
             filled = np.flatnonzero(np.diff(starts))
-            bins[filled] = np.add.reduceat(m, starts[filled])
+            bins[filled] = np.add.reduceat(self._m, starts[filled])
         else:
             bins = np.stack([self._bins(self._lattice_class(e, order), order) for e in eps_prime.tolist()])
         table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
@@ -453,7 +449,7 @@ class ThetaEngine:
         are formed per chunk of bins of about 4 * _BLOCK entries, and each bin
         takes q^t @ rest on its own rows, so no bit depends on the chunks."""
         tail, pick, _ = _layout(self.g, order)
-        bins = np.zeros((2**self.g, len(pick)), dtype=cls.m.dtype)
+        bins = np.zeros((2**self.g, len(pick)))
         if order == 1:
             filled = np.flatnonzero(np.diff(cls.starts))
             bins[filled] = np.add.reduceat(cls.m[:, None] * cls.p, cls.starts[filled])
@@ -528,7 +524,7 @@ class ThetaEngine:
         self._check(char)
         entries = np.asarray(self.values(char.bits, order))  # shape () at order 0
         cls = self._lattice_class(char.bits & ((1 << self.g) - 1), order)
-        size = np.max(np.abs(cls.m) * np.abs(0.5 * cls.p).max(axis=1) ** order, initial=0.0)
+        size = np.max(cls.m * np.abs(0.5 * cls.p).max(axis=1) ** order, initial=0.0)
         return DerivThetaTensor(char, order, entries, float((2 * np.pi) ** order * size))
 
     def _check(self, char: HalfCharacteristic) -> None:

@@ -1048,7 +1048,8 @@ def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
     monkeypatch.setattr(harness, "general_thomae_batch", counted)
     c = ctx(5)
     cfg = SuiteConfig(spec=c.spec, cap=100, seed=1)
-    records = FAMILIES["THOMAEG"](c, cfg, _family_rng(cfg, "THOMAEG"))
+    family = FAMILIES["THOMAEG"]
+    records = family(c, cfg, family.bindings(c.g, cfg, _family_rng(cfg, "THOMAEG")))
     assert records and all(r.passed for r in records)
     assert len(rows) == len(set(rows)) == 2 * len(records)
     groups = {(len(r.bindings["Im"]), r.bindings["m"]) for r in records}
@@ -1071,7 +1072,8 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
     cfg = SuiteConfig(spec=ctx.spec, cap=cap, seed=1)
     # the sampler THOMAE1 used while it ran one binding at a time
     rows = _i0_splits(g, 0, _picker(_family_rng(cfg, "THOMAE1"), cap))
-    records = FAMILIES["THOMAE1"](ctx, cfg, _family_rng(cfg, "THOMAE1"))
+    family = FAMILIES["THOMAE1"]
+    records = family(ctx, cfg, family.bindings(g, cfg, _family_rng(cfg, "THOMAE1")))
     assert len(records) == len(rows) == min(cap, math.comb(2 * g + 1, g))
     # the ratio kernel over every I_0 in combinations order, looked up per
     # characteristic

@@ -546,11 +546,12 @@ def test_the_run_order_counts_only_families_with_bindings():
     assert report.theta == alone.theta
     assert [r.as_dict() for r in report.records] == [r.as_dict() for r in alone.records]
     # each family still draws from its own stream: the run's records are the
-    # family's own, called directly without rows
+    # family's own, on the rows it draws directly
     cfg = SuiteConfig(spec=spec, relations=("HESS_EQUIV",), cap=60, seed=1)
     report = run_suite(cfg)
-    direct = FAMILIES["HESS_EQUIV"](CurveContext.build(spec, order=2), cfg,
-                                    _family_rng(cfg, "HESS_EQUIV"))
+    family = FAMILIES["HESS_EQUIV"]
+    direct = family(CurveContext.build(spec, order=2), cfg,
+                    family.bindings(spec.genus, cfg, _family_rng(cfg, "HESS_EQUIV")))
     assert [r.as_dict() for r in report.records] == [r.as_dict() for r in direct]
     assert report.theta["order"] == 2 and len(direct) == 3  # cap // 25 = 2, cap // 50 = 1
 

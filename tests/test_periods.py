@@ -60,6 +60,14 @@ def test_tau_invariants(ctx):
         assert np.min(np.linalg.eigvalsh(tau.imag)) > 0
 
 
+def test_every_tau_of_a_real_curve_is_imaginary(sweep_curves):
+    # real branch points give tau = i Y exactly, which the theta engine's real
+    # weights take for granted (it refuses Re tau != 0)
+    specs = sweep_curves + [random_curve(g, s) for g in range(2, 9) for s in (1, 2, 3)]
+    for spec in specs:
+        assert not compute_periods(spec).tau.real.any(), spec.label
+
+
 def test_order_doubling_stability(curve):
     spec = curve(2)
     p1 = compute_periods(spec, 48)

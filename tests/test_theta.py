@@ -18,8 +18,16 @@ from thomae_lab.theta import ThetaEngine, truncation_radius
 def order_radius(engine: ThetaEngine, order: int) -> float:
     """The radius of the points that the engine's order-k sums read: R_k past
     order 2, where each class enumerates its own points, else the radius of
-    the one lattice, R_min(k, 2) (both are ``radius`` when it was given)."""
+    the one lattice, R_min(k, 2)."""
     return engine.radius if order > 2 else engine._lattice_radius
+
+
+def engine_at(monkeypatch, tau: np.ndarray, r: float, **kw) -> ThetaEngine:
+    """An engine built while truncation_radius returns r at every order: its
+    lattice, and each class it enumerates for an order above 2, are cut at r."""
+    with monkeypatch.context() as m:
+        m.setattr(theta_module, "truncation_radius", lambda tau, tol, order=0: r)
+        return ThetaEngine(tau, **kw)
 
 
 def box_class(engine: ThetaEngine, eps_prime: int, order: int = 0) -> np.ndarray:
@@ -96,11 +104,9 @@ def test_kernel_matches_per_character_sums_g5_sample(ctx):
     _check_against_reference(eng, [_char(5, int(b)) for b in bits], range(4))
 
 
-_ORACLE_TAU = {
-    2: [[0.30 + 1.10j, 0.20 + 0.35j], [0.20 + 0.35j, -0.40 + 0.90j]],
-    3: [[0.10 + 1.20j, 0.25 + 0.30j, -0.15 + 0.10j],
-        [0.25 + 0.30j, -0.35 + 1.00j, 0.05 + 0.25j],
-        [-0.15 + 0.10j, 0.05 + 0.25j, 0.45 + 0.95j]],
+_ORACLE_TAU = {  # tau = i Y, as the engine sums it
+    2: 1j * np.array([[1.10, 0.35], [0.35, 0.90]]),
+    3: 1j * np.array([[1.20, 0.30, 0.10], [0.30, 1.00, 0.25], [0.10, 0.25, 0.95]]),
 }
 
 
@@ -125,7 +131,7 @@ def _mp_theta_and_gradient(tau, char, box, v=None):
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_theta_against_mpmath_box_sum(g):
-    tau = np.array(_ORACLE_TAU[g])
+    tau = _ORACLE_TAU[g]
     eng = ThetaEngine(tau)
     # every omitted term has |term| <= exp(-pi lam_min (box + 1/2)^2) < 1e-24
     lam_min = float(np.min(np.linalg.eigvalsh(tau.imag)))
@@ -141,7 +147,7 @@ def test_theta_against_mpmath_box_sum(g):
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_theta_at_complex_v_against_mpmath_box_sum(g):
-    tau = np.array(_ORACLE_TAU[g])
+    tau = _ORACLE_TAU[g]
     eng = ThetaEngine(tau)
     rng = np.random.default_rng(g)
     v = rng.uniform(-0.5, 0.5, size=g) + 1j * rng.uniform(-0.1, 0.1, size=g)
@@ -167,7 +173,7 @@ def test_g1_value_against_brute_force():
 
 
 def test_g1_shifted_char_against_brute_force():
-    tau = np.array([[0.3 + 0.8j]])
+    tau = np.array([[0.8j]])
     eng = ThetaEngine(tau)
     c = char_from_string("[1/1]")
     v = np.array([0.21 - 0.05j])
@@ -178,14 +184,14 @@ def test_g1_shifted_char_against_brute_force():
     assert abs(eng.theta(c, v) - oracle) < 1e-13
 
 
-def test_char_shift_identity_g2(ctx):
+def test_char_shift_identity_g2(ctx, monkeypatch):
     # independent route: theta[eps](0) = exp(i pi (eps'/2) tau (eps'/2)
     #   + 2 i pi (eps/2) . (eps'/2)) * theta(eps/2 + tau eps'/2) with the
     # plain zero-characteristic series at a shifted argument.  No radius
     # bounds the series at v != 0, so the lattice is cut at R_4.
     c = ctx(2)
     tau = c.periods.tau
-    eng = ThetaEngine(tau, radius=truncation_radius(tau, c.engine.tol, order=4))
+    eng = engine_at(monkeypatch, tau, truncation_radius(tau, c.engine.tol, order=4))
     for char in [char_from_string("[01/10]"), char_from_string("[10/11]"),
                  char_from_string("[11/01]")]:
         eps, epsp = (np.asarray(t, float) for t in char_tuples(char))
@@ -226,11 +232,24 @@ def test_invalid_tau_rejected(monkeypatch):
     monkeypatch.setattr(theta_module, "truncation_radius", None)
     with pytest.raises(ValueError, match="positive definite"):
         ThetaEngine(1j * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="positive definite"):
+        ThetaEngine(0.3 + 1j * np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_radius_beyond_int16_offsets_rejected():
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_a_tau_with_a_real_part_is_refused(monkeypatch, g):
+    # the weights are real, exp(-pi q^t Y q): a positive-definite Im tau with
+    # Re tau != 0, even in one entry, is refused before the radius is sought
+    monkeypatch.setattr(theta_module, "truncation_radius", None)
+    y = np.eye(g) + 0.2 * np.ones((g, g))
+    for re in (0.25 * np.ones((g, g)), np.eye(g)[::-1] * 1e-300):
+        with pytest.raises(ValueError, match=r"Re tau must be 0"):
+            ThetaEngine(re + 1j * y)
+
+
+def test_radius_beyond_int16_offsets_rejected(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
-        ThetaEngine(np.array([[1j]]), radius=1e6).theta(_char(1, 0))
+        engine_at(monkeypatch, np.array([[1j]]), 1e6).theta(_char(1, 0))
 
 
 def test_genus_beyond_lattice_key_rejected(monkeypatch):
@@ -244,14 +263,14 @@ def test_genus_beyond_lattice_key_rejected(monkeypatch):
         ThetaEngine(1j * np.eye(g)).theta(_char(g, 0))
 
 
-def test_int16_bound_is_on_p():
+def test_int16_bound_is_on_p(monkeypatch):
     # the stored points are p = 2q: |p_i| <= 2R sqrt(((pi Im tau)^{-1})_ii) + 1
     # must fit int16, so R = 4e4 fails at tau = i where R = 2e4 does not
     reach = 1 / np.sqrt(np.pi)
     assert 4e4 * reach + 1 < 2**15 <= 8e4 * reach + 1
     with pytest.raises(ValueError, match="too large"):
-        ThetaEngine(np.array([[1j]]), radius=4e4).theta(_char(1, 0))
-    eng = ThetaEngine(np.array([[1j]]), radius=2e4)
+        engine_at(monkeypatch, np.array([[1j]]), 4e4).theta(_char(1, 0))
+    eng = engine_at(monkeypatch, np.array([[1j]]), 2e4)
     assert abs(eng.theta(_char(1, 0)) - ThetaEngine(np.array([[1j]])).theta(_char(1, 0))) < 1e-15
     assert eng._p.max() == int(2e4 * 2 * reach)
 
@@ -272,11 +291,11 @@ def test_enumerator_refuses_a_radius_past_int16_before_forming_points(monkeypatc
             theta_module._ellipsoid_points(chol, 2**15 * np.sqrt(np.pi))  # p = 2^15 would wrap
 
 
-def test_a_bound_past_2_to_the_7_stores_int16():
+def test_a_bound_past_2_to_the_7_stores_int16(monkeypatch):
     # at tau = i the bound 2R / sqrt(pi) + 1 reaches 2^7 between R = 112 and 113
     reach = 2 / np.sqrt(np.pi)
     assert 112 * reach + 1 < 2**7 <= 113 * reach + 1
-    narrow, wide = (ThetaEngine(np.array([[1j]]), radius=r) for r in (112, 113))
+    narrow, wide = (engine_at(monkeypatch, np.array([[1j]]), r) for r in (112, 113))
     assert narrow._p.dtype == np.int8 and wide._p.dtype == np.int16
     assert np.array_equal(narrow.values(np.arange(4), 0), wide.values(np.arange(4), 0))
 
@@ -352,7 +371,7 @@ def _per_bin_reference(cls, g: int, order: int) -> np.ndarray:
     as one segmented sum of m q, and every higher order bin by bin, with the
     monomial product m q_c1 ... of that bin alone."""
     tail, pick, _ = theta_module._layout(g, order)
-    bins = np.zeros((2**g, len(pick)), dtype=cls.m.dtype)
+    bins = np.zeros((2**g, len(pick)))
     filled = np.flatnonzero(np.diff(cls.starts))
     q = 0.5 * cls.p
     if order == 1:
@@ -371,19 +390,16 @@ def _per_bin_reference(cls, g: int, order: int) -> np.ndarray:
 @pytest.mark.parametrize("g", [5, 6])
 def test_bins_are_bit_identical_to_per_bin_sums(ctx, monkeypatch, g, block):
     # chunked products change no bit, neither with chunks of many bins nor
-    # with bins larger than a chunk (block 64); order 1 halves exactly.  At
-    # genus 5 a tau with Re(tau) != 0 gives complex weights.
+    # with bins larger than a chunk (block 64); order 1 halves exactly
     monkeypatch.setattr(theta_module, "_BLOCK", block)
-    tau = ctx(g).periods.tau
-    engines = [ctx(g).engine] + ([ThetaEngine(tau + 0.05 * np.ones((g, g)), order=3)] if g == 5 else [])
+    eng = ctx(g).engine
     rng = np.random.default_rng(g)
     classes = [0, 2**g - 1, *rng.choice(np.arange(1, 2**g - 1), size=6, replace=False).tolist()]
-    for eng in engines:
-        for eps_prime in classes:
-            cls = eng._lattice_class(eps_prime)
-            for order in (1, 2, 3):
-                assert np.array_equal(eng._bins(cls, order), _per_bin_reference(cls, g, order)), \
-                    (eps_prime, order, cls.m.dtype)
+    for eps_prime in classes:
+        cls = eng._lattice_class(eps_prime)
+        for order in (1, 2, 3):
+            assert np.array_equal(eng._bins(cls, order), _per_bin_reference(cls, g, order)), \
+                (eps_prime, order)
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -445,11 +461,11 @@ def test_truncation_radius_warns_near_singular():
         truncation_radius(tau, 1e-14)
 
 
-def test_doubling_radius_stability(ctx):
+def test_doubling_radius_stability(ctx, monkeypatch):
     c = ctx(2)
     tau = c.periods.tau
     base = ThetaEngine(tau, tol=1e-12)
-    wide = ThetaEngine(tau, tol=1e-12, radius=2 * truncation_radius(tau, 1e-12, order=4))
+    wide = engine_at(monkeypatch, tau, 2 * truncation_radius(tau, 1e-12, order=4), tol=1e-12)
     for part in enumerate_partitions(2, 0):
         ch = char_of_set(2, part.part)
         assert abs(base.theta(ch) - wide.theta(ch)) < 1e-12
@@ -503,34 +519,25 @@ def test_engine_refuses_orders_above_its_own(ctx, order):
     assert eng.radius == truncation_radius(tau, eng.tol, order=order)
 
 
-def test_explicit_radius_keeps_its_meaning(ctx):
-    # a given radius cuts one lattice for every order: reading order 3
-    # enumerates nothing more.  The default order-4 engine sums orders 3
-    # and 4 over each class's own points at R_4, which together are the
-    # same lattice, in the same order.
-    tau = ctx(2).periods.tau
-    r = truncation_radius(tau, 1e-12, order=4)
-    eng, default = ThetaEngine(tau, radius=r), ThetaEngine(tau)
-    lattice = eng.points
-    assert np.array_equal(eng.values(np.arange(16), 3), default.values(np.arange(16), 3))
-    assert eng.points == lattice == ThetaEngine(tau, radius=r, order=0).points
-    assert default.points == ThetaEngine(tau, order=2).points + lattice
-    assert eng.radius == default.radius == r
-
-
 @pytest.mark.parametrize("g", [3, 5, 6])
-def test_orders_past_2_are_bit_identical_to_one_lattice_at_r_k(ctx, g):
+def test_orders_past_2_are_bit_identical_to_one_lattice_at_r_k(ctx, monkeypatch, g):
     # the reference sums every order over one lattice at R_4, as the engine
     # once did: each class enumerated on its own at R_4 gives the same
-    # points, in the same order, with the same weights.  Orders 0-2 sum the
+    # points, in the same order, with the same weights.  The reference's
+    # order-3/4 rows are formed from the slices of its lattice, since its own
+    # values() would enumerate each class alone too.  Orders 0-2 sum the
     # lattice at R_2 and differ from the reference by terms past R_2 alone,
     # whose sum is at most B_j(R_2) <= theta_tol.
     eng = ctx(g).engine
-    tau, chars = eng.tau, np.arange(4**g)
-    ref = ThetaEngine(tau, radius=truncation_radius(tau, eng.tol, order=eng.order))
+    tau, chars, eps_prime = eng.tau, np.arange(4**g), np.arange(2**g)
+    ref = engine_at(monkeypatch, tau, truncation_radius(tau, eng.tol, order=eng.order))
     assert eng._lattice_radius == truncation_radius(tau, eng.tol, order=2) < eng.radius == ref.radius
+    assert ref._lattice_radius == ref.radius
     for order in (3, 4) if g == 3 else (3,):
-        assert np.array_equal(eng.values(chars, order), ref.values(chars, order)), order
+        eng.values(chars, order)  # builds every class
+        table = eng._stores[order][0].reshape(2**g, 2**g, -1)
+        bins = np.stack([ref._bins(ref._lattice_class(e), order) for e in eps_prime.tolist()])
+        assert np.array_equal(table, ref._transform(bins, eps_prime, order)), order
     for order in range(3):
         bound = theta_module._tail_bound(tau, order)[1](eng._lattice_radius)[0]
         diff = np.max(np.abs(eng.values(chars, order) - ref.values(chars, order)))
@@ -594,7 +601,7 @@ def _tail_curves(sweep):
     return [random_curve(g, s) for g in range(2, 7) for s in range(1, 4)] + sweep
 
 
-def test_truncation_tail_at_each_order_radius(sweep_curves):
+def test_truncation_tail_at_each_order_radius(sweep_curves, monkeypatch):
     """For k = 0..4, the summed bound 2 sum |m| (2 pi max_i |q_i|)^k on the
     order-k terms outside R_k (both of each pair q, -q) of every eps' class
     stays below the proven bound B_k(R_k), which stays below the tolerance.
@@ -605,7 +612,7 @@ def test_truncation_tail_at_each_order_radius(sweep_curves):
         tau = compute_periods(spec, 96).tau
         g = tau.shape[0]
         radii = [truncation_radius(tau, tol, order=k) for k in range(5)]
-        eng = ThetaEngine(tau, tol=tol, radius=radii[4] + 1.0)
+        eng = engine_at(monkeypatch, tau, radii[4] + 1.0, tol=tol)
         q = 0.5 * eng._p
         norm2 = np.pi * np.einsum("ij,ij->i", q @ tau.imag, q)  # ||L q||^2
         reach = 2 * np.pi * np.abs(q).max(axis=1)

@@ -99,24 +99,40 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=32)
+def _end_offset(order: int) -> np.ndarray:
+    """(e_{l+1} - x) / h = 1 - sin(pi t / 2) = 2 sin^2(pi (1 - t) / 4) at the
+    nodes t, x = m + h sin(pi t / 2), to full relative accuracy near t = 1.
+    The rule is symmetric, so reversed it is (x - e_l) / h."""
+    return 2.0 * np.sin(0.25 * np.pi * (1.0 - _gauss_legendre(order)[0])) ** 2
+
+
 def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
     """V[l-1, n-1] = int_{e_l}^{e_{l+1}} x^{g-n} dx / sqrt|f(x)|, l = 1..2g.
 
     Gauss-Legendre after x = m + h sin(theta) on all 2g segments at once,
     one row per segment; the endpoint roots of f cancel against the
-    cos(theta) Jacobian, leaving a smooth integrand.
+    cos(theta) Jacobian, leaving a smooth integrand.  The nearest branch
+    point beyond each end is measured from that end, e_{l+2} - x =
+    (e_{l+2} - e_{l+1}) + (e_{l+1} - x) and its mirror on the left, so a
+    close pair loses no digits to x - e_j.
     """
     g = spec.genus
     e = np.asarray(spec.branch_points)
     nodes, weights = _gauss_legendre(order)
+    right = _end_offset(order)
     m, h = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
     x = m[:, None] + h[:, None] * np.sin(0.5 * np.pi * nodes)
-    # |f| with each row's two endpoint factors removed (set to 1)
+    # |f| with each row's two endpoint factors removed (set to 1) and the
+    # factors of the nearest branch points beyond them taken from its ends
     rest = np.ones_like(x)
     for j in range(2 * g + 1):
         factor = np.abs(x - e[j])
-        factor[max(j - 1, 0) : j + 1] = 1.0  # the segments ending at e_j
+        factor[max(j - 2, 0) : j + 2] = 1.0  # the segments ending at e_j and their neighbours
         rest *= factor
+    gap = np.diff(e)[:, None]
+    rest[:-1] *= gap[1:] + h[:-1, None] * right
+    rest[1:] *= gap[:-1] + h[1:, None] * right[::-1]
     core = (0.5 * np.pi) * weights / np.sqrt(rest)
     powers = np.empty((2 * g, g, order))  # powers[:, n - 1] = x^{g-n}
     powers[:, g - 1] = 1.0

@@ -242,10 +242,14 @@ def differential_row(spec: CurveSpec, n: int, x: float, branch_sign: int = 1) ->
 def segment_integrals_loop(spec: CurveSpec, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """V[l-1, n-1] = int_{e_l}^{e_{l+1}} x^{g-n} dx / sqrt|f(x)|, l = 1..2g,
     by the given rule after x = m + h sin(theta): per segment, per branch
-    point off its ends, per power."""
+    point off its ends, per power.  The sums run in long double, so each
+    x - e_j keeps the distance of a close pair of branch points to about
+    1e-19 absolute, where double precision would lose it to rounding in x."""
     g = spec.genus
-    e = np.asarray(spec.branch_points)
-    theta = 0.5 * np.pi * nodes
+    e = np.asarray(spec.branch_points, dtype=np.longdouble)
+    pi = np.longdouble("3.141592653589793238462643383279502884")
+    theta = 0.5 * pi * nodes.astype(np.longdouble)
+    weights = weights.astype(np.longdouble)
     out = np.empty((2 * g, g), dtype=float)
     for l in range(1, 2 * g + 1):
         a, b = e[l - 1], e[l]
@@ -255,7 +259,7 @@ def segment_integrals_loop(spec: CurveSpec, nodes: np.ndarray, weights: np.ndarr
         for j in range(2 * g + 1):
             if j not in (l - 1, l):
                 rest *= np.abs(x - e[j])
-        core = (0.5 * np.pi) * weights / np.sqrt(rest)
+        core = (0.5 * pi) * weights / np.sqrt(rest)
         for n in range(1, g + 1):
             out[l - 1, n - 1] = np.dot(core, x ** (g - n))
     return out

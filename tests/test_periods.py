@@ -6,7 +6,7 @@ import pytest
 from oracles import differential_row, gauss_legendre_exact, ref_branch, segment_integrals_loop
 from thomae_lab.characteristics import _table
 from thomae_lab.curve import validate_curve
-from thomae_lab.harness import random_curve
+from thomae_lab.harness import SuiteConfig, random_curve, run_suite
 from thomae_lab.periods import (
     _gauss_legendre,
     _segment_integrals,
@@ -172,6 +172,46 @@ def test_gap_curve_higher_order_is_no_worse():
     low, high = compute_periods(spec, 96), compute_periods(spec, 1536)
     assert high.est_error <= low.est_error
     assert high.quad_order == 3072 and high.est_error <= 1e-11
+
+
+def test_gap_curve_segments_against_mpmath():
+    # the two segments beside the 1e-6 gap measure the branch point past
+    # each end from that end; from x - e_j they carried 1.4e-12 and 7.6e-12
+    mp = pytest.importorskip("mpmath").mp
+    spec = validate_curve(3, GAP_CURVE)
+    order = compute_periods(spec).quad_order
+    got = _segment_integrals(spec, order)
+    with mp.workdps(30):
+        e = [mp.mpf(x) for x in GAP_CURVE]
+        ends = [-mp.pi / 2, -mp.pi / 2 + 0.01, -mp.pi / 2 + 0.1, 0,
+                mp.pi / 2 - 0.1, mp.pi / 2 - 0.01, mp.pi / 2]
+        for l in range(6):
+            mid, h = (e[l] + e[l + 1]) / 2, (e[l + 1] - e[l]) / 2
+
+            def integrand(theta, power):  # over |f(x)| without the segment's end factors
+                x = mid + h * mp.sin(theta)
+                return x**power / mp.sqrt(mp.fprod(abs(x - e[j]) for j in range(7) if j not in (l, l + 1)))
+
+            want = [float(mp.quad(lambda t: integrand(t, 3 - n), ends)) for n in (1, 2, 3)]
+            assert np.max(np.abs(got[l] - want)) <= 1e-13 * np.max(np.abs(want)), (order, l)
+
+
+def test_gap_curve_has_no_gradient_failure():
+    # the gap's rounding in the periods once failed 4 GRAD2 and 14 GRAD3 records
+    report = run_suite(SuiteConfig(spec=validate_curve(3, GAP_CURVE), seed=1))
+    assert report.periods["quad_order"] == 768 and report.periods["est_error"] <= 2e-13
+    gradients = [r for r in report.records if r.relation_id in ("GRAD2", "GRAD3")]
+    assert len(gradients) > 100 and all(r.passed for r in gradients)
+
+
+def test_a_1e_8_gap_converges_where_1e_10_does_not():
+    # the end-measured distances bring a 1e-8 gap within refine_tol by order
+    # 3072; a 1e-10 gap still needs a graded rule
+    close = [*GAP_CURVE[:5], 1.5 + 1e-8, 3.0]
+    assert compute_periods(validate_curve(3, close)).quad_order == 3072
+    close[5] = 1.5 + 1e-10
+    with pytest.raises(ValueError, match="did not converge"):
+        compute_periods(validate_curve(3, close))
 
 
 def test_unconverged_quadrature_raises():

@@ -219,9 +219,8 @@ class Family:
     family's rows does not depend on g (RANK's grows with g up to six parts);
     it reads no curve, so every binding can be drawn before the engine exists.
     ``verify(ctx, bindings, tol)`` gives the records of all of them, in row
-    order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`; it is not
-    called without rows.  Calling the entry, ``family(ctx, cfg, rows)``,
-    verifies the rows drawn for a run.
+    order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`.  The entry's
+    call ``family(ctx, cfg, rows)`` runs it on the rows a run drew, if any.
     ``order`` is the highest derivative order of theta it reads, or
     ``order(g, enable_heavy)`` where that depends on the run; see
     :func:`run_order`.  Below ``min_genus`` the family has no instances.

@@ -101,9 +101,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _end_offset(order: int) -> np.ndarray:
-    """(e_{l+1} - x) / h = 1 - sin(pi t / 2) = 2 sin^2(pi (1 - t) / 4) at the
-    nodes t, x = m + h sin(pi t / 2), to full relative accuracy near t = 1.
-    The rule is symmetric, so reversed it is (x - e_l) / h."""
+    """(e_{l+1} - x) / h = 2 sin^2(pi (1 - t) / 4) at the nodes t; reversed, (x - e_l) / h."""
     return 2.0 * np.sin(0.25 * np.pi * (1.0 - _gauss_legendre(order)[0])) ** 2
 
 
@@ -112,10 +110,7 @@ def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
 
     Gauss-Legendre after x = m + h sin(theta) on all 2g segments at once,
     one row per segment; the endpoint roots of f cancel against the
-    cos(theta) Jacobian, leaving a smooth integrand.  The nearest branch
-    point beyond each end is measured from that end, e_{l+2} - x =
-    (e_{l+2} - e_{l+1}) + (e_{l+1} - x) and its mirror on the left, so a
-    close pair loses no digits to x - e_j.
+    cos(theta) Jacobian, leaving a smooth integrand.
     """
     g = spec.genus
     e = np.asarray(spec.branch_points)
@@ -123,16 +118,15 @@ def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
     right = _end_offset(order)
     m, h = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
     x = m[:, None] + h[:, None] * np.sin(0.5 * np.pi * nodes)
-    # |f| with each row's two endpoint factors removed (set to 1) and the
-    # factors of the nearest branch points beyond them taken from its ends
+    # |f| without each row's endpoint factors (set to 1); a close pair keeps its digits, as
+    # the branch point past each end is measured from it: (e_{l+2} - e_{l+1}) + (e_{l+1} - x)
     rest = np.ones_like(x)
     for j in range(2 * g + 1):
         factor = np.abs(x - e[j])
         factor[max(j - 2, 0) : j + 2] = 1.0  # the segments ending at e_j and their neighbours
         rest *= factor
-    gap = np.diff(e)[:, None]
-    rest[:-1] *= gap[1:] + h[:-1, None] * right
-    rest[1:] *= gap[:-1] + h[1:, None] * right[::-1]
+    rest[:-1] *= 2 * h[1:, None] + h[:-1, None] * right
+    rest[1:] *= 2 * h[:-1, None] + h[1:, None] * right[::-1]
     core = (0.5 * np.pi) * weights / np.sqrt(rest)
     powers = np.empty((2 * g, g, order))  # powers[:, n - 1] = x^{g-n}
     powers[:, g - 1] = 1.0
@@ -254,9 +248,7 @@ def halfperiod_residual(periods: PeriodData, v: np.ndarray, bits: int) -> float:
 
 
 def branch_point_char_residuals(spec: CurveSpec, periods: PeriodData) -> dict[int, float]:
-    """Cross-check: A(e_k) matches [eps_k] mod lattice, for every k.  Only
-    the tests call it today; it stays for the runner to report as a
-    per-curve precondition (ROADMAP item 4(c))."""
+    """Cross-check: A(e_k) matches [eps_k] mod lattice, for every k."""
     branch = _table(spec.genus)[0]
     images = abel_images(spec, periods)
     return {k: halfperiod_residual(periods, images[:, k - 1], branch[k])

@@ -365,8 +365,7 @@ class ThetaEngine:
         except np.linalg.LinAlgError:
             raise ValueError("Im tau must be positive definite") from None
         if tau.real.any():
-            raise ValueError("Re tau must be 0: the engine sums tau = i Y, the tau of a curve "
-                             "with real branch points")
+            raise ValueError("Re tau must be 0: the engine sums tau = i Y (real branch points)")
         self.tol = tol
         self.g = tau.shape[0]
         self.order = order
@@ -393,8 +392,7 @@ class ThetaEngine:
         return self._enumerated
 
     def _weights(self, p: np.ndarray) -> np.ndarray:
-        """m = exp(-pi q^t Y q) of the points p = 2q, in blocks of _BLOCK
-        points."""
+        """m = exp(-pi q^t Y q) of the points p = 2q, in blocks of _BLOCK points."""
         y = self.tau.imag
         m = np.empty(len(p))
         for lo in range(0, len(p), _BLOCK):

@@ -190,7 +190,8 @@ def test_gap_curve_segments_against_mpmath():
 
             def integrand(theta, power):  # over |f(x)| without the segment's end factors
                 x = mid + h * mp.sin(theta)
-                return x**power / mp.sqrt(mp.fprod(abs(x - e[j]) for j in range(7) if j not in (l, l + 1)))
+                rest = mp.fprod(abs(x - e[j]) for j in range(7) if j not in (l, l + 1))
+                return x**power / mp.sqrt(rest)
 
             want = [float(mp.quad(lambda t: integrand(t, 3 - n), ends)) for n in (1, 2, 3)]
             assert np.max(np.abs(got[l] - want)) <= 1e-13 * np.max(np.abs(want)), (order, l)

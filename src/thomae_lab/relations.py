@@ -670,7 +670,9 @@ def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TO
     with its three theta constants), columns in ascending i.  The sign
     (-1)^g is measured, not derived: on ``random_curve(g, s)``, g = 2..7 at
     s = 1-3 and g = 8 at s = 2, the signed ratio of the sides is (-1)^g in
-    all 340 records."""
+    all 340 records.  Only at g <= 3 is it an identity on every tau = i Y:
+    from g = 4 on it holds on the curve alone, and misses by 0.07 to 2 on
+    Y = a a^t / g + 0.5 I (``test_riemann_jacobi_off_the_curve``)."""
     g = ctx.g
     i0, i0_sets = binds[:, 0], index_rows(binds[:, 0])
     j0 = finite_mask(g) ^ i0

@@ -44,16 +44,14 @@ the table has row eps' << g | eps for every characteristic and one column
 per sorted multi-index, and built marks the classes whose rows are filled.
 One gather, :meth:`ThetaEngine.values`, serves every reader, and builds a
 class the first time one of its rows is read, with one batched Hadamard
-product for every class a read adds; order 0 is built whole, by one
-segmented sum over the key-sorted weights; order 1 halves the sums of m p,
-which is exact, and higher orders form the monomial products per chunk of
-bins (:meth:`ThetaEngine._bins`).  The engine is built for a highest
-derivative order k (4 by default) and refuses any order above k, whose
-tail R_k would cut short.  Orders 0, 1 and 2, which the Thomae formulas,
-gradients and Hessians read, sum one lattice, enumerated and weighed at
-construction at R_min(k, 2) (the radius grows with the order).  A class
-read at order 3 or 4 enumerates its own points at R_k, its slice of a
-lattice at R_k in the same order, builds its rows and drops them.
+product for every class a read adds (:meth:`ThetaEngine._build`).  The
+engine is built for a highest derivative order k (4 by default) and refuses
+any order above k, whose tail R_k would cut short.  Orders 0, 1 and 2,
+which the Thomae formulas, gradients and Hessians read, sum one lattice,
+enumerated and weighed at construction at R_min(k, 2) (the radius grows
+with the order).  A class read at order 3 or 4 enumerates its own points
+at R_k, its slice of a lattice at R_k in the same order, builds its rows
+and drops them.
 theta(char, v) for v != 0 reads the lattice and pairs q with -q in the
 same way: it is sum 2 m cos(2 pi q.(eps/2 + v)) over the half class, less 1
 for eps' = 0, and holds for complex v.

@@ -11,6 +11,7 @@ from oracles import (
     ref_collection_rank,
     replace,
 )
+from thomae_lab.context import CurveContext
 from thomae_lab.harness import DEFAULT_TOLERANCES, FAMILIES, SuiteConfig, _family_rng, _mask, random_curve
 from thomae_lab.indexsets import iset
 from thomae_lab.relations import (
@@ -31,6 +32,7 @@ from thomae_lab.relations import (
     rank_batch,
     rj_det_batch,
 )
+from thomae_lab.theta import ThetaEngine
 
 GRAD_TOL = 1e-8
 
@@ -518,6 +520,26 @@ def test_riemann_jacobi(ctx, one, g):
     for i0 in list(combinations(range(1, 2 * g + 2), g))[:5]:
         rec = one(rj_det_batch, c, i0)
         assert rec.residual < 1e-6, rec.bindings
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_riemann_jacobi_off_the_curve(g):
+    # negative control: the theta constants of a tau = i Y that is no
+    # curve's, Y = a a^t / g + 0.5 I, on the rows RJ_DET draws at genus g.
+    # At g <= 3 the identity holds there too (worst 2.4e-11 at seeds 1-5); from
+    # g = 4 on it holds only on the curve, and every draw misses it by
+    # 0.07 to 2, far past the 1e-6 tolerance
+    for seed in range(1, 6):
+        a = np.random.default_rng([g, seed]).normal(size=(g, g))
+        spec = random_curve(g, seed)
+        cfg = SuiteConfig(spec=spec, seed=seed)
+        rows = FAMILIES["RJ_DET"].bindings(g, cfg, _family_rng(cfg, "RJ_DET"))
+        engine = ThetaEngine(1j * (a @ a.T / g + 0.5 * np.eye(g)), order=1)
+        worst = max(r.residual for r in rj_det_batch(CurveContext(spec, None, engine), rows))
+        if g <= 3:
+            assert worst < 1e-10, (seed, worst)
+        else:
+            assert worst > 0.05, (seed, worst)
 
 
 def test_riemann_jacobi_row_swap_modulus_invariant(ctx):

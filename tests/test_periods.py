@@ -175,8 +175,8 @@ def test_gap_curve_higher_order_is_no_worse():
 
 
 def test_gap_curve_segments_against_mpmath():
-    # the two segments beside the 1e-6 gap measure the branch point past
-    # each end from that end; from x - e_j they carried 1.4e-12 and 7.6e-12
+    # the two segments beside the 1e-6 gap must measure the branch point
+    # past each end from that end: x - e_j loses the gap to rounding in x
     mp = pytest.importorskip("mpmath").mp
     spec = validate_curve(3, GAP_CURVE)
     order = compute_periods(spec).quad_order
@@ -198,7 +198,8 @@ def test_gap_curve_segments_against_mpmath():
 
 
 def test_gap_curve_has_no_gradient_failure():
-    # the gap's rounding in the periods once failed 4 GRAD2 and 14 GRAD3 records
+    # GRAD2 and GRAD3 are sensitive enough to fail on the 1e-12 period
+    # errors that x - e_j leaves beside the gap
     report = run_suite(SuiteConfig(spec=validate_curve(3, GAP_CURVE), seed=1))
     assert report.periods["quad_order"] == 768 and report.periods["est_error"] <= 2e-13
     gradients = [r for r in report.records if r.relation_id in ("GRAD2", "GRAD3")]

@@ -35,7 +35,7 @@ from .context import CurveContext
 from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
 from .indexsets import finite_mask, index_masks, index_rows, index_sets
 from .periods import compute_periods
-from .relations import DEFAULT_TOLERANCES, VerificationRecord
+from .relations import DEFAULT_TOLERANCES, VerificationRecord, make_records
 from .thomae import calibrate_phases, general_thomae_batch, thomae_prefactor
 
 
@@ -320,9 +320,8 @@ def _part_masks(g: int, m: int, cap: int, rng: np.random.Generator) -> np.ndarra
 def _thomae1(ctx, rows, tol=DEFAULT_TOLERANCES):
     """THOMAE1 for every row [I0] of rows: theta[I0] over the first Thomae
     right side must be +1."""
-    residual = np.abs(calibrate_phases(ctx, rows[:, 0]) - 1.0)
-    return [VerificationRecord("THOMAE1", {"I0": i0}, res, tol["THOMAE1"])
-            for i0, res in zip(index_sets(rows[:, 0]), residual.tolist())]
+    return make_records("THOMAE1", np.abs(calibrate_phases(ctx, rows[:, 0]) - 1.0), tol["THOMAE1"],
+                        I0=index_sets(rows[:, 0]))
 
 
 def _tensor_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +350,7 @@ def _thomae2(ctx, rows, tol=DEFAULT_TOLERANCES):
     for _, at in rel._groups(np.bitwise_count(parts)):
         pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
         residual[at] = _tensor_fit(ctx.grads(parts[at]), pred)[0]
-    return [VerificationRecord("THOMAE2", {"I1": i1}, res, tol["THOMAE2"])
-            for i1, res in zip(index_sets(parts), residual.tolist())]
+    return make_records("THOMAE2", residual, tol["THOMAE2"], I1=index_sets(parts))
 
 
 def _thomaeg_orders(g: int) -> tuple[int, ...]:
@@ -393,21 +391,13 @@ def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
         r2 = v1 / thomae_prefactor(ctx, parts[at] | k)
         ratio_resid[at] = rel._match_residuals(r1, r2)
         k_sets[at] = k
-    residual = np.where((k_indep > 1e-8) | (ratio_resid > 1e-10), np.maximum(residual, 1.0),
-                        residual)
-    return [
-        VerificationRecord(
-            "THOMAEG",
-            {"Im": a, "m": m, "K": kset},
-            res,
-            tol["THOMAEG_G5" if m == 3 else "THOMAEG"],  # m = 3 runs from genus 5 on
-            notes=f"K-indep {ki:.2e}; ratio-form {rr:.2e}",
-        )
-        for a, m, kset, res, ki, rr in zip(
-            index_sets(parts), order.tolist(), index_sets(k_sets), residual.tolist(),
-            k_indep.tolist(), ratio_resid.tolist(),
-        )
-    ]
+    # m = 3 runs from genus 5 on
+    tols = [tol["THOMAEG_G5" if m == 3 else "THOMAEG"] for m in order.tolist()]
+    notes = [f"K-indep {ki:.2e}; ratio-form {rr:.2e}"
+             for ki, rr in zip(k_indep.tolist(), ratio_resid.tolist())]
+    return make_records("THOMAEG", residual, tols, notes=notes,
+                        precondition_failed=(k_indep > 1e-8) | (ratio_resid > 1e-10),
+                        Im=index_sets(parts), m=order, K=index_sets(k_sets))
 
 
 def _eklm_bindings(g, cfg, rng):

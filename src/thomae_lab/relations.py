@@ -1,9 +1,25 @@
 """Numerical verification of the theta-constant relations.
 
 Every verifier evaluates both sides of one relation for every row of an int
-array of bindings and returns one :class:`VerificationRecord` per row, whose
-residual is normalized by the largest additive term, so near-cancellation
-identities are judged fairly.  Families:
+array of bindings, normalizes each residual by the largest additive term, so
+near-cancellation identities are judged fairly, and returns one
+:class:`VerificationRecord` per row.  It builds them with
+:func:`make_records`, the one owner of the binding format and of the
+precondition override: a record whose precondition fails cannot judge its
+identity, and reads at least 1.0.  Five checks pass such a
+``precondition_failed`` mask:
+
+* GRAD4           -- its first three gradients have sigma3/sigma1 < 1e-6,
+* HESS_RANK       -- sigma3/sigma1 <= 1e-6 (its own residual is
+                     sigma4/sigma1, and 0 at g = 3),
+* THOMAEG         -- K-independence above 1e-8 or ratio form above 1e-10
+                     (in ``harness``),
+* SCHOTTKY_DETR   -- sigma3/sigma1 or the smallest 3x3 minor of R below
+                     1e-6 (in :mod:`schottky`),
+* SCHOTTKY_F      -- the best sign pattern is not the printed one (in
+                     :mod:`schottky`).
+
+Families:
 
 * EKLM / EJI      -- theta-constant cross ratios (squared / fourth powers)
                      against the modulus of a branch-point quotient,
@@ -125,6 +141,43 @@ class VerificationRecord:
         }
 
 
+def _slot(values: np.ndarray | list) -> list:
+    """One binding slot's values, one per record: a 1-d int array as ints, a
+    2-d one as tuples, a 3-d one as tuples of tuples; a list as it is."""
+    if isinstance(values, list):
+        return values
+    if values.ndim == 1:
+        return values.tolist()
+    if values.ndim == 2:
+        return list(map(tuple, values.tolist()))
+    return [tuple(map(tuple, v)) for v in values.tolist()]
+
+
+def make_records(kind, residual, tolerance, notes="", precondition_failed=None,
+                 **bindings) -> list[VerificationRecord]:
+    """One record per entry of ``residual``, in order; every verifier builds
+    its records here.  ``kind``, ``tolerance`` and ``notes`` are one value
+    for every record, or a list of one per record.  Each keyword is one
+    binding slot (:func:`_slot`).  Where ``precondition_failed`` is true the
+    identity cannot be judged, and the residual becomes at least 1.0, past
+    every default tolerance."""
+    residual = np.asarray(residual, dtype=float)
+    if precondition_failed is not None:
+        residual = np.where(precondition_failed, np.maximum(residual, 1.0), residual)
+    n = len(residual)
+    kinds, tols, notes = (v if isinstance(v, list) else [v] * n for v in (kind, tolerance, notes))
+    if len(bindings) == 1:  # the one-slot families carry most records
+        ((name, values),) = bindings.items()
+        binds = [{name: v} for v in _slot(values)]
+    else:  # filled slot by slot: half the time of a dict(zip(...)) per record
+        binds = [{} for _ in range(n)]
+        for name, values in bindings.items():
+            for bind, value in zip(binds, _slot(values), strict=True):
+                bind[name] = value
+    return [VerificationRecord(*rec) for rec in
+            zip(kinds, binds, residual.tolist(), tols, notes, strict=True)]
+
+
 def _vector_residuals(terms: np.ndarray) -> np.ndarray:
     """Per row of a (B, T, g) term array: max_n |sum_i T_i[n]| / (largest
     |T_i[n]| in that component)."""
@@ -171,19 +224,8 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLE
     lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
     c = ctx.consts(np.stack([i_mask | bn, j_mask | bn, i_mask | bm, j_mask | bm], axis=1))
     rhs = c[:, 0] ** 2 * c[:, 1] ** 2 / (c[:, 2] ** 2 * c[:, 3] ** 2)
-    residual = _match_residuals(np.abs(lhs), rhs)
-    return [
-        VerificationRecord(
-            "EKLM",
-            {"I": tuple(i_set), "J": tuple(j_set), "k": row[2], "m": row[3], "n": row[4]},
-            res,
-            tol["EKLM"],
-        )
-        for row, i_set, j_set, res in zip(
-            binds.tolist(), index_rows(i_mask).tolist(), index_rows(j_mask).tolist(),
-            residual.tolist(),
-        )
-    ]
+    return make_records("EKLM", _match_residuals(np.abs(lhs), rhs), tol["EKLM"],
+                        I=index_rows(i_mask), J=index_rows(j_mask), k=k, m=m, n=n)
 
 
 def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
@@ -229,17 +271,8 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLER
     for pair in alts:
         alt = rhs_for(*pair)
         residual = np.maximum(residual, _match_residuals(alt, rhs))
-    return [
-        VerificationRecord(
-            "EJI",
-            {"I0": tuple(i0_set), "i_k": a, "i_l": b, "j_n": row[2], "j_m": row[3]},
-            res,
-            tol["EJI"],
-        )
-        for row, i0_set, a, b, res in zip(
-            binds.tolist(), index_rows(i0).tolist(), ik.tolist(), il.tolist(), residual.tolist(),
-        )
-    ]
+    return make_records("EJI", residual, tol["EJI"], I0=index_rows(i0), i_k=ik, i_l=il,
+                        j_n=jn, j_m=jm)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +292,8 @@ def grad2_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
     grads = ctx.grads(np.stack([i0 ^ k1 ^ k2, i0 ^ k2, i0 ^ k1], axis=1))
     # lhs - t1 + t2
     residual = _vector_residuals(coeff[..., None] * grads * np.array([1, -1, 1])[:, None])
-    return [
-        VerificationRecord(
-            "GRAD2",
-            {"I0": tuple(i0_set), "kappa1": ka, "kappa2": kb, "j_m": row[2], "j_n": row[3]},
-            res,
-            tol["GRAD2"],
-        )
-        for row, i0_set, (ka, kb), res in zip(
-            binds.tolist(), index_rows(i0).tolist(), kappas.tolist(), residual.tolist()
-        )
-    ]
+    return make_records("GRAD2", residual, tol["GRAD2"], I0=index_rows(i0), kappa1=kappas[:, 0],
+                        kappa2=kappas[:, 1], j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 def _gradient_residuals(
@@ -307,19 +331,11 @@ def grad3_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
     pairs = list(combinations(range(3), 2))
     sv = np.linalg.svd(grads[:, pairs], compute_uv=False)
     ratios = sv[..., 1] / sv[..., 0]
-    out = []
-    for row, i_set, kap, res, rat in zip(binds.tolist(), index_rows(binds[:, 0]).tolist(),
-                                         kappas.tolist(), residual.tolist(), ratios.tolist()):
-        notes = [f"pair ({kap[a]},{kap[b]}) nearly dependent: {r:.2e}"
-                 for (a, b), r in zip(pairs, rat) if r < 1e-6]
-        out.append(VerificationRecord(
-            "GRAD3",
-            {"I": tuple(i_set), "kappas": tuple(kap), "j_m": row[2], "j_n": row[3]},
-            res,
-            tol["GRAD3"],
-            notes="; ".join(notes),
-        ))
-    return out
+    notes = ["; ".join(f"pair ({kap[a]},{kap[b]}) nearly dependent: {r:.2e}"
+                       for (a, b), r in zip(pairs, rat) if r < 1e-6)
+             for kap, rat in zip(kappas.tolist(), ratios.tolist())]
+    return make_records("GRAD3", residual, tol["GRAD3"], notes=notes, I=index_rows(binds[:, 0]),
+                        kappas=kappas, j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 # the canonical grouping ((k1k2), (k1k3), (k2k3), (k4k5)), and the regrouped
@@ -337,22 +353,11 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
     sv = np.linalg.svd(grads[:, :3], compute_uv=False)
     triple = sv[:, 2] / sv[:, 0]
     deficient = triple < 1e-6
-    residual = np.where(deficient, np.maximum(residual, 1.0), residual)
-    return [
-        VerificationRecord(
-            "GRAD4",
-            {"I": tuple(i_set), "kappas": tuple(kap), "pairs": tuple(map(tuple, pairs)),
-             "j_m": row[2], "j_n": row[3]},
-            res,
-            tol["GRAD4"],
-            notes=f"triple sigma3/sigma1={t:.2e}" + (" (rank deficient!)" if bad else ""),
-        )
-        for row, i_set, kap, pairs, res, t, bad in zip(
-            binds.tolist(), index_rows(binds[:, 0]).tolist(), index_rows(binds[:, 1]).tolist(),
-            index_rows(binds[:, 4:]).tolist(), residual.tolist(), triple.tolist(),
-            deficient.tolist(),
-        )
-    ]
+    notes = [f"triple sigma3/sigma1={t:.2e}" + (" (rank deficient!)" if bad else "")
+             for t, bad in zip(triple.tolist(), deficient.tolist())]
+    return make_records("GRAD4", residual, tol["GRAD4"], notes=notes, precondition_failed=deficient,
+                        I=index_rows(binds[:, 0]), kappas=index_rows(binds[:, 1]),
+                        pairs=index_rows(binds[:, 4:]), j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
@@ -371,18 +376,9 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
         residual[rows] = _gradient_residuals(
             ctx, i_mask[rows], b_mask[rows], jm[rows], jn[rows], subsets
         )[0]
-    return [
-        VerificationRecord(
-            "GRADN",
-            {"I": i_set, "B": b_set, "r": size, "j_m": row[2], "j_n": row[3]},
-            res,
-            tol["GRADN"],
-            notes="conjecture: residual reported" if size >= 4 else "",
-        )
-        for row, i_set, b_set, size, res in zip(
-            binds.tolist(), index_sets(i_mask), index_sets(b_mask), r.tolist(), residual.tolist()
-        )
-    ]
+    notes = ["conjecture: residual reported" if size >= 4 else "" for size in r.tolist()]
+    return make_records("GRADN", residual, tol["GRADN"], notes=notes, I=index_sets(i_mask),
+                        B=index_sets(b_mask), r=r, j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +423,15 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLE
         observed[rows] = np.sum(sv > RANK_SVD_CUT * sv[:, :1], axis=1)
         predicted[rows] = predicted_collection_rank(g, full[rows, :n])
     held_sets = iter(index_sets(full[held]))  # the full parts, row after row
-    out = []
-    for deg, obs, pred, n in zip(flag.tolist(), observed.tolist(), predicted.tolist(), size.tolist()):
-        sets = list(islice(held_sets, n))
-        bindings = {"sets": tuple(tuple(i for i in s if i) for s in sets)}
+    sets = [tuple(tuple(i for i in s if i) for s in islice(held_sets, n)) for n in size.tolist()]
+    notes = [f"degenerate family: observed {obs}, predicted {pred} (want 3)" if deg
+             else f"observed {obs}, predicted {pred}"
+             for deg, obs, pred in zip(flag.tolist(), observed.tolist(), predicted.tolist())]
+    match = (observed == predicted) & ((flag == 0) | (observed == 3))
+    out = make_records("RANK", np.where(match, 0.0, 1.0), tol["RANK"], notes=notes, sets=sets)
+    for rec, deg in zip(out, flag.tolist()):
         if deg:
-            out.append(VerificationRecord(
-                "RANK", {**bindings, "family": "degenerate"}, 0.0 if obs == pred == 3 else 1.0,
-                tol["RANK"], notes=f"degenerate family: observed {obs}, predicted {pred} (want 3)",
-            ))
-        else:
-            out.append(VerificationRecord(
-                "RANK", bindings, 0.0 if obs == pred else 1.0, tol["RANK"],
-                notes=f"observed {obs}, predicted {pred}",
-            ))
+            rec.bindings["family"] = "degenerate"
     return out
 
 
@@ -566,19 +557,10 @@ def derivative_batch(ctx: CurveContext, binds: np.ndarray,
     bad = sorted(set(kk.tolist()) - set(REPRESENTATION_RECORDS))
     if bad:
         raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {bad[0]}")
-    residual = _repr_residuals(ctx, binds)
-    return [
-        VerificationRecord(
-            REPRESENTATION_RECORDS[size],
-            {"I0": tuple(i0), "K": k_set, "j_m": row[2], "j_n": row[3]},
-            res,
-            tol[REPRESENTATION_RECORDS[size]],
-        )
-        for row, i0, k_set, size, res in zip(
-            binds.tolist(), index_rows(binds[:, 0]).tolist(), index_sets(binds[:, 1]),
-            kk.tolist(), residual.tolist(),
-        )
-    ]
+    kinds = [REPRESENTATION_RECORDS[size] for size in kk.tolist()]
+    return make_records(kinds, _repr_residuals(ctx, binds), [tol[kind] for kind in kinds],
+                        I0=index_rows(binds[:, 0]), K=index_sets(binds[:, 1]),
+                        j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
@@ -591,17 +573,9 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
     for _, rows in _groups(np.bitwise_count(binds[:, 1])):
         va, vb = (_predicted(ctx, binds[rows, c : c + 4]) for c in (0, 4))
         residual[rows] = _match_residuals(va, vb)
-    sets = [index_sets(binds[:, c]) for c in (0, 1, 4, 5)]
-    return [
-        VerificationRecord(
-            "HESS_EQUIV",
-            {"I0_a": ia, "K_a": ka, "I0_b": ib, "K_b": kb,
-             "j_a": tuple(row[2:4]), "j_b": tuple(row[6:8])},
-            res,
-            tol["HESS_EQUIV"],
-        )
-        for row, ia, ka, ib, kb, res in zip(binds.tolist(), *sets, residual.tolist())
-    ]
+    ia, ka, ib, kb = (index_sets(binds[:, c]) for c in (0, 1, 4, 5))
+    return make_records("HESS_EQUIV", residual, tol["HESS_EQUIV"], I0_a=ia, K_a=ka, I0_b=ib,
+                        K_b=kb, j_a=binds[:, 2:4], j_b=binds[:, 6:8])
 
 
 def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
@@ -617,17 +591,15 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
     sv = np.linalg.svd(ctx.derivs(masks, 2), compute_uv=False)
     keep3 = sv[:, 2] / sv[:, 0]
     if g == 3:
-        residual = np.where(keep3 > 1e-6, 0.0, 1.0)
+        drop4 = np.zeros(len(masks))
         notes = [f"sigma3/sigma1={k:.2e} (full rank expected)" for k in keep3.tolist()]
     else:
         drop4 = sv[:, 3] / sv[:, 0]
-        residual = np.where(keep3 > 1e-6, drop4, 1.0)
         notes = [f"sigma4/sigma1={d:.2e}, sigma3/sigma1={k:.2e}"
                  for d, k in zip(drop4.tolist(), keep3.tolist())]
-    return [
-        VerificationRecord("HESS_RANK", {"I2": i2}, res, tol["HESS_RANK"], notes=note)
-        for i2, res, note in zip(index_sets(masks), residual.tolist(), notes)
-    ]
+    # sigma4 <= sigma3, so a failed rank-3 check reads exactly 1.0
+    return make_records("HESS_RANK", drop4, tol["HESS_RANK"], notes=notes,
+                        precondition_failed=~(keep3 > 1e-6), I2=index_sets(masks))
 
 
 def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
@@ -641,20 +613,10 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
     order = (np.bitwise_count(binds[:, 1]) + 1) // 2
     if ctx.g < 7 and np.any(order >= 4):
         raise ValueError("multiplicity >= 4 requires genus >= 7")
-    residual = _repr_residuals(ctx, binds)
-    return [
-        VerificationRecord(
-            "CONJ_M",
-            {"I0": tuple(i0), "K": k_set, "m": m, "j_m": row[2], "j_n": row[3]},
-            res,
-            tol["CONJ_M"],
-            notes="conjecture: residual reported" if m >= 4 else "",
-        )
-        for row, i0, k_set, m, res in zip(
-            binds.tolist(), index_rows(binds[:, 0]).tolist(), index_sets(binds[:, 1]),
-            order.tolist(), residual.tolist(),
-        )
-    ]
+    notes = ["conjecture: residual reported" if m >= 4 else "" for m in order.tolist()]
+    return make_records("CONJ_M", _repr_residuals(ctx, binds), tol["CONJ_M"], notes=notes,
+                        I0=index_rows(binds[:, 0]), K=index_sets(binds[:, 1]), m=order,
+                        j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +643,4 @@ def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TO
     rhs = (-np.pi) ** g * ctx.consts(i0)
     for j in range(1, 2 * g + 2):  # the factors of j in J0, in ascending order
         rhs = np.where(j0 >> j & 1, rhs * ctx.consts(j0 ^ 1 << j), rhs)
-    residual = _match_residuals(lhs, rhs)
-    return [
-        VerificationRecord("RJ_DET", {"I0": tuple(i0_set)}, res, tol["RJ_DET"])
-        for i0_set, res in zip(i0_sets.tolist(), residual.tolist())
-    ]
+    return make_records("RJ_DET", _match_residuals(lhs, rhs), tol["RJ_DET"], I0=i0_sets)

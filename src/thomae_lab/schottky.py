@@ -42,7 +42,7 @@ import numpy as np
 from .characteristics import _char, mask_chars
 from .context import CurveContext
 from .indexsets import finite_mask, index_masks, index_rows, index_sets
-from .relations import DEFAULT_TOLERANCES, VerificationRecord, general_r_tensor
+from .relations import DEFAULT_TOLERANCES, general_r_tensor, make_records
 from .thomae import first_thomae_rhs
 
 
@@ -160,33 +160,26 @@ def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
     three = np.array(list(combinations(range(4), 3)))
     minors = np.abs(np.linalg.det(r_hat[:, three[:, None, :, None], three[None, :, None, :]]))
     smallest = minors.min(axis=(1, 2), initial=np.inf) / sv[:, 0] ** 3
-    small = (sv[:, 2] / sv[:, 0] < 1e-6) | (smallest < 1e-6)
-    det_resid = np.where(small, np.maximum(det_resid, 1.0), det_resid)
-
+    s3 = sv[:, 2] / sv[:, 0]
+    small = (s3 < 1e-6) | (smallest < 1e-6)
+    notes = [f"sigma3/sigma1={s:.2e}, smallest 3x3 minor {low:.2e}"
+             + (" (3x3 minors unexpectedly small)" if bad else "")
+             for s, low, bad in zip(s3.tolist(), smallest.tolist(), small.tolist())]
+    i0, p, jm, jn = index_rows(binds[:, 0]), index_rows(binds[:, 1]), binds[:, 2], binds[:, 3]
     e = [Fraction(x) for x in ctx.spec.branch_points]
-    out = []
-    for row, i0_set, p, jr, dr, s3, low, bad in zip(
-        binds.tolist(), index_rows(binds[:, 0]).tolist(), index_rows(binds[:, 1]).tolist(),
-        j_resid.tolist(), det_resid.tolist(), (sv[:, 2] / sv[:, 0]).tolist(), smallest.tolist(),
-        small.tolist(),
-    ):
-        i0_set, p, (jm, jn) = tuple(i0_set), tuple(p), row[2:]
-        out.append(VerificationRecord(
-            "SCHOTTKY_R", {"I0": i0_set, "p": p, "j_m": jm, "j_n": jn}, jr, tol["SCHOTTKY_R"],
-        ))
-        notes = f"sigma3/sigma1={s3:.2e}, smallest 3x3 minor {low:.2e}"
-        out.append(VerificationRecord(
-            "SCHOTTKY_DETR", {"I0": i0_set, "K": p, "j_m": jm, "j_n": jn}, dr, tol["SCHOTTKY_DETR"],
-            notes=notes + (" (3x3 minors unexpectedly small)" if bad else ""),
-        ))
-        e1, e2, e3, e4 = (e[i - 1] for i in p)
-        exact = (e2 - e1) * (e4 - e3) - (e3 - e1) * (e4 - e2) + (e4 - e1) * (e3 - e2)
-        out.append(VerificationRecord(
-            "SCHOTTKY_A123", {"p": p}, float(abs(exact)),
-            0.5,  # exact-zero contract: anything nonzero is a failure
-            notes="exact rational arithmetic; residual must be exactly 0",
-        ))
-    return out
+    exact = []
+    for e1, e2, e3, e4 in ([e[i - 1] for i in row] for row in p.tolist()):
+        a123 = (e2 - e1) * (e4 - e3) - (e3 - e1) * (e4 - e2) + (e4 - e1) * (e3 - e2)
+        exact.append(float(abs(a123)))
+    records = zip(
+        make_records("SCHOTTKY_R", j_resid, tol["SCHOTTKY_R"], I0=i0, p=p, j_m=jm, j_n=jn),
+        make_records("SCHOTTKY_DETR", det_resid, tol["SCHOTTKY_DETR"], notes=notes,
+                     precondition_failed=small, I0=i0, K=p, j_m=jm, j_n=jn),
+        # exact-zero contract: anything nonzero is a failure
+        make_records("SCHOTTKY_A123", exact, 0.5,
+                     notes="exact rational arithmetic; residual must be exactly 0", p=p),
+    )
+    return [rec for row in records for rec in row]
 
 
 # --- Appendix F case definitions -------------------------------------------
@@ -256,22 +249,21 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
                      tol: Mapping = DEFAULT_TOLERANCES) -> list:
     """The Appendix-F Schottky case at every row [position in CASE_IDS] of
     binds, each with its printed sign pattern."""
-    out = []
+    cases, residual, notes, signs_differ = [], [], [], []
     for (pos,) in binds.tolist():
         if not 0 <= pos < len(CASE_IDS):
             raise ValueError(f"unknown Schottky case position {pos}; known: {CASE_IDS}")
         case_id = CASE_IDS[pos]
         if ctx.g != CASE_GENUS[case_id]:
             raise ValueError(f"{case_id} needs genus {CASE_GENUS[case_id]}")
+        cases.append(case_id)
         if case_id == "schottky.Ratio45":
             prods = ctx.consts(index_masks(np.array(_RATIO45_PRODUCTS))).prod(axis=1)
             refs = np.array([first_thomae_rhs(ctx, a) * first_thomae_rhs(ctx, b)
                              for a, b in _RATIO45_PRODUCTS])
-            worst = float(np.max(np.abs(np.abs(prods) - np.abs(refs)) / np.abs(refs)))
-            out.append(VerificationRecord(
-                "SCHOTTKY_F", {"case": case_id}, worst, tol["SCHOTTKY_F"],
-                notes="intra-genus Thomae consistency of the listed products",
-            ))
+            residual.append(np.max(np.abs(np.abs(prods) - np.abs(refs)) / np.abs(refs)))
+            notes.append("intra-genus Thomae consistency of the listed products")
+            signs_differ.append(False)
             continue
         case = _F_CASES[case_id]
         gens = np.array([[sum(1 << i for i in s) for s in case["group"]]])
@@ -280,10 +272,9 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
         exponent = 8.0 / 2.0 ** len(case["group"])
         printed, best_signs, best = root_sum_residual(prods ** (exponent / 2), case["signs"])
         j_resid = schottky_J(prods ** exponent)[1] if len(prods) == 3 else 0.0
-        out.append(VerificationRecord(
-            "SCHOTTKY_F", {"case": case_id},
-            printed if best_signs == case["signs"] else max(printed, 1.0), tol["SCHOTTKY_F"],
-            notes=f"printed signs {case['signs']}, best {best_signs} ({best:.2e}); "
-                  f"J residual {j_resid:.2e}",
-        ))
-    return out
+        residual.append(printed)
+        notes.append(f"printed signs {case['signs']}, best {best_signs} ({best:.2e}); "
+                     f"J residual {j_resid:.2e}")
+        signs_differ.append(best_signs != case["signs"])
+    return make_records("SCHOTTKY_F", residual, tol["SCHOTTKY_F"], notes=notes,
+                        precondition_failed=signs_differ, case=cases)

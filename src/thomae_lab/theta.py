@@ -386,7 +386,8 @@ class ThetaEngine:
     @property
     def points(self) -> int:
         """Lattice points enumerated: the lattice's (one of each pair q, -q, and
-        the origin) and those of each class enumerated for an order above 2."""
+        the origin) and those of each class built for an order above 2, once
+        per class and order."""
         return self._enumerated
 
     def _weights(self, p: np.ndarray) -> np.ndarray:
@@ -404,7 +405,6 @@ class ThetaEngine:
         points at R_k, enumerated here and kept by no one."""
         if order > 2:
             p, starts = _ellipsoid_points(self._chol, 2 * self.radius, eps_prime)
-            self._enumerated += len(p)
             return _LatticeClass(p, self._weights(p), starts)
         starts = self._starts[eps_prime << self.g : (eps_prime + 1 << self.g) + 1]
         lo, hi = starts[0], starts[-1]
@@ -434,10 +434,19 @@ class ThetaEngine:
             filled = np.flatnonzero(np.diff(starts))
             bins[filled] = np.add.reduceat(self._m, starts[filled])
         else:
-            bins = np.stack([self._bins(self._lattice_class(e, order), order) for e in eps_prime.tolist()])
+            bins = np.stack([self._class_bins(e, order) for e in eps_prime.tolist()])
         table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
             bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order)
         built[eps_prime] = True
+
+    def _class_bins(self, eps_prime: int, order: int) -> np.ndarray:
+        """The bins of the class eps' at an order >= 1.  Past order 2 the
+        class's own points are counted in ``points`` here, where its store
+        rows are built, and dropped on return."""
+        cls = self._lattice_class(eps_prime, order)
+        if order > 2:
+            self._enumerated += len(cls.p)
+        return self._bins(cls, order)
 
     def _bins(self, cls: _LatticeClass, order: int) -> np.ndarray:
         """bins[b, j], the sum over parity bin b of the class of m times the

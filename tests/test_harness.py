@@ -583,3 +583,39 @@ def test_a_run_imports_neither_numpy_ma_nor_numpy_polynomial():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _close_pair_run(tmp_path, points):
+    """Exit code and JSON report of a seed-1 run at the default cap on the
+    genus-3 curve with these branch points."""
+    curve, out = tmp_path / "curve.json", tmp_path / "report.json"
+    curve.write_text(json.dumps({"genus": 3, "branch_points": points}))
+    code = main(["verify", "--curve", str(curve), "--seed", "1", "--format", "json",
+                 "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_a_1e_6_cut_fails_only_gradient_triples_of_rank_2(tmp_path):
+    # the pair (-1, -0.999999) leaves ten GRAD4 triples numerically rank 2:
+    # their residuals are raised to 1.0, whatever the identity's own
+    code, report = _close_pair_run(tmp_path, [-4, -2.5, -1, -0.999999, 0, 1.5, 3])
+    fails = [r for r in report["records"] if not r["pass"]]
+    assert code == 1 and len(fails) == 10
+    assert all(r["relation_id"] == "GRAD4" for r in fails)
+    assert all(r["residual"] >= 1.0 and r["notes"].endswith("(rank deficient!)") for r in fails)
+
+
+def test_a_1e_6_first_cut_fails_twenty_gradient_triples(tmp_path):
+    # HESS_EQUIV also fails here, on conditioning; its count is not pinned
+    code, report = _close_pair_run(tmp_path, [-4, -3.999999, -2.5, -1, 0, 1.5, 3])
+    grad4 = [r for r in report["records"] if r["relation_id"] == "GRAD4" and not r["pass"]]
+    assert code == 1 and len(grad4) == 20
+    assert all(r["residual"] >= 1.0 and r["notes"].endswith("(rank deficient!)") for r in grad4)
+
+
+def test_a_1e_8_gap_fails_thomaeg_on_k_independence(tmp_path):
+    code, report = _close_pair_run(tmp_path, [-4, -2.5, -1, 0, 1.5, 1.50000001, 3])
+    assert code == 1 and report["periods"]["quad_order"] == 3072
+    thomaeg = [r for r in report["records"] if r["relation_id"] == "THOMAEG" and not r["pass"]]
+    assert len(thomaeg) == 1
+    assert thomaeg[0]["residual"] == 1.0 and thomaeg[0]["notes"].startswith("K-indep 2.02e-08;")

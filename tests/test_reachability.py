@@ -101,3 +101,24 @@ def test_every_function_in_src_is_reached_by_a_run():
     # an entry leaves the list once a run reaches it, or the function goes
     stale = sorted(set(UNREACHED) - set(unreached))
     assert not stale, f"listed as unreached, but reached or gone: {stale}"
+
+
+def test_records_are_built_only_by_make_records():
+    # one function owns the binding format and the precondition override
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where.split(':')[0]}:{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "VerificationRecord":
+                    callers.append(where)
+            visit(child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}:")
+    assert callers == ["relations:make_records"]

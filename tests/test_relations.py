@@ -28,6 +28,7 @@ from thomae_lab.relations import (
     gradn_batch,
     hessian_equiv_batch,
     hessian_rank_batch,
+    make_records,
     predicted_collection_rank,
     rank_batch,
     rj_det_batch,
@@ -549,3 +550,52 @@ def test_riemann_jacobi_row_swap_modulus_invariant(ctx):
     swapped = mat[:, ::-1]
     assert abs(abs(np.linalg.det(mat)) - abs(np.linalg.det(swapped))) < 1e-12
     assert np.linalg.det(mat) == pytest.approx(-np.linalg.det(swapped))
+
+
+# --- record assembly ---------------------------------------------------------
+
+def test_make_records_spreads_scalars_and_keeps_per_record_lists():
+    one = make_records("EKLM", np.array([0.1, 0.2]), 1e-8, n=np.array([1, 2]))
+    assert [(r.relation_id, r.tolerance, r.notes) for r in one] == [("EKLM", 1e-8, "")] * 2
+    per = make_records(["HESS_K3", "D3_K5"], [0.1, 0.2], [1e-6, 1e-4], notes=["a", "b"],
+                       n=np.array([1, 2]))
+    assert [(r.relation_id, r.tolerance, r.notes) for r in per] == [
+        ("HESS_K3", 1e-6, "a"), ("D3_K5", 1e-4, "b")]
+    assert [r.residual for r in per] == [0.1, 0.2]
+    assert all(type(r.residual) is float for r in one + per)
+
+
+def test_make_records_raises_a_failed_precondition_to_one():
+    recs = make_records("GRAD4", np.array([0.2, 3.0, 0.2]), 1e-8,
+                        precondition_failed=np.array([True, True, False]), n=np.arange(3))
+    assert [r.residual for r in recs] == [1.0, 3.0, 0.2]
+
+
+def test_make_records_binds_python_values():
+    recs = make_records(
+        "GRAD4", np.zeros(2), 1e-8,
+        j=np.array([4, 5]), I=np.array([[1, 2], [3, 4]]),
+        pairs=np.arange(8).reshape(2, 2, 2), B=[(1,), (2, 3)],
+    )
+    assert [r.bindings for r in recs] == [
+        {"j": 4, "I": (1, 2), "pairs": ((0, 1), (2, 3)), "B": (1,)},
+        {"j": 5, "I": (3, 4), "pairs": ((4, 5), (6, 7)), "B": (2, 3)},
+    ]
+    assert list(recs[0].bindings) == ["j", "I", "pairs", "B"]  # the text report's order
+    for rec in recs:
+        assert type(rec.bindings["j"]) is int
+        assert all(type(i) is int for i in rec.bindings["I"])
+        assert all(type(i) is int for pair in rec.bindings["pairs"] for i in pair)
+
+
+def test_make_records_one_slot_and_many_slots_agree():
+    masks = np.array([[1, 2], [3, 4], [5, 6]])
+    one = make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks)
+    many = make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks, m=np.array([2, 2, 2]))
+    assert [r.bindings for r in one] == [{"I0": (1, 2)}, {"I0": (3, 4)}, {"I0": (5, 6)}]
+    assert [r.bindings for r in many] == [{**r.bindings, "m": 2} for r in one]
+    # a slot or a residual of the wrong length is refused on either path
+    with pytest.raises(ValueError):
+        make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks, m=np.array([2, 2]))
+    with pytest.raises(ValueError):
+        make_records("RJ_DET", np.zeros(2), 1e-6, I0=masks)

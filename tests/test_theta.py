@@ -580,6 +580,20 @@ def test_an_order_past_2_enumerates_each_class_once(ctx, monkeypatch):
     assert eng.points == lattice + sum(own)
 
 
+@pytest.mark.parametrize("read", ["deriv", "derivs"])
+def test_points_count_each_class_once_per_order(read):
+    # theta_deriv enumerates the class again for its scale; only the build
+    # that fills the class's rows counts its points
+    ctx = CurveContext.build(random_curve(5, 1))
+    assert ctx.engine.points == 44041
+    for _ in range(2):
+        if read == "deriv":
+            ctx.deriv((1, 2), 3)
+        else:
+            ctx.derivs(np.array([0b110]), 3)
+        assert ctx.engine.points == 46072  # the R_2 lattice and one class at R_4
+
+
 def test_int16_bound_is_checked_on_r_k_before_any_enumeration(monkeypatch):
     # R_2 would fit int16; R_3 does not, and no point is enumerated
     def radius(tau, tol, order=0):

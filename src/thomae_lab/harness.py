@@ -21,7 +21,7 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -161,7 +161,9 @@ def _family_rng(cfg: SuiteConfig, family: str) -> np.random.Generator:
 
 def _draw(count: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted positions of the sampled items of an enumeration of ``count``:
-    all of them up to the cap, else ``cap`` drawn without replacement."""
+    all of them up to the cap, drawing no number, else ``cap`` drawn without
+    replacement.  Taking every position leaves ``rng`` as it was, so those
+    rows depend on the enumeration alone and :func:`_unranked` caches them."""
     if count <= cap:
         return np.arange(count)
     return np.sort(rng.choice(count, size=cap, replace=False))
@@ -195,7 +197,9 @@ def _free(sets: np.ndarray, universe: range) -> np.ndarray:
 def _picker(rng: np.random.Generator, *caps: int) -> Callable:
     """pick(count) -> sorted positions in an enumeration of ``count``: a
     :func:`_draw` with the first cap, then one from the kept positions with
-    each further cap (D3's sample of a sample)."""
+    each further cap (D3's sample of a sample).  It takes every position,
+    and draws no number, when count is at most every cap; :func:`_unranked`
+    then reuses the rows it cached."""
 
     def pick(count: int) -> np.ndarray:
         idx = _draw(count, caps[0], rng)
@@ -217,7 +221,8 @@ class Family:
     ``bindings(g, cfg, rng)`` gives the bindings as an int array with one
     binding per row, every index set as one mask column, so the width of a
     family's rows does not depend on g (RANK's grows with g up to six parts);
-    it reads no curve, so every binding can be drawn before the engine exists.
+    it reads no curve, so every binding can be drawn before the engine exists,
+    and the array may be read-only rows shared by every curve (:func:`_unranked`).
     ``verify(ctx, bindings, tol)`` gives the records of all of them, in row
     order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`.  The entry's
     call ``family(ctx, cfg, rows)`` runs it on the rows a run drew, if any.
@@ -248,13 +253,35 @@ def run_order(families, g: int, enable_heavy: bool) -> int:
     return max(orders, default=0)
 
 
+def _unranked(rows: Callable, count: int, pick: Callable, *shape: int) -> np.ndarray:
+    """rows(*shape, idx) at the positions idx = pick(count) of an enumeration
+    of ``count`` that ``shape`` fixes.  A picker that takes every position
+    draws no number, so those rows depend on the enumeration alone: they are
+    unranked once per process, kept read-only, and shared by every curve."""
+    idx = pick(count)
+    return _whole(rows, count, *shape) if len(idx) == count else rows(*shape, idx)
+
+
+@lru_cache(maxsize=None)
+def _whole(rows: Callable, count: int, *shape: int) -> np.ndarray:
+    """rows(*shape, idx) at every position, read-only: one entry per
+    enumeration a picker took whole, so at most ``cap`` rows, or the parts
+    RANK lists whole."""
+    out = rows(*shape, np.arange(count))
+    out.flags.writeable = False
+    return out
+
+
 def _i0_splits(g: int, ksize: int, pick: Callable) -> np.ndarray:
     """Rows [I_0 K j_m j_n] at the positions ``pick(count)`` of the
     enumeration over every finite g-set I_0, every ksize-subset K of I_0,
     and the two smallest indices j_m < j_n of J_0."""
+    return _unranked(_i0_rows, math.comb(2 * g + 1, g) * math.comb(g, ksize), pick, g, ksize)
+
+
+def _i0_rows(g: int, ksize: int, idx: np.ndarray) -> np.ndarray:
     n = 2 * g + 1
     per = math.comb(g, ksize)
-    idx = pick(math.comb(n, g) * per)
     i0 = 1 + unrank_combinations(n, g, idx // per)
     ks = np.take_along_axis(i0, unrank_combinations(g, ksize, idx % per), axis=1)
     return np.column_stack([index_masks(i0), index_masks(ks), _free(i0, range(1, n + 1))[:, :2]])
@@ -264,10 +291,14 @@ def _kappa_splits(g: int, isize: int, nk: int, pick: Callable) -> np.ndarray:
     """Rows [I B j_m j_n] at the positions ``pick(count)`` of the
     enumeration over all indices 0..2g+1: I a finite isize-set, B nk further
     indices, j_m < j_n the two smallest finite ones left."""
+    count = math.comb(2 * g + 1, isize) * math.comb(2 * g + 2 - isize, nk)
+    return _unranked(_kappa_rows, count, pick, g, isize, nk)
+
+
+def _kappa_rows(g: int, isize: int, nk: int, idx: np.ndarray) -> np.ndarray:
     n = 2 * g + 1
     nrest = n + 1 - isize
     per = math.comb(nrest, nk)
-    idx = pick(math.comb(n, isize) * per)
     i_set = 1 + unrank_combinations(n, isize, idx // per)
     rest = _free(i_set, range(n + 1))[:, :nrest]
     kappas = np.take_along_axis(rest, unrank_combinations(nrest, nk, idx % per), axis=1)
@@ -299,12 +330,16 @@ def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     positions ``pick(count)`` of their canonical list (by part size as
     :func:`part_sizes` lists them, then in ``combinations`` order of the
     part), unranked block by block of part size."""
-    n, sizes = 2 * g + 1, part_sizes(g, m)
-    counts = [math.comb(n, size) for size in sizes]
-    idx = pick(sum(counts))
+    count = sum(math.comb(2 * g + 1, size) for size in part_sizes(g, m))
+    return _unranked(_partition_rows, count, pick, g, m)
+
+
+def _partition_rows(g: int, m: int, idx: np.ndarray) -> np.ndarray:
+    n = 2 * g + 1
     out = np.empty(len(idx), dtype=np.int64)
     start = 0
-    for size, count in zip(sizes, counts):
+    for size in part_sizes(g, m):
+        count = math.comb(n, size)
         at = (idx >= start) & (idx < start + count)
         out[at] = index_masks(1 + unrank_combinations(n, size, idx[at] - start))
         start += count
@@ -403,7 +438,7 @@ def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
 def _eklm_bindings(g, cfg, rng):
     n = 2 * g + 1
     count = 2 * math.comb(n, 3) * math.comb(n - 3, g - 1)
-    return _eklm_rows(g, _draw(count, min(cfg.cap, 200), rng))
+    return _unranked(_eklm_rows, count, _picker(rng, min(cfg.cap, 200)), g)
 
 
 def _eji_bindings(g, cfg, rng):
@@ -412,8 +447,7 @@ def _eji_bindings(g, cfg, rng):
     rows = _i0_splits(g, 0, _picker(rng, min(cfg.cap, 100)))
     i0 = rows[:, 0]
     low = i0 & -i0
-    rows[:, 1] = low | (i0 ^ low) & -(i0 ^ low)
-    return rows
+    return np.column_stack([i0, low | (i0 ^ low) & -(i0 ^ low), rows[:, 2:]])
 
 
 def _grad4_bindings(g, cfg, rng):

@@ -29,9 +29,9 @@ on the Legendre recurrence, O(n^2) per order and cached, with weights
 accurate to about 1e-12 relative up to n = 1536 (an eigensolve of the
 Jacobi matrix is O(n^3), and its weights lose accuracy as n grows).  All 2g
 segments are integrated as one (2g, n) array.  ``compute_periods`` doubles the order until two successive orders
-agree to ``refine_tol``; a curve that has not converged when the order
-reaches ``max_order`` raises ValueError rather than return unconverged
-periods.
+agree to ``refine_tol``, never past ``max_order``; a curve that has not
+converged by then, or a starting order whose double passes ``max_order``,
+raises ValueError rather than return unconverged periods.
 """
 
 from __future__ import annotations
@@ -191,18 +191,23 @@ def compute_periods(
 
     est_error is the largest entrywise relative change of omega and omega'
     between quad_order and 2*quad_order; the order is doubled until it drops
-    below refine_tol.  A curve whose estimate is still above refine_tol
-    once 2*quad_order reaches max_order raises ValueError.  The benchmark
-    (bench/layers.py) wraps it where ``harness`` imports it and reads
-    ``quad_order`` and ``refine_tol`` by name for its ``periods.*`` metrics.
+    below refine_tol.  No rule past max_order is built: a base with
+    2*quad_order > max_order raises ValueError, and so does a curve whose
+    estimate is still above refine_tol when the next doubling would pass
+    max_order.  The benchmark (bench/layers.py) wraps it where ``harness``
+    imports it and reads ``quad_order`` and ``refine_tol`` by name for its
+    ``periods.*`` metrics.
     """
+    if 2 * quad_order > max_order:
+        raise ValueError(f"quad_order {quad_order} doubles past max_order {max_order}: "
+                         f"the base may be at most {max_order // 2}")
     order = quad_order
     o1 = _assemble(_segment_columns(spec, order))
     while True:
         o2 = _assemble(_segment_columns(spec, 2 * order))
         scale = max(np.max(np.abs(o2[0])), np.max(np.abs(o2[1])))
         est = max(np.max(np.abs(o1[0] - o2[0])), np.max(np.abs(o1[1] - o2[1]))) / scale
-        if est <= refine_tol or 2 * order >= max_order:
+        if est <= refine_tol or 4 * order > max_order:
             break
         order *= 2
         o1 = o2

@@ -88,13 +88,36 @@ class DerivThetaTensor:
     scale: float  # largest single |term| of any entry, computed on each call
 
 
+def _factor(tau: np.ndarray) -> tuple[np.ndarray, float]:
+    """The upper Cholesky factor chol of pi Im(tau) (chol^t chol = pi Im(tau))
+    and its smallest eigenvalue lam_min, read-only.  Cached by the bytes of
+    tau, so an engine and each of its :func:`truncation_radius` calls share
+    one factorisation: the radius keeps the signature ``(tau, tol, order)``
+    that the benchmark traces, and takes no factor argument."""
+    return _factor_of(np.asarray(tau, dtype=complex).tobytes(), len(tau))
+
+
+@lru_cache(maxsize=4)
+def _factor_of(tau: bytes, g: int) -> tuple[np.ndarray, float]:
+    y = np.pi * np.frombuffer(tau, dtype=complex).reshape(g, g).imag
+    chol = np.linalg.cholesky(y).T
+    chol.flags.writeable = False
+    return chol, float(np.linalg.eigvalsh(y)[0])
+
+
+@lru_cache(maxsize=4)
+def _inverse_norm(chol: bytes, g: int) -> float:
+    """max_i ||row i of chol^-1|| of the g x g factor with these bytes: one
+    inversion serves every enumeration of an engine."""
+    return float(np.linalg.norm(np.linalg.inv(np.frombuffer(chol).reshape(g, g)), axis=1).max())
+
+
 def _tail_bound(tau: np.ndarray, order: int):
     """lam_min and the function R -> (B_k(R), -dB_k/d(R^2)) of
     :func:`truncation_radius` for k = order."""
-    y = np.pi * np.asarray(tau).imag
-    g = y.shape[0]
-    diag = np.linalg.cholesky(y).diagonal().tolist()  # Gram-Schmidt lengths of the basis L e_i
-    lam_min = float(np.linalg.eigvalsh(y)[0])
+    chol, lam_min = _factor(tau)
+    g = len(chol)
+    diag = chol.diagonal().tolist()  # Gram-Schmidt lengths of the basis L e_i
     mu = 0.5 * math.hypot(*diag)
     unit_ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1)
     scale = (2 * math.pi / math.sqrt(lam_min)) ** order * unit_ball / math.prod(diag)
@@ -179,7 +202,7 @@ def _point_dtype(chol: np.ndarray, r: float) -> type[np.signedinteger]:
     ||chol p|| <= r, the points p = 2q of a lattice at R = r / 2.  Each
     |p_i| = |e_i^t chol^{-1} (chol p)| is at most r ||row i of chol^{-1}||,
     plus 1 for the enumeration's slack; a bound of 2^15 or more raises."""
-    bound = r * np.linalg.norm(np.linalg.inv(chol), axis=1).max() + 1
+    bound = r * _inverse_norm(chol.tobytes(), len(chol)) + 1
     if bound < 2**7:
         return np.int8
     if bound < 2**15:
@@ -359,7 +382,7 @@ class ThetaEngine:
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"ThetaEngine.tol must be finite and > 0, got {tol}")
         try:
-            chol = np.linalg.cholesky(np.pi * tau.imag).T  # upper, chol^t chol = pi Im(tau)
+            chol = _factor(tau)[0]
         except np.linalg.LinAlgError:
             raise ValueError("Im tau must be positive definite") from None
         if tau.real.any():

@@ -50,6 +50,7 @@ from thomae_lab.harness import (
     _i0_splits,
     _kappa_splits,
     _part_masks,
+    _partition_masks,
     _picker,
     _rank_bindings,
     random_curve,
@@ -991,6 +992,52 @@ def test_partition_samplers_match_list_builders(g):
         old, new = np.random.default_rng([g, cap]), np.random.default_rng([g, cap])
         assert np.array_equal(_rank_bindings(g, cfg, new), list_rank_bindings(g, cfg, old))
         assert old.random() == new.random(), cap
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_cached_whole_enumerations_equal_a_fresh_computation(g):
+    # at a cap that takes the enumerations whole and one that samples them,
+    # every family's rows, cached or not, are those of an empty cache
+    for cap in (10**6, 7):
+        cfg = SuiteConfig(spec=random_curve(g, 1), cap=cap, seed=1)
+        for name, family in FAMILIES.items():
+            if g < family.min_genus:
+                continue
+            first, again = (family.bindings(g, cfg, _family_rng(cfg, name)) for _ in range(2))
+            harness._whole.cache_clear()
+            fresh = family.bindings(g, cfg, _family_rng(cfg, name))
+            assert np.array_equal(first, fresh) and np.array_equal(again, fresh), (name, cap)
+    # the rows a picker took whole are shared, so no caller may write them
+    every, eklm = np.arange, 2 * math.comb(2 * g + 1, 3) * math.comb(2 * g - 2, g - 1)
+    for rows in (_i0_splits(g, 2, every), _kappa_splits(g, g - 2, 3, every),
+                 _partition_masks(g, 1, every), harness._unranked(_eklm_rows, eklm, every, g)):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_a_whole_draw_leaves_the_family_stream_untouched(g):
+    # the condition that makes the cache exact: taking every position draws
+    # no number, so the rows cannot depend on the seed
+    for cap, drawn in ((500, False), (7, True)):
+        cfg = SuiteConfig(spec=random_curve(g, 1), cap=cap, seed=1)
+        rng = _family_rng(cfg, "THOMAE1")
+        before = rng.bit_generator.state
+        FAMILIES["THOMAE1"].bindings(g, cfg, rng)
+        assert (rng.bit_generator.state != before) == drawn, cap
+
+
+def test_two_genus_2_curves_share_their_whole_bindings():
+    # THOMAE1 (10 of cap 500) and EJI (10 of 100) take every I_0 at genus 2,
+    # whatever the curve and the seed
+    def bindings(seed):
+        cfg = SuiteConfig(spec=random_curve(2, seed), relations=("EJI", "THOMAE1"), seed=seed)
+        return [(r.relation_id, r.bindings) for r in run_suite(cfg).records]
+
+    first, second = bindings(1), bindings(2)
+    harness._whole.cache_clear()
+    assert first == second == bindings(3) and len(first) == 20
 
 
 # --- guards -----------------------------------------------------------------

@@ -569,6 +569,13 @@ def test_cli_names_an_unconverged_quadrature(tmp_path, capsys):
     assert "quad_order 3072" in err and "refine_tol 1.0e-11" in err
 
 
+@pytest.mark.parametrize("order", [1537, 5000])
+def test_cli_refuses_a_quad_order_past_max_order(capsys, order):
+    # 2 * 1537 > 3072: no rule past the 3072 nodes README promises is built
+    assert main(["verify", "--genus", "2", "--seed", "1", "--quad-order", str(order)]) == 2
+    assert f"quad_order {order} doubles past max_order 3072" in capsys.readouterr().err
+
+
 def test_a_run_imports_neither_numpy_ma_nor_numpy_polynomial():
     probe = (
         "import sys\n"

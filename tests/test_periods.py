@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import differential_row, gauss_legendre_exact, ref_branch, segment_integrals_loop
+from thomae_lab import periods as periods_module
 from thomae_lab.characteristics import _table
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import SuiteConfig, random_curve, run_suite
@@ -214,6 +215,24 @@ def test_a_1e_8_gap_converges_where_1e_10_does_not():
     close[5] = 1.5 + 1e-10
     with pytest.raises(ValueError, match="did not converge"):
         compute_periods(validate_curve(3, close))
+
+
+def test_no_rule_past_max_order_is_built(monkeypatch):
+    # a base whose double passes max_order is refused, and doubling stops
+    # before it would pass max_order: a base of 1000 on the 1e-8 gap curve
+    # stops at 2000, short of a 4000-node rule
+    spec = validate_curve(3, GAP_CURVE)
+    with pytest.raises(ValueError, match=r"quad_order 3072 doubles past max_order 3072"):
+        compute_periods(spec, 3072)
+    built = []
+    columns = periods_module._segment_columns
+    monkeypatch.setattr(periods_module, "_segment_columns",
+                        lambda s, order: built.append(order) or columns(s, order))
+    close = validate_curve(3, [*GAP_CURVE[:5], 1.5 + 1e-8, 3.0])
+    with pytest.raises(ValueError, match=r"did not converge: .* at quad_order 2000 "
+                       r"\(max_order 3072\)"):
+        compute_periods(close, 1000)
+    assert built == [1000, 2000]
 
 
 def test_unconverged_quadrature_raises():

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 
 import mpmath
@@ -592,6 +593,23 @@ def test_points_count_each_class_once_per_order(read):
         else:
             ctx.derivs(np.array([0b110]), 3)
         assert ctx.engine.points == 46072  # the R_2 lattice and one class at R_4
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_an_engine_factors_pi_im_tau_once(ctx, monkeypatch, order):
+    # __init__, both truncation radii (R_3 and R_2), the lattice and every
+    # class enumerated at R_3 share one factor and one inverse
+    tau, calls = ctx(4).periods.tau, Counter()
+    for name in ("cholesky", "inv"):
+        def spy(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    theta_module._factor_of.cache_clear()
+    theta_module._inverse_norm.cache_clear()
+    ThetaEngine(tau, order=order).values(np.arange(4**4), order)
+    assert calls == {"cholesky": 1, "inv": 1}, calls
 
 
 def test_int16_bound_is_checked_on_r_k_before_any_enumeration(monkeypatch):

@@ -9,7 +9,8 @@ Every phase the Thomae families compare is predicted by :mod:`thomae`, none
 is fitted, so a misfit of the first Thomae formula is a failed THOMAE1 record.
 
 Exit codes: 0 all relations pass, 1 at least one relation failed, 2 the
-infrastructure (curve, periods, lattice) failed or no family drew a binding.
+infrastructure (curve, periods, lattice) failed, no family drew a binding,
+or the report could not be written to ``--out``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
+from itertools import islice
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -82,6 +83,13 @@ class SuiteConfig:
         return MappingProxyType({**DEFAULT_TOLERANCES, **self.tolerances})
 
 
+# Encoder chunks per JSON slab.  A chunk is a key, a value or a separator
+# of a few characters, each its own string object, so a slab of 4096 is
+# about 28 kB of text on a genus-5 report: the chunks alive at once stay
+# small beside the text, and the slabs stay few (45 there) to join.
+JSON_SLAB_CHUNKS = 4096
+
+
 @dataclass
 class Report:
     curve: dict
@@ -98,7 +106,9 @@ class Report:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def to_json(self, include_timings: bool) -> str:
+    def json_slabs(self, include_timings: bool) -> Iterator[str]:
+        """The JSON report, ``json.dumps(payload, sort_keys=True, indent=2)``,
+        as consecutive slabs of :data:`JSON_SLAB_CHUNKS` encoder chunks."""
         payload = {
             "curve": self.curve,
             "periods": self.periods,
@@ -109,7 +119,18 @@ class Report:
         }
         if include_timings:
             payload["timings"] = self.timings
-        return json.dumps(payload, sort_keys=True, indent=2)
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+        while slab := list(islice(chunks, JSON_SLAB_CHUNKS)):
+            yield "".join(slab)
+
+    def to_json(self, include_timings: bool) -> str:
+        """The JSON report, byte for byte ``json.dumps(payload,
+        sort_keys=True, indent=2)``, joined from :meth:`json_slabs`.  With an
+        indent the encoder is the pure-Python one, and ``dumps`` gathers its
+        every chunk, a few characters each, into one list before it joins
+        them: about 8.4 bytes per output character, more than the run itself
+        holds on a genus-5 suite.  Slabs cap that list at one slab."""
+        return "".join(self.json_slabs(include_timings))
 
     def to_text(self, include_timings: bool = False) -> str:
         lines = [
@@ -155,8 +176,26 @@ def random_curve(g: int, seed: int) -> CurveSpec:
             return validate_curve(g, pts.tolist(), label=f"random-g{g}-seed{seed}")
 
 
-def _family_rng(cfg: SuiteConfig, family: str) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, zlib.crc32(family.encode())])
+class _LazyGenerator:
+    """``np.random.default_rng(seed)``, seeded on its first use.  A draw
+    taken whole reads no number (:func:`_draw`), and seeding a generator
+    costs more than the cached rows such a draw returns; so a family whose
+    draw is whole never builds one.  Each attribute read is bound from the
+    generator once, then found on this object."""
+
+    def __init__(self, seed: list[int]):
+        self._seed = seed
+
+    def __getattr__(self, name: str):
+        if "_generator" not in self.__dict__:
+            self._generator = np.random.default_rng(self._seed)
+        value = getattr(self._generator, name)
+        setattr(self, name, value)
+        return value
+
+
+def _family_rng(cfg: SuiteConfig, family: str) -> _LazyGenerator:
+    return _LazyGenerator([cfg.seed, zlib.crc32(family.encode())])
 
 
 def _draw(count: int, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -741,11 +780,21 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # infrastructure failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json(args.timings) if args.format == "json" else report.to_text(args.timings)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    if args.format == "json":
+        slabs = report.json_slabs(args.timings)  # never the whole text at once
     else:
-        print(text)
+        slabs = [report.to_text(args.timings)]
+    if args.out:
+        try:
+            with open(args.out, "w") as out:
+                out.writelines(slabs)
+                out.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.writelines(slabs)
+        sys.stdout.write("\n")
     return 0 if report.all_passed() else 1
 
 

@@ -37,7 +37,7 @@ raises ValueError rather than return unconverged periods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -160,9 +160,13 @@ class PeriodData:
     quad_order: int
     est_error: float
 
-    @property
+    @cached_property
     def tau(self) -> np.ndarray:
-        return np.linalg.solve(self.omega, self.omega_prime)
+        """Solved once and read-only: a run reads it in ``_check_tau``, in
+        the engine and in each half-period residual."""
+        tau = np.linalg.solve(self.omega, self.omega_prime)
+        tau.flags.writeable = False
+        return tau
 
 
 def _check_tau(tau: np.ndarray) -> None:

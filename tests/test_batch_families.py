@@ -15,6 +15,7 @@ against the list builders they replaced.
 
 import math
 import re
+import zlib
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -1026,6 +1027,26 @@ def test_a_whole_draw_leaves_the_family_stream_untouched(g):
         before = rng.bit_generator.state
         FAMILIES["THOMAE1"].bindings(g, cfg, rng)
         assert (rng.bit_generator.state != before) == drawn, cap
+
+
+def test_a_thomae1_run_at_genus_2_to_4_seeds_no_generator(monkeypatch):
+    # THOMAE1 takes every I_0 there (10, 35, 126 of cap 500), so its stream
+    # is never read and never seeded
+    specs = [random_curve(g, 1) for g in (2, 3, 4)]
+    seeded = []
+
+    def spy(*args, **kwargs):
+        seeded.append(args)
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for spec in specs:
+        assert len(run_suite(SuiteConfig(spec=spec, relations=("THOMAE1",), seed=1)).records)
+    assert seeded == []
+    # a sampled draw still seeds its family's stream, once
+    run_suite(SuiteConfig(spec=specs[2], relations=("THOMAE1",), cap=7, seed=1))
+    assert seeded == [([1, zlib.crc32(b"THOMAE1")],)]
 
 
 def test_two_genus_2_curves_share_their_whole_bindings():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -126,6 +127,63 @@ def test_report_json_schema():
     rec = payload["records"][0]
     assert set(rec) == {"relation_id", "bindings", "residual", "tolerance", "pass", "notes"}
     assert rec["relation_id"] == "THOMAE1" and rec["notes"] == ""
+
+
+@pytest.fixture(scope="module")
+def g5_report():
+    """The full suite on random_curve(5, 1): 183k encoder chunks, 45 slabs."""
+    return run_suite(SuiteConfig(spec=random_curve(5, 1), seed=1))
+
+
+def _dumps(report, include_timings):
+    """The JSON report as one json.dumps of its payload."""
+    payload = {"curve": report.curve, "periods": report.periods, "theta": report.theta,
+               "records": [r.as_dict() for r in report.records],
+               "summary": report.summary(), "config": report.config}
+    if include_timings:
+        payload["timings"] = report.timings
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("relations,slabs", [(None, 45), (("THOMAE1",), 1), ((), 1)],
+                         ids=["many-slabs", "one-slab", "empty-filter"])
+def test_json_slabs_join_to_one_dumps(g5_report, relations, slabs):
+    if relations is None:
+        report = g5_report
+    else:
+        report = run_suite(SuiteConfig(spec=random_curve(2, 1), relations=relations, seed=1))
+    assert len(list(report.json_slabs(False))) == slabs
+    for include_timings in (False, True):
+        assert report.to_json(include_timings) == _dumps(report, include_timings)
+
+
+def test_cli_json_is_to_json_and_a_newline(tmp_path, capsys):
+    # 14 slabs, on stdout and through --out
+    argv = ["verify", "--genus", "3", "--seed", "1", "--format", "json"]
+    want = run_suite(SuiteConfig(spec=random_curve(3, 1), seed=1)).to_json(False) + "\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "r.json").read_text() == want
+
+
+def test_to_json_holds_no_chunk_list(g5_report):
+    # one json.dumps holds about 8.4 bytes per output character here
+    tracemalloc.start()
+    try:
+        text = g5_report.to_json(False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text), peak / len(text)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_cli_exits_2_on_an_unwritable_out(tmp_path, capsys, where):
+    out = tmp_path / "no" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["verify", "--genus", "2", "--seed", "1", "--relations", "THOMAE1",
+                 "--format", "json", "--out", str(out)]) == 2
+    assert f"error: cannot write report to {out}: " in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

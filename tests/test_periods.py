@@ -61,6 +61,15 @@ def test_tau_invariants(ctx):
         assert np.min(np.linalg.eigvalsh(tau.imag)) > 0
 
 
+def test_tau_is_solved_once(curve, monkeypatch):
+    p = compute_periods(curve(3))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    assert p.tau is p.tau and not p.tau.flags.writeable
+    assert solves == []  # compute_periods already solved it for _check_tau
+
+
 def test_every_tau_of_a_real_curve_is_imaginary(sweep_curves):
     # real branch points give tau = i Y exactly, which the theta engine's real
     # weights take for granted (it refuses Re tau != 0)

@@ -25,6 +25,7 @@ UNREACHED = {
     "theta.ThetaEngine.theta": "bench-traced theta.const.* entry point",
     "theta.ThetaEngine.theta_deriv": "bench-traced theta.deriv.* entry point",
     "theta.ThetaEngine._check": "argument check of the two entry points above",
+    "harness.Report.to_json": "bench/worker.py's report digest; the CLI writes json_slabs",
     "characteristics.Partition.__str__": "only an error message prints a partition",
     "characteristics.HalfCharacteristic.__str__": "only an error message prints a characteristic",
     "characteristics._char": "called by char_of_set above and by the coset error message",

@@ -10,14 +10,18 @@ is fitted, so a misfit of the first Thomae formula is a failed THOMAE1 record.
 
 Exit codes: 0 all relations pass, 1 at least one relation failed, 2 the
 infrastructure (curve, periods, lattice) failed, no family drew a binding,
-or the report could not be written to ``--out``.
+or the report could not be written to ``--out`` (an ``--out`` that is a
+directory, in a missing directory or not writable is refused before the
+run).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import time
 import zlib
@@ -761,6 +765,21 @@ def main(argv: list[str] | None = None) -> int:
         relations = tuple(p for p in (s.strip().upper() for s in args.relations.split(",")) if p)
         if not relations:
             parser.error(f"argument --relations: {args.relations!r} names no family")
+    if args.out:
+        # refused before the run, which may take seconds for a report that cannot be
+        # kept, and without opening (so truncating) the file: a directory, a missing
+        # directory, or no write access; the write below still handles any OSError
+        where, code = os.path.dirname(args.out) or ".", 0
+        if os.path.isdir(args.out):
+            code = errno.EISDIR
+        elif not os.path.isdir(where):
+            code = errno.ENOENT
+        elif not os.access(args.out if os.path.exists(args.out) else where, os.W_OK):
+            code = errno.EACCES
+        if code:
+            error = OSError(code, os.strerror(code), args.out)
+            print(f"error: cannot write report to {args.out}: {error}", file=sys.stderr)
+            return 2
     try:
         if args.curve:
             spec = load_curve_file(args.curve)

@@ -5,10 +5,20 @@ array code hold a set as its bit mask (bit i = index i): :func:`index_masks`
 builds masks from index rows, :func:`index_rows` and :func:`index_sets` turn
 them back into ascending rows or tuples, and :func:`finite_mask` is the set
 of all finite indices, the universe of every complement J = finite ^ I.
+
+:func:`index_rows` and :func:`index_sets` are pure functions of their
+masks, and a run asks them for the same masks again and again: every curve
+of a genus reads the same whole binding draws, and the Thomae prefactor and
+the records each turn them back into rows.  Both keep their last 16 results
+in an ``lru_cache`` keyed by the bytes and shape of the masks as int64 (the
+content, never the identity of an array), enough for the three genera of a
+sweep not to evict each other.  The cached rows are read-only, and
+:func:`index_sets` returns a fresh list of the cached tuples.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -30,11 +40,29 @@ def finite_mask(g: int) -> int:
 
 def index_rows(masks: np.ndarray) -> np.ndarray:
     """The indices of every mask of an int array, ascending along a new
-    last axis; every mask must hold the same number of indices."""
-    masks = np.asarray(masks)
+    last axis; every mask must hold the same number of indices.  Read-only:
+    the result may be the cached array of an earlier call."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return _rows(masks.tobytes(), masks.shape)
+
+
+@lru_cache(maxsize=16)
+def _rows(masks: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    # a copy: a view would keep np.nonzero's whole (N, ndim) array alive in the cache
+    rows = _index_rows(np.frombuffer(masks, dtype=np.int64).reshape(shape)).copy()
+    rows.flags.writeable = False
+    return rows
+
+
+def _index_rows(masks: np.ndarray) -> np.ndarray:
     bits = masks[..., None] >> np.arange(int(masks.max(initial=0)).bit_length()) & 1
-    width = int(bits.sum(axis=-1).max(initial=0))
-    return np.nonzero(bits)[-1].reshape(bits.shape[:-1] + (width,))
+    sizes = bits.sum(axis=-1)
+    width = int(sizes.max(initial=0))
+    rows = np.nonzero(bits)[-1]
+    if len(rows) != width * sizes.size:  # no mask holds more than width indices
+        found = sorted(set(sizes.ravel().tolist()))
+        raise ValueError(f"masks hold different numbers of indices: {found}")
+    return rows.reshape(sizes.shape + (width,))
 
 
 def index_masks(idx: np.ndarray) -> np.ndarray:
@@ -44,12 +72,19 @@ def index_masks(idx: np.ndarray) -> np.ndarray:
 
 def index_sets(masks: np.ndarray) -> list[tuple[int, ...]]:
     """The ascending index set of every mask of a 1-d int array, as tuples:
-    :func:`index_rows` over the masks of each size at once."""
-    masks = np.asarray(masks)
+    :func:`index_rows` over the masks of each size at once.  A fresh list
+    of the tuples cached for these masks."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return list(_sets(masks.tobytes(), masks.shape))
+
+
+@lru_cache(maxsize=16)
+def _sets(masks: bytes, shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    masks = np.frombuffer(masks, dtype=np.int64).reshape(shape)
     sizes = np.bitwise_count(masks)
     out = [()] * len(masks)
     for size in set(sizes.tolist()):
         at = np.flatnonzero(sizes == size)
-        for i, row in zip(at.tolist(), index_rows(masks[at]).tolist()):
+        for i, row in zip(at.tolist(), _index_rows(masks[at]).tolist()):
             out[i] = tuple(row)
-    return out
+    return tuple(out)

@@ -28,10 +28,12 @@ The Gauss-Legendre rule is built by Halley's variant of Newton's method
 on the Legendre recurrence, O(n^2) per order and cached, with weights
 accurate to about 1e-12 relative up to n = 1536 (an eigensolve of the
 Jacobi matrix is O(n^3), and its weights lose accuracy as n grows).  All 2g
-segments are integrated as one (2g, n) array.  ``compute_periods`` doubles the order until two successive orders
-agree to ``refine_tol``, never past ``max_order``; a curve that has not
-converged by then, or a starting order whose double passes ``max_order``,
-raises ValueError rather than return unconverged periods.
+segments are integrated as one (2g, n) array, and the first two orders as
+one (2g, n + 2n) array.  ``compute_periods`` doubles the order until two
+successive orders agree to ``refine_tol``, never past ``max_order``; a
+curve that has not converged by then, or a starting order whose double
+passes ``max_order``, raises ValueError rather than return unconverged
+periods.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 
 from .characteristics import _table
 from .curve import CurveSpec
+from .theta import _factor
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,17 +108,24 @@ def _end_offset(order: int) -> np.ndarray:
     return 2.0 * np.sin(0.25 * np.pi * (1.0 - _gauss_legendre(order)[0])) ** 2
 
 
-def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
-    """V[l-1, n-1] = int_{e_l}^{e_{l+1}} x^{g-n} dx / sqrt|f(x)|, l = 1..2g.
+def _segment_integrals(spec: CurveSpec, *orders: int) -> np.ndarray:
+    """V[l-1, n-1] = int_{e_l}^{e_{l+1}} x^{g-n} dx / sqrt|f(x)|, l = 1..2g,
+    as a (2g, g) array for one quadrature order, and one such array per
+    order along a new first axis for several.
 
     Gauss-Legendre after x = m + h sin(theta) on all 2g segments at once,
     one row per segment; the endpoint roots of f cancel against the
-    cos(theta) Jacobian, leaving a smooth integrand.
+    cos(theta) Jacobian, leaving a smooth integrand.  Several orders are
+    evaluated in one pass over their concatenated nodes, each node's values
+    by the same elementwise steps as alone, and contracted rule by rule on
+    contiguous copies of their own columns, so every order's integrals are
+    bit-identical to a call with that order alone.
     """
     g = spec.genus
     e = np.asarray(spec.branch_points)
-    nodes, weights = _gauss_legendre(order)
-    right = _end_offset(order)
+    nodes = np.concatenate([_gauss_legendre(order)[0] for order in orders])
+    weights = np.concatenate([_gauss_legendre(order)[1] for order in orders])
+    right = [_end_offset(order) for order in orders]  # each reversed on its own below
     m, h = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
     x = m[:, None] + h[:, None] * np.sin(0.5 * np.pi * nodes)
     # |f| without each row's endpoint factors (set to 1); a close pair keeps its digits, as
@@ -125,24 +135,31 @@ def _segment_integrals(spec: CurveSpec, order: int) -> np.ndarray:
         factor = np.abs(x - e[j])
         factor[max(j - 2, 0) : j + 2] = 1.0  # the segments ending at e_j and their neighbours
         rest *= factor
-    rest[:-1] *= 2 * h[1:, None] + h[:-1, None] * right
-    rest[1:] *= 2 * h[:-1, None] + h[1:, None] * right[::-1]
+    rest[:-1] *= 2 * h[1:, None] + h[:-1, None] * np.concatenate(right)
+    rest[1:] *= 2 * h[:-1, None] + h[1:, None] * np.concatenate([r[::-1] for r in right])
     core = (0.5 * np.pi) * weights / np.sqrt(rest)
-    powers = np.empty((2 * g, g, order))  # powers[:, n - 1] = x^{g-n}
+    powers = np.empty((2 * g, g, len(nodes)))  # powers[:, n - 1] = x^{g-n}
     powers[:, g - 1] = 1.0
     for n in range(g - 1, 0, -1):
         powers[:, n - 1] = powers[:, n] * x
-    return (powers @ core[:, :, None])[:, :, 0]
+    out, lo = [], 0
+    for n in orders:
+        rule = slice(lo, lo + n)
+        a, w = np.ascontiguousarray(powers[:, :, rule]), np.ascontiguousarray(core[:, rule])
+        out.append((a @ w[:, :, None])[:, :, 0])
+        lo += n
+    return out[0] if len(orders) == 1 else np.stack(out)
 
 
-def _segment_columns(spec: CurveSpec, order: int) -> np.ndarray:
-    """(g, 2g) sheet-signed segment integrals of du: column l - 1 is the
+def _segment_columns(spec: CurveSpec, *orders: int) -> np.ndarray:
+    """(g, 2g) sheet-signed segment integrals of du, stacked as
+    :func:`_segment_integrals` stacks its orders: column l - 1 is the
     integral over segment l, so the even columns are the cuts and the odd
     ones the gaps."""
     g = spec.genus
     # segment l has p = 2g + 1 - l branch points above it
     coeff = np.array([-0.5 * (-1j) ** (p % 4) for p in range(2 * g, 0, -1)])
-    return (coeff[:, None] * _segment_integrals(spec, order)).T
+    return np.swapaxes(coeff[:, None] * _segment_integrals(spec, *orders), -1, -2)
 
 
 def _assemble(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,6 +187,11 @@ class PeriodData:
 
 
 def _check_tau(tau: np.ndarray) -> None:
+    """Refuse a tau that is not symmetric or whose imaginary part is not
+    positive definite.  Definiteness is read from ``theta._factor(tau)``,
+    the Cholesky factor and smallest eigenvalue of pi Im(tau) that the theta
+    engine then finds in its cache, so a curve factors Im(tau) once; the
+    eigenvalues of Im(tau) are computed only for the error message."""
     scale = np.max(np.abs(tau))
     asym = np.max(np.abs(tau - tau.T))
     if asym > 1e-9 * scale:
@@ -177,8 +199,12 @@ def _check_tau(tau: np.ndarray) -> None:
             "homology sign bookkeeping failure: tau not symmetric "
             f"(max asymmetry {asym:.3e}, scale {scale:.3e});\ntau =\n{tau}"
         )
-    eig = np.linalg.eigvalsh(tau.imag)
-    if np.min(eig) <= 0:
+    try:
+        definite = _factor(tau)[1] > 0
+    except np.linalg.LinAlgError:
+        definite = False
+    if not definite:
+        eig = np.linalg.eigvalsh(tau.imag)
         raise ValueError(
             "homology sign bookkeeping failure: Im tau not positive definite "
             f"(eigenvalues {eig});\ntau =\n{tau}"
@@ -195,26 +221,27 @@ def compute_periods(
 
     est_error is the largest entrywise relative change of omega and omega'
     between quad_order and 2*quad_order; the order is doubled until it drops
-    below refine_tol.  No rule past max_order is built: a base with
-    2*quad_order > max_order raises ValueError, and so does a curve whose
-    estimate is still above refine_tol when the next doubling would pass
-    max_order.  The benchmark (bench/layers.py) wraps it where ``harness``
-    imports it and reads ``quad_order`` and ``refine_tol`` by name for its
-    ``periods.*`` metrics.
+    below refine_tol.  The base rule and its double, which every curve
+    evaluates, share one integrand pass (:func:`_segment_integrals` with two
+    orders); each later doubling evaluates its one new rule.  No rule past
+    max_order is built: a base with 2*quad_order > max_order raises
+    ValueError, and so does a curve whose estimate is still above
+    refine_tol when the next doubling would pass max_order.  The benchmark
+    (bench/layers.py) wraps it where ``harness`` imports it and reads
+    ``quad_order`` and ``refine_tol`` by name for its ``periods.*`` metrics.
     """
     if 2 * quad_order > max_order:
         raise ValueError(f"quad_order {quad_order} doubles past max_order {max_order}: "
                          f"the base may be at most {max_order // 2}")
     order = quad_order
-    o1 = _assemble(_segment_columns(spec, order))
+    o1, o2 = map(_assemble, _segment_columns(spec, order, 2 * order))
     while True:
-        o2 = _assemble(_segment_columns(spec, 2 * order))
         scale = max(np.max(np.abs(o2[0])), np.max(np.abs(o2[1])))
         est = max(np.max(np.abs(o1[0] - o2[0])), np.max(np.abs(o1[1] - o2[1]))) / scale
         if est <= refine_tol or 4 * order > max_order:
             break
         order *= 2
-        o1 = o2
+        o1, o2 = o2, _assemble(_segment_columns(spec, 2 * order))
     if not est <= refine_tol:
         raise ValueError(
             f"period quadrature did not converge: est_error {est:.3e} > refine_tol "

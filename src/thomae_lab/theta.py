@@ -233,6 +233,11 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
     ellipsoid's slices is ever formed.  At most one partial point has an
     all-zero tail; its interval starts at p_i = 0 (p_i = 1 for an odd
     parity bit), and it keeps an all-zero tail only through p_i = 0.
+    The top level, entry g-1, extends only the empty tail, whose center is 0:
+    its integers par_{g-1}, par_{g-1} + 1 (or + 2 for a class), ... up to
+    sqrt(r^2 (1 + 1e-9)) / chol_{g-1,g-1} are formed with scalars, the same
+    values the general step gives them.  At g = 1 the top level is entry 0,
+    the last step below.
 
     The last step, entry 0, writes the points straight into key order: the
     points of one tail whose p_0 has a given residue k mod 4 (a group) share
@@ -266,9 +271,10 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
         # entry i: eps' bit at 2g-1-i, bin bit at g-1-i
         return ((x & 1) << (2 * g - 1 - i) | (x >> 1 & 1) << (g - 1 - i)).astype(np.uint16)
 
+    slack = r * r * (1.0 + 1e-9)  # keeps the partial points that rounding would drop
+
     def descend(i: int):
-        # a little slack keeps the partial points that rounding would drop
-        d, center, lo, counts = interval(i, r * r * (1.0 + 1e-9))
+        d, center, lo, counts = interval(i, slack)
         first = np.cumsum(counts) - counts
         rows = np.repeat(np.arange(len(tails)), counts)
         x = np.arange(len(rows)) - np.repeat(first - lo, counts)  # lo, lo + 1, ... per row
@@ -279,7 +285,13 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
                 quad[rows] + (d * (x - center[rows])) ** 2,
                 None if zero is None or par[i] else int(first[zero]))  # the zero row's group starts at x = 0
 
-    for i in range(g - 1, 0, -1):
+    if g > 1:  # entry g-1, from the one empty tail: its center is 0 and its first row the zero row
+        i, d = g - 1, chol[g - 1, g - 1]
+        half = math.sqrt(slack) / d
+        x = np.arange(par[i], math.floor(half) + 1, 1 + (parity is not None), dtype=np.int64)
+        tails, tail_key, quad = x.astype(dtype)[:, None], key_bits(i, x), (d * x) ** 2
+        zero = None if par[i] else 0
+    for i in range(g - 2, 0, -1):
         tails, tail_key, quad, zero = descend(i)
     _, _, lo, counts = interval(0, r * r)
     counts[quad > r * r] = 0

@@ -186,6 +186,21 @@ def test_cli_exits_2_on_an_unwritable_out(tmp_path, capsys, where):
     assert f"error: cannot write report to {out}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory", "not-writable"])
+def test_an_unwritable_out_is_refused_before_the_periods(tmp_path, capsys, monkeypatch, where):
+    out = tmp_path / "no" / "r.json" if where == "missing-dir" else tmp_path
+    if where == "not-writable":
+        out = tmp_path / "r.json"
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: mode != os.W_OK and access(p, mode))
+    calls = []
+    monkeypatch.setattr(harness, "compute_periods", lambda *a, **k: calls.append(a))
+    assert main(["verify", "--genus", "2", "--seed", "1", "--relations", "THOMAE1",
+                 "--format", "json", "--out", str(out)]) == 2
+    assert f"error: cannot write report to {out}: " in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "r.json").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     curve_path = tmp_path / "c.json"
     spec = validate_curve(2, [1, 2, 3, 4, 5], "cli")

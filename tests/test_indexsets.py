@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import complement_finite, drop, replace
+from thomae_lab import indexsets
+from thomae_lab.harness import SuiteConfig, random_curve, run_suite
 from thomae_lab.indexsets import finite_mask, index_masks, index_rows, index_sets, iset
 
 
@@ -90,3 +92,62 @@ def test_index_sets_of_masks_of_mixed_sizes():
 def test_finite_mask():
     assert finite_mask(2) == 0b111110
     assert finite_mask(7) == sum(1 << i for i in range(1, 16))
+
+
+def test_masks_of_different_sizes_name_their_sizes():
+    with pytest.raises(ValueError, match=r"masks hold different numbers of indices: \[2, 3\]"):
+        index_rows(np.array([0b110, 0b1110]))
+    # a failure is not cached: the next call raises again, and good masks still work
+    with pytest.raises(ValueError, match=r"\[1, 2\]"):
+        index_rows(np.array([[0b1, 0b110]]))
+    with pytest.raises(ValueError, match=r"\[1, 2\]"):
+        index_rows(np.array([[0b1, 0b110]]))
+    assert index_rows(np.array([0b110, 0b1010])).tolist() == [[1, 2], [1, 3]]
+
+
+def test_cached_rows_are_read_only():
+    masks = np.array([0b110, 0b1010, 0b1100])
+    for rows in (index_rows(masks), index_rows(masks)):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 5
+    assert index_rows(masks).tolist() == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_the_cache_keys_on_shape_and_content_not_identity():
+    flat = np.array([0b110, 0b1010, 0b1100, 0b11], dtype=np.int64)
+    assert index_rows(flat).shape == (4, 2)
+    square = flat.reshape(2, 2)  # the same bytes
+    assert index_rows(square).shape == (2, 2, 2)
+    assert index_rows(square).tolist() == index_rows(flat).reshape(2, 2, 2).tolist()
+    # an equal array of another type or another object is the same key
+    assert index_rows(flat.astype(np.int32)) is index_rows(flat.copy())
+    # the masks may change after a call without changing what it returned
+    mutable = flat.copy()
+    rows = index_rows(mutable)
+    mutable[0] = 0b11000
+    assert rows.tolist() == [[1, 2], [1, 3], [2, 3], [0, 1]]
+    assert index_rows(mutable).tolist()[0] == [3, 4]
+
+
+def test_a_returned_set_list_is_the_callers_own():
+    masks = np.array([0b1011, 0b110])
+    first = index_sets(masks)
+    first.append(("junk",))
+    first[0] = ()
+    assert index_sets(masks) == [(0, 1, 3), (1, 2)]
+
+
+def test_whole_thomae1_draws_hit_the_cache_after_each_genus_first_curve():
+    # genera interleaved as in a sweep: after the first curve of each genus,
+    # the prefactor's rows and the records' sets are all served by the cache
+    indexsets._rows.cache_clear()
+    indexsets._sets.cache_clear()
+    misses = []
+    for seed in (1, 2, 3):
+        for g in (2, 3, 4):
+            run_suite(SuiteConfig(spec=random_curve(g, seed), relations=("THOMAE1",), seed=seed))
+            misses.append(indexsets._rows.cache_info().misses + indexsets._sets.cache_info().misses)
+    assert misses[0] > 0 and misses[0] < misses[1] < misses[2]
+    assert misses[2:] == [misses[2]] * 7, misses
+    assert indexsets._rows.cache_info().hits > 0 and indexsets._sets.cache_info().hits >= 6

@@ -1,10 +1,14 @@
+import re
 import time
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from oracles import differential_row, gauss_legendre_exact, ref_branch, segment_integrals_loop
 from thomae_lab import periods as periods_module
+from thomae_lab import theta as theta_module
 from thomae_lab.characteristics import _table
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import SuiteConfig, random_curve, run_suite
@@ -68,6 +72,32 @@ def test_tau_is_solved_once(curve, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
     assert p.tau is p.tau and not p.tau.flags.writeable
     assert solves == []  # compute_periods already solved it for _check_tau
+
+
+@pytest.mark.parametrize("imag", [[1.0, -1.0], [2.0, 0.0]])
+def test_an_indefinite_im_tau_is_refused_with_its_eigenvalues(imag):
+    tau = np.diag(np.array(imag) * 1j)
+    eig = np.linalg.eigvalsh(tau.imag)
+    with pytest.raises(ValueError, match=r"homology sign bookkeeping failure: Im tau not positive "
+                       r"definite \(eigenvalues " + re.escape(str(eig)) + r"\)"):
+        periods_module._check_tau(tau)
+
+
+def test_a_run_factors_im_tau_once_per_curve(monkeypatch):
+    # _check_tau reads definiteness from the factor that the theta engine
+    # then finds in its cache: one Cholesky and one eigensolve per curve
+    calls = Counter()
+    for name in ("cholesky", "eigvalsh"):
+        def spy(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    theta_module._factor_of.cache_clear()
+    curves = [random_curve(g, seed) for g in (2, 3, 4) for seed in (11, 12)]
+    for spec in curves:
+        run_suite(SuiteConfig(spec=spec, relations=("THOMAE1",), seed=1))
+    assert calls == {"cholesky": len(curves), "eigvalsh": len(curves)}, calls
 
 
 def test_every_tau_of_a_real_curve_is_imaginary(sweep_curves):
@@ -175,6 +205,19 @@ def test_segment_integrals_match_the_per_segment_loop(sweep_curves):
             assert np.max(np.abs(got - ref) / scale) <= 1e-14, (order, spec.branch_points)
 
 
+@pytest.mark.parametrize("order", [96, 192, 384, 1000, 1536])
+def test_a_paired_pass_equals_two_single_orders(sweep_curves, order):
+    # compute_periods evaluates the base rule and its double in one pass over
+    # their concatenated nodes; every bit must be that of two separate calls
+    gap = validate_curve(3, GAP_CURVE)
+    for spec in sweep_curves[::7] + [gap]:
+        pair = _segment_integrals(spec, order, 2 * order)
+        assert pair.shape == (2, 2 * spec.genus, spec.genus)
+        assert np.array_equal(pair, [_segment_integrals(spec, order), _segment_integrals(spec, 2 * order)])
+    assert np.array_equal(_segment_integrals(gap, 96, 192, 384),
+                          [_segment_integrals(gap, n) for n in (96, 192, 384)])
+
+
 def test_gap_curve_higher_order_is_no_worse():
     # the rule's own weight error once grew with the order and made a
     # higher starting order end less converged
@@ -233,10 +276,12 @@ def test_no_rule_past_max_order_is_built(monkeypatch):
     spec = validate_curve(3, GAP_CURVE)
     with pytest.raises(ValueError, match=r"quad_order 3072 doubles past max_order 3072"):
         compute_periods(spec, 3072)
+    # the spy is a fresh cache over the rule builder, so each rule a run
+    # reads is recorded once, whichever pass asks for it first
     built = []
-    columns = periods_module._segment_columns
-    monkeypatch.setattr(periods_module, "_segment_columns",
-                        lambda s, order: built.append(order) or columns(s, order))
+    rule = periods_module._gauss_legendre.__wrapped__
+    monkeypatch.setattr(periods_module, "_gauss_legendre",
+                        lru_cache(maxsize=None)(lambda order: built.append(order) or rule(order)))
     close = validate_curve(3, [*GAP_CURVE[:5], 1.5 + 1e-8, 3.0])
     with pytest.raises(ValueError, match=r"did not converge: .* at quad_order 2000 "
                        r"\(max_order 3072\)"):

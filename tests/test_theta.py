@@ -418,6 +418,41 @@ def test_points_are_key_sorted_and_lexicographic_within_a_key(ctx, g):
     assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
 
 
+def box_points(chol: np.ndarray, r: float, parity: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for _ellipsoid_points: every integer p of the box
+    |p_i| <= r ||row i of chol^-1|| + 1 with ||chol p|| <= r, in the
+    lexicographic half-space (or p = 0) and, with a parity, in its class;
+    sorted by key, then by (p_{g-1}, ..., p_0), with the key starts."""
+    g = len(chol)
+    bound = (r * np.linalg.norm(np.linalg.inv(chol), axis=1) + 1).astype(int)
+    p = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in bound], indexing="ij"), -1).reshape(-1, g)
+    last = p[np.arange(len(p)), g - 1 - np.argmax(p[:, ::-1] != 0, axis=1)]
+    p = p[(np.sum((p @ chol.T) ** 2, axis=1) <= r * r) & (last >= 0)]
+    bit = 1 << np.arange(g - 1, -1, -1)  # entry i at bit g-1-i
+    key = (p & 1) @ bit << g | (p >> 1 & 1) @ bit
+    keys = 4**g
+    if parity is not None:
+        p, key, keys = p[key >> g == parity], key[key >> g == parity] - (parity << g), 2**g
+    order = np.lexsort((*p.T, key))
+    return p[order], np.concatenate([[0], np.cumsum(np.bincount(key, minlength=keys))])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_ellipsoid_points_against_a_box(ctx, g):
+    # the same points, key starts and order within a key as a plain box
+    # enumeration, for the whole lattice and every class, at R_0, R_2 and R_4,
+    # and on an ellipsoid with lattice points on its boundary (||2 p|| = 4)
+    eng = ctx(g).engine
+    chol = np.linalg.cholesky(np.pi * eng.tau.imag).T
+    radii = (truncation_radius(eng.tau, eng.tol, 0), eng._lattice_radius, eng.radius)
+    for chol, radius in [*((chol, r) for r in radii), (2.0 * np.eye(g), 2.0)]:
+        for parity in [None, *range(2**g)]:
+            p, starts = theta_module._ellipsoid_points(chol, 2 * radius, parity)
+            want, want_starts = box_points(chol, 2 * radius, parity)
+            assert np.array_equal(p, want), (radius, parity)
+            assert np.array_equal(starts, want_starts), (radius, parity)
+
+
 _PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 
 

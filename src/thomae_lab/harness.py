@@ -1,8 +1,9 @@
 """Suite orchestration and the ``thomae-lab`` command line interface.
 
-``run_suite`` draws every family's exhaustive or seeded-sampled bindings,
-computes the periods, builds the theta engine, and runs the verification
-families in table order (Thomae formulas, relations, Schottky).  It
+``run_suite`` draws every family's exhaustive or seeded-sampled bindings
+(once per run shape in a process: :func:`_drawn`), computes the periods,
+builds the theta engine, and runs the verification families in table
+order (Thomae formulas, relations, Schottky).  It
 assembles a reproducible report: given the same configuration the JSON
 output is byte-identical (wall-clock timings are included only on request).
 Every phase the Thomae families compare is predicted by :mod:`thomae`, none
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -180,33 +181,36 @@ def random_curve(g: int, seed: int) -> CurveSpec:
             return validate_curve(g, pts.tolist(), label=f"random-g{g}-seed{seed}")
 
 
-class _LazyGenerator:
-    """``np.random.default_rng(seed)``, seeded on its first use.  A draw
-    taken whole reads no number (:func:`_draw`), and seeding a generator
-    costs more than the cached rows such a draw returns; so a family whose
-    draw is whole never builds one.  Each attribute read is bound from the
-    generator once, then found on this object."""
+class _Sampling(NamedTuple):
+    """The fields of a run that a family's draw reads, and all that its
+    sampler gets of :class:`SuiteConfig`: with the sampler, the family name
+    and the genus, the key of :func:`_drawn`."""
 
-    def __init__(self, seed: list[int]):
-        self._seed = seed
-
-    def __getattr__(self, name: str):
-        if "_generator" not in self.__dict__:
-            self._generator = np.random.default_rng(self._seed)
-        value = getattr(self._generator, name)
-        setattr(self, name, value)
-        return value
+    cap: int
+    enable_heavy: bool
+    seed: int
 
 
-def _family_rng(cfg: SuiteConfig, family: str) -> _LazyGenerator:
-    return _LazyGenerator([cfg.seed, zlib.crc32(family.encode())])
+def _family_rng(cfg: SuiteConfig | _Sampling, family: str) -> np.random.Generator:
+    return np.random.default_rng([cfg.seed, zlib.crc32(family.encode())])
+
+
+@lru_cache(maxsize=64)
+def _drawn(bindings: Callable, name: str, g: int, sampling: _Sampling) -> np.ndarray:
+    """``bindings(g, sampling, rng)`` on the family's own stream, read-only:
+    the rows depend on nothing else, so every curve of a run shape shares
+    one array, and the stream is seeded once per shape."""
+    rows = bindings(g, sampling, _family_rng(sampling, name))
+    rows.flags.writeable = False
+    return rows
 
 
 def _draw(count: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted positions of the sampled items of an enumeration of ``count``:
     all of them up to the cap, drawing no number, else ``cap`` drawn without
-    replacement.  Taking every position leaves ``rng`` as it was, so those
-    rows depend on the enumeration alone and :func:`_unranked` caches them."""
+    replacement.  Taking every position leaves ``rng`` as it was, so a later
+    draw from the same stream (D3's second cap, THOMAEG's m = 3) reads the
+    numbers it would read had the enumeration been smaller."""
     if count <= cap:
         return np.arange(count)
     return np.sort(rng.choice(count, size=cap, replace=False))
@@ -241,8 +245,7 @@ def _picker(rng: np.random.Generator, *caps: int) -> Callable:
     """pick(count) -> sorted positions in an enumeration of ``count``: a
     :func:`_draw` with the first cap, then one from the kept positions with
     each further cap (D3's sample of a sample).  It takes every position,
-    and draws no number, when count is at most every cap; :func:`_unranked`
-    then reuses the rows it cached."""
+    and draws no number, when count is at most every cap."""
 
     def pick(count: int) -> np.ndarray:
         idx = _draw(count, caps[0], rng)
@@ -263,9 +266,11 @@ class Family:
 
     ``bindings(g, cfg, rng)`` gives the bindings as an int array with one
     binding per row, every index set as one mask column, so the width of a
-    family's rows does not depend on g (RANK's grows with g up to six parts);
-    it reads no curve, so every binding can be drawn before the engine exists,
-    and the array may be read-only rows shared by every curve (:func:`_unranked`).
+    family's rows does not depend on g (RANK's grows with g up to six parts).
+    A run passes a :class:`_Sampling` as ``cfg``, so a sampler reads the
+    genus, ``cfg.cap``, ``cfg.enable_heavy`` and the numbers of ``rng``, its
+    family's stream, and no curve: every binding is drawn before the engine
+    exists, once per run shape, into read-only rows (:func:`_drawn`).
     ``verify(ctx, bindings, tol)`` gives the records of all of them, in row
     order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`.  The entry's
     call ``family(ctx, cfg, rows)`` runs it on the rows a run drew, if any.
@@ -296,30 +301,11 @@ def run_order(families, g: int, enable_heavy: bool) -> int:
     return max(orders, default=0)
 
 
-def _unranked(rows: Callable, count: int, pick: Callable, *shape: int) -> np.ndarray:
-    """rows(*shape, idx) at the positions idx = pick(count) of an enumeration
-    of ``count`` that ``shape`` fixes.  A picker that takes every position
-    draws no number, so those rows depend on the enumeration alone: they are
-    unranked once per process, kept read-only, and shared by every curve."""
-    idx = pick(count)
-    return _whole(rows, count, *shape) if len(idx) == count else rows(*shape, idx)
-
-
-@lru_cache(maxsize=None)
-def _whole(rows: Callable, count: int, *shape: int) -> np.ndarray:
-    """rows(*shape, idx) at every position, read-only: one entry per
-    enumeration a picker took whole, so at most ``cap`` rows, or the parts
-    RANK lists whole."""
-    out = rows(*shape, np.arange(count))
-    out.flags.writeable = False
-    return out
-
-
 def _i0_splits(g: int, ksize: int, pick: Callable) -> np.ndarray:
     """Rows [I_0 K j_m j_n] at the positions ``pick(count)`` of the
     enumeration over every finite g-set I_0, every ksize-subset K of I_0,
     and the two smallest indices j_m < j_n of J_0."""
-    return _unranked(_i0_rows, math.comb(2 * g + 1, g) * math.comb(g, ksize), pick, g, ksize)
+    return _i0_rows(g, ksize, pick(math.comb(2 * g + 1, g) * math.comb(g, ksize)))
 
 
 def _i0_rows(g: int, ksize: int, idx: np.ndarray) -> np.ndarray:
@@ -335,7 +321,7 @@ def _kappa_splits(g: int, isize: int, nk: int, pick: Callable) -> np.ndarray:
     enumeration over all indices 0..2g+1: I a finite isize-set, B nk further
     indices, j_m < j_n the two smallest finite ones left."""
     count = math.comb(2 * g + 1, isize) * math.comb(2 * g + 2 - isize, nk)
-    return _unranked(_kappa_rows, count, pick, g, isize, nk)
+    return _kappa_rows(g, isize, nk, pick(count))
 
 
 def _kappa_rows(g: int, isize: int, nk: int, idx: np.ndarray) -> np.ndarray:
@@ -374,7 +360,7 @@ def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     :func:`part_sizes` lists them, then in ``combinations`` order of the
     part), unranked block by block of part size."""
     count = sum(math.comb(2 * g + 1, size) for size in part_sizes(g, m))
-    return _unranked(_partition_rows, count, pick, g, m)
+    return _partition_rows(g, m, pick(count))
 
 
 def _partition_rows(g: int, m: int, idx: np.ndarray) -> np.ndarray:
@@ -481,7 +467,7 @@ def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
 def _eklm_bindings(g, cfg, rng):
     n = 2 * g + 1
     count = 2 * math.comb(n, 3) * math.comb(n - 3, g - 1)
-    return _unranked(_eklm_rows, count, _picker(rng, min(cfg.cap, 200)), g)
+    return _eklm_rows(g, _picker(rng, min(cfg.cap, 200))(count))
 
 
 def _eji_bindings(g, cfg, rng):
@@ -651,7 +637,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     g = cfg.spec.genus
-    drawn = [f.bindings(g, cfg, _family_rng(cfg, f.name)) if g >= f.min_genus else []
+    sampling = _Sampling(cfg.cap, cfg.enable_heavy, cfg.seed)
+    drawn = [_drawn(f.bindings, f.name, g, sampling) if g >= f.min_genus else []
              for f in running]
     timings["bindings"] = time.perf_counter() - t0
     if running and not any(map(len, drawn)):

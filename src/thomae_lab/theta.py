@@ -40,8 +40,9 @@ gives the moments of the full class (less one origin term, m = 1, for
 eps' = 0 and k = 0).  A 2^g x 2^g Hadamard product (+-1 entries
 (-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
 at once.  The engine keeps one store per derivative order, (table, built):
-the table has row eps' << g | eps for every characteristic and one column
-per sorted multi-index, and built marks the classes whose rows are filled.
+the table has row eps << g | eps' (the characteristic's bits) for every
+characteristic, so a class's rows lie at stride 2^g, and one column per
+sorted multi-index, and built marks the classes whose rows are filled.
 One gather, :meth:`ThetaEngine.values`, serves every reader, and builds a
 class the first time one of its rows is read, with one batched Hadamard
 product for every class a read adds (:meth:`ThetaEngine._build`).  The
@@ -365,13 +366,6 @@ def _phases(g: int) -> np.ndarray:
     return _I_POWERS[np.bitwise_count(a[:, None] & a) % 4]
 
 
-@lru_cache(maxsize=None)
-def _store_rows(g: int) -> np.ndarray:
-    """The store row eps' << g | eps of every characteristic eps << g | eps'."""
-    c = np.arange(4**g)
-    return (c & (1 << g) - 1) << g | c >> g
-
-
 class _LatticeClass(NamedTuple):
     """Points p = 2q of one half eps' class (the mirror -q of each is
     implied), sorted by parity bin: bin b (bit g-1-i is (p_i >> 1) mod 2)
@@ -470,8 +464,9 @@ class ThetaEngine:
             bins[filled] = np.add.reduceat(self._m, starts[filled])
         else:
             bins = np.stack([self._class_bins(e, order) for e in eps_prime.tolist()])
-        table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
-            bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order)
+        # T[e, eps] goes to row eps << g | eps'
+        table.reshape(2**g, 2**g, -1)[:, eps_prime] = self._transform(
+            bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order).swapaxes(0, 1)
         built[eps_prime] = True
 
     def _class_bins(self, eps_prime: int, order: int) -> np.ndarray:
@@ -530,7 +525,7 @@ class ThetaEngine:
             if len(new):
                 self._build(order, new)
         # a C-contiguous gather, as the families' sums expect
-        out = (table[:, 0] if order == 0 else table)[_store_rows(g)[chars]]
+        out = (table[:, 0] if order == 0 else table)[chars]
         if order < 2:
             return out
         return np.take(out, _layout(g, order)[2], axis=-1).reshape(chars.shape + (g,) * order)

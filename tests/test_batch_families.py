@@ -13,6 +13,7 @@ evaluation of its formula.  The enumerations the samplers unrank are checked
 against the list builders they replaced.
 """
 
+import dataclasses
 import math
 import re
 import zlib
@@ -998,23 +999,59 @@ def test_partition_samplers_match_list_builders(g):
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_cached_whole_enumerations_equal_a_fresh_computation(g):
     # at a cap that takes the enumerations whole and one that samples them,
-    # every family's rows, cached or not, are those of an empty cache
+    # every family's cached rows are those of an empty cache and of a direct
+    # draw, and shared, so no caller may write them
     for cap in (10**6, 7):
         cfg = SuiteConfig(spec=random_curve(g, 1), cap=cap, seed=1)
+        sampling = harness._Sampling(cap, False, 1)
         for name, family in FAMILIES.items():
             if g < family.min_genus:
                 continue
-            first, again = (family.bindings(g, cfg, _family_rng(cfg, name)) for _ in range(2))
-            harness._whole.cache_clear()
-            fresh = family.bindings(g, cfg, _family_rng(cfg, name))
-            assert np.array_equal(first, fresh) and np.array_equal(again, fresh), (name, cap)
-    # the rows a picker took whole are shared, so no caller may write them
-    every, eklm = np.arange, 2 * math.comb(2 * g + 1, 3) * math.comb(2 * g - 2, g - 1)
-    for rows in (_i0_splits(g, 2, every), _kappa_splits(g, g - 2, 3, every),
-                 _partition_masks(g, 1, every), harness._unranked(_eklm_rows, eklm, every, g)):
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0] = 0
+            first, again = (harness._drawn(family.bindings, name, g, sampling) for _ in range(2))
+            harness._drawn.cache_clear()
+            fresh = harness._drawn(family.bindings, name, g, sampling)
+            assert again is first and fresh is not first, (name, cap)
+            assert np.array_equal(first, fresh), (name, cap)
+            assert np.array_equal(fresh, family.bindings(g, cfg, _family_rng(cfg, name))), (name, cap)
+            assert not fresh.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                fresh[...] = 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g", range(2, 9))
+def test_a_cached_draw_is_the_direct_draw_read_only_and_seeded_once(monkeypatch, g):
+    # the draw cache's contract: its key holds all a sampler reads, so its
+    # rows are those of a direct draw for every family, cap and heavy flag;
+    # a miss seeds the family's stream once and a second run of the shape
+    # gets the same read-only array without seeding any
+    seeded = []
+
+    def spy(*args, **kwargs):
+        seeded.append(args)
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    harness._drawn.cache_clear()
+    for cap in (1, 7, 500, 10**6):
+        for heavy in (False, True) if g >= 7 else (False,):
+            cfg = SuiteConfig(spec=random_curve(g, 1), cap=cap, seed=1, enable_heavy=heavy)
+            sampling = harness._Sampling(cap, heavy, 1)
+            for name, family in FAMILIES.items():
+                if g < family.min_genus:
+                    continue
+                direct = family.bindings(g, cfg, _family_rng(cfg, name))
+                seeded.clear()
+                rows = harness._drawn(family.bindings, name, g, sampling)
+                assert seeded == [([1, zlib.crc32(name.encode())],)], (name, cap, heavy)
+                assert rows.dtype == direct.dtype and np.array_equal(rows, direct), (name, cap, heavy)
+                assert not rows.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[...] = 0
+                assert harness._drawn(family.bindings, name, g, sampling) is rows
+                assert len(seeded) == 1, (name, cap, heavy)
+    harness._drawn.cache_clear()  # the cap-10**6 rows are large
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -1030,9 +1067,10 @@ def test_a_whole_draw_leaves_the_family_stream_untouched(g):
 
 
 def test_a_thomae1_run_at_genus_2_to_4_seeds_no_generator(monkeypatch):
-    # THOMAE1 takes every I_0 there (10, 35, 126 of cap 500), so its stream
-    # is never read and never seeded
-    specs = [random_curve(g, 1) for g in (2, 3, 4)]
+    # THOMAE1 takes every I_0 there (10, 35, 126 of cap 500): its stream is
+    # seeded once per run shape, by the first curve of each genus, and a
+    # later curve of the same shape seeds no generator
+    specs = [random_curve(g, s) for s in (1, 2) for g in (2, 3, 4)]
     seeded = []
 
     def spy(*args, **kwargs):
@@ -1041,15 +1079,19 @@ def test_a_thomae1_run_at_genus_2_to_4_seeds_no_generator(monkeypatch):
 
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", spy)
-    for spec in specs:
+    harness._drawn.cache_clear()
+    thomae1 = ([1, zlib.crc32(b"THOMAE1")],)
+    for i, spec in enumerate(specs):
         assert len(run_suite(SuiteConfig(spec=spec, relations=("THOMAE1",), seed=1)).records)
-    assert seeded == []
-    # a sampled draw still seeds its family's stream, once
-    run_suite(SuiteConfig(spec=specs[2], relations=("THOMAE1",), cap=7, seed=1))
-    assert seeded == [([1, zlib.crc32(b"THOMAE1")],)]
+        assert seeded == [thomae1] * min(i + 1, 3), i
+    # a sampled draw seeds its family's stream once per run shape too
+    seeded.clear()
+    for _ in range(2):
+        run_suite(SuiteConfig(spec=specs[2], relations=("THOMAE1",), cap=7, seed=1))
+    assert seeded == [thomae1]
 
 
-def test_two_genus_2_curves_share_their_whole_bindings():
+def test_two_genus_2_curves_share_their_whole_bindings(monkeypatch):
     # THOMAE1 (10 of cap 500) and EJI (10 of 100) take every I_0 at genus 2,
     # whatever the curve and the seed
     def bindings(seed):
@@ -1057,8 +1099,20 @@ def test_two_genus_2_curves_share_their_whole_bindings():
         return [(r.relation_id, r.bindings) for r in run_suite(cfg).records]
 
     first, second = bindings(1), bindings(2)
-    harness._whole.cache_clear()
+    harness._drawn.cache_clear()
     assert first == second == bindings(3) and len(first) == 20
+    # two curves of one seed hand THOMAE1 the same array
+    handed = []
+    family = FAMILIES["THOMAE1"]
+
+    def verify(ctx, rows, tol):
+        handed.append(rows)
+        return family.verify(ctx, rows, tol)
+
+    monkeypatch.setitem(FAMILIES, "THOMAE1", dataclasses.replace(family, verify=verify))
+    for curve_seed in (4, 5):
+        run_suite(SuiteConfig(spec=random_curve(2, curve_seed), relations=("THOMAE1",), seed=1))
+    assert len(handed) == 2 and handed[0] is handed[1]
 
 
 # --- guards -----------------------------------------------------------------

@@ -9,7 +9,7 @@ from oracles import complement_finite, drop, enumerate_partitions, vandermonde
 from thomae_lab.characteristics import char_of_set, mask_chars
 from thomae_lab.harness import FAMILIES, _mask, main
 from thomae_lab.indexsets import iset
-from thomae_lab.theta import ThetaEngine, _store_rows
+from thomae_lab.theta import ThetaEngine
 from thomae_lab.thomae import (
     calibrate_phases,
     first_thomae_rhs,
@@ -238,7 +238,7 @@ def _own_constants(c):
     broken.engine._stores = {0: (table.copy(), built)}
 
     def row(indices):
-        return _store_rows(c.g)[char_of_set(c.g, indices).bits]
+        return char_of_set(c.g, indices).bits
 
     return broken, broken.engine._stores[0][0][:, 0], row
 

@@ -39,7 +39,7 @@ from . import schottky as sch
 from .characteristics import part_sizes
 from .context import CurveContext
 from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
-from .indexsets import finite_mask, index_masks, index_rows, index_sets
+from .indexsets import finite_mask, index_masks, index_rows, index_sets, low_indices
 from .periods import compute_periods
 from .relations import DEFAULT_TOLERANCES, VerificationRecord, make_records
 from .thomae import calibrate_phases, general_thomae_batch, thomae_prefactor
@@ -233,12 +233,13 @@ def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _free(sets: np.ndarray, universe: range) -> np.ndarray:
-    """Per row of ``sets``, the members of ``universe`` missing from the row
-    in ascending order, followed by those in it."""
-    values = np.asarray(universe)
-    taken = (sets[:, :, None] == values).any(axis=1)
-    return values[np.argsort(taken, axis=1, kind="stable")]
+def _subsets(universe, size: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """The k-subset at each rank of ``universe``, a mask of ``size``
+    members or one such mask per rank, as an ascending index row per rank,
+    ranked in ``itertools.combinations`` order of the members: each whole
+    enumeration unranks its index sets inside masks it already holds."""
+    members = np.broadcast_to(low_indices(universe, size), (len(ranks), size))
+    return np.take_along_axis(members, unrank_combinations(size, k, ranks), axis=1)
 
 
 def _picker(rng: np.random.Generator, *caps: int) -> Callable:
@@ -304,49 +305,44 @@ def run_order(families, g: int, enable_heavy: bool) -> int:
 def _i0_splits(g: int, ksize: int, pick: Callable) -> np.ndarray:
     """Rows [I_0 K j_m j_n] at the positions ``pick(count)`` of the
     enumeration over every finite g-set I_0, every ksize-subset K of I_0,
-    and the two smallest indices j_m < j_n of J_0."""
-    return _i0_rows(g, ksize, pick(math.comb(2 * g + 1, g) * math.comb(g, ksize)))
-
-
-def _i0_rows(g: int, ksize: int, idx: np.ndarray) -> np.ndarray:
-    n = 2 * g + 1
+    and the two smallest indices j_m < j_n of J_0: I_0 unranked in the
+    finite mask, K in I_0, and j_m, j_n the low indices of J_0."""
     per = math.comb(g, ksize)
-    i0 = 1 + unrank_combinations(n, g, idx // per)
-    ks = np.take_along_axis(i0, unrank_combinations(g, ksize, idx % per), axis=1)
-    return np.column_stack([index_masks(i0), index_masks(ks), _free(i0, range(1, n + 1))[:, :2]])
+    idx = pick(math.comb(2 * g + 1, g) * per)
+    fin = finite_mask(g)
+    i0 = index_masks(_subsets(fin, 2 * g + 1, g, idx // per))
+    ks = index_masks(_subsets(i0, g, ksize, idx % per))
+    return np.column_stack([i0, ks, low_indices(fin ^ i0, 2)])
 
 
 def _kappa_splits(g: int, isize: int, nk: int, pick: Callable) -> np.ndarray:
     """Rows [I B j_m j_n] at the positions ``pick(count)`` of the
     enumeration over all indices 0..2g+1: I a finite isize-set, B nk further
-    indices, j_m < j_n the two smallest finite ones left."""
-    count = math.comb(2 * g + 1, isize) * math.comb(2 * g + 2 - isize, nk)
-    return _kappa_rows(g, isize, nk, pick(count))
-
-
-def _kappa_rows(g: int, isize: int, nk: int, idx: np.ndarray) -> np.ndarray:
-    n = 2 * g + 1
-    nrest = n + 1 - isize
+    indices, j_m < j_n the two smallest finite ones left.  I is unranked in
+    the finite mask, B in every index outside I."""
+    nrest = 2 * g + 2 - isize
     per = math.comb(nrest, nk)
-    i_set = 1 + unrank_combinations(n, isize, idx // per)
-    rest = _free(i_set, range(n + 1))[:, :nrest]
-    kappas = np.take_along_axis(rest, unrank_combinations(nrest, nk, idx % per), axis=1)
-    jf = _free(np.hstack([i_set, kappas]), range(1, n + 1))[:, :2]
-    return np.column_stack([index_masks(i_set), index_masks(kappas), jf])
+    idx = pick(math.comb(2 * g + 1, isize) * per)
+    fin = finite_mask(g)
+    i_set = index_masks(_subsets(fin, 2 * g + 1, isize, idx // per))
+    kappas = index_masks(_subsets((fin | 1) ^ i_set, nrest, nk, idx % per))
+    return np.column_stack([i_set, kappas, low_indices(fin & ~(i_set | kappas), 2)])
 
 
-def _eklm_rows(g: int, idx: np.ndarray) -> np.ndarray:
-    """Rows [I J k m n] at positions idx of the EKLM enumeration: every
-    finite triple k < m < n, every (g-1)-set I of the other finite indices,
-    J the rest; position 2p is pair p as (k, m, n), 2p + 1 as (m, n, k)."""
+def _eklm_splits(g: int, pick: Callable) -> np.ndarray:
+    """Rows [I J k m n] at the positions ``pick(count)`` of the EKLM
+    enumeration: every finite triple k < m < n, every (g-1)-set I of the
+    other finite indices (unranked in their mask), J the rest; position 2p
+    is pair p as (k, m, n), 2p + 1 as (m, n, k)."""
     n = 2 * g + 1
     per = math.comb(n - 3, g - 1)
-    kmn = 1 + unrank_combinations(n, 3, idx // 2 // per)
-    others = _free(kmn, range(1, n + 1))[:, : n - 3]
-    i_set = np.take_along_axis(others, unrank_combinations(n - 3, g - 1, idx // 2 % per), axis=1)
-    j_set = _free(np.hstack([kmn, i_set]), range(1, n + 1))[:, : g - 1]
+    idx = pick(2 * math.comb(n, 3) * per)
+    fin = finite_mask(g)
+    kmn = _subsets(fin, n, 3, idx // 2 // per)
+    others = fin ^ index_masks(kmn)
+    i_set = index_masks(_subsets(others, n - 3, g - 1, idx // 2 % per))
     kmn = np.where((idx % 2 == 0)[:, None], kmn, kmn[:, [1, 2, 0]])
-    return np.column_stack([index_masks(i_set), index_masks(j_set), kmn])
+    return np.column_stack([i_set, others ^ i_set, kmn])
 
 
 def _mask(indices) -> int:
@@ -359,18 +355,14 @@ def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     positions ``pick(count)`` of their canonical list (by part size as
     :func:`part_sizes` lists them, then in ``combinations`` order of the
     part), unranked block by block of part size."""
-    count = sum(math.comb(2 * g + 1, size) for size in part_sizes(g, m))
-    return _partition_rows(g, m, pick(count))
-
-
-def _partition_rows(g: int, m: int, idx: np.ndarray) -> np.ndarray:
     n = 2 * g + 1
+    counts = {size: math.comb(n, size) for size in part_sizes(g, m)}
+    idx = pick(sum(counts.values()))
     out = np.empty(len(idx), dtype=np.int64)
     start = 0
-    for size in part_sizes(g, m):
-        count = math.comb(n, size)
+    for size, count in counts.items():
         at = (idx >= start) & (idx < start + count)
-        out[at] = index_masks(1 + unrank_combinations(n, size, idx[at] - start))
+        out[at] = index_masks(_subsets(finite_mask(g), n, size, idx[at] - start))
         start += count
     return out
 
@@ -465,25 +457,21 @@ def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
 
 
 def _eklm_bindings(g, cfg, rng):
-    n = 2 * g + 1
-    count = 2 * math.comb(n, 3) * math.comb(n - 3, g - 1)
-    return _eklm_rows(g, _picker(rng, min(cfg.cap, 200))(count))
+    return _eklm_splits(g, _picker(rng, min(cfg.cap, 200)))
 
 
 def _eji_bindings(g, cfg, rng):
     # [I0 K j_n j_m] with K = {i_k, i_l} the two smallest of I_0 and
     # j_n < j_m the two smallest of J_0
     rows = _i0_splits(g, 0, _picker(rng, min(cfg.cap, 100)))
-    i0 = rows[:, 0]
-    low = i0 & -i0
-    return np.column_stack([i0, low | (i0 ^ low) & -(i0 ^ low), rows[:, 2:]])
+    return np.column_stack([rows[:, 0], index_masks(low_indices(rows[:, 0], 2)), rows[:, 2:]])
 
 
 def _grad4_bindings(g, cfg, rng):
     # [I B j_m j_n S1..S4], the pairs S canonical or, on a small subsample,
     # regrouped
     rows = _kappa_splits(g, g - 3, 5, _picker(rng, cfg.cap // 2))
-    kappas = index_rows(rows[:, 1]).reshape(-1, 5)
+    kappas = low_indices(rows[:, 1], 5)
     sub = max(len(rows) // 10, 1)
     return np.vstack([
         np.hstack([rows, index_masks(kappas[:, np.array(rel.GRAD4_PAIRS)])]),

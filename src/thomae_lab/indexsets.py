@@ -3,8 +3,9 @@
 Sets are sorted tuples of branch indices (0 = infinity).  Binding rows and
 array code hold a set as its bit mask (bit i = index i): :func:`index_masks`
 builds masks from index rows, :func:`index_rows` and :func:`index_sets` turn
-them back into ascending rows or tuples, and :func:`finite_mask` is the set
-of all finite indices, the universe of every complement J = finite ^ I.
+them back into ascending rows or tuples, :func:`low_indices` gives the k
+smallest indices of each mask, and :func:`finite_mask` is the set of all
+finite indices, the universe of every complement J = finite ^ I.
 
 :func:`index_rows` and :func:`index_sets` are pure functions of their
 masks, and a run asks them for the same masks again and again: every curve
@@ -14,6 +15,8 @@ in an ``lru_cache`` keyed by the bytes and shape of the masks as int64 (the
 content, never the identity of an array), enough for the three genera of a
 sweep not to evict each other.  The cached rows are read-only, and
 :func:`index_sets` returns a fresh list of the cached tuples.
+:func:`low_indices` is uncached: it serves the binding draws, whose masks
+are new to every draw and can number a million, and costs k bit steps.
 """
 
 from __future__ import annotations
@@ -63,6 +66,18 @@ def _index_rows(masks: np.ndarray) -> np.ndarray:
         found = sorted(set(sizes.ravel().tolist()))
         raise ValueError(f"masks hold different numbers of indices: {found}")
     return rows.reshape(sizes.shape + (width,))
+
+
+def low_indices(masks, k: int) -> np.ndarray:
+    """The k smallest indices of every mask of an int array, or of a single
+    int, ascending along a new last axis; every mask must hold at least k."""
+    rest = np.asarray(masks, dtype=np.int64)
+    out = np.empty(rest.shape + (k,), dtype=np.int64)
+    for t in range(k):
+        low = rest & -rest
+        out[..., t] = np.bitwise_count(low - 1)  # the index of the lowest bit
+        rest = rest ^ low
+    return out
 
 
 def index_masks(idx: np.ndarray) -> np.ndarray:

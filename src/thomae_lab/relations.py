@@ -86,7 +86,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .context import CurveContext
-from .indexsets import finite_mask, index_rows, index_sets
+from .indexsets import finite_mask, index_rows, index_sets, low_indices
 
 TINY = 1e-300
 # The tolerance of each record kind, read-only; a run overlays its overrides.
@@ -166,14 +166,10 @@ def make_records(kind, residual, tolerance, notes="", precondition_failed=None,
         residual = np.where(precondition_failed, np.maximum(residual, 1.0), residual)
     n = len(residual)
     kinds, tols, notes = (v if isinstance(v, list) else [v] * n for v in (kind, tolerance, notes))
-    if len(bindings) == 1:  # the one-slot families carry most records
-        ((name, values),) = bindings.items()
-        binds = [{name: v} for v in _slot(values)]
-    else:  # filled slot by slot: half the time of a dict(zip(...)) per record
-        binds = [{} for _ in range(n)]
-        for name, values in bindings.items():
-            for bind, value in zip(binds, _slot(values), strict=True):
-                bind[name] = value
+    binds = [{} for _ in range(n)]  # slot by slot: half the time of a dict(zip(...)) per record
+    for name, values in bindings.items():
+        for bind, value in zip(binds, _slot(values), strict=True):
+            bind[name] = value
     return [VerificationRecord(*rec) for rec in
             zip(kinds, binds, residual.tolist(), tols, notes, strict=True)]
 
@@ -264,10 +260,9 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLER
     rhs = rhs_for(bn, bm)
     residual = _match_residuals(np.abs(lhs), rhs)
     alts = [(bm, bn)]
-    if g >= 3:  # the first pair of J0 avoiding j_n, j_m: its two lowest bits
-        rest = j0 ^ bn ^ bm
-        low = rest & -rest
-        alts.append((low, (rest ^ low) & -(rest ^ low)))
+    if g >= 3:  # the first pair of J0 avoiding j_n, j_m
+        low = 1 << low_indices(j0 ^ bn ^ bm, 2)
+        alts.append((low[:, 0], low[:, 1]))
     for pair in alts:
         alt = rhs_for(*pair)
         residual = np.maximum(residual, _match_residuals(alt, rhs))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .characteristics import _char, mask_chars
 from .context import CurveContext
-from .indexsets import finite_mask, index_masks, index_rows, index_sets
+from .indexsets import finite_mask, index_masks, index_rows, index_sets, low_indices
 from .relations import DEFAULT_TOLERANCES, general_r_tensor, make_records
 from .thomae import first_thomae_rhs
 
@@ -114,9 +114,7 @@ def schottky_r_cosets(ctx: CurveContext, binds: np.ndarray) -> tuple[np.ndarray,
     sqrt(r_1) - sqrt(r_2) + sqrt(r_3) = 0, hence J = 0."""
     i0, k_mask, ps = binds[:, 0], binds[:, 1], 1 << index_rows(binds[:, 1])
     jm, jn = (1 << binds[:, 2:]).T
-    rest = finite_mask(ctx.g) ^ i0 ^ jm ^ jn
-    q1 = rest & -rest
-    q2 = (rest ^ q1) & -(rest ^ q1)
+    q1, q2 = (1 << low_indices(finite_mask(ctx.g) ^ i0 ^ jm ^ jn, 2)).T
     gens = np.stack([k_mask, q1 | jm, q2 | jn], axis=1)
     return gens, (i0 ^ ps[:, 0] ^ jm ^ jn)[:, None] ^ ps[:, 1:]
 

@@ -14,6 +14,7 @@ against the list builders they replaced.
 """
 
 import dataclasses
+import hashlib
 import math
 import re
 import zlib
@@ -46,7 +47,7 @@ from thomae_lab.harness import (
     FAMILIES,
     SuiteConfig,
     _draw,
-    _eklm_rows,
+    _eklm_splits,
     _mask,
     _family_rng,
     _i0_splits,
@@ -977,7 +978,7 @@ def test_enumerations_match_list_builders(g):
             assert _kappa_splits(g, isize, nk, every).tolist() == \
                 [list(r) for r in _flat(list_kappa_splits(g, isize, nk))], (isize, nk)
     eklm = list_eklm_bindings(g)
-    assert _eklm_rows(g, np.arange(len(eklm))).tolist() == [list(r) for r in _flat(eklm)]
+    assert _eklm_splits(g, every).tolist() == [list(r) for r in _flat(eklm)]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
@@ -1018,14 +1019,31 @@ def test_cached_whole_enumerations_equal_a_fresh_computation(g):
                 fresh[...] = 0
 
 
+# sha256 over the dtype, shape and bytes of every family's rows, in the loop
+# order of the test below (caps 1, 7, 500, 10**6; heavy off, then on from
+# genus 7).  Pinned from the unranker that searched each row for its free
+# indices: unranking inside masks must move no row.
+DRAW_DIGESTS = {
+    2: "4afa48057b38c38d16028d12b5ffabc0076771c59e228269ddc77b56419e4405",
+    3: "7692984bb29f50815c4a554a4eb9812cf9b517d1f5cebf47a5a41fb6de19c3bf",
+    4: "4241a16213dc6791832f98be8fab68007da805affd6b5509e9d882234d0964d0",
+    5: "1bea3c71e4dd915f1e4ee6b36ffc9af5dbb6eb9a1fcaaf82f5e2519f4305c89e",
+    6: "f860bb8505fb786a61616e914b4ed3b9bd361fe720dcd702f028a3b865e0c4d8",
+    7: "baca5a28051c7e91832c700c6e0f2c41abba0b993daa7b7a9d29d95b2bc7a18b",
+    8: "b573c725ffcbc554216f1bd9cc0cc5aef5feecb66b25d8f362ca8f9ed9051b6d",
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("g", range(2, 9))
 def test_a_cached_draw_is_the_direct_draw_read_only_and_seeded_once(monkeypatch, g):
     # the draw cache's contract: its key holds all a sampler reads, so its
     # rows are those of a direct draw for every family, cap and heavy flag;
     # a miss seeds the family's stream once and a second run of the shape
-    # gets the same read-only array without seeding any
+    # gets the same read-only array without seeding any.  Every row drawn
+    # is pinned by one digest per genus.
     seeded = []
+    digest = hashlib.sha256()
 
     def spy(*args, **kwargs):
         seeded.append(args)
@@ -1046,12 +1064,15 @@ def test_a_cached_draw_is_the_direct_draw_read_only_and_seeded_once(monkeypatch,
                 rows = harness._drawn(family.bindings, name, g, sampling)
                 assert seeded == [([1, zlib.crc32(name.encode())],)], (name, cap, heavy)
                 assert rows.dtype == direct.dtype and np.array_equal(rows, direct), (name, cap, heavy)
+                digest.update(repr((rows.dtype.str, rows.shape)).encode())
+                digest.update(rows.tobytes())
                 assert not rows.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     rows[...] = 0
                 assert harness._drawn(family.bindings, name, g, sampling) is rows
                 assert len(seeded) == 1, (name, cap, heavy)
     harness._drawn.cache_clear()  # the cap-10**6 rows are large
+    assert digest.hexdigest() == DRAW_DIGESTS[g]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

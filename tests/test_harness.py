@@ -665,6 +665,34 @@ def test_a_run_imports_neither_numpy_ma_nor_numpy_polynomial():
     assert proc.stdout.strip() == "[]"
 
 
+# Peak RSS of a fresh interpreter that draws every family once at genus 8,
+# cap 10**6 (2-core Xeon VM, numpy 2.4): 595 MB when the draws sorted a
+# (rows, set size, 2g + 2) membership array per enumeration, 221 MB since
+# they unrank straight into masks.  The child reads its own VmHWM: its
+# ru_maxrss also counts the pytest process it was spawned from.
+DRAW_PEAK_MB = 400
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+def test_a_large_cap_draw_of_every_family_stays_small():
+    probe = (
+        "from thomae_lab.harness import FAMILIES, _Sampling, _family_rng\n"
+        "s = _Sampling(10**6, False, 1)\n"
+        "rows = sum(len(f.bindings(8, s, _family_rng(s, n))) for n, f in FAMILIES.items())\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+        "print(rows, hwm[0].split()[1])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows, peak_kb = map(int, proc.stdout.split())
+    assert rows > 10**6  # GRAD3 alone takes 10**6
+    assert peak_kb / 1024 < DRAW_PEAK_MB, f"peak RSS {peak_kb / 1024:.0f} MB"
+
+
 def _close_pair_run(tmp_path, points):
     """Exit code and JSON report of a seed-1 run at the default cap on the
     genus-3 curve with these branch points."""

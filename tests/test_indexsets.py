@@ -5,8 +5,15 @@ import pytest
 
 from oracles import complement_finite, drop, replace
 from thomae_lab import indexsets
-from thomae_lab.harness import SuiteConfig, random_curve, run_suite
-from thomae_lab.indexsets import finite_mask, index_masks, index_rows, index_sets, iset
+from thomae_lab.harness import SuiteConfig, _subsets, random_curve, run_suite
+from thomae_lab.indexsets import (
+    finite_mask,
+    index_masks,
+    index_rows,
+    index_sets,
+    iset,
+    low_indices,
+)
 
 
 def add(s, *new):
@@ -87,6 +94,51 @@ def test_index_sets_of_masks_of_mixed_sizes():
     assert index_sets(np.array([], dtype=np.int64)) == []
     assert index_rows(masks[[0, 4]]).tolist() == [[0, 1, 3], [1, 3, 4]]
     assert index_masks(index_rows(masks[[2, 5]])).tolist() == [0b110, 0b110]
+
+
+def members(mask: int) -> list[int]:
+    """Oracle: the indices of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# index 0 in some masks, popcounts 1 to 6 across the rows
+MIXED = np.array([0b1, 0b11, 0b10110, 0b101011, 0b1111110, 0b110100101, 1 << 17 | 0b1001])
+
+
+def test_low_indices_are_the_smallest_members():
+    for k in range(7):
+        want = [members(m)[:k] for m in MIXED.tolist() if len(members(m)) >= k]
+        got = low_indices(MIXED[np.bitwise_count(MIXED) >= k], k)
+        assert got.dtype == np.int64 and got.tolist() == want, k
+    # a single int, k = 0, no masks and a 2-d array of masks
+    assert low_indices(0b101100, 3).tolist() == [2, 3, 5]
+    assert low_indices(finite_mask(3), 7).tolist() == list(range(1, 8))
+    assert low_indices(MIXED, 0).shape == (len(MIXED), 0)
+    assert low_indices(np.array([], dtype=np.int64), 2).shape == (0, 2)
+    square = MIXED[2:6].reshape(2, 2)
+    assert low_indices(square, 3).tolist() == [[members(m)[:3] for m in r] for r in square.tolist()]
+
+
+def test_subsets_are_the_combinations_of_the_members_at_each_rank():
+    rng = np.random.default_rng(5)
+    for universe in MIXED.tolist():  # a scalar universe, index 0 in some
+        size = int(universe).bit_count()
+        for k in range(size + 1):
+            combos = list(combinations(members(universe), k))
+            ranks = np.arange(len(combos))
+            got = _subsets(universe, size, k, ranks)
+            assert got.shape == (len(combos), k) and got.tolist() == [list(c) for c in combos]
+    # one universe per rank, all of one size
+    universes = np.array([0b10111, 0b111010, 0b110110000, 0b1111], dtype=np.int64)
+    for k in range(5):
+        ranks = rng.integers(0, len(list(combinations(range(4), k))), size=len(universes))
+        want = [list(combinations(members(u), k))[r]
+                for u, r in zip(universes.tolist(), ranks.tolist())]
+        assert _subsets(universes, 4, k, ranks).tolist() == [list(c) for c in want], k
+    # no ranks, from a scalar universe and from an empty array of them
+    empty = np.array([], dtype=np.int64)
+    assert _subsets(0b1110, 3, 2, empty).shape == (0, 2)
+    assert _subsets(empty, 3, 2, empty).shape == (0, 2)
 
 
 def test_finite_mask():

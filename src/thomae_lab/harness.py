@@ -4,8 +4,11 @@
 (once per run shape in a process: :func:`_drawn`), computes the periods,
 builds the theta engine, and runs the verification families in table
 order (Thomae formulas, relations, Schottky).  It
-assembles a reproducible report: given the same configuration the JSON
-output is byte-identical (wall-clock timings are included only on request).
+assembles a reproducible report of one record table per family, in run
+order: given the same configuration the JSON output is byte-identical
+(wall-clock timings are included only on request).  One fixed-schema
+writer, :func:`_json_records`, writes the records of a table from its
+columns, and no run builds a record object.
 Every phase the Thomae families compare is predicted by :mod:`thomae`, none
 is fitted, so a misfit of the first Thomae formula is a failed THOMAE1 record.
 
@@ -28,7 +31,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -39,9 +42,10 @@ from . import schottky as sch
 from .characteristics import part_sizes
 from .context import CurveContext
 from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
-from .indexsets import finite_mask, index_masks, index_rows, index_sets, low_indices
+from .indexsets import finite_mask, index_masks, index_rows, low_indices
 from .periods import compute_periods
-from .relations import DEFAULT_TOLERANCES, VerificationRecord, make_records
+from .relations import (DEFAULT_TOLERANCES, UNBOUND, RecordTable, VerificationRecord,
+                        make_records)
 from .thomae import calibrate_phases, general_thomae_batch, thomae_prefactor
 
 
@@ -88,11 +92,89 @@ class SuiteConfig:
         return MappingProxyType({**DEFAULT_TOLERANCES, **self.tolerances})
 
 
-# Encoder chunks per JSON slab.  A chunk is a key, a value or a separator
-# of a few characters, each its own string object, so a slab of 4096 is
-# about 28 kB of text on a genus-5 report: the chunks alive at once stay
-# small beside the text, and the slabs stay few (45 there) to join.
-JSON_SLAB_CHUNKS = 4096
+# The text before each of a record's six fields as json.dumps(...,
+# sort_keys=True, indent=2) writes it in the report (bindings, notes, pass,
+# relation_id, residual, tolerance), and the text after the record.
+_RECORD = ('    {\n      "bindings": ', ',\n      "notes": ', ',\n      "pass": ',
+           ',\n      "relation_id": ', ',\n      "residual": ', ',\n      "tolerance": ',
+           '\n    },\n')
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of written items, ``indent`` deep."""
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _json(value, indent: str) -> str:
+    """An int, a str or nested tuples of them as ``json.dumps(value,
+    indent=2)`` writes them ``indent`` deep."""
+    if isinstance(value, tuple):
+        return _json_list([_json(v, indent + "  ") for v in value], indent)
+    return encode_basestring_ascii(value) if isinstance(value, str) else repr(value)
+
+
+def _json_sets(keys: list, indent: str) -> list[str]:
+    """:func:`_json` of the index set of each mask, or of the sets of each
+    row of masks without its -1 pads: one ``%`` template per set size,
+    filled from :func:`low_indices`."""
+    if keys and isinstance(keys[0], tuple):
+        inner = list(set().union(*keys) - {-1})
+        sets = dict(zip(inner, _json_sets(inner, indent + "  ")))
+        return [_json_list([sets[m] for m in row if m != -1], indent) for row in keys]
+    masks = np.array(keys, dtype=np.int64)
+    sizes, out = np.bitwise_count(masks), [""] * len(keys)
+    for k in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == k)
+        template = _json_list(["%d"] * k, indent)
+        for i, row in zip(at.tolist(), low_indices(masks[at], k).tolist()):
+            out[i] = template % tuple(row)
+    return out
+
+
+def _json_floats(values: list) -> list[str]:
+    """Floats as json writes them: their repr, or NaN, Infinity, -Infinity."""
+    return [_FLOATS.get(text, text) for text in map(repr, values)]
+
+
+def _json_records(table: RecordTable, memo: dict) -> str:
+    """The records of a table, ``json.dumps`` text between the brackets of
+    the report's list: the text of every field of every row in turn with
+    :data:`_RECORD`'s, joined once.  A slot's text is written once per
+    distinct value and kept in ``memo`` for later tables; a row that does
+    not bind a slot leaves it out."""
+    slots = []
+    for name in sorted(table.slots):
+        keys = table.column(table.slots[name])
+        texts = memo.setdefault((name, name in table.masks), {})
+        new = [key for key in set(keys).difference(texts) if key not in UNBOUND]
+        written = (_json_sets(new, " " * 8) if name in table.masks
+                   else [_json(key, " " * 8) for key in new])
+        head = " " * 8 + encode_basestring_ascii(name) + ": "
+        texts.update(zip(new, [head + text for text in written]))
+        slots.append([texts.get(key, "") for key in keys])
+    if not slots:
+        binds = ["{}"]
+    elif all(map(all, slots)):  # every row binds every slot: the slots in turn
+        binds = ["{\n", *[piece for texts in slots for piece in (texts, ",\n")][:-1], "\n      }"]
+    else:
+        binds = [["{\n" + b + "\n      }" if b else "{}"
+                  for b in (",\n".join(filter(None, row)) for row in zip(*slots))]]
+    tols = table.tolerance.tolist()
+    spelled = dict(zip(distinct := list(dict.fromkeys(tols)), _json_floats(distinct)))
+    fields = (list(map(encode_basestring_ascii, table.column(table.notes))),
+              ["true" if ok else "false" for ok in table.passed.tolist()],
+              list(map(encode_basestring_ascii, table.column(table.relation_id))),
+              _json_floats(table.residual.tolist()), [spelled[t] for t in tols])
+    pieces = [_RECORD[0], *binds, *[p for pair in zip(_RECORD[1:], fields) for p in pair],
+              _RECORD[-1]]
+    n, stride = len(table), len(pieces)
+    parts = [""] * (stride * n)
+    for i, piece in enumerate(pieces):
+        parts[i::stride] = [piece] * n if isinstance(piece, str) else piece
+    parts[-1] = "\n    }"
+    return "".join(parts)
 
 
 @dataclass
@@ -100,41 +182,52 @@ class Report:
     curve: dict
     periods: dict
     theta: dict
-    records: list[VerificationRecord]
+    tables: list[RecordTable]  # the records of each family run, in run order
     timings: dict
     config: dict
 
+    @property
+    def records(self) -> list[VerificationRecord]:
+        """Every record as a row, in run order, built on each call: the
+        report itself reads the tables."""
+        return [rec for table in self.tables for rec in table]
+
     def summary(self) -> dict:
-        ok = sum(1 for r in self.records if r.passed)
-        return {"pass": ok, "fail": len(self.records) - ok}
+        ok = sum(int(np.count_nonzero(table.passed)) for table in self.tables)
+        return {"pass": ok, "fail": sum(map(len, self.tables)) - ok}
 
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(table.passed.all() for table in self.tables)
 
     def json_slabs(self, include_timings: bool) -> Iterator[str]:
-        """The JSON report, ``json.dumps(payload, sort_keys=True, indent=2)``,
-        as consecutive slabs of :data:`JSON_SLAB_CHUNKS` encoder chunks."""
+        """The JSON report, byte for byte ``json.dumps(payload,
+        sort_keys=True, indent=2)`` of the payload below with its records
+        in run order, as consecutive slabs: the fields before the records,
+        the records of each table (:func:`_json_records`), and the rest.
+        A slab is never more than one family's records."""
         payload = {
             "curve": self.curve,
             "periods": self.periods,
             "theta": self.theta,
-            "records": [r.as_dict() for r in self.records],
+            "records": [],
             "summary": self.summary(),
             "config": self.config,
         }
         if include_timings:
             payload["timings"] = self.timings
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-        while slab := list(islice(chunks, JSON_SLAB_CHUNKS)):
-            yield "".join(slab)
+        # no string in the report holds an unescaped quote, so the records key
+        # is the one place the text reads "records": []
+        head, tail = json.dumps(payload, sort_keys=True, indent=2).split('"records": []')
+        yield head + '"records": ['
+        memo, sep = {}, "\n"
+        for table in self.tables:
+            if len(table):
+                yield sep + _json_records(table, memo)
+                sep = ",\n"
+        yield ("]" if sep == "\n" else "\n  ]") + tail
 
     def to_json(self, include_timings: bool) -> str:
-        """The JSON report, byte for byte ``json.dumps(payload,
-        sort_keys=True, indent=2)``, joined from :meth:`json_slabs`.  With an
-        indent the encoder is the pure-Python one, and ``dumps`` gathers its
-        every chunk, a few characters each, into one list before it joins
-        them: about 8.4 bytes per output character, more than the run itself
-        holds on a genus-5 suite.  Slabs cap that list at one slab."""
+        """The JSON report, joined from :meth:`json_slabs`."""
         return "".join(self.json_slabs(include_timings))
 
     def to_text(self, include_timings: bool = False) -> str:
@@ -148,21 +241,25 @@ class Report:
         if include_timings:
             stages = ("bindings", "periods", "lattice")
             lines.append("stages: " + ", ".join(f"{k} {self.timings[k]:.2f}s" for k in stages))
-        by_family: dict[str, list[VerificationRecord]] = {}
-        for r in self.records:
-            by_family.setdefault(r.relation_id, []).append(r)
+        by_family: dict[str, list] = {}  # id -> (table, rows of the id) in run order
+        for table in self.tables:
+            ids = np.array(table.column(table.relation_id))
+            for rid in dict.fromkeys(ids.tolist()):
+                by_family.setdefault(rid, []).append((table, np.flatnonzero(ids == rid)))
         for fam in sorted(by_family):
-            rs = by_family[fam]
-            worst = np.max([r.residual for r in rs])  # NaN when any residual is NaN
-            fails = [r for r in rs if not r.passed]
-            status = "PASS" if not fails else f"FAIL ({len(fails)}/{len(rs)})"
-            lo, hi = min(r.tolerance for r in rs), max(r.tolerance for r in rs)
+            parts = by_family[fam]
+            residual, tolerance = (np.concatenate([getattr(t, column)[at] for t, at in parts])
+                                   for column in ("residual", "tolerance"))
+            fails = [(t, i) for t, at in parts for i in at[~t.passed[at]].tolist()]
+            worst = np.max(residual)  # NaN when any residual is NaN
+            status = "PASS" if not fails else f"FAIL ({len(fails)}/{len(residual)})"
+            lo, hi = tolerance.min(), tolerance.max()
             tol = f"{lo:.0e}" if lo == hi else f"{lo:.0e}..{hi:.0e}"
-            line = f"  {fam:<14} {status:<12} n={len(rs):<4} worst={worst:.3e} tol={tol}"
+            line = f"  {fam:<14} {status:<12} n={len(residual):<4} worst={worst:.3e} tol={tol}"
             if include_timings and fam in self.timings:
                 line += f"  [{self.timings[fam]:.2f}s]"
             lines.append(line)
-            for r in fails[:5]:
+            for r in (t[i] for t, i in fails[:5]):
                 lines.append(f"      failed {r.bindings} residual={r.residual:.3e} {r.notes}")
         s = self.summary()
         lines.append(f"summary: {s['pass']} passed, {s['fail']} failed")
@@ -274,7 +371,8 @@ class Family:
     exists, once per run shape, into read-only rows (:func:`_drawn`).
     ``verify(ctx, bindings, tol)`` gives the records of all of them, in row
     order, ``tol`` the run's :attr:`SuiteConfig.tolerance_table`.  The entry's
-    call ``family(ctx, cfg, rows)`` runs it on the rows a run drew, if any.
+    call ``family(ctx, cfg, rows)`` runs it on the rows a run drew; a run
+    makes no call for a family that drew none.
     ``order`` is the highest derivative order of theta it reads, or
     ``order(g, enable_heavy)`` where that depends on the run; see
     :func:`run_order`.  Below ``min_genus`` the family has no instances.
@@ -286,8 +384,8 @@ class Family:
     order: int | Callable[[int, bool], int]
     min_genus: int = 2
 
-    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rows: np.ndarray) -> list:
-        return self.verify(ctx, rows, cfg.tolerance_table) if len(rows) else []
+    def __call__(self, ctx: CurveContext, cfg: SuiteConfig, rows: np.ndarray) -> RecordTable:
+        return self.verify(ctx, rows, cfg.tolerance_table)
 
 
 def run_order(families, g: int, enable_heavy: bool) -> int:
@@ -377,7 +475,7 @@ def _thomae1(ctx, rows, tol=DEFAULT_TOLERANCES):
     """THOMAE1 for every row [I0] of rows: theta[I0] over the first Thomae
     right side must be +1."""
     return make_records("THOMAE1", np.abs(calibrate_phases(ctx, rows[:, 0]) - 1.0), tol["THOMAE1"],
-                        I0=index_sets(rows[:, 0]))
+                        masks=("I0",), I0=rows[:, 0])
 
 
 def _tensor_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +504,7 @@ def _thomae2(ctx, rows, tol=DEFAULT_TOLERANCES):
     for _, at in rel._groups(np.bitwise_count(parts)):
         pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
         residual[at] = _tensor_fit(ctx.grads(parts[at]), pred)[0]
-    return make_records("THOMAE2", residual, tol["THOMAE2"], I1=index_sets(parts))
+    return make_records("THOMAE2", residual, tol["THOMAE2"], masks=("I1",), I1=parts)
 
 
 def _thomaeg_orders(g: int) -> tuple[int, ...]:
@@ -453,7 +551,7 @@ def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
              for ki, rr in zip(k_indep.tolist(), ratio_resid.tolist())]
     return make_records("THOMAEG", residual, tols, notes=notes,
                         precondition_failed=(k_indep > 1e-8) | (ratio_resid > 1e-10),
-                        Im=index_sets(parts), m=order, K=index_sets(k_sets))
+                        masks=("Im", "K"), Im=parts, m=order, K=k_sets)
 
 
 def _eklm_bindings(g, cfg, rng):
@@ -630,8 +728,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
              for f in running]
     timings["bindings"] = time.perf_counter() - t0
     if running and not any(map(len, drawn)):
-        names = ", ".join(f.name for f in running)
-        raise ValueError(f"no family drew a binding at genus {g} with cap {cfg.cap}: {names}")
+        below = [f"{f.name} (genus {f.min_genus})" for f in running if g < f.min_genus]
+        empty = [f.name for f in running if g >= f.min_genus]
+        reasons = ([f"below their smallest genus: {', '.join(below)}"] if below else []) + \
+            ([f"0 rows at cap {cfg.cap}: {', '.join(empty)}"] if empty else [])
+        raise ValueError(f"no family drew a binding at genus {g}: {'; '.join(reasons)}")
 
     t0 = time.perf_counter()
     periods = compute_periods(cfg.spec, cfg.quad_order)
@@ -643,10 +744,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
     ctx = CurveContext.build(cfg.spec, periods=periods, theta_tol=cfg.theta_tol, order=order)
     timings["lattice"] = time.perf_counter() - t0
 
-    records: list[VerificationRecord] = []
+    tables: list[RecordTable] = []
     for family, rows in zip(running, drawn):
         t0 = time.perf_counter()
-        records.extend(family(ctx, cfg, rows))  # the entry: bench/layers.py wraps it
+        if len(rows):
+            tables.append(family(ctx, cfg, rows))  # the entry: bench/layers.py wraps it
         timings[family.name] = time.perf_counter() - t0
 
     return Report(
@@ -658,7 +760,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         },
         periods={"quad_order": periods.quad_order, "est_error": periods.est_error},
         theta={"order": order, "points": ctx.engine.points, "radius": round(ctx.engine.radius, 6)},
-        records=records,
+        tables=tables,
         timings={k: round(v, 6) for k, v in timings.items()},
         config={
             # None runs every family; an empty filter runs none and echoes []

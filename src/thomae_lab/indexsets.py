@@ -2,21 +2,23 @@
 
 Sets are sorted tuples of branch indices (0 = infinity).  Binding rows and
 array code hold a set as its bit mask (bit i = index i): :func:`index_masks`
-builds masks from index rows, :func:`index_rows` and :func:`index_sets` turn
-them back into ascending rows or tuples, :func:`low_indices` gives the k
-smallest indices of each mask, and :func:`finite_mask` is the set of all
-finite indices, the universe of every complement J = finite ^ I.
+builds masks from index rows, :func:`index_rows` turns them back into
+ascending rows and :func:`index_set` one mask into its tuple,
+:func:`low_indices` gives the k smallest indices of each mask, and
+:func:`finite_mask` is the set of all finite indices, the universe of every
+complement J = finite ^ I.
 
-:func:`index_rows` and :func:`index_sets` are pure functions of their
-masks, and a run asks them for the same masks again and again: every curve
-of a genus reads the same whole binding draws, and the Thomae prefactor and
-the records each turn them back into rows.  Both keep their last 16 results
-in an ``lru_cache`` keyed by the bytes and shape of the masks as int64 (the
-content, never the identity of an array), enough for the three genera of a
-sweep not to evict each other.  The cached rows are read-only, and
-:func:`index_sets` returns a fresh list of the cached tuples.
-:func:`low_indices` is uncached: it serves the binding draws, whose masks
-are new to every draw and can number a million, and costs k bit steps.
+:func:`index_rows` is a pure function of its masks, and a run asks it for
+the same masks again and again: every curve of a genus reads the same whole
+binding draws, and the Thomae prefactor turns them back into rows.  It
+keeps its last 16 results in an ``lru_cache`` keyed by the bytes and shape
+of the masks as int64 (the content, never the identity of an array),
+enough for the three genera of a sweep not to evict each other; the cached
+rows are read-only.  Records keep their sets as masks, so no run turns a
+mask into a tuple: :func:`index_set` serves the report writer, the record
+rows and error messages, and is uncached.  :func:`low_indices` is uncached
+too: it serves the binding draws, whose masks are new to every draw and can
+number a million, and costs k bit steps.
 """
 
 from __future__ import annotations
@@ -85,21 +87,11 @@ def index_masks(idx: np.ndarray) -> np.ndarray:
     return np.sum(np.left_shift(1, idx), axis=-1)
 
 
-def index_sets(masks: np.ndarray) -> list[tuple[int, ...]]:
-    """The ascending index set of every mask of a 1-d int array, as tuples:
-    :func:`index_rows` over the masks of each size at once.  A fresh list
-    of the tuples cached for these masks."""
-    masks = np.asarray(masks, dtype=np.int64)
-    return list(_sets(masks.tobytes(), masks.shape))
-
-
-@lru_cache(maxsize=16)
-def _sets(masks: bytes, shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    masks = np.frombuffer(masks, dtype=np.int64).reshape(shape)
-    sizes = np.bitwise_count(masks)
-    out = [()] * len(masks)
-    for size in set(sizes.tolist()):
-        at = np.flatnonzero(sizes == size)
-        for i, row in zip(at.tolist(), _index_rows(masks[at]).tolist()):
-            out[i] = tuple(row)
+def index_set(mask: int) -> IndexSet:
+    """The ascending index set of one mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)

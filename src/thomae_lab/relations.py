@@ -2,9 +2,9 @@
 
 Every verifier evaluates both sides of one relation for every row of an int
 array of bindings, normalizes each residual by the largest additive term, so
-near-cancellation identities are judged fairly, and returns one
-:class:`VerificationRecord` per row.  It builds them with
-:func:`make_records`, the one owner of the binding format and of the
+near-cancellation identities are judged fairly, and returns the records of
+all rows as one :class:`RecordTable` of columns, built by
+:func:`make_records`, the one owner of the record format and of the
 precondition override: a record whose precondition fails cannot judge its
 identity, and reads at least 1.0.  Five checks pass such a
 ``precondition_failed`` mask:
@@ -57,8 +57,10 @@ row shapes serve most families: [I0 K j_m j_n] (EJI, GRAD2, HESS_K3/K4,
 D3_K5/K6, CONJ_M and SCHOTTKY_R; RJ_DET reads its first column and
 HESS_EQUIV two such rows side by side) and [I B j_m j_n] (GRAD3, GRAD4 and
 GRADN; GRAD4 adds its four pair masks S).  EKLM reads [I J k m n], RANK
-[degenerate | part masks] and HESS_RANK [I2].  Where the sets of one slot
-differ in size from row to row, the verifier groups the rows by size.  A
+[degenerate | part masks] and HESS_RANK [I2].  A record table keeps every
+set as the mask its row holds; only the JSON writer and the rows of
+:class:`VerificationRecord` turn masks into indices.  Where the sets of one
+slot differ in size from row to row, the verifier groups the rows by size.  A
 verifier takes at least one row: the width of a set's indices comes from its
 masks, and the harness runs no verifier without rows.  The substitution
 I^{(a -> b)} is I ^ a ^ b,
@@ -79,14 +81,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .context import CurveContext
-from .indexsets import finite_mask, index_rows, index_sets, low_indices
+from .indexsets import finite_mask, index_rows, index_set, low_indices
 
 TINY = 1e-300
 # The tolerance of each record kind, read-only; a run overlays its overrides.
@@ -120,6 +122,9 @@ RANK_SVD_CUT = 1e-8
 
 @dataclass
 class VerificationRecord:
+    """One row of a :class:`RecordTable` in Python values, for tests and the
+    benchmark, which read records one by one.  A run builds none."""
+
     relation_id: str
     bindings: dict
     residual: float
@@ -141,37 +146,88 @@ class VerificationRecord:
         }
 
 
-def _slot(values: np.ndarray | list) -> list:
-    """One binding slot's values, one per record: a 1-d int array as ints, a
-    2-d one as tuples, a 3-d one as tuples of tuples; a list as it is."""
-    if isinstance(values, list):
-        return values
-    if values.ndim == 1:
-        return values.tolist()
-    if values.ndim == 2:
-        return list(map(tuple, values.tolist()))
-    return [tuple(map(tuple, v)) for v in values.tolist()]
+UNBOUND = (None, -1)  # the column key of a row that does not bind a slot
 
 
-def make_records(kind, residual, tolerance, notes="", precondition_failed=None,
-                 **bindings) -> list[VerificationRecord]:
-    """One record per entry of ``residual``, in order; every verifier builds
-    its records here.  ``kind``, ``tolerance`` and ``notes`` are one value
-    for every record, or a list of one per record.  Each keyword is one
-    binding slot (:func:`_slot`).  Where ``precondition_failed`` is true the
-    identity cannot be judged, and the residual becomes at least 1.0, past
-    every default tolerance."""
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """The records of one verifier call as columns (:func:`make_records`):
+    ``relation_id`` and ``notes`` one value for all rows or a list of one
+    per row, ``residual`` and ``tolerance`` float arrays, and the binding
+    ``slots`` in order, those named in ``masks`` holding index masks.  Its
+    rows, by iteration or index, are :class:`VerificationRecord` views."""
+
+    relation_id: str | list
+    slots: dict
+    masks: frozenset
+    residual: np.ndarray
+    tolerance: np.ndarray
+    notes: str | list
+
+    def __len__(self) -> int:
+        return len(self.residual)
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.residual < self.tolerance  # a NaN residual fails
+
+    def column(self, values) -> list:
+        """One value per row of ``relation_id``, ``notes`` or a slot, whose
+        values become hashable keys: ints, tuples of ints or its list."""
+        if isinstance(values, str):
+            return [values] * len(self)
+        if isinstance(values, list):
+            return values
+        return values.tolist() if values.ndim == 1 else list(map(tuple, values.tolist()))
+
+    def bound(self, name: str, key):
+        """What a row whose slot ``name`` holds ``key`` binds: None for an
+        :data:`UNBOUND` key, the index set of a mask, the sets of a row of
+        masks without its -1 pads, or else the key itself."""
+        if key in UNBOUND:
+            return None
+        if name not in self.masks:
+            return key
+        if isinstance(key, int):
+            return index_set(key)
+        return tuple(index_set(m) for m in key if m != -1)
+
+    def rows(self, at: Iterable[int]) -> Iterator[VerificationRecord]:
+        ids, notes = (self.column(v) for v in (self.relation_id, self.notes))
+        slots = [(name, self.column(values)) for name, values in self.slots.items()]
+        for i in at:
+            binds = {name: value for name, keys in slots
+                     if (value := self.bound(name, keys[i])) is not None}
+            yield VerificationRecord(ids[i], binds, float(self.residual[i]),
+                                     float(self.tolerance[i]), notes[i])
+
+    def __iter__(self) -> Iterator[VerificationRecord]:
+        return self.rows(range(len(self)))
+
+    def __getitem__(self, i: int) -> VerificationRecord:
+        return next(self.rows([range(len(self))[i]]))
+
+
+def make_records(kind, residual, tolerance, notes="", precondition_failed=None, masks=(),
+                 **bindings) -> RecordTable:
+    """The table of one record per entry of ``residual``; every verifier
+    builds its records here.  ``kind``, ``tolerance`` and ``notes`` are one
+    value for all records, or a list of one per record.  Each keyword is a
+    binding slot, an int array as the verifier holds it (a row binds an
+    int, or a tuple of its row) or a list of values; a row holding -1 (None
+    in a list) does not bind the slot.  The slots named in ``masks`` hold
+    index masks, or rows of them padded with -1.  Where
+    ``precondition_failed`` is true the identity cannot be judged, and the
+    residual becomes at least 1.0, past every default tolerance."""
     residual = np.asarray(residual, dtype=float)
     if precondition_failed is not None:
         residual = np.where(precondition_failed, np.maximum(residual, 1.0), residual)
     n = len(residual)
-    kinds, tols, notes = (v if isinstance(v, list) else [v] * n for v in (kind, tolerance, notes))
-    binds = [{} for _ in range(n)]  # slot by slot: half the time of a dict(zip(...)) per record
-    for name, values in bindings.items():
-        for bind, value in zip(binds, _slot(values), strict=True):
-            bind[name] = value
-    return [VerificationRecord(*rec) for rec in
-            zip(kinds, binds, residual.tolist(), tols, notes, strict=True)]
+    columns = [v for v in (kind, notes) if isinstance(v, list)] + list(bindings.values())
+    if any(len(v) != n for v in columns):
+        raise ValueError(f"{n} residuals, but a column of another length")
+    tolerance = np.broadcast_to(np.asarray(tolerance, dtype=float), (n,))
+    return RecordTable(kind, bindings, frozenset(masks), residual, tolerance, notes)
 
 
 def _vector_residuals(terms: np.ndarray) -> np.ndarray:
@@ -201,7 +257,7 @@ def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # First-Thomae corollaries: cross ratios of theta constants
 # ---------------------------------------------------------------------------
 
-def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """EKLM for every row [I J k m n] of binds (|I| = |J| = g-1): the
     modulus of (e_k - e_m)/(e_k - e_n) against the right side, predicted
     positive: by the first Thomae formula, with phase +1, each of its four
@@ -220,11 +276,11 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLE
     lhs = (e[k - 1] - e[m - 1]) / (e[k - 1] - e[n - 1])
     c = ctx.consts(np.stack([i_mask | bn, j_mask | bn, i_mask | bm, j_mask | bm], axis=1))
     rhs = c[:, 0] ** 2 * c[:, 1] ** 2 / (c[:, 2] ** 2 * c[:, 3] ** 2)
-    return make_records("EKLM", _match_residuals(np.abs(lhs), rhs), tol["EKLM"],
-                        I=index_rows(i_mask), J=index_rows(j_mask), k=k, m=m, n=n)
+    return make_records("EKLM", _match_residuals(np.abs(lhs), rhs), tol["EKLM"], masks=("I", "J"),
+                        I=i_mask, J=j_mask, k=k, m=m, n=n)
 
 
-def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def eji_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """EJI for every row [I0 K j_n j_m] of binds, K = {i_k < i_l} in I0: the
     modulus of the branch-point quotient against the right side, a product
     of fourth powers of theta constants, each i^{eps.eps'} times a real
@@ -266,7 +322,7 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLER
     for pair in alts:
         alt = rhs_for(*pair)
         residual = np.maximum(residual, _match_residuals(alt, rhs))
-    return make_records("EJI", residual, tol["EJI"], I0=index_rows(i0), i_k=ik, i_l=il,
+    return make_records("EJI", residual, tol["EJI"], masks=("I0",), I0=i0, i_k=ik, i_l=il,
                         j_n=jn, j_m=jm)
 
 
@@ -274,7 +330,7 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLER
 # Gradient (multiplicity-1) linear relations
 # ---------------------------------------------------------------------------
 
-def grad2_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def grad2_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD2 for every row [I0 K j_m j_n] of binds, K = {kappa1 < kappa2}."""
     i0, kappas = binds[:, 0], index_rows(binds[:, 1])
     (k1, k2), (jm, jn) = (1 << kappas).T, (1 << binds[:, 2:]).T
@@ -287,8 +343,8 @@ def grad2_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
     grads = ctx.grads(np.stack([i0 ^ k1 ^ k2, i0 ^ k2, i0 ^ k1], axis=1))
     # lhs - t1 + t2
     residual = _vector_residuals(coeff[..., None] * grads * np.array([1, -1, 1])[:, None])
-    return make_records("GRAD2", residual, tol["GRAD2"], I0=index_rows(i0), kappa1=kappas[:, 0],
-                        kappa2=kappas[:, 1], j_m=binds[:, 2], j_n=binds[:, 3])
+    return make_records("GRAD2", residual, tol["GRAD2"], masks=("I0",), I0=i0,
+                        kappa1=kappas[:, 0], kappa2=kappas[:, 1], j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 def _gradient_residuals(
@@ -315,7 +371,7 @@ def _gradient_residuals(
     return _vector_residuals(coeff[..., None] * grads), grads
 
 
-def grad3_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def grad3_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD3 for every row [I B j_m j_n] of binds (|I| = g-2, |B| = 3, 0
     allowed in B): GRADN at r = 2, S the single kappas of B.  Any two of the
     three gradients must be linearly independent."""
@@ -329,8 +385,8 @@ def grad3_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
     notes = ["; ".join(f"pair ({kap[a]},{kap[b]}) nearly dependent: {r:.2e}"
                        for (a, b), r in zip(pairs, rat) if r < 1e-6)
              for kap, rat in zip(kappas.tolist(), ratios.tolist())]
-    return make_records("GRAD3", residual, tol["GRAD3"], notes=notes, I=index_rows(binds[:, 0]),
-                        kappas=kappas, j_m=binds[:, 2], j_n=binds[:, 3])
+    return make_records("GRAD3", residual, tol["GRAD3"], notes=notes, masks=("I",),
+                        I=binds[:, 0], kappas=kappas, j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 # the canonical grouping ((k1k2), (k1k3), (k2k3), (k4k5)), and the regrouped
@@ -339,7 +395,7 @@ GRAD4_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4))
 GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
 
 
-def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD4 for every row [I B j_m j_n S1 S2 S3 S4] of binds (|I| = g-3,
     |B| = 5, each S a pair of kappas in B): GRADN at r = 3 with the pairs S,
     canonical or regrouped.  The first three gradients must have rank 3."""
@@ -351,11 +407,11 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
     notes = [f"triple sigma3/sigma1={t:.2e}" + (" (rank deficient!)" if bad else "")
              for t, bad in zip(triple.tolist(), deficient.tolist())]
     return make_records("GRAD4", residual, tol["GRAD4"], notes=notes, precondition_failed=deficient,
-                        I=index_rows(binds[:, 0]), kappas=index_rows(binds[:, 1]),
-                        pairs=index_rows(binds[:, 4:]), j_m=binds[:, 2], j_n=binds[:, 3])
+                        masks=("I", "kappas", "pairs"), I=binds[:, 0], kappas=binds[:, 1],
+                        pairs=binds[:, 4:], j_m=binds[:, 2], j_n=binds[:, 3])
 
 
-def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """GRADN for every row [I B j_m j_n] of binds, I and B as masks: the
     conjectural (r+1)-term relation with |B| = 2r-1 and |I| = g-r.  K is the
     r smallest indices of B, and S runs over K - kappa for kappa in K, and
@@ -372,8 +428,8 @@ def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOL
             ctx, i_mask[rows], b_mask[rows], jm[rows], jn[rows], subsets
         )[0]
     notes = ["conjecture: residual reported" if size >= 4 else "" for size in r.tolist()]
-    return make_records("GRADN", residual, tol["GRADN"], notes=notes, I=index_sets(i_mask),
-                        B=index_sets(b_mask), r=r, j_m=binds[:, 2], j_n=binds[:, 3])
+    return make_records("GRADN", residual, tol["GRADN"], notes=notes, masks=("I", "B"), I=i_mask,
+                        B=b_mask, r=r, j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +454,7 @@ def predicted_collection_rank(g: int, parts: np.ndarray) -> np.ndarray:
     return np.max(np.where(bad.astype(np.int64) @ within, 0, size), axis=-1)
 
 
-def rank_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def rank_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """RANK for every row [degenerate | part masks] of binds, the masks padded
     with -1: the finite parts of distinct multiplicity-1 partitions, whose
     gradients must have the rank that :func:`predicted_collection_rank`
@@ -417,17 +473,14 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLE
         sv = np.linalg.svd(ctx.grads(parts[rows, :n]), compute_uv=False)
         observed[rows] = np.sum(sv > RANK_SVD_CUT * sv[:, :1], axis=1)
         predicted[rows] = predicted_collection_rank(g, full[rows, :n])
-    held_sets = iter(index_sets(full[held]))  # the full parts, row after row
-    sets = [tuple(tuple(i for i in s if i) for s in islice(held_sets, n)) for n in size.tolist()]
     notes = [f"degenerate family: observed {obs}, predicted {pred} (want 3)" if deg
              else f"observed {obs}, predicted {pred}"
              for deg, obs, pred in zip(flag.tolist(), observed.tolist(), predicted.tolist())]
     match = (observed == predicted) & ((flag == 0) | (observed == 3))
-    out = make_records("RANK", np.where(match, 0.0, 1.0), tol["RANK"], notes=notes, sets=sets)
-    for rec, deg in zip(out, flag.tolist()):
-        if deg:
-            rec.bindings["family"] = "degenerate"
-    return out
+    # a set is the finite part of its partition: the part masks, padded with -1
+    return make_records("RANK", np.where(match, 0.0, 1.0), tol["RANK"], notes=notes,
+                        masks=("sets",), sets=masks,
+                        family=["degenerate" if deg else None for deg in flag.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +597,7 @@ def _repr_residuals(ctx: CurveContext, binds: np.ndarray) -> np.ndarray:
 REPRESENTATION_RECORDS = {3: "HESS_K3", 4: "HESS_K4", 5: "D3_K5", 6: "D3_K6"}
 
 
-def derivative_batch(ctx: CurveContext, binds: np.ndarray,
-                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def derivative_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """The representation record of every row [I0 K j_m j_n] of binds, its
     id and its tolerance key from |K|."""
     kk = np.bitwise_count(binds[:, 1])
@@ -554,12 +606,12 @@ def derivative_batch(ctx: CurveContext, binds: np.ndarray,
         raise ValueError(f"|K| must be one of {sorted(REPRESENTATION_RECORDS)}, got {bad[0]}")
     kinds = [REPRESENTATION_RECORDS[size] for size in kk.tolist()]
     return make_records(kinds, _repr_residuals(ctx, binds), [tol[kind] for kind in kinds],
-                        I0=index_rows(binds[:, 0]), K=index_sets(binds[:, 1]),
+                        masks=("I0", "K"), I0=binds[:, 0], K=binds[:, 1],
                         j_m=binds[:, 2], j_n=binds[:, 3])
 
 
 def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
-                        tol: Mapping = DEFAULT_TOLERANCES) -> list:
+                        tol=DEFAULT_TOLERANCES) -> RecordTable:
     """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds:
     two representations of the same Hessian agree entrywise."""
     if np.any(binds[:, 0] ^ binds[:, 1] != binds[:, 4] ^ binds[:, 5]):
@@ -568,13 +620,12 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
     for _, rows in _groups(np.bitwise_count(binds[:, 1])):
         va, vb = (_predicted(ctx, binds[rows, c : c + 4]) for c in (0, 4))
         residual[rows] = _match_residuals(va, vb)
-    ia, ka, ib, kb = (index_sets(binds[:, c]) for c in (0, 1, 4, 5))
-    return make_records("HESS_EQUIV", residual, tol["HESS_EQUIV"], I0_a=ia, K_a=ka, I0_b=ib,
-                        K_b=kb, j_a=binds[:, 2:4], j_b=binds[:, 6:8])
+    return make_records("HESS_EQUIV", residual, tol["HESS_EQUIV"],
+                        masks=("I0_a", "K_a", "I0_b", "K_b"), I0_a=binds[:, 0], K_a=binds[:, 1],
+                        I0_b=binds[:, 4], K_b=binds[:, 5], j_a=binds[:, 2:4], j_b=binds[:, 6:8])
 
 
-def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
-                       tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """HESS_RANK for every row [I2] of binds, I2 as a mask: the finite part of
     a multiplicity-2 partition, whose Hessian has rank exactly 3 for g > 3
     (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6) and full rank at g = 3."""
@@ -594,11 +645,10 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
                  for d, k in zip(drop4.tolist(), keep3.tolist())]
     # sigma4 <= sigma3, so a failed rank-3 check reads exactly 1.0
     return make_records("HESS_RANK", drop4, tol["HESS_RANK"], notes=notes,
-                        precondition_failed=~(keep3 > 1e-6), I2=index_sets(masks))
+                        precondition_failed=~(keep3 > 1e-6), masks=("I2",), I2=masks)
 
 
-def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
-                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """CONJ_M for every row [I0 K j_m j_n] of binds: the representation at
     order m = (|K|+1)//2, with R's own sign; for m >= 4 the residual is
     reported only.  R's signs come from :func:`_entry_sign`, so R with the
@@ -610,7 +660,7 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
         raise ValueError("multiplicity >= 4 requires genus >= 7")
     notes = ["conjecture: residual reported" if m >= 4 else "" for m in order.tolist()]
     return make_records("CONJ_M", _repr_residuals(ctx, binds), tol["CONJ_M"], notes=notes,
-                        I0=index_rows(binds[:, 0]), K=index_sets(binds[:, 1]), m=order,
+                        masks=("I0", "K"), I0=binds[:, 0], K=binds[:, 1], m=order,
                         j_m=binds[:, 2], j_n=binds[:, 3])
 
 
@@ -618,7 +668,7 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
 # Riemann-Jacobi derivative formula
 # ---------------------------------------------------------------------------
 
-def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """RJ_DET for the first column I0 of every row of binds (g finite indices):
 
         det(grad theta[I0^{(i)}], i in I0) = (-pi)^g theta[I0] prod_{j in J0} theta[J0^{(j)}]
@@ -631,11 +681,11 @@ def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol: Mapping = DEFAULT_TO
     from g = 4 on it holds on the curve alone, and misses by 0.07 to 2 on
     Y = a a^t / g + 0.5 I (``test_riemann_jacobi_off_the_curve``)."""
     g = ctx.g
-    i0, i0_sets = binds[:, 0], index_rows(binds[:, 0])
+    i0 = binds[:, 0]
     j0 = finite_mask(g) ^ i0
     # column i of each matrix is the gradient of theta[I0^{(i)}]
-    lhs = np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << i0_sets)), 1, 2))
+    lhs = np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << index_rows(i0))), 1, 2))
     rhs = (-np.pi) ** g * ctx.consts(i0)
     for j in range(1, 2 * g + 2):  # the factors of j in J0, in ascending order
         rhs = np.where(j0 >> j & 1, rhs * ctx.consts(j0 ^ 1 << j), rhs)
-    return make_records("RJ_DET", _match_residuals(lhs, rhs), tol["RJ_DET"], I0=i0_sets)
+    return make_records("RJ_DET", _match_residuals(lhs, rhs), tol["RJ_DET"], masks=("I0",), I0=i0)

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
 from .characteristics import _char, mask_chars
 from .context import CurveContext
-from .indexsets import finite_mask, index_masks, index_rows, index_sets, low_indices
-from .relations import DEFAULT_TOLERANCES, general_r_tensor, make_records
+from .indexsets import finite_mask, index_masks, index_rows, index_set, low_indices
+from .relations import DEFAULT_TOLERANCES, RecordTable, general_r_tensor, make_records
 from .thomae import first_thomae_rhs
 
 
@@ -73,7 +72,7 @@ def goepel_elements(g: int, gens: np.ndarray) -> np.ndarray:
         # is the first generator that depends on the ones before it
         row, e = np.argwhere(zero.reshape(-1, (1 << r) - 1))[0].tolist()
         gen = gens.reshape(-1, r)[row, (e + 1).bit_length() - 1]
-        raise ValueError(f"dependent generator {list(index_sets(np.array([gen]))[0])}")
+        raise ValueError(f"dependent generator {list(index_set(int(gen)))}")
     return elements
 
 
@@ -86,9 +85,9 @@ def coset_products(ctx: CurveContext, gens: np.ndarray, reps: np.ndarray) -> np.
     size = np.bitwise_count(members)
     bad = (size != ctx.g) & (size != ctx.g + 1)
     if np.any(bad):
-        first = members[bad][:1]
-        part = ctx.partition(index_sets(first)[0])
-        char = _char(ctx.g, int(mask_chars(ctx.g)[first[0]]))
+        first = int(members[bad][0])
+        part = ctx.partition(index_set(first))
+        char = _char(ctx.g, int(mask_chars(ctx.g)[first]))
         raise ValueError(
             f"coset member {part} (char {char}) has multiplicity "
             f"{part.multiplicity()}; all members must be even non-singular"
@@ -137,8 +136,7 @@ def root_sum_residual(roots: np.ndarray, printed_signs: str) -> tuple[float, str
     return combos[-1], patterns[best], combos[best]
 
 
-def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
-                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def schottky_r_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """The three routes to the rank-1 Schottky relation, three records for
     every row [I0 K j_m j_n] of binds, K = {p_1 < .. < p_4} in I0:
 
@@ -147,6 +145,7 @@ def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
     quadratic-representation matrix, with all 3x3 minors nonzero; (iii)
     a1 - a2 + a3 = 0 exactly in rational arithmetic.  The first two read
     their tolerances under their own ids; the exact third fails on any nonzero.
+    One table holds them, the three records of a row in turn.
     """
     if np.any((np.bitwise_count(binds[:, 1]) != 4) | (binds[:, 1] & ~binds[:, 0] != 0)):
         raise ValueError("K must be four members of I_0")
@@ -163,21 +162,28 @@ def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
     notes = [f"sigma3/sigma1={s:.2e}, smallest 3x3 minor {low:.2e}"
              + (" (3x3 minors unexpectedly small)" if bad else "")
              for s, low, bad in zip(s3.tolist(), smallest.tolist(), small.tolist())]
-    i0, p, jm, jn = index_rows(binds[:, 0]), index_rows(binds[:, 1]), binds[:, 2], binds[:, 3]
     e = [Fraction(x) for x in ctx.spec.branch_points]
     exact = []
-    for e1, e2, e3, e4 in ([e[i - 1] for i in row] for row in p.tolist()):
+    for e1, e2, e3, e4 in ([e[i - 1] for i in row] for row in index_rows(binds[:, 1]).tolist()):
         a123 = (e2 - e1) * (e4 - e3) - (e3 - e1) * (e4 - e2) + (e4 - e1) * (e3 - e2)
         exact.append(float(abs(a123)))
-    records = zip(
-        make_records("SCHOTTKY_R", j_resid, tol["SCHOTTKY_R"], I0=i0, p=p, j_m=jm, j_n=jn),
-        make_records("SCHOTTKY_DETR", det_resid, tol["SCHOTTKY_DETR"], notes=notes,
-                     precondition_failed=small, I0=i0, K=p, j_m=jm, j_n=jn),
-        # exact-zero contract: anything nonzero is a failure
-        make_records("SCHOTTKY_A123", exact, 0.5,
-                     notes="exact rational arithmetic; residual must be exactly 0", p=p),
-    )
-    return [rec for row in records for rec in row]
+    # the three records of a row in turn; -1 where a record does not bind a slot
+    n = len(binds)
+    no, clear = np.full(n, -1), np.zeros(n, dtype=bool)
+
+    def turns(*columns):
+        return np.stack(columns, axis=1).ravel()
+
+    i0, p, jm, jn = binds.T
+    # exact-zero contract: anything nonzero is a failure
+    exact_note = "exact rational arithmetic; residual must be exactly 0"
+    return make_records(["SCHOTTKY_R", "SCHOTTKY_DETR", "SCHOTTKY_A123"] * n,
+                        turns(j_resid, det_resid, exact),
+                        [tol["SCHOTTKY_R"], tol["SCHOTTKY_DETR"], 0.5] * n,
+                        notes=[note for detr in notes for note in ("", detr, exact_note)],
+                        precondition_failed=turns(clear, small, clear), masks=("I0", "p", "K"),
+                        I0=turns(i0, i0, no), p=turns(p, no, p), K=turns(no, p, no),
+                        j_m=turns(jm, jm, no), j_n=turns(jn, jn, no))
 
 
 # --- Appendix F case definitions -------------------------------------------
@@ -243,8 +249,7 @@ CASE_IDS = tuple(sorted(_F_CASES)) + ("schottky.Ratio45",)
 CASE_GENUS = {**{c: case["genus"] for c, case in _F_CASES.items()}, "schottky.Ratio45": 5}
 
 
-def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
-                     tol: Mapping = DEFAULT_TOLERANCES) -> list:
+def appendix_f_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
     """The Appendix-F Schottky case at every row [position in CASE_IDS] of
     binds, each with its printed sign pattern."""
     cases, residual, notes, signs_differ = [], [], [], []

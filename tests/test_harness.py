@@ -131,7 +131,7 @@ def test_report_json_schema():
 
 @pytest.fixture(scope="module")
 def g5_report():
-    """The full suite on random_curve(5, 1): 183k encoder chunks, 45 slabs."""
+    """The full suite on random_curve(5, 1): 19 tables, 21 slabs."""
     return run_suite(SuiteConfig(spec=random_curve(5, 1), seed=1))
 
 
@@ -145,7 +145,7 @@ def _dumps(report, include_timings):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("relations,slabs", [(None, 45), (("THOMAE1",), 1), ((), 1)],
+@pytest.mark.parametrize("relations,slabs", [(None, 21), (("THOMAE1",), 3), ((), 2)],
                          ids=["many-slabs", "one-slab", "empty-filter"])
 def test_json_slabs_join_to_one_dumps(g5_report, relations, slabs):
     if relations is None:
@@ -573,9 +573,16 @@ def _family_alone(g: int, name: str) -> None:
     cfg = SuiteConfig(spec=random_curve(g, 4), relations=(name,), cap=20, seed=4,
                       enable_heavy=True)
     family = FAMILIES[name]
-    if g < family.min_genus or not len(family.bindings(g, cfg, _family_rng(cfg, name))):
-        # no binding, nothing to certify: the run stops before the lattice
-        with pytest.raises(ValueError, match=f"no family drew a binding at genus {g}.*: {name}$"):
+    # no binding, nothing to certify: the run stops before the lattice, and
+    # says whether the genus or the cap left the family empty
+    if g < family.min_genus:
+        why = f"below their smallest genus: {name} \\(genus {family.min_genus}\\)"
+    elif not len(family.bindings(g, cfg, _family_rng(cfg, name))):
+        why = f"0 rows at cap 20: {name}"
+    else:
+        why = None
+    if why:
+        with pytest.raises(ValueError, match=f"^no family drew a binding at genus {g}: {why}$"):
             run_suite(cfg)
         return
     report = run_suite(cfg)  # a family reading above its declared order raises
@@ -604,9 +611,24 @@ def test_a_run_without_bindings_exits_2_before_the_periods(monkeypatch, capsys):
     argv = ["verify", "--genus", "5", "--seed", "1", "--relations", "SCHOTTKY_R,HESS_EQUIV"]
     assert main([*argv, "--cap", "20"]) == 2
     err = capsys.readouterr().err
-    assert "no family drew a binding at genus 5 with cap 20: HESS_EQUIV, SCHOTTKY_R" in err
+    assert err == ("error: no family drew a binding at genus 5: "
+                   "0 rows at cap 20: HESS_EQUIV, SCHOTTKY_R\n")
     assert main([*argv, "--cap", "25"]) == 2  # one row each: the run goes on
     assert "error: the periods were computed" in capsys.readouterr().err
+
+
+def test_an_empty_run_names_the_families_below_their_genus_apart(capsys):
+    # GRAD4 has no instance below genus 3 at any cap; HESS_EQUIV draws
+    # cap // 25 = 0 rows at cap 20
+    assert main(["verify", "--genus", "2", "--seed", "1", "--relations", "GRAD4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no family drew a binding at genus 2: below their smallest genus: GRAD4 (genus 3)\n")
+    argv = ["verify", "--genus", "3", "--seed", "1", "--cap", "20",
+            "--relations", "D3_K6,HESS_EQUIV,HESS_K4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: no family drew a binding at genus 3: below their smallest genus: "
+        "HESS_K4 (genus 4), D3_K6 (genus 6); 0 rows at cap 20: HESS_EQUIV\n")
 
 
 def test_the_run_order_counts_only_families_with_bindings():

@@ -10,7 +10,7 @@ from thomae_lab.indexsets import (
     finite_mask,
     index_masks,
     index_rows,
-    index_sets,
+    index_set,
     iset,
     low_indices,
 )
@@ -87,11 +87,12 @@ def test_complement_finite():
 
 
 def test_index_sets_of_masks_of_mixed_sizes():
-    # grouped by size through index_rows, returned in the order of the masks
+    # one mask at a time, any size; index_rows takes masks of one size at once
     masks = np.array([0b1011, 0, 0b110, 0b1, 0b11010, 0b110])
     want = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks.tolist()]
-    assert index_sets(masks) == want == [(0, 1, 3), (), (1, 2), (0,), (1, 3, 4), (1, 2)]
-    assert index_sets(np.array([], dtype=np.int64)) == []
+    assert [index_set(m) for m in masks.tolist()] == want == \
+        [(0, 1, 3), (), (1, 2), (0,), (1, 3, 4), (1, 2)]
+    assert index_set(1 << 70 | 1 << 17 | 1) == (0, 17, 70)
     assert index_rows(masks[[0, 4]]).tolist() == [[0, 1, 3], [1, 3, 4]]
     assert index_masks(index_rows(masks[[2, 5]])).tolist() == [0b110, 0b110]
 
@@ -182,24 +183,16 @@ def test_the_cache_keys_on_shape_and_content_not_identity():
     assert index_rows(mutable).tolist()[0] == [3, 4]
 
 
-def test_a_returned_set_list_is_the_callers_own():
-    masks = np.array([0b1011, 0b110])
-    first = index_sets(masks)
-    first.append(("junk",))
-    first[0] = ()
-    assert index_sets(masks) == [(0, 1, 3), (1, 2)]
-
-
 def test_whole_thomae1_draws_hit_the_cache_after_each_genus_first_curve():
     # genera interleaved as in a sweep: after the first curve of each genus,
-    # the prefactor's rows and the records' sets are all served by the cache
+    # the prefactor's rows are all served by the cache (the records keep
+    # their masks, so a run turns none into sets)
     indexsets._rows.cache_clear()
-    indexsets._sets.cache_clear()
     misses = []
     for seed in (1, 2, 3):
         for g in (2, 3, 4):
             run_suite(SuiteConfig(spec=random_curve(g, seed), relations=("THOMAE1",), seed=seed))
-            misses.append(indexsets._rows.cache_info().misses + indexsets._sets.cache_info().misses)
+            misses.append(indexsets._rows.cache_info().misses)
     assert misses[0] > 0 and misses[0] < misses[1] < misses[2]
     assert misses[2:] == [misses[2]] * 7, misses
-    assert indexsets._rows.cache_info().hits > 0 and indexsets._sets.cache_info().hits >= 6
+    assert indexsets._rows.cache_info().hits > 0

@@ -26,6 +26,15 @@ UNREACHED = {
     "theta.ThetaEngine.theta_deriv": "bench-traced theta.deriv.* entry point",
     "theta.ThetaEngine._check": "argument check of the two entry points above",
     "harness.Report.to_json": "bench/worker.py's report digest; the CLI writes json_slabs",
+    # record rows: a run and its reports read the tables' columns
+    "harness.Report.records": "bench/worker.py and tests read records as rows",
+    "relations.RecordTable.__iter__": "bench/worker.py and tests read records as rows",
+    "relations.RecordTable.__getitem__": "the text report's failed lines and tests",
+    "relations.RecordTable.rows": "the text report's failed lines, bench/worker.py and tests",
+    "relations.RecordTable.bound": "a row's bindings, for the rows above",
+    "relations.VerificationRecord.as_dict": "bench/worker.py and tests",
+    "relations.VerificationRecord.passed": "tests",
+    "indexsets.index_set": "a row's bindings, and two Schottky error messages",
     "characteristics.Partition.__str__": "only an error message prints a partition",
     "characteristics.HalfCharacteristic.__str__": "only an error message prints a characteristic",
     "characteristics._char": "called by char_of_set above and by the coset error message",
@@ -105,21 +114,23 @@ def test_every_function_in_src_is_reached_by_a_run():
 
 
 def test_records_are_built_only_by_make_records():
-    # one function owns the binding format and the precondition override
-    callers = []
+    # one function owns the record table, its binding format and the
+    # precondition override; a record row is only ever a view of a table
+    callers = {"RecordTable": [], "VerificationRecord": []}
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{where.split(':')[0]}:{child.name}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}{'.' if where[-1] != ':' else ''}{child.name}"
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "VerificationRecord":
-                    callers.append(where)
+                if name in callers:
+                    callers[name].append(where)
             visit(child, inner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), f"{path.stem}:")
-    assert callers == ["relations:make_records"]
+    assert callers == {"RecordTable": ["relations:make_records"],
+                       "VerificationRecord": ["relations:RecordTable.rows"]}

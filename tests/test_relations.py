@@ -562,7 +562,7 @@ def test_make_records_spreads_scalars_and_keeps_per_record_lists():
     assert [(r.relation_id, r.tolerance, r.notes) for r in per] == [
         ("HESS_K3", 1e-6, "a"), ("D3_K5", 1e-4, "b")]
     assert [r.residual for r in per] == [0.1, 0.2]
-    assert all(type(r.residual) is float for r in one + per)
+    assert all(type(r.residual) is float for r in [*one, *per])
 
 
 def test_make_records_raises_a_failed_precondition_to_one():
@@ -573,9 +573,9 @@ def test_make_records_raises_a_failed_precondition_to_one():
 
 def test_make_records_binds_python_values():
     recs = make_records(
-        "GRAD4", np.zeros(2), 1e-8,
+        "GRAD4", np.zeros(2), 1e-8, masks=("pairs",),
         j=np.array([4, 5]), I=np.array([[1, 2], [3, 4]]),
-        pairs=np.arange(8).reshape(2, 2, 2), B=[(1,), (2, 3)],
+        pairs=np.array([[0b11, 0b1100], [0b110000, 0b11000000]]), B=[(1,), (2, 3)],
     )
     assert [r.bindings for r in recs] == [
         {"j": 4, "I": (1, 2), "pairs": ((0, 1), (2, 3)), "B": (1,)},

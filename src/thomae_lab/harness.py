@@ -101,36 +101,16 @@ _RECORD = ('    {\n      "bindings": ', ',\n      "notes": ', ',\n      "pass": 
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list of written items, ``indent`` deep."""
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]" if items else "[]"
-
-
 def _json(value, indent: str) -> str:
-    """An int, a str or nested tuples of them as ``json.dumps(value,
+    """An int, a str or nested tuples of ints as ``json.dumps(value,
     indent=2)`` writes them ``indent`` deep."""
-    if isinstance(value, tuple):
-        return _json_list([_json(v, indent + "  ") for v in value], indent)
-    return encode_basestring_ascii(value) if isinstance(value, str) else repr(value)
-
-
-def _json_sets(keys: list, indent: str) -> list[str]:
-    """:func:`_json` of the index set of each mask, or of the sets of each
-    row of masks without its -1 pads: one ``%`` template per set size,
-    filled from :func:`low_indices`."""
-    if keys and isinstance(keys[0], tuple):
-        inner = list(set().union(*keys) - {-1})
-        sets = dict(zip(inner, _json_sets(inner, indent + "  ")))
-        return [_json_list([sets[m] for m in row if m != -1], indent) for row in keys]
-    masks = np.array(keys, dtype=np.int64)
-    sizes, out = np.bitwise_count(masks), [""] * len(keys)
-    for k in set(sizes.tolist()):
-        at = np.flatnonzero(sizes == k)
-        template = _json_list(["%d"] * k, indent)
-        for i, row in zip(at.tolist(), low_indices(masks[at], k).tolist()):
-            out[i] = template % tuple(row)
-    return out
+    if not isinstance(value, tuple):
+        return encode_basestring_ascii(value) if isinstance(value, str) else repr(value)
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    items = [_json(v, inner) for v in value] if isinstance(value[0], tuple) else map(repr, value)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def _json_floats(values: list) -> list[str]:
@@ -138,29 +118,20 @@ def _json_floats(values: list) -> list[str]:
     return [_FLOATS.get(text, text) for text in map(repr, values)]
 
 
-def _json_records(table: RecordTable, memo: dict) -> str:
+def _json_records(table: RecordTable) -> str:
     """The records of a table, ``json.dumps`` text between the brackets of
     the report's list: the text of every field of every row in turn with
     :data:`_RECORD`'s, joined once.  A slot's text is written once per
-    distinct value and kept in ``memo`` for later tables; a row that does
-    not bind a slot leaves it out."""
+    distinct value; a row that does not bind a slot leaves it out."""
     slots = []
     for name in sorted(table.slots):
         keys = table.column(table.slots[name])
-        texts = memo.setdefault((name, name in table.masks), {})
-        new = [key for key in set(keys).difference(texts) if key not in UNBOUND]
-        written = (_json_sets(new, " " * 8) if name in table.masks
-                   else [_json(key, " " * 8) for key in new])
         head = " " * 8 + encode_basestring_ascii(name) + ": "
-        texts.update(zip(new, [head + text for text in written]))
+        texts = {key: head + _json(table.bound(name, key), " " * 8)
+                 for key in set(keys) if key not in UNBOUND}
         slots.append([texts.get(key, "") for key in keys])
-    if not slots:
-        binds = ["{}"]
-    elif all(map(all, slots)):  # every row binds every slot: the slots in turn
-        binds = ["{\n", *[piece for texts in slots for piece in (texts, ",\n")][:-1], "\n      }"]
-    else:
-        binds = [["{\n" + b + "\n      }" if b else "{}"
-                  for b in (",\n".join(filter(None, row)) for row in zip(*slots))]]
+    rows = (",\n".join(filter(None, row)) for row in zip(*slots))
+    binds = [["{\n" + b + "\n      }" if b else "{}" for b in rows]] if slots else ["{}"]
     tols = table.tolerance.tolist()
     spelled = dict(zip(distinct := list(dict.fromkeys(tols)), _json_floats(distinct)))
     fields = (list(map(encode_basestring_ascii, table.column(table.notes))),
@@ -219,10 +190,10 @@ class Report:
         # is the one place the text reads "records": []
         head, tail = json.dumps(payload, sort_keys=True, indent=2).split('"records": []')
         yield head + '"records": ['
-        memo, sep = {}, "\n"
+        sep = "\n"
         for table in self.tables:
             if len(table):
-                yield sep + _json_records(table, memo)
+                yield sep + _json_records(table)
                 sep = ",\n"
         yield ("]" if sep == "\n" else "\n  ]") + tail
 

@@ -83,7 +83,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -257,7 +257,8 @@ def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # First-Thomae corollaries: cross ratios of theta constants
 # ---------------------------------------------------------------------------
 
-def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def eklm_batch(ctx: CurveContext, binds: np.ndarray,
+               tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """EKLM for every row [I J k m n] of binds (|I| = |J| = g-1): the
     modulus of (e_k - e_m)/(e_k - e_n) against the right side, predicted
     positive: by the first Thomae formula, with phase +1, each of its four
@@ -280,7 +281,8 @@ def eklm_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> 
                         I=i_mask, J=j_mask, k=k, m=m, n=n)
 
 
-def eji_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def eji_batch(ctx: CurveContext, binds: np.ndarray,
+              tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """EJI for every row [I0 K j_n j_m] of binds, K = {i_k < i_l} in I0: the
     modulus of the branch-point quotient against the right side, a product
     of fourth powers of theta constants, each i^{eps.eps'} times a real
@@ -330,7 +332,8 @@ def eji_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> R
 # Gradient (multiplicity-1) linear relations
 # ---------------------------------------------------------------------------
 
-def grad2_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def grad2_batch(ctx: CurveContext, binds: np.ndarray,
+                tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD2 for every row [I0 K j_m j_n] of binds, K = {kappa1 < kappa2}."""
     i0, kappas = binds[:, 0], index_rows(binds[:, 1])
     (k1, k2), (jm, jn) = (1 << kappas).T, (1 << binds[:, 2:]).T
@@ -371,7 +374,8 @@ def _gradient_residuals(
     return _vector_residuals(coeff[..., None] * grads), grads
 
 
-def grad3_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def grad3_batch(ctx: CurveContext, binds: np.ndarray,
+                tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD3 for every row [I B j_m j_n] of binds (|I| = g-2, |B| = 3, 0
     allowed in B): GRADN at r = 2, S the single kappas of B.  Any two of the
     three gradients must be linearly independent."""
@@ -395,7 +399,8 @@ GRAD4_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4))
 GRAD4_REGROUPED = ((1, 2), (0, 3), (1, 4), (2, 4))
 
 
-def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def grad4_batch(ctx: CurveContext, binds: np.ndarray,
+                tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD4 for every row [I B j_m j_n S1 S2 S3 S4] of binds (|I| = g-3,
     |B| = 5, each S a pair of kappas in B): GRADN at r = 3 with the pairs S,
     canonical or regrouped.  The first three gradients must have rank 3."""
@@ -411,7 +416,8 @@ def grad4_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) ->
                         pairs=binds[:, 4:], j_m=binds[:, 2], j_n=binds[:, 3])
 
 
-def gradn_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def gradn_batch(ctx: CurveContext, binds: np.ndarray,
+                tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """GRADN for every row [I B j_m j_n] of binds, I and B as masks: the
     conjectural (r+1)-term relation with |B| = 2r-1 and |I| = g-r.  K is the
     r smallest indices of B, and S runs over K - kappa for kappa in K, and
@@ -454,7 +460,8 @@ def predicted_collection_rank(g: int, parts: np.ndarray) -> np.ndarray:
     return np.max(np.where(bad.astype(np.int64) @ within, 0, size), axis=-1)
 
 
-def rank_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def rank_batch(ctx: CurveContext, binds: np.ndarray,
+               tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """RANK for every row [degenerate | part masks] of binds, the masks padded
     with -1: the finite parts of distinct multiplicity-1 partitions, whose
     gradients must have the rank that :func:`predicted_collection_rank`
@@ -597,7 +604,8 @@ def _repr_residuals(ctx: CurveContext, binds: np.ndarray) -> np.ndarray:
 REPRESENTATION_RECORDS = {3: "HESS_K3", 4: "HESS_K4", 5: "D3_K5", 6: "D3_K6"}
 
 
-def derivative_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def derivative_batch(ctx: CurveContext, binds: np.ndarray,
+                     tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """The representation record of every row [I0 K j_m j_n] of binds, its
     id and its tolerance key from |K|."""
     kk = np.bitwise_count(binds[:, 1])
@@ -611,7 +619,7 @@ def derivative_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCE
 
 
 def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
-                        tol=DEFAULT_TOLERANCES) -> RecordTable:
+                        tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """HESS_EQUIV for every row [I0_a K_a j_m j_n  I0_b K_b j_m j_n] of binds:
     two representations of the same Hessian agree entrywise."""
     if np.any(binds[:, 0] ^ binds[:, 1] != binds[:, 4] ^ binds[:, 5]):
@@ -625,7 +633,8 @@ def hessian_equiv_batch(ctx: CurveContext, binds: np.ndarray,
                         I0_b=binds[:, 4], K_b=binds[:, 5], j_a=binds[:, 2:4], j_b=binds[:, 6:8])
 
 
-def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
+                       tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """HESS_RANK for every row [I2] of binds, I2 as a mask: the finite part of
     a multiplicity-2 partition, whose Hessian has rank exactly 3 for g > 3
     (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6) and full rank at g = 3."""
@@ -648,7 +657,8 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERAN
                         precondition_failed=~(keep3 > 1e-6), masks=("I2",), I2=masks)
 
 
-def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def conjecture_batch(ctx: CurveContext, binds: np.ndarray,
+                     tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """CONJ_M for every row [I0 K j_m j_n] of binds: the representation at
     order m = (|K|+1)//2, with R's own sign; for m >= 4 the residual is
     reported only.  R's signs come from :func:`_entry_sign`, so R with the
@@ -668,7 +678,8 @@ def conjecture_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCE
 # Riemann-Jacobi derivative formula
 # ---------------------------------------------------------------------------
 
-def rj_det_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def rj_det_batch(ctx: CurveContext, binds: np.ndarray,
+                 tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """RJ_DET for the first column I0 of every row of binds (g finite indices):
 
         det(grad theta[I0^{(i)}], i in I0) = (-pi)^g theta[I0] prod_{j in J0} theta[J0^{(j)}]

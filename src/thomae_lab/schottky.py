@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
@@ -136,7 +137,8 @@ def root_sum_residual(roots: np.ndarray, printed_signs: str) -> tuple[float, str
     return combos[-1], patterns[best], combos[best]
 
 
-def schottky_r_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def schottky_r_batch(ctx: CurveContext, binds: np.ndarray,
+                     tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """The three routes to the rank-1 Schottky relation, three records for
     every row [I0 K j_m j_n] of binds, K = {p_1 < .. < p_4} in I0:
 
@@ -249,7 +251,8 @@ CASE_IDS = tuple(sorted(_F_CASES)) + ("schottky.Ratio45",)
 CASE_GENUS = {**{c: case["genus"] for c, case in _F_CASES.items()}, "schottky.Ratio45": 5}
 
 
-def appendix_f_batch(ctx: CurveContext, binds: np.ndarray, tol=DEFAULT_TOLERANCES) -> RecordTable:
+def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
+                     tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """The Appendix-F Schottky case at every row [position in CASE_IDS] of
     binds, each with its printed sign pattern."""
     cases, residual, notes, signs_differ = [], [], [], []

@@ -31,10 +31,8 @@ UNREACHED = {
     "relations.RecordTable.__iter__": "bench/worker.py and tests read records as rows",
     "relations.RecordTable.__getitem__": "the text report's failed lines and tests",
     "relations.RecordTable.rows": "the text report's failed lines, bench/worker.py and tests",
-    "relations.RecordTable.bound": "a row's bindings, for the rows above",
     "relations.VerificationRecord.as_dict": "bench/worker.py and tests",
     "relations.VerificationRecord.passed": "tests",
-    "indexsets.index_set": "a row's bindings, and two Schottky error messages",
     "characteristics.Partition.__str__": "only an error message prints a partition",
     "characteristics.HalfCharacteristic.__str__": "only an error message prints a characteristic",
     "characteristics._char": "called by char_of_set above and by the coset error message",

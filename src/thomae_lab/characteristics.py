@@ -14,8 +14,10 @@ Baker's homology basis:
 
 and [K] = sum_k [eps_{2k}] is the characteristic of the vector of Riemann
 constants.  A partition is referred to by its smaller part; the index of
-infinity is written 0 and omitted from the stored canonical form (it is
-inferred whenever the stored cardinality has the wrong parity).
+infinity is written 0 and omitted from the stored canonical form.  One
+parity rule, :func:`completed_part`, restores it: the infinity index joins
+a part whose size is not congruent to g + 1 mod 2, and the multiplicity of
+the completed part P is m = (g + 1 - |P|) / 2.
 
 Parity convention: a characteristic is odd iff eps^t eps' is odd, so that
 multiplicity-1 characteristics are odd and [K] at genus 2 is odd.
@@ -36,6 +38,8 @@ from operator import xor
 from typing import Iterable
 
 import numpy as np
+
+from .indexsets import index_mask, index_set
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,8 @@ def mask_chars(g: int) -> np.ndarray:
 class Partition:
     """Canonical branch-index partition, referred to by its smaller part.
 
-    ``part`` stores finite indices only; infinity (index 0) is inferred when
-    len(part) is not congruent to g+1 mod 2.  Use :meth:`from_set` to build
-    one from an arbitrary index set.
+    ``part`` stores finite indices only; :func:`completed_part` infers
+    infinity (index 0).  Use :meth:`from_set` to build one from any index set.
     """
 
     genus: int
@@ -125,13 +128,10 @@ class Partition:
 
     def full_part(self) -> tuple[int, ...]:
         """The part with the infinity index made explicit (as 0)."""
-        g = self.genus
-        if len(self.part) % 2 != (g + 1) % 2:
-            return (0,) + self.part
-        return self.part
+        return index_set(completed_part(self.genus, index_mask(self.part))[0])
 
     def multiplicity(self) -> int:
-        return (self.genus + 1 - len(self.full_part())) // 2
+        return completed_part(self.genus, index_mask(self.part))[1]
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.part)) + "}"
@@ -140,14 +140,24 @@ class Partition:
 @lru_cache(maxsize=None)
 def _partition(g: int, mask: int) -> Partition:
     """Canonical partition of the index set whose bit i is index i (0 = infinity)."""
-    # Complete with the infinity index when the parity demands it.
-    if mask.bit_count() % 2 != (g + 1) % 2:
-        mask ^= 1
+    mask = completed_part(g, mask)[0]
     comp = mask ^ ((1 << (2 * g + 2)) - 1)
     size, comp_size = mask.bit_count(), comp.bit_count()
     if size > comp_size or (size == comp_size and not mask & 1):  # m = 0: prefer the 0-part
         mask = comp
-    return Partition(genus=g, part=tuple(i for i in range(1, 2 * g + 2) if mask >> i & 1))
+    return Partition(genus=g, part=index_set(mask & ~1))
+
+
+def completed_part(g: int, masks):
+    """The parity rule for an int array of index masks, or one int: bit 0
+    (the infinity index) toggled in every mask whose size is not congruent to
+    g + 1 mod 2, and the multiplicity m = (g + 1 - |P|) / 2 of each completed
+    mask P, negative when P is the larger part.  A mask that holds index 0
+    keeps its characteristic, as [eps_0] = 0.  Python ints for an int."""
+    count = (int.bit_count if isinstance(masks, int)
+             else lambda x: np.bitwise_count(x).astype(np.int64))
+    full = masks ^ (count(masks) % 2 != (g + 1) % 2)
+    return full, (g + 1 - count(full)) // 2
 
 
 def char_of_set(g: int, indices: Iterable[int]) -> HalfCharacteristic:

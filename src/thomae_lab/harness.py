@@ -39,10 +39,10 @@ import numpy as np
 
 from . import relations as rel
 from . import schottky as sch
-from .characteristics import part_sizes
+from .characteristics import completed_part, part_sizes
 from .context import CurveContext
 from .curve import CurveSpec, check_genus, load_curve_file, validate_curve
-from .indexsets import finite_mask, index_masks, index_rows, low_indices
+from .indexsets import finite_mask, index_mask, index_masks, index_rows, low_indices
 from .periods import compute_periods
 from .relations import (DEFAULT_TOLERANCES, UNBOUND, RecordTable, VerificationRecord,
                         make_records)
@@ -414,11 +414,6 @@ def _eklm_splits(g: int, pick: Callable) -> np.ndarray:
     return np.column_stack([i_set, others ^ i_set, kmn])
 
 
-def _mask(indices) -> int:
-    """Bit mask of an index set (bit i = index i)."""
-    return sum(1 << int(i) for i in indices)
-
-
 def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     """Masks of the finite parts of the multiplicity-m partitions at the
     positions ``pick(count)`` of their canonical list (by part size as
@@ -449,21 +444,21 @@ def _thomae1(ctx, rows, tol=DEFAULT_TOLERANCES):
                         masks=("I0",), I0=rows[:, 0])
 
 
-def _tensor_fit(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of two (B, ...) arrays: the residual max |lhs - rhs| / max |lhs|,
-    and the flat position of the largest |lhs| entry."""
-    lhs, rhs = lhs.reshape(len(lhs), -1), rhs.reshape(len(rhs), -1)
-    flat = np.argmax(np.abs(lhs), axis=1)
-    largest = np.abs(lhs[np.arange(len(lhs)), flat])
-    return np.max(np.abs(lhs - rhs), axis=1) / largest, flat
-
-
-def _thomae_k(ctx, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the first and of the last g - |A| finite indices outside A,
-    for every part mask A (one |A| for all)."""
+def _thomae_fit(ctx, parts: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """The order-m tensor lhs of theta[A] against the general Thomae formula
+    with K the first g - |A| finite indices outside A, for every part mask A
+    of multiplicity m (one |A| for all).  Per row: max |lhs - rhs| / max |lhs|,
+    the flat position of the largest |lhs|, both right sides, and the masks
+    of K and of the last g - |A| such indices."""
     free = index_rows(finite_mask(ctx.g) ^ parts)
     size = ctx.g + free.shape[1] - ctx.spec.n_finite
-    return index_masks(free[:, :size]), index_masks(free[:, -size:])
+    k = index_masks(free[:, :size])
+    pred, ratio = general_thomae_batch(ctx, parts, k)
+    lhs = ctx.derivs(parts, m).reshape(len(parts), -1)
+    flat = np.argmax(np.abs(lhs), axis=1)
+    largest = np.abs(lhs[np.arange(len(lhs)), flat])
+    residual = np.max(np.abs(lhs - pred.reshape(len(parts), -1)), axis=1) / largest
+    return residual, flat, pred, ratio, k, index_masks(free[:, -size:])
 
 
 def _thomae2(ctx, rows, tol=DEFAULT_TOLERANCES):
@@ -473,8 +468,7 @@ def _thomae2(ctx, rows, tol=DEFAULT_TOLERANCES):
     parts = rows[:, 0]
     residual = np.empty(len(parts))
     for _, at in rel._groups(np.bitwise_count(parts)):
-        pred = general_thomae_batch(ctx, parts[at], _thomae_k(ctx, parts[at])[0])[0]
-        residual[at] = _tensor_fit(ctx.grads(parts[at]), pred)[0]
+        residual[at] = _thomae_fit(ctx, parts[at], 1)[0]
     return make_records("THOMAE2", residual, tol["THOMAE2"], masks=("I1",), I1=parts)
 
 
@@ -497,15 +491,11 @@ def _thomaeg(ctx, rows, tol=DEFAULT_TOLERANCES):
     (K-independence), and the ratio form must be the direct form over the
     first Thomae right side of Im + K; either failing fails the record."""
     parts = rows[:, 0]
-    size = np.bitwise_count(parts)
-    order = (ctx.g - size + 1) // 2
+    order = completed_part(ctx.g, parts)[1]
     k_sets = np.empty(len(rows), dtype=np.int64)
     residual, k_indep, ratio_resid = (np.empty(len(rows)) for _ in range(3))
-    for s, at in rel._groups(size):
-        m = (ctx.g - s + 1) // 2
-        k, k_alt = _thomae_k(ctx, parts[at])
-        pred, ratio = general_thomae_batch(ctx, parts[at], k)
-        residual[at], flat = _tensor_fit(ctx.derivs(parts[at], m), pred)
+    for _, at in rel._groups(np.bitwise_count(parts)):
+        residual[at], flat, pred, ratio, k, k_alt = _thomae_fit(ctx, parts[at], int(order[at[0]]))
 
         def entry(t):
             return t.reshape(len(at), -1)[np.arange(len(at)), flat]
@@ -555,7 +545,8 @@ def _gradn_bindings(g, cfg, rng):
         for _ in range(3):
             chosen = np.sort(rng.choice(2 * g + 2, size=(g - r) + (2 * r - 1), replace=False))
             j_set = [x for x in range(1, 2 * g + 2) if x not in chosen]
-            rows.append([_mask(chosen[: g - r]), _mask(chosen[g - r :]), j_set[0], j_set[1]])
+            rows.append([index_mask(chosen[: g - r]), index_mask(chosen[g - r :]),
+                         j_set[0], j_set[1]])
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
@@ -575,7 +566,7 @@ def _rank_bindings(g, cfg, rng):
         shared = tuple(range(1, g - 1))
         fam = [shared + (g - 1 + i,) for i in range(3)]
         fam.append(tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):]))
-        rows.append([1] + [_mask(s) for s in fam] + [-1] * (width - len(fam)))
+        rows.append([1] + [index_mask(s) for s in fam] + [-1] * (width - len(fam)))
     return np.array(rows, dtype=np.int64)
 
 
@@ -590,8 +581,8 @@ def _hess_equiv_bindings(g, cfg, rng):
         for _ in range(count):
             pick = sorted(rng.choice(len(fin), size=g + 1, replace=False))
             chosen = [fin[i] for i in pick]
-            i_mask, ps = _mask(chosen[: g - ksize]), chosen[g - ksize:]
-            ka, kb = _mask(ps[:ksize]), _mask(ps[: ksize - 1] + ps[ksize:])
+            i_mask, ps = index_mask(chosen[: g - ksize]), chosen[g - ksize:]
+            ka, kb = index_mask(ps[:ksize]), index_mask(ps[: ksize - 1] + ps[ksize:])
             jc = [j for j in fin if j not in chosen][:2]
             rows.append([i_mask | ka, ka, *jc, i_mask | kb, kb, *jc])
     return np.array(rows, dtype=np.int64).reshape(-1, 8)
@@ -614,7 +605,7 @@ def _conj_m_sizes(g: int, enable_heavy: bool) -> list[int]:
 def _conj_m_bindings(g, cfg, rng):
     # rows [I0 K j_m j_n], I0 = {1..g}, K its |K| smallest indices;
     # specialisations: the general construction must match the dedicated ones
-    return np.array([[_mask(range(1, g + 1)), _mask(range(1, ksize + 1)), g + 1, g + 2]
+    return np.array([[index_mask(range(1, g + 1)), index_mask(range(1, ksize + 1)), g + 1, g + 2]
                      for ksize in _conj_m_sizes(g, cfg.enable_heavy)],
                     dtype=np.int64).reshape(-1, 4)
 
@@ -632,7 +623,7 @@ def _schottky_r_bindings(g, cfg, rng):
         pick = sorted(rng.choice(len(fin), size=g, replace=False))
         i0 = [fin[i] for i in pick]
         ps = rng.choice(i0, size=4, replace=False)
-        rows.append([_mask(i0), _mask(ps), *[j for j in fin if j not in i0][:2]])
+        rows.append([index_mask(i0), index_mask(ps), *[j for j in fin if j not in i0][:2]])
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 

@@ -1,12 +1,13 @@
 """Small helpers for the index-set bookkeeping of the relations.
 
 Sets are sorted tuples of branch indices (0 = infinity).  Binding rows and
-array code hold a set as its bit mask (bit i = index i): :func:`index_masks`
-builds masks from index rows, :func:`index_rows` turns them back into
-ascending rows and :func:`index_set` one mask into its tuple,
-:func:`low_indices` gives the k smallest indices of each mask, and
-:func:`finite_mask` is the set of all finite indices, the universe of every
-complement J = finite ^ I.
+array code hold a set as its bit mask (bit i = index i).  Masks are built
+in one place, :func:`index_mask` for one set and :func:`index_masks` for the
+index rows of an array, and read in one: :func:`low_indices` gives the k
+smallest indices of each mask of an array, and :func:`index_rows` is
+:func:`low_indices` at the masks' common size.  :func:`index_set` turns one
+mask into its tuple, and :func:`finite_mask` is the set of all finite
+indices, the universe of every complement J = finite ^ I.
 
 :func:`index_rows` is a pure function of its masks, and a run asks it for
 the same masks again and again: every curve of a genus reads the same whole
@@ -53,21 +54,15 @@ def index_rows(masks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _rows(masks: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    # a copy: a view would keep np.nonzero's whole (N, ndim) array alive in the cache
-    rows = _index_rows(np.frombuffer(masks, dtype=np.int64).reshape(shape)).copy()
-    rows.flags.writeable = False
-    return rows
-
-
-def _index_rows(masks: np.ndarray) -> np.ndarray:
-    bits = masks[..., None] >> np.arange(int(masks.max(initial=0)).bit_length()) & 1
-    sizes = bits.sum(axis=-1)
+    masks = np.frombuffer(masks, dtype=np.int64).reshape(shape)
+    sizes = np.bitwise_count(masks)
     width = int(sizes.max(initial=0))
-    rows = np.nonzero(bits)[-1]
-    if len(rows) != width * sizes.size:  # no mask holds more than width indices
+    if np.any(sizes != width):
         found = sorted(set(sizes.ravel().tolist()))
         raise ValueError(f"masks hold different numbers of indices: {found}")
-    return rows.reshape(sizes.shape + (width,))
+    rows = low_indices(masks, width)
+    rows.flags.writeable = False
+    return rows
 
 
 def low_indices(masks, k: int) -> np.ndarray:
@@ -80,6 +75,11 @@ def low_indices(masks, k: int) -> np.ndarray:
         out[..., t] = np.bitwise_count(low - 1)  # the index of the lowest bit
         rest = rest ^ low
     return out
+
+
+def index_mask(indices: Iterable[int]) -> int:
+    """Bit mask of one index set."""
+    return sum(1 << int(i) for i in indices)
 
 
 def index_masks(idx: np.ndarray) -> np.ndarray:

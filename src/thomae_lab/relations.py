@@ -87,6 +87,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .characteristics import completed_part
 from .context import CurveContext
 from .indexsets import finite_mask, index_rows, index_set, low_indices
 
@@ -470,9 +471,8 @@ def rank_batch(ctx: CurveContext, binds: np.ndarray,
     flag, masks = binds[:, 0], binds[:, 1:]
     held = masks >= 0
     parts = np.where(held, masks, 0)
-    # the infinity index joins a part whose size has the wrong parity
-    full = parts | (np.bitwise_count(parts) % 2 != (g + 1) % 2)
-    if np.any(held & ((parts & 1) | (np.bitwise_count(full) != g - 1)).astype(bool)):
+    full, m = completed_part(g, parts)
+    if np.any(held & (((parts & 1) == 1) | (m != 1))):
         raise ValueError("every set must be the finite part of a multiplicity-1 partition")
     size = held.sum(axis=1)
     observed, predicted = np.empty((2, len(binds)), dtype=np.int64)
@@ -639,9 +639,7 @@ def hessian_rank_batch(ctx: CurveContext, binds: np.ndarray,
     a multiplicity-2 partition, whose Hessian has rank exactly 3 for g > 3
     (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6) and full rank at g = 3."""
     g, masks = ctx.g, binds[:, 0]
-    size = np.bitwise_count(masks)
-    # with the infinity index the parity asks for, a multiplicity-2 part has g - 3
-    if np.any(size + (size % 2 != (g + 1) % 2) != g - 3):
+    if np.any(completed_part(g, masks)[1] != 2):
         raise ValueError("every set must be the finite part of a multiplicity-2 partition")
     sv = np.linalg.svd(ctx.derivs(masks, 2), compute_uv=False)
     keep3 = sv[:, 2] / sv[:, 0]

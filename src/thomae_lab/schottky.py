@@ -39,9 +39,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .characteristics import _char, mask_chars
+from .characteristics import _char, completed_part, mask_chars
 from .context import CurveContext
-from .indexsets import finite_mask, index_masks, index_rows, index_set, low_indices
+from .indexsets import finite_mask, index_mask, index_masks, index_rows, index_set, low_indices
 from .relations import DEFAULT_TOLERANCES, RecordTable, general_r_tensor, make_records
 from .thomae import first_thomae_rhs
 
@@ -83,8 +83,7 @@ def coset_products(ctx: CurveContext, gens: np.ndarray, reps: np.ndarray) -> np.
     coset member must be even non-singular, i.e. hold g or g + 1 finite
     indices."""
     members = (reps & ~1)[:, :, None] ^ goepel_elements(ctx.g, gens)[:, None, :]
-    size = np.bitwise_count(members)
-    bad = (size != ctx.g) & (size != ctx.g + 1)
+    bad = completed_part(ctx.g, members)[1] != 0
     if np.any(bad):
         first = int(members[bad][0])
         part = ctx.partition(index_set(first))
@@ -272,7 +271,7 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
             signs_differ.append(False)
             continue
         case = _F_CASES[case_id]
-        gens = np.array([[sum(1 << i for i in s) for s in case["group"]]])
+        gens = np.array([[index_mask(s) for s in case["group"]]])
         prods = coset_products(ctx, gens, index_masks(np.array(case["a_sets"]))[None])[0]
         # degree-8 normalisation: a coset of 2^rank members enters with 8 / 2^rank
         exponent = 8.0 / 2.0 ** len(case["group"])

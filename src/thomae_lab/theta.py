@@ -21,7 +21,8 @@ lattice once per tau, as the integer points p = 2q with ||L p|| <= 2R: p mod
 eps' << g | bin sorts every point of every class into one integer array with
 4^g + 1 key starts, so the class of eps' is a contiguous slice and its 2^g
 parity bins are contiguous inside it.  The array is int8 when the proven
-bound on |p_i| (:func:`_point_dtype`) is below 2^7, as on every curve the
+bound on |p_i| (:func:`_point_dtype`, the one width bound, uncached: it
+inverts the g x g factor on each call) is below 2^7, as on every curve the
 certifier builds, else int16; every float formed from p is the same either
 way.  A curve with real branch points has tau = i Y, so the weights
 m = exp(-pi q^t Y q) are real; the engine refuses a tau with Re(tau) != 0.
@@ -104,13 +105,6 @@ def _factor_of(tau: bytes, g: int) -> tuple[np.ndarray, float]:
     chol = np.linalg.cholesky(y).T
     chol.flags.writeable = False
     return chol, float(np.linalg.eigvalsh(y)[0])
-
-
-@lru_cache(maxsize=4)
-def _inverse_norm(chol: bytes, g: int) -> float:
-    """max_i ||row i of chol^-1|| of the g x g factor with these bytes: one
-    inversion serves every enumeration of an engine."""
-    return float(np.linalg.norm(np.linalg.inv(np.frombuffer(chol).reshape(g, g)), axis=1).max())
 
 
 def _tail_bound(tau: np.ndarray, order: int):
@@ -203,7 +197,7 @@ def _point_dtype(chol: np.ndarray, r: float) -> type[np.signedinteger]:
     ||chol p|| <= r, the points p = 2q of a lattice at R = r / 2.  Each
     |p_i| = |e_i^t chol^{-1} (chol p)| is at most r ||row i of chol^{-1}||,
     plus 1 for the enumeration's slack; a bound of 2^15 or more raises."""
-    bound = r * _inverse_norm(chol.tobytes(), len(chol)) + 1
+    bound = r * float(np.linalg.norm(np.linalg.inv(chol), axis=1).max()) + 1
     if bound < 2**7:
         return np.int8
     if bound < 2**15:

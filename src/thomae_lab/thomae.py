@@ -49,7 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from .context import CurveContext
-from .indexsets import finite_mask, index_rows, iset
+from .indexsets import finite_mask, index_mask, index_rows, iset
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +82,7 @@ def first_thomae_rhs(ctx: CurveContext, i0: Iterable[int]) -> complex:
         raise ValueError(f"{i0} is not a multiplicity-0 index set")
     if len(i0) != ctx.g or 0 in i0:
         raise ValueError("first Thomae expects the g finite indices of I_0")
-    return complex(thomae_prefactor(ctx, np.array([sum(1 << i for i in i0)]))[0])
+    return complex(thomae_prefactor(ctx, np.array([index_mask(i0)]))[0])
 
 
 def general_thomae_batch(

@@ -20,6 +20,17 @@ _CURVES = {
 }
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts, or their first difference in a short window: pytest's
+    own diff of two texts of a megabyte takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        start = max(at - 300, 0)
+        pytest.fail(f"first difference at {at}:\n{got[start:at + 200]}\n---\n"
+                    f"{want[start:at + 200]}")
+
+
 @pytest.fixture(scope="session")
 def curve():
     def get(g):

@@ -19,8 +19,8 @@ import pytest
 from oracles import complement_finite, enumerate_partitions, parity
 from thomae_lab.characteristics import char_of_set
 from thomae_lab.context import CurveContext
-from thomae_lab.harness import SuiteConfig, _mask, random_curve, run_suite
-from thomae_lab.indexsets import iset
+from thomae_lab.harness import SuiteConfig, random_curve, run_suite
+from thomae_lab.indexsets import index_mask as _mask, iset
 from thomae_lab.periods import branch_point_char_residuals, compute_periods
 from thomae_lab.relations import (
     GRAD4_PAIRS,

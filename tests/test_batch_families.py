@@ -48,7 +48,6 @@ from thomae_lab.harness import (
     SuiteConfig,
     _draw,
     _eklm_splits,
-    _mask,
     _family_rng,
     _i0_splits,
     _kappa_splits,
@@ -60,7 +59,7 @@ from thomae_lab.harness import (
     run_suite,
     unrank_combinations,
 )
-from thomae_lab.indexsets import IndexSet, iset
+from thomae_lab.indexsets import IndexSet, index_mask as _mask, iset
 from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
 from thomae_lab.theta import ThetaEngine
 

@@ -16,10 +16,12 @@ from thomae_lab.characteristics import (
     _char,
     _table,
     char_of_set,
+    completed_part,
     mask_chars,
     part_sizes,
 )
-from thomae_lab.harness import _mask, _partition_masks
+from thomae_lab.harness import _partition_masks
+from thomae_lab.indexsets import index_mask as _mask, index_set
 
 
 def _branch(g, k):
@@ -238,3 +240,39 @@ def test_equal_characteristics_share_hash():
 def test_inputs_are_still_checked(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _check_completed(g: int, mask: int, full: int, m: int) -> None:
+    """One set's completion against its canonical partition."""
+    assert completed_part(g, mask) == (full, m)
+    assert all(type(x) is int for x in completed_part(g, mask))
+    p = Partition.from_set(g, index_set(mask))
+    assert abs(m) == p.multiplicity()
+    # the canonical full part is the completed set or, when that is the
+    # larger side or a tie without index 0, its complement
+    canonical = full if m > 0 or (m == 0 and full & 1) else full ^ (1 << 2 * g + 2) - 1
+    assert index_set(canonical) == p.full_part()
+    assert mask_chars(g)[full] == mask_chars(g)[mask]  # [eps_0] = 0: index 0 changes no [I]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_completed_part_is_the_partition_rule_on_every_set(g):
+    masks = np.arange(1 << 2 * g + 2)  # index 0 included
+    full, m = completed_part(g, masks)
+    assert full.dtype == m.dtype == np.int64
+    for mask, f, mult in zip(masks.tolist(), full.tolist(), m.tolist()):
+        _check_completed(g, mask, f, mult)
+    # the oracle's stored parts: infinity joins the size-(g - 2m) parts only
+    for mult in range((g + 1) // 2 + 1):
+        parts = [_mask(p.part) for p in enumerate_partitions(g, mult)]
+        got = completed_part(g, np.array(parts, dtype=np.int64))
+        want = [part | (part.bit_count() == g - 2 * mult) for part in parts]
+        assert got[0].tolist() == want and got[1].tolist() == [mult] * len(parts)
+
+
+@pytest.mark.parametrize("g", [6, 7, 8])
+def test_completed_part_on_sampled_sets(g):
+    masks = np.random.default_rng(g).integers(0, 1 << 2 * g + 2, size=400)
+    full, m = completed_part(g, masks)
+    for mask, f, mult in zip(masks.tolist(), full.tolist(), m.tolist()):
+        _check_completed(g, mask, f, mult)

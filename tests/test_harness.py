@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_same_text
 from thomae_lab import harness
 from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
@@ -154,7 +155,7 @@ def test_json_slabs_join_to_one_dumps(g5_report, relations, slabs):
         report = run_suite(SuiteConfig(spec=random_curve(2, 1), relations=relations, seed=1))
     assert len(list(report.json_slabs(False))) == slabs
     for include_timings in (False, True):
-        assert report.to_json(include_timings) == _dumps(report, include_timings)
+        assert_same_text(report.to_json(include_timings), _dumps(report, include_timings))
 
 
 def test_cli_json_is_to_json_and_a_newline(tmp_path, capsys):
@@ -162,9 +163,9 @@ def test_cli_json_is_to_json_and_a_newline(tmp_path, capsys):
     argv = ["verify", "--genus", "3", "--seed", "1", "--format", "json"]
     want = run_suite(SuiteConfig(spec=random_curve(3, 1), seed=1)).to_json(False) + "\n"
     assert main(argv) == 0
-    assert capsys.readouterr().out == want
+    assert_same_text(capsys.readouterr().out, want)
     assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
-    assert (tmp_path / "r.json").read_text() == want
+    assert_same_text((tmp_path / "r.json").read_text(), want)
 
 
 def test_to_json_holds_no_chunk_list(g5_report):

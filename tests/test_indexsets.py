@@ -8,6 +8,7 @@ from thomae_lab import indexsets
 from thomae_lab.harness import SuiteConfig, _subsets, random_curve, run_suite
 from thomae_lab.indexsets import (
     finite_mask,
+    index_mask,
     index_masks,
     index_rows,
     index_set,
@@ -156,6 +157,28 @@ def test_masks_of_different_sizes_name_their_sizes():
     with pytest.raises(ValueError, match=r"\[1, 2\]"):
         index_rows(np.array([[0b1, 0b110]]))
     assert index_rows(np.array([0b110, 0b1010])).tolist() == [[1, 2], [1, 3]]
+
+
+def test_index_rows_are_the_set_bits_of_each_mask():
+    rng = np.random.default_rng(3)
+    wide = [int(index_masks(rng.choice(63, size=60, replace=False))) for _ in range(6)]
+    for masks in (np.array([0]), np.array([1 << i for i in range(63)]), np.array(wide),
+                  np.array(wide).reshape(2, 3), np.array([[0b1011, 1 << 62 | 0b101]])):
+        rows = index_rows(masks)
+        assert rows.dtype == np.int64 and rows.shape[:-1] == masks.shape
+        assert rows.reshape(masks.size, -1).tolist() == [members(m) for m in masks.ravel().tolist()]
+    assert index_rows(np.array([], dtype=np.int64)).shape == (0, 0)
+    with pytest.raises(ValueError, match=r"masks hold different numbers of indices: \[0, 1, 60\]"):
+        index_rows(np.array([wide[0], 0, 1 << 60]))
+
+
+def test_index_mask_is_index_masks_of_one_row():
+    rng = np.random.default_rng(4)
+    for size in range(8):
+        row = rng.choice(63, size=size, replace=False)
+        mask = index_mask(row)
+        assert type(mask) is int and mask == int(index_masks(row)) == index_mask(row.tolist())
+    assert index_mask(i for i in (3, 1)) == 0b1010 and index_mask(()) == 0
 
 
 def test_cached_rows_are_read_only():

@@ -111,24 +111,56 @@ def test_every_function_in_src_is_reached_by_a_run():
     assert not stale, f"listed as unreached, but reached or gone: {stale}"
 
 
-def test_records_are_built_only_by_make_records():
-    # one function owns the record table, its binding format and the
-    # precondition override; a record row is only ever a view of a table
-    callers = {"RecordTable": [], "VerificationRecord": []}
+def _found(match) -> list[str]:
+    """"module:qualified.name" of the function (or module) around every node
+    of src/ that ``match`` accepts, once per node."""
+    found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{where}{'.' if where[-1] != ':' else ''}{child.name}"
-            elif isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in callers:
-                    callers[name].append(where)
+            elif match(child):
+                found.append(where)
             visit(child, inner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), f"{path.stem}:")
-    assert callers == {"RecordTable": ["relations:make_records"],
-                       "VerificationRecord": ["relations:RecordTable.rows"]}
+    return found
+
+
+def _called(node, *names) -> bool:
+    """A call of a function or method with one of these names."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
+
+
+def test_records_are_built_only_by_make_records():
+    # one function owns the record table, its binding format and the
+    # precondition override; a record row is only ever a view of a table
+    assert _found(lambda node: _called(node, "RecordTable")) == ["relations:make_records"]
+    assert _found(lambda node: _called(node, "VerificationRecord")) == ["relations:RecordTable.rows"]
+
+
+def _is(node, op, right=None) -> bool:
+    """A binary operation ``op``, with the constant ``right`` on its right if given."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op) and (
+        right is None or isinstance(node.right, ast.Constant) and node.right.value == right)
+
+
+def test_masks_and_the_parity_rule_have_one_implementation_each():
+    # sum(1 << i for i in s) builds a mask only in indexsets.index_mask
+    def builds_mask(node):
+        arg = node.args[0] if _called(node, "sum") and node.args else None
+        return (isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and _is(arg.elt, ast.LShift)
+                and isinstance(arg.elt.left, ast.Constant) and arg.elt.left.value == 1)
+
+    # a size's parity is compared with (g + 1) % 2 only in characteristics.completed_part
+    def compares_parity(node):
+        sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        return any(_is(x, ast.Mod, 2) and _is(x.left, ast.Add, 1) for x in sides)
+
+    assert _found(builds_mask) == ["indexsets:index_mask"]
+    assert _found(compares_parity) == ["characteristics:completed_part"]

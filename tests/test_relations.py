@@ -12,8 +12,8 @@ from oracles import (
     replace,
 )
 from thomae_lab.context import CurveContext
-from thomae_lab.harness import DEFAULT_TOLERANCES, FAMILIES, SuiteConfig, _family_rng, _mask, random_curve
-from thomae_lab.indexsets import iset
+from thomae_lab.harness import DEFAULT_TOLERANCES, FAMILIES, SuiteConfig, _family_rng, random_curve
+from thomae_lab.indexsets import index_mask as _mask, iset
 from thomae_lab.relations import (
     _match_residuals,
     _predicted,

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_same_text
 from thomae_lab import harness
 from thomae_lab.harness import FAMILIES, Report, SuiteConfig, main, random_curve, run_suite
 from thomae_lab.relations import make_records
@@ -65,16 +66,6 @@ def rows_text(report: Report, include_timings: bool) -> str:
     passed = sum(r.passed for r in report.records)
     lines.append(f"summary: {passed} passed, {len(report.records) - passed} failed")
     return "\n".join(lines)
-
-
-def assert_same_text(got: str, want: str) -> None:
-    """Equal texts, or their first difference in a short window: pytest's
-    own diff of two texts of a megabyte takes minutes."""
-    if got != want:
-        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(got))
-        start = max(at - 300, 0)
-        pytest.fail(f"first difference at {at}:\n{got[start:at + 200]}\n---\n"
-                    f"{want[start:at + 200]}")
 
 
 def assert_same_reports(report: Report) -> None:

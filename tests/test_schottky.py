@@ -6,7 +6,7 @@ import pytest
 
 from oracles import parity, ref_char
 from thomae_lab.characteristics import _char, _table, char_of_set
-from thomae_lab.harness import _mask
+from thomae_lab.indexsets import index_mask as _mask
 from thomae_lab.schottky import (
     CASE_IDS,
     _F_CASES,

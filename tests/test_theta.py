@@ -633,7 +633,8 @@ def test_points_count_each_class_once_per_order(read):
 @pytest.mark.parametrize("order", [0, 3])
 def test_an_engine_factors_pi_im_tau_once(ctx, monkeypatch, order):
     # __init__, both truncation radii (R_3 and R_2), the lattice and every
-    # class enumerated at R_3 share one factor and one inverse
+    # class enumerated at R_3 share one factor; each width bound inverts it
+    # once: the lattice's, and at order 3 the R_3 check and the 16 classes'
     tau, calls = ctx(4).periods.tau, Counter()
     for name in ("cholesky", "inv"):
         def spy(*args, _name=name, _fn=getattr(np.linalg, name)):
@@ -642,9 +643,8 @@ def test_an_engine_factors_pi_im_tau_once(ctx, monkeypatch, order):
 
         monkeypatch.setattr(np.linalg, name, spy)
     theta_module._factor_of.cache_clear()
-    theta_module._inverse_norm.cache_clear()
     ThetaEngine(tau, order=order).values(np.arange(4**4), order)
-    assert calls == {"cholesky": 1, "inv": 1}, calls
+    assert calls == {"cholesky": 1, "inv": 1 if order == 0 else 2 + 2**4}, calls
 
 
 def test_int16_bound_is_checked_on_r_k_before_any_enumeration(monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 
 from oracles import complement_finite, drop, enumerate_partitions, vandermonde
 from thomae_lab.characteristics import char_of_set, mask_chars
-from thomae_lab.harness import FAMILIES, _mask, main
-from thomae_lab.indexsets import iset
+from thomae_lab.harness import FAMILIES, main
+from thomae_lab.indexsets import index_mask as _mask, iset
 from thomae_lab.theta import ThetaEngine
 from thomae_lab.thomae import (
     calibrate_phases,

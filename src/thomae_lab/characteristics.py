@@ -25,9 +25,11 @@ multiplicity-1 characteristics are odd and [K] at genus 2 is odd.
 Representation: a characteristic is its genus plus one 2g-bit int (eps high,
 eps' low); the sum of characteristics is XOR and the parity a popcount.
 [I] XOR-folds a per-genus table of [eps_k] (Mumford's eta-map, *Tata
-Lectures on Theta II*, ch. IIIa).  The batched relation families index
-:func:`mask_chars`, one characteristic per (2g+2)-bit index mask, so
-[I^{(a -> b)}] is a table lookup at I ^ a ^ b.
+Lectures on Theta II*, ch. IIIa) once, in :func:`mask_chars`, one
+characteristic per (2g+2)-bit index mask, so [I^{(a -> b)}] is a table
+lookup at I ^ a ^ b; :func:`char_of_set` reads it too.  An index set enters
+through one door, ``indexsets.index_mask``, and one genus check (indices in
+0..2g+1).
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def _table(g: int) -> tuple[tuple[int, ...], int]:
 def mask_chars(g: int) -> np.ndarray:
     """Bits of [I] for every index mask I (bit i is index i, 0 = infinity).
 
-    Entry I is [K] XOR-folded with [eps_i] over the set bits of I, as
-    :func:`char_of_set` folds; 2^(2g+2) entries, read-only.
+    Entry I is [K] XOR-folded with [eps_i] over the set bits of I, the only
+    such fold; 2^(2g+2) entries, read-only.
     """
     branch, k_bits = _table(g)
     out = np.array([k_bits], dtype=np.intp)
@@ -110,12 +112,7 @@ class Partition:
         """The canonical partition of an index set.  Also a traced entry
         point of the benchmark (bench/layers.py): ``characteristics.self_s``
         and ``characteristics.calls`` count its calls."""
-        mask = 0
-        for i in indices:
-            if not 0 <= i <= 2 * g + 1:
-                raise ValueError(f"index {i} out of range 0..{2 * g + 1}")
-            mask |= 1 << i
-        return _partition(g, mask)
+        return _partition(g, _set_mask(g, indices))
 
     def __post_init__(self):
         g = self.genus
@@ -137,7 +134,6 @@ class Partition:
         return "{" + ",".join(map(str, self.part)) + "}"
 
 
-@lru_cache(maxsize=None)
 def _partition(g: int, mask: int) -> Partition:
     """Canonical partition of the index set whose bit i is index i (0 = infinity)."""
     mask = completed_part(g, mask)[0]
@@ -166,12 +162,15 @@ def char_of_set(g: int, indices: Iterable[int]) -> HalfCharacteristic:
     :meth:`CurveContext.deriv`; the benchmark (bench/layers.py) patches it
     where ``context`` imports it, and ``characteristics.self_s`` and
     ``characteristics.calls`` count its calls."""
-    branch, bits = _table(g)
-    for i in indices:
-        if not 0 <= i <= 2 * g + 1:
-            raise ValueError(f"branch index {i} out of range 0..{2 * g + 1}")
-        bits ^= branch[i]
-    return _char(g, bits)
+    return _char(g, int(mask_chars(g)[_set_mask(g, indices)]))
+
+
+def _set_mask(g: int, indices: Iterable[int]) -> int:
+    """The checked mask of an index set of genus g: indices in 0..2g+1."""
+    mask = index_mask(indices)
+    if mask >> 2 * g + 2:
+        raise ValueError(f"index {mask.bit_length() - 1} out of range 0..{2 * g + 1}")
+    return mask
 
 
 def part_sizes(g: int, m: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .characteristics import Partition, char_of_set, mask_chars
+from .characteristics import char_of_set, mask_chars
 from .curve import CurveSpec
 from .periods import PeriodData, compute_periods
 from .theta import DEFAULT_TOL, DerivThetaTensor, ThetaEngine
@@ -57,9 +57,6 @@ class CurveContext:
         """(det omega / pi^g)^{1/2}, the curve's factor in every Thomae right side."""
         det = complex(np.linalg.det(self.periods.omega))
         return cmath.sqrt(det / math.pi**self.g)
-
-    def partition(self, indices: Iterable[int]) -> Partition:
-        return Partition.from_set(self.g, indices)
 
     def derivs(self, masks: np.ndarray, order: int) -> np.ndarray:
         """Order-m derivative tensors of theta[I] at 0 for an int array of

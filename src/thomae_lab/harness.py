@@ -544,9 +544,8 @@ def _gradn_bindings(g, cfg, rng):
     for r in range(2, min(4, g) + 1):
         for _ in range(3):
             chosen = np.sort(rng.choice(2 * g + 2, size=(g - r) + (2 * r - 1), replace=False))
-            j_set = [x for x in range(1, 2 * g + 2) if x not in chosen]
-            rows.append([index_mask(chosen[: g - r]), index_mask(chosen[g - r :]),
-                         j_set[0], j_set[1]])
+            i_mask, b_mask = index_mask(chosen[: g - r]), index_mask(chosen[g - r :])
+            rows.append([i_mask, b_mask, *low_indices(finite_mask(g) & ~(i_mask | b_mask), 2)])
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
@@ -563,27 +562,24 @@ def _rank_bindings(g, cfg, rng):
         idx = rng.choice(len(parts), size=size, replace=False)
         rows.append([0] + [parts[i] for i in idx] + [-1] * (width - size))
     if g >= 4:
-        shared = tuple(range(1, g - 1))
-        fam = [shared + (g - 1 + i,) for i in range(3)]
-        fam.append(tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):]))
-        rows.append([1] + [index_mask(s) for s in fam] + [-1] * (width - len(fam)))
+        shared = (1 << g - 1) - 2  # {1..g-2}; the last set is {g+3..2g+1}
+        fam = [shared | 1 << g - 1 + i for i in range(3)] + [(1 << 2 * g + 2) - (1 << g + 3)]
+        rows.append([1] + fam + [-1] * (width - len(fam)))
     return np.array(rows, dtype=np.int64)
 
 
 def _hess_equiv_bindings(g, cfg, rng):
     # rows [I0_a K_a j_m j_n  I0_b K_b j_m j_n], the index sets as masks
-    fin = list(range(1, 2 * g + 2))
     rows = []
     # |K| = 4 equivalence needs five spare indices
     for ksize, count in ((3, min(cfg.cap // 25, 20)), (4, min(cfg.cap // 50, 10))):
         if ksize > g:
             break
         for _ in range(count):
-            pick = sorted(rng.choice(len(fin), size=g + 1, replace=False))
-            chosen = [fin[i] for i in pick]
+            chosen = np.sort(rng.choice(2 * g + 1, size=g + 1, replace=False)) + 1
             i_mask, ps = index_mask(chosen[: g - ksize]), chosen[g - ksize:]
-            ka, kb = index_mask(ps[:ksize]), index_mask(ps[: ksize - 1] + ps[ksize:])
-            jc = [j for j in fin if j not in chosen][:2]
+            ka, kb = index_mask(ps[:ksize]), index_mask(np.delete(ps, ksize - 1))
+            jc = low_indices(finite_mask(g) ^ (i_mask | ka | kb), 2)
             rows.append([i_mask | ka, ka, *jc, i_mask | kb, kb, *jc])
     return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
@@ -617,13 +613,11 @@ def _rj_det_bindings(g, cfg, rng):
 
 def _schottky_r_bindings(g, cfg, rng):
     # rows [I0 K j_m j_n], K four indices of I0
-    fin = list(range(1, 2 * g + 2))
     rows = []
     for _ in range(min(cfg.cap // 25, 20)):
-        pick = sorted(rng.choice(len(fin), size=g, replace=False))
-        i0 = [fin[i] for i in pick]
-        ps = rng.choice(i0, size=4, replace=False)
-        rows.append([index_mask(i0), index_mask(ps), *[j for j in fin if j not in i0][:2]])
+        i0 = np.sort(rng.choice(2 * g + 1, size=g, replace=False)) + 1
+        i0_mask, ps = index_mask(i0), rng.choice(i0, size=4, replace=False)
+        rows.append([i0_mask, index_mask(ps), *low_indices(finite_mask(g) ^ i0_mask, 2)])
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 

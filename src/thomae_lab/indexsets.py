@@ -1,10 +1,11 @@
 """Small helpers for the index-set bookkeeping of the relations.
 
-Sets are sorted tuples of branch indices (0 = infinity).  Binding rows and
-array code hold a set as its bit mask (bit i = index i).  Masks are built
-in one place, :func:`index_mask` for one set and :func:`index_masks` for the
-index rows of an array, and read in one: :func:`low_indices` gives the k
-smallest indices of each mask of an array, and :func:`index_rows` is
+Sets are sorted tuples of distinct branch indices (0 = infinity).  Binding
+rows and array code hold a set as its bit mask (bit i = index i).  Masks are
+built in one place, :func:`index_mask` for one set, the one checked door (a
+negative or repeated index raises ``ValueError``), and :func:`index_masks`
+for the index rows of an array, and read in one: :func:`low_indices` gives
+the k smallest indices of each mask of an array, and :func:`index_rows` is
 :func:`low_indices` at the masks' common size.  :func:`index_set` turns one
 mask into its tuple, and :func:`finite_mask` is the set of all finite
 indices, the universe of every complement J = finite ^ I.
@@ -33,10 +34,7 @@ IndexSet = tuple[int, ...]
 
 
 def iset(indices: Iterable[int]) -> IndexSet:
-    t = tuple(sorted(indices))
-    if len(set(t)) != len(t):
-        raise ValueError(f"duplicate indices in {t}")
-    return t
+    return index_set(index_mask(indices))
 
 
 def finite_mask(g: int) -> int:
@@ -78,8 +76,14 @@ def low_indices(masks, k: int) -> np.ndarray:
 
 
 def index_mask(indices: Iterable[int]) -> int:
-    """Bit mask of one index set."""
-    return sum(1 << int(i) for i in indices)
+    """Bit mask of one index set; a negative or repeated index raises."""
+    t = tuple(map(int, indices))
+    if min(t, default=0) < 0:
+        raise ValueError(f"negative index in {t}")
+    mask = sum(1 << i for i in t)
+    if mask.bit_count() != len(t):
+        raise ValueError(f"duplicate indices in {tuple(sorted(t))}")
+    return mask
 
 
 def index_masks(idx: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ all kappa bindings are ascending; signs alternate in ascending set order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -694,7 +694,7 @@ def rj_det_batch(ctx: CurveContext, binds: np.ndarray,
     j0 = finite_mask(g) ^ i0
     # column i of each matrix is the gradient of theta[I0^{(i)}]
     lhs = np.linalg.det(np.swapaxes(ctx.grads(i0[:, None] ^ (1 << index_rows(i0))), 1, 2))
-    rhs = (-np.pi) ** g * ctx.consts(i0)
-    for j in range(1, 2 * g + 2):  # the factors of j in J0, in ascending order
-        rhs = np.where(j0 >> j & 1, rhs * ctx.consts(j0 ^ 1 << j), rhs)
+    # the factors theta[J0^{(j)}], j in J0 ascending, multiplied in that order
+    factors = ctx.consts(j0[:, None] ^ (1 << index_rows(j0)))
+    rhs = reduce(np.multiply, factors.T, (-np.pi) ** g * ctx.consts(i0))
     return make_records("RJ_DET", _match_residuals(lhs, rhs), tol["RJ_DET"], masks=("I0",), I0=i0)

@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .characteristics import _char, completed_part, mask_chars
+from .characteristics import _char, _partition, completed_part, mask_chars
 from .context import CurveContext
 from .indexsets import finite_mask, index_mask, index_masks, index_rows, index_set, low_indices
 from .relations import DEFAULT_TOLERANCES, RecordTable, general_r_tensor, make_records
@@ -86,7 +86,7 @@ def coset_products(ctx: CurveContext, gens: np.ndarray, reps: np.ndarray) -> np.
     bad = completed_part(ctx.g, members)[1] != 0
     if np.any(bad):
         first = int(members[bad][0])
-        part = ctx.partition(index_set(first))
+        part = _partition(ctx.g, first)
         char = _char(ctx.g, int(mask_chars(ctx.g)[first]))
         raise ValueError(
             f"coset member {part} (char {char}) has multiplicity "

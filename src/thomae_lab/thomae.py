@@ -48,6 +48,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .characteristics import Partition
 from .context import CurveContext
 from .indexsets import finite_mask, index_mask, index_rows, iset
 
@@ -78,7 +79,7 @@ def first_thomae_rhs(ctx: CurveContext, i0: Iterable[int]) -> complex:
     """(det omega/pi^g)^{1/2} Delta(I_0)^{1/4} Delta(J_0)^{1/4}, whose phase
     relative to theta[I_0] is +1."""
     i0 = iset(i0)
-    if ctx.partition(i0).multiplicity() != 0:
+    if Partition.from_set(ctx.g, i0).multiplicity() != 0:
         raise ValueError(f"{i0} is not a multiplicity-0 index set")
     if len(i0) != ctx.g or 0 in i0:
         raise ValueError("first Thomae expects the g finite indices of I_0")

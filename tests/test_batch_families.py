@@ -41,7 +41,7 @@ from thomae_lab import harness
 from thomae_lab import relations as rel
 from thomae_lab import schottky as sch
 from thomae_lab import thomae
-from thomae_lab.characteristics import _char, _table, char_of_set, mask_chars
+from thomae_lab.characteristics import Partition, _char, _table, char_of_set, mask_chars
 from thomae_lab.context import CurveContext
 from thomae_lab.harness import (
     FAMILIES,
@@ -497,7 +497,7 @@ def oracle_hessian_rank(
 ) -> VerificationRecord:
     """Rank of the Hessian of a multiplicity-2 characteristic: exactly 3 for
     g > 3 (sigma_4/sigma_1 < tol, sigma_3/sigma_1 > 1e-6), full at g = 3."""
-    part = ctx.partition(i2)
+    part = Partition.from_set(ctx.g, i2)
     if part.multiplicity() != 2:
         raise ValueError(f"{tuple(i2)} is not a multiplicity-2 index set")
     h = ctx.deriv(part.part, 2).entries
@@ -539,7 +539,7 @@ def oracle_rj_det(
     """det(grad theta[I0^{(i)}], i in I0) = (-pi)^g theta[I0] *
     prod_{j in J0} theta[J0^{(j)}], the sign (-1)^g predicted."""
     i0 = iset(i0)
-    if len(i0) != ctx.g or 0 in i0 or ctx.partition(i0).multiplicity() != 0:
+    if len(i0) != ctx.g or 0 in i0 or Partition.from_set(ctx.g, i0).multiplicity() != 0:
         raise ValueError("I_0 must be a multiplicity-0 set of g finite indices")
     j0 = complement_finite(ctx.spec.n_finite, i0)
     mat = np.stack([ctx.grads(_mask(drop(i0, i))) for i in i0], axis=1)
@@ -588,7 +588,7 @@ def oracle_thomae2(ctx: CurveContext, i1: IndexSet, tolerance: float = 1e-6) -> 
     second Thomae form (the general one with the first two finite indices
     of the complement as K when the part holds infinity), times the
     predicted phase -1."""
-    a = ctx.partition(i1).part
+    a = Partition.from_set(ctx.g, i1).part
     lhs = ctx.grads(_mask(i1))
     if len(a) == ctx.g - 1:
         rhs = _prefactor(ctx, a) * _s_vector(ctx, a)
@@ -643,7 +643,7 @@ def oracle_rank(
     the combinatorial prediction; the degenerate family must have rank 3."""
     parts, rows = [], []
     for s in sets:
-        p = ctx.partition(s)
+        p = Partition.from_set(ctx.g, s)
         parts.append(frozenset(p.full_part()))
         rows.append(ctx.grads(_mask(p.part)))
     dedup = list(dict.fromkeys(parts))
@@ -689,7 +689,7 @@ def _coset_powers(ctx: CurveContext, generators, a_sets) -> tuple[list, list]:
     for a in a_sets:
         prod = 1.0 + 0j
         for el in elements:
-            p = ctx.partition((frozenset(a) - {0}) ^ el)
+            p = Partition.from_set(ctx.g, (frozenset(a) - {0}) ^ el)
             assert p.multiplicity() == 0, p
             prod *= ctx.const(p.part)
         r.append(complex(prod) ** exponent)
@@ -940,14 +940,18 @@ def test_gradn_kernel_gives_grad3_and_grad4(random_ctx, g):
             assert a.residual == b.residual, b.bindings
 
 def test_mask_table_matches_char_of_set():
+    # char_of_set reads the table, so the entries are checked against the
+    # eta-map fold of _table's rows as well
     for g in range(1, 6):
         table = mask_chars(g)
+        branch, k_bits = _table(g)
         n = 2 * g + 2
         assert len(table) == 1 << n
         assert not table.flags.writeable
         for mask in range(1 << n):
-            want = char_of_set(g, [i for i in range(n) if mask >> i & 1]).bits
-            assert table[mask] == want, (g, mask)
+            s = [i for i in range(n) if mask >> i & 1]
+            want = reduce(lambda bits, i: bits ^ branch[i], s, k_bits)
+            assert table[mask] == want == char_of_set(g, s).bits, (g, mask)
 
 
 # --- unranked enumerations --------------------------------------------------

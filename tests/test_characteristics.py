@@ -21,7 +21,8 @@ from thomae_lab.characteristics import (
     part_sizes,
 )
 from thomae_lab.harness import _partition_masks
-from thomae_lab.indexsets import index_mask as _mask, index_set
+from thomae_lab.indexsets import index_mask as _mask, index_set, iset
+from thomae_lab.thomae import first_thomae_rhs
 
 
 def _branch(g, k):
@@ -240,6 +241,30 @@ def test_equal_characteristics_share_hash():
 def test_inputs_are_still_checked(call):
     with pytest.raises(ValueError):
         call()
+
+
+# every entry point from an index set to a mask, characteristic or partition
+_DOORS = {
+    "index_mask": lambda c, s: _mask(s),
+    "iset": lambda c, s: iset(s),
+    "char_of_set": lambda c, s: char_of_set(c.g, s),
+    "Partition.from_set": lambda c, s: Partition.from_set(c.g, s),
+    "CurveContext.const": lambda c, s: c.const(s),
+    "CurveContext.deriv": lambda c, s: c.deriv(s, 1),
+    "first_thomae_rhs": first_thomae_rhs,
+}
+_BAD_SETS = {(1, 1): r"duplicate indices in \(1, 1\)", (-1,): r"negative index in \(-1,\)",
+             (2, 8): r"index 8 out of range 0\.\.7"}  # 8 = 2g + 2 at g = 3
+
+
+@pytest.mark.parametrize("door, bad", [
+    pytest.param(door, bad, id=f"{door}-{'_'.join(map(str, bad))}")
+    for door in _DOORS for bad in _BAD_SETS
+    if bad != (2, 8) or door not in ("index_mask", "iset")  # these two know no genus
+])
+def test_every_door_refuses_a_bad_set_with_one_message(ctx, door, bad):
+    with pytest.raises(ValueError, match=_BAD_SETS[bad]):
+        _DOORS[door](ctx(3), bad)
 
 
 def _check_completed(g: int, mask: int, full: int, m: int) -> None:

@@ -151,16 +151,35 @@ def _is(node, op, right=None) -> bool:
 
 
 def test_masks_and_the_parity_rule_have_one_implementation_each():
-    # sum(1 << i for i in s) builds a mask only in indexsets.index_mask
+    # sum(1 << i for i in s) builds a mask only in indexsets.index_mask, the
+    # one checked door from an index set to a mask, and no other function
+    # builds one with a loop of mask |= 1 << i
     def builds_mask(node):
         arg = node.args[0] if _called(node, "sum") and node.args else None
         return (isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and _is(arg.elt, ast.LShift)
                 and isinstance(arg.elt.left, ast.Constant) and arg.elt.left.value == 1)
+
+    def ors_a_bit(node):
+        return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+                and _is(node.value, ast.LShift) and isinstance(node.value.left, ast.Constant)
+                and node.value.left.value == 1)
+
+    # the eta map is folded (^=) over _table's rows only in characteristics.mask_chars
+    def xor_folds(node):
+        return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor)
+
+    # no row is searched for its members among the finite indices 1..2g+1
+    def walks_finite(node):
+        return _called(node, "range") and ast.unparse(node) == "range(1, 2 * g + 2)"
 
     # a size's parity is compared with (g + 1) % 2 only in characteristics.completed_part
     def compares_parity(node):
         sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
         return any(_is(x, ast.Mod, 2) and _is(x.left, ast.Add, 1) for x in sides)
 
+    table_folds = set(_found(xor_folds)) & set(_found(lambda node: _called(node, "_table")))
     assert _found(builds_mask) == ["indexsets:index_mask"]
+    strays = sorted({*(set(_found(ors_a_bit)) - {"indexsets:index_mask"}),
+                     *(table_folds - {"characteristics:mask_chars"}), *_found(walks_finite)})
+    assert not strays, strays
     assert _found(compares_parity) == ["characteristics:completed_part"]

@@ -115,17 +115,11 @@ class Partition:
         return _partition(g, _set_mask(g, indices))
 
     def __post_init__(self):
-        g = self.genus
-        if self.part != tuple(sorted(set(self.part))):
-            raise ValueError("part must be a sorted duplicate-free tuple")
-        if self.part and not (1 <= self.part[0] and self.part[-1] <= 2 * g + 1):
-            raise ValueError("part indices out of range")
-        if len(self.full_part()) > g + 1:
+        mask = _set_mask(self.genus, self.part)
+        if self.part != index_set(mask & ~1):
+            raise ValueError(f"part {self.part} is not ascending without index 0")
+        if completed_part(self.genus, mask)[1] < 0:
             raise ValueError("part is not the smaller side of its partition")
-
-    def full_part(self) -> tuple[int, ...]:
-        """The part with the infinity index made explicit (as 0)."""
-        return index_set(completed_part(self.genus, index_mask(self.part))[0])
 
     def multiplicity(self) -> int:
         return completed_part(self.genus, index_mask(self.part))[1]

@@ -161,7 +161,7 @@ class Report:
     def records(self) -> list[VerificationRecord]:
         """Every record as a row, in run order, built on each call: the
         report itself reads the tables."""
-        return [rec for table in self.tables for rec in table]
+        return [rec for table in self.tables for rec in table.rows()]
 
     def summary(self) -> dict:
         ok = sum(int(np.count_nonzero(table.passed)) for table in self.tables)
@@ -230,7 +230,7 @@ class Report:
             if include_timings and fam in self.timings:
                 line += f"  [{self.timings[fam]:.2f}s]"
             lines.append(line)
-            for r in (t[i] for t, i in fails[:5]):
+            for r in (next(t.rows([i])) for t, i in fails[:5]):
                 lines.append(f"      failed {r.bindings} residual={r.residual:.3e} {r.notes}")
         s = self.summary()
         lines.append(f"summary: {s['pass']} passed, {s['fail']} failed")

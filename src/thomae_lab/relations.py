@@ -156,7 +156,7 @@ class RecordTable:
     ``relation_id`` and ``notes`` one value for all rows or a list of one
     per row, ``residual`` and ``tolerance`` float arrays, and the binding
     ``slots`` in order, those named in ``masks`` holding index masks.  Its
-    rows, by iteration or index, are :class:`VerificationRecord` views."""
+    rows are :class:`VerificationRecord` views, read through :meth:`rows`."""
 
     relation_id: str | list
     slots: dict
@@ -193,20 +193,16 @@ class RecordTable:
             return index_set(key)
         return tuple(index_set(m) for m in key if m != -1)
 
-    def rows(self, at: Iterable[int]) -> Iterator[VerificationRecord]:
+    def rows(self, at: Iterable[int] | None = None) -> Iterator[VerificationRecord]:
+        """The rows at the given positions, every row by default, in order:
+        the one reader of rows."""
         ids, notes = (self.column(v) for v in (self.relation_id, self.notes))
         slots = [(name, self.column(values)) for name, values in self.slots.items()]
-        for i in at:
+        for i in range(len(self)) if at is None else at:
             binds = {name: value for name, keys in slots
                      if (value := self.bound(name, keys[i])) is not None}
             yield VerificationRecord(ids[i], binds, float(self.residual[i]),
                                      float(self.tolerance[i]), notes[i])
-
-    def __iter__(self) -> Iterator[VerificationRecord]:
-        return self.rows(range(len(self)))
-
-    def __getitem__(self, i: int) -> VerificationRecord:
-        return next(self.rows([range(len(self))[i]]))
 
 
 def make_records(kind, residual, tolerance, notes="", precondition_failed=None, masks=(),

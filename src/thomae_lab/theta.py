@@ -41,11 +41,13 @@ gives the moments of the full class (less one origin term, m = 1, for
 eps' = 0 and k = 0).  A 2^g x 2^g Hadamard product (+-1 entries
 (-1)^{popcount(eps & bin)}) turns the bins into the values for all 2^g eps
 at once.  The engine keeps one store per derivative order, (table, built):
-the table has row eps << g | eps' (the characteristic's bits) for every
-characteristic, so a class's rows lie at stride 2^g, and one column per
-sorted multi-index, and built marks the classes whose rows are filled.
-One gather, :meth:`ThetaEngine.values`, serves every reader, and builds a
-class the first time one of its rows is read, with one batched Hadamard
+the table has one row per characteristic, in class order (row
+eps' << g | eps, so a class's 2^g rows are contiguous and building a class
+makes only its own pages of the table resident), and one column per sorted
+multi-index; built marks the classes whose rows are filled.  One gather,
+:meth:`ThetaEngine.values`, serves every reader: it swaps the halves of the
+bits eps << g | eps' it is given into rows, and builds a class the first
+time one of its rows is read, with one batched Hadamard
 product for every class a read adds (:meth:`ThetaEngine._build`).  The
 engine is built for a highest derivative order k (4 by default) and refuses
 any order above k, whose tail R_k would cut short.  Orders 0, 1 and 2,
@@ -458,9 +460,9 @@ class ThetaEngine:
             bins[filled] = np.add.reduceat(self._m, starts[filled])
         else:
             bins = np.stack([self._class_bins(e, order) for e in eps_prime.tolist()])
-        # T[e, eps] goes to row eps << g | eps'
-        table.reshape(2**g, 2**g, -1)[:, eps_prime] = self._transform(
-            bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order).swapaxes(0, 1)
+        # T[e, eps] goes to row eps' << g | eps: a class's rows are contiguous
+        table.reshape(2**g, 2**g, -1)[eps_prime] = self._transform(
+            bins.reshape(len(eps_prime), 2**g, -1), eps_prime, order)
         built[eps_prime] = True
 
     def _class_bins(self, eps_prime: int, order: int) -> np.ndarray:
@@ -518,8 +520,9 @@ class ThetaEngine:
             new = np.flatnonzero(new & ~built)
             if len(new):
                 self._build(order, new)
-        # a C-contiguous gather, as the families' sums expect
-        out = (table[:, 0] if order == 0 else table)[chars]
+        # a C-contiguous gather, as the families' sums expect, of the class-order rows
+        rows = (chars & (1 << g) - 1) << g | chars >> g
+        out = (table[:, 0] if order == 0 else table)[rows]
         if order < 2:
             return out
         return np.take(out, _layout(g, order)[2], axis=-1).reshape(chars.shape + (g,) * order)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import records
 from thomae_lab.context import CurveContext
 from thomae_lab.curve import validate_curve
 from thomae_lab.harness import random_curve
@@ -84,6 +85,7 @@ def one():
 
     def run(verify, ctx, *parts, **kw):
         row = [sum(1 << i for i in p) if isinstance(p, tuple) else p for p in parts]
-        return verify(ctx, np.array([row], dtype=np.int64), **kw)[0]
+        (rec,) = records(verify(ctx, np.array([row], dtype=np.int64), **kw))
+        return rec
 
     return run

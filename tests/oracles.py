@@ -13,7 +13,9 @@ same algebra, kept here as independent oracles for its tests:
   notation of the paper; :func:`ref_char`, [I] XOR-folded entrywise from
   the branch-point table; :func:`char_tuples` and :func:`parity`;
 - :func:`enumerate_partitions`, the list of all canonical partitions of a
-  multiplicity, the list-based form of ``harness._partition_masks``;
+  multiplicity, the list-based form of ``harness._partition_masks``, and
+  :func:`full_part`, a partition's part with infinity made explicit, the
+  tuple form of ``characteristics.completed_part``;
 - :func:`ref_collection_rank`, the combinatorial rank of one collection of
   parts by a search over frozensets, the set form of
   ``relations.predicted_collection_rank``;
@@ -21,7 +23,9 @@ same algebra, kept here as independent oracles for its tests:
   the fixed sheet;
 - :func:`segment_integrals_loop`, the period quadrature one segment and
   one branch point at a time;
-- :func:`gauss_legendre_exact`, the Gauss-Legendre rule to about 48 digits.
+- :func:`gauss_legendre_exact`, the Gauss-Legendre rule to about 48 digits;
+- :func:`records`, the rows of a record table as a list, the one way the
+  tests read a verifier's records one by one.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from thomae_lab.characteristics import HalfCharacteristic, Partition
 from thomae_lab.curve import CurveSpec
 from thomae_lab.indexsets import IndexSet, iset
+from thomae_lab.relations import RecordTable, VerificationRecord
 
 
 def drop(s: Iterable[int], *gone: int) -> IndexSet:
@@ -191,6 +196,12 @@ def enumerate_partitions(g: int, m: int) -> list[Partition]:
             for t in combinations(range(1, 2 * g + 2), size)]
 
 
+def full_part(p: Partition) -> IndexSet:
+    """The stored part of a partition with the infinity index made explicit
+    (as 0): infinity joins a part whose size is not congruent to g + 1 mod 2."""
+    return (0,) + p.part if len(p.part) % 2 != (p.genus + 1) % 2 else p.part
+
+
 def ref_collection_rank(g: int, full_parts: Sequence[frozenset]) -> int:
     """Combinatorial rank: the largest subcollection whose every
     subfamily F satisfies |F| <= g - |intersection of F| is independent."""
@@ -308,3 +319,8 @@ def gauss_legendre_exact(n: int, bits: int = 160):
         nodes = [-v for v in x] + x[::-1][n % 2:]
     weights = w + w[::-1][n % 2:]
     return nodes, weights
+
+
+def records(table: RecordTable) -> list[VerificationRecord]:
+    """Every row of a record table, in order, through its one row view."""
+    return list(table.rows())

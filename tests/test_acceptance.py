@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import complement_finite, enumerate_partitions, parity
+from oracles import complement_finite, enumerate_partitions, parity, records
 from thomae_lab.characteristics import char_of_set
 from thomae_lab.context import CurveContext
 from thomae_lab.harness import SuiteConfig, random_curve, run_suite
@@ -295,10 +295,10 @@ def test_criterion_08_grad34_and_rank(announce, ctx, one):
             size = int(rng.integers(2, min(g + 3, 7)))
             idx = rng.choice(len(parts), size=size, replace=False)
             rows.append([0] + [parts[i] for i in idx] + [-1] * (6 - size))
-        mismatches += sum(rec.residual != 0.0 for rec in rank_batch(c, np.array(rows)))
+        mismatches += sum(rec.residual != 0.0 for rec in records(rank_batch(c, np.array(rows))))
     c4 = ctx(4)
-    deg = rank_batch(c4, np.array([[1] + [_mask(s) for s in
-                                          ((1, 2, 3), (1, 2, 4), (1, 2, 5), (7, 8, 9))]]))[0]
+    (deg,) = records(rank_batch(c4, np.array([[1] + [_mask(s) for s in
+                                                  ((1, 2, 3), (1, 2, 4), (1, 2, 5), (7, 8, 9))]])))
     obs = int(deg.notes.split("observed ")[1].split(",")[0])
     degenerate_ok = deg.residual == 0.0 and obs == 3
     ok = worst < 1e-8 and mismatches == 0 and degenerate_ok
@@ -401,7 +401,7 @@ def test_criterion_12_schottky(announce, ctx):
     for c, i0 in ((c4, (1, 2, 3, 4)), (c4, (2, 4, 6, 8)), (c5, (1, 3, 5, 7, 9))):
         j0 = complement_finite(c.spec.n_finite, i0)
         ps = i0[:4]
-        recs = schottky_r_batch(c, np.array([[_mask(i0), _mask(ps), *j0[:2]]]))
+        recs = records(schottky_r_batch(c, np.array([[_mask(i0), _mask(ps), *j0[:2]]])))
         worst_r = max(worst_r, recs[0].residual)
         worst_det = max(worst_det, recs[1].residual)
     cases = {
@@ -414,7 +414,7 @@ def test_criterion_12_schottky(announce, ctx):
     for g, ids in cases.items():
         c = ctx(g)
         for cid in ids:
-            rec = appendix_f_batch(c, np.array([[CASE_IDS.index(cid)]]))[0]
+            (rec,) = records(appendix_f_batch(c, np.array([[CASE_IDS.index(cid)]])))
             worst_f = max(worst_f, rec.residual)
     ok = exact_ok and worst_r < 1e-8 and worst_det < 1e-10 and worst_f < 1e-7
     report(

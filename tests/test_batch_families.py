@@ -32,7 +32,9 @@ from oracles import (
     drop,
     elementary_symmetric_all,
     enumerate_partitions,
+    full_part,
     ordered_diff_product,
+    records,
     ref_collection_rank,
     replace,
     vandermonde,
@@ -644,7 +646,7 @@ def oracle_rank(
     parts, rows = [], []
     for s in sets:
         p = Partition.from_set(ctx.g, s)
-        parts.append(frozenset(p.full_part()))
+        parts.append(frozenset(full_part(p)))
         rows.append(ctx.grads(_mask(p.part)))
     dedup = list(dict.fromkeys(parts))
     sv = np.linalg.svd(np.stack([rows[parts.index(p)] for p in dedup]), compute_uv=False)
@@ -909,7 +911,7 @@ def test_batch_records_equal_oracle(random_ctx, g, name):
         rec = ORACLES[name](ctx, *args, **tols, **kw)
         want.extend(rec if isinstance(rec, list) else [rec])
     assert len(batch) == len(want) >= len(rows) > 0
-    for got, rec in zip(batch, want):
+    for got, rec in zip(records(batch), want):
         notes = [_NUMBER.sub("#", r.notes) if r.relation_id in ROUNDED_NOTES else r.notes
                  for r in (got, rec)]
         assert (got.relation_id, got.bindings, notes[0], got.passed, got.tolerance) == \
@@ -932,8 +934,8 @@ def test_gradn_kernel_gives_grad3_and_grad4(random_ctx, g):
             canonical = [[_mask(_set(b)[a] for a in pair) for pair in rel.GRAD4_PAIRS]
                          for b in rows[:, 1].tolist()]
             rows = rows[(rows[:, 4:] == canonical).all(axis=1)]
-        want = FAMILIES[name].verify(ctx, rows)
-        got = rel.gradn_batch(ctx, rows[:, :4])
+        want = records(FAMILIES[name].verify(ctx, rows))
+        got = records(rel.gradn_batch(ctx, rows[:, :4]))
         assert len(got) == len(want) > 0
         assert {rec.bindings["r"] for rec in got} == {(nk + 1) // 2}
         for a, b in zip(got, want):
@@ -1195,10 +1197,10 @@ def test_thomaeg_builds_two_tensors_per_record(ctx, monkeypatch):
     c = ctx(5)
     cfg = SuiteConfig(spec=c.spec, cap=100, seed=1)
     family = FAMILIES["THOMAEG"]
-    records = family(c, cfg, family.bindings(c.g, cfg, _family_rng(cfg, "THOMAEG")))
-    assert records and all(r.passed for r in records)
-    assert len(rows) == len(set(rows)) == 2 * len(records)
-    groups = {(len(r.bindings["Im"]), r.bindings["m"]) for r in records}
+    recs = records(family(c, cfg, family.bindings(c.g, cfg, _family_rng(cfg, "THOMAEG"))))
+    assert recs and all(r.passed for r in recs)
+    assert len(rows) == len(set(rows)) == 2 * len(recs)
+    groups = {(len(r.bindings["Im"]), r.bindings["m"]) for r in recs}
     assert len(calls) == 2 * len(groups)
 
 
@@ -1219,15 +1221,15 @@ def test_thomae1_records_equal_oracle(random_ctx, g, cap):
     # the sampler THOMAE1 used while it ran one binding at a time
     rows = _i0_splits(g, 0, _picker(_family_rng(cfg, "THOMAE1"), cap))
     family = FAMILIES["THOMAE1"]
-    records = family(ctx, cfg, family.bindings(g, cfg, _family_rng(cfg, "THOMAE1")))
-    assert len(records) == len(rows) == min(cap, math.comb(2 * g + 1, g))
+    recs = records(family(ctx, cfg, family.bindings(g, cfg, _family_rng(cfg, "THOMAE1"))))
+    assert len(recs) == len(rows) == min(cap, math.comb(2 * g + 1, g))
     # the ratio kernel over every I_0 in combinations order, looked up per
     # characteristic
     sets = list(combinations(range(1, 2 * g + 2), g))
     ratios = thomae.calibrate_phases(ctx, np.array([_mask(i0) for i0 in sets]))
     by_char = {char_of_set(g, i0): ratio for i0, ratio in zip(sets, ratios.tolist())}
     tol = cfg.tolerance_table["THOMAE1"]
-    for row, got in zip(rows.tolist(), records):
+    for row, got in zip(rows.tolist(), recs):
         i0 = _set(row[0])
         want = oracle_thomae1(ctx, i0, tolerance=tol)
         assert (got.relation_id, got.bindings, got.notes, got.passed, got.tolerance) == \

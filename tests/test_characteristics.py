@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_from_string, char_tuples, enumerate_partitions, parity, ref_char
+from oracles import (
+    char_from_string,
+    char_tuples,
+    enumerate_partitions,
+    full_part,
+    parity,
+    ref_char,
+)
 from thomae_lab.characteristics import (
     Partition,
     _char,
@@ -249,6 +256,7 @@ _DOORS = {
     "iset": lambda c, s: iset(s),
     "char_of_set": lambda c, s: char_of_set(c.g, s),
     "Partition.from_set": lambda c, s: Partition.from_set(c.g, s),
+    "Partition": lambda c, s: Partition(genus=c.g, part=s),
     "CurveContext.const": lambda c, s: c.const(s),
     "CurveContext.deriv": lambda c, s: c.deriv(s, 1),
     "first_thomae_rhs": first_thomae_rhs,
@@ -276,7 +284,7 @@ def _check_completed(g: int, mask: int, full: int, m: int) -> None:
     # the canonical full part is the completed set or, when that is the
     # larger side or a tie without index 0, its complement
     canonical = full if m > 0 or (m == 0 and full & 1) else full ^ (1 << 2 * g + 2) - 1
-    assert index_set(canonical) == p.full_part()
+    assert index_set(canonical) == full_part(p)
     assert mask_chars(g)[full] == mask_chars(g)[mask]  # [eps_0] = 0: index 0 changes no [I]
 
 

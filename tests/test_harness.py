@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_text
+from oracles import records
 from thomae_lab import harness
 from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
@@ -648,7 +649,7 @@ def test_the_run_order_counts_only_families_with_bindings():
     family = FAMILIES["HESS_EQUIV"]
     direct = family(CurveContext.build(spec, order=2), cfg,
                     family.bindings(spec.genus, cfg, _family_rng(cfg, "HESS_EQUIV")))
-    assert [r.as_dict() for r in report.records] == [r.as_dict() for r in direct]
+    assert [r.as_dict() for r in report.records] == [r.as_dict() for r in records(direct)]
     assert report.theta["order"] == 2 and len(direct) == 3  # cap // 25 = 2, cap // 50 = 1
 
 
@@ -714,6 +715,34 @@ def test_a_large_cap_draw_of_every_family_stays_small():
     rows, peak_kb = map(int, proc.stdout.split())
     assert rows > 10**6  # GRAD3 alone takes 10**6
     assert peak_kb / 1024 < DRAW_PEAK_MB, f"peak RSS {peak_kb / 1024:.0f} MB"
+
+
+# Peak RSS of a fresh interpreter that runs the genus-7 heavy suite at seed 1
+# (2-core Xeon VM, numpy 2.4): 201 MB when the theta stores held a class's
+# rows at stride 2^g, so building one class made a page of every class
+# resident, and 146 MB with each class's rows contiguous.
+HEAVY_PEAK_MB = 150
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+def test_the_genus_7_heavy_run_stays_small():
+    probe = (
+        "import os\n"
+        "from thomae_lab.harness import main\n"
+        "code = main(['verify', '--genus', '7', '--seed', '1', '--enable-heavy',\n"
+        "             '--out', os.devnull])\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+        "print(code, hwm[0].split()[1])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < HEAVY_PEAK_MB, f"peak RSS {peak_kb / 1024:.0f} MB"
 
 
 def _close_pair_run(tmp_path, points):

@@ -28,9 +28,8 @@ UNREACHED = {
     "harness.Report.to_json": "bench/worker.py's report digest; the CLI writes json_slabs",
     # record rows: a run and its reports read the tables' columns
     "harness.Report.records": "bench/worker.py and tests read records as rows",
-    "relations.RecordTable.__iter__": "bench/worker.py and tests read records as rows",
-    "relations.RecordTable.__getitem__": "the text report's failed lines and tests",
-    "relations.RecordTable.rows": "the text report's failed lines, bench/worker.py and tests",
+    "relations.RecordTable.rows": "the one row view: the text report's failed lines, "
+                                  "Report.records (bench/worker.py) and tests/oracles.records",
     "relations.VerificationRecord.as_dict": "bench/worker.py and tests",
     "relations.VerificationRecord.passed": "tests",
     "characteristics.Partition.__str__": "only an error message prints a partition",

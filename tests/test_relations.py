@@ -8,6 +8,7 @@ from oracles import (
     complement_finite,
     drop,
     enumerate_partitions,
+    records,
     ref_collection_rank,
     replace,
 )
@@ -235,7 +236,8 @@ def test_gradn_specializations(ctx, one):
 
 def rank_record(c, sets, degenerate=0):
     """The RANK record of one collection, from a one-row batch."""
-    return rank_batch(c, np.array([[degenerate] + [_mask(s) for s in sets]]))[0]
+    (rec,) = records(rank_batch(c, np.array([[degenerate] + [_mask(s) for s in sets]])))
+    return rec
 
 
 def test_rank_three_sets_sharing_g2_subset(ctx):
@@ -271,7 +273,7 @@ def test_rank_random_collections_match(ctx, g=3):
         size = int(rng.integers(2, 6))
         idx = rng.choice(len(parts), size=size, replace=False)
         rows.append([0] + [parts[i] for i in idx] + [-1] * (5 - size))
-    for rec in rank_batch(c, np.array(rows)):
+    for rec in records(rank_batch(c, np.array(rows))):
         obs, pred = rec.notes.split(", ")
         assert obs.split()[1] == pred.split()[1], rec.bindings
         assert rec.residual == 0.0
@@ -536,7 +538,7 @@ def test_riemann_jacobi_off_the_curve(g):
         cfg = SuiteConfig(spec=spec, seed=seed)
         rows = FAMILIES["RJ_DET"].bindings(g, cfg, _family_rng(cfg, "RJ_DET"))
         engine = ThetaEngine(1j * (a @ a.T / g + 0.5 * np.eye(g)), order=1)
-        worst = max(r.residual for r in rj_det_batch(CurveContext(spec, None, engine), rows))
+        worst = rj_det_batch(CurveContext(spec, None, engine), rows).residual.max()
         if g <= 3:
             assert worst < 1e-10, (seed, worst)
         else:
@@ -555,10 +557,10 @@ def test_riemann_jacobi_row_swap_modulus_invariant(ctx):
 # --- record assembly ---------------------------------------------------------
 
 def test_make_records_spreads_scalars_and_keeps_per_record_lists():
-    one = make_records("EKLM", np.array([0.1, 0.2]), 1e-8, n=np.array([1, 2]))
+    one = records(make_records("EKLM", np.array([0.1, 0.2]), 1e-8, n=np.array([1, 2])))
     assert [(r.relation_id, r.tolerance, r.notes) for r in one] == [("EKLM", 1e-8, "")] * 2
-    per = make_records(["HESS_K3", "D3_K5"], [0.1, 0.2], [1e-6, 1e-4], notes=["a", "b"],
-                       n=np.array([1, 2]))
+    per = records(make_records(["HESS_K3", "D3_K5"], [0.1, 0.2], [1e-6, 1e-4],
+                               notes=["a", "b"], n=np.array([1, 2])))
     assert [(r.relation_id, r.tolerance, r.notes) for r in per] == [
         ("HESS_K3", 1e-6, "a"), ("D3_K5", 1e-4, "b")]
     assert [r.residual for r in per] == [0.1, 0.2]
@@ -568,15 +570,15 @@ def test_make_records_spreads_scalars_and_keeps_per_record_lists():
 def test_make_records_raises_a_failed_precondition_to_one():
     recs = make_records("GRAD4", np.array([0.2, 3.0, 0.2]), 1e-8,
                         precondition_failed=np.array([True, True, False]), n=np.arange(3))
-    assert [r.residual for r in recs] == [1.0, 3.0, 0.2]
+    assert recs.residual.tolist() == [1.0, 3.0, 0.2]
 
 
 def test_make_records_binds_python_values():
-    recs = make_records(
+    recs = records(make_records(
         "GRAD4", np.zeros(2), 1e-8, masks=("pairs",),
         j=np.array([4, 5]), I=np.array([[1, 2], [3, 4]]),
         pairs=np.array([[0b11, 0b1100], [0b110000, 0b11000000]]), B=[(1,), (2, 3)],
-    )
+    ))
     assert [r.bindings for r in recs] == [
         {"j": 4, "I": (1, 2), "pairs": ((0, 1), (2, 3)), "B": (1,)},
         {"j": 5, "I": (3, 4), "pairs": ((4, 5), (6, 7)), "B": (2, 3)},
@@ -590,8 +592,8 @@ def test_make_records_binds_python_values():
 
 def test_make_records_one_slot_and_many_slots_agree():
     masks = np.array([[1, 2], [3, 4], [5, 6]])
-    one = make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks)
-    many = make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks, m=np.array([2, 2, 2]))
+    one = records(make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks))
+    many = records(make_records("RJ_DET", np.zeros(3), 1e-6, I0=masks, m=np.array([2, 2, 2])))
     assert [r.bindings for r in one] == [{"I0": (1, 2)}, {"I0": (3, 4)}, {"I0": (5, 6)}]
     assert [r.bindings for r in many] == [{**r.bindings, "m": 2} for r in one]
     # a slot or a residual of the wrong length is refused on either path

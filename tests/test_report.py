@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_text
+from oracles import records
 from thomae_lab import harness
 from thomae_lab.harness import FAMILIES, Report, SuiteConfig, main, random_curve, run_suite
 from thomae_lab.relations import make_records
@@ -129,7 +130,7 @@ def test_rows_that_bind_no_slot_and_tables_without_slots():
                          I=np.array([-1, 0b110, -1]), j=np.array([4, -1, -1]),
                          S=np.array([[0b11, -1], [-1, -1], [0, 0b1000]]),
                          f=[None, "x", None])
-    assert [r.bindings for r in table] == [
+    assert [r.bindings for r in records(table)] == [
         {"j": 4, "S": ((0, 1),)}, {"I": (1, 2), "S": (), "f": "x"}, {"S": ((), (3,))}]
     assert_same_reports(hand_built(table, make_records("C", [0.5], 1.0),
                                    make_records("D", [0.5], 1.0, masks=("I",), I=[-1])))

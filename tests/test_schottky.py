@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import parity, ref_char
+from oracles import parity, records, ref_char
 from thomae_lab.characteristics import _char, _table, char_of_set
 from thomae_lab.indexsets import index_mask as _mask
 from thomae_lab.schottky import (
@@ -36,7 +36,8 @@ def sets_of(mask_array) -> set:
 
 
 def case_record(c, case_id):
-    return appendix_f_batch(c, np.array([[CASE_IDS.index(case_id)]]))[0]
+    (rec,) = records(appendix_f_batch(c, np.array([[CASE_IDS.index(case_id)]])))
+    return rec
 
 
 def test_syzygy_trivial_cases():
@@ -103,7 +104,8 @@ def test_coset_error_names_partition_and_characteristic(ctx, rep, part, mult):
 
 def test_schottky_r_three_routes(ctx):
     c = ctx(4)
-    recs = schottky_r_batch(c, np.array([[_mask((1, 2, 3, 4)), _mask((1, 2, 3, 4)), 5, 6]]))
+    row = [_mask((1, 2, 3, 4)), _mask((1, 2, 3, 4)), 5, 6]
+    recs = records(schottky_r_batch(c, np.array([row])))
     by_id = {r.relation_id: r for r in recs}
     assert by_id["SCHOTTKY_R"].residual < 1e-8
     assert by_id["SCHOTTKY_DETR"].residual < 1e-10
@@ -113,7 +115,8 @@ def test_schottky_r_three_routes(ctx):
 @pytest.mark.slow
 def test_schottky_r_holds_at_g5(ctx):
     c = ctx(5)
-    recs = schottky_r_batch(c, np.array([[_mask((1, 3, 5, 7, 9)), _mask((1, 3, 5, 7)), 2, 4]]))
+    row = [_mask((1, 3, 5, 7, 9)), _mask((1, 3, 5, 7)), 2, 4]
+    recs = records(schottky_r_batch(c, np.array([row])))
     assert all(
         r.residual < r.tolerance for r in recs
     ), [(r.relation_id, r.residual) for r in recs]

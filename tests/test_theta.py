@@ -571,7 +571,7 @@ def test_orders_past_2_are_bit_identical_to_one_lattice_at_r_k(ctx, monkeypatch,
     assert ref._lattice_radius == ref.radius
     for order in (3, 4) if g == 3 else (3,):
         eng.values(chars, order)  # builds every class
-        table = eng._stores[order][0].reshape(2**g, 2**g, -1).swapaxes(0, 1)  # [eps', eps]
+        table = eng._stores[order][0].reshape(2**g, 2**g, -1)  # [eps', eps]
         bins = np.stack([ref._bins(ref._lattice_class(e), order) for e in eps_prime.tolist()])
         assert np.array_equal(table, ref._transform(bins, eps_prime, order)), order
     for order in range(3):

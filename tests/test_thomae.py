@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from oracles import complement_finite, drop, enumerate_partitions, vandermonde
+from oracles import complement_finite, drop, enumerate_partitions, records, vandermonde
 from thomae_lab.characteristics import char_of_set, mask_chars
 from thomae_lab.harness import FAMILIES, main
 from thomae_lab.indexsets import index_mask as _mask, iset
@@ -229,7 +229,8 @@ def test_array_calibration_matches_scalar_rhs(ctx, g):
 
 def _own_constants(c):
     """A shallow copy of the context whose engine holds its own copy of the
-    order-0 store, that store, and the store row of an index set."""
+    order-0 store, that store, and the store row of an index set: the
+    characteristic's class eps' first, then eps."""
     import copy
 
     broken = copy.copy(c)
@@ -238,7 +239,8 @@ def _own_constants(c):
     broken.engine._stores = {0: (table.copy(), built)}
 
     def row(indices):
-        return char_of_set(c.g, indices).bits
+        bits = char_of_set(c.g, indices).bits
+        return (bits & (1 << c.g) - 1) << c.g | bits >> c.g
 
     return broken, broken.engine._stores[0][0][:, 0], row
 
@@ -246,9 +248,9 @@ def _own_constants(c):
 def _thomae1_fails(c):
     """The I_0 of the THOMAE1 records that fail, over every I_0 of c."""
     rows = _first_masks(c.g)[1][:, None]
-    records = FAMILIES["THOMAE1"].verify(c, rows)
-    assert len(records) == len(rows)
-    return [r.bindings["I0"] for r in records if not r.passed]
+    recs = records(FAMILIES["THOMAE1"].verify(c, rows))
+    assert len(recs) == len(rows)
+    return [r.bindings["I0"] for r in recs if not r.passed]
 
 
 def test_calibration_failure_detected(ctx):

@@ -317,7 +317,9 @@ def _ellipsoid_points(chol: np.ndarray, r: float, parity: int | None = None) -> 
         np.cumsum(size, out=before[1:])
         starts[keys] = done + before[np.cumsum(n) - n]
         block = out[done : done + before[-1]]
-        np.take(padded, np.repeat(by_key[t], size), axis=0, out=block)
+        # by_key is a permutation of the tail rows, so every index is in range;
+        # mode="clip" lets take write to block, where "raise" buffers any out=
+        np.take(padded, np.repeat(by_key[t], size), axis=0, out=block, mode="clip")
         # the j-th point of the block is first + 4 (j - before) of its group
         block[:, 0] = np.repeat(first - 4 * before[:-1], size) + 4 * np.arange(len(block))
         done += len(block)
@@ -476,14 +478,20 @@ class ThetaEngine:
 
     def _bins(self, cls: _LatticeClass, order: int) -> np.ndarray:
         """bins[b, j], the sum over parity bin b of the class of m times the
-        j-th sorted monomial of degree order >= 1.  The products m q_c1 ...
-        are formed per chunk of bins of about 4 * _BLOCK entries, and each bin
-        takes q^t @ rest on its own rows, so no bit depends on the chunks."""
+        j-th sorted monomial of degree order >= 1.  Order 1 forms m p in
+        coordinate rows and sums each row's bins by one segmented sum: NumPy's
+        pairwise sum splits a segment by its length, not its stride, so the
+        bits are those of summing the point rows.  From order 2 the products
+        m q_c1 ... are formed per chunk of bins of about 4 * _BLOCK entries,
+        and each bin takes q^t @ rest on its own rows, so no bit depends on
+        the chunks."""
         tail, pick, _ = _layout(self.g, order)
         bins = np.zeros((2**self.g, len(pick)))
         if order == 1:
             filled = np.flatnonzero(np.diff(cls.starts))
-            bins[filled] = np.add.reduceat(cls.m[:, None] * cls.p, cls.starts[filled])
+            mp = cls.p.T.astype(np.float64, order="C")  # one row per coordinate
+            mp *= cls.m
+            bins[filled] = np.add.reduceat(mp, cls.starts[filled], axis=1).T
             return 0.5 * bins  # q = p / 2, and halving is exact
         q, starts = 0.5 * cls.p, cls.starts.tolist()
         per = 4 * _BLOCK // len(tail)  # points per chunk, or one larger bin

@@ -59,6 +59,15 @@ def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(size, -1)
 
 
+@lru_cache(maxsize=None)
+def _sorted_flat(g: int, m: int) -> np.ndarray:
+    """For every position of a (g,)*m tensor in C order, the flat position
+    of its sorted multi-index; read-only, as the cache shares it."""
+    flat = np.ravel_multi_index(np.sort(np.indices((g,) * m).reshape(m, -1), axis=0), (g,) * m)
+    flat.flags.writeable = False
+    return flat
+
+
 def _vandermondes(e: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """The ordered Vandermonde product prod_{i > l in I} (e_i - e_l), larger
     index first, of every row of an int array of ascending index sets."""
@@ -127,7 +136,7 @@ def general_thomae_batch(
                       [0, *range(2, 2 + m)])
     t = sum(np.transpose(outer, (0, *(1 + np.array(p)))) for p in permutations(range(m)))
     # every entry reads its sorted multi-index, so the symmetry is exact
-    flat = np.ravel_multi_index(np.sort(np.indices((g,) * m).reshape(m, -1), axis=0), (g,) * m)
+    flat = _sorted_flat(g, m)
     t = t.reshape(len(t), -1)[:, flat].reshape(t.shape) * (-1.0) ** (m * (m + 1) // 2)
     # prod_{kappa in K} (prod_{j in J_0} |e_kappa - e_j| / prod_{i in A} |e_kappa - e_i|)^{1/4}
     j0 = index_rows(finite_mask(g) ^ i0)

@@ -10,7 +10,7 @@ from oracles import char_from_string, char_tuples, enumerate_partitions, parity
 from thomae_lab.characteristics import HalfCharacteristic, _char, char_of_set
 from thomae_lab import theta as theta_module
 from thomae_lab.context import CurveContext
-from thomae_lab.curve import MAX_GENUS
+from thomae_lab.curve import MAX_GENUS, validate_curve
 from thomae_lab.harness import random_curve
 from thomae_lab.periods import compute_periods
 from thomae_lab.theta import ThetaEngine, truncation_radius
@@ -401,6 +401,21 @@ def test_bins_are_bit_identical_to_per_bin_sums(ctx, monkeypatch, g, block):
         for order in (1, 2, 3):
             assert np.array_equal(eng._bins(cls, order), _per_bin_reference(cls, g, order)), \
                 (eps_prime, order)
+
+
+def test_bins_with_empty_parity_bins_are_bit_identical_to_per_bin_sums():
+    # on this genus-3 curve with a branch-point gap of 1e-8, 4 of the 8
+    # classes have an empty parity bin, so only their filled bins are summed
+    spec = validate_curve(3, [-4, -2.5, -1, 0, 1.5, 1.50000001, 3], label="gap-g3")
+    eng = CurveContext.build(spec).engine
+    empty = 0
+    for eps_prime in range(8):
+        cls = eng._lattice_class(eps_prime)
+        empty += np.any(np.diff(cls.starts) == 0)
+        for order in (1, 2, 3):
+            assert np.array_equal(eng._bins(cls, order), _per_bin_reference(cls, 3, order)), \
+                (eps_prime, order)
+    assert empty == 4
 
 
 @pytest.mark.parametrize("g", range(1, 7))

@@ -371,21 +371,46 @@ def _gradient_residuals(
     return _vector_residuals(coeff[..., None] * grads), grads
 
 
+def _pair_ratios(rows: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """sigma2/sigma1 of the 2 x g matrix [a; b], a = rows[..., p, :] and
+    b = rows[..., q, :], for every (p, q) in pairs: (..., len(pairs)).
+
+    In closed form: sigma1^2 + sigma2^2 = t = |a|^2 + |b|^2, and by the
+    Cauchy-Binet (Lagrange) identity sigma1^2 sigma2^2 = d = sum_{i<j}
+    |a_i b_j - a_j b_i|^2, which has no cancellation as the pair becomes
+    dependent.  Then sigma1^2 = (t + sqrt(max(t^2 - 4d, 0))) / 2 and
+    sigma2/sigma1 = sqrt(d) / sigma1^2.  d is summed one index pair (i, j)
+    at a time, so no temporary is larger than the result."""
+    p, q = np.array(pairs).T
+    norms = (np.einsum("...i,...i->...", rows.real, rows.real)
+             + np.einsum("...i,...i->...", rows.imag, rows.imag))
+    t = norms[..., p] + norms[..., q]
+    d = np.zeros(t.shape)
+    for i, j in combinations(range(rows.shape[-1]), 2):
+        ci, cj = rows[..., i], rows[..., j]
+        minor = ci[..., p] * cj[..., q] - cj[..., p] * ci[..., q]
+        d += minor.real ** 2 + minor.imag ** 2
+    return np.sqrt(d) / ((t + np.sqrt(np.maximum(t * t - 4 * d, 0))) / 2)
+
+
 def grad3_batch(ctx: CurveContext, binds: np.ndarray,
                 tol: Mapping = DEFAULT_TOLERANCES) -> RecordTable:
     """GRAD3 for every row [I B j_m j_n] of binds (|I| = g-2, |B| = 3, 0
     allowed in B): GRADN at r = 2, S the single kappas of B.  Any two of the
-    three gradients must be linearly independent."""
+    three gradients must be linearly independent: a pair whose
+    sigma2/sigma1 (:func:`_pair_ratios`) is below 1e-6 is noted."""
     kappas = index_rows(binds[:, 1])
     jm, jn = (1 << binds[:, 2:]).T
     residual, grads = _gradient_residuals(ctx, binds[:, 0], binds[:, 1], jm, jn, 1 << kappas)
-    # pairwise independence: smallest singular value of each 2 x g stack
     pairs = list(combinations(range(3), 2))
-    sv = np.linalg.svd(grads[:, pairs], compute_uv=False)
-    ratios = sv[..., 1] / sv[..., 0]
-    notes = ["; ".join(f"pair ({kap[a]},{kap[b]}) nearly dependent: {r:.2e}"
-                       for (a, b), r in zip(pairs, rat) if r < 1e-6)
-             for kap, rat in zip(kappas.tolist(), ratios.tolist())]
+    ratios = _pair_ratios(grads, pairs)
+    flagged = ratios < 1e-6
+    notes = [""] * len(binds)
+    for row in np.flatnonzero(flagged.any(axis=1)).tolist():
+        kap = kappas[row].tolist()
+        notes[row] = "; ".join(f"pair ({kap[p]},{kap[q]}) nearly dependent: {r:.2e}"
+                               for (p, q), r, bad in zip(pairs, ratios[row].tolist(),
+                                                         flagged[row].tolist()) if bad)
     return make_records("GRAD3", residual, tol["GRAD3"], notes=notes, masks=("I",),
                         I=binds[:, 0], kappas=kappas, j_m=binds[:, 2], j_n=binds[:, 3])
 

@@ -43,7 +43,7 @@ from .characteristics import _char, _partition, completed_part, mask_chars
 from .context import CurveContext
 from .indexsets import finite_mask, index_mask, index_masks, index_rows, index_set, low_indices
 from .relations import DEFAULT_TOLERANCES, RecordTable, general_r_tensor, make_records
-from .thomae import first_thomae_rhs
+from .thomae import thomae_prefactor
 
 
 def raw_chars(g: int, masks: np.ndarray) -> np.ndarray:
@@ -263,9 +263,16 @@ def appendix_f_batch(ctx: CurveContext, binds: np.ndarray,
             raise ValueError(f"{case_id} needs genus {CASE_GENUS[case_id]}")
         cases.append(case_id)
         if case_id == "schottky.Ratio45":
-            prods = ctx.consts(index_masks(np.array(_RATIO45_PRODUCTS))).prod(axis=1)
-            refs = np.array([first_thomae_rhs(ctx, a) * first_thomae_rhs(ctx, b)
-                             for a, b in _RATIO45_PRODUCTS])
+            masks = index_masks(np.array(_RATIO45_PRODUCTS))
+            full, mult = completed_part(ctx.g, masks)
+            # first Thomae sets: multiplicity 0 with g finite indices, so that
+            # completion adds index 0 alone (masks + 1 sets bit 0 only where clear)
+            bad = masks[(mult != 0) | (full != masks + 1)]
+            if len(bad):
+                raise ValueError(f"{index_set(int(bad[0]))} is not a multiplicity-0 index set "
+                                 "of g finite indices")
+            prods = ctx.consts(masks).prod(axis=1)
+            refs = thomae_prefactor(ctx, masks.ravel()).reshape(masks.shape).prod(axis=1)
             residual.append(np.max(np.abs(np.abs(prods) - np.abs(refs)) / np.abs(refs)))
             notes.append("intra-genus Thomae consistency of the listed products")
             signs_differ.append(False)

@@ -86,7 +86,10 @@ def thomae_prefactor(ctx: CurveContext, masks: np.ndarray) -> np.ndarray:
 
 def first_thomae_rhs(ctx: CurveContext, i0: Iterable[int]) -> complex:
     """(det omega/pi^g)^{1/2} Delta(I_0)^{1/4} Delta(J_0)^{1/4}, whose phase
-    relative to theta[I_0] is +1."""
+    relative to theta[I_0] is +1.  The tests' scalar oracle of
+    :func:`thomae_prefactor`; no run calls it.  Also a traced entry point of
+    the benchmark (bench/layers.py): ``thomae.rhs.self_s`` and
+    ``thomae.rhs.calls`` count its calls."""
     i0 = iset(i0)
     if Partition.from_set(ctx.g, i0).multiplicity() != 0:
         raise ValueError(f"{i0} is not a multiplicity-0 index set")

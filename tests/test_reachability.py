@@ -26,6 +26,14 @@ UNREACHED = {
     "theta.ThetaEngine.theta_deriv": "bench-traced theta.deriv.* entry point",
     "theta.ThetaEngine._check": "argument check of the two entry points above",
     "harness.Report.to_json": "bench/worker.py's report digest; the CLI writes json_slabs",
+    "thomae.first_thomae_rhs": "bench-traced thomae.rhs entry point until ROADMAP items 6 and 10",
+    "characteristics.Partition.from_set": "bench-traced characteristics entry point "
+                                          "until ROADMAP items 6 and 10",
+    "characteristics.Partition.__post_init__": "helper of from_set; checks each Partition built",
+    "characteristics.Partition.multiplicity": "helper of first_thomae_rhs",
+    "characteristics._partition": "helper of from_set and of the coset error message",
+    "characteristics._set_mask": "helper of from_set, Partition.__post_init__ and char_of_set",
+    "indexsets.iset": "helper of first_thomae_rhs",
     # record rows: a run and its reports read the tables' columns
     "harness.Report.records": "bench/worker.py and tests read records as rows",
     "relations.RecordTable.rows": "the one row view: the text report's failed lines, "

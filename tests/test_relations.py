@@ -13,10 +13,12 @@ from oracles import (
     replace,
 )
 from thomae_lab.context import CurveContext
+from thomae_lab.curve import validate_curve
 from thomae_lab.harness import DEFAULT_TOLERANCES, FAMILIES, SuiteConfig, _family_rng, random_curve
 from thomae_lab.indexsets import index_mask as _mask, iset
 from thomae_lab.relations import (
     _match_residuals,
+    _pair_ratios,
     _predicted,
     conjecture_batch,
     derivative_batch,
@@ -204,6 +206,61 @@ def test_grad3_canonicalization_of_kappas(ctx, one):
 def test_grad3_with_infinity_kappa(ctx, one):
     rec = one(grad3_batch, ctx(2), (), (0, 2, 4), 3, 5)
     assert rec.residual < GRAD_TOL
+
+
+def _svd_ratios(a, b):
+    """sigma2/sigma1 of every 2 x g stack [a; b], by LAPACK."""
+    sv = np.linalg.svd(np.stack([a, b], axis=-2), compute_uv=False)
+    return sv[..., 1] / sv[..., 0]
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_pair_ratios_in_closed_form_agree_with_the_svd(g):
+    rng = np.random.default_rng(g)
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = normal(200, g), normal(200, g)
+    np.testing.assert_allclose(_pair_ratios(np.stack([a, b], axis=-2), [(0, 1)])[..., 0],
+                               _svd_ratios(a, b), rtol=1e-12, atol=0)
+    # nearly dependent pairs b = c a + delta n: below about 1e-10 the SVD's
+    # own sigma2 is rounding noise, so only the flags are compared there
+    deltas = 10.0 ** -np.arange(3, 15)
+    a, n, c = normal(len(deltas), 20, g), normal(len(deltas), 20, g), normal(len(deltas), 20, 1)
+    b = c * a + deltas[:, None, None] * n
+    got, want = _pair_ratios(np.stack([a, b], axis=-2), [(0, 1)])[..., 0], _svd_ratios(a, b)
+    assert np.array_equal(got < 1e-6, want < 1e-6)
+    assert (want < 1e-6).sum() > 0 and (want >= 1e-6).sum() > 0
+    shown = want >= 1e-10
+    assert [f"{r:.2e}" for r in got[shown]] == [f"{r:.2e}" for r in want[shown]]
+
+
+@pytest.mark.parametrize("points", [[-4, -2.5, -1, 0, 1.5, 1.50000001, 3],
+                                    [0, 0.001, 0.002, 10, 10.001, 10.002, 10.003]])
+def test_grad3_notes_match_the_svd_without_running_one(monkeypatch, points):
+    # the 1e-8 gap curve and a two-cluster curve, where some pairs are noted
+    spec = validate_curve(3, points, label="close")
+    c = CurveContext.build(spec)
+    cfg = SuiteConfig(spec=spec, cap=500, seed=1)
+    rows = FAMILIES["GRAD3"].bindings(3, cfg, _family_rng(cfg, "GRAD3"))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("grad3_batch ran an SVD")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", no_svd)
+        got = records(grad3_batch(c, rows))
+    noted = 0
+    for rec in got:
+        i_set, kap = rec.bindings["I"], rec.bindings["kappas"]
+        grads = [c.grads(_mask(i_set + (k,))) for k in kap]
+        want = "; ".join(f"pair ({kap[p]},{kap[q]}) nearly dependent: {ratio:.2e}"
+                         for p, q in combinations(range(3), 2)
+                         if (ratio := _svd_ratios(grads[p], grads[q])) < 1e-6)
+        assert rec.notes == want, rec.bindings
+        noted += bool(want)
+    assert noted > 0
 
 
 def test_grad4_and_regrouped_variant(ctx, one):

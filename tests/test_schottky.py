@@ -6,6 +6,7 @@ import pytest
 
 from oracles import parity, records, ref_char
 from thomae_lab.characteristics import _char, _table, char_of_set
+from thomae_lab import schottky as sch, thomae
 from thomae_lab.indexsets import index_mask as _mask
 from thomae_lab.schottky import (
     CASE_IDS,
@@ -184,6 +185,34 @@ def test_genus5_cases(ctx, case):
 def test_unknown_case_rejected(ctx):
     with pytest.raises(ValueError, match="unknown Schottky case"):
         appendix_f_batch(ctx(4), np.array([[len(CASE_IDS)]]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ratio45_references_are_the_scalar_thomae_products(monkeypatch, random_ctx, seed):
+    c = random_ctx(5, seed)
+    prods = [c.const(a) * c.const(b) for a, b in sch._RATIO45_PRODUCTS]
+    refs = [thomae.first_thomae_rhs(c, a) * thomae.first_thomae_rhs(c, b)
+            for a, b in sch._RATIO45_PRODUCTS]
+    want = max(abs(abs(p) - abs(r)) / abs(r) for p, r in zip(prods, refs))
+
+    def scalar(*args):
+        raise AssertionError("Ratio45 called the scalar first_thomae_rhs")
+
+    monkeypatch.setattr(thomae, "first_thomae_rhs", scalar)
+    monkeypatch.setattr(sch, "first_thomae_rhs", scalar, raising=False)
+    assert case_record(c, "schottky.Ratio45").residual == want
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (2, 4, 6, 8), (0, 2, 4, 6, 8), (1, 2, 3, 4, 5, 6),
+                                 (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6)])
+def test_ratio45_refuses_a_set_outside_the_first_thomae_formula(monkeypatch, ctx, bad):
+    # multiplicity 1 with and without index 0 added, index 0 among five, and
+    # multiplicity-0 sets of six and seven; first_thomae_rhs refuses each too
+    monkeypatch.setattr(sch, "_RATIO45_PRODUCTS", [(bad, bad)])
+    with pytest.raises(ValueError, match="is not a multiplicity-0 index set"):
+        case_record(ctx(5), "schottky.Ratio45")
+    with pytest.raises(ValueError):
+        thomae.first_thomae_rhs(ctx(5), bad)
 
 
 def test_case_genus_mismatch(ctx):

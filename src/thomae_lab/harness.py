@@ -287,27 +287,30 @@ def _draw(count: int, cap: int, rng: np.random.Generator) -> np.ndarray:
 def unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     """The k-combinations of range(n) at the given lexicographic ranks (the
     order of itertools.combinations), one ascending row per rank."""
-    r = np.asarray(ranks, dtype=np.int64)
-    out = np.empty((len(r), k), dtype=np.int64)
-    start = np.zeros(len(r), dtype=np.int64)  # smallest element still allowed
-    for t in range(k):
-        # offsets[x]: combinations whose element t is below x, counted from 0
-        sizes = [math.comb(n - 1 - x, k - 1 - t) for x in range(n)]
-        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-        target = r + offsets[start]
-        out[:, t] = np.searchsorted(offsets, target, side="right") - 1
-        r = target - offsets[out[:, t]]
-        start = out[:, t] + 1
+    out = np.empty((len(ranks), k), dtype=np.int64)
+    # offsets[t, x]: the combinations whose element t is below x, counted from
+    # 0, C(n, k - t) - C(n - x, k - t) by the hockey-stick identity; row k is 0
+    combs = np.array([[math.comb(m, j) for m in range(n, -1, -1)] for j in range(k, -1, -1)],
+                     dtype=np.int64)
+    offsets = combs[:, :1] - combs
+    # target: the rank still to place plus the offset of the smallest element
+    # allowed next; placing element t at x moves it by step[t, x]
+    step = offsets[1:, 1:] - offsets[:-1, :-1]
+    target = np.array(ranks, dtype=np.int64)
+    for t, (bounds, moves) in enumerate(zip(offsets[:, 1:], step)):
+        x = bounds.searchsorted(target, side="right")  # as offsets[t, 0] = 0 <= target
+        out[:, t] = x
+        target += moves[x]
     return out
 
 
-def _subsets(universe, size: int, k: int, ranks: np.ndarray) -> np.ndarray:
-    """The k-subset at each rank of ``universe``, a mask of ``size``
-    members or one such mask per rank, as an ascending index row per rank,
-    ranked in ``itertools.combinations`` order of the members: each whole
-    enumeration unranks its index sets inside masks it already holds."""
-    members = np.broadcast_to(low_indices(universe, size), (len(ranks), size))
-    return np.take_along_axis(members, unrank_combinations(size, k, ranks), axis=1)
+def _subsets(members: np.ndarray, k: int, ranks: np.ndarray) -> np.ndarray:
+    """The k-subset at each rank of ``members``, one ascending index row or
+    one such row per rank, as an ascending index row per rank, ranked in
+    ``itertools.combinations`` order of the members: an enumeration unranks
+    a set inside the rows of the set it was drawn from."""
+    at = unrank_combinations(members.shape[-1], k, ranks)
+    return members[at] if members.ndim == 1 else np.take_along_axis(members, at, axis=1)
 
 
 def _picker(rng: np.random.Generator, *caps: int) -> Callable:
@@ -371,30 +374,35 @@ def run_order(families, g: int, enable_heavy: bool) -> int:
     return max(orders, default=0)
 
 
+def _finite(g: int) -> np.ndarray:
+    """The finite indices 1..2g+1 as one ascending index row."""
+    return np.arange(1, 2 * g + 2)
+
+
 def _i0_splits(g: int, ksize: int, pick: Callable) -> np.ndarray:
     """Rows [I_0 K j_m j_n] at the positions ``pick(count)`` of the
     enumeration over every finite g-set I_0, every ksize-subset K of I_0,
     and the two smallest indices j_m < j_n of J_0: I_0 unranked in the
-    finite mask, K in I_0, and j_m, j_n the low indices of J_0."""
+    finite indices, K in I_0's rows, and j_m, j_n the low indices of J_0."""
     per = math.comb(g, ksize)
     idx = pick(math.comb(2 * g + 1, g) * per)
-    fin = finite_mask(g)
-    i0 = index_masks(_subsets(fin, 2 * g + 1, g, idx // per))
-    ks = index_masks(_subsets(i0, g, ksize, idx % per))
-    return np.column_stack([i0, ks, low_indices(fin ^ i0, 2)])
+    i0_rows = _subsets(_finite(g), g, idx // per)
+    i0 = index_masks(i0_rows)
+    ks = index_masks(_subsets(i0_rows, ksize, idx % per))
+    return np.column_stack([i0, ks, low_indices(finite_mask(g) ^ i0, 2)])
 
 
 def _kappa_splits(g: int, isize: int, nk: int, pick: Callable) -> np.ndarray:
     """Rows [I B j_m j_n] at the positions ``pick(count)`` of the
     enumeration over all indices 0..2g+1: I a finite isize-set, B nk further
     indices, j_m < j_n the two smallest finite ones left.  I is unranked in
-    the finite mask, B in every index outside I."""
+    the finite indices, B in every index outside I."""
     nrest = 2 * g + 2 - isize
     per = math.comb(nrest, nk)
     idx = pick(math.comb(2 * g + 1, isize) * per)
     fin = finite_mask(g)
-    i_set = index_masks(_subsets(fin, 2 * g + 1, isize, idx // per))
-    kappas = index_masks(_subsets((fin | 1) ^ i_set, nrest, nk, idx % per))
+    i_set = index_masks(_subsets(_finite(g), isize, idx // per))
+    kappas = index_masks(_subsets(low_indices((fin | 1) ^ i_set, nrest), nk, idx % per))
     return np.column_stack([i_set, kappas, low_indices(fin & ~(i_set | kappas), 2)])
 
 
@@ -406,10 +414,9 @@ def _eklm_splits(g: int, pick: Callable) -> np.ndarray:
     n = 2 * g + 1
     per = math.comb(n - 3, g - 1)
     idx = pick(2 * math.comb(n, 3) * per)
-    fin = finite_mask(g)
-    kmn = _subsets(fin, n, 3, idx // 2 // per)
-    others = fin ^ index_masks(kmn)
-    i_set = index_masks(_subsets(others, n - 3, g - 1, idx // 2 % per))
+    kmn = _subsets(_finite(g), 3, idx // 2 // per)
+    others = finite_mask(g) ^ index_masks(kmn)
+    i_set = index_masks(_subsets(low_indices(others, n - 3), g - 1, idx // 2 % per))
     kmn = np.where((idx % 2 == 0)[:, None], kmn, kmn[:, [1, 2, 0]])
     return np.column_stack([i_set, others ^ i_set, kmn])
 
@@ -426,7 +433,7 @@ def _partition_masks(g: int, m: int, pick: Callable) -> np.ndarray:
     start = 0
     for size, count in counts.items():
         at = (idx >= start) & (idx < start + count)
-        out[at] = index_masks(_subsets(finite_mask(g), n, size, idx[at] - start))
+        out[at] = index_masks(_subsets(_finite(g), size, idx[at] - start))
         start += count
     return out
 
@@ -538,50 +545,71 @@ def _grad4_bindings(g, cfg, rng):
     ])
 
 
+def _sorted_rows(draws: list, width: int) -> np.ndarray:
+    """The per-row draws of a sampler, sorted, one row each."""
+    return np.sort(np.array(draws, dtype=np.int64).reshape(-1, width), axis=1)
+
+
 def _gradn_bindings(g, cfg, rng):
-    # rows [I B j_m j_n], I and B as masks: three draws per r
-    rows = []
+    """Rows [I B j_m j_n], I and B as masks: for r = 2..min(4, g), three
+    draws of g - r + 2r - 1 distinct indices 0..2g+1, sorted, I the first
+    g - r of them and B the rest."""
+    blocks = []
     for r in range(2, min(4, g) + 1):
-        for _ in range(3):
-            chosen = np.sort(rng.choice(2 * g + 2, size=(g - r) + (2 * r - 1), replace=False))
-            i_mask, b_mask = index_mask(chosen[: g - r]), index_mask(chosen[g - r :])
-            rows.append([i_mask, b_mask, *low_indices(finite_mask(g) & ~(i_mask | b_mask), 2)])
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+        size = (g - r) + (2 * r - 1)
+        chosen = _sorted_rows([rng.choice(2 * g + 2, size=size, replace=False)
+                              for _ in range(3)], size)
+        i_set, b_set = index_masks(chosen[:, :g - r]), index_masks(chosen[:, g - r:])
+        free = low_indices(finite_mask(g) & ~(i_set | b_set), 2)
+        blocks.append(np.column_stack([i_set, b_set, free]))
+    return np.vstack(blocks)
 
 
 def _rank_bindings(g, cfg, rng):
-    # rows [degenerate | part masks], padded with -1: collections of 2 to
-    # min(g + 2, 6) multiplicity-1 parts, then the degenerate family from the
-    # rank theorem, three sets sharing a (g-2)-set plus one disjoint-ish set
-    # (intersection g-4 but rank 3)
-    parts = _partition_masks(g, 1, np.arange).tolist()
+    """Rows [degenerate | part masks], padded with -1: collections of 2 to
+    min(g + 2, 6) multiplicity-1 parts, each a size and that many distinct
+    positions drawn in the canonical list of :func:`_partition_masks`, which
+    unranks only the positions drawn; then, from genus 4, the degenerate
+    family of the rank theorem, three sets sharing a (g-2)-set plus one
+    disjoint-ish set (intersection g-4 but rank 3)."""
     width = min(g + 2, 6)
-    rows = []
-    for _ in range(min(cfg.cap, 200)):
-        size = int(rng.integers(2, width + 1))
-        idx = rng.choice(len(parts), size=size, replace=False)
-        rows.append([0] + [parts[i] for i in idx] + [-1] * (width - size))
+    sizes = []
+
+    def pick(count):  # every row's draw, one collection after another
+        picks = []
+        for _ in range(min(cfg.cap, 200)):
+            sizes.append(int(rng.integers(2, width + 1)))
+            picks.append(rng.choice(count, size=sizes[-1], replace=False))
+        return np.concatenate(picks)
+
+    masks = _partition_masks(g, 1, pick)
+    rows = np.full((len(sizes) + (g >= 4), width + 1), -1, dtype=np.int64)
+    rows[:, 0] = 0
+    rows[:len(sizes), 1:][np.arange(width) < np.array(sizes)[:, None]] = masks
     if g >= 4:
         shared = (1 << g - 1) - 2  # {1..g-2}; the last set is {g+3..2g+1}
         fam = [shared | 1 << g - 1 + i for i in range(3)] + [(1 << 2 * g + 2) - (1 << g + 3)]
-        rows.append([1] + fam + [-1] * (width - len(fam)))
-    return np.array(rows, dtype=np.int64)
+        rows[-1, :len(fam) + 1] = [1, *fam]
+    return rows
 
 
 def _hess_equiv_bindings(g, cfg, rng):
-    # rows [I0_a K_a j_m j_n  I0_b K_b j_m j_n], the index sets as masks
-    rows = []
-    # |K| = 4 equivalence needs five spare indices
+    """Rows [I0_a K_a j_m j_n  I0_b K_b j_m j_n], the index sets as masks:
+    per row g + 1 distinct finite indices, sorted, I their first g - |K|
+    and P the rest; K_a is P without its last index, K_b P without its
+    |K|-th, and I0 = I + K.  |K| = 3 rows, then |K| = 4 rows, whose
+    equivalence needs five spare indices."""
+    blocks = [np.empty((0, 8), dtype=np.int64)]
     for ksize, count in ((3, min(cfg.cap // 25, 20)), (4, min(cfg.cap // 50, 10))):
         if ksize > g:
             break
-        for _ in range(count):
-            chosen = np.sort(rng.choice(2 * g + 1, size=g + 1, replace=False)) + 1
-            i_mask, ps = index_mask(chosen[: g - ksize]), chosen[g - ksize:]
-            ka, kb = index_mask(ps[:ksize]), index_mask(np.delete(ps, ksize - 1))
-            jc = low_indices(finite_mask(g) ^ (i_mask | ka | kb), 2)
-            rows.append([i_mask | ka, ka, *jc, i_mask | kb, kb, *jc])
-    return np.array(rows, dtype=np.int64).reshape(-1, 8)
+        chosen = _sorted_rows([rng.choice(2 * g + 1, size=g + 1, replace=False)
+                              for _ in range(count)], g + 1) + 1
+        i_set, ps = index_masks(chosen[:, :g - ksize]), chosen[:, g - ksize:]
+        ka, kb = index_masks(ps[:, :ksize]), index_masks(np.delete(ps, ksize - 1, axis=1))
+        jc = low_indices(finite_mask(g) ^ (i_set | ka | kb), 2)
+        blocks.append(np.column_stack([i_set | ka, ka, jc, i_set | kb, kb, jc]))
+    return np.vstack(blocks)
 
 
 def _d3_k5_bindings(g, cfg, rng):
@@ -612,13 +640,18 @@ def _rj_det_bindings(g, cfg, rng):
 
 
 def _schottky_r_bindings(g, cfg, rng):
-    # rows [I0 K j_m j_n], K four indices of I0
-    rows = []
+    """Rows [I0 K j_m j_n], K four indices of I0: per row a finite g-set
+    I0, then four distinct positions in its sorted row, the numbers
+    ``rng.choice(i0, 4)`` reads."""
+    draws, fours = [], []
     for _ in range(min(cfg.cap // 25, 20)):
-        i0 = np.sort(rng.choice(2 * g + 1, size=g, replace=False)) + 1
-        i0_mask, ps = index_mask(i0), rng.choice(i0, size=4, replace=False)
-        rows.append([i0_mask, index_mask(ps), *low_indices(finite_mask(g) ^ i0_mask, 2)])
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+        draws.append(rng.choice(2 * g + 1, size=g, replace=False))
+        fours.append(rng.choice(g, size=4, replace=False))
+    i0_rows = _sorted_rows(draws, g) + 1
+    i0 = index_masks(i0_rows)
+    at = np.array(fours, dtype=np.int64).reshape(-1, 4)
+    ks = index_masks(np.take_along_axis(i0_rows, at, axis=1))
+    return np.column_stack([i0, ks, low_indices(finite_mask(g) ^ i0, 2)])
 
 
 def _schottky_f_bindings(g, cfg, rng):

@@ -19,7 +19,7 @@ import math
 import re
 import zlib
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -45,6 +45,7 @@ from thomae_lab import schottky as sch
 from thomae_lab import thomae
 from thomae_lab.characteristics import Partition, _char, _table, char_of_set, mask_chars
 from thomae_lab.context import CurveContext
+from thomae_lab.curve import MAX_GENUS
 from thomae_lab.harness import (
     FAMILIES,
     SuiteConfig,
@@ -61,7 +62,7 @@ from thomae_lab.harness import (
     run_suite,
     unrank_combinations,
 )
-from thomae_lab.indexsets import IndexSet, index_mask as _mask, iset
+from thomae_lab.indexsets import IndexSet, finite_mask, index_mask as _mask, iset, low_indices
 from thomae_lab.relations import REPRESENTATION_RECORDS, VerificationRecord
 from thomae_lab.theta import ThetaEngine
 
@@ -814,9 +815,16 @@ def list_part_masks(g: int, m: int, cap: int, rng) -> np.ndarray:
                     dtype=np.int64).reshape(-1, 1)
 
 
+@lru_cache(maxsize=None)
+def _mult1_masks(g: int) -> tuple:
+    """The mask of every multiplicity-1 partition, from a validated
+    ``Partition`` each, in their canonical order."""
+    return tuple(_mask(p.part) for p in enumerate_partitions(g, 1))
+
+
 def list_rank_bindings(g: int, cfg, rng) -> np.ndarray:
     """The RANK sampler as it was, over the list of multiplicity-1 masks."""
-    parts = [_mask(p.part) for p in enumerate_partitions(g, 1)]
+    parts = _mult1_masks(g)
     width = min(g + 2, 6)
     rows = []
     for _ in range(min(cfg.cap, 200)):
@@ -829,6 +837,47 @@ def list_rank_bindings(g: int, cfg, rng) -> np.ndarray:
         fam.append(tuple(sorted(set(range(1, 2 * g + 2)) - set(shared))[-(g - 1):]))
         rows.append([1] + [_mask(s) for s in fam] + [-1] * (width - len(fam)))
     return np.array(rows, dtype=np.int64)
+
+
+# The per-row samplers as they were, one row at a time: the generator calls
+# of each row, then its masks, complements and j_m < j_n.
+
+
+def list_gradn_bindings(g: int, cfg, rng) -> np.ndarray:
+    rows = []
+    for r in range(2, min(4, g) + 1):
+        for _ in range(3):
+            chosen = np.sort(rng.choice(2 * g + 2, size=(g - r) + (2 * r - 1), replace=False))
+            i_mask, b_mask = _mask(chosen[: g - r]), _mask(chosen[g - r :])
+            rows.append([i_mask, b_mask, *low_indices(finite_mask(g) & ~(i_mask | b_mask), 2)])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def list_hess_equiv_bindings(g: int, cfg, rng) -> np.ndarray:
+    rows = []
+    for ksize, count in ((3, min(cfg.cap // 25, 20)), (4, min(cfg.cap // 50, 10))):
+        if ksize > g:
+            break
+        for _ in range(count):
+            chosen = np.sort(rng.choice(2 * g + 1, size=g + 1, replace=False)) + 1
+            i_mask, ps = _mask(chosen[: g - ksize]), chosen[g - ksize:]
+            ka, kb = _mask(ps[:ksize]), _mask(np.delete(ps, ksize - 1))
+            jc = low_indices(finite_mask(g) ^ (i_mask | ka | kb), 2)
+            rows.append([i_mask | ka, ka, *jc, i_mask | kb, kb, *jc])
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)
+
+
+def list_schottky_r_bindings(g: int, cfg, rng) -> np.ndarray:
+    rows = []
+    for _ in range(min(cfg.cap // 25, 20)):
+        i0 = np.sort(rng.choice(2 * g + 1, size=g, replace=False)) + 1
+        i0_mask, ps = _mask(i0), rng.choice(i0, size=4, replace=False)
+        rows.append([i0_mask, _mask(ps), *low_indices(finite_mask(g) ^ i0_mask, 2)])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+LIST_SAMPLERS = {"GRADN": list_gradn_bindings, "RANK": list_rank_bindings,
+                 "HESS_EQUIV": list_hess_equiv_bindings, "SCHOTTKY_R": list_schottky_r_bindings}
 
 
 # --- batch records equal oracle records -----------------------------------
@@ -959,11 +1008,20 @@ def test_mask_table_matches_char_of_set():
 # --- unranked enumerations --------------------------------------------------
 
 def test_unrank_matches_itertools():
-    for n in range(13):
+    # every n up to 2g + 1 at the largest genus, every k, 0 included: all
+    # ranks in order, sampled ranks out of order (repeats too) where the
+    # enumeration is large, and no ranks
+    rng = np.random.default_rng(17)
+    for n in range(2 * MAX_GENUS + 2):
         for k in range(n + 1):
-            got = unrank_combinations(n, k, np.arange(math.comb(n, k)))
             want = np.array(list(combinations(range(n), k)), dtype=np.int64)
-            assert np.array_equal(got, want), (n, k)
+            want = want.reshape(math.comb(n, k), k)  # one empty row at k = 0
+            got = unrank_combinations(n, k, np.arange(len(want)))
+            assert got.dtype == np.int64 and np.array_equal(got, want), (n, k)
+            if len(want) > 1000:
+                ranks = rng.integers(0, len(want), size=300)
+                assert np.array_equal(unrank_combinations(n, k, ranks), want[ranks]), (n, k)
+            assert unrank_combinations(n, k, np.array([], dtype=np.int64)).shape == (0, k)
 
 
 def _flat(rows):
@@ -1000,6 +1058,43 @@ def test_partition_samplers_match_list_builders(g):
         old, new = np.random.default_rng([g, cap]), np.random.default_rng([g, cap])
         assert np.array_equal(_rank_bindings(g, cfg, new), list_rank_bindings(g, cfg, old))
         assert old.random() == new.random(), cap
+
+
+@pytest.mark.parametrize("g", range(2, MAX_GENUS + 1))
+def test_per_row_samplers_match_their_list_builders(g):
+    # the stream contract of the samplers that draw row by row: the same
+    # rows, dtype and shape from the same generator calls, and the family's
+    # stream left where the per-row code left it
+    for name, list_builder in LIST_SAMPLERS.items():
+        if g < FAMILIES[name].min_genus:
+            continue
+        for cap in (1, 7, 25, 50, 500, 10**6):
+            for heavy in (False, True):
+                sampling = harness._Sampling(cap, heavy, 1)
+                old, new = (_family_rng(sampling, name) for _ in range(2))
+                want = list_builder(g, sampling, old)
+                got = FAMILIES[name].bindings(g, sampling, new)
+                assert got.dtype == want.dtype and got.shape == want.shape, (name, cap)
+                assert np.array_equal(got, want), (name, cap, heavy)
+                assert old.random() == new.random(), (name, cap, heavy)
+
+
+def test_rank_unranks_only_its_picks(monkeypatch):
+    # RANK draws positions in the multiplicity-1 list and unranks only those:
+    # at most six parts for each of its 200 collections, not the 31,824
+    # parts of genus 8
+    g = 8
+    unranked = []
+
+    def spy(n, k, ranks):
+        unranked.append(len(ranks))
+        return unrank_combinations(n, k, ranks)
+
+    monkeypatch.setattr(harness, "unrank_combinations", spy)
+    sampling = harness._Sampling(500, False, 1)
+    rows = FAMILIES["RANK"].bindings(g, sampling, _family_rng(sampling, "RANK"))
+    assert len(rows) == 201
+    assert 0 < sum(unranked) <= 200 * min(g + 2, 6)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])

@@ -123,24 +123,25 @@ def test_low_indices_are_the_smallest_members():
 
 def test_subsets_are_the_combinations_of_the_members_at_each_rank():
     rng = np.random.default_rng(5)
-    for universe in MIXED.tolist():  # a scalar universe, index 0 in some
+    for universe in MIXED.tolist():  # one member row, index 0 in some
         size = int(universe).bit_count()
         for k in range(size + 1):
             combos = list(combinations(members(universe), k))
             ranks = np.arange(len(combos))
-            got = _subsets(universe, size, k, ranks)
+            got = _subsets(low_indices(universe, size), k, ranks)
             assert got.shape == (len(combos), k) and got.tolist() == [list(c) for c in combos]
-    # one universe per rank, all of one size
+    # one member row per rank, all of one size
     universes = np.array([0b10111, 0b111010, 0b110110000, 0b1111], dtype=np.int64)
     for k in range(5):
         ranks = rng.integers(0, len(list(combinations(range(4), k))), size=len(universes))
         want = [list(combinations(members(u), k))[r]
                 for u, r in zip(universes.tolist(), ranks.tolist())]
-        assert _subsets(universes, 4, k, ranks).tolist() == [list(c) for c in want], k
-    # no ranks, from a scalar universe and from an empty array of them
+        got = _subsets(low_indices(universes, 4), k, ranks)
+        assert got.tolist() == [list(c) for c in want], k
+    # no ranks, from one member row and from an empty array of them
     empty = np.array([], dtype=np.int64)
-    assert _subsets(0b1110, 3, 2, empty).shape == (0, 2)
-    assert _subsets(empty, 3, 2, empty).shape == (0, 2)
+    assert _subsets(low_indices(0b1110, 3), 2, empty).shape == (0, 2)
+    assert _subsets(low_indices(empty, 3), 2, empty).shape == (0, 2)
 
 
 def test_finite_mask():
